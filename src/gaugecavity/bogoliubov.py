@@ -241,12 +241,3 @@ def exact_branch_coupling(block: BogoliubovBlock,
                 - block.coeffs[t, 2 + s] * f_sigma[s].entries.conj().T
         out.append(Operator(acc))
     return tuple(out)
-
-
-def lambda_coulomb_identity(block: BogoliubovBlock, chi_md: float) -> float:
-    """Residual of lambda^2 = 1 - chi^{M^d} for Coulomb-gauge blocks (D = Gram).
-
-    Valid for the polarisation aligned with a fully screening axis; the
-    caller supplies chi^{M^d} computed from the same e, m, N, V, nu.
-    """
-    return float(abs(block.lambda_plus ** 2 - (1.0 - chi_md)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -22,16 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .criterion import PhasePoint, coulomb_specialized, dipole_specialized, evaluate
+from .criterion import evaluate
 from .errors import ConfigError, GaugecavityError
-from .gauge import GaugePreset, GaugeSpec, ModeSpec, lwl_mode, make_gauge, ring_mode
-from .matter import (
-    MatterModel,
-    ModelKind,
-    build_anharmonic_dipole,
-    build_ring_lattice,
-    build_two_level_ensemble,
-)
+from .gauge import (GaugePreset, GaugeSpec, ModeSpec, dressed_matter_hamiltonian, lwl_mode,
+                    make_gauge, ring_mode)
+from .matter import (MatterModel, ModelKind, build_anharmonic_dipole, build_ring_lattice,
+                     build_two_level_ensemble, matter_spectrum)
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ("schema_version,point_index,param_name,param_value,gauge,alpha,"
@@ -61,26 +58,41 @@ class SweepConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+def _typed(value, types) -> bool:
+    """isinstance that never counts a JSON boolean as a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _non_finite_paths(node, path: str = "") -> list[str]:
+    """Paths of every NaN or infinite number anywhere in the parsed config."""
+    if isinstance(node, float) and not math.isfinite(node):
+        return [path]
+    if isinstance(node, dict):
+        return [p for key, val in node.items()
+                for p in _non_finite_paths(val, f"{path}.{key}" if path else key)]
+    if isinstance(node, list):
+        return [p for i, val in enumerate(node) for p in _non_finite_paths(val, f"{path}[{i}]")]
+    return []
+
+
 def validate_config(text: str) -> SweepConfig:
     """Parse and validate a JSON sweep config, collecting every violation."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(["config: must be a JSON object"])
     errors: list[str] = []
 
     def need(section, key, types, pred=None, msg=""):
+        val = section[1].get(key)
         if key not in section[1]:
             errors.append(f"{section[0]}.{key}: missing")
-            return None
-        val = section[1][key]
-        if not isinstance(val, types):
+        elif not _typed(val, types):
             errors.append(f"{section[0]}.{key}: expected {types}, got {type(val).__name__}")
-            return None
-        if pred is not None and not pred(val):
+        elif pred is not None and not pred(val):
             errors.append(f"{section[0]}.{key}: {msg} (got {val!r})")
-            return None
-        return val
 
     model = raw.get("model")
     if not isinstance(model, dict):
@@ -93,7 +105,7 @@ def validate_config(text: str) -> SweepConfig:
         need(("model", model), "count", int, lambda v: v >= 1, "must be >= 1")
         need(("model", model), "gap", (int, float), lambda v: v > 0, "must be > 0")
         need(("model", model), "dipole_moment", list,
-             lambda v: len(v) == 3 and all(isinstance(x, (int, float)) for x in v),
+             lambda v: len(v) == 3 and all(_typed(x, (int, float)) for x in v),
              "must be a 3-vector")
         need(("model", model), "volume", (int, float), lambda v: v > 0, "must be > 0")
     elif kind == "anharmonic_dipole":
@@ -103,10 +115,14 @@ def validate_config(text: str) -> SweepConfig:
         need(("model", model), "quartic", (int, float), lambda v: v >= 0, "must be >= 0")
         need(("model", model), "charge", (int, float))
         need(("model", model), "volume", (int, float), lambda v: v > 0, "must be > 0")
+        if "axes" in model:
+            need(("model", model), "axes", int, lambda v: v in (1, 3), "must be 1 or 3")
     elif kind == "ring_lattice":
         need(("model", model), "sites", int, lambda v: v >= 4, "must be >= 4")
         need(("model", model), "hopping", (int, float), lambda v: v > 0, "must be > 0")
         need(("model", model), "charge", (int, float))
+        if model.get("volume") is not None:
+            need(("model", model), "volume", (int, float), lambda v: v > 0, "must be > 0")
 
     gauge_raw = raw.get("gauge")
     gauges: list[dict] = []
@@ -118,13 +134,18 @@ def validate_config(text: str) -> SweepConfig:
         errors.append("gauge: missing or not an object/list")
         gauge_list = []
     for i, g in enumerate(gauge_list):
+        if not isinstance(g, dict):
+            errors.append(f"gauge[{i}]: must be an object, got {g!r}")
+            continue
         preset = g.get("preset")
         if preset not in GAUGE_NAMES:
             errors.append(f"gauge[{i}].preset: must be one of {sorted(GAUGE_NAMES)}, got {preset!r}")
             continue
+        if not isinstance(g.get("lwl", True), bool):
+            errors.append(f"gauge[{i}].lwl: must be true or false, got {g['lwl']!r}")
         alpha = g.get("alpha")
         if preset == "alpha_lwl":
-            if not isinstance(alpha, (int, float)) or not 0.0 <= alpha <= 1.0:
+            if not _typed(alpha, (int, float)) or not 0.0 <= alpha <= 1.0:
                 errors.append(f"gauge[{i}].alpha: must lie in [0, 1], got {alpha!r}")
         elif alpha is not None:
             errors.append(f"gauge[{i}].alpha: only valid for alpha_lwl")
@@ -140,14 +161,20 @@ def validate_config(text: str) -> SweepConfig:
                 errors.append(f"modes[{i}]: must be an object")
                 continue
             if "ring_index" in m:
-                if not isinstance(m["ring_index"], int) or m["ring_index"] == 0:
+                if not _typed(m["ring_index"], int) or m["ring_index"] == 0:
                     errors.append(f"modes[{i}].ring_index: must be a nonzero integer")
                 if kind != "ring_lattice":
                     errors.append(f"modes[{i}].ring_index: requires a ring_lattice model")
+                optional = ("nu", "volume")
             else:
                 nu = m.get("nu")
-                if not isinstance(nu, (int, float)) or nu <= 0:
+                if not _typed(nu, (int, float)) or nu <= 0:
                     errors.append(f"modes[{i}].nu: must be > 0, got {nu!r}")
+                optional = ("volume",)
+            for key in optional:
+                val = m.get(key)
+                if val is not None and (not _typed(val, (int, float)) or val <= 0):
+                    errors.append(f"modes[{i}].{key}: must be > 0, got {val!r}")
             modes.append(dict(m))
 
     sweep = raw.get("sweep")
@@ -162,12 +189,14 @@ def validate_config(text: str) -> SweepConfig:
         vals = sweep["values"]
         if not isinstance(vals, list) or not vals:
             errors.append("sweep.values: must be a non-empty list")
+        elif not all(_typed(v, (int, float)) for v in vals):
+            errors.append(f"sweep.values: must all be numbers, got {vals!r}")
     else:
         steps = sweep.get("steps")
-        if not isinstance(steps, int) or steps < 1:
+        if not _typed(steps, int) or steps < 1:
             errors.append(f"sweep.steps: must be an integer >= 1, got {steps!r}")
         for key in ("start", "stop"):
-            if not isinstance(sweep.get(key), (int, float)):
+            if not _typed(sweep.get(key), (int, float)):
                 errors.append(f"sweep.{key}: must be a number, got {sweep.get(key)!r}")
         if sweep.get("scale", "linear") not in ("linear", "log"):
             errors.append(f"sweep.scale: must be linear or log, got {sweep.get('scale')!r}")
@@ -180,8 +209,11 @@ def validate_config(text: str) -> SweepConfig:
         oracle = {"enabled": False}
     elif oracle.get("enabled"):
         fock = oracle.get("fock_cutoff", 40)
-        if not isinstance(fock, int) or fock < 2:
+        if not _typed(fock, int) or fock < 2:
             errors.append(f"oracle.fock_cutoff: must be an integer >= 2, got {fock!r}")
+        points = oracle.get("points")
+        if points is not None and (not _typed(points, int) or points < 1):
+            errors.append(f"oracle.points: must be an integer >= 1, got {points!r}")
 
     output = raw.get("output", {})
     if not isinstance(output, dict):
@@ -189,10 +221,14 @@ def validate_config(text: str) -> SweepConfig:
         output = {}
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _typed(seed, int):
         errors.append(f"seed: must be an integer, got {seed!r}")
         seed = 0
 
+    # a non-finite number is named once, ahead of the checks it also fails
+    non_finite = _non_finite_paths(raw)
+    errors = [f"{p}: must be a finite number" for p in non_finite] + \
+        [e for e in errors if e.split(":", 1)[0] not in non_finite]
     if errors:
         raise ConfigError(errors)
     return SweepConfig(model=dict(model), gauges=tuple(gauges), modes=tuple(modes),
@@ -248,58 +284,79 @@ def _build_modes(cfg: SweepConfig, model: MatterModel) -> list[ModeSpec]:
     return out
 
 
-def _phase_point(cfg: SweepConfig, index: int, param: str, value: float) -> list[str]:
-    """criterion.csv rows for one sweep sample (deterministic order)."""
-    rows = []
+def _phase_point(cfg: SweepConfig, index: int, param: str, value: float) -> list[dict]:
+    """criterion.csv records for one sweep sample (deterministic order).
+
+    Every gauge and mode whose dressed Hamiltonian is h_m itself shares
+    one bare spectrum.
+    """
+    model = _build_model(cfg, param, value)
+    modes = _build_modes(cfg, model)
+    bare = None
+    records = []
     for gdict in cfg.gauges:
         gauge = _build_gauge(gdict, param, value)
-        model = _build_model(cfg, param, value)
-        modes = _build_modes(cfg, model)
         for qi, mode in enumerate(modes):
-            reports = evaluate(model, gauge, mode)
-            for rep in reports:
-                rows.append(",".join([
-                    str(SCHEMA_VERSION), str(index), param, repr(float(value)),
-                    gauge.preset.value, repr(float(gauge.alpha)), str(qi), rep.tau,
-                    repr(float(rep.lhs)), repr(float(rep.rhs)),
-                    repr(float(rep.electric_part)), repr(float(rep.magnetic_part)),
-                    repr(float(rep.margin)),
-                    "true" if rep.condensed else "false",
-                    repr(float(rep.beta0.real)), repr(float(rep.beta0.imag)),
-                ]))
-    return rows
+            h = dressed_matter_hamiltonian(model, gauge, [mode])
+            if h is not model.h_m:
+                spectrum = matter_spectrum(model, h_m=h)
+            else:
+                if bare is None:
+                    bare = matter_spectrum(model)
+                spectrum = bare
+            for rep in evaluate(model, gauge, mode, spectrum=spectrum):
+                records.append(dict(zip(CSV_HEADER.split(","), (
+                    SCHEMA_VERSION, index, param, value, gauge.preset.value, gauge.alpha,
+                    qi, rep.tau, rep.lhs, rep.rhs, rep.electric_part, rep.magnetic_part,
+                    rep.margin, rep.condensed, rep.beta0.real, rep.beta0.imag))))
+    return records
 
 
-def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> list[str]:
+def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> list[dict]:
+    """oracle.csv records for one sweep sample, one per gauge."""
     from .oracle import full_hamiltonian, ground_state, parity_gap, photon_coherence, \
         transverse_field_expectation
 
     fock = int(cfg.oracle.get("fock_cutoff", 40))
-    rows = []
+    model = _build_model(cfg, param, value)
+    modes = _build_modes(cfg, model)
+    records = []
     for gdict in cfg.gauges:
         gauge = _build_gauge(gdict, param, value)
-        model = _build_model(cfg, param, value)
-        modes = _build_modes(cfg, model)
         system = full_hamiltonian(model, gauge, modes, fock)
         energy, state = ground_state(system)
-        gap = parity_gap(system)
         coh, occ = photon_coherence(state, system, 0, 2)
-        et = float(np.max(np.abs(transverse_field_expectation(state, system))))
-        rows.append(",".join([
-            str(SCHEMA_VERSION), str(index), param, repr(float(value)),
-            gauge.preset.value, str(fock), repr(float(energy)), repr(float(gap)),
-            repr(abs(coh)), repr(float(occ)), repr(et),
-        ]))
-    return rows
+        et_max = np.max(np.abs(transverse_field_expectation(state, system)))
+        records.append(dict(zip(ORACLE_HEADER.split(","), (
+            SCHEMA_VERSION, index, param, value, gauge.preset.value, fock, energy,
+            parity_gap(system), abs(coh), occ, et_max))))
+    return records
 
 
-def _thresholds(rows: list[str]) -> list[dict]:
+def _csv_field(value) -> str:
+    """Booleans as true/false, integers and labels verbatim, other numbers
+    as the shortest round-trip repr of the float."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    return repr(float(value))
+
+
+def _write_csv(path: str, header: str, records: list[dict]) -> None:
+    columns = header.split(",")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for rec in records:
+            fh.write(",".join(_csv_field(rec[c]) for c in columns) + "\n")
+
+
+def _thresholds(records: list[dict]) -> list[dict]:
     """First margin sign change per (gauge, q_index, tau), linearly interpolated."""
     series: dict = {}
-    for row in rows:
-        f = row.split(",")
-        key = (f[4], f[6], f[7])
-        series.setdefault(key, []).append((float(f[3]), float(f[12])))
+    for rec in records:
+        key = (rec["gauge"], rec["q_index"], rec["tau"])
+        series.setdefault(key, []).append((rec["param_value"], rec["margin"]))
     out = []
     for (gauge_label, qi, tau), pts in sorted(series.items()):
         pts.sort()
@@ -308,7 +365,7 @@ def _thresholds(rows: list[str]) -> list[dict]:
             if m0 <= 0.0 < m1:
                 crossing = x0 if m1 == m0 else x0 + (0.0 - m0) * (x1 - x0) / (m1 - m0)
                 break
-        out.append({"gauge": gauge_label, "q_index": int(qi), "tau": tau,
+        out.append({"gauge": gauge_label, "q_index": qi, "tau": tau,
                     "condensed_anywhere": any(m > 0 for _, m in pts),
                     "crossing": crossing})
     return out
@@ -318,7 +375,7 @@ def run_check(cfg: SweepConfig) -> dict:
     """Run the invariant suites relevant to the configured model and gauges."""
     from .bogoliubov import diagonalize_block, numeric_block_eigen, verify_symplectic
     from .gauge import DiamagneticMatrix, diamagnetic_D
-    from .matter import check_uniform_density, matter_spectrum, trk_sum
+    from .matter import check_uniform_density, trk_sum
 
     results = {}
     rng = np.random.default_rng(cfg.seed)
@@ -374,36 +431,29 @@ def run_sweep(cfg: SweepConfig, out_dir: str, threads: int = 1) -> int:
     tasks = list(enumerate(values))
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            row_lists = list(pool.map(
+            chunks = list(pool.map(
                 lambda iv: _phase_point(cfg, iv[0], param, float(iv[1])), tasks))
     else:
-        row_lists = [_phase_point(cfg, i, param, float(v)) for i, v in tasks]
-    rows = [r for chunk in row_lists for r in chunk]
-    with open(os.path.join(out_dir, "criterion.csv"), "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        chunks = [_phase_point(cfg, i, param, float(v)) for i, v in tasks]
+    records = [r for chunk in chunks for r in chunk]
+    _write_csv(os.path.join(out_dir, "criterion.csv"), CSV_HEADER, records)
     t_criterion = time.monotonic() - t_start
 
-    oracle_rows = []
     if cfg.oracle.get("enabled"):
         points = cfg.oracle.get("points")
         if points is None:
             idx = range(len(values))
         else:
             idx = sorted({int(i) for i in np.linspace(0, len(values) - 1,
-                                                      min(int(points), len(values)))})
-        for i in idx:
-            oracle_rows.extend(_oracle_point(cfg, i, param, float(values[i])))
-        with open(os.path.join(out_dir, "oracle.csv"), "w", newline="\n") as fh:
-            fh.write(ORACLE_HEADER + "\n")
-            for row in oracle_rows:
-                fh.write(row + "\n")
+                                                      min(points, len(values)))})
+        oracle_records = [r for i in idx
+                          for r in _oracle_point(cfg, i, param, float(values[i]))]
+        _write_csv(os.path.join(out_dir, "oracle.csv"), ORACLE_HEADER, oracle_records)
     t_total = time.monotonic() - t_start
 
     summary = {
         "resolved_config": cfg.raw,
-        "thresholds": _thresholds(rows),
+        "thresholds": _thresholds(records),
         "invariant_results": run_check(cfg),
         "timings": {"criterion_seconds": t_criterion, "total_seconds": t_total},
         "schema_version": SCHEMA_VERSION,

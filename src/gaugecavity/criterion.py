@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bogoliubov import (
-    BogoliubovBlock,
-    adapt_degenerate_branches,
-    coupling_g,
-    diagonalize_block,
-)
+from .bogoliubov import BogoliubovBlock, adapt_degenerate_branches, diagonalize_block
 from .errors import ArgumentError, SingularConstraintError, UnsupportedError
 from .gauge import (
     GaugeSpec,
@@ -39,7 +34,8 @@ from .gauge import (
 )
 from .matter import MatterModel, MatterSpectrum
 from .operators import Operator
-from .response import chi_md_from_model, lehmann_sum, polarizability
+from .response import (DEGENERACY_ATOL, chi_from_rows, chi_md_from_model, lehmann_sum,
+                       polarizability)
 
 CONDENSED_MARGIN = 1e-9
 REDUCTION_ATOL = 1e-8
@@ -85,14 +81,22 @@ def _check_volume(model: MatterModel, mode: ModeSpec):
             f"mode volume {mode.volume} differs from model volume {v}")
 
 
-def _f_components(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec):
-    fm = tuple(coupling_f_magnetic(model, gauge, mode, s) for s in (1, 2))
-    fe = tuple(coupling_f_electric(model, gauge, mode, s) for s in (1, 2))
-    return fm, fe
+def _branch_rows(block: BogoliubovBlock, bra: np.ndarray, ket: np.ndarray, t: int):
+    """<0|G_tau|n> and <n|G_tau|0> for G_tau = sum_sigma (w f_sigma - y f_sigma^dag).
+
+    G_tau is the operator multiplying c_tau^dag once the inverse
+    Bogoliubov transformation is substituted into the bare interaction.
+    """
+    g_bra = g_ket = 0.0
+    for s in range(2):
+        w, y = block.coeffs[t, s], block.coeffs[t, 2 + s]
+        g_bra = g_bra + w * bra[s] - y * ket[s].conj()
+        g_ket = g_ket + w * ket[s] - y * bra[s].conj()
+    return g_bra, g_ket
 
 
-def _branch_instability_value(spectrum: MatterSpectrum, g_op: Operator,
-                              mode: ModeSpec, lam: float) -> float:
+def _instability_value(g_bra: np.ndarray, g_ket: np.ndarray, de: np.ndarray,
+                       mode: ModeSpec, lam: float) -> float:
     """Eq.-(22)-normalised instability strength of one branch coupling.
 
     The matter fluctuation that optimally feeds a displacement couples
@@ -106,71 +110,59 @@ def _branch_instability_value(spectrum: MatterSpectrum, g_op: Operator,
     the transverse response sum of the underlying fields, recovering the
     paramagnetic-plus-electric form exactly.
     """
-    de = spectrum.energies - spectrum.energies[0]
-    keep = de > 1e-10
-    bra = spectrum.couplings_from_ground(g_op)[keep]          # <0|G|n>
-    ket = spectrum.couplings_from_ground(g_op.dag())[keep].conj()  # <n|G|0>
-    w_de = de[keep]
+    keep = de > DEGENERACY_ATOL
+    bra, ket, w_de = g_bra[keep], g_ket[keep], de[keep]
     x_sum = float(np.sum((np.abs(bra) ** 2 + np.abs(ket) ** 2) / w_de))
     w_sum = complex(2.0 * np.sum(bra * ket / w_de))
     return lam * (x_sum + abs(w_sum)) / (2.0 * mode.nu ** 2 * mode.volume)
 
 
-def _branch_scalars(spectrum: MatterSpectrum, fm, fe, mode: ModeSpec,
-                    block: BogoliubovBlock):
-    """Per-branch instability values and branch-decoupling residuals."""
-    from .bogoliubov import exact_branch_coupling
-
-    scale = (mode.volume * mode.nu) ** 2
-    x_ff = lehmann_sum(spectrum, [Operator(a.entries + b.entries)
-                                  for a, b in zip(fm, fe)]) / scale
-    block = adapt_degenerate_branches(block, x_ff)
-    g_full = exact_branch_coupling(block, tuple(
-        Operator(a.entries + b.entries) for a, b in zip(fm, fe)))
-    g_mag = exact_branch_coupling(block, fm)
-    g_ele = exact_branch_coupling(block, fe)
-    lhs = np.zeros(2)
-    magnetic = np.zeros(2)
-    electric = np.zeros(2)
-    for t in range(2):
-        lam = float(block.lambdas[t])
-        lhs[t] = _branch_instability_value(spectrum, g_full[t], mode, lam)
-        magnetic[t] = _branch_instability_value(spectrum, g_mag[t], mode, lam)
-        electric[t] = _branch_instability_value(spectrum, g_ele[t], mode, lam)
-    u = block.u
-    off = float(abs(u[0] @ x_ff @ u[1]))
-    return block, lhs, magnetic, electric, off
-
-
 def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
              block: BogoliubovBlock | None = None,
              spectrum: MatterSpectrum | None = None) -> tuple[CriterionReport, CriterionReport]:
-    """Both-branch condensation verdicts at one mode."""
+    """Both-branch condensation verdicts at one mode.
+
+    Everything is read off the ground-state rows <0|f|n> and <n|f|0> of
+    the four coupling components (magnetic and electric, sigma = 1, 2):
+    chi_ff, the full, magnetic and electric branch sums, and beta_0.
+    """
     _check_volume(model, mode)
     if block is None:
         block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
     if spectrum is None:
         spectrum = gauge_spectrum(model, gauge, [mode])
-    fm, fe = _f_components(model, gauge, mode)
-    block, lhs, magnetic, electric, off = _branch_scalars(spectrum, fm, fe, mode, block)
+    ops = [coupling(model, gauge, mode, s)
+           for coupling in (coupling_f_magnetic, coupling_f_electric) for s in (1, 2)]
+    bra = np.stack([spectrum.couplings_from_ground(op) for op in ops])          # <0|f|n>
+    ket = np.stack([spectrum.couplings_from_ground(op.dag()) for op in ops]).conj()  # <n|f|0>
+    parts = {"magnetic": (bra[:2], ket[:2]), "electric": (bra[2:], ket[2:])}
+    parts["full"] = (bra[:2] + bra[2:], ket[:2] + ket[2:])
+    f_bra = parts["full"][0]
+    x_ff = chi_from_rows(spectrum, f_bra, f_bra.conj(), spectrum.model.params.volume) \
+        / (mode.volume * mode.nu) ** 2
+    block = adapt_degenerate_branches(block, x_ff)
+    off = float(abs(block.u[0] @ x_ff @ block.u[1]))
     if off > REDUCTION_ATOL:
         raise UnsupportedError(
             f"branch decoupling fails: |u+ . chi_ff . u-| = {off:.3e} > {REDUCTION_ATOL}; "
             "the per-branch criterion requires rotational symmetry about q or "
             "axis-aligned matter")
-    f_tot = tuple(Operator(a.entries + b.entries) for a, b in zip(fm, fe))
-    g_ops = coupling_g(block, f_tot)
-    psi0 = spectrum.ground_state_vector()
+    de = spectrum.energies - spectrum.energies[0]
+    h = block.h
     reports = []
     for t, tau in enumerate(BogoliubovBlock.TAUS):
-        beta0 = order_parameter_from_vector(psi0, block, g_ops[t], mode, t)
+        lam = float(block.lambdas[t])
+        value = {name: _instability_value(*_branch_rows(block, b, k, t), de, mode, lam)
+                 for name, (b, k) in parts.items()}
+        # h-weighted g_tau = sum_sigma h_{sigma tau} f_sigma at n = 0
+        g0 = complex(h[0, t] * f_bra[0, 0] + h[1, t] * f_bra[1, 0])
         reports.append(CriterionReport(
             tau=tau,
-            lhs=float(lhs[t]),
+            lhs=value["full"],
             rhs=float(block.lambdas[t] ** 2),
-            electric_part=float(electric[t]),
-            magnetic_part=float(magnetic[t]),
-            beta0=beta0,
+            electric_part=value["electric"],
+            magnetic_part=value["magnetic"],
+            beta0=-mode.amplitude / block.nu_tau[t] * g0,
         ))
     return tuple(reports)
 

@@ -17,12 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedError
-from .matter import MatterModel, MatterSpectrum, ModelKind, matter_spectrum
+from .matter import X_AXIS, Y_AXIS, Z_AXIS, MatterModel, MatterSpectrum, ModelKind, matter_spectrum
 from .operators import Operator, zero
-
-X_AXIS = np.array([1.0, 0.0, 0.0])
-Y_AXIS = np.array([0.0, 1.0, 0.0])
-Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 class GaugePreset(enum.Enum):

@@ -27,15 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ResourceLimitError, UnsupportedError
-from .operators import (
-    EigenSystem,
-    Operator,
-    boson_ladder,
-    eigh,
-    identity,
-    tensor,
-    zero,
-)
+from .operators import EigenSystem, Operator, boson_ladder, eigh, zero
 
 MAX_ENSEMBLE_SIZE = 4000
 
@@ -225,15 +217,6 @@ class MatterModel:
         out["xyz".index(self._axis_labels()[0])] = op
         return tuple(out)
 
-    def density_fourier(self, q_scalar: float) -> Operator:
-        """Electron-number Fourier component (1/V) sum_j n_j e^{-i q x_j}."""
-        self._require_ring()
-        v = self.params.volume
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for j, nj in enumerate(self.site_density_ops):
-            acc += nj.entries * np.exp(-1j * q_scalar * j)
-        return Operator(acc / v)
-
 
 @dataclass(frozen=True)
 class MatterSpectrum:
@@ -262,10 +245,9 @@ class MatterSpectrum:
         return u.conj().T @ op.entries @ u
 
     def couplings_from_ground(self, op: Operator) -> np.ndarray:
-        """<0|O|n> for all n."""
+        """<0|O|n> for all n, as (<0|O) U: one vector-matrix product each."""
         u = self.vectors
-        g = u[:, 0]
-        return g.conj() @ (op.entries @ u)
+        return (u[:, 0].conj() @ op.entries) @ u
 
     def ground_energy(self) -> float:
         return float(self.energies[0])

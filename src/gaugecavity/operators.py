@@ -212,12 +212,6 @@ def expectation(state: Statevector, op: Operator) -> complex:
     return complex(np.vdot(state.amplitudes, op.entries @ state.amplitudes))
 
 
-def matrix_element(bra: Statevector, op: Operator, ket: Statevector) -> complex:
-    if bra.dim != op.dim or ket.dim != op.dim:
-        raise ArgumentError("dimension mismatch in matrix element")
-    return complex(np.vdot(bra.amplitudes, op.entries @ ket.amplitudes))
-
-
 def apply(op: Operator, state: Statevector) -> Statevector:
     out = op.entries @ state.amplitudes
     return Statevector(out / np.linalg.norm(out))

@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .bogoliubov import BogoliubovBlock, adapt_degenerate_branches, diagonalize_block
+from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, diagonalize_block,
+                         exact_branch_coupling)
 from .errors import ArgumentError, NumericError, ResourceLimitError, UnsupportedError
 from .gauge import (
     GaugeSpec,
@@ -103,18 +103,6 @@ class FullSystem:
         return [k for k, s in enumerate(self.slots) if s.mode_index == mode_index]
 
 
-def _exact_branch_coupling(block: BogoliubovBlock, f_sigma) -> list[Operator]:
-    out = []
-    for t in range(2):
-        acc = np.zeros_like(f_sigma[0].entries)
-        for s in range(2):
-            w = block.coeffs[t, s]
-            y = block.coeffs[t, 2 + s]
-            acc = acc + w * f_sigma[s].entries - y * f_sigma[s].entries.conj().T
-        out.append(Operator(acc))
-    return out
-
-
 def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
                      cutoffs, include_uncoupled: bool = False,
                      max_dim: int = MAX_FULL_DIM) -> FullSystem:
@@ -144,7 +132,7 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
         x_ff = lehmann_sum(spec, f_sigma)
         block = adapt_degenerate_branches(block, x_ff)
         blocks.append(block)
-        g_exact = _exact_branch_coupling(block, f_sigma)
+        g_exact = exact_branch_coupling(block, f_sigma)
         for t in range(2):
             nu_t = float(block.nu_tau[t])
             if g_exact[t].norm_max() > COUPLING_ATOL or include_uncoupled:

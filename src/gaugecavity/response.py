@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ArgumentError, DegenerateGroundStateError
 from .gauge import ModeSpec
 from .matter import MatterSpectrum
-from .operators import Operator
 
 DEGENERACY_ATOL = 1e-10
 
@@ -40,6 +39,21 @@ def _lehmann_rows(spectrum: MatterSpectrum, ops) -> np.ndarray:
     return np.stack([spectrum.couplings_from_ground(op) for op in ops])
 
 
+def chi_from_rows(spectrum: MatterSpectrum, bra_rows: np.ndarray,
+                  ket_rows: np.ndarray, volume: float) -> np.ndarray:
+    """chi[k, l] = -2V sum_{n != 0} bra[k, n] ket[l, n] / de_n.
+
+    ``bra_rows`` holds <0|O_k|n> and ``ket_rows`` holds <n|C_l|0>, both
+    over the full spectrum; excitations within DEGENERACY_ATOL of the
+    ground energy are left out.
+    """
+    _check_unique_ground(spectrum)
+    de = spectrum.energies - spectrum.energies[0]
+    keep = de > DEGENERACY_ATOL
+    return -2.0 * volume * np.einsum("kn,ln,n->kl", bra_rows[:, keep],
+                                     ket_rows[:, keep], 1.0 / de[keep])
+
+
 def lehmann_sum(spectrum: MatterSpectrum, o_ops, c_ops=None,
                 volume: float | None = None) -> np.ndarray:
     """Matrix chi[k, l] = -2V sum_{n != 0} <0|O_k|n><n|C_l|0> / de_n.
@@ -47,18 +61,12 @@ def lehmann_sum(spectrum: MatterSpectrum, o_ops, c_ops=None,
     ``c_ops`` defaults to the adjoints of ``o_ops`` (conjugate momentum
     components of Hermitian fields).
     """
-    _check_unique_ground(spectrum)
     v = spectrum.model.params.volume if volume is None else volume
     if c_ops is None:
         c_ops = [op.dag() for op in o_ops]
-    de = spectrum.energies - spectrum.energies[0]
-    keep = de > DEGENERACY_ATOL
-    o_rows = _lehmann_rows(spectrum, o_ops)[:, keep]
     # <n|C|0> = conj(<0|C^dag|n>)
-    cdag_rows = _lehmann_rows(spectrum, [op.dag() for op in c_ops])[:, keep]
-    ket_side = cdag_rows.conj()
-    weights = 1.0 / de[keep]
-    return -2.0 * v * np.einsum("kn,ln,n->kl", o_rows, ket_side, weights)
+    ket_rows = _lehmann_rows(spectrum, [op.dag() for op in c_ops]).conj()
+    return chi_from_rows(spectrum, _lehmann_rows(spectrum, o_ops), ket_rows, v)
 
 
 @dataclass(frozen=True)
@@ -113,11 +121,6 @@ def transverse_project(tensor: SlrfTensor, mode: ModeSpec) -> TransverseProjecti
             raise ArgumentError(f"transverse scalar {name} is not real: {s}")
     return TransverseProjection(scalar_sigma1=s1.real, scalar_sigma2=s2.real,
                                 off_diag=off)
-
-
-def polarization_block(spectrum: MatterSpectrum, ops_sigma, c_ops=None) -> np.ndarray:
-    """2x2 chi_{q sigma, -q sigma'} for operators already contracted with eps."""
-    return lehmann_sum(spectrum, ops_sigma, c_ops)
 
 
 def chi_md(charge: float, mass: float, n_charges: int, volume: float,

@@ -131,7 +131,32 @@ class TestRunSweep:
         assert margins[0] < 0 < margins[-1]  # Coulomb endpoint up to dipole
 
 
+INVALID_CONFIGS = {
+    "sweep_value_string": ("sweep", dict(MINIMAL["sweep"], values=["a"])),
+    "oracle_points_string": ("oracle", {"enabled": True, "fock_cutoff": 16, "points": "x"}),
+    "gauge_entry_string": ("gauge", ["dipole"]),
+    "gap_infinity": ("model", dict(MINIMAL["model"], gap=float("inf"))),
+    "sweep_value_nan": ("sweep", dict(MINIMAL["sweep"], values=[float("nan")])),
+    "lwl_string": ("gauge", {"preset": "coulomb", "lwl": "no"}),
+    "count_boolean": ("model", dict(MINIMAL["model"], count=True)),
+}
+
+
 class TestMain:
+    @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+    def test_invalid_config_exit_two(self, tmp_path, capsys, case):
+        key, value = INVALID_CONFIGS[case]
+        path = write_config(tmp_path, dict(MINIMAL, **{key: value}))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert any(line.startswith("config error:")
+                   for line in capsys.readouterr().err.splitlines())
+
+    def test_overflowing_literal_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(MINIMAL).replace('"gap": 1.0', '"gap": 1e999'))
+        assert main(["check", "--config", str(path)]) == 2
+        assert "config error: model.gap: must be a finite number" in capsys.readouterr().err
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         bad = dict(MINIMAL, sweep={"parameter": "dipole_scale", "start": 0,
                                    "stop": 1, "steps": 0})

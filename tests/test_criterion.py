@@ -1,7 +1,16 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from gaugecavity.bogoliubov import coupling_g, diagonalize_block
+from gaugecavity import cli, matter, operators
+from gaugecavity.bogoliubov import (
+    adapt_degenerate_branches,
+    coupling_g,
+    diagonalize_block,
+    exact_branch_coupling,
+)
 from gaugecavity.criterion import (
     coulomb_specialized,
     dipole_specialized,
@@ -14,6 +23,8 @@ from gaugecavity.criterion import (
 from gaugecavity.errors import ArgumentError
 from gaugecavity.gauge import (
     coupling_f,
+    coupling_f_electric,
+    coupling_f_magnetic,
     diamagnetic_D,
     gauge_spectrum,
     lwl_mode,
@@ -26,6 +37,7 @@ from gaugecavity.matter import (
     build_two_level_ensemble,
     matter_spectrum,
 )
+from gaugecavity.operators import Operator
 
 
 def two_level(n=6, d=0.2, w0=1.0, v=1.0):
@@ -266,3 +278,125 @@ class TestStiffnessEnergy:
         spec, mode, block, f_ops = self._setup()
         with pytest.raises(SingularConstraintError):
             stiffness_energy(spec, mode, block, [0.0, 0.01j], f_ops)
+
+
+def _tilted_oscillator():
+    """Parity-broken oscillator of acceptance criterion 07 (weak x^3 tilt)."""
+    base = build_anharmonic_dipole(50, 1.0, 1.0, 0.0, 1.0, 1.0)
+    x = -base.dipole_ops[0].entries
+    h = base.h_m.entries + 0.02 * np.linalg.matrix_power(x, 3)
+    return dataclasses.replace(base, h_m=Operator(0.5 * (h + h.conj().T), hermitian=True))
+
+
+def _dense_reference(model, gauge, mode, spec):
+    """Per-branch (lhs, electric, magnetic, beta0) from dense branch operators."""
+    fm = tuple(coupling_f_magnetic(model, gauge, mode, s) for s in (1, 2))
+    fe = tuple(coupling_f_electric(model, gauge, mode, s) for s in (1, 2))
+    full = tuple(a + b for a, b in zip(fm, fe))
+    de = spec.energies - spec.energies[0]
+    keep = de > 1e-10
+    rows = np.stack([spec.couplings_from_ground(f)[keep] for f in full])
+    x_ff = -2.0 * model.params.volume * np.einsum(
+        "kn,ln,n->kl", rows, rows.conj(), 1.0 / de[keep]) / (mode.volume * mode.nu) ** 2
+    block = adapt_degenerate_branches(
+        diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu), x_ff)
+
+    def value(g_op, lam):
+        bra = spec.couplings_from_ground(g_op)[keep]
+        ket = spec.couplings_from_ground(g_op.dag())[keep].conj()
+        x_sum = np.sum((np.abs(bra) ** 2 + np.abs(ket) ** 2) / de[keep])
+        w_sum = 2.0 * np.sum(bra * ket / de[keep])
+        return lam * (x_sum + abs(w_sum)) / (2.0 * mode.nu ** 2 * mode.volume)
+
+    psi0 = spec.ground_state_vector()
+    g_h = coupling_g(block, full)
+    out = []
+    for t in range(2):
+        lam = block.lambdas[t]
+        out.append((value(exact_branch_coupling(block, full)[t], lam),
+                    value(exact_branch_coupling(block, fe)[t], lam),
+                    value(exact_branch_coupling(block, fm)[t], lam),
+                    -mode.amplitude / block.nu_tau[t] * (psi0.conj() @ g_h[t].entries @ psi0)))
+    return out
+
+
+_RING = build_ring_lattice(8, 1.0, 1.0)
+EQUIVALENCE_CASES = {
+    "two_level_dipole": (two_level(6, 0.3), make_gauge("dipole"), lwl_mode(1.0, 1.0)),
+    "two_level_coulomb": (two_level(6, 0.3), make_gauge("coulomb"), lwl_mode(1.0, 1.0)),
+    "two_level_alpha": (two_level(6, 0.3), make_gauge("alpha_lwl", alpha=0.4),
+                        lwl_mode(1.0, 1.0)),
+    "anharmonic_dipole": (build_anharmonic_dipole(24, 1.0, 1.0, 0.1, 0.8, 1.0),
+                          make_gauge("dipole"), lwl_mode(1.0, 1.0)),
+    "ring_coulomb_finite_q": (_RING, make_gauge("coulomb", lwl=False), ring_mode(_RING, 1)),
+    "ring_multipolar": (_RING, make_gauge("multipolar_ring"), ring_mode(_RING, 1)),
+    "tilted_oscillator_dipole": (_tilted_oscillator(), make_gauge("dipole"),
+                                 lwl_mode(1.0, 1.0)),
+    "tilted_oscillator_alpha": (_tilted_oscillator(), make_gauge("alpha_lwl", alpha=0.4),
+                                lwl_mode(1.0, 1.0)),
+}
+
+
+class TestRowPipelineEquivalence:
+    """evaluate's row algebra against dense branch-coupling operators."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_matches_dense_reference(self, case):
+        model, gauge, mode = EQUIVALENCE_CASES[case]
+        spec = gauge_spectrum(model, gauge, [mode])
+        reports = evaluate(model, gauge, mode, spectrum=spec)
+        for rep, ref in zip(reports, _dense_reference(model, gauge, mode, spec)):
+            got = (rep.lhs, rep.electric_part, rep.magnetic_part, rep.beta0)
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= max(1e-12 * abs(r), 1e-14), (case, rep.tau, got, ref)
+
+    def test_dressed_spectrum_differs_from_bare(self):
+        model, gauge, mode = EQUIVALENCE_CASES["anharmonic_dipole"]
+        dressed = gauge_spectrum(model, gauge, [mode]).energies
+        assert np.max(np.abs(dressed - matter_spectrum(model).energies)) > 1e-3
+
+    @pytest.mark.parametrize("case", ["tilted_oscillator_dipole", "tilted_oscillator_alpha"])
+    def test_tilted_oscillator_beta0_nonzero(self, case):
+        model, gauge, mode = EQUIVALENCE_CASES[case]
+        assert abs(evaluate(model, gauge, mode)[0].beta0) > 1e-3
+
+    def test_beta0_tells_h_weighted_from_exact_coupling(self):
+        # squeezed branch and anti-Hermitian electric f: <0|g_+|0> != <0|G_+|0>
+        model, gauge, mode = EQUIVALENCE_CASES["tilted_oscillator_alpha"]
+        spec = gauge_spectrum(model, gauge, [mode])
+        block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
+        f_ops = tuple(coupling_f(model, gauge, mode, s) for s in (1, 2))
+        psi0 = spec.ground_state_vector()
+        g_h = psi0.conj() @ coupling_g(block, f_ops)[0].entries @ psi0
+        g_exact = psi0.conj() @ exact_branch_coupling(block, f_ops)[0].entries @ psi0
+        assert abs(g_h - g_exact) > 0.1 * abs(g_h) > 1e-4
+
+
+class TestSpectrumSharing:
+    @pytest.mark.parametrize("model_cfg, per_point, check_calls", [
+        ({"kind": "two_level_ensemble", "count": 6, "gap": 1.0,
+          "dipole_moment": [0.0, 0.3, 0.0], "volume": 1.0}, 1, 0),
+        # the invariant check diagonalises h_m once more for the TRK sum rule
+        ({"kind": "anharmonic_dipole", "levels": 12, "mass": 1.0, "frequency": 1.0,
+          "quartic": 0.1, "charge": 0.5, "volume": 1.0}, 2, 1),
+    ])
+    def test_eigh_calls_per_point(self, monkeypatch, tmp_path, model_cfg, per_point,
+                                  check_calls):
+        calls = []
+        original = operators.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for mod in (operators, matter):
+            monkeypatch.setattr(mod, "eigh", counting)
+        param = "dipole_scale" if model_cfg["kind"] == "two_level_ensemble" else "charge"
+        cfg = cli.validate_config(json.dumps({
+            "model": model_cfg,
+            "gauge": [{"preset": "dipole"}, {"preset": "coulomb"}],
+            "modes": [{"nu": 1.0}],
+            "sweep": {"parameter": param, "values": [0.2, 0.4, 0.6]},
+        }))
+        cli.run_sweep(cfg, str(tmp_path / "out"))
+        assert len(calls) == 3 * per_point + check_calls
