@@ -16,7 +16,6 @@ from .bogoliubov import (
 )
 from .criterion import (
     CriterionReport,
-    PhasePoint,
     coulomb_specialized,
     dipole_specialized,
     displaced_energy,

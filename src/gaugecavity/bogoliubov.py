@@ -24,7 +24,7 @@ convention u_tau = (tau, 1)/sqrt(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,18 +83,33 @@ def _lambda_closed_form(d: np.ndarray, delta: float, nu: float) -> np.ndarray:
     return np.sqrt(vals)
 
 
-def _mixing_directions(d: np.ndarray) -> np.ndarray:
-    """Eigenvectors of D as rows (larger eigenvalue first), deterministic signs."""
-    if abs(d[0, 0] - d[1, 1]) <= DEGENERATE_ATOL and abs(d[0, 1]) <= DEGENERATE_ATOL:
-        return np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-    vals, vecs = np.linalg.eigh(0.5 * (d + d.T))
-    u = vecs[:, ::-1].T  # descending eigenvalue order
+def _orient(u: np.ndarray) -> np.ndarray:
+    """Rows of u with the sign convention: second component positive, or the
+    first when the second vanishes."""
     out = u.copy()
     for k in range(2):
         pivot = out[k, 1] if abs(out[k, 1]) > 1e-12 else out[k, 0]
         if pivot < 0:
             out[k] = -out[k]
     return out
+
+
+def _squeeze_coeffs(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Rows (w, x, y, z) of the single-mode squeeze along each direction u_tau."""
+    coeffs = np.zeros((2, 4))
+    for t in range(2):
+        lt = lam[t]
+        coeffs[t, 0:2] = -(lt + 1.0) / (2.0 * np.sqrt(lt)) * u[t]
+        coeffs[t, 2:4] = -(lt - 1.0) / (2.0 * np.sqrt(lt)) * u[t]
+    return coeffs
+
+
+def _mixing_directions(d: np.ndarray) -> np.ndarray:
+    """Eigenvectors of D as rows (larger eigenvalue first), deterministic signs."""
+    if abs(d[0, 0] - d[1, 1]) <= DEGENERATE_ATOL and abs(d[0, 1]) <= DEGENERATE_ATOL:
+        return np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+    _, vecs = np.linalg.eigh(0.5 * (d + d.T))
+    return _orient(vecs[:, ::-1].T)  # descending eigenvalue order
 
 
 def diagonalize_block(dmat: DiamagneticMatrix, nu_q: float) -> BogoliubovBlock:
@@ -104,21 +119,14 @@ def diagonalize_block(dmat: DiamagneticMatrix, nu_q: float) -> BogoliubovBlock:
     d = np.asarray(dmat.d, dtype=float)
     lam = _lambda_closed_form(d, dmat.delta_q, nu_q)
     u = _mixing_directions(d)
-    coeffs = np.zeros((2, 4))
-    for t in range(2):
-        lt = lam[t]
-        cw = -(lt + 1.0) / (2.0 * np.sqrt(lt))
-        cy = -(lt - 1.0) / (2.0 * np.sqrt(lt))
-        coeffs[t, 0:2] = cw * u[t]
-        coeffs[t, 2:4] = cy * u[t]
     if abs(d[0, 1]) > DEGENERATE_ATOL:
         d_q = (d[0, 0] - d[1, 1]) / (2.0 * d[0, 1])
     elif abs(d[0, 0] - d[1, 1]) <= DEGENERATE_ATOL:
         d_q = 0.0
     else:
         d_q = np.inf
-    return BogoliubovBlock(nu_q=float(nu_q), delta_q=float(dmat.delta_q),
-                           d_matrix=d, lambdas=lam, coeffs=coeffs, u=u, d_q=float(d_q))
+    return BogoliubovBlock(nu_q=float(nu_q), delta_q=float(dmat.delta_q), d_matrix=d,
+                           lambdas=lam, coeffs=_squeeze_coeffs(u, lam), u=u, d_q=float(d_q))
 
 
 def appendix_coefficients(dmat: DiamagneticMatrix, nu_q: float) -> np.ndarray:
@@ -186,20 +194,9 @@ def adapt_degenerate_branches(block: BogoliubovBlock, x_ff: np.ndarray
     if abs(block.lambdas[0] - block.lambdas[1]) > 1e-12 * max(1.0, block.lambdas[0]):
         return block
     sym = 0.5 * (x_ff + x_ff.conj().T).real
-    vals, vecs = np.linalg.eigh(sym)
-    u = vecs.T.copy()  # ascending eigenvalue: most unstable first -> '+'
-    for k in range(2):
-        pivot = u[k, 1] if abs(u[k, 1]) > 1e-12 else u[k, 0]
-        if pivot < 0:
-            u[k] = -u[k]
-    coeffs = np.zeros((2, 4))
-    for t in range(2):
-        lt = block.lambdas[t]
-        coeffs[t, 0:2] = -(lt + 1.0) / (2.0 * np.sqrt(lt)) * u[t]
-        coeffs[t, 2:4] = -(lt - 1.0) / (2.0 * np.sqrt(lt)) * u[t]
-    return BogoliubovBlock(nu_q=block.nu_q, delta_q=block.delta_q,
-                           d_matrix=block.d_matrix, lambdas=block.lambdas,
-                           coeffs=coeffs, u=u, d_q=block.d_q)
+    _, vecs = np.linalg.eigh(sym)
+    u = _orient(vecs.T)  # ascending eigenvalue: most unstable first -> '+'
+    return replace(block, coeffs=_squeeze_coeffs(u, block.lambdas), u=u)
 
 
 def verify_symplectic(block: BogoliubovBlock) -> float:
@@ -222,22 +219,29 @@ def coupling_g(block: BogoliubovBlock, f_sigma: tuple[Operator, Operator]
     return tuple(out)
 
 
+def branch_combination(block: BogoliubovBlock, t: int, a, b):
+    """sum_sigma (w_{tau sigma} a_sigma - y_{tau sigma} b_sigma) for branch t.
+
+    With a = f and b = f^dag this is G_tau, the operator multiplying
+    c_tau^dag once the inverse Bogoliubov transformation is substituted into
+    the bare interaction; a and b may be dense matrices or ground-state
+    matrix-element rows.
+    """
+    out = 0.0
+    for s in range(2):
+        out = out + block.coeffs[t, s] * a[s] - block.coeffs[t, 2 + s] * b[s]
+    return out
+
+
 def exact_branch_coupling(block: BogoliubovBlock,
                           f_sigma: tuple[Operator, Operator]
                           ) -> tuple[Operator, Operator]:
     """G_tau = sum_sigma (w_{tau sigma} f_sigma - y_{tau sigma} f_sigma^dag).
 
-    This is the operator multiplying c_tau^dag after substituting the
-    inverse Bogoliubov transformation into the bare interaction; it equals
-    the h-weighted g_tau for Hermitian f or unsqueezed branches.
+    It equals the h-weighted g_tau for Hermitian f or unsqueezed branches.
     """
     if f_sigma[0].dim != f_sigma[1].dim:
         raise ArgumentError("polarisation components act on different spaces")
-    out = []
-    for t in range(2):
-        acc = np.zeros_like(f_sigma[0].entries)
-        for s in range(2):
-            acc = acc + block.coeffs[t, s] * f_sigma[s].entries \
-                - block.coeffs[t, 2 + s] * f_sigma[s].entries.conj().T
-        out.append(Operator(acc))
-    return tuple(out)
+    f = [op.entries for op in f_sigma]
+    f_dag = [op.conj().T for op in f]
+    return tuple(Operator(branch_combination(block, t, f, f_dag)) for t in range(2))

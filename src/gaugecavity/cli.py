@@ -27,8 +27,9 @@ from .criterion import evaluate
 from .errors import ConfigError, GaugecavityError
 from .gauge import (GaugePreset, GaugeSpec, ModeSpec, dressed_matter_hamiltonian, lwl_mode,
                     make_gauge, ring_mode)
-from .matter import (MatterModel, ModelKind, build_anharmonic_dipole, build_ring_lattice,
-                     build_two_level_ensemble, matter_spectrum)
+from .matter import (MAX_ANHARMONIC_DIM, MAX_ENSEMBLE_SIZE, MatterModel, ModelKind,
+                     build_anharmonic_dipole, build_ring_lattice, build_two_level_ensemble,
+                     matter_spectrum)
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ("schema_version,point_index,param_name,param_value,gauge,alpha,"
@@ -102,7 +103,8 @@ def validate_config(text: str) -> SweepConfig:
     if kind not in SWEEPABLE:
         errors.append(f"model.kind: must be one of {sorted(SWEEPABLE)}, got {kind!r}")
     if kind == "two_level_ensemble":
-        need(("model", model), "count", int, lambda v: v >= 1, "must be >= 1")
+        need(("model", model), "count", int, lambda v: 1 <= v <= MAX_ENSEMBLE_SIZE,
+             f"must lie in [1, {MAX_ENSEMBLE_SIZE}]")
         need(("model", model), "gap", (int, float), lambda v: v > 0, "must be > 0")
         need(("model", model), "dipole_moment", list,
              lambda v: len(v) == 3 and all(_typed(x, (int, float)) for x in v),
@@ -117,6 +119,10 @@ def validate_config(text: str) -> SweepConfig:
         need(("model", model), "volume", (int, float), lambda v: v > 0, "must be > 0")
         if "axes" in model:
             need(("model", model), "axes", int, lambda v: v in (1, 3), "must be 1 or 3")
+        levels = model.get("levels")
+        if model.get("axes") == 3 and _typed(levels, int) and levels ** 3 > MAX_ANHARMONIC_DIM:
+            errors.append(f"model.levels: 3-axis dimension {levels ** 3} exceeds "
+                          f"{MAX_ANHARMONIC_DIM}")
     elif kind == "ring_lattice":
         need(("model", model), "sites", int, lambda v: v >= 4, "must be >= 4")
         need(("model", model), "hopping", (int, float), lambda v: v > 0, "must be > 0")
@@ -207,6 +213,8 @@ def validate_config(text: str) -> SweepConfig:
     if not isinstance(oracle, dict):
         errors.append("oracle: must be an object")
         oracle = {"enabled": False}
+    elif not isinstance(oracle.get("enabled", False), bool):
+        errors.append(f"oracle.enabled: must be true or false, got {oracle['enabled']!r}")
     elif oracle.get("enabled"):
         fock = oracle.get("fock_cutoff", 40)
         if not _typed(fock, int) or fock < 2:

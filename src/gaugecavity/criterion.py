@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bogoliubov import BogoliubovBlock, adapt_degenerate_branches, diagonalize_block
+from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, branch_combination,
+                         diagonalize_block)
 from .errors import ArgumentError, SingularConstraintError, UnsupportedError
 from .gauge import (
     GaugeSpec,
@@ -62,37 +63,11 @@ class CriterionReport:
         object.__setattr__(self, "marginal", abs(margin) <= CONDENSED_MARGIN)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """One sweep sample: echoed parameters plus per-(mode, tau) reports."""
-
-    param_name: str
-    param_value: float
-    gauge_label: str
-    alpha: float
-    reports: tuple  # ((mode_index, CriterionReport), ...)
-    oracle: dict | None = None
-
-
 def _check_volume(model: MatterModel, mode: ModeSpec):
     v = model.params.volume
     if abs(mode.volume - v) > 1e-12 * max(1.0, abs(v)):
         raise ArgumentError(
             f"mode volume {mode.volume} differs from model volume {v}")
-
-
-def _branch_rows(block: BogoliubovBlock, bra: np.ndarray, ket: np.ndarray, t: int):
-    """<0|G_tau|n> and <n|G_tau|0> for G_tau = sum_sigma (w f_sigma - y f_sigma^dag).
-
-    G_tau is the operator multiplying c_tau^dag once the inverse
-    Bogoliubov transformation is substituted into the bare interaction.
-    """
-    g_bra = g_ket = 0.0
-    for s in range(2):
-        w, y = block.coeffs[t, s], block.coeffs[t, 2 + s]
-        g_bra = g_bra + w * bra[s] - y * ket[s].conj()
-        g_ket = g_ket + w * ket[s] - y * bra[s].conj()
-    return g_bra, g_ket
 
 
 def _instability_value(g_bra: np.ndarray, g_ket: np.ndarray, de: np.ndarray,
@@ -152,7 +127,10 @@ def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     reports = []
     for t, tau in enumerate(BogoliubovBlock.TAUS):
         lam = float(block.lambdas[t])
-        value = {name: _instability_value(*_branch_rows(block, b, k, t), de, mode, lam)
+        # <0|G_tau|n> and <n|G_tau|0>
+        value = {name: _instability_value(branch_combination(block, t, b, k.conj()),
+                                          branch_combination(block, t, k, b.conj()),
+                                          de, mode, lam)
                  for name, (b, k) in parts.items()}
         # h-weighted g_tau = sum_sigma h_{sigma tau} f_sigma at n = 0
         g0 = complex(h[0, t] * f_bra[0, 0] + h[1, t] * f_bra[1, 0])

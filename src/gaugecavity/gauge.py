@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedError
-from .matter import X_AXIS, Y_AXIS, Z_AXIS, MatterModel, MatterSpectrum, ModelKind, matter_spectrum
+from .matter import (X_AXIS, Y_AXIS, Z_AXIS, MatterModel, MatterSpectrum, ModelKind, along,
+                     matter_spectrum)
 from .operators import Operator, zero
 
 
@@ -270,13 +271,7 @@ def coupling_f_magnetic(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     if w == 0.0:
         return zero(model.dim)
     q_phase = 0.0 if gauge.lwl else mode.q_phase
-    jops = model.para_current(q_phase)
-    eps = mode.eps(sigma)
-    acc = np.zeros((model.dim, model.dim), dtype=complex)
-    for i in range(3):
-        if abs(eps[i]) > 1e-15:
-            acc = acc + eps[i] * jops[i].entries
-    return Operator(-w * mode.volume * acc)
+    return Operator(-w * mode.volume * model.current_along(mode.eps(sigma), q_phase))
 
 
 def coupling_f_electric(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
@@ -287,12 +282,7 @@ def coupling_f_electric(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
         return zero(model.dim)
     q_phase = 0.0 if gauge.lwl else mode.q_phase
     pops = model.pol_transverse_mult(mode.q_hat, q_phase)
-    eps = mode.eps(sigma)
-    acc = np.zeros((model.dim, model.dim), dtype=complex)
-    for i in range(3):
-        if abs(eps[i]) > 1e-15:
-            acc = acc + eps[i] * pops[i].entries
-    return Operator(1j * mode.volume * mode.nu * w * acc)
+    return Operator(1j * mode.volume * mode.nu * w * along(mode.eps(sigma), pops))
 
 
 def check_wavevector_decoupling(model: MatterModel, gauge: GaugeSpec,
@@ -335,13 +325,8 @@ def dressed_matter_hamiltonian(model: MatterModel, gauge: GaugeSpec,
         q_phase = 0.0 if gauge.lwl else mode.q_phase
         pops = model.pol_transverse_mult(mode.q_hat, q_phase)
         for sigma in (1, 2):
-            eps = mode.eps(sigma)
-            acc = np.zeros_like(h)
-            for i in range(3):
-                if abs(eps[i]) > 1e-15:
-                    acc = acc + eps[i] * pops[i].entries
             # (w V P_sigma)^2 / (2 V) with P already carrying 1/V
-            pv = w * mode.volume * acc
+            pv = w * mode.volume * along(mode.eps(sigma), pops)
             h = h + (pv.conj().T @ pv) / (2.0 * mode.volume)
     return Operator(h, hermitian=True)
 

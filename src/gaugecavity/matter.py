@@ -30,10 +30,20 @@ from .errors import ArgumentError, ResourceLimitError, UnsupportedError
 from .operators import EigenSystem, Operator, boson_ladder, eigh, zero
 
 MAX_ENSEMBLE_SIZE = 4000
+MAX_ANHARMONIC_DIM = 20000  # levels ** 3 for the 3-axis dipole
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+
+def along(eps, ops) -> np.ndarray:
+    """sum_i eps_i O_i for a Cartesian operator triple; zero weights are skipped."""
+    acc = np.zeros((ops[0].dim, ops[0].dim), dtype=complex)
+    for i in range(3):
+        if abs(eps[i]) > 1e-15:
+            acc = acc + eps[i] * ops[i].entries
+    return acc
 
 
 class ModelKind(enum.Enum):
@@ -88,21 +98,20 @@ class MatterModel:
         internal coordinate (two-level) only support q_phase = 0.
         """
         if q_phase == 0.0:
-            return self._para_current_lwl()
+            return tuple(Operator(self.current_along(ax)) for ax in (X_AXIS, Y_AXIS, Z_AXIS))
         if self.kind is ModelKind.RING_LATTICE:
             return self._ring_bond_current(q_phase)
         if self.kind is ModelKind.ANHARMONIC_DIPOLE:
             return self._anharmonic_current(q_phase)
         raise UnsupportedError(f"{self.kind.value} supports only long-wavelength currents")
 
-    def _para_current_lwl(self) -> tuple[Operator, Operator, Operator]:
-        v = self.params.volume
+    def current_along(self, eps, q_phase: float = 0.0) -> np.ndarray:
+        """eps . j^p_q; at q_phase = 0 the single commutator -i [eps . d, h_m] / V."""
+        if q_phase != 0.0:
+            return along(eps, self.para_current(q_phase))
+        d = along(eps, self.dipole_ops)
         h = self.h_m.entries
-        ops = []
-        for d in self.dipole_ops:
-            comm = d.entries @ h - h @ d.entries
-            ops.append(Operator(-1j * comm / v))
-        return tuple(ops)
+        return -1j * (d @ h - h @ d) / self.params.volume
 
     def _anharmonic_current(self, q_phase: float) -> tuple[Operator, Operator, Operator]:
         # j^p_q i = -(e / 2 m V) {p_i, e^{-i q.r}} with q along the mode axis
@@ -152,16 +161,8 @@ class MatterModel:
         discretised bond-string polarisation for the ring at finite q."""
         if self.kind is ModelKind.RING_LATTICE and q_phase != 0.0:
             return self._ring_string_polarisation(q_phase)
-        v = self.params.volume
         proj = np.eye(3) - np.outer(q_hat, q_hat)
-        ops = []
-        for i in range(3):
-            acc = np.zeros((self.dim, self.dim), dtype=complex)
-            for j in range(3):
-                if abs(proj[i, j]) > 1e-15:
-                    acc = acc + proj[i, j] * self.dipole_ops[j].entries
-            ops.append(Operator(acc / v))
-        return tuple(ops)
+        return tuple(Operator(along(row, self.dipole_ops) / self.params.volume) for row in proj)
 
     # -- ring-specific machinery ------------------------------------------
 
@@ -358,8 +359,8 @@ def build_anharmonic_dipole(levels: int, mass: float, frequency: float,
         dim = levels
     else:
         dim = levels ** 3
-        if dim > 20000:
-            raise ResourceLimitError(f"3-axis dimension {dim} exceeds 20000")
+        if dim > MAX_ANHARMONIC_DIM:
+            raise ResourceLimitError(f"3-axis dimension {dim} exceeds {MAX_ANHARMONIC_DIM}")
         eye1 = np.eye(levels, dtype=complex)
 
         def embed(op, pos):

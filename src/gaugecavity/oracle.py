@@ -34,7 +34,7 @@ from .gauge import (
     diamagnetic_D,
     dressed_matter_hamiltonian,
 )
-from .matter import MatterModel, MatterSpectrum, matter_spectrum
+from .matter import MatterModel, MatterSpectrum, along, matter_spectrum
 from .operators import Operator, Statevector, boson_ladder, eigh
 from .response import lehmann_sum
 
@@ -262,10 +262,8 @@ def transverse_field_expectation(state: Statevector, system: FullSystem
                 c_mean = _sparse_expectation(psi, c)
                 a_minus_adag += wy * (c_mean - np.conj(c_mean))
             pi_mean = -1j * mode.nu * mode.amplitude * a_minus_adag
-            eps = mode.eps(sigma)
-            p_op = sum(eps[j] * pol[j].entries for j in range(3))
             p_mean = _sparse_expectation(psi, system.embed(
-                matter_op=Operator(ew * p_op))) if ew != 0 else 0.0
+                matter_op=Operator(ew * along(mode.eps(sigma), pol)))) if ew != 0 else 0.0
             et = -pi_mean - p_mean
             if abs(complex(et).imag) > 1e-9:
                 raise NumericError(f"transverse field acquired imaginary part {et}")

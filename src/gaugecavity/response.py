@@ -62,11 +62,11 @@ def lehmann_sum(spectrum: MatterSpectrum, o_ops, c_ops=None,
     components of Hermitian fields).
     """
     v = spectrum.model.params.volume if volume is None else volume
-    if c_ops is None:
-        c_ops = [op.dag() for op in o_ops]
-    # <n|C|0> = conj(<0|C^dag|n>)
-    ket_rows = _lehmann_rows(spectrum, [op.dag() for op in c_ops]).conj()
-    return chi_from_rows(spectrum, _lehmann_rows(spectrum, o_ops), ket_rows, v)
+    bra_rows = _lehmann_rows(spectrum, o_ops)
+    # <n|C|0> = conj(<0|C^dag|n>), which is conj(<0|O|n>) for C = O^dag
+    ket_rows = (bra_rows if c_ops is None
+                else _lehmann_rows(spectrum, [op.dag() for op in c_ops])).conj()
+    return chi_from_rows(spectrum, bra_rows, ket_rows, v)
 
 
 @dataclass(frozen=True)

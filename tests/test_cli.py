@@ -139,6 +139,8 @@ INVALID_CONFIGS = {
     "sweep_value_nan": ("sweep", dict(MINIMAL["sweep"], values=[float("nan")])),
     "lwl_string": ("gauge", {"preset": "coulomb", "lwl": "no"}),
     "count_boolean": ("model", dict(MINIMAL["model"], count=True)),
+    "oracle_enabled_string": ("oracle", {"enabled": "no", "fock_cutoff": 16, "points": 3}),
+    "count_over_ensemble_limit": ("model", dict(MINIMAL["model"], count=5000)),
 }
 
 
@@ -150,6 +152,17 @@ class TestMain:
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert any(line.startswith("config error:")
                    for line in capsys.readouterr().err.splitlines())
+
+    def test_anharmonic_dimension_limit_exit_two(self, tmp_path, capsys):
+        # an anharmonic model needs its own sweep parameter, so this case
+        # cannot be a one-key override of MINIMAL
+        model = {"kind": "anharmonic_dipole", "levels": 40, "mass": 1.0, "frequency": 1.0,
+                 "quartic": 0.1, "charge": 0.5, "volume": 1.0, "axes": 3}
+        sweep = {"parameter": "charge", "values": [0.5]}
+        path = write_config(tmp_path, dict(MINIMAL, model=model, sweep=sweep))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: model.levels: 3-axis dimension 64000 exceeds 20000\n"
 
     def test_overflowing_literal_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -95,6 +95,21 @@ class TestEvaluate:
                      lwl_mode(1.0, 1.0))
 
 
+    def test_lwl_coulomb_builds_no_cartesian_currents(self, monkeypatch):
+        # each polarisation needs one commutator, not the three of para_current
+        calls = []
+        original = matter.MatterModel.para_current
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(matter.MatterModel, "para_current", counting)
+        model = build_anharmonic_dipole(12, 1.0, 1.0, 0.1, 0.5, 1.0)
+        evaluate(model, make_gauge("coulomb"), lwl_mode(1.0, 1.0))
+        assert calls == []
+
+
 class TestSpecializedForms:
     def test_coulomb_equivalence_on_ring(self):
         model = build_ring_lattice(6, 1.0, 1.0)

@@ -1,8 +1,10 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and every public re-export has a user.
 
-No linter is assumed; the check walks each module's syntax tree with the
-standard-library `ast`.  `__init__.py` is exempt because its imports are
-the package's public re-exports.
+No linter is assumed; the checks walk each module's syntax tree with the
+standard-library `ast`.  `__init__.py` is exempt from the import check
+because its imports are the package's public re-exports; the re-export
+check asks that each of them is read somewhere in the package or tests.
 """
 
 import ast
@@ -11,6 +13,7 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "gaugecavity"
+TESTS = pathlib.Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -51,3 +54,32 @@ def test_no_unused_imports(path):
 def test_detector_flags_unused_names():
     source = "import os\nimport scipy.sparse\nfrom json import dumps, loads\nloads('1')\n"
     assert unused_imports(source) == ["dumps", "os", "scipy.sparse"]
+
+
+def references(source: str) -> set[str]:
+    """Names and attribute names a module reads, leaving out each top-level
+    definition's references to its own name."""
+    used = set()
+    for top in ast.parse(source).body:
+        loads = [node for node in ast.walk(top) if isinstance(getattr(node, "ctx", None), ast.Load)]
+        found = {node.id for node in loads if isinstance(node, ast.Name)}
+        found |= {node.attr for node in loads if isinstance(node, ast.Attribute)}
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.discard(top.name)
+        used |= found
+    return used
+
+
+def test_reexports_are_referenced():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in MODULES + sorted(TESTS.glob("*.py")):
+        used |= references(path.read_text())
+    assert sorted(exported - used) == []
+
+
+def test_reference_detector_skips_own_definition():
+    source = "class A:\n    default = A\n\ndef f():\n    return f, g.h\n\nB = 1\n"
+    assert references(source) == {"g", "h"}

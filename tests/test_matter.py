@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from gaugecavity.errors import ArgumentError, UnsupportedError
+from gaugecavity.gauge import mode_from_q, ring_mode
 from gaugecavity.matter import (
     ModelKind,
+    along,
     build_anharmonic_dipole,
     build_ring_lattice,
     build_two_level_ensemble,
@@ -183,6 +185,32 @@ class TestCouplingProviders:
         j_minus = model.para_current(-q)
         for jp, jm in zip(j_plus, j_minus):
             assert np.max(np.abs(jm.entries - jp.entries.conj().T)) <= 1e-12
+
+    @pytest.mark.parametrize("model", [
+        build_two_level_ensemble(3, 1.0, (0.1, 0.4, 0.2), 1.0),
+        build_anharmonic_dipole(6, 1.0, 1.0, 0.1, 0.8, 1.3, axes=3),
+        build_ring_lattice(5, 1.0, 1.0),
+    ], ids=["two_level", "anharmonic_3axis", "ring"])
+    def test_current_along_axes_bit_equal(self, model):
+        for axis in np.eye(3):
+            assert np.array_equal(model.current_along(axis),
+                                  along(axis, model.para_current(0.0)))
+
+    def test_current_along_oblique_polarisations(self):
+        # one commutator of eps . d against the contracted Cartesian currents
+        model = build_anharmonic_dipole(6, 1.0, 1.0, 0.1, 0.8, 1.3, axes=3)
+        mode = mode_from_q((1.0, 2.0, 0.5), 1.0)
+        for eps in (mode.eps1, mode.eps2):
+            ref = along(eps, model.para_current(0.0))
+            err = np.max(np.abs(model.current_along(eps) - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref))
+
+    def test_current_along_finite_q_ring(self):
+        model = build_ring_lattice(6, 1.0, 1.0)
+        mode = ring_mode(model, 1)
+        for eps in (mode.eps1, mode.eps2):
+            assert np.array_equal(model.current_along(eps, mode.q_phase),
+                                  along(eps, model.para_current(mode.q_phase)))
 
     def test_two_level_rejects_finite_q(self):
         model = build_two_level_ensemble(2, 1.0, (0, 0, 1), 1.0)

@@ -3,6 +3,7 @@ import pytest
 
 from gaugecavity.errors import ArgumentError, DegenerateGroundStateError
 from gaugecavity.gauge import (
+    coupling_f,
     coupling_f_electric,
     coupling_f_magnetic,
     gauge_spectrum,
@@ -85,6 +86,18 @@ class TestLehmannSum:
                 ops = [builder(model, gauge, mode, s) for s in (1, 2)]
                 chi = lehmann_sum(spec, ops)
                 assert chi[0, 0].real <= 1e-12 and chi[1, 1].real <= 1e-12
+
+    def test_default_conjugates_are_explicit_adjoints(self):
+        # a mixed gauge makes f non-Hermitian, so <n|f^dag|0> != <0|f|n>
+        model = build_anharmonic_dipole(30, 1.0, 1.0, 0.05, 0.8, 1.0)
+        gauge = make_gauge("alpha_lwl", alpha=0.4)
+        mode = lwl_mode(nu=1.0, volume=1.0)
+        spec = gauge_spectrum(model, gauge, [mode])
+        for builder in (coupling_f_magnetic, coupling_f):
+            ops = [builder(model, gauge, mode, s) for s in (1, 2)]
+            assert np.array_equal(lehmann_sum(spec, ops),
+                                  lehmann_sum(spec, ops, [op.dag() for op in ops]))
+        assert not ops[0].is_hermitian()
 
 
 class TestCoulombSumRuleCancellation:
