@@ -30,6 +30,7 @@ from .gauge import (GaugePreset, GaugeSpec, ModeSpec, dressed_matter_hamiltonian
 from .matter import (MAX_ANHARMONIC_DIM, MAX_ENSEMBLE_SIZE, MatterModel, ModelKind,
                      build_anharmonic_dipole, build_ring_lattice, build_two_level_ensemble,
                      matter_spectrum)
+from .operators import Statevector
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ("schema_version,point_index,param_name,param_value,gauge,alpha,"
@@ -134,10 +135,10 @@ def validate_config(text: str) -> SweepConfig:
     gauges: list[dict] = []
     if isinstance(gauge_raw, dict):
         gauge_list = [gauge_raw]
-    elif isinstance(gauge_raw, list):
+    elif isinstance(gauge_raw, list) and gauge_raw:
         gauge_list = gauge_raw
     else:
-        errors.append("gauge: missing or not an object/list")
+        errors.append("gauge: missing, or not an object or a non-empty list")
         gauge_list = []
     for i, g in enumerate(gauge_list):
         if not isinstance(g, dict):
@@ -208,6 +209,21 @@ def validate_config(text: str) -> SweepConfig:
             errors.append(f"sweep.scale: must be linear or log, got {sweep.get('scale')!r}")
     if param == "alpha" and any(g.get("preset") != "alpha_lwl" for g in gauges):
         errors.append("sweep.parameter=alpha requires every gauge preset to be alpha_lwl")
+    # an explicit mode volume must be the one the model is built with (the
+    # ring's default volume is its site count)
+    model_volume = model.get("volume")
+    if kind == "ring_lattice" and model_volume is None:
+        model_volume = model.get("sites")
+    for i, m in enumerate(modes):
+        vol = m.get("volume")
+        if not _typed(vol, (int, float)) or vol <= 0:
+            continue  # absent, or already reported
+        if param == "volume":
+            errors.append(f"modes[{i}].volume: must be omitted when sweep.parameter is volume")
+        elif _typed(model_volume, (int, float)) and \
+                abs(vol - model_volume) > 1e-12 * max(1.0, abs(model_volume)):
+            errors.append(f"modes[{i}].volume: {vol!r} differs from model volume "
+                          f"{model_volume!r}")
 
     oracle = raw.get("oracle", {"enabled": False})
     if not isinstance(oracle, dict):
@@ -321,8 +337,12 @@ def _phase_point(cfg: SweepConfig, index: int, param: str, value: float) -> list
 
 
 def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> list[dict]:
-    """oracle.csv records for one sweep sample, one per gauge."""
-    from .oracle import full_hamiltonian, ground_state, parity_gap, photon_coherence, \
+    """oracle.csv records for one sweep sample, one per gauge.
+
+    One k=2 eigensolve per gauge gives the ground energy, the ground vector
+    the observables read, and the parity gap.
+    """
+    from .oracle import full_hamiltonian, lowest_eigenpairs, photon_coherence, \
         transverse_field_expectation
 
     fock = int(cfg.oracle.get("fock_cutoff", 40))
@@ -332,12 +352,13 @@ def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> lis
     for gdict in cfg.gauges:
         gauge = _build_gauge(gdict, param, value)
         system = full_hamiltonian(model, gauge, modes, fock)
-        energy, state = ground_state(system)
+        vals, vecs = lowest_eigenpairs(system, k=2)
+        state = Statevector(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
         coh, occ = photon_coherence(state, system, 0, 2)
         et_max = np.max(np.abs(transverse_field_expectation(state, system)))
         records.append(dict(zip(ORACLE_HEADER.split(","), (
-            SCHEMA_VERSION, index, param, value, gauge.preset.value, fock, energy,
-            parity_gap(system), abs(coh), occ, et_max))))
+            SCHEMA_VERSION, index, param, value, gauge.preset.value, fock, float(vals[0]),
+            float(vals[1] - vals[0]), abs(coh), occ, et_max))))
     return records
 
 

@@ -25,14 +25,8 @@ import numpy as np
 from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, branch_combination,
                          diagonalize_block)
 from .errors import ArgumentError, SingularConstraintError, UnsupportedError
-from .gauge import (
-    GaugeSpec,
-    ModeSpec,
-    coupling_f_electric,
-    coupling_f_magnetic,
-    diamagnetic_D,
-    gauge_spectrum,
-)
+from .gauge import (GaugeSpec, ModeSpec, coupling_f_electric, coupling_rows, diamagnetic_D,
+                    gauge_spectrum)
 from .matter import MatterModel, MatterSpectrum
 from .operators import Operator
 from .response import (DEGENERACY_ATOL, chi_from_rows, chi_md_from_model, lehmann_sum,
@@ -99,17 +93,18 @@ def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
 
     Everything is read off the ground-state rows <0|f|n> and <n|f|0> of
     the four coupling components (magnetic and electric, sigma = 1, 2):
-    chi_ff, the full, magnetic and electric branch sums, and beta_0.
+    chi_ff, the full, magnetic and electric branch sums, and beta_0.  The
+    rows come from `coupling_rows` and one product with the eigenvectors,
+    so no d x d coupling operator or adjoint is formed.
     """
     _check_volume(model, mode)
     if block is None:
         block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
     if spectrum is None:
         spectrum = gauge_spectrum(model, gauge, [mode])
-    ops = [coupling(model, gauge, mode, s)
-           for coupling in (coupling_f_magnetic, coupling_f_electric) for s in (1, 2)]
-    bra = np.stack([spectrum.couplings_from_ground(op) for op in ops])          # <0|f|n>
-    ket = np.stack([spectrum.couplings_from_ground(op.dag()) for op in ops]).conj()  # <n|f|0>
+    # <0|f|n> and <n|f|0>
+    bra, ket = spectrum.ground_rows(
+        *coupling_rows(model, gauge, mode, spectrum.ground_state_vector()))
     parts = {"magnetic": (bra[:2], ket[:2]), "electric": (bra[2:], ket[2:])}
     parts["full"] = (bra[:2] + bra[2:], ket[:2] + ket[2:])
     f_bra = parts["full"][0]

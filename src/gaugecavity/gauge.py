@@ -285,6 +285,63 @@ def coupling_f_electric(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     return Operator(1j * mode.volume * mode.nu * w * along(mode.eps(sigma), pops))
 
 
+def _along_vectors(eps, vecs) -> np.ndarray:
+    """sum_i eps_i v_i for a Cartesian triple of vectors, skipping zero weights
+    as `along` does."""
+    return sum(eps[i] * vecs[i] for i in range(3) if abs(eps[i]) > 1e-15)
+
+
+def coupling_rows(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
+                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Model-basis vectors <0|f and f|0> of the four coupling components.
+
+    Rows run magnetic sigma = 1, 2, then electric sigma = 1, 2, for the
+    operators of `coupling_f_magnetic` and `coupling_f_electric`; ``g`` is
+    |0>.  In the long-wavelength limit no d x d operator is formed: with
+    f = i w [eps.d, h_m],
+
+        <0|f = i w ((<0|eps.d) h_m - (<0|h_m) eps.d),
+        f|0> = i w (eps.d (h_m|0>) - h_m (eps.d|0>)),
+
+    and the electric part i V nu w eps'.d / V, with eps' the transverse
+    projection of eps, needs only <0|d_i and d_i|0>.  Every step is a
+    vector-matrix product, O(d^2).  At finite q the operators are applied
+    to g.
+    """
+    q_phase = 0.0 if gauge.lwl else mode.q_phase
+    if q_phase != 0.0:
+        ops = [coupling(model, gauge, mode, s)
+               for coupling in (coupling_f_magnetic, coupling_f_electric) for s in (1, 2)]
+        return (np.stack([g.conj() @ op.entries for op in ops]),
+                np.stack([op.entries @ g for op in ops]))
+    bras = np.zeros((4, model.dim), dtype=complex)
+    kets = np.zeros((4, model.dim), dtype=complex)
+    h = model.h_m.entries
+    dips = [op.entries for op in model.dipole_ops]
+    bra_d = [g.conj() @ d for d in dips]              # <0|d_i
+    ket_d = [d @ g for d in dips]                     # d_i|0>
+    w = gauge.paramagnetic_weight
+    if w != 0.0:
+        bra_h, ket_h = g.conj() @ h, h @ g
+        bra_h_d = [bra_h @ d for d in dips]           # <0|h_m d_i
+        d_ket_h = [d @ ket_h for d in dips]           # d_i h_m|0>
+        for s in (1, 2):
+            eps = mode.eps(s)
+            bras[s - 1] = 1j * w * (_along_vectors(eps, bra_d) @ h
+                                    - _along_vectors(eps, bra_h_d))
+            kets[s - 1] = 1j * w * (_along_vectors(eps, d_ket_h)
+                                    - h @ _along_vectors(eps, ket_d))
+    w = gauge.electric_weight
+    if w != 0.0:
+        proj = np.eye(3) - np.outer(mode.q_hat, mode.q_hat)
+        scale = 1j * mode.volume * mode.nu * w / model.params.volume
+        for s in (1, 2):
+            eps_t = proj @ mode.eps(s)
+            bras[1 + s] = scale * _along_vectors(eps_t, bra_d)
+            kets[1 + s] = scale * _along_vectors(eps_t, ket_d)
+    return bras, kets
+
+
 def check_wavevector_decoupling(model: MatterModel, gauge: GaugeSpec,
                                 mode_a: ModeSpec, mode_b: ModeSpec) -> float:
     """Magnitude of the neglected cross-momentum diamagnetic coupling.

@@ -250,6 +250,13 @@ class MatterSpectrum:
         u = self.vectors
         return (u[:, 0].conj() @ op.entries) @ u
 
+    def ground_rows(self, bras: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(<0|O_k|n>, <n|O_k|0>) for all n from the model-basis vectors
+        <0|O_k (rows of ``bras``) and O_k|0> (rows of ``kets``), with one
+        stacked product by U."""
+        both = np.concatenate([bras, kets.conj()]) @ self.vectors
+        return both[:len(bras)], both[len(bras):].conj()
+
     def ground_energy(self) -> float:
         return float(self.energies[0])
 
@@ -363,16 +370,19 @@ def build_anharmonic_dipole(levels: int, mass: float, frequency: float,
             raise ResourceLimitError(f"3-axis dimension {dim} exceeds {MAX_ANHARMONIC_DIM}")
         eye1 = np.eye(levels, dtype=complex)
 
-        def embed(op, pos):
-            mats = [eye1, eye1, eye1]
-            mats[pos] = op
+        def embed(ops):
+            """Kronecker product with ops[pos] on each given axis, identity elsewhere."""
+            mats = [ops.get(pos, eye1) for pos in range(3)]
             return np.kron(np.kron(mats[0], mats[1]), mats[2])
 
-        xs = [embed(x1, i) for i in range(3)]
-        ps = [embed(p1, i) for i in range(3)]
-        h = sum(embed(h1, i) for i in range(3))
-        r2 = sum(x @ x for x in xs)
-        h = h + quartic * (r2 @ r2)
+        xs = [embed({i: x1}) for i in range(3)]
+        ps = [embed({i: p1}) for i in range(3)]
+        # (r.r)^2 = sum_i x_i^4 + 2 sum_{i<j} x_i^2 x_j^2, each term one
+        # Kronecker product of single-axis matrices
+        x2 = x1 @ x1
+        h = sum(embed({i: h1 + quartic * (x2 @ x2)}) for i in range(3))
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            h += 2.0 * quartic * embed({i: x2, j: x2})
         axis_vecs = (X_AXIS, Y_AXIS, Z_AXIS)
 
     dip = []
@@ -494,13 +504,10 @@ def trk_sum(spectrum: MatterSpectrum, axis: int, reference_level: int = 0) -> fl
     lab = "xyz"[axis]
     if lab not in labels:
         raise ArgumentError(f"model has no {lab} axis")
-    p = spectrum.table(model.momentum_ops[labels.index(lab)])
-    e = spectrum.energies
+    u = spectrum.vectors
     npr = reference_level
-    terms = []
-    for n in range(len(e)):
-        if n == npr:
-            continue
-        de = e[n] - e[npr]
-        terms.append(abs(p[n, npr]) ** 2 / de)
-    return float(np.sum(terms))
+    # the one column <n|P_i|n'> of the momentum table the sum reads
+    p = u.conj().T @ (model.momentum_ops[labels.index(lab)].entries @ u[:, npr])
+    e = spectrum.energies
+    others = np.arange(len(e)) != npr
+    return float(np.sum(np.abs(p[others]) ** 2 / (e[others] - e[npr])))

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from gaugecavity.cli import main, run_check, run_sweep, validate_config
+from gaugecavity import oracle
+from gaugecavity.cli import _oracle_point, main, run_check, run_sweep, validate_config
 from gaugecavity.errors import ConfigError
+from gaugecavity.gauge import lwl_mode, make_gauge
+from gaugecavity.matter import build_two_level_ensemble
 
 MINIMAL = {
     "seed": 3,
@@ -141,6 +144,8 @@ INVALID_CONFIGS = {
     "count_boolean": ("model", dict(MINIMAL["model"], count=True)),
     "oracle_enabled_string": ("oracle", {"enabled": "no", "fock_cutoff": 16, "points": 3}),
     "count_over_ensemble_limit": ("model", dict(MINIMAL["model"], count=5000)),
+    "gauge_empty_list": ("gauge", []),
+    "mode_volume_differs": ("modes", [{"nu": 1.0, "volume": 2.0}]),
 }
 
 
@@ -163,6 +168,27 @@ class TestMain:
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == \
             "config error: model.levels: 3-axis dimension 64000 exceeds 20000\n"
+
+    def test_mode_volume_with_volume_sweep_exit_two(self, tmp_path, capsys):
+        # the mode volume would hold only at the first sweep value, so this
+        # case needs both a volume sweep and a mode volume
+        modes = [{"nu": 1.0, "volume": 1.0}]
+        sweep = {"parameter": "volume", "values": [1.0, 2.0]}
+        path = write_config(tmp_path, dict(MINIMAL, modes=modes, sweep=sweep))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("config error: modes[0].volume: must be omitted "
+                                           "when sweep.parameter is volume\n")
+
+    @pytest.mark.parametrize("model, modes", [
+        (MINIMAL["model"], [{"nu": 1.0, "volume": 1.0}]),
+        # the ring's default volume is its site count
+        ({"kind": "ring_lattice", "sites": 8, "hopping": 1.0, "charge": 1.0},
+         [{"ring_index": 1, "volume": 8}]),
+    ], ids=["two_level", "ring_default"])
+    def test_mode_volume_equal_to_model_accepted(self, model, modes):
+        sweep = {"parameter": "hopping" if model["kind"] == "ring_lattice" else "dipole_scale",
+                 "values": [0.5]}
+        validate_config(json.dumps(dict(MINIMAL, model=model, modes=modes, sweep=sweep)))
 
     def test_overflowing_literal_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -198,3 +224,33 @@ def test_run_check_structure():
     assert results["all_passed"]
     assert results["bogoliubov_lambda_vs_numeric"]["passed"]
     assert results["bogoliubov_symplectic"]["passed"]
+
+
+class TestOraclePoint:
+    CONFIG = dict(MINIMAL, gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
+                  oracle={"enabled": True, "fock_cutoff": 16, "points": 3})
+
+    def test_one_eigensolve_per_gauge(self, monkeypatch, tmp_path):
+        calls = []
+        original = oracle.lowest_eigenpairs
+
+        def counting(system, k=1):
+            calls.append(k)
+            return original(system, k)
+
+        monkeypatch.setattr(oracle, "lowest_eigenpairs", counting)
+        run_sweep(validate_config(json.dumps(self.CONFIG)), str(tmp_path / "out"))
+        assert calls == [2] * (3 * 2)
+
+    def test_energy_and_gap_match_separate_solves(self):
+        # 7 matter levels x 200 Fock levels is past the dense limit: Lanczos
+        cfg = validate_config(json.dumps(dict(self.CONFIG, oracle={
+            "enabled": True, "fock_cutoff": 200, "points": 1})))
+        records = _oracle_point(cfg, 0, "dipole_scale", 0.5)
+        model = build_two_level_ensemble(6, 1.0, [0.0, 0.5, 0.0], 1.0)
+        for rec, preset in zip(records, ("dipole", "coulomb")):
+            system = oracle.full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 200)
+            assert system.dim > oracle.DENSE_LIMIT
+            energy, _ = oracle.ground_state(system)
+            assert abs(rec["ground_energy"] - energy) <= 1e-12 * abs(energy)
+            assert rec["parity_gap"] == oracle.parity_gap(system)

@@ -25,10 +25,12 @@ from gaugecavity.gauge import (
     coupling_f,
     coupling_f_electric,
     coupling_f_magnetic,
+    coupling_rows,
     diamagnetic_D,
     gauge_spectrum,
     lwl_mode,
     make_gauge,
+    mode_from_q,
     ring_mode,
 )
 from gaugecavity.matter import (
@@ -415,3 +417,54 @@ class TestSpectrumSharing:
         }))
         cli.run_sweep(cfg, str(tmp_path / "out"))
         assert len(calls) == 3 * per_point + check_calls
+
+
+_ANHARMONIC_3AXIS = build_anharmonic_dipole(5, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
+_ROW_GAUGES = {"coulomb": make_gauge("coulomb"), "dipole": make_gauge("dipole"),
+               "alpha_0.4": make_gauge("alpha_lwl", alpha=0.4)}
+_ROW_MODES = {"q_z": lwl_mode(1.0, 1.0), "q_oblique": mode_from_q((1.0, 2.0, 0.5), 1.0)}
+
+
+class TestCouplingRowsWithoutOperators:
+    """Long-wavelength rows from dipole and h_m products, no d x d coupling operator."""
+
+    @pytest.mark.parametrize("gauge_name", sorted(_ROW_GAUGES))
+    def test_evaluate_forms_no_current_or_adjoint(self, monkeypatch, gauge_name):
+        calls = {"current_along": 0, "dag": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(matter.MatterModel, "current_along",
+                            counted("current_along", matter.MatterModel.current_along))
+        monkeypatch.setattr(Operator, "dag", counted("dag", Operator.dag))
+        evaluate(_ANHARMONIC_3AXIS, _ROW_GAUGES[gauge_name], _ROW_MODES["q_z"])
+        assert calls == {"current_along": 0, "dag": 0}
+
+    @pytest.mark.parametrize("mode_name", sorted(_ROW_MODES))
+    @pytest.mark.parametrize("gauge_name", sorted(_ROW_GAUGES))
+    def test_rows_match_dense_operators(self, gauge_name, mode_name):
+        model, gauge, mode = _ANHARMONIC_3AXIS, _ROW_GAUGES[gauge_name], _ROW_MODES[mode_name]
+        g = gauge_spectrum(model, gauge, [mode]).ground_state_vector()
+        bras, kets = coupling_rows(model, gauge, mode, g)
+        ops = [coupling(model, gauge, mode, s)
+               for coupling in (coupling_f_magnetic, coupling_f_electric) for s in (1, 2)]
+        for bra, ket, op in zip(bras, kets, ops):
+            ref_bra, ref_ket = g.conj() @ op.entries, op.entries @ g
+            scale = max(np.max(np.abs(ref_bra)), np.max(np.abs(ref_ket)), 1e-300)
+            assert np.max(np.abs(bra - ref_bra)) <= 1e-12 * scale
+            assert np.max(np.abs(ket - ref_ket)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("mode_name", sorted(_ROW_MODES))
+    @pytest.mark.parametrize("gauge_name", sorted(_ROW_GAUGES))
+    def test_reports_match_dense_reference(self, gauge_name, mode_name):
+        model, gauge, mode = _ANHARMONIC_3AXIS, _ROW_GAUGES[gauge_name], _ROW_MODES[mode_name]
+        spec = gauge_spectrum(model, gauge, [mode])
+        reports = evaluate(model, gauge, mode, spectrum=spec)
+        for rep, ref in zip(reports, _dense_reference(model, gauge, mode, spec)):
+            got = (rep.lhs, rep.electric_part, rep.magnetic_part, rep.beta0)
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= max(1e-12 * abs(r), 1e-14), (rep.tau, got, ref)

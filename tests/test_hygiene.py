@@ -1,13 +1,17 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every public re-export has a user.
+every public re-export has a user, and every function the benchmark traces
+exists.
 
 No linter is assumed; the checks walk each module's syntax tree with the
 standard-library `ast`.  `__init__.py` is exempt from the import check
 because its imports are the package's public re-exports; the re-export
 check asks that each of them is read somewhere in the package or tests.
+The tracing check reads the `TRACED` table of `perfbench/spans.py` without
+running that module.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -83,3 +87,27 @@ def test_reexports_are_referenced():
 def test_reference_detector_skips_own_definition():
     source = "class A:\n    default = A\n\ndef f():\n    return f, g.h\n\nB = 1\n"
     assert references(source) == {"g", "h"}
+
+
+def traced_targets(source: str) -> list[tuple[str, str]]:
+    """The (module, attribute) pairs of the module-level `TRACED` literal."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and \
+                any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return [pair for targets in ast.literal_eval(node.value).values()
+                    for pair in targets]
+    raise AssertionError("no TRACED table")
+
+
+def test_traced_names_resolve():
+    spans = PACKAGE.parent.parent / "perfbench" / "spans.py"
+    targets = traced_targets(spans.read_text())
+    assert targets
+    missing = []
+    for mod_name, attr in targets:
+        obj = importlib.import_module(f"gaugecavity.{mod_name}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{mod_name}.{attr}")
+    assert missing == []

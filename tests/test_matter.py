@@ -252,3 +252,29 @@ class TestTrkSum:
 def test_model_kinds_exposed():
     assert build_ring_lattice(6, 1.0, 1.0).kind is ModelKind.RING_LATTICE
     assert build_two_level_ensemble(1, 1.0, (0, 0, 1), 1.0).kind is ModelKind.TWO_LEVEL_ENSEMBLE
+
+
+class TestProductFreeBuilds:
+    """The 3-axis Hamiltonian and the TRK sum against their dense-product forms."""
+
+    def test_three_axis_quartic_matches_dense_square(self):
+        kappa, charge = 0.1, 0.8
+        model = build_anharmonic_dipole(5, 1.0, 1.3, kappa, charge, 1.0, axes=3)
+        harmonic = build_anharmonic_dipole(5, 1.0, 1.3, 0.0, charge, 1.0, axes=3)
+        r2 = sum(x @ x for x in (-d.entries / charge for d in model.dipole_ops))
+        ref = harmonic.h_m.entries + kappa * (r2 @ r2)
+        h = model.h_m.entries
+        assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize("model, axis, level", [
+        (build_anharmonic_dipole(40, 1.0, 1.0, 0.05, 1.0, 1.0), 0, 0),
+        (build_anharmonic_dipole(40, 1.0, 1.0, 0.05, 1.0, 1.0), 0, 3),
+        (build_anharmonic_dipole(5, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3), 2, 0),
+    ], ids=["one_axis_ground", "one_axis_level3", "three_axis_z"])
+    def test_trk_sum_matches_full_table(self, model, axis, level):
+        spec = matter_spectrum(model)
+        p = spec.table(model.momentum_ops[axis])
+        e = spec.energies
+        ref = sum(abs(p[n, level]) ** 2 / (e[n] - e[level])
+                  for n in range(len(e)) if n != level)
+        assert abs(trk_sum(spec, axis, level) - ref) <= 1e-12 * abs(ref)
