@@ -1,34 +1,37 @@
 """Sweep configuration, execution, and report emission.
 
-The only external surface: `gaugecavity sweep --config cfg.json --out DIR
-[--threads N]` writes criterion.csv, summary.json and (when enabled)
-oracle.csv; `gaugecavity check --config cfg.json` runs the invariant
-suites only.  Exit codes: 0 success, 1 runtime failure, 2 config failure.
+The only external surface: `gaugecavity sweep --config cfg.json --out DIR`
+writes criterion.csv, summary.json and (when enabled) oracle.csv;
+`gaugecavity check --config cfg.json` runs the invariant suites only.
+Exit codes: 0 success, 1 runtime failure, 2 config failure.
+
+The config schema is the key tables below; `validate_config` walks them
+once, and `_build_model` passes the model keys on to the kind's builder.
 
 criterion.csv is byte-identical across repeated runs of the same config
-and seed: rows are emitted in deterministic parameter order and floats
-are serialised with shortest round-trip repr.
+and seed on the same machine with the same BLAS thread count: rows are
+emitted in deterministic parameter order and floats are serialised with
+shortest round-trip repr.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, matter
 from .criterion import evaluate
 from .errors import ConfigError, GaugecavityError
 from .gauge import (GaugePreset, GaugeSpec, ModeSpec, dressed_matter_hamiltonian, lwl_mode,
                     make_gauge, ring_mode)
 from .matter import (MAX_ANHARMONIC_DIM, MAX_ENSEMBLE_SIZE, MatterModel, ModelKind,
-                     build_anharmonic_dipole, build_ring_lattice, build_two_level_ensemble,
                      matter_spectrum)
 from .operators import Statevector
 
@@ -40,12 +43,121 @@ ORACLE_HEADER = ("schema_version,point_index,param_name,param_value,gauge,"
                  "fock_cutoff,ground_energy,parity_gap,coherence_abs,"
                  "occupation,et_max")
 
-SWEEPABLE = {
-    "two_level_ensemble": {"dipole_scale", "gap", "volume"},
-    "anharmonic_dipole": {"charge", "frequency", "quartic", "volume"},
-    "ring_lattice": {"hopping", "charge"},
+JSON_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str,
+              "list": list, "object": dict}
+REQUIRED = object()
+
+
+def _is(value, json_type: str) -> bool:
+    """JSON type test in which a boolean is a boolean and nothing else."""
+    return isinstance(value, JSON_TYPES[json_type]) and \
+        isinstance(value, bool) == (json_type == "boolean")
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its JSON type, a rule on its value with the message
+    for a value that breaks it, its default (REQUIRED when it must be
+    given) and whether a sweep may vary it.  The rules of sweepable keys
+    are intervals, so a linear grid whose endpoints obey one obeys it
+    everywhere."""
+
+    type: str
+    rule: Callable | None = None
+    message: str = ""
+    default: object = REQUIRED
+    sweep: bool = False
+
+    def problem(self, value) -> str | None:
+        if not _is(value, self.type):
+            return f"expected {self.type}, got {value!r}"
+        if self.rule is not None and not self.rule(value):
+            return f"{self.message}, got {value!r}"
+        return None
+
+
+def _positive(**kw) -> Key:
+    return Key("number", lambda v: v > 0, "must be > 0", **kw)
+
+
+# kind -> (builder, keys); the builder is a matter function, looked up by
+# name when called so that a wrapper installed on the module sees the call
+MODELS = {
+    "two_level_ensemble": ("build_two_level_ensemble", {
+        "count": Key("integer", lambda v: 1 <= v <= MAX_ENSEMBLE_SIZE,
+                     f"must lie in [1, {MAX_ENSEMBLE_SIZE}]"),
+        "gap": _positive(sweep=True),
+        "dipole_moment": Key("list", lambda v: len(v) == 3 and all(_is(x, "number") for x in v),
+                             "must be a 3-vector"),
+        "volume": _positive(sweep=True),
+    }),
+    "anharmonic_dipole": ("build_anharmonic_dipole", {
+        "levels": Key("integer", lambda v: v >= 4, "must be >= 4"),
+        "mass": _positive(),
+        "frequency": _positive(sweep=True),
+        "quartic": Key("number", lambda v: v >= 0, "must be >= 0", sweep=True),
+        "charge": Key("number", sweep=True),
+        "volume": _positive(sweep=True),
+        "axes": Key("integer", lambda v: v in (1, 3), "must be 1 or 3", default=1),
+    }),
+    "ring_lattice": ("build_ring_lattice", {
+        "sites": Key("integer", lambda v: v >= 4, "must be >= 4"),
+        "hopping": _positive(sweep=True),
+        "charge": Key("number", sweep=True),
+        "volume": _positive(default=None),  # None: the site count
+    }),
 }
-GAUGE_NAMES = {p.value for p in GaugePreset}
+KIND = Key("string", lambda v: v in MODELS, f"must be one of {sorted(MODELS)}")
+GAUGE_NAMES = sorted(p.value for p in GaugePreset)
+GAUGE = {
+    "preset": Key("string", lambda v: v in GAUGE_NAMES, f"must be one of {GAUGE_NAMES}"),
+    "lwl": Key("boolean", default=True),
+    "alpha": Key("number", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]", default=None,
+                 sweep=True),
+}
+# a mode is a uniform field (nu) or a ring quasi-momentum (ring_index); an
+# explicit volume must be the model's
+MODE = {
+    "nu": _positive(default=None),
+    "volume": _positive(default=None),
+    "ring_index": Key("integer", lambda v: v != 0, "must be nonzero", default=None),
+}
+# the grid keys are read only without values
+SWEEP = {
+    "parameter": Key("string"),
+    "values": Key("list", lambda v: len(v) > 0 and all(_is(x, "number") for x in v),
+                  "must be a non-empty list of numbers", default=None),
+    "start": Key("number", default=None),
+    "stop": Key("number", default=None),
+    "steps": Key("integer", lambda v: v >= 1, "must be >= 1", default=None),
+    "scale": Key("string", lambda v: v in ("linear", "log"), "must be linear or log",
+                 default="linear"),
+}
+ORACLE = {
+    "enabled": Key("boolean", default=False),
+    "fock_cutoff": Key("integer", lambda v: v >= 2, "must be >= 2", default=40),
+    "points": Key("integer", lambda v: v >= 1, "must be >= 1", default=None),
+}
+CONFIG = {
+    "model": Key("object"),
+    "gauge": Key("list", lambda v: len(v) > 0, "must not be empty"),  # or one gauge object
+    "modes": Key("list", lambda v: len(v) > 0, "must not be empty"),
+    "sweep": Key("object"),
+    "oracle": Key("object", default={}),
+    "output": Key("object", default={}),  # accepted, and has no keys
+    "seed": Key("integer", default=0),
+}
+
+
+def _swept_keys(model_keys: dict) -> dict:
+    """Sweep parameter -> the Key whose rule its values obey: the model's
+    and the gauge's sweepable keys, and dipole_scale, which multiplies
+    dipole_moment."""
+    keys = {name: key for table in (model_keys, GAUGE) for name, key in table.items()
+            if key.sweep}
+    if "dipole_moment" in model_keys:
+        keys["dipole_scale"] = Key("number")
+    return keys
 
 
 @dataclass(frozen=True)
@@ -55,14 +167,8 @@ class SweepConfig:
     modes: tuple[dict, ...]
     sweep: dict
     oracle: dict
-    output: dict
     seed: int
     raw: dict = field(repr=False, default_factory=dict)
-
-
-def _typed(value, types) -> bool:
-    """isinstance that never counts a JSON boolean as a number."""
-    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _non_finite_paths(node, path: str = "") -> list[str]:
@@ -70,15 +176,39 @@ def _non_finite_paths(node, path: str = "") -> list[str]:
     if isinstance(node, float) and not math.isfinite(node):
         return [path]
     if isinstance(node, dict):
-        return [p for key, val in node.items()
-                for p in _non_finite_paths(val, f"{path}.{key}" if path else key)]
+        return [p for key, val in node.items() for p in _non_finite_paths(val, _join(path, key))]
     if isinstance(node, list):
         return [p for i, val in enumerate(node) for p in _non_finite_paths(val, f"{path}[{i}]")]
     return []
 
 
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _section(path: str, node, keys: dict, errors: list[str]) -> dict:
+    """Check one config object against its key table.  Returns every key of
+    the table with its value, its default when absent, or None when it is
+    missing or invalid; each violation goes to ``errors``."""
+    if not isinstance(node, dict):
+        errors.append(f"{path}: expected object, got {node!r}")
+        return dict.fromkeys(keys)
+    errors += [f"{_join(path, name)}: unknown key" for name in node if name not in keys]
+    out = {}
+    for name, key in keys.items():
+        problem = key.problem(node[name]) if name in node else \
+            "missing" if key.default is REQUIRED else None
+        if problem is not None:
+            errors.append(f"{_join(path, name)}: {problem}")
+        out[name] = None if problem else node.get(name, key.default)
+    return out
+
+
 def validate_config(text: str) -> SweepConfig:
-    """Parse and validate a JSON sweep config, collecting every violation."""
+    """Parse and validate a JSON sweep config, collecting every violation.
+
+    The returned config holds every key of the tables, with defaults
+    filled in; `raw` is the parsed text as given."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -86,168 +216,70 @@ def validate_config(text: str) -> SweepConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["config: must be a JSON object"])
     errors: list[str] = []
+    top = _section("", dict(raw, gauge=[raw["gauge"]]) if isinstance(raw.get("gauge"), dict)
+                   else raw, CONFIG, errors)
 
-    def need(section, key, types, pred=None, msg=""):
-        val = section[1].get(key)
-        if key not in section[1]:
-            errors.append(f"{section[0]}.{key}: missing")
-        elif not _typed(val, types):
-            errors.append(f"{section[0]}.{key}: expected {types}, got {type(val).__name__}")
-        elif pred is not None and not pred(val):
-            errors.append(f"{section[0]}.{key}: {msg} (got {val!r})")
+    def section(name, keys):
+        return dict.fromkeys(keys) if top[name] is None else \
+            _section(name, top[name], keys, errors)
 
-    model = raw.get("model")
-    if not isinstance(model, dict):
-        errors.append("model: missing or not an object")
-        model = {}
-    kind = model.get("kind")
-    if kind not in SWEEPABLE:
-        errors.append(f"model.kind: must be one of {sorted(SWEEPABLE)}, got {kind!r}")
-    if kind == "two_level_ensemble":
-        need(("model", model), "count", int, lambda v: 1 <= v <= MAX_ENSEMBLE_SIZE,
-             f"must lie in [1, {MAX_ENSEMBLE_SIZE}]")
-        need(("model", model), "gap", (int, float), lambda v: v > 0, "must be > 0")
-        need(("model", model), "dipole_moment", list,
-             lambda v: len(v) == 3 and all(_typed(x, (int, float)) for x in v),
-             "must be a 3-vector")
-        need(("model", model), "volume", (int, float), lambda v: v > 0, "must be > 0")
-    elif kind == "anharmonic_dipole":
-        need(("model", model), "levels", int, lambda v: v >= 4, "must be >= 4")
-        need(("model", model), "mass", (int, float), lambda v: v > 0, "must be > 0")
-        need(("model", model), "frequency", (int, float), lambda v: v > 0, "must be > 0")
-        need(("model", model), "quartic", (int, float), lambda v: v >= 0, "must be >= 0")
-        need(("model", model), "charge", (int, float))
-        need(("model", model), "volume", (int, float), lambda v: v > 0, "must be > 0")
-        if "axes" in model:
-            need(("model", model), "axes", int, lambda v: v in (1, 3), "must be 1 or 3")
-        levels = model.get("levels")
-        if model.get("axes") == 3 and _typed(levels, int) and levels ** 3 > MAX_ANHARMONIC_DIM:
-            errors.append(f"model.levels: 3-axis dimension {levels ** 3} exceeds "
-                          f"{MAX_ANHARMONIC_DIM}")
-    elif kind == "ring_lattice":
-        need(("model", model), "sites", int, lambda v: v >= 4, "must be >= 4")
-        need(("model", model), "hopping", (int, float), lambda v: v > 0, "must be > 0")
-        need(("model", model), "charge", (int, float))
-        if model.get("volume") is not None:
-            need(("model", model), "volume", (int, float), lambda v: v > 0, "must be > 0")
+    # the model keys depend on its kind
+    kind = (top["model"] or {}).get("kind")
+    model_keys = MODELS[kind][1] if _is(kind, "string") and kind in MODELS else {}
+    if top["model"] is not None and not model_keys:
+        top["model"] = {k: v for k, v in top["model"].items() if k == "kind"}
+    model = section("model", {"kind": KIND, **model_keys})
+    gauge_nodes = top["gauge"] or []
+    gauges = [_section(f"gauge[{i}]", g, GAUGE, errors) for i, g in enumerate(gauge_nodes)]
+    mode_nodes = top["modes"] or []
+    modes = [_section(f"modes[{i}]", m, MODE, errors) for i, m in enumerate(mode_nodes)]
+    sweep = section("sweep", SWEEP)
+    oracle = section("oracle", ORACLE)
+    section("output", {})
 
-    gauge_raw = raw.get("gauge")
-    gauges: list[dict] = []
-    if isinstance(gauge_raw, dict):
-        gauge_list = [gauge_raw]
-    elif isinstance(gauge_raw, list) and gauge_raw:
-        gauge_list = gauge_raw
+    for i, (node, gauge) in enumerate(zip(gauge_nodes, gauges)):
+        if gauge["preset"] is not None and (gauge["preset"] == "alpha_lwl") != ("alpha" in node):
+            errors.append(f"gauge[{i}].alpha: "
+                          f"{'only valid' if 'alpha' in node else 'required'} for alpha_lwl")
+    levels = model.get("levels")
+    if model.get("axes") == 3 and levels is not None and levels ** 3 > MAX_ANHARMONIC_DIM:
+        errors.append(f"model.levels: 3-axis dimension {levels ** 3} exceeds "
+                      f"{MAX_ANHARMONIC_DIM}")
+
+    param = sweep["parameter"]
+    swept = _swept_keys(model_keys)
+    if param is not None and model_keys and param not in swept:
+        errors.append(f"sweep.parameter: must be one of {sorted(swept)}, got {param!r}")
+    if top["sweep"] is not None and "values" not in top["sweep"]:
+        errors += [f"sweep.{k}: missing, and no values" for k in ("start", "stop", "steps")
+                   if k not in top["sweep"]]
+    if sweep["values"] is not None:
+        points = [(f"sweep.values[{i}]", v) for i, v in enumerate(sweep["values"])]
     else:
-        errors.append("gauge: missing, or not an object or a non-empty list")
-        gauge_list = []
-    for i, g in enumerate(gauge_list):
-        if not isinstance(g, dict):
-            errors.append(f"gauge[{i}]: must be an object, got {g!r}")
-            continue
-        preset = g.get("preset")
-        if preset not in GAUGE_NAMES:
-            errors.append(f"gauge[{i}].preset: must be one of {sorted(GAUGE_NAMES)}, got {preset!r}")
-            continue
-        if not isinstance(g.get("lwl", True), bool):
-            errors.append(f"gauge[{i}].lwl: must be true or false, got {g['lwl']!r}")
-        alpha = g.get("alpha")
-        if preset == "alpha_lwl":
-            if not _typed(alpha, (int, float)) or not 0.0 <= alpha <= 1.0:
-                errors.append(f"gauge[{i}].alpha: must lie in [0, 1], got {alpha!r}")
-        elif alpha is not None:
-            errors.append(f"gauge[{i}].alpha: only valid for alpha_lwl")
-        gauges.append(dict(g))
-
-    modes_raw = raw.get("modes")
-    modes: list[dict] = []
-    if not isinstance(modes_raw, list) or not modes_raw:
-        errors.append("modes: must be a non-empty list")
-    else:
-        for i, m in enumerate(modes_raw):
-            if not isinstance(m, dict):
-                errors.append(f"modes[{i}]: must be an object")
-                continue
-            if "ring_index" in m:
-                if not _typed(m["ring_index"], int) or m["ring_index"] == 0:
-                    errors.append(f"modes[{i}].ring_index: must be a nonzero integer")
-                if kind != "ring_lattice":
-                    errors.append(f"modes[{i}].ring_index: requires a ring_lattice model")
-                optional = ("nu", "volume")
-            else:
-                nu = m.get("nu")
-                if not _typed(nu, (int, float)) or nu <= 0:
-                    errors.append(f"modes[{i}].nu: must be > 0, got {nu!r}")
-                optional = ("volume",)
-            for key in optional:
-                val = m.get(key)
-                if val is not None and (not _typed(val, (int, float)) or val <= 0):
-                    errors.append(f"modes[{i}].{key}: must be > 0, got {val!r}")
-            modes.append(dict(m))
-
-    sweep = raw.get("sweep")
-    if not isinstance(sweep, dict):
-        errors.append("sweep: missing or not an object")
-        sweep = {}
-    param = sweep.get("parameter")
-    allowed = (SWEEPABLE.get(kind, set()) | {"alpha"}) if kind else {"alpha"}
-    if param not in allowed:
-        errors.append(f"sweep.parameter: must be one of {sorted(allowed)}, got {param!r}")
-    if "values" in sweep:
-        vals = sweep["values"]
-        if not isinstance(vals, list) or not vals:
-            errors.append("sweep.values: must be a non-empty list")
-        elif not all(_typed(v, (int, float)) for v in vals):
-            errors.append(f"sweep.values: must all be numbers, got {vals!r}")
-    else:
-        steps = sweep.get("steps")
-        if not _typed(steps, int) or steps < 1:
-            errors.append(f"sweep.steps: must be an integer >= 1, got {steps!r}")
-        for key in ("start", "stop"):
-            if not _typed(sweep.get(key), (int, float)):
-                errors.append(f"sweep.{key}: must be a number, got {sweep.get(key)!r}")
-        if sweep.get("scale", "linear") not in ("linear", "log"):
-            errors.append(f"sweep.scale: must be linear or log, got {sweep.get('scale')!r}")
-    if param == "alpha" and any(g.get("preset") != "alpha_lwl" for g in gauges):
+        points = [(f"sweep.{k}", sweep[k]) for k in ("start", "stop") if sweep[k] is not None]
+        if len(points) == 2 and sweep["scale"] == "log" and \
+                min(sweep["start"], sweep["stop"]) <= 0 <= max(sweep["start"], sweep["stop"]):
+            errors.append("sweep.scale: log needs start and stop nonzero and of one sign")
+    if param in swept:
+        errors += [f"{path}: {param} {problem}" for path, value in points
+                   if (problem := swept[param].problem(value)) is not None]
+    if param == "alpha" and any(g["preset"] != "alpha_lwl" for g in gauges):
         errors.append("sweep.parameter=alpha requires every gauge preset to be alpha_lwl")
     # an explicit mode volume must be the one the model is built with (the
     # ring's default volume is its site count)
-    model_volume = model.get("volume")
-    if kind == "ring_lattice" and model_volume is None:
-        model_volume = model.get("sites")
-    for i, m in enumerate(modes):
-        vol = m.get("volume")
-        if not _typed(vol, (int, float)) or vol <= 0:
-            continue  # absent, or already reported
-        if param == "volume":
+    model_volume = model.get("volume") or model.get("sites")
+    for i, (node, mode) in enumerate(zip(mode_nodes, modes)):
+        if isinstance(node, dict) and "nu" not in node and "ring_index" not in node:
+            errors.append(f"modes[{i}].nu: missing, and no ring_index")
+        if mode["ring_index"] is not None and kind != "ring_lattice":
+            errors.append(f"modes[{i}].ring_index: requires a ring_lattice model")
+        vol = mode["volume"]
+        if vol is not None and param == "volume":
             errors.append(f"modes[{i}].volume: must be omitted when sweep.parameter is volume")
-        elif _typed(model_volume, (int, float)) and \
+        elif vol is not None and model_volume is not None and \
                 abs(vol - model_volume) > 1e-12 * max(1.0, abs(model_volume)):
             errors.append(f"modes[{i}].volume: {vol!r} differs from model volume "
                           f"{model_volume!r}")
-
-    oracle = raw.get("oracle", {"enabled": False})
-    if not isinstance(oracle, dict):
-        errors.append("oracle: must be an object")
-        oracle = {"enabled": False}
-    elif not isinstance(oracle.get("enabled", False), bool):
-        errors.append(f"oracle.enabled: must be true or false, got {oracle['enabled']!r}")
-    elif oracle.get("enabled"):
-        fock = oracle.get("fock_cutoff", 40)
-        if not _typed(fock, int) or fock < 2:
-            errors.append(f"oracle.fock_cutoff: must be an integer >= 2, got {fock!r}")
-        points = oracle.get("points")
-        if points is not None and (not _typed(points, int) or points < 1):
-            errors.append(f"oracle.points: must be an integer >= 1, got {points!r}")
-
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        errors.append("output: must be an object")
-        output = {}
-
-    seed = raw.get("seed", 0)
-    if not _typed(seed, int):
-        errors.append(f"seed: must be an integer, got {seed!r}")
-        seed = 0
 
     # a non-finite number is named once, ahead of the checks it also fails
     non_finite = _non_finite_paths(raw)
@@ -255,56 +287,40 @@ def validate_config(text: str) -> SweepConfig:
         [e for e in errors if e.split(":", 1)[0] not in non_finite]
     if errors:
         raise ConfigError(errors)
-    return SweepConfig(model=dict(model), gauges=tuple(gauges), modes=tuple(modes),
-                       sweep=dict(sweep), oracle=dict(oracle), output=dict(output),
-                       seed=seed, raw=raw)
+    return SweepConfig(model=model, gauges=tuple(gauges), modes=tuple(modes), sweep=sweep,
+                       oracle=oracle, seed=top["seed"], raw=raw)
 
 
 def _sweep_values(sweep: dict) -> np.ndarray:
-    if "values" in sweep:
+    if sweep["values"] is not None:
         return np.asarray(sweep["values"], dtype=float)
-    if sweep.get("scale", "linear") == "log":
+    if sweep["scale"] == "log":
         return np.geomspace(sweep["start"], sweep["stop"], sweep["steps"])
     return np.linspace(sweep["start"], sweep["stop"], sweep["steps"])
 
 
 def _build_model(cfg: SweepConfig, param: str, value: float) -> MatterModel:
-    m = dict(cfg.model)
-    kind = m["kind"]
-    if kind == "two_level_ensemble":
-        scale = value if param == "dipole_scale" else 1.0
-        gap = value if param == "gap" else m["gap"]
-        vol = value if param == "volume" else m["volume"]
-        d = np.asarray(m["dipole_moment"], dtype=float) * scale
-        return build_two_level_ensemble(m["count"], gap, d, vol)
-    if kind == "anharmonic_dipole":
-        kw = {k: m[k] for k in ("levels", "mass", "frequency", "quartic", "charge", "volume")}
-        kw["axes"] = m.get("axes", 1)
-        if param in ("charge", "frequency", "quartic", "volume"):
-            kw[param] = value
-        return build_anharmonic_dipole(**kw)
-    if kind == "ring_lattice":
-        kw = {"sites": m["sites"], "hopping": m["hopping"], "charge": m["charge"],
-              "volume": m.get("volume")}
-        if param in ("hopping", "charge"):
-            kw[param] = value
-        return build_ring_lattice(**kw)
-    raise ConfigError([f"model.kind: unknown {kind!r}"])
+    builder, keys = MODELS[cfg.model["kind"]]
+    kwargs = {name: cfg.model[name] for name in keys}
+    if param == "dipole_scale":
+        kwargs["dipole_moment"] = np.asarray(kwargs["dipole_moment"], dtype=float) * value
+    elif param in kwargs:
+        kwargs[param] = value
+    return getattr(matter, builder)(**kwargs)
 
 
 def _build_gauge(gdict: dict, param: str, value: float) -> GaugeSpec:
-    preset = gdict["preset"]
-    alpha = value if (param == "alpha" and preset == "alpha_lwl") else gdict.get("alpha")
-    return make_gauge(preset, lwl=gdict.get("lwl", True), alpha=alpha)
+    alpha = value if param == "alpha" else gdict["alpha"]
+    return make_gauge(gdict["preset"], lwl=gdict["lwl"], alpha=alpha)
 
 
 def _build_modes(cfg: SweepConfig, model: MatterModel) -> list[ModeSpec]:
     out = []
     for m in cfg.modes:
-        if "ring_index" in m:
-            out.append(ring_mode(model, m["ring_index"], nu=m.get("nu")))
+        if m["ring_index"] is not None:
+            out.append(ring_mode(model, m["ring_index"], nu=m["nu"]))
         else:
-            out.append(lwl_mode(m["nu"], m.get("volume", model.params.volume)))
+            out.append(lwl_mode(m["nu"], model.params.volume))
     return out
 
 
@@ -345,7 +361,7 @@ def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> lis
     from .oracle import full_hamiltonian, lowest_eigenpairs, photon_coherence, \
         transverse_field_expectation
 
-    fock = int(cfg.oracle.get("fock_cutoff", 40))
+    fock = cfg.oracle["fock_cutoff"]
     model = _build_model(cfg, param, value)
     modes = _build_modes(cfg, model)
     records = []
@@ -450,26 +466,19 @@ def run_check(cfg: SweepConfig) -> dict:
     return results
 
 
-def run_sweep(cfg: SweepConfig, out_dir: str, threads: int = 1) -> int:
+def run_sweep(cfg: SweepConfig, out_dir: str) -> int:
     import os
 
     t_start = time.monotonic()
     os.makedirs(out_dir, exist_ok=True)
     values = _sweep_values(cfg.sweep)
     param = cfg.sweep["parameter"]
-    tasks = list(enumerate(values))
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(
-                lambda iv: _phase_point(cfg, iv[0], param, float(iv[1])), tasks))
-    else:
-        chunks = [_phase_point(cfg, i, param, float(v)) for i, v in tasks]
-    records = [r for chunk in chunks for r in chunk]
+    records = [r for i, v in enumerate(values) for r in _phase_point(cfg, i, param, float(v))]
     _write_csv(os.path.join(out_dir, "criterion.csv"), CSV_HEADER, records)
     t_criterion = time.monotonic() - t_start
 
-    if cfg.oracle.get("enabled"):
-        points = cfg.oracle.get("points")
+    if cfg.oracle["enabled"]:
+        points = cfg.oracle["points"]
         if points is None:
             idx = range(len(values))
         else:
@@ -516,7 +525,6 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--threads", type=int, default=1)
     p_check = sub.add_parser("check", help="run invariant suites only")
     p_check.add_argument("--config", required=True)
     args = parser.parse_args(argv)
@@ -534,7 +542,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "sweep":
-            return run_sweep(cfg, args.out, threads=args.threads)
+            return run_sweep(cfg, args.out)
         results = run_check(cfg)
         for name, res in results.items():
             if isinstance(res, dict):

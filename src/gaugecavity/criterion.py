@@ -87,7 +87,6 @@ def _instability_value(g_bra: np.ndarray, g_ket: np.ndarray, de: np.ndarray,
 
 
 def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
-             block: BogoliubovBlock | None = None,
              spectrum: MatterSpectrum | None = None) -> tuple[CriterionReport, CriterionReport]:
     """Both-branch condensation verdicts at one mode.
 
@@ -98,8 +97,7 @@ def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     so no d x d coupling operator or adjoint is formed.
     """
     _check_volume(model, mode)
-    if block is None:
-        block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
+    block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
     if spectrum is None:
         spectrum = gauge_spectrum(model, gauge, [mode])
     # <0|f|n> and <n|f|0>

@@ -31,6 +31,7 @@ from .operators import EigenSystem, Operator, boson_ladder, eigh, zero
 
 MAX_ENSEMBLE_SIZE = 4000
 MAX_ANHARMONIC_DIM = 20000  # levels ** 3 for the 3-axis dipole
+DEGENERACY_ATOL = 1e-10  # energies closer than this count as degenerate
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -264,12 +265,11 @@ class MatterSpectrum:
         return self.vectors[:, 0]
 
 
-def matter_spectrum(model: MatterModel, h_m: Operator | None = None,
-                    degeneracy_atol: float = 1e-10) -> MatterSpectrum:
+def matter_spectrum(model: MatterModel, h_m: Operator | None = None) -> MatterSpectrum:
     """Diagonalise the (possibly gauge-dressed) matter Hamiltonian."""
     h = model.h_m if h_m is None else h_m
     es = eigh(h)
-    degeneracy = int(np.sum(es.values - es.values[0] <= degeneracy_atol))
+    degeneracy = int(np.sum(es.values - es.values[0] <= DEGENERACY_ATOL))
     return MatterSpectrum(model=model, h_m_used=h, eigensystem=es,
                           ground_degeneracy=degeneracy)
 
@@ -409,7 +409,6 @@ def build_anharmonic_dipole(levels: int, mass: float, frequency: float,
 
 def build_ring_lattice(sites: int, hopping: float, charge: float,
                        volume: float | None = None,
-                       effective_mass: float | None = None,
                        bond_scale: dict | None = None) -> MatterModel:
     """Single particle on an L-site tight-binding ring (lattice constant 1).
 
@@ -437,7 +436,7 @@ def build_ring_lattice(sites: int, hopping: float, charge: float,
     xrel = pos - pos.mean()
     dip_x = Operator(-charge * np.diag(xrel).astype(complex), hermitian=True)
     shift = np.roll(np.eye(L), -1, axis=0).astype(complex)  # T|j> = |j-1>
-    m_eff = effective_mass if effective_mass is not None else 1.0 / (2.0 * hopping)
+    m_eff = 1.0 / (2.0 * hopping)
     v = float(volume) if volume is not None else float(L)
     params = ModelParams(n_charges=1, mass=m_eff, charge=charge, volume=v,
                          e2n_over_m=charge ** 2 / m_eff,
@@ -462,8 +461,7 @@ def ring_quasi_momentum(model: MatterModel, n: int) -> float:
 # diagnostics
 
 
-def check_uniform_density(model: MatterModel, eigenstate: int,
-                          degeneracy_atol: float = 1e-10) -> float:
+def check_uniform_density(model: MatterModel, eigenstate: int) -> float:
     """max_j |<n|n_j|n> - N/L| for the (momentum-symmetrised) eigenstate.
 
     Members of a degenerate cluster are rotated into translation
@@ -475,10 +473,10 @@ def check_uniform_density(model: MatterModel, eigenstate: int,
     L = model.dim
     vals = spec.energies
     lo = eigenstate
-    while lo > 0 and abs(vals[lo - 1] - vals[eigenstate]) <= degeneracy_atol:
+    while lo > 0 and abs(vals[lo - 1] - vals[eigenstate]) <= DEGENERACY_ATOL:
         lo -= 1
     hi = eigenstate
-    while hi + 1 < L and abs(vals[hi + 1] - vals[eigenstate]) <= degeneracy_atol:
+    while hi + 1 < L and abs(vals[hi + 1] - vals[eigenstate]) <= DEGENERACY_ATOL:
         hi += 1
     block = spec.vectors[:, lo:hi + 1]
     if block.shape[1] > 1:

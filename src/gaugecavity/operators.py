@@ -165,10 +165,10 @@ def _fix_phases(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigh(h: Operator, hermiticity_atol: float = 1e-10) -> EigenSystem:
+def eigh(h: Operator) -> EigenSystem:
     """Full Hermitian eigendecomposition with a deterministic phase convention."""
     dev = np.max(np.abs(h.entries - h.entries.conj().T)) if h.entries.size else 0.0
-    if dev > hermiticity_atol:
+    if dev > 1e-10:
         raise ArgumentError(f"eigh input deviates from Hermitian by {dev:.3e}")
     sym = 0.5 * (h.entries + h.entries.conj().T)
     try:

@@ -20,9 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateGroundStateError
 from .gauge import ModeSpec
-from .matter import MatterSpectrum
-
-DEGENERACY_ATOL = 1e-10
+from .matter import DEGENERACY_ATOL, MatterSpectrum
 
 
 def _check_unique_ground(spectrum: MatterSpectrum):
@@ -54,19 +52,17 @@ def chi_from_rows(spectrum: MatterSpectrum, bra_rows: np.ndarray,
                                      ket_rows[:, keep], 1.0 / de[keep])
 
 
-def lehmann_sum(spectrum: MatterSpectrum, o_ops, c_ops=None,
-                volume: float | None = None) -> np.ndarray:
+def lehmann_sum(spectrum: MatterSpectrum, o_ops, c_ops=None) -> np.ndarray:
     """Matrix chi[k, l] = -2V sum_{n != 0} <0|O_k|n><n|C_l|0> / de_n.
 
     ``c_ops`` defaults to the adjoints of ``o_ops`` (conjugate momentum
     components of Hermitian fields).
     """
-    v = spectrum.model.params.volume if volume is None else volume
     bra_rows = _lehmann_rows(spectrum, o_ops)
     # <n|C|0> = conj(<0|C^dag|n>), which is conj(<0|O|n>) for C = O^dag
     ket_rows = (bra_rows if c_ops is None
                 else _lehmann_rows(spectrum, [op.dag() for op in c_ops])).conj()
-    return chi_from_rows(spectrum, bra_rows, ket_rows, v)
+    return chi_from_rows(spectrum, bra_rows, ket_rows, spectrum.model.params.volume)
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,6 @@ class SlrfTensor:
 
     chi: np.ndarray
     mode: ModeSpec
-    labels: tuple[str, str]
 
     def transverse(self) -> "TransverseProjection":
         return transverse_project(self, self.mode)
@@ -96,13 +91,12 @@ class TransverseProjection:
                 and abs(self.scalar_sigma1 - self.scalar_sigma2) <= atol)
 
 
-def slrf(spectrum: MatterSpectrum, o_ops, c_ops=None, mode: ModeSpec | None = None,
-         labels: tuple[str, str] = ("O", "C")) -> SlrfTensor:
+def slrf(spectrum: MatterSpectrum, o_ops, c_ops=None, mode: ModeSpec | None = None) -> SlrfTensor:
     """Full 3x3 SLRF tensor for Cartesian operator triples."""
     if len(o_ops) != 3 or (c_ops is not None and len(c_ops) != 3):
         raise ArgumentError("slrf expects Cartesian triples of operators")
     chi = lehmann_sum(spectrum, o_ops, c_ops)
-    return SlrfTensor(chi=chi, mode=mode, labels=labels)
+    return SlrfTensor(chi=chi, mode=mode)
 
 
 def transverse_project(tensor: SlrfTensor, mode: ModeSpec) -> TransverseProjection:

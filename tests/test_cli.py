@@ -1,9 +1,12 @@
 import json
+import pathlib
+import re
 
 import pytest
 
 from gaugecavity import oracle
-from gaugecavity.cli import _oracle_point, main, run_check, run_sweep, validate_config
+from gaugecavity.cli import (MODELS, REQUIRED, _build_model, _oracle_point, _swept_keys, main,
+                             run_check, run_sweep, validate_config)
 from gaugecavity.errors import ConfigError
 from gaugecavity.gauge import lwl_mode, make_gauge
 from gaugecavity.matter import build_two_level_ensemble
@@ -102,13 +105,6 @@ class TestRunSweep:
         assert (tmp_path / "a" / "criterion.csv").read_bytes() == \
             (tmp_path / "b" / "criterion.csv").read_bytes()
 
-    def test_threads_match_serial(self, tmp_path):
-        cfg = validate_config(json.dumps(MINIMAL))
-        run_sweep(cfg, str(tmp_path / "serial"), threads=1)
-        run_sweep(cfg, str(tmp_path / "par"), threads=4)
-        assert (tmp_path / "serial" / "criterion.csv").read_bytes() == \
-            (tmp_path / "par" / "criterion.csv").read_bytes()
-
     def test_oracle_rows(self, tmp_path):
         cfg_dict = dict(MINIMAL)
         cfg_dict["oracle"] = {"enabled": True, "fock_cutoff": 16, "points": 3}
@@ -134,29 +130,67 @@ class TestRunSweep:
         assert margins[0] < 0 < margins[-1]  # Coulomb endpoint up to dipole
 
 
+# case -> (top-level key of MINIMAL to override, its value, path a violation names)
 INVALID_CONFIGS = {
-    "sweep_value_string": ("sweep", dict(MINIMAL["sweep"], values=["a"])),
-    "oracle_points_string": ("oracle", {"enabled": True, "fock_cutoff": 16, "points": "x"}),
-    "gauge_entry_string": ("gauge", ["dipole"]),
-    "gap_infinity": ("model", dict(MINIMAL["model"], gap=float("inf"))),
-    "sweep_value_nan": ("sweep", dict(MINIMAL["sweep"], values=[float("nan")])),
-    "lwl_string": ("gauge", {"preset": "coulomb", "lwl": "no"}),
-    "count_boolean": ("model", dict(MINIMAL["model"], count=True)),
-    "oracle_enabled_string": ("oracle", {"enabled": "no", "fock_cutoff": 16, "points": 3}),
-    "count_over_ensemble_limit": ("model", dict(MINIMAL["model"], count=5000)),
-    "gauge_empty_list": ("gauge", []),
-    "mode_volume_differs": ("modes", [{"nu": 1.0, "volume": 2.0}]),
+    "sweep_value_string": ("sweep", dict(MINIMAL["sweep"], values=["a"]), "sweep.values"),
+    "oracle_points_string": ("oracle", {"enabled": True, "fock_cutoff": 16, "points": "x"},
+                             "oracle.points"),
+    "gauge_entry_string": ("gauge", ["dipole"], "gauge[0]"),
+    "gap_infinity": ("model", dict(MINIMAL["model"], gap=float("inf")), "model.gap"),
+    "sweep_value_nan": ("sweep", dict(MINIMAL["sweep"], values=[float("nan")]),
+                        "sweep.values[0]"),
+    "lwl_string": ("gauge", {"preset": "coulomb", "lwl": "no"}, "gauge[0].lwl"),
+    "count_boolean": ("model", dict(MINIMAL["model"], count=True), "model.count"),
+    "oracle_enabled_string": ("oracle", {"enabled": "no", "fock_cutoff": 16, "points": 3},
+                              "oracle.enabled"),
+    "count_over_ensemble_limit": ("model", dict(MINIMAL["model"], count=5000), "model.count"),
+    "gauge_empty_list": ("gauge", [], "gauge"),
+    "mode_volume_differs": ("modes", [{"nu": 1.0, "volume": 2.0}], "modes[0].volume"),
+    # an unknown key in each section
+    "model_unknown_key": ("model", dict(MINIMAL["model"], axes=3), "model.axes"),
+    "gauge_unknown_key": ("gauge", {"preset": "coulomb", "lwl ": False}, "gauge[0].lwl "),
+    "modes_unknown_key": ("modes", [{"nu": 1.0, "volum": 1.0}], "modes[0].volum"),
+    "sweep_unknown_key": ("sweep", dict(MINIMAL["sweep"], sclae="log"), "sweep.sclae"),
+    "oracle_unknown_key": ("oracle", {"enabled": True, "fock_cutof": 16, "points": 3},
+                           "oracle.fock_cutof"),
+    "output_unknown_key": ("output", {"directory": "results"}, "output.directory"),
+    "top_level_unknown_key": ("sede", 3, "sede"),
 }
 
 
 class TestMain:
     @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
     def test_invalid_config_exit_two(self, tmp_path, capsys, case):
-        key, value = INVALID_CONFIGS[case]
+        key, value, violation_path = INVALID_CONFIGS[case]
         path = write_config(tmp_path, dict(MINIMAL, **{key: value}))
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert any(line.startswith("config error:")
+        assert any(line.startswith(f"config error: {violation_path}:")
                    for line in capsys.readouterr().err.splitlines())
+
+    def test_anharmonic_axis_typo_exit_two(self, tmp_path, capsys):
+        # a misspelt "axes" must not build the default 1-axis model; an
+        # anharmonic model needs its own sweep parameter
+        model = {"kind": "anharmonic_dipole", "levels": 10, "mass": 1.0, "frequency": 1.0,
+                 "quartic": 0.1, "charge": 0.3, "volume": 1.0, "axis": 3}
+        sweep = {"parameter": "charge", "values": [0.3]}
+        path = write_config(tmp_path, dict(MINIMAL, model=model, sweep=sweep))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: model.axis: unknown key\n"
+
+    @pytest.mark.parametrize("sweep, gauge, violation", [
+        ({"parameter": "gap", "values": [-1.0]}, MINIMAL["gauge"],
+         "sweep.values[0]: gap must be > 0, got -1.0"),
+        ({"parameter": "volume", "start": 0, "stop": 1.0, "steps": 3}, MINIMAL["gauge"],
+         "sweep.start: volume must be > 0, got 0"),
+        ({"parameter": "alpha", "values": [0.5, 1.5]}, {"preset": "alpha_lwl", "alpha": 0.5},
+         "sweep.values[1]: alpha must lie in [0, 1], got 1.5"),
+        (dict(MINIMAL["sweep"], start=0.0, scale="log"), MINIMAL["gauge"],
+         "sweep.scale: log needs start and stop nonzero and of one sign"),
+    ], ids=["gap_negative", "volume_from_zero", "alpha_above_one", "log_from_zero"])
+    def test_swept_value_outside_rule_exit_two(self, tmp_path, capsys, sweep, gauge, violation):
+        path = write_config(tmp_path, dict(MINIMAL, sweep=sweep, gauge=gauge))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {violation}\n"
 
     def test_anharmonic_dimension_limit_exit_two(self, tmp_path, capsys):
         # an anharmonic model needs its own sweep parameter, so this case
@@ -254,3 +288,65 @@ class TestOraclePoint:
             energy, _ = oracle.ground_state(system)
             assert abs(rec["ground_energy"] - energy) <= 1e-12 * abs(energy)
             assert rec["parity_gap"] == oracle.parity_gap(system)
+
+
+# one small model of each kind, and where a built model carries each
+# sweepable value
+BUILD_MODELS = {
+    "two_level_ensemble": MINIMAL["model"],
+    "anharmonic_dipole": {"kind": "anharmonic_dipole", "levels": 5, "mass": 1.0,
+                          "frequency": 1.0, "quartic": 0.1, "charge": 0.5, "volume": 1.0},
+    "ring_lattice": {"kind": "ring_lattice", "sites": 6, "hopping": 1.0, "charge": 1.0},
+}
+CARRIED = {
+    "gap": lambda model: model.params.detail["gap"],
+    "volume": lambda model: model.params.volume,
+    "frequency": lambda model: model.params.detail["frequency"],
+    "quartic": lambda model: model.params.detail["quartic"],
+    "charge": lambda model: model.params.charge,
+    "hopping": lambda model: model.params.detail["hopping"],
+    "dipole_scale": lambda model: model.params.detail["dipole_moment"][1],
+}
+MODEL_SWEEPS = [(kind, name) for kind, (_, keys) in MODELS.items()
+                for name in _swept_keys(keys) if name != "alpha"]
+
+
+@pytest.mark.parametrize("kind, name", MODEL_SWEEPS, ids=[f"{k}-{n}" for k, n in MODEL_SWEEPS])
+def test_sweepable_key_reaches_builder(kind, name):
+    # 0.37 differs from every value in BUILD_MODELS; dipole_scale multiplies
+    # the two-level dipole_moment (0, 1, 0)
+    cfg = validate_config(json.dumps(dict(MINIMAL, model=BUILD_MODELS[kind],
+                                          sweep={"parameter": name, "values": [0.37]})))
+    assert CARRIED[name](_build_model(cfg, name, 0.37)) == 0.37
+
+
+README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def test_readme_model_table_matches_schema():
+    rows: dict = {}
+    for line in README.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].strip("`") in MODELS:
+            rows.setdefault(cells[0].strip("`"), {})[cells[1].strip("`")] = cells[2:]
+    assert set(rows) == set(MODELS)
+    for kind, (_, keys) in MODELS.items():
+        assert list(rows[kind]) == list(keys), kind
+        for name, key in keys.items():
+            default, sweepable = rows[kind][name]
+            expected = "required" if key.default is REQUIRED else f"`{json.dumps(key.default)}`"
+            assert default.split(" ")[0] == expected, (kind, name)
+            assert sweepable == ("yes" if key.sweep else "no"), (kind, name)
+
+
+def test_readme_cli_usage_matches_parser(capsys):
+    usage = dict(re.findall(r"^gaugecavity (\w+) (.*)$", README, flags=re.M))
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    commands = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert sorted(usage) == sorted(commands)
+    for command in commands:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(r"--[\w-]+", usage[command])) == options, command
