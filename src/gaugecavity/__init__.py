@@ -2,8 +2,8 @@
 
 Pipeline: build a matter model, pick a gauge and a field mode, Bogoliubov-
 diagonalize the photon block, evaluate the per-branch condensation
-criterion from exact Lehmann response sums, and cross-check against full
-light-matter diagonalization.
+criterion from ground-state resolvent responses, and cross-check against
+full light-matter diagonalization.
 """
 
 from .bogoliubov import (

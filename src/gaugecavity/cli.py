@@ -10,8 +10,9 @@ once, and `_build_model` passes the model keys on to the kind's builder.
 
 criterion.csv is byte-identical across repeated runs of the same config
 and seed on the same machine with the same BLAS thread count: rows are
-emitted in deterministic parameter order and floats are serialised with
-shortest round-trip repr.
+emitted in deterministic parameter order, every Lanczos run starts from a
+fixed vector (`response.LANCZOS_SEED` for large matter), and floats are
+serialised with shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from .criterion import evaluate
 from .errors import ConfigError, GaugecavityError
 from .gauge import (GaugePreset, GaugeSpec, ModeSpec, dressed_matter_hamiltonian, lwl_mode,
                     make_gauge, ring_mode)
-from .matter import (MAX_ANHARMONIC_DIM, MAX_ENSEMBLE_SIZE, MatterModel, ModelKind,
-                     matter_spectrum)
+from .matter import MAX_ANHARMONIC_DIM, MAX_ENSEMBLE_SIZE, MatterModel, ModelKind
 from .operators import Statevector
+from .oracle import MAX_FULL_DIM
+from .response import ground_resolvent
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ("schema_version,point_index,param_name,param_value,gauge,alpha,"
@@ -108,6 +110,12 @@ MODELS = {
     }),
 }
 KIND = Key("string", lambda v: v in MODELS, f"must be one of {sorted(MODELS)}")
+# kind -> dimension of the matter space its (valid) keys describe
+MATTER_DIM = {
+    "two_level_ensemble": lambda model: model["count"] + 1,
+    "anharmonic_dipole": lambda model: model["levels"] ** model["axes"],
+    "ring_lattice": lambda model: model["sites"],
+}
 GAUGE_NAMES = sorted(p.value for p in GaugePreset)
 GAUGE = {
     "preset": Key("string", lambda v: v in GAUGE_NAMES, f"must be one of {GAUGE_NAMES}"),
@@ -122,7 +130,7 @@ MODE = {
     "volume": _positive(default=None),
     "ring_index": Key("integer", lambda v: v != 0, "must be nonzero", default=None),
 }
-# the grid keys are read only without values
+# a sweep gives values or the grid keys, not both
 SWEEP = {
     "parameter": Key("string"),
     "values": Key("list", lambda v: len(v) > 0 and all(_is(x, "number") for x in v),
@@ -245,6 +253,16 @@ def validate_config(text: str) -> SweepConfig:
     if model.get("axes") == 3 and levels is not None and levels ** 3 > MAX_ANHARMONIC_DIM:
         errors.append(f"model.levels: 3-axis dimension {levels ** 3} exceeds "
                       f"{MAX_ANHARMONIC_DIM}")
+    # a coupled branch multiplies the matter dimension by the Fock cutoff
+    fock = oracle["fock_cutoff"]
+    if oracle["enabled"] is True and fock is not None and kind in MATTER_DIM:
+        try:
+            dim = MATTER_DIM[kind](model)
+        except TypeError:  # a size key is invalid, which is reported already
+            dim = 0
+        if dim * fock > MAX_FULL_DIM:
+            errors.append(f"oracle.fock_cutoff: matter dimension {dim} x fock_cutoff {fock} "
+                          f"= {dim * fock} exceeds the oracle limit {MAX_FULL_DIM}")
 
     param = sweep["parameter"]
     swept = _swept_keys(model_keys)
@@ -253,6 +271,9 @@ def validate_config(text: str) -> SweepConfig:
     if top["sweep"] is not None and "values" not in top["sweep"]:
         errors += [f"sweep.{k}: missing, and no values" for k in ("start", "stop", "steps")
                    if k not in top["sweep"]]
+    elif top["sweep"] is not None:
+        errors += [f"sweep.{k}: not allowed with values"
+                   for k in ("start", "stop", "steps", "scale") if k in top["sweep"]]
     if sweep["values"] is not None:
         points = [(f"sweep.values[{i}]", v) for i, v in enumerate(sweep["values"])]
     else:
@@ -328,7 +349,7 @@ def _phase_point(cfg: SweepConfig, index: int, param: str, value: float) -> list
     """criterion.csv records for one sweep sample (deterministic order).
 
     Every gauge and mode whose dressed Hamiltonian is h_m itself shares
-    one bare spectrum.
+    one bare ground resolvent.
     """
     model = _build_model(cfg, param, value)
     modes = _build_modes(cfg, model)
@@ -339,12 +360,12 @@ def _phase_point(cfg: SweepConfig, index: int, param: str, value: float) -> list
         for qi, mode in enumerate(modes):
             h = dressed_matter_hamiltonian(model, gauge, [mode])
             if h is not model.h_m:
-                spectrum = matter_spectrum(model, h_m=h)
+                ground = ground_resolvent(model, h)
             else:
                 if bare is None:
-                    bare = matter_spectrum(model)
-                spectrum = bare
-            for rep in evaluate(model, gauge, mode, spectrum=spectrum):
+                    bare = ground_resolvent(model)
+                ground = bare
+            for rep in evaluate(model, gauge, mode, spectrum=ground):
                 records.append(dict(zip(CSV_HEADER.split(","), (
                     SCHEMA_VERSION, index, param, value, gauge.preset.value, gauge.alpha,
                     qi, rep.tau, rep.lhs, rep.rhs, rep.electric_part, rep.magnetic_part,
@@ -447,8 +468,7 @@ def run_check(cfg: SweepConfig) -> dict:
         results["ring_uniform_density"] = {"max_dev": dev, "tol": 1e-12,
                                            "passed": dev <= 1e-12}
     if model.momentum_ops is not None:
-        spec = matter_spectrum(model)
-        s = trk_sum(spec, axis=0, reference_level=0)
+        s = trk_sum(ground_resolvent(model), axis=0)
         target = model.params.mass * model.params.n_charges / 2.0
         dev = abs(s - target)
         results["trk_sum_rule"] = {"max_dev": dev, "tol": 1e-6, "passed": dev <= 1e-6}

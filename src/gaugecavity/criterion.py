@@ -26,10 +26,10 @@ from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, branch_comb
                          diagonalize_block)
 from .errors import ArgumentError, SingularConstraintError, UnsupportedError
 from .gauge import (GaugeSpec, ModeSpec, coupling_f_electric, coupling_rows, diamagnetic_D,
-                    gauge_spectrum)
+                    dressed_matter_hamiltonian, gauge_spectrum)
 from .matter import MatterModel, MatterSpectrum
 from .operators import Operator
-from .response import (DEGENERACY_ATOL, chi_from_rows, chi_md_from_model, lehmann_sum,
+from .response import (check_unique_ground, chi_md_from_model, ground_resolvent, lehmann_sum,
                        polarizability)
 
 CONDENSED_MARGIN = 1e-9
@@ -64,50 +64,49 @@ def _check_volume(model: MatterModel, mode: ModeSpec):
             f"mode volume {mode.volume} differs from model volume {v}")
 
 
-def _instability_value(g_bra: np.ndarray, g_ket: np.ndarray, de: np.ndarray,
-                       mode: ModeSpec, lam: float) -> float:
-    """Eq.-(22)-normalised instability strength of one branch coupling.
-
-    The matter fluctuation that optimally feeds a displacement couples
-    through both <0|G|n> and <n|G|0>; the threshold follows from the pair
-
-        X = sum_n (|<0|G|n>|^2 + |<n|G|0>|^2) / de_n,
-        W = 2 sum_n <0|G|n><n|G|0> / de_n,
-
-    as  lhs = lambda (X + |W|) / (2 nu^2 V)  against  rhs = lambda^2.
-    For purely Hermitian or purely anti-Hermitian G the pair collapses to
-    the transverse response sum of the underlying fields, recovering the
-    paramagnetic-plus-electric form exactly.
-    """
-    keep = de > DEGENERACY_ATOL
-    bra, ket, w_de = g_bra[keep], g_ket[keep], de[keep]
-    x_sum = float(np.sum((np.abs(bra) ** 2 + np.abs(ket) ** 2) / w_de))
-    w_sum = complex(2.0 * np.sum(bra * ket / w_de))
-    return lam * (x_sum + abs(w_sum)) / (2.0 * mode.nu ** 2 * mode.volume)
+# The 8 Gram columns are conj(<0|f_k) = f_k^dag|0> (slots 0-3) and f_k|0>
+# (slots 4-7), k = magnetic sigma 1, 2, then electric sigma 1, 2.  Row
+# sigma of _BRA[part] selects the f_sigma^dag|0> of that part of f; the
+# same rows rolled by 4 select f_sigma|0>.
+_BRA = {"magnetic": np.eye(8)[[0, 1]], "electric": np.eye(8)[[2, 3]]}
+_BRA["full"] = _BRA["magnetic"] + _BRA["electric"]
 
 
 def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
-             spectrum: MatterSpectrum | None = None) -> tuple[CriterionReport, CriterionReport]:
+             spectrum=None) -> tuple[CriterionReport, CriterionReport]:
     """Both-branch condensation verdicts at one mode.
 
-    Everything is read off the ground-state rows <0|f|n> and <n|f|0> of
-    the four coupling components (magnetic and electric, sigma = 1, 2):
-    chi_ff, the full, magnetic and electric branch sums, and beta_0.  The
-    rows come from `coupling_rows` and one product with the eigenvectors,
-    so no d x d coupling operator or adjoint is formed.
+    Everything is read off one 8 x 8 resolvent Gram matrix
+    M = C^dag Q (H - E_0)^-1 Q C, whose columns C are f_k^dag|0> and f_k|0>
+    for the four coupling components (`coupling_rows`).  With the branch
+    coupling G_tau = sum_sigma (w f_sigma - y f_sigma^dag), the rows
+    <0|G|n> and <n|G|0> are conj(<n|C p>) and <n|C q> for the coefficient
+    vectors p = branch_combination(bra, ket), q = branch_combination(ket,
+    bra), so the Eq.-(22)-normalised instability strength
+
+        X = sum_n (|<0|G|n>|^2 + |<n|G|0>|^2) / de_n = p.M.p + q.M.q,
+        W = 2 sum_n <0|G|n><n|G|0> / de_n = 2 p.M.q,
+        lhs = lambda (X + |W|) / (2 nu^2 V)  against  rhs = lambda^2,
+
+    and chi_ff is the bra-bra block.  For purely Hermitian or purely
+    anti-Hermitian G the pair collapses to the transverse response sum of
+    the underlying fields, recovering the paramagnetic-plus-electric form.
+    beta_0 = -(A_q / nu_tau) sum_sigma h_{sigma tau} <0|f_sigma|0>, which
+    does not depend on the phase of |0>.
+
+    ``spectrum`` is a backend of `response.ground_resolvent` for the
+    gauge's dressed matter Hamiltonian, by default built here.
     """
     _check_volume(model, mode)
     block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
     if spectrum is None:
-        spectrum = gauge_spectrum(model, gauge, [mode])
-    # <0|f|n> and <n|f|0>
-    bra, ket = spectrum.ground_rows(
-        *coupling_rows(model, gauge, mode, spectrum.ground_state_vector()))
-    parts = {"magnetic": (bra[:2], ket[:2]), "electric": (bra[2:], ket[2:])}
-    parts["full"] = (bra[:2] + bra[2:], ket[:2] + ket[2:])
-    f_bra = parts["full"][0]
-    x_ff = chi_from_rows(spectrum, f_bra, f_bra.conj(), spectrum.model.params.volume) \
-        / (mode.volume * mode.nu) ** 2
+        spectrum = ground_resolvent(model, dressed_matter_hamiltonian(model, gauge, [mode]))
+    check_unique_ground(spectrum)
+    g = spectrum.ground_state_vector()
+    bras, kets = coupling_rows(model, gauge, mode, g)
+    m = spectrum.gram(np.concatenate([bras.conj(), kets]).T)
+    full = _BRA["full"]
+    x_ff = -2.0 * model.params.volume * (full @ m @ full.T) / (mode.volume * mode.nu) ** 2
     block = adapt_degenerate_branches(block, x_ff)
     off = float(abs(block.u[0] @ x_ff @ block.u[1]))
     if off > REDUCTION_ATOL:
@@ -115,25 +114,25 @@ def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
             f"branch decoupling fails: |u+ . chi_ff . u-| = {off:.3e} > {REDUCTION_ATOL}; "
             "the per-branch criterion requires rotational symmetry about q or "
             "axis-aligned matter")
-    de = spectrum.energies - spectrum.energies[0]
-    h = block.h
+    f0 = (bras[:2] + bras[2:]) @ g  # <0|f_sigma|0>
     reports = []
     for t, tau in enumerate(BogoliubovBlock.TAUS):
         lam = float(block.lambdas[t])
-        # <0|G_tau|n> and <n|G_tau|0>
-        value = {name: _instability_value(branch_combination(block, t, b, k.conj()),
-                                          branch_combination(block, t, k, b.conj()),
-                                          de, mode, lam)
-                 for name, (b, k) in parts.items()}
-        # h-weighted g_tau = sum_sigma h_{sigma tau} f_sigma at n = 0
-        g0 = complex(h[0, t] * f_bra[0, 0] + h[1, t] * f_bra[1, 0])
+        value = {}
+        for part, bra in _BRA.items():
+            ket = np.roll(bra, 4, axis=1)
+            p = branch_combination(block, t, bra, ket)
+            q = branch_combination(block, t, ket, bra)
+            x_sum = float((p @ m @ p + q @ m @ q).real)
+            w_sum = complex(2.0 * (p @ m @ q))
+            value[part] = lam * (x_sum + abs(w_sum)) / (2.0 * mode.nu ** 2 * mode.volume)
         reports.append(CriterionReport(
             tau=tau,
             lhs=value["full"],
             rhs=float(block.lambdas[t] ** 2),
             electric_part=value["electric"],
             magnetic_part=value["magnetic"],
-            beta0=-mode.amplitude / block.nu_tau[t] * g0,
+            beta0=-mode.amplitude / block.nu_tau[t] * complex(block.h[:, t] @ f0),
         ))
     return tuple(reports)
 

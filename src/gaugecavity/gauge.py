@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedError
-from .matter import (X_AXIS, Y_AXIS, Z_AXIS, MatterModel, MatterSpectrum, ModelKind, along,
+from .matter import (X_AXIS, Y_AXIS, Z_AXIS, MatterModel, MatterSpectrum, ModelKind, along_op,
                      matter_spectrum)
 from .operators import Operator, zero
 
@@ -282,12 +282,12 @@ def coupling_f_electric(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
         return zero(model.dim)
     q_phase = 0.0 if gauge.lwl else mode.q_phase
     pops = model.pol_transverse_mult(mode.q_hat, q_phase)
-    return Operator(1j * mode.volume * mode.nu * w * along(mode.eps(sigma), pops))
+    return along_op(mode.eps(sigma), pops) * (1j * mode.volume * mode.nu * w)
 
 
 def _along_vectors(eps, vecs) -> np.ndarray:
     """sum_i eps_i v_i for a Cartesian triple of vectors, skipping zero weights
-    as `along` does."""
+    as `along_op` does."""
     return sum(eps[i] * vecs[i] for i in range(3) if abs(eps[i]) > 1e-15)
 
 
@@ -305,19 +305,20 @@ def coupling_rows(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
 
     and the electric part i V nu w eps'.d / V, with eps' the transverse
     projection of eps, needs only <0|d_i and d_i|0>.  Every step is a
-    vector-matrix product, O(d^2).  At finite q the operators are applied
+    vector-matrix product: O(d^2) for dense operators, O(nnz) for the
+    sparse ones the builders emit.  At finite q the operators are applied
     to g.
     """
     q_phase = 0.0 if gauge.lwl else mode.q_phase
     if q_phase != 0.0:
         ops = [coupling(model, gauge, mode, s)
                for coupling in (coupling_f_magnetic, coupling_f_electric) for s in (1, 2)]
-        return (np.stack([g.conj() @ op.entries for op in ops]),
-                np.stack([op.entries @ g for op in ops]))
+        return (np.stack([g.conj() @ op.matrix for op in ops]),
+                np.stack([op.matrix @ g for op in ops]))
     bras = np.zeros((4, model.dim), dtype=complex)
     kets = np.zeros((4, model.dim), dtype=complex)
-    h = model.h_m.entries
-    dips = [op.entries for op in model.dipole_ops]
+    h = model.h_m.matrix
+    dips = [op.matrix for op in model.dipole_ops]
     bra_d = [g.conj() @ d for d in dips]              # <0|d_i
     ket_d = [d @ g for d in dips]                     # d_i|0>
     w = gauge.paramagnetic_weight
@@ -372,20 +373,22 @@ def dressed_matter_hamiltonian(model: MatterModel, gauge: GaugeSpec,
 
     Electric gauges add sum_sigma (eps.P V)^2 / (2 V) per retained mode for
     single-particle models; ensembles of disjoint dipoles absorb their
-    self-energy into the model parameters and are returned unchanged.
+    self-energy into the model parameters and are returned unchanged.  The
+    terms are products of the model's dipole operators, so a sparse h_m
+    stays sparse.
     """
     w = gauge.electric_weight
     if w == 0.0 or not model.self_energy_in_electric_gauges:
         return model.h_m
-    h = model.h_m.entries.copy()
+    h = model.h_m
     for mode in modes:
         q_phase = 0.0 if gauge.lwl else mode.q_phase
         pops = model.pol_transverse_mult(mode.q_hat, q_phase)
         for sigma in (1, 2):
             # (w V P_sigma)^2 / (2 V) with P already carrying 1/V
-            pv = w * mode.volume * along(mode.eps(sigma), pops)
-            h = h + (pv.conj().T @ pv) / (2.0 * mode.volume)
-    return Operator(h, hermitian=True)
+            pv = (along_op(mode.eps(sigma), pops) * (w * mode.volume)).matrix
+            h = h + Operator((pv.conj().T @ pv) / (2.0 * mode.volume))
+    return Operator(h.matrix, hermitian=True)
 
 
 def gauge_spectrum(model: MatterModel, gauge: GaugeSpec,

@@ -2,8 +2,11 @@
 
 Each model owns a bare Hamiltonian ``h_m``, total-dipole operators, and
 providers for the Fourier components of the paramagnetic current and the
-multipolar transverse polarisation.  Gauge weighting of those operators
-is applied elsewhere; models only expose the raw material objects.
+multipolar transverse polarisation.  Above DENSE_MAX_DIM states the
+builders emit sparse CSR operators: diagonal, banded, or Kronecker
+products of banded single-axis matrices.  Gauge weighting of those
+operators is applied elsewhere; models only expose the raw material
+objects.
 
 Conventions (natural units):
   * electrons have charge -e with e > 0,
@@ -25,9 +28,10 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import ArgumentError, ResourceLimitError, UnsupportedError
-from .operators import EigenSystem, Operator, boson_ladder, eigh, zero
+from .operators import DENSE_MAX_DIM, EigenSystem, Operator, boson_ladder, eigh, zero
 
 MAX_ENSEMBLE_SIZE = 4000
 MAX_ANHARMONIC_DIM = 20000  # levels ** 3 for the 3-axis dipole
@@ -38,13 +42,16 @@ Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
+def along_op(eps, ops) -> Operator:
+    """sum_i eps_i O_i for a Cartesian operator triple; zero weights are
+    skipped.  The sum is sparse when the operators it adds are."""
+    terms = [ops[i] * eps[i] for i in range(3) if abs(eps[i]) > 1e-15]
+    return sum(terms[1:], terms[0]) if terms else zero(ops[0].dim)
+
+
 def along(eps, ops) -> np.ndarray:
-    """sum_i eps_i O_i for a Cartesian operator triple; zero weights are skipped."""
-    acc = np.zeros((ops[0].dim, ops[0].dim), dtype=complex)
-    for i in range(3):
-        if abs(eps[i]) > 1e-15:
-            acc = acc + eps[i] * ops[i].entries
-    return acc
+    """`along_op` as a dense array."""
+    return along_op(eps, ops).entries
 
 
 class ModelKind(enum.Enum):
@@ -110,9 +117,8 @@ class MatterModel:
         """eps . j^p_q; at q_phase = 0 the single commutator -i [eps . d, h_m] / V."""
         if q_phase != 0.0:
             return along(eps, self.para_current(q_phase))
-        d = along(eps, self.dipole_ops)
-        h = self.h_m.entries
-        return -1j * (d @ h - h @ d) / self.params.volume
+        d = along_op(eps, self.dipole_ops)
+        return -1j * (d @ self.h_m - self.h_m @ d).entries / self.params.volume
 
     def _anharmonic_current(self, q_phase: float) -> tuple[Operator, Operator, Operator]:
         # j^p_q i = -(e / 2 m V) {p_i, e^{-i q.r}} with q along the mode axis
@@ -163,7 +169,8 @@ class MatterModel:
         if self.kind is ModelKind.RING_LATTICE and q_phase != 0.0:
             return self._ring_string_polarisation(q_phase)
         proj = np.eye(3) - np.outer(q_hat, q_hat)
-        return tuple(Operator(along(row, self.dipole_ops) / self.params.volume) for row in proj)
+        return tuple(Operator(along_op(row, self.dipole_ops).matrix / self.params.volume)
+                     for row in proj)
 
     # -- ring-specific machinery ------------------------------------------
 
@@ -251,12 +258,18 @@ class MatterSpectrum:
         u = self.vectors
         return (u[:, 0].conj() @ op.entries) @ u
 
-    def ground_rows(self, bras: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(<0|O_k|n>, <n|O_k|0>) for all n from the model-basis vectors
-        <0|O_k (rows of ``bras``) and O_k|0> (rows of ``kets``), with one
-        stacked product by U."""
-        both = np.concatenate([bras, kets.conj()]) @ self.vectors
-        return both[:len(bras)], both[len(bras):].conj()
+    def gram(self, cols: np.ndarray) -> np.ndarray:
+        """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``, as
+        (U^dag C)^dag D^+ (U^dag C): a sum over the eigenstates more than
+        DEGENERACY_ATOL above the ground energy."""
+        de = self.energies - self.energies[0]
+        keep = de > DEGENERACY_ATOL
+        y = self.vectors[:, keep].conj().T @ cols  # <n|c>
+        return y.conj().T @ (y / de[keep, None])
+
+    @property
+    def ground_gap(self) -> float:
+        return float(self.energies[1] - self.energies[0]) if self.dim > 1 else np.inf
 
     def ground_energy(self) -> float:
         return float(self.energies[0])
@@ -278,16 +291,17 @@ def matter_spectrum(model: MatterModel, h_m: Operator | None = None) -> MatterSp
 # builders
 
 
-def _collective_spin(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(S_z, S_x) in the S = N/2 Dicke sector, m ascending."""
-    s = n / 2.0
-    m = np.arange(n + 1) - s
-    sz = np.diag(m).astype(complex)
-    sp = np.zeros((n + 1, n + 1), dtype=complex)
-    for k in range(n):
-        sp[k + 1, k] = np.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
-    sx = 0.5 * (sp + sp.conj().T)
-    return sz, sx
+def _banded(dim: int, diagonals: dict):
+    """Complex matrix with the given {offset: values} diagonals: CSR above
+    DENSE_MAX_DIM, where Operator stores it sparse, and built dense below,
+    where scipy's fixed cost per call would dominate."""
+    if dim > DENSE_MAX_DIM:
+        return scipy.sparse.diags([np.asarray(v, dtype=complex) for v in diagonals.values()],
+                                  list(diagonals), shape=(dim, dim), format="csr")
+    out = np.zeros((dim, dim), dtype=complex)
+    for offset, values in diagonals.items():
+        out += np.diag(np.asarray(values, dtype=complex), offset)
+    return out
 
 
 def build_two_level_ensemble(count: int, gap: float, dipole_moment,
@@ -308,8 +322,12 @@ def build_two_level_ensemble(count: int, gap: float, dipole_moment,
     d = np.asarray(dipole_moment, dtype=float)
     if d.shape != (3,):
         raise ArgumentError("dipole_moment must be a 3-vector")
-    sz, sx = _collective_spin(count)
-    h_m = Operator(gap * (sz + count / 2.0 * np.eye(count + 1)), hermitian=True)
+    # S_z (diagonal) and S_x (tridiagonal) in the S = N/2 Dicke sector, m ascending
+    s = count / 2.0
+    m = np.arange(count + 1) - s
+    half_sp = 0.5 * np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] + 1))
+    sx = _banded(count + 1, {-1: half_sp, 1: half_sp})
+    h_m = Operator(_banded(count + 1, {0: gap * (m + s)}), hermitian=True)
     dip = tuple(Operator(2.0 * d[i] * sx, hermitian=True) for i in range(3))
     dnorm = float(np.linalg.norm(d))
     e2n_over_m = (2.0 * count * dnorm ** 2 * gap
@@ -357,32 +375,37 @@ def build_anharmonic_dipole(levels: int, mass: float, frequency: float,
         raise ArgumentError("axes must be 1 or 3")
 
     x1, p1, h1 = _single_axis_oscillator(levels, mass, frequency)
+    x2 = x1 @ x1
+    h_axis = h1 + quartic * (x2 @ x2)
+    dim = levels ** axes
+    # the banded single-axis matrices, and their Kronecker products, are
+    # CSR where Operator stores them sparse
+    eye1, kron = np.eye(levels, dtype=complex), np.kron
+    if dim > DENSE_MAX_DIM:
+        x1, p1, x2, h_axis, eye1 = map(scipy.sparse.csr_matrix, (x1, p1, x2, h_axis, eye1))
+        kron = scipy.sparse.kron
 
     if axes == 1:
         xs = [x1]
         ps = [p1]
-        h = h1 + quartic * np.linalg.matrix_power(x1 @ x1, 2)
+        h = h_axis
         axis_vecs = (X_AXIS,)
-        dim = levels
     else:
-        dim = levels ** 3
         if dim > MAX_ANHARMONIC_DIM:
             raise ResourceLimitError(f"3-axis dimension {dim} exceeds {MAX_ANHARMONIC_DIM}")
-        eye1 = np.eye(levels, dtype=complex)
 
         def embed(ops):
             """Kronecker product with ops[pos] on each given axis, identity elsewhere."""
             mats = [ops.get(pos, eye1) for pos in range(3)]
-            return np.kron(np.kron(mats[0], mats[1]), mats[2])
+            return kron(kron(mats[0], mats[1]), mats[2])
 
         xs = [embed({i: x1}) for i in range(3)]
         ps = [embed({i: p1}) for i in range(3)]
         # (r.r)^2 = sum_i x_i^4 + 2 sum_{i<j} x_i^2 x_j^2, each term one
-        # Kronecker product of single-axis matrices
-        x2 = x1 @ x1
-        h = sum(embed({i: h1 + quartic * (x2 @ x2)}) for i in range(3))
+        # Kronecker product of banded single-axis matrices
+        h = embed({0: h_axis}) + embed({1: h_axis}) + embed({2: h_axis})
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            h += 2.0 * quartic * embed({i: x2, j: x2})
+            h = h + 2.0 * quartic * embed({i: x2, j: x2})
         axis_vecs = (X_AXIS, Y_AXIS, Z_AXIS)
 
     dip = []
@@ -422,20 +445,16 @@ def build_ring_lattice(sites: int, hopping: float, charge: float,
     if hopping <= 0:
         raise ArgumentError("hopping must be positive")
     L = sites
-    h = np.zeros((L, L), dtype=complex)
-    for j in range(L):
-        k = (j + 1) % L
-        t_jk = hopping * (bond_scale.get(j, 1.0) if bond_scale else 1.0)
-        h[j, k] -= t_jk
-        h[k, j] -= t_jk
-    density = tuple(Operator(np.diag(np.eye(L)[j]).astype(complex), hermitian=True)
-                    for j in range(L))
+    t = -hopping * np.array([bond_scale.get(j, 1.0) if bond_scale else 1.0 for j in range(L)])
+    # nearest-neighbour hopping on bond (j, j + 1), the last bond closing the ring
+    h = _banded(L, {1: t[:-1], -1: t[:-1], L - 1: t[-1:], 1 - L: t[-1:]})
+    density = tuple(Operator(_banded(L, {0: np.eye(L)[j]}), hermitian=True) for j in range(L))
     # dipole along the mapped axis from site positions relative to the
     # ring centroid; only used for LWL bookkeeping on the ring
     pos = np.arange(L, dtype=float)
     xrel = pos - pos.mean()
-    dip_x = Operator(-charge * np.diag(xrel).astype(complex), hermitian=True)
-    shift = np.roll(np.eye(L), -1, axis=0).astype(complex)  # T|j> = |j-1>
+    dip_x = Operator(_banded(L, {0: -charge * xrel}), hermitian=True)
+    shift = _banded(L, {1: np.ones(L - 1), 1 - L: [1.0]})  # T|j> = |j-1>
     m_eff = 1.0 / (2.0 * hopping)
     v = float(volume) if volume is not None else float(L)
     params = ModelParams(n_charges=1, mass=m_eff, charge=charge, volume=v,
@@ -490,10 +509,14 @@ def check_uniform_density(model: MatterModel, eigenstate: int) -> float:
     return float(np.max(np.abs(dens - target)))
 
 
-def trk_sum(spectrum: MatterSpectrum, axis: int, reference_level: int = 0) -> float:
+def trk_sum(spectrum, axis: int, reference_level: int = 0) -> float:
     """sum_{n != n'} |<n|P_i|n'>|^2 / (eps_n - eps_n') for total momentum P.
 
-    Converges to m N / 2 for models with a canonical kinetic term.
+    Converges to m N / 2 for models with a canonical kinetic term.  For the
+    ground state (n' = 0) the sum is <0|P Q (H - E_0)^-1 Q P|0>, one
+    resolvent column, so ``spectrum`` may be either backend of
+    `response.ground_resolvent`; other reference levels need a full
+    `MatterSpectrum`.
     """
     model = spectrum.model
     if model.momentum_ops is None:
@@ -502,10 +525,14 @@ def trk_sum(spectrum: MatterSpectrum, axis: int, reference_level: int = 0) -> fl
     lab = "xyz"[axis]
     if lab not in labels:
         raise ArgumentError(f"model has no {lab} axis")
+    p_op = model.momentum_ops[labels.index(lab)].matrix
+    if reference_level == 0:
+        col = p_op @ spectrum.ground_state_vector()
+        return float(spectrum.gram(col[:, None])[0, 0].real)
     u = spectrum.vectors
     npr = reference_level
     # the one column <n|P_i|n'> of the momentum table the sum reads
-    p = u.conj().T @ (model.momentum_ops[labels.index(lab)].entries @ u[:, npr])
+    p = u.conj().T @ (p_op @ u[:, npr])
     e = spectrum.energies
     others = np.arange(len(e)) != npr
     return float(np.sum(np.abs(p[others]) ** 2 / (e[others] - e[npr])))

@@ -1,8 +1,11 @@
-"""Dense operator algebra on finite Hilbert spaces.
+"""Operator algebra on finite Hilbert spaces.
 
 Everything is dimensionless in natural units (hbar = c = eps0 = 1).
-Operators are immutable dense complex matrices; all functions here are
-pure, so concurrent use from several threads is safe.
+An operator is an immutable complex matrix, stored dense or, for the
+banded matrices the matter builders assemble on more than DENSE_MAX_DIM
+states, as a sparse CSR matrix; sums and products of two sparse operators
+stay sparse.  Full eigendecompositions work on the dense form.  All
+functions here are pure, so concurrent use from several threads is safe.
 """
 
 from __future__ import annotations
@@ -11,70 +14,117 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import ArgumentError, NumericError, ResourceLimitError
 
 HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
 MAX_TENSOR_DIM = 20000
+# sparse input of at most this dimension is stored dense: there dense
+# products are faster, and response.ground_resolvent diagonalises fully.
+# On a 2-core machine the dense and sparse criterion cost about the same
+# near d = 200 (a two-level ensemble at d = 201 is faster dense, a 3-axis
+# dipole at d = 216 faster sparse).
+DENSE_MAX_DIM = 200
 
 
-def _as_matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex)
+def _as_matrix(entries):
+    """A square complex CSR matrix for sparse input above DENSE_MAX_DIM,
+    else a read-only dense array."""
+    if scipy.sparse.issparse(entries) and entries.shape[0] <= DENSE_MAX_DIM:
+        entries = entries.toarray()
+    if scipy.sparse.issparse(entries):
+        m = scipy.sparse.csr_matrix(entries, dtype=complex)
+        m.sum_duplicates()
+    else:
+        m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ArgumentError(f"operator entries must be square, got shape {m.shape}")
+    if not scipy.sparse.issparse(m):
+        m.setflags(write=False)
     return m
+
+
+def _hermiticity_deviation(m) -> float:
+    if scipy.sparse.issparse(m):
+        return float(abs(m - m.conj().T).max()) if m.nnz else 0.0
+    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex matrix with a Hermiticity hint."""
+    """Complex square matrix with a Hermiticity hint.
 
-    entries: np.ndarray
+    ``matrix`` is the stored form, a dense array or a CSR matrix; both
+    multiply vectors from either side.  ``entries`` is always dense: a
+    sparse operator forms it on first use and keeps it.
+    """
+
+    matrix: object
     hermitian: bool = False
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _as_matrix(self.entries)
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        m = _as_matrix(self.matrix)
+        object.__setattr__(self, "matrix", m)
+        if not self.sparse:
+            object.__setattr__(self, "_dense", m)
         if self.hermitian:
-            dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+            dev = _hermiticity_deviation(m)
             if dev > HERMITICITY_ATOL:
                 raise ArgumentError(
                     f"operator flagged hermitian deviates by {dev:.3e} > {HERMITICITY_ATOL}"
                 )
 
     @property
+    def sparse(self) -> bool:
+        return scipy.sparse.issparse(self.matrix)
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._dense is None:
+            dense = self.matrix.toarray()
+            dense.setflags(write=False)
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
+
+    @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.matrix.shape[0]
 
     def dag(self) -> "Operator":
-        return Operator(self.entries.conj().T, hermitian=self.hermitian)
+        return Operator(self.matrix.conj().T, hermitian=self.hermitian)
 
     def is_hermitian(self, atol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= atol)
+        return _hermiticity_deviation(self.matrix) <= atol
+
+    def _combine(self, other: "Operator", fn) -> "Operator":
+        _check_same_dim(self, other)
+        if self.sparse and other.sparse:
+            return Operator(fn(self.matrix, other.matrix))
+        return Operator(fn(self.entries, other.entries))
 
     def __add__(self, other: "Operator") -> "Operator":
-        _check_same_dim(self, other)
-        return Operator(self.entries + other.entries)
+        return self._combine(other, lambda a, b: a + b)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        _check_same_dim(self, other)
-        return Operator(self.entries - other.entries)
+        return self._combine(other, lambda a, b: a - b)
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        _check_same_dim(self, other)
-        return Operator(self.entries @ other.entries)
+        return self._combine(other, lambda a, b: a @ b)
 
     def __mul__(self, scalar) -> "Operator":
-        return Operator(self.entries * complex(scalar))
+        return Operator(self.matrix * complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Operator":
-        return Operator(-self.entries)
+        return Operator(-self.matrix)
 
     def norm_max(self) -> float:
+        if self.sparse:
+            return float(abs(self.matrix).max()) if self.matrix.nnz else 0.0
         return float(np.max(np.abs(self.entries))) if self.entries.size else 0.0
 
 
@@ -122,7 +172,7 @@ def identity(dim: int) -> Operator:
 
 
 def zero(dim: int) -> Operator:
-    return Operator(np.zeros((dim, dim), dtype=complex), hermitian=True)
+    return Operator(scipy.sparse.csr_matrix((dim, dim), dtype=complex), hermitian=True)
 
 
 def tensor(a: Operator, b: Operator, max_dim: int = MAX_TENSOR_DIM) -> Operator:
@@ -167,7 +217,7 @@ def _fix_phases(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 def eigh(h: Operator) -> EigenSystem:
     """Full Hermitian eigendecomposition with a deterministic phase convention."""
-    dev = np.max(np.abs(h.entries - h.entries.conj().T)) if h.entries.size else 0.0
+    dev = _hermiticity_deviation(h.entries)
     if dev > 1e-10:
         raise ArgumentError(f"eigh input deviates from Hermitian by {dev:.3e}")
     sym = 0.5 * (h.entries + h.entries.conj().T)
@@ -209,9 +259,9 @@ def expectation(state: Statevector, op: Operator) -> complex:
     """<psi|O|psi>."""
     if state.dim != op.dim:
         raise ArgumentError(f"state dim {state.dim} does not match operator dim {op.dim}")
-    return complex(np.vdot(state.amplitudes, op.entries @ state.amplitudes))
+    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
 
 
 def apply(op: Operator, state: Statevector) -> Statevector:
-    out = op.entries @ state.amplitudes
+    out = op.matrix @ state.amplitudes
     return Statevector(out / np.linalg.norm(out))

@@ -34,7 +34,7 @@ from .gauge import (
     diamagnetic_D,
     dressed_matter_hamiltonian,
 )
-from .matter import MatterModel, MatterSpectrum, along, matter_spectrum
+from .matter import MatterModel, MatterSpectrum, along_op, matter_spectrum
 from .operators import Operator, Statevector, boson_ladder, eigh
 from .response import lehmann_sum
 
@@ -82,7 +82,7 @@ class FullSystem:
         """Kronecker-embed a matter operator and/or per-slot photon operators."""
         dims = self.slot_dims()
         mats = []
-        m = matter_op.entries if matter_op is not None else np.eye(dims[0])
+        m = matter_op.matrix if matter_op is not None else np.eye(dims[0])
         mats.append(scipy.sparse.csr_matrix(m))
         for k, s in enumerate(self.slots):
             op = (slot_ops or {}).get(k)
@@ -263,7 +263,7 @@ def transverse_field_expectation(state: Statevector, system: FullSystem
                 a_minus_adag += wy * (c_mean - np.conj(c_mean))
             pi_mean = -1j * mode.nu * mode.amplitude * a_minus_adag
             p_mean = _sparse_expectation(psi, system.embed(
-                matter_op=Operator(ew * along(mode.eps(sigma), pol)))) if ew != 0 else 0.0
+                matter_op=along_op(mode.eps(sigma), pol) * ew)) if ew != 0 else 0.0
             et = -pi_mean - p_mean
             if abs(complex(et).imag) > 1e-9:
                 raise NumericError(f"transverse field acquired imaginary part {et}")

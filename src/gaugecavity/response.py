@@ -1,15 +1,26 @@
-"""Static linear response by exact Lehmann sums over finite spectra.
+"""Static linear response of the matter ground state.
 
 All response functions are the dimensionless tilde-normalised objects
 
-    chi^{OC}_{q i, -q' j} = -2 V sum_{n != 0} <0|O_qi|n><n|C_{-q'j}|0> / (eps_n - eps_0),
+    chi^{OC}_{q i, -q' j} = -2 V sum_{n != 0} <0|O_qi|n><n|C_{-q'j}|0> / (eps_n - eps_0)
+                          = -2 V <0|O_qi Q (H - E_0)^-1 Q C_{-q'j}|0>,
 
-evaluated over the full spectrum of the matter Hamiltonian actually used
-(no truncation inside a built model; convergence is studied by rebuilding
-at larger level counts).  Hermitian-field Fourier components obey
-O_{-q} = O_q^dag, so the conjugate-momentum operator defaults to the
-adjoint of the forward one.  Sums use numpy pairwise reduction, which is
-deterministic for a fixed spectrum ordering.
+with Q = 1 - |0><0| (no truncation inside a built model; convergence is
+studied by rebuilding at larger level counts).  Hermitian-field Fourier
+components obey O_{-q} = O_q^dag, so the conjugate-momentum operator
+defaults to the adjoint of the forward one.
+
+Two backends give the reduced resolvent, behind one interface
+(`ground_state_vector`, `ground_energy`, `ground_gap`, and
+`gram(C) = C^dag Q (H - E_0)^-1 Q C`); `ground_resolvent` picks one by
+matter dimension.  Up to DENSE_MAX_DIM it is the full eigendecomposition
+`matter.MatterSpectrum`, whose Lehmann sums (`lehmann_sum`,
+`polarizability`) need every eigenstate anyway.  Above it, `SparseResolvent`
+takes the two lowest eigenpairs from Lanczos and solves
+(H - E_0 + |0><0|) x = Q c by conjugate gradients, which on Q space is
+the resolvent: the Sternheimer route of density-functional perturbation
+theory, with no full spectrum.  Both are deterministic for a fixed
+Hamiltonian; the Lanczos start vector is seeded with LANCZOS_SEED.
 """
 
 from __future__ import annotations
@@ -17,19 +28,101 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, cg, eigsh
 
-from .errors import ArgumentError, DegenerateGroundStateError
+from .errors import ArgumentError, DegenerateGroundStateError, NumericError
 from .gauge import ModeSpec
-from .matter import DEGENERACY_ATOL, MatterSpectrum
+from .matter import DEGENERACY_ATOL, MatterModel, MatterSpectrum, matter_spectrum
+from .operators import DENSE_MAX_DIM, Operator
+
+LANCZOS_SEED = 2207  # seeds the real Gaussian Lanczos start vector
+CG_RTOL = 1e-13
 
 
-def _check_unique_ground(spectrum: MatterSpectrum):
-    if spectrum.ground_degeneracy != 1:
-        e = spectrum.energies
+@dataclass(frozen=True)
+class SparseResolvent:
+    """Ground state of a large sparse Hamiltonian and its reduced resolvent.
+
+    ``lowest`` holds the two lowest eigenvalues from one Lanczos run, so
+    `ground_gap` is the unique-ground check; `gram` solves for each
+    nonzero column c the system (H - E_0 + |0><0|) x = Q c, which is
+    positive definite when the ground state is unique, by conjugate
+    gradients.
+    """
+
+    model: MatterModel
+    h_m_used: Operator
+    lowest: np.ndarray
+    vector: np.ndarray
+
+    @property
+    def ground_gap(self) -> float:
+        return float(self.lowest[1] - self.lowest[0])
+
+    def ground_energy(self) -> float:
+        return float(self.lowest[0])
+
+    def ground_state_vector(self) -> np.ndarray:
+        return self.vector
+
+    def gram(self, cols: np.ndarray) -> np.ndarray:
+        """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``."""
+        g, e0, h = self.vector, self.ground_energy(), self.h_m_used.matrix
+        q_cols = cols - np.outer(g, g.conj() @ cols)
+        shifted = LinearOperator(h.shape, dtype=complex,
+                                 matvec=lambda v: h @ v - e0 * v + g * (g.conj() @ v))
+        solved = np.zeros_like(q_cols)
+        for k in range(q_cols.shape[1]):
+            if q_cols[:, k].any():
+                solved[:, k], info = cg(shifted, q_cols[:, k], rtol=CG_RTOL, atol=0.0)
+                if info != 0:
+                    raise NumericError(f"conjugate gradients stopped with info {info} "
+                                       f"before the relative residual reached {CG_RTOL}")
+        return q_cols.conj().T @ solved
+
+
+def sparse_resolvent(model: MatterModel, h_m: Operator | None = None) -> SparseResolvent:
+    """Lanczos ground state of the (possibly gauge-dressed) matter Hamiltonian.
+
+    A real Hamiltonian runs through the real symmetric Lanczos routine; the
+    start vector is a fixed Gaussian draw, so it has weight in every
+    symmetry sector.
+    """
+    h = model.h_m if h_m is None else h_m
+    mat = scipy.sparse.csr_matrix(h.matrix)
+    if mat.imag.count_nonzero() == 0:
+        mat = mat.real
+    # ARPACK misses an eigenvalue that is exactly zero, as the bare
+    # two-level ground energy is; shifting by a Gershgorin lower bound
+    # puts the whole spectrum at or above 1
+    diag = mat.diagonal().real
+    shift = float(np.min(2.0 * diag - np.asarray(abs(mat).sum(axis=1)).ravel())) - 1.0
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(h.dim)
+    try:
+        vals, vecs = eigsh(mat - shift * scipy.sparse.identity(h.dim), k=2, which="SA", v0=v0)
+    except ArpackNoConvergence as exc:
+        raise NumericError(f"Lanczos ground state failed to converge: {exc}") from exc
+    order = np.argsort(vals)
+    g = vecs[:, order[0]].astype(complex)
+    return SparseResolvent(model=model, h_m_used=h, lowest=vals[order] + shift,
+                           vector=g / np.linalg.norm(g))
+
+
+def ground_resolvent(model: MatterModel, h_m: Operator | None = None):
+    """The ground-resolvent backend for this matter dimension: the full
+    `matter_spectrum` up to DENSE_MAX_DIM, `sparse_resolvent` above."""
+    if model.dim <= DENSE_MAX_DIM:
+        return matter_spectrum(model, h_m)
+    return sparse_resolvent(model, h_m)
+
+
+def check_unique_ground(ground):
+    gap = ground.ground_gap
+    if gap <= DEGENERACY_ATOL:
         raise DegenerateGroundStateError(
-            f"ground state is {spectrum.ground_degeneracy}-fold degenerate "
-            f"(eps_0 = {e[0]:.6g}, eps_1 = {e[1]:.6g}); Lehmann sums need a unique ground state"
-        )
+            f"ground state is degenerate (eps_1 - eps_0 = {gap:.3g} <= {DEGENERACY_ATOL}); "
+            "ground-state responses need a unique ground state")
 
 
 def _lehmann_rows(spectrum: MatterSpectrum, ops) -> np.ndarray:
@@ -37,32 +130,22 @@ def _lehmann_rows(spectrum: MatterSpectrum, ops) -> np.ndarray:
     return np.stack([spectrum.couplings_from_ground(op) for op in ops])
 
 
-def chi_from_rows(spectrum: MatterSpectrum, bra_rows: np.ndarray,
-                  ket_rows: np.ndarray, volume: float) -> np.ndarray:
-    """chi[k, l] = -2V sum_{n != 0} bra[k, n] ket[l, n] / de_n.
-
-    ``bra_rows`` holds <0|O_k|n> and ``ket_rows`` holds <n|C_l|0>, both
-    over the full spectrum; excitations within DEGENERACY_ATOL of the
-    ground energy are left out.
-    """
-    _check_unique_ground(spectrum)
-    de = spectrum.energies - spectrum.energies[0]
-    keep = de > DEGENERACY_ATOL
-    return -2.0 * volume * np.einsum("kn,ln,n->kl", bra_rows[:, keep],
-                                     ket_rows[:, keep], 1.0 / de[keep])
-
-
 def lehmann_sum(spectrum: MatterSpectrum, o_ops, c_ops=None) -> np.ndarray:
     """Matrix chi[k, l] = -2V sum_{n != 0} <0|O_k|n><n|C_l|0> / de_n.
 
     ``c_ops`` defaults to the adjoints of ``o_ops`` (conjugate momentum
-    components of Hermitian fields).
+    components of Hermitian fields).  Excitations within DEGENERACY_ATOL
+    of the ground energy are left out.
     """
+    check_unique_ground(spectrum)
     bra_rows = _lehmann_rows(spectrum, o_ops)
     # <n|C|0> = conj(<0|C^dag|n>), which is conj(<0|O|n>) for C = O^dag
     ket_rows = (bra_rows if c_ops is None
                 else _lehmann_rows(spectrum, [op.dag() for op in c_ops])).conj()
-    return chi_from_rows(spectrum, bra_rows, ket_rows, spectrum.model.params.volume)
+    de = spectrum.energies - spectrum.energies[0]
+    keep = de > DEGENERACY_ATOL
+    return -2.0 * spectrum.model.params.volume * np.einsum(
+        "kn,ln,n->kl", bra_rows[:, keep], ket_rows[:, keep], 1.0 / de[keep])
 
 
 @dataclass(frozen=True)
@@ -136,7 +219,7 @@ def chi_md_from_model(spectrum_or_model, nu: float) -> float:
 
 def polarizability(spectrum: MatterSpectrum, omega: float = 0.0) -> np.ndarray:
     """Ground-state polarisability tensor alpha_ij(omega) by exact Lehmann sum."""
-    _check_unique_ground(spectrum)
+    check_unique_ground(spectrum)
     dips = spectrum.model.dipole_ops
     de = spectrum.energies - spectrum.energies[0]
     keep = de > DEGENERACY_ATOL

@@ -155,6 +155,9 @@ INVALID_CONFIGS = {
                            "oracle.fock_cutof"),
     "output_unknown_key": ("output", {"directory": "results"}, "output.directory"),
     "top_level_unknown_key": ("sede", 3, "sede"),
+    "sweep_values_with_grid": ("sweep", {"parameter": "dipole_scale", "values": [0.1, 0.2],
+                                         "start": 0.5, "stop": 0.9, "steps": 40,
+                                         "scale": "log"}, "sweep.start"),
 }
 
 
@@ -202,6 +205,35 @@ class TestMain:
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == \
             "config error: model.levels: 3-axis dimension 64000 exceeds 20000\n"
+
+    def test_values_with_grid_keys_exit_two(self, tmp_path, capsys):
+        # values would silently override the grid, so each grid key is named
+        sweep = {"parameter": "dipole_scale", "values": [0.1, 0.2], "steps": 40,
+                 "scale": "linear"}
+        path = write_config(tmp_path, dict(MINIMAL, sweep=sweep))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("config error: sweep.steps: not allowed with values\n"
+                                           "config error: sweep.scale: not allowed with values\n")
+
+    def test_oracle_dimension_limit_exit_two(self, tmp_path, capsys):
+        # a coupled branch alone makes the full space 216 x 100 states
+        model = {"kind": "anharmonic_dipole", "levels": 6, "mass": 1.0, "frequency": 1.0,
+                 "quartic": 0.1, "charge": 0.5, "volume": 1.0, "axes": 3}
+        sweep = {"parameter": "charge", "values": [0.5]}
+        oracle_cfg = {"enabled": True, "fock_cutoff": 100}
+        path = write_config(tmp_path, dict(MINIMAL, model=model, sweep=sweep, oracle=oracle_cfg))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: oracle.fock_cutoff: matter dimension 216 x fock_cutoff 100 = 21600 "
+            f"exceeds the oracle limit {oracle.MAX_FULL_DIM}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("enabled, fock", [(True, oracle.MAX_FULL_DIM // 7), (False, 10000)],
+                             ids=["largest_allowed", "disabled"])
+    def test_oracle_dimension_accepted(self, enabled, fock):
+        # MINIMAL's ensemble of 6 dipoles has 7 states
+        validate_config(json.dumps(dict(MINIMAL, oracle={"enabled": enabled,
+                                                         "fock_cutoff": fock})))
 
     def test_mode_volume_with_volume_sweep_exit_two(self, tmp_path, capsys):
         # the mode volume would hold only at the first sweep value, so this
