@@ -518,24 +518,10 @@ def run_sweep(cfg: SweepConfig, out_dir: str) -> int:
         "package_version": __version__,
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(_plain(summary), fh, indent=2, sort_keys=True)
+        # np.bool_ and numpy integers are no JSON types; .item() gives the Python scalar
+        json.dump(summary, fh, indent=2, sort_keys=True, default=lambda o: o.item())
         fh.write("\n")
     return 0
-
-
-def _plain(obj):
-    """Recursively coerce numpy scalars so json can serialise the summary."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
 
 
 def main(argv=None) -> int:

@@ -146,18 +146,20 @@ class SpecializedReport:
 
 
 def coulomb_specialized(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
-                        spectrum: MatterSpectrum | None = None) -> SpecializedReport:
+                        spectrum=None) -> SpecializedReport:
     """Coulomb-gauge composition -chi^{MM}_Tq > 1.
 
     chi^{MM} = chi^{MpMp} - chi^{Md}; the residual field reports agreement
     with the general criterion margin, |(-chi^{MM}) - (lhs - rhs + 1)|,
     which is an algebraic identity through lambda^2 = 1 - chi^{Md}.
+    ``spectrum`` is a backend of `response.ground_resolvent`, as for
+    `evaluate`.
     """
     from .gauge import GaugePreset
     if gauge.preset is not GaugePreset.COULOMB:
         raise ArgumentError("coulomb_specialized requires the Coulomb gauge")
     if spectrum is None:
-        spectrum = gauge_spectrum(model, gauge, [mode])
+        spectrum = ground_resolvent(model, dressed_matter_hamiltonian(model, gauge, [mode]))
     reports = evaluate(model, gauge, mode, spectrum=spectrum)
     block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
     chi_d = chi_md_from_model(spectrum, mode.nu)
@@ -239,7 +241,7 @@ class StiffnessResult:
     chi_ff_branch: tuple
 
 
-def stiffness_energy(spectrum: MatterSpectrum, mode: ModeSpec,
+def stiffness_energy(spectrum, mode: ModeSpec,
                      block: BogoliubovBlock, dbeta, f_ops) -> StiffnessResult:
     """Quadratic constrained-minimum energy for branch displacements dbeta.
 
@@ -249,7 +251,8 @@ def stiffness_energy(spectrum: MatterSpectrum, mode: ModeSpec,
     is non-negative.  A finite-q mode displaces its Hermitian conjugate
     partner at -q along with it, which doubles the matter cost; a
     self-conjugate mode (uniform field, or the zone-boundary momentum)
-    has no partner.
+    has no partner.  ``spectrum`` is either backend of
+    `response.ground_resolvent`.
     """
     dbeta = np.asarray(dbeta, dtype=complex)
     if dbeta.shape != (2,):

@@ -182,23 +182,21 @@ class MatterModel:
         """Lattice paramagnetic current with phase e^{-i q x} on bond centres.
 
         Bond hoppings are read back from h_m so disordered rings keep a
-        continuity-consistent current.  The ring coordinate is abstract;
+        continuity-consistent current.  Bond j = (j, j + 1) fills the
+        diagonals at offsets -1 and +1, and the closing bond (L - 1, 0)
+        those at -(L - 1) and L - 1.  The ring coordinate is abstract;
         the current vector is mapped onto the model's transverse axis.
         """
         self._require_ring()
         e = self.params.charge
         v = self.params.volume
         L = self.dim
-        h = self.h_m.entries
-        cur = np.zeros((L, L), dtype=complex)
-        for j in range(L):
-            k = (j + 1) % L
-            t_jk = -h[j, k].real
-            hop = np.zeros((L, L), dtype=complex)
-            hop[k, j] = 1.0
-            bond = -e * 1j * t_jk * (hop - hop.conj().T)
-            cur += bond * np.exp(-1j * q_scalar * (j + 0.5))
-        op = Operator(cur / v)
+        h = self.h_m.matrix
+        t = -np.append(h.diagonal(1), h.diagonal(1 - L)).real  # t_j on bond (j, j + 1)
+        # bond j is -e i t_j (|j+1><j| - |j><j+1|) e^{-i q (j + 1/2)} / V
+        lower = -e * 1j * t * np.exp(-1j * q_scalar * (np.arange(L) + 0.5)) / v
+        op = Operator(_banded(L, {-1: lower[:-1], 1: -lower[:-1],
+                                  L - 1: lower[-1:], 1 - L: -lower[-1:]}))
         out = [zero(self.dim)] * 3
         out["xyz".index(self._axis_labels()[0])] = op
         return tuple(out)
@@ -207,21 +205,18 @@ class MatterModel:
         """Line-integral polarisation discretised along ring bonds from site 0.
 
         Each site k is connected to the origin by the forward string over
-        bonds 0..k-1; the uniform background enters as a c-number.
+        bonds 0..k-1; the uniform background enters as a c-number.  The
+        operator is diagonal: site k carries the phase sum of its string,
+        less the background's N/L share of all strings.
         """
         self._require_ring()
         e = self.params.charge
         v = self.params.volume
         L = self.dim
         n = self.params.n_charges
-        acc = np.zeros((L, L), dtype=complex)
-        for b in range(L - 1):
-            string = np.zeros((L, L), dtype=complex)
-            for k in range(b + 1, L):
-                string[k, k] = 1.0
-            p_b = -e * (string - (n / L) * (L - 1 - b) * np.eye(L))
-            acc += p_b * np.exp(-1j * q_scalar * (b + 0.5))
-        op = Operator(acc / v)
+        phases = np.exp(-1j * q_scalar * (np.arange(L - 1) + 0.5))
+        string = np.concatenate([[0.0], np.cumsum(phases)])  # bonds 0..k-1 of site k
+        op = Operator(_banded(L, {0: -e * (string - (n / L) * string.sum()) / v}))
         out = [zero(self.dim)] * 3
         out["xyz".index(self._axis_labels()[0])] = op
         return tuple(out)

@@ -19,7 +19,6 @@ import scipy.sparse
 from .errors import ArgumentError, NumericError, ResourceLimitError
 
 HERMITICITY_ATOL = 1e-12
-UNITARITY_ATOL = 1e-10
 MAX_TENSOR_DIM = 20000
 # sparse input of at most this dimension is stored dense: there dense
 # products are faster, and response.ground_resolvent diagonalises fully.
@@ -260,8 +259,3 @@ def expectation(state: Statevector, op: Operator) -> complex:
     if state.dim != op.dim:
         raise ArgumentError(f"state dim {state.dim} does not match operator dim {op.dim}")
     return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-
-
-def apply(op: Operator, state: Statevector) -> Statevector:
-    out = op.matrix @ state.amplitudes
-    return Statevector(out / np.linalg.norm(out))

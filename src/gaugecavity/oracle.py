@@ -34,9 +34,9 @@ from .gauge import (
     diamagnetic_D,
     dressed_matter_hamiltonian,
 )
-from .matter import MatterModel, MatterSpectrum, along_op, matter_spectrum
+from .matter import MatterModel, MatterSpectrum, along_op
 from .operators import Operator, Statevector, boson_ladder, eigh
-from .response import lehmann_sum
+from .response import ground_resolvent, lehmann_sum
 
 MAX_FULL_DIM = 20000
 DENSE_LIMIT = 1200
@@ -122,14 +122,14 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
     if len(cutoffs) != len(modes):
         raise ArgumentError("need one cutoff per mode")
     h_matter = dressed_matter_hamiltonian(model, gauge, list(modes))
-    spec = matter_spectrum(model, h_m=h_matter)
+    ground = ground_resolvent(model, h_matter)
     slots: list[BranchSlot] = []
     blocks: list[BogoliubovBlock] = []
     excluded = []
     for i, mode in enumerate(modes):
         block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
         f_sigma = tuple(coupling_f(model, gauge, mode, s) for s in (1, 2))
-        x_ff = lehmann_sum(spec, f_sigma)
+        x_ff = lehmann_sum(ground, f_sigma)
         block = adapt_degenerate_branches(block, x_ff)
         blocks.append(block)
         g_exact = exact_branch_coupling(block, f_sigma)
@@ -306,11 +306,15 @@ def effective_photon_hamiltonian(model: MatterModel, gauge: GaugeSpec,
 
 
 def project_onto_matter_state(system: FullSystem, psi_m: np.ndarray) -> np.ndarray:
-    """<psi_m| H |psi_m> as a dense photon-space matrix (branch basis)."""
-    dims = system.slot_dims()
-    ph_dim = int(np.prod(dims[1:], dtype=float) or 1)
-    h = system.h.toarray().reshape(dims[0], ph_dim, dims[0], ph_dim)
-    return np.einsum("m,mpnq,n->pq", psi_m.conj(), h, psi_m)
+    """<psi_m| H |psi_m> as a dense photon-space matrix (branch basis).
+
+    It is P^dag H P with the sparse isometry P = psi_m (x) 1_photon, so
+    only the photon-space result is ever dense.
+    """
+    ph_dim = system.dim // system.matter_dim
+    p = scipy.sparse.kron(scipy.sparse.csr_matrix(np.asarray(psi_m)[:, None]),
+                          scipy.sparse.identity(ph_dim, format="csr"), format="csr")
+    return (p.conj().T @ (system.h @ p)).toarray()
 
 
 def variational_scan(system: FullSystem, psi_m: np.ndarray, slot_index: int,

@@ -13,10 +13,11 @@ defaults to the adjoint of the forward one.
 Two backends give the reduced resolvent, behind one interface
 (`ground_state_vector`, `ground_energy`, `ground_gap`, and
 `gram(C) = C^dag Q (H - E_0)^-1 Q C`); `ground_resolvent` picks one by
-matter dimension.  Up to DENSE_MAX_DIM it is the full eigendecomposition
-`matter.MatterSpectrum`, whose Lehmann sums (`lehmann_sum`,
-`polarizability`) need every eigenstate anyway.  Above it, `SparseResolvent`
-takes the two lowest eigenpairs from Lanczos and solves
+matter dimension, and `lehmann_sum` and everything built on it run on
+either.  Up to DENSE_MAX_DIM it is the full eigendecomposition
+`matter.MatterSpectrum`; only `polarizability`, whose finite-frequency
+form needs every transition energy, requires it.  Above it,
+`SparseResolvent` takes the two lowest eigenpairs from Lanczos and solves
 (H - E_0 + |0><0|) x = Q c by conjugate gradients, which on Q space is
 the resolvent: the Sternheimer route of density-functional perturbation
 theory, with no full spectrum.  Both are deterministic for a fixed
@@ -125,27 +126,23 @@ def check_unique_ground(ground):
             "ground-state responses need a unique ground state")
 
 
-def _lehmann_rows(spectrum: MatterSpectrum, ops) -> np.ndarray:
-    """Stack of <0|O_k|n> rows for an iterable of operators."""
-    return np.stack([spectrum.couplings_from_ground(op) for op in ops])
+def lehmann_sum(ground, o_ops, c_ops=None) -> np.ndarray:
+    """Matrix chi[k, l] = -2V <0|O_k Q (H - E_0)^-1 Q C_l|0>.
 
-
-def lehmann_sum(spectrum: MatterSpectrum, o_ops, c_ops=None) -> np.ndarray:
-    """Matrix chi[k, l] = -2V sum_{n != 0} <0|O_k|n><n|C_l|0> / de_n.
-
-    ``c_ops`` defaults to the adjoints of ``o_ops`` (conjugate momentum
-    components of Hermitian fields).  Excitations within DEGENERACY_ATOL
-    of the ground energy are left out.
+    It is read from ``ground.gram`` of the columns O_k^dag|0>, followed
+    by C_l|0> when ``c_ops`` is given, so ``ground`` may be either backend
+    of `ground_resolvent`.  ``c_ops`` defaults to the adjoints of
+    ``o_ops`` (conjugate momentum components of Hermitian fields), for
+    which the O_k^dag|0> columns alone give the whole matrix.
     """
-    check_unique_ground(spectrum)
-    bra_rows = _lehmann_rows(spectrum, o_ops)
-    # <n|C|0> = conj(<0|C^dag|n>), which is conj(<0|O|n>) for C = O^dag
-    ket_rows = (bra_rows if c_ops is None
-                else _lehmann_rows(spectrum, [op.dag() for op in c_ops])).conj()
-    de = spectrum.energies - spectrum.energies[0]
-    keep = de > DEGENERACY_ATOL
-    return -2.0 * spectrum.model.params.volume * np.einsum(
-        "kn,ln,n->kl", bra_rows[:, keep], ket_rows[:, keep], 1.0 / de[keep])
+    check_unique_ground(ground)
+    g = ground.ground_state_vector()
+    cols = [op.matrix.conj().T @ g for op in o_ops]
+    if c_ops is not None:
+        cols += [op.matrix @ g for op in c_ops]
+    m = ground.gram(np.stack(cols, axis=1))
+    k = len(o_ops)
+    return -2.0 * ground.model.params.volume * (m if c_ops is None else m[:k, k:])
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ class TransverseProjection:
                 and abs(self.scalar_sigma1 - self.scalar_sigma2) <= atol)
 
 
-def slrf(spectrum: MatterSpectrum, o_ops, c_ops=None, mode: ModeSpec | None = None) -> SlrfTensor:
+def slrf(spectrum, o_ops, c_ops=None, mode: ModeSpec | None = None) -> SlrfTensor:
     """Full 3x3 SLRF tensor for Cartesian operator triples."""
     if len(o_ops) != 3 or (c_ops is not None and len(c_ops) != 3):
         raise ArgumentError("slrf expects Cartesian triples of operators")
@@ -228,7 +225,7 @@ def polarizability(spectrum: MatterSpectrum, omega: float = 0.0) -> np.ndarray:
     if nearest < 1e-9:
         raise ArgumentError(
             f"omega = {omega} is within {nearest:.2e} of a transition energy")
-    rows = _lehmann_rows(spectrum, dips)[:, keep]  # d_i^{0n}
+    rows = np.stack([spectrum.couplings_from_ground(d) for d in dips])[:, keep]  # d_i^{0n}
     alpha = np.zeros((3, 3), dtype=complex)
     for i in range(3):
         for j in range(3):
@@ -241,8 +238,7 @@ def polarizability(spectrum: MatterSpectrum, omega: float = 0.0) -> np.ndarray:
     return alpha
 
 
-def check_translational_invariance(spectrum: MatterSpectrum, q_a: float,
-                                   q_b: float) -> float:
+def check_translational_invariance(spectrum, q_a: float, q_b: float) -> float:
     """Largest cross-momentum SLRF entry for ring quasi-momenta q_a != q_b.
 
     Translation symmetry forces chi^{ff}_{q, -q'} to vanish unless q = q';

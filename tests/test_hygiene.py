@@ -1,11 +1,13 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every public re-export has a user, and every function the benchmark traces
-exists.
+every public re-export and every top-level definition has a reader, and
+every function the benchmark traces exists.
 
 No linter is assumed; the checks walk each module's syntax tree with the
 standard-library `ast`.  `__init__.py` is exempt from the import check
 because its imports are the package's public re-exports; the re-export
-check asks that each of them is read somewhere in the package or tests.
+check asks that each of them is read somewhere in the package or tests,
+and the definition check asks the same of each top-level function, class
+and constant of the package, counting the benchmark as a reader too.
 The tracing check reads the `TRACED` table of `perfbench/spans.py` without
 running that module.
 """
@@ -18,6 +20,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "gaugecavity"
 TESTS = pathlib.Path(__file__).resolve().parent
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -87,6 +90,32 @@ def test_reexports_are_referenced():
 def test_reference_detector_skips_own_definition():
     source = "class A:\n    default = A\n\ndef f():\n    return f, g.h\n\nB = 1\n"
     assert references(source) == {"g", "h"}
+
+
+def definitions(source: str) -> set[str]:
+    """Names of a module's top-level functions, classes and assigned constants."""
+    names = set()
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(top.name)
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_definition_detector():
+    source = "import os\nA = 1\nB: int = 2\n\ndef f():\n    C = 3\n\nclass D:\n    E = 4\n"
+    assert definitions(source) == {"A", "B", "f", "D"}
+
+
+def test_every_definition_is_read():
+    used = set()
+    for path in MODULES + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        used |= references(path.read_text())
+    unread = [f"{path.stem}.{name}" for path in MODULES
+              for name in sorted(definitions(path.read_text()) - used)]
+    assert unread == []
 
 
 def traced_targets(source: str) -> list[tuple[str, str]]:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,21 @@ class TestEffectiveHamiltonian:
         h_proj = project_onto_matter_state(system, psi_m)
         vals_branch = np.linalg.eigvalsh(h_proj)
         assert np.max(np.abs(vals_sigma[:40] - vals_branch[:40])) <= 1e-8
+
+    def test_projection_stays_sparse(self):
+        # one dense complex matrix on the full 20 x 500 = 10000 states is 1.6 GB
+        model = dicke(19, 0.2)
+        system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(nu=1.0, volume=1.0)], 500)
+        assert system.dim >= 10000
+        psi_m = matter_spectrum(model).ground_state_vector()
+        tracemalloc.start()
+        try:
+            h_proj = project_onto_matter_state(system, psi_m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h_proj.shape == (500, 500)
+        assert peak < 16 * system.dim ** 2 / 100
 
     def test_displaced_oscillator_spectrum(self):
         # eigenvalues of the frozen-matter photon Hamiltonian against the

@@ -15,14 +15,19 @@ import pytest
 import scipy.sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from gaugecavity import cli, matter, operators, response
-from gaugecavity.criterion import evaluate
+from gaugecavity import cli, matter, operators, oracle, response
+from gaugecavity.bogoliubov import diagonalize_block
+from gaugecavity.criterion import coulomb_specialized, evaluate, stiffness_energy
 from gaugecavity.errors import DegenerateGroundStateError, NumericError
-from gaugecavity.gauge import dressed_matter_hamiltonian, lwl_mode, make_gauge, mode_from_q
-from gaugecavity.matter import (MatterSpectrum, build_anharmonic_dipole,
-                                build_two_level_ensemble, matter_spectrum, trk_sum)
+from gaugecavity.gauge import (coupling_f, diamagnetic_D, dressed_matter_hamiltonian, lwl_mode,
+                               make_gauge, mode_from_q)
+from gaugecavity.matter import (MatterSpectrum, build_anharmonic_dipole, build_ring_lattice,
+                                build_two_level_ensemble, matter_spectrum, ring_quasi_momentum,
+                                trk_sum)
 from gaugecavity.operators import Operator
-from gaugecavity.response import DENSE_MAX_DIM, SparseResolvent, ground_resolvent, sparse_resolvent
+from gaugecavity.response import (CG_RTOL, DENSE_MAX_DIM, SparseResolvent,
+                                  check_translational_invariance, chi_md_from_model,
+                                  ground_resolvent, lehmann_sum, sparse_resolvent)
 
 GAUGES = {"coulomb": make_gauge("coulomb"), "dipole": make_gauge("dipole"),
           "alpha_0.4": make_gauge("alpha_lwl", alpha=0.4)}
@@ -77,6 +82,86 @@ class TestBackendsAgree:
         above = build_two_level_ensemble(DENSE_MAX_DIM, 1.0, (0.0, 0.1, 0.0), 1.0)
         assert isinstance(ground_resolvent(at_limit), MatterSpectrum)
         assert isinstance(ground_resolvent(above), SparseResolvent)
+
+
+def _assert_agree(a, b, scale=None):
+    """a and b agree entrywise within 1e-12 of ``scale``, by default the
+    largest magnitude in a."""
+    a, b = np.asarray(a), np.asarray(b)
+    scale = np.max(np.abs(a)) if scale is None else scale
+    assert np.max(np.abs(a - b)) <= 1e-12 * scale, (a, b)
+
+
+def _both_backends(model, gauge, mode):
+    h = dressed_matter_hamiltonian(model, gauge, [mode])
+    return matter_spectrum(model, h), sparse_resolvent(model, h)
+
+
+class TestStaticResponsesOnBothBackends:
+    @pytest.mark.parametrize("model", [THREE_AXIS, ENSEMBLE], ids=["three_axis", "ensemble"])
+    @pytest.mark.parametrize("gauge_name", sorted(GAUGES))
+    def test_lehmann_sum(self, gauge_name, model):
+        gauge, mode = GAUGES[gauge_name], MODES["q_oblique"]
+        grounds = _both_backends(model, gauge, mode)
+        ops = [coupling_f(model, gauge, mode, s) for s in (1, 2)]
+        for c_ops in (None, list(model.dipole_ops)):
+            _assert_agree(*(lehmann_sum(ground, ops, c_ops) for ground in grounds))
+
+    # the ensemble's dipole has one axis, so only one branch can be displaced
+    @pytest.mark.parametrize("model, dbeta", [(THREE_AXIS, (0.1, 0.05j)), (ENSEMBLE, (0.1, 0.0))],
+                             ids=["three_axis", "ensemble"])
+    def test_stiffness_and_coulomb_specialized(self, model, dbeta):
+        gauge, mode = GAUGES["coulomb"], MODES["q_z"]
+        dense, sparse = _both_backends(model, gauge, mode)
+        block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
+        ops = [coupling_f(model, gauge, mode, s) for s in (1, 2)]
+        a, b = (stiffness_energy(ground, mode, block, dbeta, ops)
+                for ground in (dense, sparse))
+        for name in ("energy", "energy_increase", "lagrange_fields", "chi_ff_branch"):
+            _assert_agree(getattr(a, name), getattr(b, name))
+        a, b = (coulomb_specialized(model, gauge, mode, spectrum=ground)
+                for ground in (dense, sparse))
+        # lhs is the paramagnetic response plus chi_Md, which cancel to rounding
+        chi_d = abs(chi_md_from_model(model, mode.nu))
+        for name in ("lhs", "cross_check_residual"):
+            _assert_agree(getattr(a, name), getattr(b, name), scale=chi_d)
+        assert a.condensed == b.condensed
+
+    def test_ring_translational_invariance(self):
+        ring = build_ring_lattice(DENSE_MAX_DIM + 50, 1.0, 1.0)
+        dense, sparse = matter_spectrum(ring), sparse_resolvent(ring)
+        # the ring's gap is 6.3e-4 of a bandwidth of 4, so conjugate
+        # gradients at relative residual CG_RTOL bound the error only by
+        # the condition number times CG_RTOL, not by 1e-12
+        cond = (dense.energies[-1] - dense.energies[0]) / dense.ground_gap
+        q1, q2 = ring_quasi_momentum(ring, 1), ring_quasi_momentum(ring, 2)
+        same = check_translational_invariance(dense, q1, q1)
+        assert abs(check_translational_invariance(sparse, q1, q1) - same) <= cond * CG_RTOL * same
+        for ground in (dense, sparse):
+            assert check_translational_invariance(ground, q1, q2) <= cond * CG_RTOL * same
+
+
+@pytest.mark.parametrize("gauge_name", sorted(GAUGES))
+def test_full_hamiltonian_needs_no_eigh(monkeypatch, gauge_name):
+    gauge, mode = GAUGES[gauge_name], MODES["q_z"]
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "ground_resolvent", matter_spectrum)
+        dense = oracle.full_hamiltonian(ENSEMBLE, gauge, [mode], 6)
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return operators.eigh(h)
+
+    for mod in (matter, oracle):
+        monkeypatch.setattr(mod, "eigh", counted)
+    system = oracle.full_hamiltonian(ENSEMBLE, gauge, [mode], 6)
+    assert calls == []
+    for a, b in zip(dense.blocks, system.blocks, strict=True):
+        _assert_agree(a.coeffs, b.coeffs)
+        _assert_agree(a.u, b.u)
+    assert abs(dense.h - system.h).max() <= 1e-12 * abs(dense.h).max()
+    _assert_agree(oracle.ground_state(dense)[0], oracle.ground_state(system)[0])
 
 
 class TestSparseFailures:
