@@ -11,8 +11,10 @@ once, and `_build_model` passes the model keys on to the kind's builder.
 criterion.csv is byte-identical across repeated runs of the same config
 and seed on the same machine with the same BLAS thread count: rows are
 emitted in deterministic parameter order, every Lanczos run starts from a
-fixed vector (`response.LANCZOS_SEED` for large matter), and floats are
-serialised with shortest round-trip repr.
+fixed vector seeded with `response.LANCZOS_SEED`, and floats are
+serialised with shortest round-trip repr.  oracle.csv rows whose parity
+blocks are past `oracle.DENSE_LIMIT`, as in the README example, are
+byte-identical across BLAS thread counts as well.
 """
 
 from __future__ import annotations

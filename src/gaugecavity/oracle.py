@@ -12,8 +12,15 @@ which reduces to the usual h-weighted combination for Hermitian f or for
 unsqueezed branches.  Branches that never couple are carried analytically
 through their vacuum energy nu_tau / 2 and their virtual population.
 
-Matrices are kept sparse; ground states come from Lanczos with a fixed
-deterministic start vector (dense fallback for small systems).
+Matrices are kept sparse.  `lowest_eigenpairs` splits the Hamiltonian into
+the blocks that do not couple to each other (the two sectors of the Dicke
+Z2 parity) and solves each one, in real arithmetic where a diagonal phase
+change makes it real: by dense `eigh` up to DENSE_LIMIT states, by Lanczos
+from the seeded start vector of `response.lanczos_lowest` above.  Each
+returned eigenvector lies in one block, so the ground vector is a parity
+eigenstate, and the parity-odd observables, the photon coherence <a> and
+the transverse field, read exactly 0 in it, also inside the superradiant
+doublet, where the photon occupation carries the signal.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, diagonalize_block,
                          exact_branch_coupling)
@@ -35,12 +42,15 @@ from .gauge import (
     dressed_matter_hamiltonian,
 )
 from .matter import MatterModel, MatterSpectrum, along_op
-from .operators import Operator, Statevector, boson_ladder, eigh
-from .response import ground_resolvent, lehmann_sum
+from .operators import Operator, Statevector, _fix_phases, boson_ladder, eigh
+from .response import ground_resolvent, lanczos_lowest, lehmann_sum
 
 MAX_FULL_DIM = 20000
-DENSE_LIMIT = 1200
+DENSE_LIMIT = 1200  # blocks up to this many states are solved by dense eigh
 COUPLING_ATOL = 1e-14
+# a block whose imaginary parts after the phase change stay below this
+# fraction of max|h| is solved as a real symmetric matrix
+REAL_GAUGE_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -167,26 +177,73 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
                       excluded=tuple(excluded))
 
 
-def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs, deterministic (fixed Lanczos start vector)."""
-    dim = system.dim
+def _tree_phases(h: scipy.sparse.csr_matrix, pattern, idx: np.ndarray) -> np.ndarray:
+    """Diagonal phases z on the states ``idx`` (ascending) of one block of
+    ``h`` that make conj(z) h z real on a breadth-first spanning tree."""
+    from scipy.sparse.csgraph import breadth_first_order
+
+    z = np.ones(len(idx), dtype=complex)
+    if len(idx) == 1:
+        return z
+    order, pred = breadth_first_order(pattern, idx[0], directed=False, return_predecessors=True)
+    child = np.searchsorted(idx, order[1:])
+    parent = np.searchsorted(idx, pred[order[1:]])
+    edge = np.asarray(h[idx[parent], idx[child]]).ravel()
+    for c, p, u in zip(child.tolist(), parent.tolist(), np.conj(edge / np.abs(edge)).tolist()):
+        z[c] = z[p] * u
+    return z
+
+
+def _block_lowest(block, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of one Hermitian block, dense up to DENSE_LIMIT."""
+    dim = block.shape[0]
+    k = min(k, dim)
     if dim <= DENSE_LIMIT or k >= dim - 1:
-        es = eigh(Operator(system.h.toarray()))
-        return es.values[:k], es.vectors[:, :k]
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(system.h, k=k, which="SA", v0=v0,
-                                               maxiter=5000)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise NumericError(f"Lanczos failed to converge: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    for j in range(vecs.shape[1]):
-        idx = int(np.argmax(np.abs(vecs[:, j])))
-        piv = vecs[idx, j]
-        if abs(piv) > 0:
-            vecs[:, j] *= np.conj(piv) / abs(piv)
-    return vals, vecs
+        return scipy.linalg.eigh(block.toarray(), subset_by_index=(0, k - 1))
+    return lanczos_lowest(block, k)
+
+
+def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of ``system.h``, ascending, solved block by block.
+
+    One graph pass over the nonzero pattern splits ``h`` into the blocks
+    that do not couple to each other, here the two sectors of the Dicke Z2
+    parity, and finds per block the diagonal phases z along a spanning tree
+    that make conj(z) h z real.  A block left real up to rounding is solved
+    in real arithmetic; a block with a net phase around some loop, which no
+    diagonal phase change removes, stays complex.  Eigenvectors are mapped
+    back through z, embedded in the full space and phase-fixed as
+    `operators.eigh` does, so each one lies in one block: at a parity
+    doublet the ground vector is a parity eigenstate.
+    """
+    # imported here, so that criterion-only runs do not load csgraph (1.1 MB)
+    from scipy.sparse.csgraph import connected_components
+
+    h = system.h
+    pattern = abs(h)
+    pattern.eliminate_zeros()
+    _, labels = connected_components(pattern, directed=False)
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    scale = float(pattern.max()) if pattern.nnz else 0.0
+    found = []  # (value, block, column)
+    solved = []
+    for b, idx in enumerate(members):
+        z = _tree_phases(h, pattern, idx)
+        block = h[idx][:, idx].tocoo()
+        block.data = np.conj(z[block.row]) * block.data * z[block.col]
+        block = block.tocsr()
+        if np.max(np.abs(block.data.imag), initial=0.0) <= REAL_GAUGE_RTOL * scale:
+            block = block.real
+        vals, vecs = _block_lowest(block, k)
+        solved.append((idx, z, vecs))
+        found.extend((float(v), b, j) for j, v in enumerate(vals))
+    found = sorted(found)[:k]
+    values = np.array([v for v, _, _ in found])
+    vectors = np.zeros((system.dim, len(found)), dtype=complex)
+    for col, (_, b, j) in enumerate(found):
+        idx, z, vecs = solved[b]
+        vectors[idx, col] = z * vecs[:, j]
+    return values, _fix_phases(values, vectors)
 
 
 def ground_state(system: FullSystem) -> tuple[float, Statevector]:

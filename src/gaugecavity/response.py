@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, cg, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, cg, eigsh
 
 from .errors import ArgumentError, DegenerateGroundStateError, NumericError
 from .gauge import ModeSpec
@@ -83,30 +83,43 @@ class SparseResolvent:
         return q_cols.conj().T @ solved
 
 
+def lanczos_lowest(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenpairs of a sparse Hermitian matrix, ascending, by Lanczos.
+
+    A real matrix runs through ARPACK's real symmetric routine.  ARPACK
+    misses an eigenvalue that is exactly zero, as the bare two-level ground
+    energy is, so the matrix is shifted by a Gershgorin lower bound, which
+    puts the whole spectrum at or above 1.  The start vector is a fixed
+    Gaussian draw seeded with LANCZOS_SEED: it has weight in every symmetry
+    sector, and unlike the uniform vector it is no eigenvector of a matrix
+    whose rows share one sum.
+    """
+    dim = mat.shape[0]
+    diag = mat.diagonal().real
+    shift = float(np.min(2.0 * diag - np.asarray(abs(mat).sum(axis=1)).ravel())) - 1.0
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+    try:
+        vals, vecs = eigsh(mat - shift * scipy.sparse.identity(dim), k=k, which="SA", v0=v0)
+    except ArpackNoConvergence as exc:
+        raise NumericError(f"Lanczos ground state failed to converge: {exc}") from exc
+    except ArpackError as exc:
+        raise NumericError(f"Lanczos ground state failed: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order] + shift, vecs[:, order]
+
+
 def sparse_resolvent(model: MatterModel, h_m: Operator | None = None) -> SparseResolvent:
     """Lanczos ground state of the (possibly gauge-dressed) matter Hamiltonian.
 
-    A real Hamiltonian runs through the real symmetric Lanczos routine; the
-    start vector is a fixed Gaussian draw, so it has weight in every
-    symmetry sector.
+    A real Hamiltonian runs through the real symmetric Lanczos routine.
     """
     h = model.h_m if h_m is None else h_m
     mat = scipy.sparse.csr_matrix(h.matrix)
     if mat.imag.count_nonzero() == 0:
         mat = mat.real
-    # ARPACK misses an eigenvalue that is exactly zero, as the bare
-    # two-level ground energy is; shifting by a Gershgorin lower bound
-    # puts the whole spectrum at or above 1
-    diag = mat.diagonal().real
-    shift = float(np.min(2.0 * diag - np.asarray(abs(mat).sum(axis=1)).ravel())) - 1.0
-    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(h.dim)
-    try:
-        vals, vecs = eigsh(mat - shift * scipy.sparse.identity(h.dim), k=2, which="SA", v0=v0)
-    except ArpackNoConvergence as exc:
-        raise NumericError(f"Lanczos ground state failed to converge: {exc}") from exc
-    order = np.argsort(vals)
-    g = vecs[:, order[0]].astype(complex)
-    return SparseResolvent(model=model, h_m_used=h, lowest=vals[order] + shift,
+    vals, vecs = lanczos_lowest(mat, 2)
+    g = vecs[:, 0].astype(complex)
+    return SparseResolvent(model=model, h_m_used=h, lowest=vals,
                            vector=g / np.linalg.norm(g))
 
 

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -309,17 +312,37 @@ class TestOraclePoint:
         assert calls == [2] * (3 * 2)
 
     def test_energy_and_gap_match_separate_solves(self):
-        # 7 matter levels x 200 Fock levels is past the dense limit: Lanczos
+        # 7 matter levels x 400 Fock levels: each parity block is past the
+        # dense limit, so Lanczos
         cfg = validate_config(json.dumps(dict(self.CONFIG, oracle={
-            "enabled": True, "fock_cutoff": 200, "points": 1})))
+            "enabled": True, "fock_cutoff": 400, "points": 1})))
         records = _oracle_point(cfg, 0, "dipole_scale", 0.5)
         model = build_two_level_ensemble(6, 1.0, [0.0, 0.5, 0.0], 1.0)
         for rec, preset in zip(records, ("dipole", "coulomb")):
-            system = oracle.full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 200)
-            assert system.dim > oracle.DENSE_LIMIT
+            system = oracle.full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 400)
+            assert system.dim // 2 > oracle.DENSE_LIMIT
             energy, _ = oracle.ground_state(system)
             assert abs(rec["ground_energy"] - energy) <= 1e-12 * abs(energy)
             assert rec["parity_gap"] == oracle.parity_gap(system)
+
+    def test_oracle_csv_independent_of_blas_threads(self, tmp_path):
+        # the README model, two points: each parity block (1230 states) is
+        # past the dense limit, and at 0.3 the ground state is a doublet
+        cfg = dict(MINIMAL, model=dict(MINIMAL["model"], count=40),
+                   gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
+                   sweep={"parameter": "dipole_scale", "values": [0.1, 0.3]},
+                   oracle={"enabled": True, "fock_cutoff": 60, "points": 2})
+        path = write_config(tmp_path, cfg)
+        src = str(pathlib.Path(oracle.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            subprocess.run([sys.executable, "-m", "gaugecavity.cli", "sweep", "--config", path,
+                            "--out", str(out)], env=env, check=True, timeout=300)
+            outputs.append((out / "oracle.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 # one small model of each kind, and where a built model carries each

@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
+from gaugecavity import oracle as oracle_module
 from gaugecavity.bogoliubov import diagonalize_block, exact_branch_coupling
 from gaugecavity.criterion import displaced_energy, stiffness_energy
 from gaugecavity.errors import UnsupportedError
@@ -21,6 +24,7 @@ from gaugecavity.matter import (
 )
 from gaugecavity.operators import Operator, Statevector, coherent_state, eigh, vacuum
 from gaugecavity.oracle import (
+    DENSE_LIMIT,
     adaptive_fock_cutoff,
     constrained_min,
     effective_photon_hamiltonian,
@@ -265,6 +269,111 @@ class TestEffectiveHamiltonian:
         assert np.max(np.abs(vals[:20] - np.array(closed[:20]))) <= 1e-8
 
 
+def _record_blocks(monkeypatch):
+    """Wrap the per-block solver; returns the (dtype, dim) of each block it sees."""
+    seen = []
+    original = oracle_module._block_lowest
+
+    def recording(block, k):
+        seen.append((block.dtype, block.shape[0]))
+        return original(block, k)
+
+    monkeypatch.setattr(oracle_module, "_block_lowest", recording)
+    return seen
+
+
+def _assert_lowest(system, k, rtol=1e-10):
+    """lowest_eigenpairs matches dense eigvalsh and returns eigenvectors."""
+    vals, vecs = lowest_eigenpairs(system, k=k)
+    dense = np.linalg.eigvalsh(system.h.toarray())[:k]
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(vals - dense)) <= rtol * scale
+    residual = system.h @ vecs - vecs * vals
+    assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8 * scale
+    assert np.allclose(vecs.conj().T @ vecs, np.eye(k), atol=1e-10)
+    return vals, vecs
+
+
+def _ring(dim, hop, potential):
+    """Nearest-neighbour ring; ``hop`` is the amplitude on the closing bond."""
+    off = -np.ones(dim - 1)
+    h = scipy.sparse.diags([off, potential, off], [-1, 0, 1], format="lil", dtype=complex)
+    h[dim - 1, 0] = hop
+    h[0, dim - 1] = np.conj(hop)
+    return h.tocsr()
+
+
+class TestLowestEigenpairs:
+    def test_many_blocks_above_dense_limit(self, monkeypatch):
+        # no light-matter coupling: every photon state times each parity
+        # sector of the anharmonic dipole is a block of its own
+        model = build_anharmonic_dipole(10, 1.0, 1.0, 0.1, 0.0, 1.0)
+        system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 12,
+                                  include_uncoupled=True)
+        assert system.dim > DENSE_LIMIT
+        seen = _record_blocks(monkeypatch)
+        _assert_lowest(system, 6)
+        assert len(seen) == 2 * 12 * 12
+        assert {dim for _, dim in seen} == {5}
+
+    def test_flux_loop_stays_complex(self, monkeypatch):
+        # a ring threaded by flux has no real gauge; next to it sits a real chain
+        dim = DENSE_LIMIT + 100
+        rng = np.random.default_rng(3)
+        ring = _ring(dim, -np.exp(0.7j), 3.0 * rng.random(dim))
+        chain = _ring(40, 0.0, 0.5 + rng.random(40))
+        system = full_hamiltonian(dicke(1, 0.0), make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 4)
+        system = dataclasses.replace(system, h=scipy.sparse.block_diag([ring, chain],
+                                                                       format="csr"))
+        seen = _record_blocks(monkeypatch)
+        _assert_lowest(system, 4)
+        assert seen == [(np.dtype(complex), dim), (np.dtype(float), 40)]
+
+    def test_exactly_zero_ground_energy(self, monkeypatch):
+        # graph Laplacian with integer weights: every row sums to exactly 0,
+        # so the uniform vector is the ground state at energy 0
+        dim = DENSE_LIMIT + 100
+        rng = np.random.default_rng(5)
+        sites = np.arange(dim)
+        adj = sum(scipy.sparse.csr_matrix((rng.integers(1, 4, dim).astype(float),
+                                           (sites, (sites + step) % dim)), shape=(dim, dim))
+                  for step in (1, 37))
+        adj = (adj + adj.T).tocsr()
+        lap = scipy.sparse.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj
+        system = full_hamiltonian(dicke(1, 0.0), make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 4)
+        system = dataclasses.replace(system, h=lap.astype(complex).tocsr())
+        seen = _record_blocks(monkeypatch)
+        vals, vecs = _assert_lowest(system, 2)
+        assert seen == [(np.dtype(float), dim)]
+        assert abs(vals[0]) <= 1e-10
+        assert np.allclose(vecs[:, 0], 1.0 / np.sqrt(dim), atol=1e-10)
+
+    def test_parity_blocks_are_real(self, monkeypatch):
+        # the README oracle Hamiltonian at dipole_scale 0.34: two parity
+        # blocks above the dense limit, both real after the phase change
+        model = build_two_level_ensemble(40, 1.0, (0.0, 0.34, 0.0), 1.0)
+        system = full_hamiltonian(model, make_gauge("coulomb"), [lwl_mode(1.0, 1.0)], 60)
+        seen = _record_blocks(monkeypatch)
+        vals, _ = lowest_eigenpairs(system, k=2)
+        assert seen == [(np.dtype(float), system.dim // 2)] * 2
+        assert system.dim // 2 > DENSE_LIMIT
+        v0 = np.random.default_rng(0).standard_normal(system.dim)
+        ref = np.sort(scipy.sparse.linalg.eigsh(system.h, k=2, which="SA", v0=v0)[0])
+        assert np.max(np.abs(vals - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_doublet_ground_vector_is_parity_eigenstate(self):
+        n = 20
+        system = full_hamiltonian(dicke(n, 1.5 * np.sqrt(1.0 / (2 * n))), make_gauge("dipole"),
+                                  [lwl_mode(1.0, 1.0)], 80)
+        vals, vecs = lowest_eigenpairs(system, k=2)
+        assert vals[1] - vals[0] < 1e-6
+        state = Statevector(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
+        coh, occ = photon_coherence(state, system, 0, 2)
+        assert coh == 0.0
+        assert occ > 1.0
+        assert np.all(transverse_field_expectation(state, system) == 0.0)
+
+
 class TestVariationalScan:
     def _setup(self, n, d, fock=60):
         model = dicke(n, d)
@@ -295,20 +404,27 @@ class TestVariationalScan:
         n = 20
         d = 1.5 * np.sqrt(1.0 / (2 * n))
         model, gauge, mode, system, spec = self._setup(n, d, fock=80)
-        # symmetry-broken quasi-ground state: equal parity-doublet mix
+        # symmetry-broken quasi-ground state: the mix of the doublet's two
+        # parity eigenstates whose matter marginal has the largest |<G>|
         vals, vecs = lowest_eigenpairs(system, k=2)
-        doublet = (vecs[:, 0] + vecs[:, 1]) / np.sqrt(2)
         dims = system.slot_dims()
-        rho_m = doublet.reshape(dims[0], -1)
-        # matter marginal state of the broken doublet
-        mmat = rho_m @ rho_m.conj().T
-        evals, evecs = np.linalg.eigh(mmat)
-        psi_m = evecs[:, -1]
+        g_op = system.slots[0].g_op.entries
+
+        def marginal(phi):
+            doublet = (vecs[:, 0] + np.exp(1j * phi) * vecs[:, 1]) / np.sqrt(2)
+            rho_m = doublet.reshape(dims[0], -1)
+            # matter marginal state of the broken doublet
+            evals, evecs = np.linalg.eigh(rho_m @ rho_m.conj().T)
+            psi_m = evecs[:, -1]
+            return psi_m, complex(psi_m.conj() @ g_op @ psi_m)
+
+        psi_m, g_val = max((marginal(phi) for phi in np.linspace(0.0, 2 * np.pi, 16,
+                                                                 endpoint=False)),
+                           key=lambda m: abs(m[1]))
         block = system.blocks[0]
         t = system.slots[0].tau_index
-        g_val = complex(psi_m.conj() @ system.slots[0].g_op.entries @ psi_m)
         beta_pred = -(mode.amplitude / block.nu_tau[t]) * g_val
-        grid = 1j * np.linspace(-2.5, 2.5, 201)
+        grid = 1j * np.linspace(-4.0, 4.0, 321)
         res = variational_scan(system, psi_m, 0, grid)
         assert res["energy_star"] < res["energy_zero"] - 1e-4
         assert abs(res["beta_star"]) == pytest.approx(abs(beta_pred), rel=0.10)

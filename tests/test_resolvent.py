@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from gaugecavity import cli, matter, operators, oracle, response
 from gaugecavity.bogoliubov import diagonalize_block
@@ -187,6 +187,33 @@ class TestSparseFailures:
             "sweep": {"parameter": "charge", "values": [0.5]}}))
         assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "runtime error: Lanczos ground state failed to converge" in capsys.readouterr().err
+
+    def test_lanczos_finds_exact_zero_ground_energies(self):
+        # unshifted, ARPACK returns 1 and 2 for diag(0, 1, ..., 300)
+        vals, _ = response.lanczos_lowest(scipy.sparse.diags(np.arange(301.0), format="csr"), 2)
+        assert np.max(np.abs(vals - [0.0, 1.0])) <= 1e-12
+        # every row of a path Laplacian sums to 0, so the uniform vector is its
+        # ground state; from that start, unshifted, ARPACK stops with error -9
+        dim = 100
+        main = np.full(dim, 2.0)
+        main[[0, -1]] = 1.0
+        lap = scipy.sparse.diags([-np.ones(dim - 1), main, -np.ones(dim - 1)], [-1, 0, 1],
+                                 format="csr")
+        vals, vecs = response.lanczos_lowest(lap, 2)
+        assert np.max(np.abs(vals - (2.0 - 2.0 * np.cos(np.pi * np.arange(2) / dim)))) <= 1e-12
+        assert np.allclose(np.abs(vecs[:, 0]), 1.0 / np.sqrt(dim), atol=1e-10)
+
+    def test_any_arpack_error_raises_numeric_error(self, monkeypatch):
+        def zero_start(*args, **kwargs):
+            raise ArpackError(-9)
+
+        monkeypatch.setattr(response, "eigsh", zero_start)
+        with pytest.raises(NumericError, match="ARPACK error -9"):
+            sparse_resolvent(THREE_AXIS)
+        model = build_two_level_ensemble(40, 1.0, (0.0, 0.34, 0.0), 1.0)
+        system = oracle.full_hamiltonian(model, GAUGES["dipole"], [MODES["q_z"]], 60)
+        with pytest.raises(NumericError, match="ARPACK error -9"):
+            oracle.lowest_eigenpairs(system, k=2)
 
     def test_degenerate_ground_rejected_by_both_backends(self):
         levels = np.arange(ENSEMBLE.dim, dtype=float)
