@@ -8,13 +8,25 @@ Exit codes: 0 success, 1 runtime failure, 2 config failure.
 The config schema is the key tables below; `validate_config` walks them
 once, and `_build_model` passes the model keys on to the kind's builder.
 
+numpy and scipy each bundle their own OpenBLAS, each with its own pool of
+worker threads, and a worker spins for a while after each call.  On a
+machine with few cores the two pools then fight each other and the main
+thread, so `main` sets numpy's pool to one thread while it runs and
+restores the earlier count when it returns.  numpy's BLAS work here is
+small (matrices of at most `operators.DENSE_MAX_DIM` states, vector
+products); scipy's pool keeps its default, because it runs the one large
+dense solve, `scipy.linalg.eigh` on oracle blocks of up to
+`oracle.DENSE_LIMIT` states.  Where either library is not found the pin is
+skipped.  summary.json records both counts as `blas_threads`.
+
 criterion.csv is byte-identical across repeated runs of the same config
-and seed on the same machine with the same BLAS thread count: rows are
-emitted in deterministic parameter order, every Lanczos run starts from a
-fixed vector seeded with `response.LANCZOS_SEED`, and floats are
-serialised with shortest round-trip repr.  oracle.csv rows whose parity
-blocks are past `oracle.DENSE_LIMIT`, as in the README example, are
-byte-identical across BLAS thread counts as well.
+and seed on the same machine: rows are emitted in deterministic parameter
+order, every Lanczos run starts from a fixed vector seeded with
+`response.LANCZOS_SEED`, and floats are serialised with shortest
+round-trip repr.  On the README example and the 3-axis anharmonic dipole
+at d = 1000 (sparse backend) criterion.csv is byte-identical across
+scipy's thread counts as well, and so are oracle.csv rows whose parity
+blocks are past `oracle.DENSE_LIMIT`, as in the README example.
 """
 
 from __future__ import annotations
@@ -40,6 +52,10 @@ from .oracle import MAX_FULL_DIM
 from .response import ground_resolvent
 
 SCHEMA_VERSION = 1
+# package -> thread-count functions of the OpenBLAS in its wheel's
+# `<package>.libs`; numpy's build is the 64-bit-integer one
+OPENBLAS_THREADS = {"numpy": "scipy_openblas_{}_num_threads64_",
+                    "scipy": "scipy_openblas_{}_num_threads"}
 CSV_HEADER = ("schema_version,point_index,param_name,param_value,gauge,alpha,"
               "q_index,tau,lhs,rhs,electric_part,magnetic_part,margin,condensed,"
               "beta_re,beta_im")
@@ -379,7 +395,9 @@ def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> lis
     """oracle.csv records for one sweep sample, one per gauge.
 
     One k=2 eigensolve per gauge gives the ground energy, the ground vector
-    the observables read, and the parity gap.
+    the observables read, and the parity gap.  `coherence_abs` is
+    sqrt(|<a_1>|^2 + |<a_2>|^2) and `occupation` the sum over both
+    polarisations of mode 0.
     """
     from .oracle import full_hamiltonian, lowest_eigenpairs, photon_coherence, \
         transverse_field_expectation
@@ -393,11 +411,14 @@ def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> lis
         system = full_hamiltonian(model, gauge, modes, fock)
         vals, vecs = lowest_eigenpairs(system, k=2)
         state = Statevector(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
-        coh, occ = photon_coherence(state, system, 0, 2)
+        # both polarisations: a 1-axis dipole along x couples to sigma = 1 only
+        photons = [photon_coherence(state, system, 0, sigma) for sigma in (1, 2)]
+        coh = math.hypot(*(abs(c) for c, _ in photons))
+        occ = sum(o for _, o in photons)
         et_max = np.max(np.abs(transverse_field_expectation(state, system)))
         records.append(dict(zip(ORACLE_HEADER.split(","), (
             SCHEMA_VERSION, index, param, value, gauge.preset.value, fock, float(vals[0]),
-            float(vals[1] - vals[0]), abs(coh), occ, et_max))))
+            float(vals[1] - vals[0]), coh, occ, et_max))))
     return records
 
 
@@ -488,6 +509,36 @@ def run_check(cfg: SweepConfig) -> dict:
     return results
 
 
+def _openblas_pool(package: str):
+    """(get, set) thread-count functions of the OpenBLAS bundled in the
+    wheel of ``package`` ("numpy" or "scipy"), or None when the library or
+    its symbols are not there."""
+    import ctypes
+    import glob
+    import importlib
+    import os
+
+    root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+    for path in sorted(glob.glob(os.path.join(root, f"{package}.libs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)  # the copy the package loaded, not a second one
+        except OSError:
+            continue
+        get, set_ = (getattr(lib, OPENBLAS_THREADS[package].format(op), None)
+                     for op in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+def _blas_threads() -> dict:
+    """Current thread count of each bundled OpenBLAS; None where not found."""
+    return {package: None if (pool := _openblas_pool(package)) is None else pool[0]()
+            for package in OPENBLAS_THREADS}
+
+
 def run_sweep(cfg: SweepConfig, out_dir: str) -> int:
     import os
 
@@ -516,6 +567,7 @@ def run_sweep(cfg: SweepConfig, out_dir: str) -> int:
         "thresholds": _thresholds(records),
         "invariant_results": run_check(cfg),
         "timings": {"criterion_seconds": t_criterion, "total_seconds": t_total},
+        "blas_threads": _blas_threads(),
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
     }
@@ -527,6 +579,21 @@ def run_sweep(cfg: SweepConfig, out_dir: str) -> int:
 
 
 def main(argv=None) -> int:
+    """The CLI entry point, run with numpy's OpenBLAS on one thread (see the
+    module docstring); the earlier count is restored on return."""
+    pool = _openblas_pool("numpy")
+    if pool is None:
+        return _main(argv)
+    get, set_ = pool
+    previous = get()
+    set_(1)
+    try:
+        return _main(argv)
+    finally:
+        set_(previous)
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(prog="gaugecavity",
                                      description="photon-condensation criterion sweeps")
     sub = parser.add_subparsers(dest="command", required=True)

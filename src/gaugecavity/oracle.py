@@ -26,6 +26,7 @@ doublet, where the photon occupation carries the signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -105,9 +106,15 @@ class FullSystem:
             out = scipy.sparse.kron(out, mat, format="csr")
         return out
 
+    @cached_property
+    def _lowerings(self) -> tuple[scipy.sparse.csr_matrix, ...]:
+        return tuple(self.embed(slot_ops={k: boson_ladder(s.cutoff)[0].entries})
+                     for k, s in enumerate(self.slots))
+
     def branch_lowering(self, slot_index: int) -> scipy.sparse.csr_matrix:
-        c, _ = boson_ladder(self.slots[slot_index].cutoff)
-        return self.embed(slot_ops={slot_index: c.entries})
+        """The slot's lowering operator c on the full space, built once per
+        system for every observable that reads it."""
+        return self._lowerings[slot_index]
 
     def slots_for_mode(self, mode_index: int) -> list[int]:
         return [k for k, s in enumerate(self.slots) if s.mode_index == mode_index]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -7,10 +8,10 @@ import sys
 
 import pytest
 
-from gaugecavity import oracle
+from gaugecavity import cli, oracle
 from gaugecavity.cli import (MODELS, REQUIRED, _build_model, _oracle_point, _swept_keys, main,
                              run_check, run_sweep, validate_config)
-from gaugecavity.errors import ConfigError
+from gaugecavity.errors import ConfigError, NumericError
 from gaugecavity.gauge import lwl_mode, make_gauge
 from gaugecavity.matter import build_two_level_ensemble
 
@@ -327,22 +328,115 @@ class TestOraclePoint:
 
     def test_oracle_csv_independent_of_blas_threads(self, tmp_path):
         # the README model, two points: each parity block (1230 states) is
-        # past the dense limit, and at 0.3 the ground state is a doublet
-        cfg = dict(MINIMAL, model=dict(MINIMAL["model"], count=40),
-                   gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
-                   sweep={"parameter": "dipole_scale", "values": [0.1, 0.3]},
-                   oracle={"enabled": True, "fock_cutoff": 60, "points": 2})
-        path = write_config(tmp_path, cfg)
+        # past the dense limit, and at 0.3 the ground state is a doublet;
+        # the 3-axis anharmonic dipole at d = 1000 runs the criterion on the
+        # sparse backend (Lanczos and conjugate gradients)
+        readme = dict(MINIMAL, model=dict(MINIMAL["model"], count=40),
+                      gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
+                      sweep={"parameter": "dipole_scale", "values": [0.1, 0.3]},
+                      oracle={"enabled": True, "fock_cutoff": 60, "points": 2})
+        anharmonic = dict(MINIMAL, model={
+            "kind": "anharmonic_dipole", "levels": 10, "mass": 1.0, "frequency": 1.0,
+            "quartic": 0.1, "charge": 0.3, "volume": 1.0, "axes": 3},
+            gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
+            sweep={"parameter": "charge", "values": [0.3, 1.2]})
+        cases = [(readme, ("criterion.csv", "oracle.csv")), (anharmonic, ("criterion.csv",))]
         src = str(pathlib.Path(oracle.__file__).resolve().parent.parent)
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
-            subprocess.run([sys.executable, "-m", "gaugecavity.cli", "sweep", "--config", path,
-                            "--out", str(out)], env=env, check=True, timeout=300)
-            outputs.append((out / "oracle.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+        outputs = {}
+        for case, (cfg, files) in enumerate(cases):
+            path = tmp_path / f"cfg{case}.json"
+            path.write_text(json.dumps(cfg))
+            for threads in ("1", "2"):
+                out = tmp_path / f"case{case}-threads{threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+                subprocess.run([sys.executable, "-m", "gaugecavity.cli", "sweep", "--config",
+                                str(path), "--out", str(out)], env=env, check=True, timeout=300)
+                for name in files:
+                    outputs.setdefault((case, name), []).append((out / name).read_bytes())
+        assert len(outputs) == 3
+        assert [key for key, (one, two) in outputs.items() if one != two] == []
+
+    def test_photon_observables_sum_both_polarisations(self):
+        # a 1-axis dipole lies along x, which lwl_mode makes polarisation 1
+        cfg = validate_config(json.dumps(dict(MINIMAL, model={
+            "kind": "anharmonic_dipole", "levels": 12, "mass": 1.0, "frequency": 1.0,
+            "quartic": 0.1, "charge": 0.9, "volume": 1.0},
+            gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
+            sweep={"parameter": "charge", "values": [0.9]},
+            oracle={"enabled": True, "fock_cutoff": 150})))
+        records = _oracle_point(cfg, 0, "charge", 0.9)
+        model = _build_model(cfg, "charge", 0.9)
+        for rec, preset in zip(records, ("dipole", "coulomb")):
+            system = oracle.full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 150)
+            _, state = oracle.ground_state(system)
+            (coh1, occ1), (coh2, occ2) = (oracle.photon_coherence(state, system, 0, sigma)
+                                          for sigma in (1, 2))
+            assert occ1 > 0.03 and occ2 == 0.0
+            assert rec["occupation"] == pytest.approx(occ1 + occ2, rel=1e-10)
+            assert rec["coherence_abs"] == pytest.approx(math.hypot(abs(coh1), abs(coh2)),
+                                                         abs=1e-12)
+
+
+class TestBlasPin:
+    """`main` runs with numpy's OpenBLAS on one thread and restores the
+    earlier count; scipy's pool keeps its own."""
+
+    @pytest.fixture
+    def numpy_pool(self):
+        pool = cli._openblas_pool("numpy")
+        if pool is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, set_ = pool
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_main_restores_numpy_threads(self, numpy_pool, monkeypatch, tmp_path, code):
+        seen = []
+
+        def check(cfg):
+            seen.append(numpy_pool())
+            if code == 1:
+                raise NumericError("forced failure")
+            return {"all_passed": True}
+
+        monkeypatch.setattr(cli, "run_check", check)
+        cfg = dict(MINIMAL, seed="three") if code == 2 else MINIMAL
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == code
+        assert seen == ([] if code == 2 else [1])
+        assert numpy_pool() == 2
+
+    def test_main_restores_numpy_threads_on_usage_error(self, numpy_pool):
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert numpy_pool() == 2
+
+    def test_summary_records_pool_sizes(self, numpy_pool, tmp_path):
+        scipy_pool = cli._openblas_pool("scipy")
+        assert main(["sweep", "--config", write_config(tmp_path, MINIMAL),
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["blas_threads"] == {
+            "numpy": 1, "scipy": None if scipy_pool is None else scipy_pool[0]()}
+
+    def test_no_library_no_pin(self, monkeypatch, tmp_path):
+        real = cli._openblas_pool("numpy")
+        looked_up = []
+        monkeypatch.setattr(cli, "_openblas_pool", lambda package: looked_up.append(package))
+        seen = []
+        monkeypatch.setattr(cli, "run_check", lambda cfg: seen.append(
+            None if real is None else real[0]()) or {"all_passed": True})
+        before = None if real is None else real[0]()
+        assert main(["sweep", "--config", write_config(tmp_path, MINIMAL),
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert "numpy" in looked_up
+        assert summary["blas_threads"] == {"numpy": None, "scipy": None}
+        assert seen == [before]
+        assert (None if real is None else real[0]()) == before
 
 
 # one small model of each kind, and where a built model carries each

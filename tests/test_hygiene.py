@@ -9,7 +9,8 @@ check asks that each of them is read somewhere in the package or tests,
 and the definition check asks the same of each top-level function, class
 and constant of the package, counting the benchmark as a reader too.
 The tracing check reads the `TRACED` table of `perfbench/spans.py` without
-running that module.
+running that module.  Only `cli` may import `ctypes`, which it uses to set
+the thread count of numpy's bundled OpenBLAS while a sweep runs.
 """
 
 import ast
@@ -140,3 +141,24 @@ def test_traced_names_resolve():
         if not callable(obj):
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports anywhere in a module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_import_detector_sees_nested_imports():
+    source = "import os.path\n\ndef f():\n    from ctypes import CDLL\n    from . import cli\n"
+    assert imported_modules(source) == {"os", "ctypes"}
+
+
+def test_only_cli_imports_ctypes():
+    paths = MODULES + [PACKAGE / "__init__.py"]
+    assert [p.stem for p in paths if "ctypes" in imported_modules(p.read_text())] == ["cli"]
