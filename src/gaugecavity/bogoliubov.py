@@ -41,7 +41,6 @@ class BogoliubovBlock:
 
     nu_q: float
     delta_q: float
-    d_matrix: np.ndarray
     lambdas: np.ndarray        # (lambda_plus, lambda_minus)
     coeffs: np.ndarray         # rows tau, columns (w, x, y, z)
     u: np.ndarray              # rows tau: mixing direction in polarisation space
@@ -125,8 +124,8 @@ def diagonalize_block(dmat: DiamagneticMatrix, nu_q: float) -> BogoliubovBlock:
         d_q = 0.0
     else:
         d_q = np.inf
-    return BogoliubovBlock(nu_q=float(nu_q), delta_q=float(dmat.delta_q), d_matrix=d,
-                           lambdas=lam, coeffs=_squeeze_coeffs(u, lam), u=u, d_q=float(d_q))
+    return BogoliubovBlock(nu_q=float(nu_q), delta_q=float(dmat.delta_q), lambdas=lam,
+                           coeffs=_squeeze_coeffs(u, lam), u=u, d_q=float(d_q))
 
 
 def appendix_coefficients(dmat: DiamagneticMatrix, nu_q: float) -> np.ndarray:
@@ -208,15 +207,13 @@ def verify_symplectic(block: BogoliubovBlock) -> float:
 
 def coupling_g(block: BogoliubovBlock, f_sigma: tuple[Operator, Operator]
                ) -> tuple[Operator, Operator]:
-    """g_tau = sum_sigma h_{sigma tau} (eps_sigma . f_q) for tau = +, -."""
+    """g_tau = sum_sigma h_{sigma tau} (eps_sigma . f_q) for tau = +, -, sparse
+    when both components are."""
     if f_sigma[0].dim != f_sigma[1].dim:
         raise ArgumentError("polarisation components act on different spaces")
     h = block.h
-    out = []
-    for t in range(2):
-        acc = h[0, t] * f_sigma[0].entries + h[1, t] * f_sigma[1].entries
-        out.append(Operator(acc))
-    return tuple(out)
+    f = [op.matrix for op in f_sigma]
+    return tuple(Operator(h[0, t] * f[0] + h[1, t] * f[1]) for t in range(2))
 
 
 def branch_combination(block: BogoliubovBlock, t: int, a, b):
@@ -224,8 +221,8 @@ def branch_combination(block: BogoliubovBlock, t: int, a, b):
 
     With a = f and b = f^dag this is G_tau, the operator multiplying
     c_tau^dag once the inverse Bogoliubov transformation is substituted into
-    the bare interaction; a and b may be dense matrices or ground-state
-    matrix-element rows.
+    the bare interaction; a and b may be dense or sparse matrices or
+    ground-state matrix-element rows.
     """
     out = 0.0
     for s in range(2):
@@ -238,10 +235,11 @@ def exact_branch_coupling(block: BogoliubovBlock,
                           ) -> tuple[Operator, Operator]:
     """G_tau = sum_sigma (w_{tau sigma} f_sigma - y_{tau sigma} f_sigma^dag).
 
-    It equals the h-weighted g_tau for Hermitian f or unsqueezed branches.
+    It equals the h-weighted g_tau for Hermitian f or unsqueezed branches,
+    and is sparse when both components are.
     """
     if f_sigma[0].dim != f_sigma[1].dim:
         raise ArgumentError("polarisation components act on different spaces")
-    f = [op.entries for op in f_sigma]
+    f = [op.matrix for op in f_sigma]
     f_dag = [op.conj().T for op in f]
     return tuple(Operator(branch_combination(block, t, f, f_dag)) for t in range(2))

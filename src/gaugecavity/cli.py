@@ -395,9 +395,9 @@ def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> lis
     """oracle.csv records for one sweep sample, one per gauge.
 
     One k=2 eigensolve per gauge gives the ground energy, the ground vector
-    the observables read, and the parity gap.  `coherence_abs` is
-    sqrt(|<a_1>|^2 + |<a_2>|^2) and `occupation` the sum over both
-    polarisations of mode 0.
+    the observables read, and the parity gap.  `coherence_abs` is the root
+    sum of squares of |<a_{q sigma}>| and `occupation` the sum of <a+ a>,
+    both over every mode and both polarisations.
     """
     from .oracle import full_hamiltonian, lowest_eigenpairs, photon_coherence, \
         transverse_field_expectation
@@ -412,7 +412,8 @@ def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> lis
         vals, vecs = lowest_eigenpairs(system, k=2)
         state = Statevector(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
         # both polarisations: a 1-axis dipole along x couples to sigma = 1 only
-        photons = [photon_coherence(state, system, 0, sigma) for sigma in (1, 2)]
+        photons = [photon_coherence(state, system, i, sigma)
+                   for i in range(len(modes)) for sigma in (1, 2)]
         coh = math.hypot(*(abs(c) for c, _ in photons))
         occ = sum(o for _, o in photons)
         et_max = np.max(np.abs(transverse_field_expectation(state, system)))

@@ -204,7 +204,7 @@ def dipole_specialized(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
 def order_parameter_from_vector(psi: np.ndarray, block: BogoliubovBlock,
                                 g_op: Operator, mode: ModeSpec, t: int) -> complex:
     """beta_{q tau} = -(A_q / nu_tau) <psi| g_tau |psi>."""
-    g = complex(psi.conj() @ (g_op.entries @ psi))
+    g = complex(psi.conj() @ (g_op.matrix @ psi))
     return -mode.amplitude / block.nu_tau[t] * g
 
 

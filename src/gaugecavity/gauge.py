@@ -31,29 +31,21 @@ class GaugePreset(enum.Enum):
 
 @dataclass(frozen=True)
 class GaugeSpec:
+    """A gauge of the alpha family (`make_gauge` sets alpha = 0 for Coulomb
+    and 1 for dipole), or the multipolar ring gauge, which keeps both
+    couplings at full weight."""
+
     preset: GaugePreset
     lwl: bool = True
     alpha: float = 0.0
 
     @property
     def paramagnetic_weight(self) -> float:
-        if self.preset is GaugePreset.COULOMB:
-            return 1.0
-        if self.preset is GaugePreset.DIPOLE:
-            return 0.0
-        if self.preset is GaugePreset.ALPHA_LWL:
-            return 1.0 - self.alpha
-        return 1.0  # multipolar ring keeps its paramagnetic coupling
+        return 1.0 if self.preset is GaugePreset.MULTIPOLAR_RING else 1.0 - self.alpha
 
     @property
     def electric_weight(self) -> float:
-        if self.preset is GaugePreset.COULOMB:
-            return 0.0
-        if self.preset is GaugePreset.DIPOLE:
-            return 1.0
-        if self.preset is GaugePreset.ALPHA_LWL:
-            return self.alpha
-        return 1.0
+        return 1.0 if self.preset is GaugePreset.MULTIPOLAR_RING else self.alpha
 
 
 def make_gauge(preset: GaugePreset | str, lwl: bool = True,
@@ -212,18 +204,12 @@ def diamagnetic_delta(model: MatterModel, mode: ModeSpec) -> float:
 
 
 def diamagnetic_D(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec) -> DiamagneticMatrix:
-    """Assemble D_{q sigma sigma'} and Delta_q for a preset gauge."""
+    """Assemble D_{q sigma sigma'} and Delta_q: (1 - alpha)^2 times the
+    axis Gram matrix, or the ring's dressed-profile overlap."""
     delta = diamagnetic_delta(model, mode)
-    if gauge.preset is GaugePreset.DIPOLE:
-        return DiamagneticMatrix(d=np.zeros((2, 2)), delta_q=delta)
-    gram = _axis_gram(model, mode)
-    if gauge.preset is GaugePreset.COULOMB:
-        return DiamagneticMatrix(d=gram, delta_q=delta)
-    if gauge.preset is GaugePreset.ALPHA_LWL:
-        return DiamagneticMatrix(d=(1.0 - gauge.alpha) ** 2 * gram, delta_q=delta)
     if gauge.preset is GaugePreset.MULTIPOLAR_RING:
         return DiamagneticMatrix(d=_multipolar_ring_D(model, mode), delta_q=delta)
-    raise UnsupportedError(f"no diamagnetic matrix for preset {gauge.preset}")
+    return DiamagneticMatrix(d=(1.0 - gauge.alpha) ** 2 * _axis_gram(model, mode), delta_q=delta)
 
 
 def _multipolar_ring_D(model: MatterModel, mode: ModeSpec) -> np.ndarray:
@@ -271,7 +257,7 @@ def coupling_f_magnetic(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     if w == 0.0:
         return zero(model.dim)
     q_phase = 0.0 if gauge.lwl else mode.q_phase
-    return Operator(-w * mode.volume * model.current_along(mode.eps(sigma), q_phase))
+    return Operator(-w * mode.volume * model.current_along(mode.eps(sigma), q_phase).matrix)
 
 
 def coupling_f_electric(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,

@@ -49,11 +49,6 @@ def along_op(eps, ops) -> Operator:
     return sum(terms[1:], terms[0]) if terms else zero(ops[0].dim)
 
 
-def along(eps, ops) -> np.ndarray:
-    """`along_op` as a dense array."""
-    return along_op(eps, ops).entries
-
-
 class ModelKind(enum.Enum):
     TWO_LEVEL_ENSEMBLE = "two_level_ensemble"
     ANHARMONIC_DIPOLE = "anharmonic_dipole"
@@ -87,10 +82,8 @@ class MatterModel:
     # single-particle models add the retained-mode polarisation self-energy
     # in electric gauges; ensembles of disjoint dipoles must not
     self_energy_in_electric_gauges: bool = False
-    # ring-only operators
-    site_density_ops: tuple[Operator, ...] | None = None
+    # ring-only: the lattice translation T|j> = |j-1>
     translation_op: Operator | None = None
-    site_positions: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -106,19 +99,20 @@ class MatterModel:
         internal coordinate (two-level) only support q_phase = 0.
         """
         if q_phase == 0.0:
-            return tuple(Operator(self.current_along(ax)) for ax in (X_AXIS, Y_AXIS, Z_AXIS))
+            return tuple(self.current_along(ax) for ax in (X_AXIS, Y_AXIS, Z_AXIS))
         if self.kind is ModelKind.RING_LATTICE:
             return self._ring_bond_current(q_phase)
         if self.kind is ModelKind.ANHARMONIC_DIPOLE:
             return self._anharmonic_current(q_phase)
         raise UnsupportedError(f"{self.kind.value} supports only long-wavelength currents")
 
-    def current_along(self, eps, q_phase: float = 0.0) -> np.ndarray:
-        """eps . j^p_q; at q_phase = 0 the single commutator -i [eps . d, h_m] / V."""
+    def current_along(self, eps, q_phase: float = 0.0) -> Operator:
+        """eps . j^p_q; at q_phase = 0 the single commutator -i [eps . d, h_m] / V,
+        sparse when the model's operators are."""
         if q_phase != 0.0:
-            return along(eps, self.para_current(q_phase))
+            return along_op(eps, self.para_current(q_phase))
         d = along_op(eps, self.dipole_ops)
-        return -1j * (d @ self.h_m - self.h_m @ d).entries / self.params.volume
+        return Operator(-1j * (d @ self.h_m - self.h_m @ d).matrix / self.params.volume)
 
     def _anharmonic_current(self, q_phase: float) -> tuple[Operator, Operator, Operator]:
         # j^p_q i = -(e / 2 m V) {p_i, e^{-i q.r}} with q along the mode axis
@@ -246,12 +240,12 @@ class MatterSpectrum:
     def table(self, op: Operator) -> np.ndarray:
         """<n|O|n'> in the eigenbasis."""
         u = self.vectors
-        return u.conj().T @ op.entries @ u
+        return u.conj().T @ op.matrix @ u
 
     def couplings_from_ground(self, op: Operator) -> np.ndarray:
         """<0|O|n> for all n, as (<0|O) U: one vector-matrix product each."""
         u = self.vectors
-        return (u[:, 0].conj() @ op.entries) @ u
+        return (u[:, 0].conj() @ op.matrix) @ u
 
     def gram(self, cols: np.ndarray) -> np.ndarray:
         """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``, as
@@ -443,7 +437,6 @@ def build_ring_lattice(sites: int, hopping: float, charge: float,
     t = -hopping * np.array([bond_scale.get(j, 1.0) if bond_scale else 1.0 for j in range(L)])
     # nearest-neighbour hopping on bond (j, j + 1), the last bond closing the ring
     h = _banded(L, {1: t[:-1], -1: t[:-1], L - 1: t[-1:], 1 - L: t[-1:]})
-    density = tuple(Operator(_banded(L, {0: np.eye(L)[j]}), hermitian=True) for j in range(L))
     # dipole along the mapped axis from site positions relative to the
     # ring centroid; only used for LWL bookkeeping on the ring
     pos = np.arange(L, dtype=float)
@@ -460,9 +453,7 @@ def build_ring_lattice(sites: int, hopping: float, charge: float,
                        h_m=Operator(h, hermitian=True),
                        dipole_ops=(dip_x, zero(L), zero(L)),
                        params=params, axes=(X_AXIS,),
-                       site_density_ops=density,
-                       translation_op=Operator(shift),
-                       site_positions=pos)
+                       translation_op=Operator(shift))
 
 
 def ring_quasi_momentum(model: MatterModel, n: int) -> float:
@@ -494,7 +485,7 @@ def check_uniform_density(model: MatterModel, eigenstate: int) -> float:
         hi += 1
     block = spec.vectors[:, lo:hi + 1]
     if block.shape[1] > 1:
-        t_small = block.conj().T @ model.translation_op.entries @ block
+        t_small = block.conj().T @ model.translation_op.matrix @ block
         _, w = np.linalg.eig(t_small)
         block = block @ w
         block /= np.linalg.norm(block, axis=0)

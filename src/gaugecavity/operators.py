@@ -4,8 +4,10 @@ Everything is dimensionless in natural units (hbar = c = eps0 = 1).
 An operator is an immutable complex matrix, stored dense or, for the
 banded matrices the matter builders assemble on more than DENSE_MAX_DIM
 states, as a sparse CSR matrix; sums and products of two sparse operators
-stay sparse.  Full eigendecompositions work on the dense form.  All
-functions here are pure, so concurrent use from several threads is safe.
+stay sparse.  Only the dense algorithms (full eigendecompositions, matrix
+exponentials) ask for a dense view of a sparse operator, which is not
+kept.  All functions here are pure, so concurrent use from several
+threads is safe.
 """
 
 from __future__ import annotations
@@ -56,19 +58,17 @@ class Operator:
     """Complex square matrix with a Hermiticity hint.
 
     ``matrix`` is the stored form, a dense array or a CSR matrix; both
-    multiply vectors from either side.  ``entries`` is always dense: a
-    sparse operator forms it on first use and keeps it.
+    multiply vectors from either side.  ``entries`` is always dense: the
+    stored array itself, or for a sparse operator a read-only copy made on
+    each call and not kept.
     """
 
     matrix: object
     hermitian: bool = False
-    _dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if not self.sparse:
-            object.__setattr__(self, "_dense", m)
         if self.hermitian:
             dev = _hermiticity_deviation(m)
             if dev > HERMITICITY_ATOL:
@@ -82,11 +82,11 @@ class Operator:
 
     @property
     def entries(self) -> np.ndarray:
-        if self._dense is None:
-            dense = self.matrix.toarray()
-            dense.setflags(write=False)
-            object.__setattr__(self, "_dense", dense)
-        return self._dense
+        if not self.sparse:
+            return self.matrix
+        dense = self.matrix.toarray()
+        dense.setflags(write=False)
+        return dense
 
     @property
     def dim(self) -> int:
@@ -99,10 +99,9 @@ class Operator:
         return _hermiticity_deviation(self.matrix) <= atol
 
     def _combine(self, other: "Operator", fn) -> "Operator":
+        """fn on the stored forms: sparse when both are, dense otherwise."""
         _check_same_dim(self, other)
-        if self.sparse and other.sparse:
-            return Operator(fn(self.matrix, other.matrix))
-        return Operator(fn(self.entries, other.entries))
+        return Operator(fn(self.matrix, other.matrix))
 
     def __add__(self, other: "Operator") -> "Operator":
         return self._combine(other, lambda a, b: a + b)
@@ -122,9 +121,8 @@ class Operator:
         return Operator(-self.matrix)
 
     def norm_max(self) -> float:
-        if self.sparse:
-            return float(abs(self.matrix).max()) if self.matrix.nnz else 0.0
-        return float(np.max(np.abs(self.entries))) if self.entries.size else 0.0
+        m = abs(self.matrix)
+        return float(m.max()) if m.size else 0.0  # a sparse size counts stored entries
 
 
 def _check_same_dim(a: Operator, b: Operator):
@@ -175,11 +173,13 @@ def zero(dim: int) -> Operator:
 
 
 def tensor(a: Operator, b: Operator, max_dim: int = MAX_TENSOR_DIM) -> Operator:
-    """Kronecker product a (x) b."""
+    """Kronecker product a (x) b, built sparse, so stored as CSR above
+    DENSE_MAX_DIM states."""
     total = a.dim * b.dim
     if total > max_dim:
         raise ResourceLimitError(f"tensor dimension {total} exceeds limit {max_dim}")
-    return Operator(np.kron(a.entries, b.entries), hermitian=a.hermitian and b.hermitian)
+    return Operator(scipy.sparse.kron(a.matrix, b.matrix, format="csr"),
+                    hermitian=a.hermitian and b.hermitian)
 
 
 def boson_ladder(cutoff: int) -> tuple[Operator, Operator]:
@@ -216,10 +216,11 @@ def _fix_phases(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 def eigh(h: Operator) -> EigenSystem:
     """Full Hermitian eigendecomposition with a deterministic phase convention."""
-    dev = _hermiticity_deviation(h.entries)
+    m = h.entries
+    dev = _hermiticity_deviation(m)
     if dev > 1e-10:
         raise ArgumentError(f"eigh input deviates from Hermitian by {dev:.3e}")
-    sym = 0.5 * (h.entries + h.entries.conj().T)
+    sym = 0.5 * (m + m.conj().T)
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

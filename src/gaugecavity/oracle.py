@@ -25,7 +25,7 @@ doublet, where the photon occupation carries the signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -73,7 +73,6 @@ class FullSystem:
     blocks: tuple[BogoliubovBlock, ...]
     slots: tuple[BranchSlot, ...]
     h: scipy.sparse.csr_matrix
-    h_matter: Operator
     constant_energy: float  # vacuum energy of branches not carried explicitly
     excluded: tuple  # ((mode_index, tau_index, nu_tau), ...)
 
@@ -92,15 +91,10 @@ class FullSystem:
               slot_ops: dict | None = None) -> scipy.sparse.csr_matrix:
         """Kronecker-embed a matter operator and/or per-slot photon operators."""
         dims = self.slot_dims()
-        mats = []
-        m = matter_op.matrix if matter_op is not None else np.eye(dims[0])
-        mats.append(scipy.sparse.csr_matrix(m))
-        for k, s in enumerate(self.slots):
-            op = (slot_ops or {}).get(k)
-            if op is None:
-                mats.append(scipy.sparse.identity(s.cutoff, format="csr", dtype=complex))
-            else:
-                mats.append(scipy.sparse.csr_matrix(op))
+        ops = [None if matter_op is None else matter_op.matrix] + \
+            [(slot_ops or {}).get(k) for k in range(len(self.slots))]
+        mats = [scipy.sparse.identity(n, format="csr", dtype=complex) if op is None
+                else scipy.sparse.csr_matrix(op) for n, op in zip(dims, ops)]
         out = mats[0]
         for mat in mats[1:]:
             out = scipy.sparse.kron(out, mat, format="csr")
@@ -108,7 +102,7 @@ class FullSystem:
 
     @cached_property
     def _lowerings(self) -> tuple[scipy.sparse.csr_matrix, ...]:
-        return tuple(self.embed(slot_ops={k: boson_ladder(s.cutoff)[0].entries})
+        return tuple(self.embed(slot_ops={k: boson_ladder(s.cutoff)[0].matrix})
                      for k, s in enumerate(self.slots))
 
     def branch_lowering(self, slot_index: int) -> scipy.sparse.csr_matrix:
@@ -166,22 +160,19 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
     skeleton = FullSystem(model=model, gauge=gauge, modes=modes,
                           blocks=tuple(blocks), slots=tuple(slots),
                           h=scipy.sparse.identity(dim, dtype=complex, format="csr"),
-                          h_matter=h_matter, constant_energy=constant,
+                          constant_energy=constant,
                           excluded=tuple(excluded))
     h = skeleton.embed(matter_op=h_matter)
     for k, s in enumerate(skeleton.slots):
         c, cdag = boson_ladder(s.cutoff)
-        number = cdag.entries @ c.entries + 0.5 * np.eye(s.cutoff)
+        number = cdag.matrix @ c.matrix + 0.5 * np.eye(s.cutoff)
         h = h + s.nu * skeleton.embed(slot_ops={k: number})
         a_q = skeleton.modes[s.mode_index].amplitude
-        h = h + a_q * (skeleton.embed(matter_op=s.g_op.dag(), slot_ops={k: c.entries})
-                       + skeleton.embed(matter_op=s.g_op, slot_ops={k: cdag.entries}))
+        h = h + a_q * (skeleton.embed(matter_op=s.g_op.dag(), slot_ops={k: c.matrix})
+                       + skeleton.embed(matter_op=s.g_op, slot_ops={k: cdag.matrix}))
     h = h + constant * scipy.sparse.identity(dim, dtype=complex, format="csr")
     h = (0.5 * (h + h.conj().T)).tocsr()  # exact Hermiticity against rounding
-    return FullSystem(model=model, gauge=gauge, modes=modes,
-                      blocks=tuple(blocks), slots=tuple(slots), h=h,
-                      h_matter=h_matter, constant_energy=constant,
-                      excluded=tuple(excluded))
+    return replace(skeleton, h=h)
 
 
 def _tree_phases(h: scipy.sparse.csr_matrix, pattern, idx: np.ndarray) -> np.ndarray:
@@ -344,15 +335,15 @@ def effective_photon_hamiltonian(model: MatterModel, gauge: GaugeSpec,
     diamagnetic quadratic form keeps its operator structure.
     """
     h_matter = dressed_matter_hamiltonian(model, gauge, [mode])
-    e_m = float(np.real(psi_m.conj() @ (h_matter.entries @ psi_m)))
+    e_m = float(np.real(psi_m.conj() @ (h_matter.matrix @ psi_m)))
     dmat = diamagnetic_D(model, gauge, mode)
     f_vals = []
     for s in (1, 2):
         f_op = coupling_f(model, gauge, mode, s)
-        f_vals.append(complex(psi_m.conj() @ (f_op.entries @ psi_m)))
+        f_vals.append(complex(psi_m.conj() @ (f_op.matrix @ psi_m)))
     c, cdag = boson_ladder(cutoff)
     eye = np.eye(cutoff, dtype=complex)
-    a_ops = [np.kron(c.entries, eye), np.kron(eye, c.entries)]
+    a_ops = [np.kron(c.matrix, eye), np.kron(eye, c.matrix)]
     dim = cutoff ** 2
     h = e_m * np.eye(dim, dtype=complex)
     a_q = mode.amplitude

@@ -160,13 +160,10 @@ def lehmann_sum(ground, o_ops, c_ops=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlrfTensor:
-    """3x3 Cartesian chi tensor at one mode, plus its transverse reduction."""
+    """3x3 Cartesian chi tensor at one mode; `transverse_project` reduces it."""
 
     chi: np.ndarray
     mode: ModeSpec
-
-    def transverse(self) -> "TransverseProjection":
-        return transverse_project(self, self.mode)
 
 
 @dataclass(frozen=True)
@@ -174,10 +171,6 @@ class TransverseProjection:
     scalar_sigma1: float
     scalar_sigma2: float
     off_diag: float
-
-    @property
-    def scalar(self) -> float:
-        return self.scalar_sigma1
 
     def reduction_valid(self, atol: float = 1e-10) -> bool:
         return (self.off_diag <= atol

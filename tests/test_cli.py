@@ -377,6 +377,26 @@ class TestOraclePoint:
             assert rec["coherence_abs"] == pytest.approx(math.hypot(abs(coh1), abs(coh2)),
                                                          abs=1e-12)
 
+    def test_photon_observables_sum_every_mode(self):
+        # the second, softer mode holds most of the photons
+        cfg = validate_config(json.dumps(dict(
+            MINIMAL, model=dict(MINIMAL["model"], count=4), modes=[{"nu": 3.0}, {"nu": 1.0}],
+            sweep={"parameter": "dipole_scale", "values": [0.5]},
+            oracle={"enabled": True, "fock_cutoff": 12})))
+        (rec,) = _oracle_point(cfg, 0, "dipole_scale", 0.5)
+        model = _build_model(cfg, "dipole_scale", 0.5)
+        modes = [lwl_mode(3.0, 1.0), lwl_mode(1.0, 1.0)]
+        system = oracle.full_hamiltonian(model, make_gauge("dipole"), modes, 12)
+        _, state = oracle.ground_state(system)
+        photons = [oracle.photon_coherence(state, system, i, sigma)
+                   for i in (0, 1) for sigma in (1, 2)]
+        occ = [o for _, o in photons]
+        assert occ[0] + occ[1] == pytest.approx(0.614, abs=1e-3)
+        assert occ[2] + occ[3] == pytest.approx(1.829, abs=1e-3)
+        assert rec["occupation"] == pytest.approx(sum(occ), rel=1e-10)
+        assert rec["coherence_abs"] == pytest.approx(math.hypot(*(abs(c) for c, _ in photons)),
+                                                     abs=1e-12)
+
 
 class TestBlasPin:
     """`main` runs with numpy's OpenBLAS on one thread and restores the

@@ -10,7 +10,10 @@ and the definition check asks the same of each top-level function, class
 and constant of the package, counting the benchmark as a reader too.
 The tracing check reads the `TRACED` table of `perfbench/spans.py` without
 running that module.  Only `cli` may import `ctypes`, which it uses to set
-the thread count of numpy's bundled OpenBLAS while a sweep runs.
+the thread count of numpy's bundled OpenBLAS while a sweep runs.  Only the
+dense algorithms named in DENSE_READERS may read `Operator.entries`, the
+dense view that copies a sparse operator; everything else works on the
+stored form `Operator.matrix`.
 """
 
 import ast
@@ -162,3 +165,42 @@ def test_import_detector_sees_nested_imports():
 def test_only_cli_imports_ctypes():
     paths = MODULES + [PACKAGE / "__init__.py"]
     assert [p.stem for p in paths if "ctypes" in imported_modules(p.read_text())] == ["cli"]
+
+
+# the functions that need a dense matrix: a full eigendecomposition, a
+# matrix exponential, the oscillator basis and the finite-q anharmonic
+# current built from it, and the constrained minimisation by repeated eigh
+DENSE_READERS = {
+    "operators.eigh", "operators.displacement", "operators.coherent_state",
+    "matter._single_axis_oscillator", "matter.MatterModel._anharmonic_current",
+    "matter.MatterModel.position_ops", "oracle.constrained_min",
+}
+
+
+def entries_readers(source: str, module: str) -> set[str]:
+    """Top-level functions and class methods, as `module.name` or
+    `module.Class.method`, that read an attribute named `entries`."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    scopes = []
+    for top in ast.parse(source).body:
+        if isinstance(top, functions):
+            scopes.append((top.name, top))
+        elif isinstance(top, ast.ClassDef):
+            scopes += [(f"{top.name}.{node.name}", node) for node in top.body
+                       if isinstance(node, functions)]
+    return {f"{module}.{name}" for name, scope in scopes
+            if any(isinstance(node, ast.Attribute) and node.attr == "entries"
+                   for node in ast.walk(scope))}
+
+
+def test_entries_detector():
+    source = ("def f(op):\n    return op.entries\n\ndef g(op):\n    return op.matrix\n\n"
+              "class C:\n    def m(self):\n        return [x.entries for x in self.ops]\n")
+    assert entries_readers(source, "mod") == {"mod.f", "mod.C.m"}
+
+
+def test_only_dense_algorithms_read_entries():
+    readers = set()
+    for path in MODULES:
+        readers |= entries_readers(path.read_text(), path.stem)
+    assert sorted(readers - DENSE_READERS) == []

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from gaugecavity.errors import ArgumentError, UnsupportedError
 from gaugecavity.gauge import mode_from_q, ring_mode
 from gaugecavity.matter import (
     ModelKind,
-    along,
+    along_op,
     build_anharmonic_dipole,
     build_ring_lattice,
     build_two_level_ensemble,
@@ -147,6 +149,12 @@ class TestRingLattice:
         p_minus = model.pol_transverse_mult(np.array([0, 0, 1.0]), -q)[0].entries
         assert np.max(np.abs(p_minus - p_plus.conj().T)) <= 1e-12
 
+    def test_large_ring_builds_quickly(self):
+        # no per-site operators: a 1000-site ring is a few banded matrices
+        start = time.perf_counter()
+        build_ring_lattice(1000, 1.0, 1.0)
+        assert time.perf_counter() - start < 1.0
+
     def test_site_guard(self):
         with pytest.raises(ArgumentError):
             build_ring_lattice(3, 1.0, 1.0)
@@ -193,24 +201,24 @@ class TestCouplingProviders:
     ], ids=["two_level", "anharmonic_3axis", "ring"])
     def test_current_along_axes_bit_equal(self, model):
         for axis in np.eye(3):
-            assert np.array_equal(model.current_along(axis),
-                                  along(axis, model.para_current(0.0)))
+            assert np.array_equal(model.current_along(axis).entries,
+                                  along_op(axis, model.para_current(0.0)).entries)
 
     def test_current_along_oblique_polarisations(self):
         # one commutator of eps . d against the contracted Cartesian currents
         model = build_anharmonic_dipole(6, 1.0, 1.0, 0.1, 0.8, 1.3, axes=3)
         mode = mode_from_q((1.0, 2.0, 0.5), 1.0)
         for eps in (mode.eps1, mode.eps2):
-            ref = along(eps, model.para_current(0.0))
-            err = np.max(np.abs(model.current_along(eps) - ref))
+            ref = along_op(eps, model.para_current(0.0)).entries
+            err = np.max(np.abs(model.current_along(eps).entries - ref))
             assert err <= 1e-13 * np.max(np.abs(ref))
 
     def test_current_along_finite_q_ring(self):
         model = build_ring_lattice(6, 1.0, 1.0)
         mode = ring_mode(model, 1)
         for eps in (mode.eps1, mode.eps2):
-            assert np.array_equal(model.current_along(eps, mode.q_phase),
-                                  along(eps, model.para_current(mode.q_phase)))
+            assert np.array_equal(model.current_along(eps, mode.q_phase).entries,
+                                  along_op(eps, model.para_current(mode.q_phase)).entries)
 
     def test_two_level_rejects_finite_q(self):
         model = build_two_level_ensemble(2, 1.0, (0, 0, 1), 1.0)

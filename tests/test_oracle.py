@@ -6,7 +6,10 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+from gaugecavity import matter as matter_module
+from gaugecavity import operators as operators_module
 from gaugecavity import oracle as oracle_module
+from gaugecavity import response as response_module
 from gaugecavity.bogoliubov import diagonalize_block, exact_branch_coupling
 from gaugecavity.criterion import displaced_energy, stiffness_energy
 from gaugecavity.errors import UnsupportedError
@@ -104,6 +107,30 @@ class TestAssembly:
         model = dicke(30, 0.2)
         with pytest.raises(ResourceLimitError):
             full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 2000)
+
+    @pytest.mark.parametrize("preset", ["dipole", "coulomb"])
+    def test_sparse_model_is_never_densified(self, monkeypatch, preset):
+        # 301 states is past DENSE_MAX_DIM, so every matter operator is CSR
+        dense_view = Operator.entries.fget
+
+        def no_sparse_view(op):
+            if op.sparse:
+                raise AssertionError("a sparse operator was densified")
+            return dense_view(op)
+
+        def assemble():
+            model = dicke(300, 0.8 / np.sqrt(600.0))
+            return full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 4)
+
+        monkeypatch.setattr(Operator, "entries", property(no_sparse_view))
+        system = assemble()
+        assert system.dim == 301 * 4 and len(system.slots) == 1
+        # the same assembly with every operator dense
+        monkeypatch.undo()
+        for module in (operators_module, matter_module, response_module):
+            monkeypatch.setattr(module, "DENSE_MAX_DIM", 301)
+        reference = assemble().h
+        assert abs(system.h - reference).max() <= 1e-13 * abs(reference).max()
 
     def test_finite_q_unsupported(self):
         from gaugecavity.matter import build_ring_lattice
