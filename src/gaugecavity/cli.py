@@ -22,7 +22,7 @@ skipped.  summary.json records both counts as `blas_threads`.
 criterion.csv is byte-identical across repeated runs of the same config
 and seed on the same machine: rows are emitted in deterministic parameter
 order, every Lanczos run starts from a fixed vector seeded with
-`response.LANCZOS_SEED`, and floats are serialised with shortest
+`matter.LANCZOS_SEED`, and floats are serialised with shortest
 round-trip repr.  On the README example and the 3-axis anharmonic dipole
 at d = 1000 (sparse backend) criterion.csv is byte-identical across
 scipy's thread counts as well, and so are oracle.csv rows whose parity
@@ -46,10 +46,10 @@ from .criterion import evaluate
 from .errors import ConfigError, GaugecavityError
 from .gauge import (GaugePreset, GaugeSpec, ModeSpec, dressed_matter_hamiltonian, lwl_mode,
                     make_gauge, ring_mode)
-from .matter import MAX_ANHARMONIC_DIM, MAX_ENSEMBLE_SIZE, MatterModel, ModelKind
+from .matter import (MAX_ANHARMONIC_DIM, MAX_ENSEMBLE_SIZE, MAX_RING_SITES, MatterModel,
+                     ModelKind, ground_resolvent)
 from .operators import Statevector
 from .oracle import MAX_FULL_DIM
-from .response import ground_resolvent
 
 SCHEMA_VERSION = 1
 # package -> thread-count functions of the OpenBLAS in its wheel's
@@ -121,7 +121,8 @@ MODELS = {
         "axes": Key("integer", lambda v: v in (1, 3), "must be 1 or 3", default=1),
     }),
     "ring_lattice": ("build_ring_lattice", {
-        "sites": Key("integer", lambda v: v >= 4, "must be >= 4"),
+        "sites": Key("integer", lambda v: 4 <= v <= MAX_RING_SITES,
+                     f"must lie in [4, {MAX_RING_SITES}]"),
         "hopping": _positive(sweep=True),
         "charge": Key("number", sweep=True),
         "volume": _positive(default=None),  # None: the site count
@@ -312,6 +313,10 @@ def validate_config(text: str) -> SweepConfig:
             errors.append(f"modes[{i}].nu: missing, and no ring_index")
         if mode["ring_index"] is not None and kind != "ring_lattice":
             errors.append(f"modes[{i}].ring_index: requires a ring_lattice model")
+        elif mode["ring_index"] is not None and model["sites"] is not None and \
+                mode["ring_index"] % model["sites"] == 0:
+            errors.append(f"modes[{i}].ring_index: must not be a multiple of model.sites "
+                          f"{model['sites']}, got {mode['ring_index']}")
         vol = mode["volume"]
         if vol is not None and param == "volume":
             errors.append(f"modes[{i}].volume: must be omitted when sweep.parameter is volume")

@@ -27,10 +27,9 @@ from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, branch_comb
 from .errors import ArgumentError, SingularConstraintError, UnsupportedError
 from .gauge import (GaugeSpec, ModeSpec, coupling_f_electric, coupling_rows, diamagnetic_D,
                     dressed_matter_hamiltonian, gauge_spectrum)
-from .matter import MatterModel, MatterSpectrum
+from .matter import MatterModel, MatterSpectrum, check_unique_ground, ground_resolvent
 from .operators import Operator
-from .response import (check_unique_ground, chi_md_from_model, ground_resolvent, lehmann_sum,
-                       polarizability)
+from .response import chi_md_from_model, lehmann_sum, polarizability
 
 CONDENSED_MARGIN = 1e-9
 REDUCTION_ATOL = 1e-8
@@ -94,7 +93,7 @@ def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     beta_0 = -(A_q / nu_tau) sum_sigma h_{sigma tau} <0|f_sigma|0>, which
     does not depend on the phase of |0>.
 
-    ``spectrum`` is a backend of `response.ground_resolvent` for the
+    ``spectrum`` is a backend of `matter.ground_resolvent` for the
     gauge's dressed matter Hamiltonian, by default built here.
     """
     _check_volume(model, mode)
@@ -152,7 +151,7 @@ def coulomb_specialized(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     chi^{MM} = chi^{MpMp} - chi^{Md}; the residual field reports agreement
     with the general criterion margin, |(-chi^{MM}) - (lhs - rhs + 1)|,
     which is an algebraic identity through lambda^2 = 1 - chi^{Md}.
-    ``spectrum`` is a backend of `response.ground_resolvent`, as for
+    ``spectrum`` is a backend of `matter.ground_resolvent`, as for
     `evaluate`.
     """
     from .gauge import GaugePreset
@@ -252,7 +251,7 @@ def stiffness_energy(spectrum, mode: ModeSpec,
     partner at -q along with it, which doubles the matter cost; a
     self-conjugate mode (uniform field, or the zone-boundary momentum)
     has no partner.  ``spectrum`` is either backend of
-    `response.ground_resolvent`.
+    `matter.ground_resolvent`.
     """
     dbeta = np.asarray(dbeta, dtype=complex)
     if dbeta.shape != (2,):

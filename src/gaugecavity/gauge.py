@@ -91,7 +91,6 @@ class ModeSpec:
     eps1: np.ndarray
     eps2: np.ndarray
     q_phase: float = 0.0   # scalar quasi-momentum for matter phase factors (0 = LWL)
-    ring_index: int | None = None
 
     def __post_init__(self):
         for name in ("q", "eps1", "eps2"):
@@ -160,7 +159,7 @@ def ring_mode(model: MatterModel, n: int, volume: float | None = None,
     freq = float(nu) if nu is not None else abs(q_n)
     eps1, eps2 = _polarisation_pair(Z_AXIS)
     return ModeSpec(q=freq * Z_AXIS, nu=freq, volume=v, eps1=eps1, eps2=eps2,
-                    q_phase=q_n, ring_index=n)
+                    q_phase=q_n)
 
 
 @dataclass(frozen=True)

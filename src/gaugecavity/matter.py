@@ -4,9 +4,18 @@ Each model owns a bare Hamiltonian ``h_m``, total-dipole operators, and
 providers for the Fourier components of the paramagnetic current and the
 multipolar transverse polarisation.  Above DENSE_MAX_DIM states the
 builders emit sparse CSR operators: diagonal, banded, or Kronecker
-products of banded single-axis matrices.  Gauge weighting of those
-operators is applied elsewhere; models only expose the raw material
-objects.
+products of single-axis matrices.  Gauge weighting of those operators is
+applied elsewhere; models only expose the raw material objects.
+
+The ground state of a (possibly gauge-dressed) matter Hamiltonian and
+its reduced resolvent come from one of two backends, which
+`ground_resolvent` picks by dimension.  Up to DENSE_MAX_DIM it is the
+full eigendecomposition `MatterSpectrum`.  Above it, `SparseResolvent`
+takes the two lowest eigenpairs from Lanczos and solves
+(H - E_0 + |0><0|) x = Q c by conjugate gradients, which on Q space is
+the resolvent: the Sternheimer route of density-functional perturbation
+theory, with no full spectrum.  Both are deterministic for a fixed
+Hamiltonian; the Lanczos start vector is seeded with LANCZOS_SEED.
 
 Conventions (natural units):
   * electrons have charge -e with e > 0,
@@ -25,17 +34,24 @@ Coulomb-gauge sum-rule cancellation is exact for it by construction.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, cg, eigsh
 
-from .errors import ArgumentError, ResourceLimitError, UnsupportedError
+from .errors import (ArgumentError, DegenerateGroundStateError, NumericError, ResourceLimitError,
+                     UnsupportedError)
 from .operators import DENSE_MAX_DIM, EigenSystem, Operator, boson_ladder, eigh, zero
 
 MAX_ENSEMBLE_SIZE = 4000
+# the ring's invariant check and multipolar D still diagonalise L x L densely
+MAX_RING_SITES = 4000
 MAX_ANHARMONIC_DIM = 20000  # levels ** 3 for the 3-axis dipole
 DEGENERACY_ATOL = 1e-10  # energies closer than this count as degenerate
+LANCZOS_SEED = 2207  # seeds the real Gaussian Lanczos start vector
+CG_RTOL = 1e-13
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -115,46 +131,26 @@ class MatterModel:
         return Operator(-1j * (d @ self.h_m - self.h_m @ d).matrix / self.params.volume)
 
     def _anharmonic_current(self, q_phase: float) -> tuple[Operator, Operator, Operator]:
-        # j^p_q i = -(e / 2 m V) {p_i, e^{-i q.r}} with q along the mode axis
-        e = self.params.charge
-        m = self.params.mass
-        v = self.params.volume
-        phase = self._phase_factor(-q_phase)
-        ops = []
-        momenta = dict(zip(self._axis_labels(), self.momentum_ops))
-        for lab in "xyz":
-            if lab in momenta:
-                p = momenta[lab].entries
-                ops.append(Operator(-(e / (2 * m * v)) * (p @ phase + phase @ p)))
-            else:
-                ops.append(zero(self.dim))
-        return tuple(ops)
-
-    def _phase_factor(self, q_scalar: float) -> np.ndarray:
-        """e^{+i q_scalar * (q-axis position)} for the anharmonic model.
-
-        The mode propagates along z by convention; a model with no z axis
-        has no spatial variation and the factor degenerates to identity.
-        """
-        labels = self._axis_labels()
-        if "z" not in labels:
-            return np.eye(self.dim, dtype=complex)
-        r_z = self.position_ops[labels.index("z")]
-        es = eigh(Operator(r_z))
-        ph = np.exp(1j * q_scalar * es.values)
-        return (es.vectors * ph) @ es.vectors.conj().T
+        # j^p_q i = -(e / 2 m V) {p_i, e^{-i q z}}, the mode along z by
+        # convention.  e^{-i q z} acts on the z Kronecker factor alone, so
+        # each component is one Kronecker product of single-axis factors; a
+        # 1-axis model lies along x, with no z extent to carry a phase.
+        m, detail = self.params.mass, self.params.detail
+        scale = -self.params.charge / (m * self.params.volume)
+        if detail["axes"] == 1:
+            return (self.momentum_ops[0] * scale, zero(self.dim), zero(self.dim))
+        levels = detail["levels"]
+        x1, p1, _ = _single_axis_oscillator(levels, m, detail["frequency"])
+        es = eigh(Operator(x1, hermitian=True))
+        phase = (es.vectors * np.exp(-1j * q_phase * es.values)) @ es.vectors.conj().T
+        factors = ({0: p1, 2: phase}, {1: p1, 2: phase}, {2: 0.5 * (p1 @ phase + phase @ p1)})
+        return tuple(Operator(scale * _axis_kron(f, levels, 3)) for f in factors)
 
     def _axis_labels(self) -> list[str]:
         out = []
         for ax in self.axes:
             out.append("xyz"[int(np.argmax(np.abs(ax)))])
         return out
-
-    @property
-    def position_ops(self) -> tuple[np.ndarray, ...]:
-        e = self.params.charge
-        labels = self._axis_labels()
-        return tuple(-self.dipole_ops["xyz".index(lab)].entries / e for lab in labels)
 
     def pol_transverse_mult(self, q_hat: np.ndarray, q_phase: float = 0.0
                             ) -> tuple[Operator, Operator, Operator]:
@@ -276,6 +272,104 @@ def matter_spectrum(model: MatterModel, h_m: Operator | None = None) -> MatterSp
                           ground_degeneracy=degeneracy)
 
 
+@dataclass(frozen=True)
+class SparseResolvent:
+    """Ground state of a large sparse Hamiltonian and its reduced resolvent.
+
+    ``lowest`` holds the two lowest eigenvalues from one Lanczos run, so
+    `ground_gap` is the unique-ground check; `gram` solves for each
+    nonzero column c the system (H - E_0 + |0><0|) x = Q c, which is
+    positive definite when the ground state is unique, by conjugate
+    gradients.
+    """
+
+    model: MatterModel
+    h_m_used: Operator
+    lowest: np.ndarray
+    vector: np.ndarray
+
+    @property
+    def ground_gap(self) -> float:
+        return float(self.lowest[1] - self.lowest[0])
+
+    def ground_energy(self) -> float:
+        return float(self.lowest[0])
+
+    def ground_state_vector(self) -> np.ndarray:
+        return self.vector
+
+    def gram(self, cols: np.ndarray) -> np.ndarray:
+        """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``."""
+        g, e0, h = self.vector, self.ground_energy(), self.h_m_used.matrix
+        q_cols = cols - np.outer(g, g.conj() @ cols)
+        shifted = LinearOperator(h.shape, dtype=complex,
+                                 matvec=lambda v: h @ v - e0 * v + g * (g.conj() @ v))
+        solved = np.zeros_like(q_cols)
+        for k in range(q_cols.shape[1]):
+            if q_cols[:, k].any():
+                solved[:, k], info = cg(shifted, q_cols[:, k], rtol=CG_RTOL, atol=0.0)
+                if info != 0:
+                    raise NumericError(f"conjugate gradients stopped with info {info} "
+                                       f"before the relative residual reached {CG_RTOL}")
+        return q_cols.conj().T @ solved
+
+
+def lanczos_lowest(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenpairs of a sparse Hermitian matrix, ascending, by Lanczos.
+
+    A real matrix runs through ARPACK's real symmetric routine.  ARPACK
+    misses an eigenvalue that is exactly zero, as the bare two-level ground
+    energy is, so the matrix is shifted by a Gershgorin lower bound, which
+    puts the whole spectrum at or above 1.  The start vector is a fixed
+    Gaussian draw seeded with LANCZOS_SEED: it has weight in every symmetry
+    sector, and unlike the uniform vector it is no eigenvector of a matrix
+    whose rows share one sum.
+    """
+    dim = mat.shape[0]
+    diag = mat.diagonal().real
+    shift = float(np.min(2.0 * diag - np.asarray(abs(mat).sum(axis=1)).ravel())) - 1.0
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+    try:
+        vals, vecs = eigsh(mat - shift * scipy.sparse.identity(dim), k=k, which="SA", v0=v0)
+    except ArpackNoConvergence as exc:
+        raise NumericError(f"Lanczos ground state failed to converge: {exc}") from exc
+    except ArpackError as exc:
+        raise NumericError(f"Lanczos ground state failed: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order] + shift, vecs[:, order]
+
+
+def sparse_resolvent(model: MatterModel, h_m: Operator | None = None) -> SparseResolvent:
+    """Lanczos ground state of the (possibly gauge-dressed) matter Hamiltonian.
+
+    A real Hamiltonian runs through the real symmetric Lanczos routine.
+    """
+    h = model.h_m if h_m is None else h_m
+    mat = scipy.sparse.csr_matrix(h.matrix)
+    if mat.imag.count_nonzero() == 0:
+        mat = mat.real
+    vals, vecs = lanczos_lowest(mat, 2)
+    g = vecs[:, 0].astype(complex)
+    return SparseResolvent(model=model, h_m_used=h, lowest=vals,
+                           vector=g / np.linalg.norm(g))
+
+
+def ground_resolvent(model: MatterModel, h_m: Operator | None = None):
+    """The ground-resolvent backend for this matter dimension: the full
+    `matter_spectrum` up to DENSE_MAX_DIM, `sparse_resolvent` above."""
+    if model.dim <= DENSE_MAX_DIM:
+        return matter_spectrum(model, h_m)
+    return sparse_resolvent(model, h_m)
+
+
+def check_unique_ground(ground):
+    gap = ground.ground_gap
+    if gap <= DEGENERACY_ATOL:
+        raise DegenerateGroundStateError(
+            f"ground state is degenerate (eps_1 - eps_0 = {gap:.3g} <= {DEGENERACY_ATOL}); "
+            "ground-state responses need a unique ground state")
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -291,6 +385,16 @@ def _banded(dim: int, diagonals: dict):
     for offset, values in diagonals.items():
         out += np.diag(np.asarray(values, dtype=complex), offset)
     return out
+
+
+def _axis_kron(factors: dict, levels: int, axes: int):
+    """Kronecker product over ``axes`` oscillator axes of factors[i] on axis
+    i and the levels x levels identity elsewhere: CSR above DENSE_MAX_DIM,
+    where Operator stores it sparse, and dense below."""
+    mats = [factors.get(i, np.eye(levels, dtype=complex)) for i in range(axes)]
+    if levels ** axes <= DENSE_MAX_DIM:
+        return functools.reduce(np.kron, mats)
+    return functools.reduce(scipy.sparse.kron, map(scipy.sparse.csr_matrix, mats))
 
 
 def build_two_level_ensemble(count: int, gap: float, dipole_moment,
@@ -363,58 +467,34 @@ def build_anharmonic_dipole(levels: int, mass: float, frequency: float,
     if axes not in (1, 3):
         raise ArgumentError("axes must be 1 or 3")
 
+    dim = levels ** axes
+    if axes == 3 and dim > MAX_ANHARMONIC_DIM:
+        raise ResourceLimitError(f"3-axis dimension {dim} exceeds {MAX_ANHARMONIC_DIM}")
+
     x1, p1, h1 = _single_axis_oscillator(levels, mass, frequency)
     x2 = x1 @ x1
     h_axis = h1 + quartic * (x2 @ x2)
-    dim = levels ** axes
-    # the banded single-axis matrices, and their Kronecker products, are
-    # CSR where Operator stores them sparse
-    eye1, kron = np.eye(levels, dtype=complex), np.kron
-    if dim > DENSE_MAX_DIM:
-        x1, p1, x2, h_axis, eye1 = map(scipy.sparse.csr_matrix, (x1, p1, x2, h_axis, eye1))
-        kron = scipy.sparse.kron
 
-    if axes == 1:
-        xs = [x1]
-        ps = [p1]
-        h = h_axis
-        axis_vecs = (X_AXIS,)
-    else:
-        if dim > MAX_ANHARMONIC_DIM:
-            raise ResourceLimitError(f"3-axis dimension {dim} exceeds {MAX_ANHARMONIC_DIM}")
+    def embed(factors):
+        return _axis_kron(factors, levels, axes)
 
-        def embed(ops):
-            """Kronecker product with ops[pos] on each given axis, identity elsewhere."""
-            mats = [ops.get(pos, eye1) for pos in range(3)]
-            return kron(kron(mats[0], mats[1]), mats[2])
-
-        xs = [embed({i: x1}) for i in range(3)]
-        ps = [embed({i: p1}) for i in range(3)]
-        # (r.r)^2 = sum_i x_i^4 + 2 sum_{i<j} x_i^2 x_j^2, each term one
-        # Kronecker product of banded single-axis matrices
-        h = embed({0: h_axis}) + embed({1: h_axis}) + embed({2: h_axis})
+    # the 1-axis model lies along x; (r.r)^2 = sum_i x_i^4 + 2 sum_{i<j}
+    # x_i^2 x_j^2, each term one Kronecker product of single-axis matrices
+    h = sum((embed({i: h_axis}) for i in range(1, axes)), embed({0: h_axis}))
+    if axes == 3:
         for i, j in ((0, 1), (0, 2), (1, 2)):
             h = h + 2.0 * quartic * embed({i: x2, j: x2})
-        axis_vecs = (X_AXIS, Y_AXIS, Z_AXIS)
-
-    dip = []
-    mom = []
-    k = 0
-    for lab in "xyz":
-        if ("xyz".index(lab) < axes) if axes == 3 else (lab == "x"):
-            dip.append(Operator(-charge * xs[k], hermitian=True))
-            mom.append(Operator(ps[k], hermitian=True))
-            k += 1
-        else:
-            dip.append(zero(dim))
-    # pad momentum tuple to match axes order
+    dip = [Operator(-charge * embed({i: x1}), hermitian=True) if i < axes else zero(dim)
+           for i in range(3)]
+    mom = [Operator(embed({i: p1}), hermitian=True) for i in range(axes)]
     params = ModelParams(n_charges=1, mass=mass, charge=charge, volume=float(volume),
                          e2n_over_m=charge ** 2 / mass,
                          detail={"levels": levels, "frequency": frequency,
                                  "quartic": quartic, "axes": axes})
     return MatterModel(kind=ModelKind.ANHARMONIC_DIPOLE,
                        h_m=Operator(h, hermitian=True),
-                       dipole_ops=tuple(dip), params=params, axes=axis_vecs,
+                       dipole_ops=tuple(dip), params=params,
+                       axes=(X_AXIS, Y_AXIS, Z_AXIS)[:axes],
                        momentum_ops=tuple(mom),
                        self_energy_in_electric_gauges=True)
 
@@ -431,6 +511,8 @@ def build_ring_lattice(sites: int, hopping: float, charge: float,
     """
     if sites < 4:
         raise ArgumentError(f"ring needs at least 4 sites, got {sites}")
+    if sites > MAX_RING_SITES:
+        raise ResourceLimitError(f"ring of {sites} sites exceeds {MAX_RING_SITES}")
     if hopping <= 0:
         raise ArgumentError("hopping must be positive")
     L = sites
@@ -501,7 +583,7 @@ def trk_sum(spectrum, axis: int, reference_level: int = 0) -> float:
     Converges to m N / 2 for models with a canonical kinetic term.  For the
     ground state (n' = 0) the sum is <0|P Q (H - E_0)^-1 Q P|0>, one
     resolvent column, so ``spectrum`` may be either backend of
-    `response.ground_resolvent`; other reference levels need a full
+    `ground_resolvent`; other reference levels need a full
     `MatterSpectrum`.
     """
     model = spectrum.model

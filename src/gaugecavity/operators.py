@@ -23,7 +23,7 @@ from .errors import ArgumentError, NumericError, ResourceLimitError
 HERMITICITY_ATOL = 1e-12
 MAX_TENSOR_DIM = 20000
 # sparse input of at most this dimension is stored dense: there dense
-# products are faster, and response.ground_resolvent diagonalises fully.
+# products are faster, and matter.ground_resolvent diagonalises fully.
 # On a 2-core machine the dense and sparse criterion cost about the same
 # near d = 200 (a two-level ensemble at d = 201 is faster dense, a 3-axis
 # dipole at d = 216 faster sparse).

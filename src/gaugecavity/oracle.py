@@ -16,7 +16,7 @@ Matrices are kept sparse.  `lowest_eigenpairs` splits the Hamiltonian into
 the blocks that do not couple to each other (the two sectors of the Dicke
 Z2 parity) and solves each one, in real arithmetic where a diagonal phase
 change makes it real: by dense `eigh` up to DENSE_LIMIT states, by Lanczos
-from the seeded start vector of `response.lanczos_lowest` above.  Each
+from the seeded start vector of `matter.lanczos_lowest` above.  Each
 returned eigenvector lies in one block, so the ground vector is a parity
 eigenstate, and the parity-odd observables, the photon coherence <a> and
 the transverse field, read exactly 0 in it, also inside the superradiant
@@ -42,9 +42,9 @@ from .gauge import (
     diamagnetic_D,
     dressed_matter_hamiltonian,
 )
-from .matter import MatterModel, MatterSpectrum, along_op
+from .matter import MatterModel, MatterSpectrum, along_op, ground_resolvent, lanczos_lowest
 from .operators import Operator, Statevector, _fix_phases, boson_ladder, eigh
-from .response import ground_resolvent, lanczos_lowest, lehmann_sum
+from .response import lehmann_sum
 
 MAX_FULL_DIM = 20000
 DENSE_LIMIT = 1200  # blocks up to this many states are solved by dense eigh

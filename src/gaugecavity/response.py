@@ -10,18 +10,12 @@ studied by rebuilding at larger level counts).  Hermitian-field Fourier
 components obey O_{-q} = O_q^dag, so the conjugate-momentum operator
 defaults to the adjoint of the forward one.
 
-Two backends give the reduced resolvent, behind one interface
-(`ground_state_vector`, `ground_energy`, `ground_gap`, and
-`gram(C) = C^dag Q (H - E_0)^-1 Q C`); `ground_resolvent` picks one by
-matter dimension, and `lehmann_sum` and everything built on it run on
-either.  Up to DENSE_MAX_DIM it is the full eigendecomposition
-`matter.MatterSpectrum`; only `polarizability`, whose finite-frequency
-form needs every transition energy, requires it.  Above it,
-`SparseResolvent` takes the two lowest eigenpairs from Lanczos and solves
-(H - E_0 + |0><0|) x = Q c by conjugate gradients, which on Q space is
-the resolvent: the Sternheimer route of density-functional perturbation
-theory, with no full spectrum.  Both are deterministic for a fixed
-Hamiltonian; the Lanczos start vector is seeded with LANCZOS_SEED.
+The reduced resolvent comes from either ground backend of
+`matter.ground_resolvent`, behind one interface (`ground_state_vector`,
+`ground_energy`, `ground_gap`, and `gram(C) = C^dag Q (H - E_0)^-1 Q C`),
+so `lehmann_sum` and everything built on it run on either.  Only
+`polarizability`, whose finite-frequency form needs every transition
+energy, requires the full eigendecomposition `matter.MatterSpectrum`.
 """
 
 from __future__ import annotations
@@ -29,122 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, cg, eigsh
 
-from .errors import ArgumentError, DegenerateGroundStateError, NumericError
+from .errors import ArgumentError
 from .gauge import ModeSpec
-from .matter import DEGENERACY_ATOL, MatterModel, MatterSpectrum, matter_spectrum
-from .operators import DENSE_MAX_DIM, Operator
-
-LANCZOS_SEED = 2207  # seeds the real Gaussian Lanczos start vector
-CG_RTOL = 1e-13
-
-
-@dataclass(frozen=True)
-class SparseResolvent:
-    """Ground state of a large sparse Hamiltonian and its reduced resolvent.
-
-    ``lowest`` holds the two lowest eigenvalues from one Lanczos run, so
-    `ground_gap` is the unique-ground check; `gram` solves for each
-    nonzero column c the system (H - E_0 + |0><0|) x = Q c, which is
-    positive definite when the ground state is unique, by conjugate
-    gradients.
-    """
-
-    model: MatterModel
-    h_m_used: Operator
-    lowest: np.ndarray
-    vector: np.ndarray
-
-    @property
-    def ground_gap(self) -> float:
-        return float(self.lowest[1] - self.lowest[0])
-
-    def ground_energy(self) -> float:
-        return float(self.lowest[0])
-
-    def ground_state_vector(self) -> np.ndarray:
-        return self.vector
-
-    def gram(self, cols: np.ndarray) -> np.ndarray:
-        """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``."""
-        g, e0, h = self.vector, self.ground_energy(), self.h_m_used.matrix
-        q_cols = cols - np.outer(g, g.conj() @ cols)
-        shifted = LinearOperator(h.shape, dtype=complex,
-                                 matvec=lambda v: h @ v - e0 * v + g * (g.conj() @ v))
-        solved = np.zeros_like(q_cols)
-        for k in range(q_cols.shape[1]):
-            if q_cols[:, k].any():
-                solved[:, k], info = cg(shifted, q_cols[:, k], rtol=CG_RTOL, atol=0.0)
-                if info != 0:
-                    raise NumericError(f"conjugate gradients stopped with info {info} "
-                                       f"before the relative residual reached {CG_RTOL}")
-        return q_cols.conj().T @ solved
-
-
-def lanczos_lowest(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k lowest eigenpairs of a sparse Hermitian matrix, ascending, by Lanczos.
-
-    A real matrix runs through ARPACK's real symmetric routine.  ARPACK
-    misses an eigenvalue that is exactly zero, as the bare two-level ground
-    energy is, so the matrix is shifted by a Gershgorin lower bound, which
-    puts the whole spectrum at or above 1.  The start vector is a fixed
-    Gaussian draw seeded with LANCZOS_SEED: it has weight in every symmetry
-    sector, and unlike the uniform vector it is no eigenvector of a matrix
-    whose rows share one sum.
-    """
-    dim = mat.shape[0]
-    diag = mat.diagonal().real
-    shift = float(np.min(2.0 * diag - np.asarray(abs(mat).sum(axis=1)).ravel())) - 1.0
-    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
-    try:
-        vals, vecs = eigsh(mat - shift * scipy.sparse.identity(dim), k=k, which="SA", v0=v0)
-    except ArpackNoConvergence as exc:
-        raise NumericError(f"Lanczos ground state failed to converge: {exc}") from exc
-    except ArpackError as exc:
-        raise NumericError(f"Lanczos ground state failed: {exc}") from exc
-    order = np.argsort(vals)
-    return vals[order] + shift, vecs[:, order]
-
-
-def sparse_resolvent(model: MatterModel, h_m: Operator | None = None) -> SparseResolvent:
-    """Lanczos ground state of the (possibly gauge-dressed) matter Hamiltonian.
-
-    A real Hamiltonian runs through the real symmetric Lanczos routine.
-    """
-    h = model.h_m if h_m is None else h_m
-    mat = scipy.sparse.csr_matrix(h.matrix)
-    if mat.imag.count_nonzero() == 0:
-        mat = mat.real
-    vals, vecs = lanczos_lowest(mat, 2)
-    g = vecs[:, 0].astype(complex)
-    return SparseResolvent(model=model, h_m_used=h, lowest=vals,
-                           vector=g / np.linalg.norm(g))
-
-
-def ground_resolvent(model: MatterModel, h_m: Operator | None = None):
-    """The ground-resolvent backend for this matter dimension: the full
-    `matter_spectrum` up to DENSE_MAX_DIM, `sparse_resolvent` above."""
-    if model.dim <= DENSE_MAX_DIM:
-        return matter_spectrum(model, h_m)
-    return sparse_resolvent(model, h_m)
-
-
-def check_unique_ground(ground):
-    gap = ground.ground_gap
-    if gap <= DEGENERACY_ATOL:
-        raise DegenerateGroundStateError(
-            f"ground state is degenerate (eps_1 - eps_0 = {gap:.3g} <= {DEGENERACY_ATOL}); "
-            "ground-state responses need a unique ground state")
-
+from .matter import DEGENERACY_ATOL, MatterSpectrum, check_unique_ground
 
 def lehmann_sum(ground, o_ops, c_ops=None) -> np.ndarray:
     """Matrix chi[k, l] = -2V <0|O_k Q (H - E_0)^-1 Q C_l|0>.
 
     It is read from ``ground.gram`` of the columns O_k^dag|0>, followed
     by C_l|0> when ``c_ops`` is given, so ``ground`` may be either backend
-    of `ground_resolvent`.  ``c_ops`` defaults to the adjoints of
+    of `matter.ground_resolvent`.  ``c_ops`` defaults to the adjoints of
     ``o_ops`` (conjugate momentum components of Hermitian fields), for
     which the O_k^dag|0> columns alone give the whole matrix.
     """
@@ -160,10 +49,9 @@ def lehmann_sum(ground, o_ops, c_ops=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlrfTensor:
-    """3x3 Cartesian chi tensor at one mode; `transverse_project` reduces it."""
+    """3x3 Cartesian chi tensor; `transverse_project` reduces it at one mode."""
 
     chi: np.ndarray
-    mode: ModeSpec
 
 
 @dataclass(frozen=True)
@@ -177,12 +65,11 @@ class TransverseProjection:
                 and abs(self.scalar_sigma1 - self.scalar_sigma2) <= atol)
 
 
-def slrf(spectrum, o_ops, c_ops=None, mode: ModeSpec | None = None) -> SlrfTensor:
+def slrf(spectrum, o_ops, c_ops=None) -> SlrfTensor:
     """Full 3x3 SLRF tensor for Cartesian operator triples."""
     if len(o_ops) != 3 or (c_ops is not None and len(c_ops) != 3):
         raise ArgumentError("slrf expects Cartesian triples of operators")
-    chi = lehmann_sum(spectrum, o_ops, c_ops)
-    return SlrfTensor(chi=chi, mode=mode)
+    return SlrfTensor(chi=lehmann_sum(spectrum, o_ops, c_ops))
 
 
 def transverse_project(tensor: SlrfTensor, mode: ModeSpec) -> TransverseProjection:

@@ -13,7 +13,7 @@ from gaugecavity.cli import (MODELS, REQUIRED, _build_model, _oracle_point, _swe
                              run_check, run_sweep, validate_config)
 from gaugecavity.errors import ConfigError, NumericError
 from gaugecavity.gauge import lwl_mode, make_gauge
-from gaugecavity.matter import build_two_level_ensemble
+from gaugecavity.matter import MAX_RING_SITES, build_two_level_ensemble
 
 MINIMAL = {
     "seed": 3,
@@ -248,6 +248,31 @@ class TestMain:
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == ("config error: modes[0].volume: must be omitted "
                                            "when sweep.parameter is volume\n")
+
+    # a ring mode needs a ring model and a ring sweep parameter, so these
+    # cases cannot be one-key overrides of MINIMAL
+    RING = {"kind": "ring_lattice", "sites": 8, "hopping": 1.0, "charge": 1.0}
+    RING_SWEEP = {"parameter": "hopping", "values": [1.0]}
+
+    @pytest.mark.parametrize("ring_index", [8, 16, -8])
+    def test_ring_index_multiple_of_sites_exit_two(self, tmp_path, capsys, ring_index):
+        path = write_config(tmp_path, dict(MINIMAL, model=self.RING, sweep=self.RING_SWEEP,
+                                           modes=[{"ring_index": 1}, {"ring_index": ring_index}]))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: modes[1].ring_index: must not be a multiple of model.sites 8, "
+            f"got {ring_index}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_ring_sites_limit_exit_two(self, tmp_path, capsys):
+        model = dict(self.RING, sites=MAX_RING_SITES + 1)
+        path = write_config(tmp_path, dict(MINIMAL, model=model, sweep=self.RING_SWEEP,
+                                           modes=[{"ring_index": 1}]))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"config error: model.sites: must lie in "
+                                           f"[4, {MAX_RING_SITES}], got {MAX_RING_SITES + 1}\n")
+        validate_config(json.dumps(dict(MINIMAL, model=dict(self.RING, sites=MAX_RING_SITES),
+                                        sweep=self.RING_SWEEP, modes=[{"ring_index": 1}])))
 
     @pytest.mark.parametrize("model, modes", [
         (MINIMAL["model"], [{"nu": 1.0, "volume": 1.0}]),

@@ -10,7 +10,9 @@ and the definition check asks the same of each top-level function, class
 and constant of the package, counting the benchmark as a reader too.
 The tracing check reads the `TRACED` table of `perfbench/spans.py` without
 running that module.  Only `cli` may import `ctypes`, which it uses to set
-the thread count of numpy's bundled OpenBLAS while a sweep runs.  Only the
+the thread count of numpy's bundled OpenBLAS while a sweep runs, and only
+`matter`, home of the ground-state backends, may import from
+`scipy.sparse.linalg`, the Lanczos and conjugate-gradient solvers.  Only the
 dense algorithms named in DENSE_READERS may read `Operator.entries`, the
 dense view that copies a sparse operator; everything else works on the
 stored form `Operator.matrix`.
@@ -167,13 +169,40 @@ def test_only_cli_imports_ctypes():
     assert [p.stem for p in paths if "ctypes" in imported_modules(p.read_text())] == ["cli"]
 
 
+def imports_sparse_solvers(source: str) -> bool:
+    """Whether a module imports `scipy.sparse.linalg`, or a name from it,
+    anywhere and in any form."""
+    paths = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            paths |= {f"{node.module}.{alias.name}" for alias in node.names}
+    return any(f"{path}.".startswith("scipy.sparse.linalg.") for path in paths)
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import scipy.sparse\nimport scipy.linalg\nfrom scipy.sparse import csr_matrix\n", False),
+    ("from scipy.sparse.linalg import cg\n", True),
+    ("import scipy.sparse.linalg as sla\n", True),
+    ("def f():\n    from scipy.sparse import linalg\n", True),
+    ("from scipy.sparse.linalg._isolve import cg\n", True),
+], ids=["other_scipy", "from_import", "module_import", "nested_submodule", "private_path"])
+def test_sparse_solver_detector(source, expected):
+    assert imports_sparse_solvers(source) is expected
+
+
+def test_only_matter_imports_sparse_solvers():
+    paths = MODULES + [PACKAGE / "__init__.py"]
+    assert [p.stem for p in paths if imports_sparse_solvers(p.read_text())] == ["matter"]
+
+
 # the functions that need a dense matrix: a full eigendecomposition, a
-# matrix exponential, the oscillator basis and the finite-q anharmonic
-# current built from it, and the constrained minimisation by repeated eigh
+# matrix exponential, the oscillator basis, and the constrained
+# minimisation by repeated eigh
 DENSE_READERS = {
     "operators.eigh", "operators.displacement", "operators.coherent_state",
-    "matter._single_axis_oscillator", "matter.MatterModel._anharmonic_current",
-    "matter.MatterModel.position_ops", "oracle.constrained_min",
+    "matter._single_axis_oscillator", "oracle.constrained_min",
 }
 
 

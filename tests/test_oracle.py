@@ -9,7 +9,6 @@ import scipy.sparse.linalg
 from gaugecavity import matter as matter_module
 from gaugecavity import operators as operators_module
 from gaugecavity import oracle as oracle_module
-from gaugecavity import response as response_module
 from gaugecavity.bogoliubov import diagonalize_block, exact_branch_coupling
 from gaugecavity.criterion import displaced_energy, stiffness_energy
 from gaugecavity.errors import UnsupportedError
@@ -127,7 +126,7 @@ class TestAssembly:
         assert system.dim == 301 * 4 and len(system.slots) == 1
         # the same assembly with every operator dense
         monkeypatch.undo()
-        for module in (operators_module, matter_module, response_module):
+        for module in (operators_module, matter_module):
             monkeypatch.setattr(module, "DENSE_MAX_DIM", 301)
         reference = assemble().h
         assert abs(system.h - reference).max() <= 1e-13 * abs(reference).max()

@@ -1,4 +1,4 @@
-"""The two ground-resolvent backends behind `response.ground_resolvent`.
+"""The two ground-resolvent backends behind `matter.ground_resolvent`.
 
 The dense backend is the full eigendecomposition (`matter_spectrum`), the
 sparse one Lanczos for the ground state plus conjugate-gradient solves
@@ -15,19 +15,18 @@ import pytest
 import scipy.sparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from gaugecavity import cli, matter, operators, oracle, response
+from gaugecavity import cli, matter, operators, oracle
 from gaugecavity.bogoliubov import diagonalize_block
 from gaugecavity.criterion import coulomb_specialized, evaluate, stiffness_energy
 from gaugecavity.errors import DegenerateGroundStateError, NumericError
 from gaugecavity.gauge import (coupling_f, diamagnetic_D, dressed_matter_hamiltonian, lwl_mode,
                                make_gauge, mode_from_q)
-from gaugecavity.matter import (MatterSpectrum, build_anharmonic_dipole, build_ring_lattice,
-                                build_two_level_ensemble, matter_spectrum, ring_quasi_momentum,
-                                trk_sum)
+from gaugecavity.matter import (CG_RTOL, DENSE_MAX_DIM, MatterSpectrum, SparseResolvent,
+                                build_anharmonic_dipole, build_ring_lattice,
+                                build_two_level_ensemble, ground_resolvent, matter_spectrum,
+                                ring_quasi_momentum, sparse_resolvent, trk_sum)
 from gaugecavity.operators import Operator
-from gaugecavity.response import (CG_RTOL, DENSE_MAX_DIM, SparseResolvent,
-                                  check_translational_invariance, chi_md_from_model,
-                                  ground_resolvent, lehmann_sum, sparse_resolvent)
+from gaugecavity.response import check_translational_invariance, chi_md_from_model, lehmann_sum
 
 GAUGES = {"coulomb": make_gauge("coulomb"), "dipole": make_gauge("dipole"),
           "alpha_0.4": make_gauge("alpha_lwl", alpha=0.4)}
@@ -166,7 +165,7 @@ def test_full_hamiltonian_needs_no_eigh(monkeypatch, gauge_name):
 
 class TestSparseFailures:
     def test_cg_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(response, "cg", lambda op, b, **kw: (np.zeros_like(b), 17))
+        monkeypatch.setattr(matter, "cg", lambda op, b, **kw: (np.zeros_like(b), 17))
         ground = sparse_resolvent(THREE_AXIS)
         with pytest.raises(NumericError, match="conjugate gradients"):
             evaluate(THREE_AXIS, GAUGES["coulomb"], MODES["q_z"], spectrum=ground)
@@ -176,7 +175,7 @@ class TestSparseFailures:
             raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
                                       np.zeros((0, 0)))
 
-        monkeypatch.setattr(response, "eigsh", no_convergence)
+        monkeypatch.setattr(matter, "eigsh", no_convergence)
         with pytest.raises(NumericError, match="Lanczos"):
             sparse_resolvent(THREE_AXIS)
         path = tmp_path / "cfg.json"
@@ -190,7 +189,7 @@ class TestSparseFailures:
 
     def test_lanczos_finds_exact_zero_ground_energies(self):
         # unshifted, ARPACK returns 1 and 2 for diag(0, 1, ..., 300)
-        vals, _ = response.lanczos_lowest(scipy.sparse.diags(np.arange(301.0), format="csr"), 2)
+        vals, _ = matter.lanczos_lowest(scipy.sparse.diags(np.arange(301.0), format="csr"), 2)
         assert np.max(np.abs(vals - [0.0, 1.0])) <= 1e-12
         # every row of a path Laplacian sums to 0, so the uniform vector is its
         # ground state; from that start, unshifted, ARPACK stops with error -9
@@ -199,7 +198,7 @@ class TestSparseFailures:
         main[[0, -1]] = 1.0
         lap = scipy.sparse.diags([-np.ones(dim - 1), main, -np.ones(dim - 1)], [-1, 0, 1],
                                  format="csr")
-        vals, vecs = response.lanczos_lowest(lap, 2)
+        vals, vecs = matter.lanczos_lowest(lap, 2)
         assert np.max(np.abs(vals - (2.0 - 2.0 * np.cos(np.pi * np.arange(2) / dim)))) <= 1e-12
         assert np.allclose(np.abs(vecs[:, 0]), 1.0 / np.sqrt(dim), atol=1e-10)
 
@@ -207,7 +206,7 @@ class TestSparseFailures:
         def zero_start(*args, **kwargs):
             raise ArpackError(-9)
 
-        monkeypatch.setattr(response, "eigsh", zero_start)
+        monkeypatch.setattr(matter, "eigsh", zero_start)
         with pytest.raises(NumericError, match="ARPACK error -9"):
             sparse_resolvent(THREE_AXIS)
         model = build_two_level_ensemble(40, 1.0, (0.0, 0.34, 0.0), 1.0)
@@ -238,8 +237,8 @@ def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):
 
     for mod in (operators, matter):
         monkeypatch.setattr(mod, "eigh", counted("eigh", operators.eigh))
-    monkeypatch.setattr(response, "eigsh", counted("eigsh", response.eigsh))
-    monkeypatch.setattr(response, "cg", counted("cg", response.cg))
+    monkeypatch.setattr(matter, "eigsh", counted("eigsh", matter.eigsh))
+    monkeypatch.setattr(matter, "cg", counted("cg", matter.cg))
     cfg = cli.validate_config(json.dumps({
         "model": {"kind": "anharmonic_dipole", "levels": 7, "mass": 1.0, "frequency": 1.0,
                   "quartic": 0.1, "charge": 0.5, "volume": 1.0, "axes": 3},

@@ -54,7 +54,7 @@ class TestLehmannSum:
         spec = matter_spectrum(model)
         mode = lwl_mode(nu=1.0, volume=v)
         pol = model.pol_transverse_mult(mode.q_hat)
-        t = slrf(spec, list(pol), mode=mode)
+        t = slrf(spec, list(pol))
         proj = transverse_project(t, mode)
         expected = -(2.0 / v) * n * d ** 2 / w0
         assert proj.scalar_sigma2 == pytest.approx(expected, rel=1e-12)
@@ -134,7 +134,7 @@ class TestTransverseProject:
         model = build_anharmonic_dipole(6, 1.0, 1.0, 0.02, 1.0, 1.0, axes=3)
         spec = matter_spectrum(model)
         mode = lwl_mode(nu=1.0, volume=1.0)
-        t = slrf(spec, list(model.dipole_ops), mode=mode)
+        t = slrf(spec, list(model.dipole_ops))
         proj = transverse_project(t, mode)
         assert proj.off_diag <= 1e-12
         assert abs(proj.scalar_sigma1 - proj.scalar_sigma2) <= 1e-10
@@ -144,7 +144,7 @@ class TestTransverseProject:
         model = build_two_level_ensemble(2, 1.0, (0.5, 0, 0), 1.0)
         spec = matter_spectrum(model)
         mode = lwl_mode(nu=1.0, volume=1.0)
-        t = slrf(spec, list(model.dipole_ops), mode=mode)
+        t = slrf(spec, list(model.dipole_ops))
         proj = transverse_project(t, mode)
         full = t.chi[0, 0].real  # single-axis chi along x = eps1
         assert proj.scalar_sigma1 == pytest.approx(full, rel=1e-12)
@@ -154,7 +154,7 @@ class TestTransverseProject:
         model = build_two_level_ensemble(2, 1.0, (0.4, 0.2, 0), 1.0)
         spec = matter_spectrum(model)
         mode = lwl_mode(nu=1.0, volume=1.0)
-        proj = transverse_project(slrf(spec, list(model.dipole_ops), mode=mode), mode)
+        proj = transverse_project(slrf(spec, list(model.dipole_ops)), mode)
         assert not proj.reduction_valid(1e-10)
         assert abs(proj.scalar_sigma1 - proj.scalar_sigma2) > 1e-3
 
