@@ -45,7 +45,7 @@ from . import __version__, matter
 from .criterion import evaluate
 from .errors import ConfigError, GaugecavityError
 from .gauge import (GaugePreset, GaugeSpec, ModeSpec, dressed_matter_hamiltonian, lwl_mode,
-                    make_gauge, ring_mode)
+                    make_gauge, pairing_problem, ring_mode)
 from .matter import (MAX_ANHARMONIC_DIM, MAX_ENSEMBLE_SIZE, MAX_RING_SITES, MatterModel,
                      ModelKind, ground_resolvent)
 from .operators import Statevector
@@ -129,24 +129,21 @@ MODELS = {
     }),
 }
 KIND = Key("string", lambda v: v in MODELS, f"must be one of {sorted(MODELS)}")
-# kind -> dimension of the matter space its (valid) keys describe
+# kind -> matter dimension its (valid) keys describe; the oracle takes no ring
 MATTER_DIM = {
     "two_level_ensemble": lambda model: model["count"] + 1,
     "anharmonic_dipole": lambda model: model["levels"] ** model["axes"],
-    "ring_lattice": lambda model: model["sites"],
 }
 GAUGE_NAMES = sorted(p.value for p in GaugePreset)
 GAUGE = {
     "preset": Key("string", lambda v: v in GAUGE_NAMES, f"must be one of {GAUGE_NAMES}"),
-    "lwl": Key("boolean", default=True),
     "alpha": Key("number", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]", default=None,
                  sweep=True),
 }
-# a mode is a uniform field (nu) or a ring quasi-momentum (ring_index); an
-# explicit volume must be the model's
+# a mode is a uniform field (nu) or a ring quasi-momentum (ring_index); its
+# volume is the model's
 MODE = {
     "nu": _positive(default=None),
-    "volume": _positive(default=None),
     "ring_index": Key("integer", lambda v: v != 0, "must be nonzero", default=None),
 }
 # a sweep gives values or the grid keys, not both
@@ -305,9 +302,6 @@ def validate_config(text: str) -> SweepConfig:
                    if (problem := swept[param].problem(value)) is not None]
     if param == "alpha" and any(g["preset"] != "alpha_lwl" for g in gauges):
         errors.append("sweep.parameter=alpha requires every gauge preset to be alpha_lwl")
-    # an explicit mode volume must be the one the model is built with (the
-    # ring's default volume is its site count)
-    model_volume = model.get("volume") or model.get("sites")
     for i, (node, mode) in enumerate(zip(mode_nodes, modes)):
         if isinstance(node, dict) and "nu" not in node and "ring_index" not in node:
             errors.append(f"modes[{i}].nu: missing, and no ring_index")
@@ -317,13 +311,17 @@ def validate_config(text: str) -> SweepConfig:
                 mode["ring_index"] % model["sites"] == 0:
             errors.append(f"modes[{i}].ring_index: must not be a multiple of model.sites "
                           f"{model['sites']}, got {mode['ring_index']}")
-        vol = mode["volume"]
-        if vol is not None and param == "volume":
-            errors.append(f"modes[{i}].volume: must be omitted when sweep.parameter is volume")
-        elif vol is not None and model_volume is not None and \
-                abs(vol - model_volume) > 1e-12 * max(1.0, abs(model_volume)):
-            errors.append(f"modes[{i}].volume: {vol!r} differs from model volume "
-                          f"{model_volume!r}")
+    # gauge.pairing_problem on every gauge and mode whose preset and kind of
+    # mode (ring_index, else nu) are given
+    rings = {j: "ring_index" in node for j, node in enumerate(mode_nodes)
+             if isinstance(node, dict) and {"nu", "ring_index"} & node.keys()}
+    errors += [f"gauge[{i}] and modes[{j}]: {problem}"
+               for i, gauge in enumerate(gauges) for j, ring in rings.items()
+               if gauge["preset"] is not None and model_keys and (problem := pairing_problem(
+                   ModelKind(kind), GaugePreset(gauge["preset"]), ring))]
+    if oracle["enabled"] is True:
+        errors += [f"oracle.enabled: full diagonalization supports uniform-field modes, "
+                   f"and modes[{j}] is a ring mode" for j, ring in rings.items() if ring]
 
     # a non-finite number is named once, ahead of the checks it also fails
     non_finite = _non_finite_paths(raw)
@@ -355,7 +353,7 @@ def _build_model(cfg: SweepConfig, param: str, value: float) -> MatterModel:
 
 def _build_gauge(gdict: dict, param: str, value: float) -> GaugeSpec:
     alpha = value if param == "alpha" else gdict["alpha"]
-    return make_gauge(gdict["preset"], lwl=gdict["lwl"], alpha=alpha)
+    return make_gauge(gdict["preset"], alpha=alpha)
 
 
 def _build_modes(cfg: SweepConfig, model: MatterModel) -> list[ModeSpec]:

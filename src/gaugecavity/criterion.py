@@ -25,8 +25,8 @@ import numpy as np
 from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, branch_combination,
                          diagonalize_block)
 from .errors import ArgumentError, SingularConstraintError, UnsupportedError
-from .gauge import (GaugeSpec, ModeSpec, coupling_f_electric, coupling_rows, diamagnetic_D,
-                    dressed_matter_hamiltonian, gauge_spectrum)
+from .gauge import (GaugePreset, GaugeSpec, ModeSpec, check_pairing, coupling_f_electric,
+                    coupling_rows, diamagnetic_D, dressed_matter_hamiltonian, gauge_spectrum)
 from .matter import MatterModel, MatterSpectrum, check_unique_ground, ground_resolvent
 from .operators import Operator
 from .response import chi_md_from_model, lehmann_sum, polarizability
@@ -54,13 +54,6 @@ class CriterionReport:
         object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "condensed", margin > CONDENSED_MARGIN)
         object.__setattr__(self, "marginal", abs(margin) <= CONDENSED_MARGIN)
-
-
-def _check_volume(model: MatterModel, mode: ModeSpec):
-    v = model.params.volume
-    if abs(mode.volume - v) > 1e-12 * max(1.0, abs(v)):
-        raise ArgumentError(
-            f"mode volume {mode.volume} differs from model volume {v}")
 
 
 # The 8 Gram columns are conj(<0|f_k) = f_k^dag|0> (slots 0-3) and f_k|0>
@@ -96,7 +89,7 @@ def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     ``spectrum`` is a backend of `matter.ground_resolvent` for the
     gauge's dressed matter Hamiltonian, by default built here.
     """
-    _check_volume(model, mode)
+    check_pairing(model, gauge, mode)
     block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
     if spectrum is None:
         spectrum = ground_resolvent(model, dressed_matter_hamiltonian(model, gauge, [mode]))
@@ -154,7 +147,6 @@ def coulomb_specialized(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     ``spectrum`` is a backend of `matter.ground_resolvent`, as for
     `evaluate`.
     """
-    from .gauge import GaugePreset
     if gauge.preset is not GaugePreset.COULOMB:
         raise ArgumentError("coulomb_specialized requires the Coulomb gauge")
     if spectrum is None:
@@ -179,7 +171,6 @@ def dipole_specialized(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     The residual reports max_sigma |(-V chi^{PP}_{sigma sigma}) - eps.alpha(0).eps|,
     an exact identity when both sides use the same spectrum.
     """
-    from .gauge import GaugePreset
     if gauge.preset is not GaugePreset.DIPOLE:
         raise ArgumentError("dipole_specialized requires the dipole gauge")
     if spectrum is None:

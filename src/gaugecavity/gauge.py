@@ -33,10 +33,10 @@ class GaugePreset(enum.Enum):
 class GaugeSpec:
     """A gauge of the alpha family (`make_gauge` sets alpha = 0 for Coulomb
     and 1 for dipole), or the multipolar ring gauge, which keeps both
-    couplings at full weight."""
+    couplings at full weight.  The mode's `q_phase`, not the gauge, selects
+    uniform-field or finite-q couplings (see `pairing_problem`)."""
 
     preset: GaugePreset
-    lwl: bool = True
     alpha: float = 0.0
 
     @property
@@ -48,8 +48,8 @@ class GaugeSpec:
         return 1.0 if self.preset is GaugePreset.MULTIPOLAR_RING else self.alpha
 
 
-def make_gauge(preset: GaugePreset | str, lwl: bool = True,
-               alpha: float | None = None) -> GaugeSpec:
+def make_gauge(preset: GaugePreset | str, alpha: float | None = None) -> GaugeSpec:
+    """The gauge of a preset; ``alpha`` is for `alpha_lwl`, which needs it."""
     if isinstance(preset, str):
         try:
             preset = GaugePreset(preset)
@@ -60,14 +60,10 @@ def make_gauge(preset: GaugePreset | str, lwl: bool = True,
             raise ArgumentError("alpha_lwl preset requires alpha")
         if not 0.0 <= alpha <= 1.0:
             raise ArgumentError(f"alpha must lie in [0, 1], got {alpha}")
-        return GaugeSpec(preset=preset, lwl=True, alpha=float(alpha))
+        return GaugeSpec(preset=preset, alpha=float(alpha))
     if alpha is not None:
         raise ArgumentError("alpha only applies to the alpha_lwl preset")
-    if preset is GaugePreset.DIPOLE:
-        lwl = True  # the dipole gauge is defined in the long-wavelength limit
-    if preset is GaugePreset.MULTIPOLAR_RING:
-        lwl = False
-    return GaugeSpec(preset=preset, lwl=lwl, alpha=0.0 if preset is not GaugePreset.DIPOLE else 1.0)
+    return GaugeSpec(preset=preset, alpha=1.0 if preset is GaugePreset.DIPOLE else 0.0)
 
 
 def _polarisation_pair(q_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +86,7 @@ class ModeSpec:
     volume: float
     eps1: np.ndarray
     eps2: np.ndarray
-    q_phase: float = 0.0   # scalar quasi-momentum for matter phase factors (0 = LWL)
+    q_phase: float = 0.0   # scalar quasi-momentum for matter phase factors (0: uniform)
 
     def __post_init__(self):
         for name in ("q", "eps1", "eps2"):
@@ -138,13 +134,11 @@ def lwl_mode(nu: float, volume: float) -> ModeSpec:
     """Uniform-field mode: frequency nu, conventional wavevector along z."""
     qv = nu * Z_AXIS
     eps1, eps2 = _polarisation_pair(Z_AXIS)
-    return ModeSpec(q=qv, nu=float(nu), volume=float(volume), eps1=eps1, eps2=eps2,
-                    q_phase=0.0)
+    return ModeSpec(q=qv, nu=float(nu), volume=float(volume), eps1=eps1, eps2=eps2)
 
 
-def ring_mode(model: MatterModel, n: int, volume: float | None = None,
-              nu: float | None = None) -> ModeSpec:
-    """Mode matched to ring quasi-momentum 2 pi n / L.
+def ring_mode(model: MatterModel, n: int, nu: float | None = None) -> ModeSpec:
+    """Mode matched to ring quasi-momentum 2 pi n / L, in the model's volume.
 
     The wavevector direction is conventional (z); the scalar quasi-momentum
     drives the matter phase factors.
@@ -155,11 +149,35 @@ def ring_mode(model: MatterModel, n: int, volume: float | None = None,
     q_n = 2.0 * np.pi * n / L
     if n % L == 0:
         raise ArgumentError("ring mode index must not be 0 mod L")
-    v = float(volume) if volume is not None else model.params.volume
     freq = float(nu) if nu is not None else abs(q_n)
     eps1, eps2 = _polarisation_pair(Z_AXIS)
-    return ModeSpec(q=freq * Z_AXIS, nu=freq, volume=v, eps1=eps1, eps2=eps2,
-                    q_phase=q_n)
+    return ModeSpec(q=freq * Z_AXIS, nu=freq, volume=model.params.volume, eps1=eps1,
+                    eps2=eps2, q_phase=q_n)
+
+
+def pairing_problem(kind: ModelKind, preset: GaugePreset, ring: bool) -> str | None:
+    """Why a model kind, gauge preset and mode (``ring``: a ring mode, else a
+    uniform field) do not go together, or None.  A ring's site dipole jumps
+    across the closing bond, so a ring has no uniform-field coupling.
+    `check_pairing` and `cli.validate_config` apply this one rule."""
+    if kind is ModelKind.RING_LATTICE and not ring:
+        return "a ring lattice couples only through ring modes"
+    if ring and preset in (GaugePreset.DIPOLE, GaugePreset.ALPHA_LWL):
+        return f"a ring mode needs the coulomb or multipolar_ring gauge, not {preset.value}"
+    if preset is GaugePreset.MULTIPOLAR_RING and not ring:
+        return "the multipolar_ring gauge needs a ring mode"
+    return None
+
+
+def check_pairing(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec) -> None:
+    """Raise ArgumentError unless model, gauge and mode obey `pairing_problem`
+    and the mode volume is the model's."""
+    problem = pairing_problem(model.kind, gauge.preset, mode.q_phase != 0.0)
+    v = model.params.volume
+    if problem is None and abs(mode.volume - v) > 1e-12 * max(1.0, abs(v)):
+        problem = f"mode volume {mode.volume} differs from model volume {v}"
+    if problem is not None:
+        raise ArgumentError(problem)
 
 
 @dataclass(frozen=True)
@@ -255,8 +273,7 @@ def coupling_f_magnetic(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     w = gauge.paramagnetic_weight
     if w == 0.0:
         return zero(model.dim)
-    q_phase = 0.0 if gauge.lwl else mode.q_phase
-    return Operator(-w * mode.volume * model.current_along(mode.eps(sigma), q_phase).matrix)
+    return Operator(-w * mode.volume * model.current_along(mode.eps(sigma), mode.q_phase).matrix)
 
 
 def coupling_f_electric(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
@@ -265,8 +282,7 @@ def coupling_f_electric(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     w = gauge.electric_weight
     if w == 0.0:
         return zero(model.dim)
-    q_phase = 0.0 if gauge.lwl else mode.q_phase
-    pops = model.pol_transverse_mult(mode.q_hat, q_phase)
+    pops = model.pol_transverse_mult(mode.q_hat, mode.q_phase)
     return along_op(mode.eps(sigma), pops) * (1j * mode.volume * mode.nu * w)
 
 
@@ -294,8 +310,7 @@ def coupling_rows(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     sparse ones the builders emit.  At finite q the operators are applied
     to g.
     """
-    q_phase = 0.0 if gauge.lwl else mode.q_phase
-    if q_phase != 0.0:
+    if mode.q_phase != 0.0:
         ops = [coupling(model, gauge, mode, s)
                for coupling in (coupling_f_magnetic, coupling_f_electric) for s in (1, 2)]
         return (np.stack([g.conj() @ op.matrix for op in ops]),
@@ -328,15 +343,15 @@ def coupling_rows(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     return bras, kets
 
 
-def check_wavevector_decoupling(model: MatterModel, gauge: GaugeSpec,
-                                mode_a: ModeSpec, mode_b: ModeSpec) -> float:
+def check_wavevector_decoupling(model: MatterModel, mode_a: ModeSpec,
+                                mode_b: ModeSpec) -> float:
     """Magnitude of the neglected cross-momentum diamagnetic coupling.
 
     Returns |<psi0| sum_mu eps'_{q sigma}(r_mu) . eps'_{q' sigma'}(r_mu)
-    |psi0>| / N maximised over polarisations, for q' != -q.  Exactly zero
-    by construction in the long-wavelength limit.
+    |psi0>| / N maximised over polarisations, for q' != -q.  Two uniform
+    modes (`q_phase` 0) give exactly zero by construction.
     """
-    if gauge.lwl:
+    if mode_a.q_phase == 0.0 and mode_b.q_phase == 0.0:
         return 0.0
     qa, qb = mode_a.q_phase, mode_b.q_phase
     if abs(qa + qb) < 1e-12:
@@ -367,8 +382,7 @@ def dressed_matter_hamiltonian(model: MatterModel, gauge: GaugeSpec,
         return model.h_m
     h = model.h_m
     for mode in modes:
-        q_phase = 0.0 if gauge.lwl else mode.q_phase
-        pops = model.pol_transverse_mult(mode.q_hat, q_phase)
+        pops = model.pol_transverse_mult(mode.q_hat, mode.q_phase)
         for sigma in (1, 2):
             # (w V P_sigma)^2 / (2 V) with P already carrying 1/V
             pv = (along_op(mode.eps(sigma), pops) * (w * mode.volume)).matrix

@@ -35,13 +35,8 @@ import scipy.sparse
 from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, diagonalize_block,
                          exact_branch_coupling)
 from .errors import ArgumentError, NumericError, ResourceLimitError, UnsupportedError
-from .gauge import (
-    GaugeSpec,
-    ModeSpec,
-    coupling_f,
-    diamagnetic_D,
-    dressed_matter_hamiltonian,
-)
+from .gauge import (GaugeSpec, ModeSpec, check_pairing, coupling_f, diamagnetic_D,
+                    dressed_matter_hamiltonian)
 from .matter import MatterModel, MatterSpectrum, along_op, ground_resolvent, lanczos_lowest
 from .operators import Operator, Statevector, _fix_phases, boson_ladder, eigh
 from .response import lehmann_sum
@@ -115,19 +110,21 @@ class FullSystem:
 
 
 def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
-                     cutoffs, include_uncoupled: bool = False,
-                     max_dim: int = MAX_FULL_DIM) -> FullSystem:
+                     cutoffs, include_uncoupled: bool = False) -> FullSystem:
     """Assemble the full light-matter Hamiltonian on truncated Fock spaces.
 
     ``cutoffs`` is an int applied to every retained branch or a per-mode
-    list.  Long-wavelength gauges only; vacuum energy of every branch is
-    included (explicitly or through the analytic constant).
+    list.  Each mode must pair with the model and gauge (`gauge.check_pairing`)
+    and be a uniform field.  Vacuum energy of every branch is included
+    (explicitly or through the analytic constant).
     """
-    if not gauge.lwl:
-        raise UnsupportedError(
-            "full diagonalization supports long-wavelength gauges; finite-q "
-            "diamagnetic assembly on a lattice is outside the oracle's scope")
     modes = tuple(modes)
+    for mode in modes:
+        check_pairing(model, gauge, mode)
+    if any(mode.q_phase != 0.0 for mode in modes):
+        raise UnsupportedError(
+            "full diagonalization supports uniform-field modes; finite-q "
+            "diamagnetic assembly on a lattice is outside the oracle's scope")
     if isinstance(cutoffs, int):
         cutoffs = [cutoffs] * len(modes)
     if len(cutoffs) != len(modes):
@@ -153,8 +150,8 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
             else:
                 excluded.append((i, t, nu_t))
     dim = model.dim * int(np.prod([s.cutoff for s in slots], dtype=float))
-    if dim > max_dim:
-        raise ResourceLimitError(f"full dimension {dim} exceeds limit {max_dim}")
+    if dim > MAX_FULL_DIM:
+        raise ResourceLimitError(f"full dimension {dim} exceeds limit {MAX_FULL_DIM}")
 
     constant = float(sum(e[2] for e in excluded)) / 2.0
     skeleton = FullSystem(model=model, gauge=gauge, modes=modes,

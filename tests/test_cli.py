@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from gaugecavity import cli, oracle
-from gaugecavity.cli import (MODELS, REQUIRED, _build_model, _oracle_point, _swept_keys, main,
-                             run_check, run_sweep, validate_config)
+from gaugecavity.cli import (GAUGE, MODE, MODELS, REQUIRED, _build_model, _oracle_point,
+                             _swept_keys, main, run_check, run_sweep, validate_config)
 from gaugecavity.errors import ConfigError, NumericError
 from gaugecavity.gauge import lwl_mode, make_gauge
 from gaugecavity.matter import MAX_RING_SITES, build_two_level_ensemble
@@ -246,17 +246,18 @@ class TestMain:
         sweep = {"parameter": "volume", "values": [1.0, 2.0]}
         path = write_config(tmp_path, dict(MINIMAL, modes=modes, sweep=sweep))
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == ("config error: modes[0].volume: must be omitted "
-                                           "when sweep.parameter is volume\n")
+        assert capsys.readouterr().err == "config error: modes[0].volume: unknown key\n"
 
-    # a ring mode needs a ring model and a ring sweep parameter, so these
-    # cases cannot be one-key overrides of MINIMAL
+    # a ring mode needs a ring model, a ring sweep parameter and a gauge
+    # that admits it, so these cases cannot be one-key overrides of MINIMAL
     RING = {"kind": "ring_lattice", "sites": 8, "hopping": 1.0, "charge": 1.0}
     RING_SWEEP = {"parameter": "hopping", "values": [1.0]}
+    RING_GAUGE = {"preset": "coulomb"}
 
     @pytest.mark.parametrize("ring_index", [8, 16, -8])
     def test_ring_index_multiple_of_sites_exit_two(self, tmp_path, capsys, ring_index):
         path = write_config(tmp_path, dict(MINIMAL, model=self.RING, sweep=self.RING_SWEEP,
+                                           gauge=self.RING_GAUGE,
                                            modes=[{"ring_index": 1}, {"ring_index": ring_index}]))
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
@@ -267,23 +268,64 @@ class TestMain:
     def test_ring_sites_limit_exit_two(self, tmp_path, capsys):
         model = dict(self.RING, sites=MAX_RING_SITES + 1)
         path = write_config(tmp_path, dict(MINIMAL, model=model, sweep=self.RING_SWEEP,
-                                           modes=[{"ring_index": 1}]))
+                                           gauge=self.RING_GAUGE, modes=[{"ring_index": 1}]))
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (f"config error: model.sites: must lie in "
                                            f"[4, {MAX_RING_SITES}], got {MAX_RING_SITES + 1}\n")
         validate_config(json.dumps(dict(MINIMAL, model=dict(self.RING, sites=MAX_RING_SITES),
-                                        sweep=self.RING_SWEEP, modes=[{"ring_index": 1}])))
+                                        sweep=self.RING_SWEEP, gauge=self.RING_GAUGE,
+                                        modes=[{"ring_index": 1}])))
 
-    @pytest.mark.parametrize("model, modes", [
-        (MINIMAL["model"], [{"nu": 1.0, "volume": 1.0}]),
+    @pytest.mark.parametrize("model, gauge, modes", [
+        (MINIMAL["model"], MINIMAL["gauge"], [{"nu": 1.0, "volume": 1.0}]),
         # the ring's default volume is its site count
         ({"kind": "ring_lattice", "sites": 8, "hopping": 1.0, "charge": 1.0},
-         [{"ring_index": 1, "volume": 8}]),
+         {"preset": "coulomb"}, [{"ring_index": 1, "volume": 8}]),
     ], ids=["two_level", "ring_default"])
-    def test_mode_volume_equal_to_model_accepted(self, model, modes):
+    def test_mode_volume_equal_to_model_rejected(self, tmp_path, capsys, model, gauge, modes):
+        # a mode's volume is always the model's, so the key is gone
         sweep = {"parameter": "hopping" if model["kind"] == "ring_lattice" else "dipole_scale",
                  "values": [0.5]}
-        validate_config(json.dumps(dict(MINIMAL, model=model, modes=modes, sweep=sweep)))
+        path = write_config(tmp_path, dict(MINIMAL, model=model, gauge=gauge, modes=modes,
+                                           sweep=sweep))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: modes[0].volume: unknown key\n"
+
+    @pytest.mark.parametrize("overrides, pairs", [
+        ({"model": RING, "sweep": RING_SWEEP, "gauge": [{"preset": "dipole"}, RING_GAUGE],
+          "modes": [{"ring_index": 1}, {"ring_index": 2}]},
+         ["gauge[0] and modes[0]", "gauge[0] and modes[1]"]),
+        ({"gauge": {"preset": "multipolar_ring"}}, ["gauge[0] and modes[0]"]),
+        ({"model": RING, "sweep": RING_SWEEP, "gauge": RING_GAUGE, "modes": [{"nu": 1.0}]},
+         ["gauge[0] and modes[0]"]),
+    ], ids=["ring_mode_dipole", "two_level_multipolar_ring", "ring_uniform_mode"])
+    def test_bad_pairing_exit_two(self, tmp_path, capsys, overrides, pairs):
+        path = write_config(tmp_path, dict(MINIMAL, **overrides))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in lines] == pairs
+        assert all(line.startswith("config error: gauge[") for line in lines)
+        assert not (tmp_path / "o").exists()
+
+    def test_ring_coulomb_margin_without_lwl_key(self, tmp_path):
+        # the value the same config wrote with the former "lwl": false
+        path = write_config(tmp_path, dict(MINIMAL, model=self.RING, sweep=self.RING_SWEEP,
+                                           gauge=self.RING_GAUGE, modes=[{"ring_index": 1}]))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "criterion.csv").read_text().splitlines()
+        (plus,) = [r.split(",") for r in rows[1:] if r.split(",")[7] == "+"]
+        assert float(plus[12]) == pytest.approx(-1.1205145092472009, abs=1e-12)
+        assert plus[13] == "false"
+
+    def test_oracle_on_ring_exit_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(MINIMAL, model=self.RING, sweep=self.RING_SWEEP,
+                                           gauge=self.RING_GAUGE, modes=[{"ring_index": 1}],
+                                           oracle={"enabled": True, "fock_cutoff": 4}))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: oracle.enabled: full diagonalization supports uniform-field modes, "
+            "and modes[0] is a ring mode\n")
+        assert not (tmp_path / "o").exists()
 
     def test_overflowing_literal_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -508,8 +550,10 @@ MODEL_SWEEPS = [(kind, name) for kind, (_, keys) in MODELS.items()
 @pytest.mark.parametrize("kind, name", MODEL_SWEEPS, ids=[f"{k}-{n}" for k, n in MODEL_SWEEPS])
 def test_sweepable_key_reaches_builder(kind, name):
     # 0.37 differs from every value in BUILD_MODELS; dipole_scale multiplies
-    # the two-level dipole_moment (0, 1, 0)
-    cfg = validate_config(json.dumps(dict(MINIMAL, model=BUILD_MODELS[kind],
+    # the two-level dipole_moment (0, 1, 0); a ring couples through a ring mode
+    ring = {"gauge": {"preset": "coulomb"}, "modes": [{"ring_index": 1}]} \
+        if kind == "ring_lattice" else {}
+    cfg = validate_config(json.dumps(dict(MINIMAL, model=BUILD_MODELS[kind], **ring,
                                           sweep={"parameter": name, "values": [0.37]})))
     assert CARRIED[name](_build_model(cfg, name, 0.37)) == 0.37
 
@@ -517,20 +561,31 @@ def test_sweepable_key_reaches_builder(kind, name):
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
-def test_readme_model_table_matches_schema():
+def _check_readme_key_table(tables: dict):
+    """The README rows `| table | key | required or default | sweepable |`
+    of each named key table list its keys in order, with their defaults and
+    sweepability."""
     rows: dict = {}
     for line in README.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) == 4 and cells[0].strip("`") in MODELS:
+        if len(cells) == 4 and cells[0].strip("`") in tables:
             rows.setdefault(cells[0].strip("`"), {})[cells[1].strip("`")] = cells[2:]
-    assert set(rows) == set(MODELS)
-    for kind, (_, keys) in MODELS.items():
-        assert list(rows[kind]) == list(keys), kind
+    assert set(rows) == set(tables)
+    for table, keys in tables.items():
+        assert list(rows[table]) == list(keys), table
         for name, key in keys.items():
-            default, sweepable = rows[kind][name]
+            default, sweepable = rows[table][name]
             expected = "required" if key.default is REQUIRED else f"`{json.dumps(key.default)}`"
-            assert default.split(" ")[0] == expected, (kind, name)
-            assert sweepable == ("yes" if key.sweep else "no"), (kind, name)
+            assert default.split(" ")[0] == expected, (table, name)
+            assert sweepable == ("yes" if key.sweep else "no"), (table, name)
+
+
+def test_readme_model_table_matches_schema():
+    _check_readme_key_table({kind: keys for kind, (_, keys) in MODELS.items()})
+
+
+def test_readme_gauge_and_mode_table_matches_schema():
+    _check_readme_key_table({"gauge": GAUGE, "modes": MODE})
 
 
 def test_readme_cli_usage_matches_parser(capsys):

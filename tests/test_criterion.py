@@ -115,7 +115,7 @@ class TestEvaluate:
 class TestSpecializedForms:
     def test_coulomb_equivalence_on_ring(self):
         model = build_ring_lattice(6, 1.0, 1.0)
-        gauge = make_gauge("coulomb", lwl=False)
+        gauge = make_gauge("coulomb")
         mode = ring_mode(model, 1)
         rep = coulomb_specialized(model, gauge, mode)
         assert rep.cross_check_residual <= 1e-10
@@ -202,7 +202,7 @@ class TestGaugeRelativityPair:
 class TestOrderParameter:
     def test_ring_ground_state_zero(self):
         model = build_ring_lattice(6, 1.0, 1.0)
-        gauge = make_gauge("coulomb", lwl=False)
+        gauge = make_gauge("coulomb")
         mode = ring_mode(model, 1)
         spec = matter_spectrum(model)
         block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
@@ -345,7 +345,7 @@ EQUIVALENCE_CASES = {
                         lwl_mode(1.0, 1.0)),
     "anharmonic_dipole": (build_anharmonic_dipole(24, 1.0, 1.0, 0.1, 0.8, 1.0),
                           make_gauge("dipole"), lwl_mode(1.0, 1.0)),
-    "ring_coulomb_finite_q": (_RING, make_gauge("coulomb", lwl=False), ring_mode(_RING, 1)),
+    "ring_coulomb_finite_q": (_RING, make_gauge("coulomb"), ring_mode(_RING, 1)),
     "ring_multipolar": (_RING, make_gauge("multipolar_ring"), ring_mode(_RING, 1)),
     "tilted_oscillator_dipole": (_tilted_oscillator(), make_gauge("dipole"),
                                  lwl_mode(1.0, 1.0)),

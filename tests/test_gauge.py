@@ -13,9 +13,11 @@ from gaugecavity.gauge import (
     lwl_mode,
     make_gauge,
     mode_from_q,
+    pairing_problem,
     ring_mode,
 )
 from gaugecavity.matter import (
+    ModelKind,
     build_anharmonic_dipole,
     build_ring_lattice,
     build_two_level_ensemble,
@@ -40,7 +42,6 @@ class TestMakeGauge:
 
     def test_dipole_has_no_magnetic_provider(self, two_level, mode15):
         g = make_gauge("dipole")
-        assert g.lwl
         assert coupling_f_magnetic(two_level, g, mode15, 2).norm_max() == 0.0
 
     def test_alpha_range_guard(self):
@@ -125,7 +126,7 @@ class TestCouplingF:
 
     def test_coulomb_conjugation_on_ring(self):
         model = build_ring_lattice(6, 1.0, 1.0)
-        g = make_gauge("coulomb", lwl=False)
+        g = make_gauge("coulomb")
         mode_p = ring_mode(model, 1)
         mode_m = ring_mode(model, -1)
         f_p = coupling_f(model, g, mode_p, 1)
@@ -178,29 +179,25 @@ class TestDiamagneticD:
 class TestWavevectorDecoupling:
     def test_clean_ring_vanishes(self):
         model = build_ring_lattice(6, 1.0, 1.0)
-        g = make_gauge("coulomb", lwl=False)
-        res = check_wavevector_decoupling(model, g, ring_mode(model, 1),
+        res = check_wavevector_decoupling(model, ring_mode(model, 1),
                                           ring_mode(model, 2))
         assert res <= 1e-10
 
     def test_lwl_exact_zero(self, two_level, mode15):
-        g = make_gauge("dipole")
-        assert check_wavevector_decoupling(two_level, g, mode15, mode15) == 0.0
+        assert check_wavevector_decoupling(two_level, mode15, mode15) == 0.0
 
     def test_disordered_ring_reports_residual(self):
         # q_a + q_b = pi is reflection-protected about the weak bond, so
         # probe a momentum transfer the disorder actually populates
         model = build_ring_lattice(6, 1.0, 1.0, bond_scale={0: 1.3})
-        g = make_gauge("coulomb", lwl=False)
-        res = check_wavevector_decoupling(model, g, ring_mode(model, 2),
+        res = check_wavevector_decoupling(model, ring_mode(model, 2),
                                           ring_mode(model, 3))
         assert res > 1e-6
 
     def test_opposite_momenta_rejected(self):
         model = build_ring_lattice(6, 1.0, 1.0)
-        g = make_gauge("coulomb", lwl=False)
         with pytest.raises(ArgumentError):
-            check_wavevector_decoupling(model, g, ring_mode(model, 1),
+            check_wavevector_decoupling(model, ring_mode(model, 1),
                                         ring_mode(model, -1))
 
 
@@ -228,3 +225,46 @@ class TestDressedMatter:
 def test_gauge_preset_values():
     assert {p.value for p in GaugePreset} == {
         "coulomb", "dipole", "alpha_lwl", "multipolar_ring"}
+
+
+_RING = build_ring_lattice(6, 1.0, 1.0)
+_TWO_LEVEL = build_two_level_ensemble(4, 1.0, (0.0, 0.3, 0.0), volume=1.0)
+_ANHARMONIC = build_anharmonic_dipole(6, 1.0, 1.0, 0.1, 0.5, 1.0)
+# case -> (model, gauge, mode), each breaking one part of the pairing rule
+BAD_PAIRINGS = {
+    "ring_uniform_mode": (_RING, make_gauge("coulomb"), lwl_mode(1.0, _RING.params.volume)),
+    "ring_mode_dipole": (_RING, make_gauge("dipole"), ring_mode(_RING, 1)),
+    "ring_mode_alpha": (_RING, make_gauge("alpha_lwl", alpha=0.4), ring_mode(_RING, 1)),
+    "multipolar_two_level": (_TWO_LEVEL, make_gauge("multipolar_ring"), lwl_mode(1.0, 1.0)),
+    "multipolar_anharmonic": (_ANHARMONIC, make_gauge("multipolar_ring"), lwl_mode(1.0, 1.0)),
+    "mode_volume_differs": (_TWO_LEVEL, make_gauge("dipole"), lwl_mode(1.0, 2.0)),
+}
+
+
+class TestPairingRule:
+    @pytest.mark.parametrize("case", sorted(BAD_PAIRINGS))
+    @pytest.mark.parametrize("caller", ["evaluate", "full_hamiltonian"])
+    def test_bad_pairing_raises(self, case, caller):
+        from gaugecavity.criterion import evaluate
+        from gaugecavity.oracle import full_hamiltonian
+
+        model, gauge, mode = BAD_PAIRINGS[case]
+        with pytest.raises(ArgumentError):
+            if caller == "evaluate":
+                evaluate(model, gauge, mode)
+            else:
+                full_hamiltonian(model, gauge, [mode], 4)
+
+    def test_admitted_pairings(self):
+        # uniform modes: every gauge but multipolar_ring, on every model but
+        # the ring; ring modes: coulomb and multipolar_ring (whether the
+        # model is a ring is `ring_mode`'s check)
+        admitted = {(kind, preset, ring) for kind in ModelKind for preset in GaugePreset
+                    for ring in (False, True) if pairing_problem(kind, preset, ring) is None}
+        uniform = {(kind, preset, False)
+                   for kind in (ModelKind.TWO_LEVEL_ENSEMBLE, ModelKind.ANHARMONIC_DIPOLE)
+                   for preset in (GaugePreset.COULOMB, GaugePreset.DIPOLE,
+                                  GaugePreset.ALPHA_LWL)}
+        ring = {(kind, preset, True) for kind in ModelKind
+                for preset in (GaugePreset.COULOMB, GaugePreset.MULTIPOLAR_RING)}
+        assert admitted == uniform | ring

@@ -135,7 +135,7 @@ class TestAssembly:
         from gaugecavity.matter import build_ring_lattice
         from gaugecavity.gauge import ring_mode
         model = build_ring_lattice(6, 1.0, 1.0)
-        gauge = make_gauge("coulomb", lwl=False)
+        gauge = make_gauge("coulomb")
         with pytest.raises(UnsupportedError):
             full_hamiltonian(model, gauge, [ring_mode(model, 1)], 5)
 
