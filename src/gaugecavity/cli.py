@@ -16,27 +16,32 @@ restores the earlier count when it returns.  numpy's BLAS work here is
 small (matrices of at most `operators.DENSE_MAX_DIM` states, vector
 products); scipy's pool keeps its default, because it runs the one large
 dense solve, `scipy.linalg.eigh` on oracle blocks of up to
-`oracle.DENSE_LIMIT` states.  Where either library is not found the pin is
-skipped.  summary.json records both counts as `blas_threads`.
+`oracle.DENSE_LIMIT` states; past that limit blocks are solved sparse,
+by one LU factorisation and its triangular solves, or by Lanczos.  Where
+either library is not found the pin is skipped.  summary.json records
+both counts as `blas_threads`.
 
 criterion.csv is byte-identical across repeated runs of the same config
 and seed on the same machine: rows are emitted in deterministic parameter
 order, every Lanczos run starts from a fixed vector seeded with
-`matter.LANCZOS_SEED`, and floats are serialised with shortest
-round-trip repr.  On the README example and the 3-axis anharmonic dipole
-at d = 1000 (sparse backend) criterion.csv is byte-identical across
-scipy's thread counts as well, and so are oracle.csv rows whose parity
-blocks are past `oracle.DENSE_LIMIT`, as in the README example.
+`matter.LANCZOS_SEED`, a resolvent reused across gauges or points is the
+one a fresh solve of the same stored Hamiltonian gives, and floats are
+serialised with shortest round-trip repr.  On the README example and the
+3-axis anharmonic dipole at d = 1000 (sparse backend) criterion.csv is
+byte-identical across scipy's thread counts as well, and so are
+oracle.csv rows whose parity blocks are past `oracle.DENSE_LIMIT`, as in
+the README example.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -366,32 +371,49 @@ def _build_modes(cfg: SweepConfig, model: MatterModel) -> list[ModeSpec]:
     return out
 
 
-def _phase_point(cfg: SweepConfig, index: int, param: str, value: float) -> list[dict]:
-    """criterion.csv records for one sweep sample (deterministic order).
+def _stored_digest(op) -> bytes:
+    """Digest of an operator's stored form: the dense array, or the CSR
+    index arrays and values, with shape and dtype."""
+    m = op.matrix
+    parts = (m,) if isinstance(m, np.ndarray) else (m.indptr, m.indices, m.data)
+    digest = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        digest.update(np.ascontiguousarray(part).data)
+    digest.update(repr((type(m).__name__, m.shape, m.dtype.str)).encode())
+    return digest.digest()
 
-    Every gauge and mode whose dressed Hamiltonian is h_m itself shares
-    one bare ground resolvent.
+
+def _phase_point(cfg: SweepConfig, index: int, param: str, value: float,
+                 previous: dict) -> tuple[list[dict], dict]:
+    """criterion.csv records for one sweep sample (deterministic order), and
+    the sample's ground resolvents by the `_stored_digest` of their dressed
+    Hamiltonian, stripped of model and Hamiltonian.
+
+    A gauge and mode whose dressed Hamiltonian is stored as one met before
+    in this sample or in ``previous``, the last sample's resolvents, reuses
+    that resolvent, rebound to this sample's model and Hamiltonian: a
+    `dipole_scale` sweep diagonalises h_m once.  The eigen-data depend on
+    the stored form alone, so the records are those of fresh solves.
     """
     model = _build_model(cfg, param, value)
     modes = _build_modes(cfg, model)
-    bare = None
+    current = {}
     records = []
     for gdict in cfg.gauges:
         gauge = _build_gauge(gdict, param, value)
         for qi, mode in enumerate(modes):
             h = dressed_matter_hamiltonian(model, gauge, [mode])
-            if h is not model.h_m:
-                ground = ground_resolvent(model, h)
-            else:
-                if bare is None:
-                    bare = ground_resolvent(model)
-                ground = bare
+            key = _stored_digest(h)
+            hit = current.get(key, previous.get(key))
+            ground = ground_resolvent(model, h) if hit is None else \
+                replace(hit, model=model, h_m_used=h)
+            current[key] = replace(ground, model=None, h_m_used=None)
             for rep in evaluate(model, gauge, mode, spectrum=ground):
                 records.append(dict(zip(CSV_HEADER.split(","), (
                     SCHEMA_VERSION, index, param, value, gauge.preset.value, gauge.alpha,
                     qi, rep.tau, rep.lhs, rep.rhs, rep.electric_part, rep.magnetic_part,
                     rep.margin, rep.condensed, rep.beta0.real, rep.beta0.imag))))
-    return records
+    return records, current
 
 
 def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> list[dict]:
@@ -550,7 +572,10 @@ def run_sweep(cfg: SweepConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     values = _sweep_values(cfg.sweep)
     param = cfg.sweep["parameter"]
-    records = [r for i, v in enumerate(values) for r in _phase_point(cfg, i, param, float(v))]
+    records, resolvents = [], {}
+    for i, v in enumerate(values):
+        point, resolvents = _phase_point(cfg, i, param, float(v), resolvents)
+        records += point
     _write_csv(os.path.join(out_dir, "criterion.csv"), CSV_HEADER, records)
     t_criterion = time.monotonic() - t_start
 
@@ -570,7 +595,8 @@ def run_sweep(cfg: SweepConfig, out_dir: str) -> int:
         "resolved_config": cfg.raw,
         "thresholds": _thresholds(records),
         "invariant_results": run_check(cfg),
-        "timings": {"criterion_seconds": t_criterion, "total_seconds": t_total},
+        "timings": {"criterion_seconds": t_criterion, "oracle_seconds": t_total - t_criterion,
+                    "total_seconds": t_total},
         "blas_threads": _blas_threads(),
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,

@@ -46,7 +46,6 @@ from gaugecavity.matter import (
 from gaugecavity.operators import Operator, eigh
 from gaugecavity.oracle import (
     constrained_min,
-    effective_photon_hamiltonian,
     full_hamiltonian,
     gauge_invariance_report,
     lowest_eigenpairs,
@@ -59,6 +58,7 @@ from gaugecavity.response import (
     slrf,
     transverse_project,
 )
+from test_oracle import effective_photon_hamiltonian
 
 
 def _line(num: int, ok: bool, desc: str):

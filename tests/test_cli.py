@@ -87,6 +87,10 @@ class TestRunSweep:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) >= {"resolved_config", "thresholds",
                                 "invariant_results", "timings"}
+        timings = summary["timings"]
+        assert set(timings) == {"criterion_seconds", "oracle_seconds", "total_seconds"}
+        assert timings["criterion_seconds"] + timings["oracle_seconds"] == \
+            pytest.approx(timings["total_seconds"])
 
     def test_threshold_detection(self, tmp_path):
         cfg_dict = dict(MINIMAL)
@@ -381,7 +385,7 @@ class TestOraclePoint:
 
     def test_energy_and_gap_match_separate_solves(self):
         # 7 matter levels x 400 Fock levels: each parity block is past the
-        # dense limit, so Lanczos
+        # dense limit, so shift-invert Lanczos
         cfg = validate_config(json.dumps(dict(self.CONFIG, oracle={
             "enabled": True, "fock_cutoff": 400, "points": 1})))
         records = _oracle_point(cfg, 0, "dipole_scale", 0.5)

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gaugecavity import cli, matter, operators
 from gaugecavity.bogoliubov import (
@@ -390,6 +391,8 @@ class TestRowPipelineEquivalence:
 
 
 class TestSpectrumSharing:
+    # per_point distinct dressed Hamiltonians at each point; one of them is
+    # h_m, which the swept key leaves unchanged, so it is solved once
     @pytest.mark.parametrize("model_cfg, per_point, check_calls", [
         ({"kind": "two_level_ensemble", "count": 6, "gap": 1.0,
           "dipole_moment": [0.0, 0.3, 0.0], "volume": 1.0}, 1, 0),
@@ -416,7 +419,78 @@ class TestSpectrumSharing:
             "sweep": {"parameter": param, "values": [0.2, 0.4, 0.6]},
         }))
         cli.run_sweep(cfg, str(tmp_path / "out"))
-        assert len(calls) == 3 * per_point + check_calls
+        assert len(calls) == 3 * (per_point - 1) + 1 + check_calls
+
+    SWEEPS = {
+        "dipole_scale": ({"kind": "two_level_ensemble", "count": 6, "gap": 1.0,
+                          "dipole_moment": [0.0, 0.3, 0.0], "volume": 1.0},
+                         [0.1, 0.2, 0.3, 0.4, 0.5]),
+        "gap": ({"kind": "two_level_ensemble", "count": 6, "gap": 1.0,
+                 "dipole_moment": [0.0, 0.3, 0.0], "volume": 1.0}, [0.6, 0.8, 1.0, 1.2, 1.4]),
+        "charge": ({"kind": "anharmonic_dipole", "levels": 12, "mass": 1.0, "frequency": 1.0,
+                    "quartic": 0.1, "charge": 0.5, "volume": 1.0}, [0.2, 0.4, 0.6]),
+    }
+
+    @staticmethod
+    def _config(param):
+        model_cfg, values = TestSpectrumSharing.SWEEPS[param]
+        return cli.validate_config(json.dumps({
+            "model": model_cfg,
+            "gauge": [{"preset": "dipole"}, {"preset": "coulomb"},
+                      {"preset": "alpha_lwl", "alpha": 0.5}],
+            "modes": [{"nu": 1.0}, {"nu": 2.0}],
+            "sweep": {"parameter": param, "values": values},
+        }))
+
+    @pytest.mark.parametrize("param, solves", [
+        ("dipole_scale", 1),  # h_m never changes, and no gauge dresses it
+        ("gap", 5),  # h_m changes at every point
+    ])
+    def test_solves_per_distinct_hamiltonian(self, monkeypatch, tmp_path, param, solves):
+        seen = []
+
+        def counting(model, h_m=None):
+            seen.append(h_m)
+            return matter.ground_resolvent(model, h_m)
+
+        monkeypatch.setattr(cli, "ground_resolvent", counting)
+        cli.run_sweep(self._config(param), str(tmp_path / "out"))
+        assert len(seen) == solves
+        assert len({cli._stored_digest(h) for h in seen}) == solves
+
+    @pytest.mark.parametrize("param", sorted(SWEEPS))
+    def test_criterion_csv_matches_fresh_solves(self, monkeypatch, tmp_path, param):
+        cfg = self._config(param)
+        cli.run_sweep(cfg, str(tmp_path / "shared"))
+        # a key no other Hamiltonian has: every gauge and mode solves afresh
+        monkeypatch.setattr(cli, "_stored_digest", lambda h: object())
+        cli.run_sweep(cfg, str(tmp_path / "fresh"))
+        shared = (tmp_path / "shared" / "criterion.csv").read_bytes()
+        assert shared == (tmp_path / "fresh" / "criterion.csv").read_bytes()
+
+    def test_carried_resolvents_hold_no_model(self):
+        cfg = self._config("charge")
+        records, carried = cli._phase_point(cfg, 0, "charge", 0.2, {})
+        # dipole and alpha_lwl dress h_m differently; Coulomb keeps it
+        assert len(carried) == 3
+        assert all(g.model is None and g.h_m_used is None for g in carried.values())
+        _, again = cli._phase_point(cfg, 1, "charge", 0.4, carried)
+        # besides h_m, alpha_lwl's (0.5 x 0.4)^2 self-energy is stored as
+        # the dipole gauge's 0.2^2 one of the point before
+        assert len(again) == 3 and len(set(again) & set(carried)) == 2
+
+    def test_stored_digest_reads_the_stored_form(self):
+        dense = np.diag([0.0, 1.0, 2.0])
+        assert cli._stored_digest(Operator(dense)) == cli._stored_digest(Operator(dense.copy()))
+        assert cli._stored_digest(Operator(dense)) != \
+            cli._stored_digest(Operator(np.diag([0.0, 1.0, 2.5])))
+        # the identity and the exchange matrix share indptr and data
+        n = operators.DENSE_MAX_DIM + 1
+        eye = scipy.sparse.identity(n, format="csr")
+        flip = scipy.sparse.csr_matrix(np.fliplr(np.eye(n)))
+        assert Operator(eye).sparse and Operator(flip).sparse
+        assert cli._stored_digest(Operator(eye)) == cli._stored_digest(Operator(eye.copy()))
+        assert cli._stored_digest(Operator(eye)) != cli._stored_digest(Operator(flip))
 
 
 _ANHARMONIC_3AXIS = build_anharmonic_dipole(5, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)

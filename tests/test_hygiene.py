@@ -12,10 +12,10 @@ The tracing check reads the `TRACED` table of `perfbench/spans.py` without
 running that module.  Only `cli` may import `ctypes`, which it uses to set
 the thread count of numpy's bundled OpenBLAS while a sweep runs, and only
 `matter`, home of the ground-state backends, may import from
-`scipy.sparse.linalg`, the Lanczos and conjugate-gradient solvers.  Only the
-dense algorithms named in DENSE_READERS may read `Operator.entries`, the
-dense view that copies a sparse operator; everything else works on the
-stored form `Operator.matrix`.
+`scipy.sparse.linalg`, the Lanczos, sparse LU and conjugate-gradient
+solvers.  Only the dense algorithms named in DENSE_READERS may read
+`Operator.entries`, the dense view that copies a sparse operator;
+everything else works on the stored form `Operator.matrix`.
 """
 
 import ast

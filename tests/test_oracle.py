@@ -11,10 +11,11 @@ from gaugecavity import operators as operators_module
 from gaugecavity import oracle as oracle_module
 from gaugecavity.bogoliubov import diagonalize_block, exact_branch_coupling
 from gaugecavity.criterion import displaced_energy, stiffness_energy
-from gaugecavity.errors import UnsupportedError
+from gaugecavity.errors import NumericError, UnsupportedError
 from gaugecavity.gauge import (
     coupling_f,
     diamagnetic_D,
+    dressed_matter_hamiltonian,
     gauge_spectrum,
     lwl_mode,
     make_gauge,
@@ -24,19 +25,17 @@ from gaugecavity.matter import (
     build_two_level_ensemble,
     matter_spectrum,
 )
-from gaugecavity.operators import Operator, Statevector, coherent_state, eigh, vacuum
+from gaugecavity.operators import (Operator, Statevector, boson_ladder, coherent_state, eigh,
+                                   vacuum)
 from gaugecavity.oracle import (
     DENSE_LIMIT,
-    adaptive_fock_cutoff,
     constrained_min,
-    effective_photon_hamiltonian,
     full_hamiltonian,
     gauge_invariance_report,
     ground_state,
     lowest_eigenpairs,
     parity_gap,
     photon_coherence,
-    project_onto_matter_state,
     transverse_field_expectation,
     variational_scan,
 )
@@ -240,6 +239,50 @@ class TestSignals:
         assert abs(et[0, 1]) > 1e-3  # genuinely nonzero for the trial state
 
 
+def effective_photon_hamiltonian(model, gauge, mode, psi_m, cutoff):
+    """Photon-sector Hamiltonian for a frozen matter state (sigma basis).
+
+    Matter operators are replaced by their expectation values; the
+    diamagnetic quadratic form keeps its operator structure.
+    """
+    h_matter = dressed_matter_hamiltonian(model, gauge, [mode])
+    e_m = float(np.real(psi_m.conj() @ (h_matter.matrix @ psi_m)))
+    dmat = diamagnetic_D(model, gauge, mode)
+    f_vals = []
+    for s in (1, 2):
+        f_op = coupling_f(model, gauge, mode, s)
+        f_vals.append(complex(psi_m.conj() @ (f_op.matrix @ psi_m)))
+    c, cdag = boson_ladder(cutoff)
+    eye = np.eye(cutoff, dtype=complex)
+    a_ops = [np.kron(c.matrix, eye), np.kron(eye, c.matrix)]
+    dim = cutoff ** 2
+    h = e_m * np.eye(dim, dtype=complex)
+    a_q = mode.amplitude
+    for s in range(2):
+        h = h + mode.nu * (a_ops[s].conj().T @ a_ops[s] + 0.5 * np.eye(dim))
+        h = h + a_q * (np.conj(f_vals[s]) * a_ops[s] + f_vals[s] * a_ops[s].conj().T)
+    for s1 in range(2):
+        for s2 in range(2):
+            dd = dmat.delta_q * dmat.d[s1, s2]
+            if dd != 0.0:
+                q1 = a_ops[s1] + a_ops[s1].conj().T
+                q2 = a_ops[s2] + a_ops[s2].conj().T
+                h = h + dd * (q1 @ q2)
+    return h
+
+
+def project_onto_matter_state(system, psi_m):
+    """<psi_m| H |psi_m> as a dense photon-space matrix (branch basis).
+
+    It is P^dag H P with the sparse isometry P = psi_m (x) 1_photon, so
+    only the photon-space result is ever dense.
+    """
+    ph_dim = system.dim // system.matter_dim
+    p = scipy.sparse.kron(scipy.sparse.csr_matrix(np.asarray(psi_m)[:, None]),
+                          scipy.sparse.identity(ph_dim, format="csr"), format="csr")
+    return (p.conj().T @ (system.h @ p)).toarray()
+
+
 class TestEffectiveHamiltonian:
     def test_projection_matches_sigma_basis_spectrum(self):
         model = dicke(3, 0.3)
@@ -300,9 +343,9 @@ def _record_blocks(monkeypatch):
     seen = []
     original = oracle_module._block_lowest
 
-    def recording(block, k):
+    def recording(block, k, sparse_solver):
         seen.append((block.dtype, block.shape[0]))
-        return original(block, k)
+        return original(block, k, sparse_solver)
 
     monkeypatch.setattr(oracle_module, "_block_lowest", recording)
     return seen
@@ -386,6 +429,58 @@ class TestLowestEigenpairs:
         v0 = np.random.default_rng(0).standard_normal(system.dim)
         ref = np.sort(scipy.sparse.linalg.eigsh(system.h, k=2, which="SA", v0=v0)[0])
         assert np.max(np.abs(vals - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("preset", ["dipole", "coulomb"])
+    def test_one_slot_blocks_factor_once(self, monkeypatch, preset):
+        # the README oracle Hamiltonian at dipole_scale 0.34: one splu per
+        # parity block, and the eigenpairs of Lanczos
+        model = build_two_level_ensemble(40, 1.0, (0.0, 0.34, 0.0), 1.0)
+        system = full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 60)
+        assert len(system.slots) == 1
+        blocks = []
+        original = oracle_module._block_lowest
+
+        def recording(block, k, sparse_solver):
+            blocks.append(block)
+            return original(block, k, sparse_solver)
+
+        factored = []
+        splu = matter_module.splu
+
+        def counting_splu(*args, **kwargs):
+            factored.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "_block_lowest", recording)
+        monkeypatch.setattr(matter_module, "splu", counting_splu)
+        lowest_eigenpairs(system, k=2)
+        assert len(blocks) == 2 and all(b.shape[0] > DENSE_LIMIT for b in blocks)
+        assert len(factored) == 2
+        for block in blocks:
+            vals, vecs = matter_module.shift_invert_lowest(block, 2)
+            ref_vals, ref_vecs = matter_module.lanczos_lowest(block, 2)
+            assert np.max(np.abs(vals - ref_vals)) <= 1e-12 * np.max(np.abs(ref_vals))
+            overlaps = np.abs(np.sum(vecs.conj() * ref_vecs, axis=0))
+            assert np.max(np.abs(overlaps - 1.0)) <= 1e-10
+
+    def test_two_slot_blocks_run_lanczos(self, monkeypatch):
+        # a 3-axis dipole couples both polarisations, and its Kronecker
+        # structure fills in a sparse factorisation
+        model = build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
+        system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 13)
+        assert len(system.slots) == 2
+        solved = []
+
+        def recording(block, k):
+            solved.append(block.shape[0])
+            return matter_module.lanczos_lowest(block, k)
+
+        monkeypatch.setattr(oracle_module, "lanczos_lowest", recording)
+        monkeypatch.setattr(matter_module, "splu", None)
+        vals, vecs = lowest_eigenpairs(system, k=2)
+        assert solved and min(solved) > DENSE_LIMIT
+        residual = system.h @ vecs - vecs * vals
+        assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8 * np.max(np.abs(vals))
 
     def test_doublet_ground_vector_is_parity_eigenstate(self):
         n = 20
@@ -559,6 +654,20 @@ class TestGaugeInvariance:
 
         report = gauge_invariance_report(build, mode, [10], [10])
         assert abs(report.energy_difference) <= 1e-12
+
+
+def adaptive_fock_cutoff(model, gauge, mode, start=8, limit=256, atol=1e-9):
+    """Smallest cutoff at which the ground energy moves less than atol."""
+    prev = None
+    n = start
+    while n <= limit:
+        system = full_hamiltonian(model, gauge, [mode], n)
+        energy, _ = ground_state(system)
+        if prev is not None and abs(energy - prev) < atol:
+            return n
+        prev = energy
+        n = max(n + 4, int(n * 1.5))
+    raise NumericError(f"ground energy not converged at cutoff {limit}")
 
 
 def test_adaptive_fock_cutoff_converges():

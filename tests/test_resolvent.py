@@ -225,8 +225,9 @@ class TestSparseFailures:
 
 
 def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):
-    # 3 points x (dipole: 1 Lanczos + 4 electric solves, coulomb: 1 Lanczos
-    # + 4 magnetic solves), plus the invariant check's TRK sum (1 + 1)
+    # 3 points x (dipole: 1 Lanczos + 4 electric solves, coulomb: 4 magnetic
+    # solves), one Lanczos for the Coulomb gauge's h_m, which the charge
+    # leaves unchanged, plus the invariant check's TRK sum (1 + 1)
     counts = {"eigh": 0, "eigsh": 0, "cg": 0}
 
     def counted(name, original):
@@ -248,7 +249,7 @@ def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):
     }))
     assert 7 ** 3 > DENSE_MAX_DIM
     cli.run_sweep(cfg, str(tmp_path / "out"))
-    assert counts == {"eigh": 0, "eigsh": 3 * 2 + 1, "cg": 3 * (4 + 4) + 1}
+    assert counts == {"eigh": 0, "eigsh": 3 + 1 + 1, "cg": 3 * (4 + 4) + 1}
 
 
 def test_large_model_memory():
