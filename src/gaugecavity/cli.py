@@ -10,32 +10,48 @@ once, and `_build_model` passes the model keys on to the kind's builder.
 
 numpy and scipy each bundle their own OpenBLAS, each with its own pool of
 worker threads, and a worker spins for a while after each call.  On a
-machine with few cores the two pools then fight each other and the main
-thread, so `main` sets numpy's pool to one thread while it runs and
-restores the earlier count when it returns.  numpy's BLAS work here is
-small (matrices of at most `operators.DENSE_MAX_DIM` states, vector
-products); scipy's pool keeps its default, because it runs the one large
+machine with few cores the pools then fight each other, the main thread
+and the oracle workers, so `run_sweep` sets both pools to one thread while
+it runs and restores the earlier counts when it returns; `main` does the
+same around everything it runs.  One thread also makes the one large
 dense solve, `scipy.linalg.eigh` on oracle blocks of up to
-`oracle.DENSE_LIMIT` states; past that limit blocks are solved sparse,
-by one LU factorisation and its triangular solves, or by Lanczos.  Where
-either library is not found the pin is skipped.  summary.json records
-both counts as `blas_threads`.
+`oracle.DENSE_LIMIT` states, independent of `OPENBLAS_NUM_THREADS`; past
+that limit blocks are solved sparse, by one LU factorisation and its
+triangular solves, or by Lanczos.  Where a library is not found its pin
+is skipped.  summary.json records both counts as `blas_threads`.
 
-criterion.csv is byte-identical across repeated runs of the same config
-and seed on the same machine: rows are emitted in deterministic parameter
-order, every Lanczos run starts from a fixed vector seeded with
-`matter.LANCZOS_SEED`, a resolvent reused across gauges or points is the
-one a fresh solve of the same stored Hamiltonian gives, and floats are
-serialised with shortest round-trip repr.  On the README example and the
-3-axis anharmonic dipole at d = 1000 (sparse backend) criterion.csv is
-byte-identical across scipy's thread counts as well, and so are
-oracle.csv rows whose parity blocks are past `oracle.DENSE_LIMIT`, as in
-the README example.
+The oracle points are independent solves.  With the oracle enabled and
+more than one CPU in the process's affinity mask, `run_sweep` hands them
+to forked worker processes as the sweep starts, one worker per CPU and at
+most one per point; the parent meanwhile runs the criterion stage and the
+invariant check, then collects the records in point order.  With one CPU
+the parent runs the points itself, after the check.  Workers are forked,
+not spawned, so that they start from the parent's loaded modules and BLAS
+pins with no import of their own; the pool forks them before it starts
+its own threads, and OpenBLAS stops its pool threads across a fork.  An error in a worker is raised in the parent when that point's
+records are collected; an error in the parent cancels the points not yet
+started and waits for the workers to end.  summary.json records the
+worker count as `oracle_workers` (0 when the parent runs the points) and
+`timings`: `criterion_seconds` for the criterion stage,
+`oracle_seconds` for what the oracle adds after the criterion stage and
+the invariant check (the wait for the workers, or the points run in the
+parent, and writing oracle.csv; near 0 with the oracle off), and
+`total_seconds` for their sum.
+
+criterion.csv and oracle.csv are byte-identical across repeated runs of
+the same config and seed on the same machine: rows are emitted in
+deterministic parameter order, every Lanczos run starts from a fixed
+vector seeded with `matter.LANCZOS_SEED`, a resolvent reused across
+gauges or points is the one a fresh solve of the same stored Hamiltonian
+gives, and floats are serialised with shortest round-trip repr.  With
+every BLAS call on one thread, both files are also the same for any
+`OPENBLAS_NUM_THREADS` and whether workers or the parent run the oracle.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -565,62 +581,102 @@ def _blas_threads() -> dict:
             for package in OPENBLAS_THREADS}
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Both bundled OpenBLAS pools on one thread inside the block, each
+    restored to its earlier count on exit; a pool not found is left alone."""
+    pools = [pool for package in OPENBLAS_THREADS
+             if (pool := _openblas_pool(package)) is not None]
+    previous = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(pools, previous):
+            set_(count)
+
+
+def _oracle_indices(cfg: SweepConfig, count: int) -> list[int]:
+    """Sweep indices of the oracle points: none with the oracle off, all
+    of them without `points`, else `points` spread evenly over the sweep."""
+    if not cfg.oracle["enabled"]:
+        return []
+    points = cfg.oracle["points"]
+    if points is None:
+        return list(range(count))
+    return sorted({int(i) for i in np.linspace(0, count - 1, min(points, count))})
+
+
 def run_sweep(cfg: SweepConfig, out_dir: str) -> int:
+    """Write criterion.csv, summary.json and, with the oracle enabled,
+    oracle.csv to ``out_dir``, with both BLAS pools on one thread and the
+    oracle points on worker processes where there is more than one CPU
+    (see the module docstring)."""
     import os
 
-    t_start = time.monotonic()
-    os.makedirs(out_dir, exist_ok=True)
-    values = _sweep_values(cfg.sweep)
-    param = cfg.sweep["parameter"]
-    records, resolvents = [], {}
-    for i, v in enumerate(values):
-        point, resolvents = _phase_point(cfg, i, param, float(v), resolvents)
-        records += point
-    _write_csv(os.path.join(out_dir, "criterion.csv"), CSV_HEADER, records)
-    t_criterion = time.monotonic() - t_start
+    with _one_blas_thread():
+        t_start = time.monotonic()
+        os.makedirs(out_dir, exist_ok=True)
+        values = _sweep_values(cfg.sweep)
+        param = cfg.sweep["parameter"]
+        oracle_idx = _oracle_indices(cfg, len(values))
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        workers = min(cpus, len(oracle_idx)) if cpus > 1 else 0
+        pool = None
+        if workers:
+            import concurrent.futures
+            import multiprocessing
 
-    if cfg.oracle["enabled"]:
-        points = cfg.oracle["points"]
-        if points is None:
-            idx = range(len(values))
-        else:
-            idx = sorted({int(i) for i in np.linspace(0, len(values) - 1,
-                                                      min(points, len(values)))})
-        oracle_records = [r for i in idx
-                          for r in _oracle_point(cfg, i, param, float(values[i]))]
-        _write_csv(os.path.join(out_dir, "oracle.csv"), ORACLE_HEADER, oracle_records)
-    t_total = time.monotonic() - t_start
+            pool = concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            pending = [pool.submit(_oracle_point, cfg, i, param, float(values[i]))
+                       for i in oracle_idx] if pool is not None else []
+            records, resolvents = [], {}
+            for i, v in enumerate(values):
+                point, resolvents = _phase_point(cfg, i, param, float(v), resolvents)
+                records += point
+            _write_csv(os.path.join(out_dir, "criterion.csv"), CSV_HEADER, records)
+            t_criterion = time.monotonic() - t_start
+            checks = run_check(cfg)
 
-    summary = {
-        "resolved_config": cfg.raw,
-        "thresholds": _thresholds(records),
-        "invariant_results": run_check(cfg),
-        "timings": {"criterion_seconds": t_criterion, "oracle_seconds": t_total - t_criterion,
-                    "total_seconds": t_total},
-        "blas_threads": _blas_threads(),
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-    }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        # np.bool_ and numpy integers are no JSON types; .item() gives the Python scalar
-        json.dump(summary, fh, indent=2, sort_keys=True, default=lambda o: o.item())
-        fh.write("\n")
+            t_wait = time.monotonic()
+            if pool is not None:
+                oracle_records = [r for future in pending for r in future.result()]
+            else:
+                oracle_records = [r for i in oracle_idx
+                                  for r in _oracle_point(cfg, i, param, float(values[i]))]
+            if cfg.oracle["enabled"]:
+                _write_csv(os.path.join(out_dir, "oracle.csv"), ORACLE_HEADER, oracle_records)
+            t_oracle = time.monotonic() - t_wait
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+
+        summary = {
+            "resolved_config": cfg.raw,
+            "thresholds": _thresholds(records),
+            "invariant_results": checks,
+            "timings": {"criterion_seconds": t_criterion, "oracle_seconds": t_oracle,
+                        "total_seconds": t_criterion + t_oracle},
+            "oracle_workers": workers,
+            "blas_threads": _blas_threads(),
+            "schema_version": SCHEMA_VERSION,
+            "package_version": __version__,
+        }
+        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+            # np.bool_ and numpy integers are no JSON types; .item() gives the Python scalar
+            json.dump(summary, fh, indent=2, sort_keys=True, default=lambda o: o.item())
+            fh.write("\n")
     return 0
 
 
 def main(argv=None) -> int:
-    """The CLI entry point, run with numpy's OpenBLAS on one thread (see the
-    module docstring); the earlier count is restored on return."""
-    pool = _openblas_pool("numpy")
-    if pool is None:
+    """The CLI entry point, run with both OpenBLAS pools on one thread (see
+    the module docstring); the earlier counts are restored on return."""
+    with _one_blas_thread():
         return _main(argv)
-    get, set_ = pool
-    previous = get()
-    set_(1)
-    try:
-        return _main(argv)
-    finally:
-        set_(previous)
 
 
 def _main(argv) -> int:

@@ -1,10 +1,13 @@
+import functools
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -367,21 +370,38 @@ def test_run_check_structure():
     assert results["bogoliubov_symplectic"]["passed"]
 
 
+def _cli_outputs(tmp_path, tag, cfg, threads, files):
+    """The bytes of ``files`` written by a `gaugecavity sweep` of ``cfg`` in
+    a fresh interpreter with OPENBLAS_NUM_THREADS=``threads``."""
+    path = tmp_path / f"{tag}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / tag
+    src = str(pathlib.Path(oracle.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+    subprocess.run([sys.executable, "-m", "gaugecavity.cli", "sweep", "--config", str(path),
+                    "--out", str(out)], env=env, check=True, timeout=300)
+    return [(out / name).read_bytes() for name in files]
+
+
 class TestOraclePoint:
     CONFIG = dict(MINIMAL, gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
                   oracle={"enabled": True, "fock_cutoff": 16, "points": 3})
 
     def test_one_eigensolve_per_gauge(self, monkeypatch, tmp_path):
-        calls = []
+        # the oracle points may run in forked workers, so each call is
+        # logged to a file, which every process appends to
+        calls = tmp_path / "calls"
         original = oracle.lowest_eigenpairs
 
         def counting(system, k=1):
-            calls.append(k)
+            with open(calls, "a") as fh:
+                fh.write(f"{k}\n")
             return original(system, k)
 
         monkeypatch.setattr(oracle, "lowest_eigenpairs", counting)
         run_sweep(validate_config(json.dumps(self.CONFIG)), str(tmp_path / "out"))
-        assert calls == [2] * (3 * 2)
+        assert [int(k) for k in calls.read_text().split()] == [2] * (3 * 2)
 
     def test_energy_and_gap_match_separate_solves(self):
         # 7 matter levels x 400 Fock levels: each parity block is past the
@@ -412,21 +432,27 @@ class TestOraclePoint:
             gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
             sweep={"parameter": "charge", "values": [0.3, 1.2]})
         cases = [(readme, ("criterion.csv", "oracle.csv")), (anharmonic, ("criterion.csv",))]
-        src = str(pathlib.Path(oracle.__file__).resolve().parent.parent)
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = {}
         for case, (cfg, files) in enumerate(cases):
-            path = tmp_path / f"cfg{case}.json"
-            path.write_text(json.dumps(cfg))
             for threads in ("1", "2"):
-                out = tmp_path / f"case{case}-threads{threads}"
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
-                subprocess.run([sys.executable, "-m", "gaugecavity.cli", "sweep", "--config",
-                                str(path), "--out", str(out)], env=env, check=True, timeout=300)
-                for name in files:
-                    outputs.setdefault((case, name), []).append((out / name).read_bytes())
+                for name, data in zip(files, _cli_outputs(tmp_path, f"case{case}-threads{threads}",
+                                                          cfg, threads, files)):
+                    outputs.setdefault((case, name), []).append(data)
         assert len(outputs) == 3
         assert [key for key, (one, two) in outputs.items() if one != two] == []
+
+    def test_dense_oracle_blocks_independent_of_blas_threads(self, tmp_path):
+        # 21 matter levels x 80 Fock levels: parity blocks of 840 states,
+        # within the dense limit, so scipy.linalg.eigh solves them
+        assert 21 * 80 // 2 <= oracle.DENSE_LIMIT
+        cfg = dict(MINIMAL, model=dict(MINIMAL["model"], count=20),
+                   gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
+                   sweep={"parameter": "dipole_scale", "values": [0.15, 0.3]},
+                   oracle={"enabled": True, "fock_cutoff": 80})
+        one, two = (_cli_outputs(tmp_path, f"threads{threads}", cfg, threads, ("oracle.csv",))
+                    for threads in ("1", "2"))
+        assert len(one[0].splitlines()) == 1 + 2 * 2
+        assert one == two
 
     def test_photon_observables_sum_both_polarisations(self):
         # a 1-axis dipole lies along x, which lwl_mode makes polarisation 1
@@ -469,9 +495,86 @@ class TestOraclePoint:
                                                      abs=1e-12)
 
 
+def _logged_oracle_point(log, delay, cfg, index, param, value):
+    """Stands in for `cli._oracle_point`: appends the point index and the
+    BLAS pool sizes to ``log``, waits ``delay`` seconds and returns no
+    records.  Module level, so that a worker can unpickle it."""
+    with open(log, "a") as fh:
+        fh.write(json.dumps([index, cli._blas_threads()]) + "\n")
+    time.sleep(delay)
+    return []
+
+
+def _cpus(monkeypatch, count):
+    """Make the sweep see ``count`` CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestOracleWorkers:
+    """The oracle points run on forked workers beside the criterion stage
+    where there is more than one CPU, and in the parent where there is one."""
+
+    CONFIG = dict(MINIMAL, gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
+                  oracle={"enabled": True, "fock_cutoff": 16, "points": 4})
+
+    def test_one_cpu_matches_workers(self, monkeypatch, tmp_path):
+        path = write_config(tmp_path, self.CONFIG)
+        runs = []
+        for cpus in (1, 1, 3, 3):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / f"run{len(runs)}"
+            assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["oracle_workers"] == (0 if cpus == 1 else 3)
+            runs.append(tuple((out / name).read_bytes() for name in ("criterion.csv",
+                                                                      "oracle.csv")))
+        assert len(runs[0][1].splitlines()) == 1 + 4 * 2
+        assert len(set(runs)) == 1
+
+    def test_oracle_off_starts_no_worker(self, tmp_path):
+        assert main(["sweep", "--config", write_config(tmp_path, MINIMAL),
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["oracle_workers"] == 0
+        assert not (tmp_path / "out" / "oracle.csv").exists()
+
+    def test_worker_error_exits_one(self, monkeypatch, tmp_path, capsys):
+        def failing(system, k=1):
+            raise NumericError(f"forced failure in process {os.getpid()}")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(oracle, "lowest_eigenpairs", failing)
+        assert main(["sweep", "--config", write_config(tmp_path, self.CONFIG),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "runtime error: forced failure in process" in err
+        assert f"process {os.getpid()}\n" not in err  # raised in a worker
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_criterion_error_cancels_pending_points(self, monkeypatch, tmp_path, capsys):
+        def failing(*args, **kwargs):
+            raise NumericError("forced criterion failure")
+
+        log = tmp_path / "started"
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "evaluate", failing)
+        monkeypatch.setattr(cli, "_oracle_point",
+                            functools.partial(_logged_oracle_point, str(log), 0.2))
+        # every one of the 12 sweep points is an oracle point
+        cfg = dict(self.CONFIG, oracle={"enabled": True, "fock_cutoff": 4})
+        assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "runtime error: forced criterion failure" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        started = log.read_text().splitlines() if log.exists() else []
+        assert len(started) < 12
+
+
 class TestBlasPin:
-    """`main` runs with numpy's OpenBLAS on one thread and restores the
-    earlier count; scipy's pool keeps its own."""
+    """`main` and `run_sweep` run with numpy's and scipy's OpenBLAS on one
+    thread each and restore the earlier counts."""
 
     @pytest.fixture
     def numpy_pool(self):
@@ -510,8 +613,33 @@ class TestBlasPin:
         assert main(["sweep", "--config", write_config(tmp_path, MINIMAL),
                      "--out", str(tmp_path / "out")]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["blas_threads"] == {
-            "numpy": 1, "scipy": None if scipy_pool is None else scipy_pool[0]()}
+        assert summary["blas_threads"] == {"numpy": 1, "scipy": None if scipy_pool is None else 1}
+
+    def test_run_sweep_pins_both_pools_in_workers_too(self, numpy_pool, monkeypatch, tmp_path):
+        scipy_pool = cli._openblas_pool("scipy")
+        if scipy_pool is None:
+            pytest.skip("scipy's bundled OpenBLAS not found")
+        scipy_before = scipy_pool[0]()
+        scipy_pool[1](2)
+        try:
+            seen = []
+            monkeypatch.setattr(cli, "run_check", lambda cfg: seen.append(
+                cli._blas_threads()) or {"all_passed": True})
+            log = tmp_path / "points"
+            monkeypatch.setattr(cli, "_oracle_point",
+                                functools.partial(_logged_oracle_point, str(log), 0.0))
+            _cpus(monkeypatch, 2)
+            cfg = validate_config(json.dumps(dict(MINIMAL, oracle={
+                "enabled": True, "fock_cutoff": 4, "points": 2})))
+            assert run_sweep(cfg, str(tmp_path / "out")) == 0
+            one = {"numpy": 1, "scipy": 1}
+            assert seen == [one]
+            points = [json.loads(line) for line in log.read_text().splitlines()]
+            assert sorted(index for index, _ in points) == [0, 11]
+            assert [pools for _, pools in points] == [one, one]
+            assert (numpy_pool(), scipy_pool[0]()) == (2, 2)
+        finally:
+            scipy_pool[1](scipy_before)
 
     def test_no_library_no_pin(self, monkeypatch, tmp_path):
         real = cli._openblas_pool("numpy")

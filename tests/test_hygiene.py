@@ -10,12 +10,15 @@ and the definition check asks the same of each top-level function, class
 and constant of the package, counting the benchmark as a reader too.
 The tracing check reads the `TRACED` table of `perfbench/spans.py` without
 running that module.  Only `cli` may import `ctypes`, which it uses to set
-the thread count of numpy's bundled OpenBLAS while a sweep runs, and only
-`matter`, home of the ground-state backends, may import from
-`scipy.sparse.linalg`, the Lanczos, sparse LU and conjugate-gradient
-solvers.  Only the dense algorithms named in DENSE_READERS may read
-`Operator.entries`, the dense view that copies a sparse operator;
-everything else works on the stored form `Operator.matrix`.
+the thread counts of numpy's and scipy's bundled OpenBLAS while a sweep
+runs, and `concurrent` and `multiprocessing`, which it imports inside
+`run_sweep` for the oracle's worker processes, so that importing the
+package does not pay for them.  Only `matter`, home of the ground-state
+backends, may import from `scipy.sparse.linalg`, the Lanczos, sparse LU
+and conjugate-gradient solvers.  Only the dense algorithms named in
+DENSE_READERS may read `Operator.entries`, the dense view that copies a
+sparse operator; everything else works on the stored form
+`Operator.matrix`.
 """
 
 import ast
@@ -167,6 +170,17 @@ def test_import_detector_sees_nested_imports():
 def test_only_cli_imports_ctypes():
     paths = MODULES + [PACKAGE / "__init__.py"]
     assert [p.stem for p in paths if "ctypes" in imported_modules(p.read_text())] == ["cli"]
+
+
+def test_only_cli_imports_process_pools():
+    pools = {"concurrent", "multiprocessing"}
+    paths = MODULES + [PACKAGE / "__init__.py"]
+    assert [p.stem for p in paths if pools & imported_modules(p.read_text())] == ["cli"]
+    # and only inside a function, not when the module loads
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    top = ast.Module([node for node in tree.body
+                      if isinstance(node, (ast.Import, ast.ImportFrom))], [])
+    assert pools & imported_modules(ast.unparse(top)) == set()
 
 
 def imports_sparse_solvers(source: str) -> bool:
