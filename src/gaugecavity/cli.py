@@ -28,9 +28,10 @@ invariant check, then collects the records in point order.  With one CPU
 the parent runs the points itself, after the check.  Workers are forked,
 not spawned, so that they start from the parent's loaded modules and BLAS
 pins with no import of their own; the pool forks them before it starts
-its own threads, and OpenBLAS stops its pool threads across a fork.  An error in a worker is raised in the parent when that point's
-records are collected; an error in the parent cancels the points not yet
-started and waits for the workers to end.  summary.json records the
+its own threads, and OpenBLAS stops its pool threads across a fork.  An
+error in a worker is raised in the parent when that point's records are
+collected; an error in the parent cancels the points not yet started and
+waits for the workers to end.  summary.json records the
 worker count as `oracle_workers` (0 when the parent runs the points) and
 `timings`: `criterion_seconds` for the criterion stage,
 `oracle_seconds` for what the oracle adds after the criterion stage and
@@ -150,10 +151,12 @@ MODELS = {
     }),
 }
 KIND = Key("string", lambda v: v in MODELS, f"must be one of {sorted(MODELS)}")
-# kind -> matter dimension its (valid) keys describe; the oracle takes no ring
-MATTER_DIM = {
-    "two_level_ensemble": lambda model: model["count"] + 1,
-    "anharmonic_dipole": lambda model: model["levels"] ** model["axes"],
+# kind -> (matter dimension, photon branches a mode couples) its (valid)
+# keys describe; the oracle takes no ring
+ORACLE_SIZE = {
+    "two_level_ensemble": lambda model: (model["count"] + 1, 1),
+    "anharmonic_dipole": lambda model: (model["levels"] ** model["axes"],
+                                        2 if model["axes"] == 3 else 1),
 }
 GAUGE_NAMES = sorted(p.value for p in GaugePreset)
 GAUGE = {
@@ -290,16 +293,20 @@ def validate_config(text: str) -> SweepConfig:
     if model.get("axes") == 3 and levels is not None and levels ** 3 > MAX_ANHARMONIC_DIM:
         errors.append(f"model.levels: 3-axis dimension {levels ** 3} exceeds "
                       f"{MAX_ANHARMONIC_DIM}")
-    # a coupled branch multiplies the matter dimension by the Fock cutoff
+    # each coupled branch of each mode multiplies the matter dimension by
+    # the Fock cutoff
     fock = oracle["fock_cutoff"]
-    if oracle["enabled"] is True and fock is not None and kind in MATTER_DIM:
+    if oracle["enabled"] is True and fock is not None and kind in ORACLE_SIZE:
         try:
-            dim = MATTER_DIM[kind](model)
+            dim, branches = ORACLE_SIZE[kind](model)
         except TypeError:  # a size key is invalid, which is reported already
-            dim = 0
-        if dim * fock > MAX_FULL_DIM:
-            errors.append(f"oracle.fock_cutoff: matter dimension {dim} x fock_cutoff {fock} "
-                          f"= {dim * fock} exceeds the oracle limit {MAX_FULL_DIM}")
+            dim, branches = 0, 0
+        slots = branches * len(mode_nodes)
+        if dim * fock ** slots > MAX_FULL_DIM:
+            power = f" ** {slots}" if slots > 1 else ""
+            errors.append(f"oracle.fock_cutoff: matter dimension {dim} x fock_cutoff {fock}"
+                          f"{power} = {dim * fock ** slots} exceeds the oracle limit "
+                          f"{MAX_FULL_DIM}")
 
     param = sweep["parameter"]
     swept = _swept_keys(model_keys)
@@ -372,19 +379,15 @@ def _build_model(cfg: SweepConfig, param: str, value: float) -> MatterModel:
     return getattr(matter, builder)(**kwargs)
 
 
-def _build_gauge(gdict: dict, param: str, value: float) -> GaugeSpec:
-    alpha = value if param == "alpha" else gdict["alpha"]
-    return make_gauge(gdict["preset"], alpha=alpha)
-
-
-def _build_modes(cfg: SweepConfig, model: MatterModel) -> list[ModeSpec]:
-    out = []
-    for m in cfg.modes:
-        if m["ring_index"] is not None:
-            out.append(ring_mode(model, m["ring_index"], nu=m["nu"]))
-        else:
-            out.append(lwl_mode(m["nu"], model.params.volume))
-    return out
+def _point(cfg: SweepConfig, param: str, value: float
+           ) -> tuple[MatterModel, list[GaugeSpec], list[ModeSpec]]:
+    """The model, gauges (in config order) and modes of one sweep sample."""
+    model = _build_model(cfg, param, value)
+    gauges = [make_gauge(g["preset"], alpha=value if param == "alpha" else g["alpha"])
+              for g in cfg.gauges]
+    modes = [lwl_mode(m["nu"], model.params.volume) if m["ring_index"] is None
+             else ring_mode(model, m["ring_index"], nu=m["nu"]) for m in cfg.modes]
+    return model, gauges, modes
 
 
 def _stored_digest(op) -> bytes:
@@ -411,12 +414,10 @@ def _phase_point(cfg: SweepConfig, index: int, param: str, value: float,
     `dipole_scale` sweep diagonalises h_m once.  The eigen-data depend on
     the stored form alone, so the records are those of fresh solves.
     """
-    model = _build_model(cfg, param, value)
-    modes = _build_modes(cfg, model)
+    model, gauges, modes = _point(cfg, param, value)
     current = {}
     records = []
-    for gdict in cfg.gauges:
-        gauge = _build_gauge(gdict, param, value)
+    for gauge in gauges:
         for qi, mode in enumerate(modes):
             h = dressed_matter_hamiltonian(model, gauge, [mode])
             key = _stored_digest(h)
@@ -444,11 +445,9 @@ def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> lis
         transverse_field_expectation
 
     fock = cfg.oracle["fock_cutoff"]
-    model = _build_model(cfg, param, value)
-    modes = _build_modes(cfg, model)
+    model, gauges, modes = _point(cfg, param, value)
     records = []
-    for gdict in cfg.gauges:
-        gauge = _build_gauge(gdict, param, value)
+    for gauge in gauges:
         system = full_hamiltonian(model, gauge, modes, fock)
         vals, vecs = lowest_eigenpairs(system, k=2)
         state = Statevector(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
@@ -483,7 +482,8 @@ def _write_csv(path: str, header: str, records: list[dict]) -> None:
 
 
 def _thresholds(records: list[dict]) -> list[dict]:
-    """First margin sign change per (gauge, q_index, tau), linearly interpolated."""
+    """First margin sign change per (gauge, q_index, tau), rising or falling
+    through zero, linearly interpolated."""
     series: dict = {}
     for rec in records:
         key = (rec["gauge"], rec["q_index"], rec["tau"])
@@ -491,15 +491,17 @@ def _thresholds(records: list[dict]) -> list[dict]:
     out = []
     for (gauge_label, qi, tau), pts in sorted(series.items()):
         pts.sort()
-        crossing = None
-        for (x0, m0), (x1, m1) in zip(pts, pts[1:]):
-            if m0 <= 0.0 < m1:
-                crossing = x0 if m1 == m0 else x0 + (0.0 - m0) * (x1 - x0) / (m1 - m0)
-                break
+        crossing = next((x0 - m0 * (x1 - x0) / (m1 - m0)
+                         for (x0, m0), (x1, m1) in zip(pts, pts[1:]) if (m0 > 0.0) != (m1 > 0.0)),
+                        None)
         out.append({"gauge": gauge_label, "q_index": qi, "tau": tau,
                     "condensed_anywhere": any(m > 0 for _, m in pts),
                     "crossing": crossing})
     return out
+
+
+def _check(dev: float, tol: float) -> dict:
+    return {"max_dev": dev, "tol": tol, "passed": dev <= tol}
 
 
 def run_check(cfg: SweepConfig) -> dict:
@@ -520,32 +522,22 @@ def run_check(cfg: SweepConfig) -> dict:
         lam_num, _ = numeric_block_eigen(dmat, 1.0)
         worst_lam = max(worst_lam, float(np.max(np.abs(block.lambdas - lam_num))))
         worst_symp = max(worst_symp, verify_symplectic(block))
-    results["bogoliubov_lambda_vs_numeric"] = {"max_dev": worst_lam, "tol": 1e-10,
-                                               "passed": worst_lam <= 1e-10}
-    results["bogoliubov_symplectic"] = {"max_dev": worst_symp, "tol": 1e-11,
-                                        "passed": worst_symp <= 1e-11}
+    results["bogoliubov_lambda_vs_numeric"] = _check(worst_lam, 1e-10)
+    results["bogoliubov_symplectic"] = _check(worst_symp, 1e-11)
 
     value0 = float(_sweep_values(cfg.sweep)[0])
     param = cfg.sweep["parameter"]
-    model = _build_model(cfg, param, value0)
+    model, gauges, modes = _point(cfg, param, value0)
     if model.kind is ModelKind.RING_LATTICE:
-        dev = check_uniform_density(model, 0)
-        results["ring_uniform_density"] = {"max_dev": dev, "tol": 1e-12,
-                                           "passed": dev <= 1e-12}
+        results["ring_uniform_density"] = _check(check_uniform_density(model, 0), 1e-12)
     if model.momentum_ops is not None:
         s = trk_sum(ground_resolvent(model), axis=0)
         target = model.params.mass * model.params.n_charges / 2.0
-        dev = abs(s - target)
-        results["trk_sum_rule"] = {"max_dev": dev, "tol": 1e-6, "passed": dev <= 1e-6}
-    for gdict in cfg.gauges:
-        gauge = _build_gauge(gdict, param, value0)
-        modes = _build_modes(cfg, model)
+        results["trk_sum_rule"] = _check(abs(s - target), 1e-6)
+    for gauge in gauges:
         for mode in modes:
-            dmat = diamagnetic_D(model, gauge, mode)
-            eigs = np.linalg.eigvalsh(dmat.d)
-            key = f"diamagnetic_psd_{gauge.preset.value}"
-            results[key] = {"max_dev": float(max(0.0, -eigs[0])), "tol": 1e-14,
-                            "passed": eigs[0] >= -1e-14}
+            lowest = float(np.linalg.eigvalsh(diamagnetic_D(model, gauge, mode).d)[0])
+            results[f"diamagnetic_psd_{gauge.preset.value}"] = _check(max(0.0, -lowest), 1e-14)
     results["all_passed"] = all(v["passed"] for v in results.values()
                                 if isinstance(v, dict))
     return results

@@ -59,9 +59,10 @@ class CriterionReport:
 # The 8 Gram columns are conj(<0|f_k) = f_k^dag|0> (slots 0-3) and f_k|0>
 # (slots 4-7), k = magnetic sigma 1, 2, then electric sigma 1, 2.  Row
 # sigma of _BRA[part] selects the f_sigma^dag|0> of that part of f; the
-# same rows rolled by 4 select f_sigma|0>.
+# same row of _KET[part], rolled by 4, selects f_sigma|0>.
 _BRA = {"magnetic": np.eye(8)[[0, 1]], "electric": np.eye(8)[[2, 3]]}
 _BRA["full"] = _BRA["magnetic"] + _BRA["electric"]
+_KET = {part: np.roll(bra, 4, axis=1) for part, bra in _BRA.items()}
 
 
 def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
@@ -112,9 +113,8 @@ def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
         lam = float(block.lambdas[t])
         value = {}
         for part, bra in _BRA.items():
-            ket = np.roll(bra, 4, axis=1)
-            p = branch_combination(block, t, bra, ket)
-            q = branch_combination(block, t, ket, bra)
+            p = branch_combination(block, t, bra, _KET[part])
+            q = branch_combination(block, t, _KET[part], bra)
             x_sum = float((p @ m @ p + q @ m @ q).real)
             w_sum = complex(2.0 * (p @ m @ q))
             value[part] = lam * (x_sum + abs(w_sum)) / (2.0 * mode.nu ** 2 * mode.volume)

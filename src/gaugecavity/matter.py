@@ -44,7 +44,7 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperato
 
 from .errors import (ArgumentError, DegenerateGroundStateError, NumericError, ResourceLimitError,
                      UnsupportedError)
-from .operators import DENSE_MAX_DIM, EigenSystem, Operator, boson_ladder, eigh, zero
+from .operators import DENSE_MAX_DIM, Operator, boson_ladder, eigh, zero
 
 MAX_ENSEMBLE_SIZE = 4000
 # the ring's invariant check and multipolar D still diagonalise L x L densely
@@ -147,12 +147,6 @@ class MatterModel:
         factors = ({0: p1, 2: phase}, {1: p1, 2: phase}, {2: 0.5 * (p1 @ phase + phase @ p1)})
         return tuple(Operator(scale * _axis_kron(f, levels, 3)) for f in factors)
 
-    def _axis_labels(self) -> list[str]:
-        out = []
-        for ax in self.axes:
-            out.append("xyz"[int(np.argmax(np.abs(ax)))])
-        return out
-
     def pol_transverse_mult(self, q_hat: np.ndarray, q_phase: float = 0.0
                             ) -> tuple[Operator, Operator, Operator]:
         """Multipolar P_Tq: transverse projection of d/V in the LWL, or the
@@ -176,9 +170,8 @@ class MatterModel:
         continuity-consistent current.  Bond j = (j, j + 1) fills the
         diagonals at offsets -1 and +1, and the closing bond (L - 1, 0)
         those at -(L - 1) and L - 1.  The ring coordinate is abstract;
-        the current vector is mapped onto the model's transverse axis.
+        the current lies along x, the ring's one axis.
         """
-        self._require_ring()
         e = self.params.charge
         v = self.params.volume
         L = self.dim
@@ -188,19 +181,16 @@ class MatterModel:
         lower = -e * 1j * t * np.exp(-1j * q_scalar * (np.arange(L) + 0.5)) / v
         op = Operator(_banded(L, {-1: lower[:-1], 1: -lower[:-1],
                                   L - 1: lower[-1:], 1 - L: -lower[-1:]}))
-        out = [zero(self.dim)] * 3
-        out["xyz".index(self._axis_labels()[0])] = op
-        return tuple(out)
+        return op, zero(L), zero(L)
 
     def _ring_string_polarisation(self, q_scalar: float) -> tuple[Operator, Operator, Operator]:
         """Line-integral polarisation discretised along ring bonds from site 0.
 
         Each site k is connected to the origin by the forward string over
         bonds 0..k-1; the uniform background enters as a c-number.  The
-        operator is diagonal: site k carries the phase sum of its string,
-        less the background's N/L share of all strings.
+        operator is diagonal, along x: site k carries the phase sum of its
+        string, less the background's N/L share of all strings.
         """
-        self._require_ring()
         e = self.params.charge
         v = self.params.volume
         L = self.dim
@@ -208,9 +198,7 @@ class MatterModel:
         phases = np.exp(-1j * q_scalar * (np.arange(L - 1) + 0.5))
         string = np.concatenate([[0.0], np.cumsum(phases)])  # bonds 0..k-1 of site k
         op = Operator(_banded(L, {0: -e * (string - (n / L) * string.sum()) / v}))
-        out = [zero(self.dim)] * 3
-        out["xyz".index(self._axis_labels()[0])] = op
-        return tuple(out)
+        return op, zero(L), zero(L)
 
 
 @dataclass(frozen=True)
@@ -219,20 +207,13 @@ class MatterSpectrum:
 
     model: MatterModel
     h_m_used: Operator
-    eigensystem: EigenSystem
+    energies: np.ndarray  # ascending, with the eigenvectors as columns of ``vectors``
+    vectors: np.ndarray
     ground_degeneracy: int
 
     @property
-    def energies(self) -> np.ndarray:
-        return self.eigensystem.values
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return self.eigensystem.vectors
-
-    @property
     def dim(self) -> int:
-        return self.eigensystem.dim
+        return self.energies.shape[0]
 
     def table(self, op: Operator) -> np.ndarray:
         """<n|O|n'> in the eigenbasis."""
@@ -269,7 +250,7 @@ def matter_spectrum(model: MatterModel, h_m: Operator | None = None) -> MatterSp
     h = model.h_m if h_m is None else h_m
     es = eigh(h)
     degeneracy = int(np.sum(es.values - es.values[0] <= DEGENERACY_ATOL))
-    return MatterSpectrum(model=model, h_m_used=h, eigensystem=es,
+    return MatterSpectrum(model=model, h_m_used=h, energies=es.values, vectors=es.vectors,
                           ground_degeneracy=degeneracy)
 
 
@@ -321,8 +302,32 @@ def _gershgorin_floor(mat) -> float:
     return float(np.min(2.0 * diag - np.asarray(abs(mat).sum(axis=1)).ravel())) - 1.0
 
 
-def _start_vector(dim: int) -> np.ndarray:
-    return np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+def _arpack_lowest(mat, k: int, invert: bool) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenpairs of ``mat``, ascending, by ARPACK from the seeded
+    start vector, on ``mat`` less its Gershgorin shift or, with ``invert``,
+    on the inverse of that; ARPACK's failures become NumericError."""
+    dim = mat.shape[0]
+    shift = _gershgorin_floor(mat)
+    shifted = mat - shift * scipy.sparse.identity(dim)
+    if invert:
+        what = "shift-invert Lanczos"
+        lu = splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        run = dict(A=mat, sigma=shift, which="LM",
+                   OPinv=LinearOperator(mat.shape, matvec=lu.solve, dtype=mat.dtype))
+    else:
+        what = "Lanczos ground state"
+        run = dict(A=shifted, which="SA")
+    try:
+        vals, vecs = eigsh(k=k, v0=np.random.default_rng(LANCZOS_SEED).standard_normal(dim),
+                           **run)
+    except ArpackNoConvergence as exc:
+        raise NumericError(f"{what} failed to converge: {exc}") from exc
+    except ArpackError as exc:
+        raise NumericError(f"{what} failed: {exc}") from exc
+    order = np.argsort(vals)
+    # shift-invert returns the eigenvalues of ``mat`` itself
+    return (vals[order] if invert else vals[order] + shift), vecs[:, order]
 
 
 def lanczos_lowest(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -341,17 +346,7 @@ def lanczos_lowest(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     dipole at d = 1000, where shift-invert from that shift took 126 solves
     and ran slower.
     """
-    dim = mat.shape[0]
-    shift = _gershgorin_floor(mat)
-    try:
-        vals, vecs = eigsh(mat - shift * scipy.sparse.identity(dim), k=k, which="SA",
-                           v0=_start_vector(dim))
-    except ArpackNoConvergence as exc:
-        raise NumericError(f"Lanczos ground state failed to converge: {exc}") from exc
-    except ArpackError as exc:
-        raise NumericError(f"Lanczos ground state failed: {exc}") from exc
-    order = np.argsort(vals)
-    return vals[order] + shift, vecs[:, order]
+    return _arpack_lowest(mat, k, invert=False)
 
 
 def shift_invert_lowest(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -368,20 +363,7 @@ def shift_invert_lowest(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     oracle with two photon slots on a 3-axis matter space, the solves cost
     more than that saves.
     """
-    sigma = _gershgorin_floor(mat)
-    dim = mat.shape[0]
-    lu = splu((mat - sigma * scipy.sparse.identity(dim)).tocsc(), permc_spec="MMD_AT_PLUS_A",
-              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    solve = LinearOperator(mat.shape, matvec=lu.solve, dtype=mat.dtype)
-    try:
-        vals, vecs = eigsh(mat, k=k, sigma=sigma, which="LM", OPinv=solve,
-                           v0=_start_vector(dim))
-    except ArpackNoConvergence as exc:
-        raise NumericError(f"shift-invert Lanczos failed to converge: {exc}") from exc
-    except ArpackError as exc:
-        raise NumericError(f"shift-invert Lanczos failed: {exc}") from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return _arpack_lowest(mat, k, invert=True)
 
 
 def sparse_resolvent(model: MatterModel, h_m: Operator | None = None) -> SparseResolvent:
@@ -634,7 +616,7 @@ def trk_sum(spectrum, axis: int, reference_level: int = 0) -> float:
     model = spectrum.model
     if model.momentum_ops is None:
         raise UnsupportedError(f"{model.kind.value} has no canonical momentum representation")
-    labels = model._axis_labels()
+    labels = ["xyz"[int(np.argmax(np.abs(ax)))] for ax in model.axes]
     lab = "xyz"[axis]
     if lab not in labels:
         raise ArgumentError(f"model has no {lab} axis")

@@ -192,10 +192,6 @@ def boson_ladder(cutoff: int) -> tuple[Operator, Operator]:
     return Operator(a), Operator(a.conj().T)
 
 
-def number_operator(cutoff: int) -> Operator:
-    return Operator(np.diag(np.arange(cutoff, dtype=float)).astype(complex), hermitian=True)
-
-
 def _fix_phases(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Rotate each eigenvector so its largest-magnitude entry is real positive.
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from gaugecavity.bogoliubov import (
+    DEGENERATE_ATOL,
     BogoliubovBlock,
+    _lambda_closed_form,
     adapt_degenerate_branches,
-    appendix_coefficients,
     coupling_g,
     diagonalize_block,
     numeric_block_eigen,
@@ -106,6 +107,34 @@ class TestSymplectic:
         for dmat, nu in _random_psd_blocks(100, seed=17):
             w, x, y, z = diagonalize_block(dmat, nu).coeffs.T
             assert np.max(np.abs(w**2 + x**2 - y**2 - z**2 - 1.0)) <= 1e-12
+
+
+def appendix_coefficients(dmat: DiamagneticMatrix, nu_q: float) -> np.ndarray:
+    """Coefficient rows (w, x, y, z) from the Theta/Phi/N parameterisation.
+
+    Only defined away from the removable singularities (lambda = 1, D12 = 0);
+    used as an independent cross-check of diagonalize_block.  The branch
+    pairing follows the sign of D12 so that each row is an eigenvector of D.
+    """
+    d = np.asarray(dmat.d, dtype=float)
+    if abs(d[0, 1]) <= DEGENERATE_ATOL:
+        raise ArgumentError("parameterisation is singular at D12 = 0")
+    lam = _lambda_closed_form(d, dmat.delta_q, nu_q)
+    if np.any(np.abs(lam - 1.0) < 1e-8):
+        raise ArgumentError("parameterisation is singular at lambda = 1")
+    s = np.sign(d[0, 1])
+    d_q = (d[0, 0] - d[1, 1]) / (2.0 * d[0, 1])
+    rows = np.zeros((2, 4))
+    for t, tau in enumerate((+1.0, -1.0)):
+        lt = lam[t]
+        phi = d_q + tau * s * np.sqrt(1.0 + d_q ** 2)
+        theta = (1.0 + lt) / (1.0 - lt)
+        norm = 8.0 * lt * (1.0 - lt) ** -2 * (1.0 + d_q * phi)
+        root = -np.sqrt(norm)  # negative branch matches the fixed sign convention
+        y = phi / root
+        z = 1.0 / root
+        rows[t] = (-y * theta, -z * theta, y, z)
+    return rows
 
 
 class TestAppendixParameterisation:

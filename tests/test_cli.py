@@ -109,6 +109,19 @@ class TestRunSweep:
         assert plus["condensed_anywhere"]
         assert abs(plus["crossing"] - analytic) <= 0.02
 
+    def test_falling_threshold_detected(self, tmp_path):
+        # in the dipole gauge the margin falls through zero as the gap rises
+        # past 2 N d^2 / V = 1.8
+        cfg_dict = dict(MINIMAL)
+        cfg_dict["model"] = dict(MINIMAL["model"], count=10, dipole_moment=[0.0, 0.3, 0.0])
+        cfg_dict["sweep"] = {"parameter": "gap", "start": 0.5, "stop": 3.0, "steps": 11}
+        out = tmp_path / "out"
+        run_sweep(validate_config(json.dumps(cfg_dict)), str(out))
+        summary = json.loads((out / "summary.json").read_text())
+        plus = [t for t in summary["thresholds"] if t["tau"] == "+"][0]
+        assert plus["condensed_anywhere"]
+        assert abs(plus["crossing"] - 1.8) <= 0.25
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = validate_config(json.dumps(MINIMAL))
         run_sweep(cfg, str(tmp_path / "a"))
@@ -227,7 +240,8 @@ class TestMain:
                                            "config error: sweep.scale: not allowed with values\n")
 
     def test_oracle_dimension_limit_exit_two(self, tmp_path, capsys):
-        # a coupled branch alone makes the full space 216 x 100 states
+        # the two coupled branches of the 3-axis dipole make the full space
+        # 216 x 100 ** 2 states
         model = {"kind": "anharmonic_dipole", "levels": 6, "mass": 1.0, "frequency": 1.0,
                  "quartic": 0.1, "charge": 0.5, "volume": 1.0, "axes": 3}
         sweep = {"parameter": "charge", "values": [0.5]}
@@ -235,16 +249,40 @@ class TestMain:
         path = write_config(tmp_path, dict(MINIMAL, model=model, sweep=sweep, oracle=oracle_cfg))
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            "config error: oracle.fock_cutoff: matter dimension 216 x fock_cutoff 100 = 21600 "
-            f"exceeds the oracle limit {oracle.MAX_FULL_DIM}\n")
+            "config error: oracle.fock_cutoff: matter dimension 216 x fock_cutoff 100 ** 2 = "
+            f"2160000 exceeds the oracle limit {oracle.MAX_FULL_DIM}\n")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("enabled, fock", [(True, oracle.MAX_FULL_DIM // 7), (False, 10000)],
-                             ids=["largest_allowed", "disabled"])
-    def test_oracle_dimension_accepted(self, enabled, fock):
-        # MINIMAL's ensemble of 6 dipoles has 7 states
-        validate_config(json.dumps(dict(MINIMAL, oracle={"enabled": enabled,
-                                                         "fock_cutoff": fock})))
+    @pytest.mark.parametrize("model, modes, fock, size", [
+        ({"kind": "anharmonic_dipole", "levels": 4, "mass": 1.0, "frequency": 1.0,
+          "quartic": 0.1, "charge": 0.5, "volume": 1.0, "axes": 3}, [{"nu": 1.0}], 40,
+         "64 x fock_cutoff 40 ** 2 = 102400"),
+        (dict(MINIMAL["model"], count=10), [{"nu": 1.0}, {"nu": 1.5}], 60,
+         "11 x fock_cutoff 60 ** 2 = 39600"),
+        (MINIMAL["model"], [{"nu": 1.0}, {"nu": 1.5}], 54, "7 x fock_cutoff 54 ** 2 = 20412"),
+    ], ids=["three_axis_dipole", "ensemble_two_modes", "ensemble_two_modes_limit"])
+    def test_oracle_dimension_counts_every_branch_exit_two(self, tmp_path, capsys, model,
+                                                            modes, fock, size):
+        # one Fock factor per coupled branch of each mode: a 3-axis dipole
+        # couples two branches per mode, an ensemble one
+        path = write_config(tmp_path, dict(MINIMAL, model=model, modes=modes,
+                                           sweep={"parameter": "volume", "values": [1.0]},
+                                           oracle={"enabled": True, "fock_cutoff": fock}))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: oracle.fock_cutoff: matter dimension {size} exceeds the oracle "
+            f"limit {oracle.MAX_FULL_DIM}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("enabled, fock, modes", [
+        (True, oracle.MAX_FULL_DIM // 7, MINIMAL["modes"]), (False, 10000, MINIMAL["modes"]),
+        (True, 53, [{"nu": 1.0}, {"nu": 1.5}]),
+    ], ids=["largest_allowed", "disabled", "two_modes_largest_allowed"])
+    def test_oracle_dimension_accepted(self, enabled, fock, modes):
+        # MINIMAL's ensemble of 6 dipoles has 7 states; with two modes 7 x
+        # 53 ** 2 = 19663, and fock_cutoff 54 fails above
+        validate_config(json.dumps(dict(MINIMAL, modes=modes,
+                                        oracle={"enabled": enabled, "fock_cutoff": fock})))
 
     def test_mode_volume_with_volume_sweep_exit_two(self, tmp_path, capsys):
         # the mode volume would hold only at the first sweep value, so this

@@ -12,13 +12,16 @@ from gaugecavity.operators import (
     eigh,
     expectation,
     identity,
-    number_operator,
     tensor,
     vacuum,
 )
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def number_operator(cutoff: int) -> Operator:
+    return Operator(np.diag(np.arange(cutoff, dtype=float)).astype(complex), hermitian=True)
 
 
 class TestTensor:

@@ -463,6 +463,22 @@ class TestLowestEigenpairs:
             overlaps = np.abs(np.sum(vecs.conj() * ref_vecs, axis=0))
             assert np.max(np.abs(overlaps - 1.0)) <= 1e-10
 
+    def test_shift_invert_failure_raises_numeric_error(self, monkeypatch):
+        # one photon slot and parity blocks above the dense limit: the
+        # blocks go to shift-invert, whose ARPACK failure names it
+        model = build_two_level_ensemble(40, 1.0, (0.0, 0.34, 0.0), 1.0)
+        system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 60)
+        assert len(system.slots) == 1 and system.dim // 2 > DENSE_LIMIT
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("No convergence", np.zeros(0),
+                                                          np.zeros((0, 0)))
+
+        monkeypatch.setattr(matter_module, "eigsh", no_convergence)
+        with pytest.raises(NumericError, match="^shift-invert Lanczos failed to converge: "
+                                               "ARPACK error -1: No convergence$"):
+            lowest_eigenpairs(system, k=2)
+
     def test_two_slot_blocks_run_lanczos(self, monkeypatch):
         # a 3-axis dipole couples both polarisations, and its Kronecker
         # structure fills in a sparse factorisation
