@@ -112,15 +112,14 @@ class MatterModel:
         """Cartesian components of j^p_q.
 
         ``q_phase`` is the scalar quasi-momentum entering the phase factors
-        e^{-i q x}; 0 selects the long-wavelength limit.  Models without an
-        internal coordinate (two-level) only support q_phase = 0.
+        e^{-i q x}; 0 selects the long-wavelength limit.  Finite q is
+        supported on the ring only, the one model `gauge.ring_mode` builds
+        finite-q modes for.
         """
         if q_phase == 0.0:
             return tuple(self.current_along(ax) for ax in (X_AXIS, Y_AXIS, Z_AXIS))
         if self.kind is ModelKind.RING_LATTICE:
             return self._ring_bond_current(q_phase)
-        if self.kind is ModelKind.ANHARMONIC_DIPOLE:
-            return self._anharmonic_current(q_phase)
         raise UnsupportedError(f"{self.kind.value} supports only long-wavelength currents")
 
     def current_along(self, eps, q_phase: float = 0.0) -> Operator:
@@ -130,22 +129,6 @@ class MatterModel:
             return along_op(eps, self.para_current(q_phase))
         d = along_op(eps, self.dipole_ops)
         return Operator(-1j * (d @ self.h_m - self.h_m @ d).matrix / self.params.volume)
-
-    def _anharmonic_current(self, q_phase: float) -> tuple[Operator, Operator, Operator]:
-        # j^p_q i = -(e / 2 m V) {p_i, e^{-i q z}}, the mode along z by
-        # convention.  e^{-i q z} acts on the z Kronecker factor alone, so
-        # each component is one Kronecker product of single-axis factors; a
-        # 1-axis model lies along x, with no z extent to carry a phase.
-        m, detail = self.params.mass, self.params.detail
-        scale = -self.params.charge / (m * self.params.volume)
-        if detail["axes"] == 1:
-            return (self.momentum_ops[0] * scale, zero(self.dim), zero(self.dim))
-        levels = detail["levels"]
-        x1, p1, _ = _single_axis_oscillator(levels, m, detail["frequency"])
-        es = eigh(Operator(x1, hermitian=True))
-        phase = (es.vectors * np.exp(-1j * q_phase * es.values)) @ es.vectors.conj().T
-        factors = ({0: p1, 2: phase}, {1: p1, 2: phase}, {2: 0.5 * (p1 @ phase + phase @ p1)})
-        return tuple(Operator(scale * _axis_kron(f, levels, 3)) for f in factors)
 
     def pol_transverse_mult(self, q_hat: np.ndarray, q_phase: float = 0.0
                             ) -> tuple[Operator, Operator, Operator]:

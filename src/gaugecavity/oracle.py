@@ -12,24 +12,28 @@ which reduces to the usual h-weighted combination for Hermitian f or for
 unsqueezed branches.  Branches that never couple are carried analytically
 through their vacuum energy nu_tau / 2 and their virtual population.
 
-Matrices are kept sparse.  `lowest_eigenpairs` splits the Hamiltonian into
-the blocks that do not couple to each other (the two sectors of the Dicke
-Z2 parity) and solves each one, in real arithmetic where a diagonal phase
-change makes it real: by dense `eigh` up to DENSE_LIMIT states; above it
-by shift-invert Lanczos on one sparse factorisation per block
-(`matter.shift_invert_lowest`) when at most one photon slot is retained,
-and by plain Lanczos (`matter.lanczos_lowest`) when more are.  Both start
-from the vector seeded with `matter.LANCZOS_SEED`.  Each returned
-eigenvector lies in one block, so the ground vector is a parity
-eigenstate, and the parity-odd observables, the photon coherence <a> and
-the transverse field, read exactly 0 in it, also inside the superradiant
-doublet, where the photon occupation carries the signal.
+Only the Hamiltonian is a full-space (sparse) matrix.  The photon
+observables act on the state in its tensor shape (matter, slot 0, slot 1,
+...) of `FullSystem.slot_dims()`, the polarisation on its matter axis.
+
+`lowest_eigenpairs` splits the Hamiltonian into the blocks that do not
+couple to each other (the two sectors of the Dicke Z2 parity) and solves
+each one, in real arithmetic where a diagonal phase change makes it real:
+by dense `eigh` up to DENSE_LIMIT states; above it by shift-invert Lanczos
+on one sparse factorisation per block (`matter.shift_invert_lowest`) when
+at most one photon slot is retained, and by plain Lanczos
+(`matter.lanczos_lowest`) when more are.  Both start from the vector
+seeded with `matter.LANCZOS_SEED`.  Each returned eigenvector lies in one
+block, so the ground vector is a parity eigenstate, and the parity-odd
+observables, the photon coherence <a> and the transverse field, read
+exactly 0 in it, also inside the superradiant doublet, where the photon
+occupation carries the signal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -37,7 +41,7 @@ import scipy.sparse
 
 from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, diagonalize_block,
                          exact_branch_coupling)
-from .errors import ArgumentError, NumericError, ResourceLimitError, UnsupportedError
+from .errors import NumericError, ResourceLimitError, UnsupportedError
 from .gauge import (GaugeSpec, ModeSpec, check_pairing, coupling_f, diamagnetic_D,
                     dressed_matter_hamiltonian)
 from .matter import (MatterModel, MatterSpectrum, along_op, ground_resolvent, lanczos_lowest,
@@ -86,41 +90,29 @@ class FullSystem:
     def slot_dims(self) -> list[int]:
         return [self.matter_dim] + [s.cutoff for s in self.slots]
 
-    def embed(self, matter_op: Operator | None = None,
-              slot_ops: dict | None = None) -> scipy.sparse.csr_matrix:
-        """Kronecker-embed a matter operator and/or per-slot photon operators."""
-        dims = self.slot_dims()
-        ops = [None if matter_op is None else matter_op.matrix] + \
-            [(slot_ops or {}).get(k) for k in range(len(self.slots))]
-        mats = [scipy.sparse.identity(n, format="csr", dtype=complex) if op is None
-                else scipy.sparse.csr_matrix(op) for n, op in zip(dims, ops)]
-        out = mats[0]
-        for mat in mats[1:]:
-            out = scipy.sparse.kron(out, mat, format="csr")
-        return out
 
-    @cached_property
-    def _lowerings(self) -> tuple[scipy.sparse.csr_matrix, ...]:
-        return tuple(self.embed(slot_ops={k: boson_ladder(s.cutoff)[0].matrix})
-                     for k, s in enumerate(self.slots))
-
-    def branch_lowering(self, slot_index: int) -> scipy.sparse.csr_matrix:
-        """The slot's lowering operator c on the full space, built once per
-        system for every observable that reads it."""
-        return self._lowerings[slot_index]
-
-    def slots_for_mode(self, mode_index: int) -> list[int]:
-        return [k for k, s in enumerate(self.slots) if s.mode_index == mode_index]
+def _embed(dims, matter_op: Operator | None = None,
+           slot_ops: dict | None = None) -> scipy.sparse.csr_matrix:
+    """Kronecker-embed a matter operator and/or per-slot photon operators on
+    the tensor space of ``dims`` (matter first, then one entry per slot)."""
+    ops = [None if matter_op is None else matter_op.matrix] + \
+        [(slot_ops or {}).get(k) for k in range(len(dims) - 1)]
+    mats = [scipy.sparse.identity(n, format="csr", dtype=complex) if op is None
+            else scipy.sparse.csr_matrix(op) for n, op in zip(dims, ops)]
+    out = mats[0]
+    for mat in mats[1:]:
+        out = scipy.sparse.kron(out, mat, format="csr")
+    return out
 
 
 def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
-                     cutoffs, include_uncoupled: bool = False) -> FullSystem:
+                     cutoff: int, include_uncoupled: bool = False) -> FullSystem:
     """Assemble the full light-matter Hamiltonian on truncated Fock spaces.
 
-    ``cutoffs`` is an int applied to every retained branch or a per-mode
-    list.  Each mode must pair with the model and gauge (`gauge.check_pairing`)
-    and be a uniform field.  Vacuum energy of every branch is included
-    (explicitly or through the analytic constant).
+    ``cutoff`` is the Fock cutoff of every retained branch.  Each mode must
+    pair with the model and gauge (`gauge.check_pairing`) and be a uniform
+    field.  Vacuum energy of every branch is included (explicitly or
+    through the analytic constant).
     """
     modes = tuple(modes)
     for mode in modes:
@@ -129,10 +121,6 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
         raise UnsupportedError(
             "full diagonalization supports uniform-field modes; finite-q "
             "diamagnetic assembly on a lattice is outside the oracle's scope")
-    if isinstance(cutoffs, int):
-        cutoffs = [cutoffs] * len(modes)
-    if len(cutoffs) != len(modes):
-        raise ArgumentError("need one cutoff per mode")
     h_matter = dressed_matter_hamiltonian(model, gauge, list(modes))
     ground = ground_resolvent(model, h_matter)
     slots: list[BranchSlot] = []
@@ -148,32 +136,29 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
         for t in range(2):
             nu_t = float(block.nu_tau[t])
             if g_exact[t].norm_max() > COUPLING_ATOL or include_uncoupled:
-                slots.append(BranchSlot(mode_index=i, tau_index=t,
-                                        cutoff=int(cutoffs[i]), nu=nu_t,
-                                        g_op=g_exact[t]))
+                slots.append(BranchSlot(mode_index=i, tau_index=t, cutoff=int(cutoff),
+                                        nu=nu_t, g_op=g_exact[t]))
             else:
                 excluded.append((i, t, nu_t))
-    dim = model.dim * int(np.prod([s.cutoff for s in slots], dtype=float))
+    dims = [model.dim] + [s.cutoff for s in slots]
+    dim = math.prod(dims)
     if dim > MAX_FULL_DIM:
         raise ResourceLimitError(f"full dimension {dim} exceeds limit {MAX_FULL_DIM}")
 
     constant = float(sum(e[2] for e in excluded)) / 2.0
-    skeleton = FullSystem(model=model, gauge=gauge, modes=modes,
-                          blocks=tuple(blocks), slots=tuple(slots),
-                          h=scipy.sparse.identity(dim, dtype=complex, format="csr"),
-                          constant_energy=constant,
-                          excluded=tuple(excluded))
-    h = skeleton.embed(matter_op=h_matter)
-    for k, s in enumerate(skeleton.slots):
+    h = _embed(dims, matter_op=h_matter)
+    for k, s in enumerate(slots):
         c, cdag = boson_ladder(s.cutoff)
         number = cdag.matrix @ c.matrix + 0.5 * np.eye(s.cutoff)
-        h = h + s.nu * skeleton.embed(slot_ops={k: number})
-        a_q = skeleton.modes[s.mode_index].amplitude
-        h = h + a_q * (skeleton.embed(matter_op=s.g_op.dag(), slot_ops={k: c.matrix})
-                       + skeleton.embed(matter_op=s.g_op, slot_ops={k: cdag.matrix}))
+        h = h + s.nu * _embed(dims, slot_ops={k: number})
+        a_q = modes[s.mode_index].amplitude
+        h = h + a_q * (_embed(dims, matter_op=s.g_op.dag(), slot_ops={k: c.matrix})
+                       + _embed(dims, matter_op=s.g_op, slot_ops={k: cdag.matrix}))
     h = h + constant * scipy.sparse.identity(dim, dtype=complex, format="csr")
     h = (0.5 * (h + h.conj().T)).tocsr()  # exact Hermiticity against rounding
-    return replace(skeleton, h=h)
+    return FullSystem(model=model, gauge=gauge, modes=modes, blocks=tuple(blocks),
+                      slots=tuple(slots), h=h, constant_energy=constant,
+                      excluded=tuple(excluded))
 
 
 def _tree_phases(h: scipy.sparse.csr_matrix, pattern, idx: np.ndarray) -> np.ndarray:
@@ -266,24 +251,31 @@ def parity_gap(system: FullSystem) -> float:
     return float(vals[1] - vals[0])
 
 
-def _sparse_expectation(state: np.ndarray, op: scipy.sparse.csr_matrix) -> complex:
-    return complex(np.vdot(state, op @ state))
+def _ladder(psi: np.ndarray, k: int, scale: float, raise_: bool = False) -> np.ndarray:
+    """scale c_k |psi>, or scale c_k^dag |psi> with ``raise_``, on ``psi`` in
+    its tensor shape (matter, slot 0, slot 1, ...): slot k is axis k + 1.
+    ``scale`` multiplies sqrt(n) first, as in the matrix entries of scale c."""
+    moved = np.moveaxis(psi, k + 1, 0)
+    root = (scale * np.sqrt(np.arange(1, moved.shape[0]))).reshape((-1,) + (1,) * (psi.ndim - 1))
+    out = np.zeros_like(moved)
+    if raise_:
+        out[1:] = root * moved[:-1]
+    else:
+        out[:-1] = root * moved[1:]
+    return np.moveaxis(out, 0, k + 1)
 
 
-def a_operator(system: FullSystem, mode_index: int, sigma: int
-               ) -> scipy.sparse.csr_matrix:
-    """a_{q sigma} = sum_tau (w_{tau sigma} c_tau - y_{tau sigma} c_tau^dag)
-    over the explicitly retained branches."""
+def _a_psi(system: FullSystem, psi: np.ndarray, mode_index: int, sigma: int) -> np.ndarray:
+    """a_{q sigma}|psi> = sum_tau (w_{tau sigma} c_tau - y_{tau sigma} c_tau^dag)|psi>
+    over the explicitly retained branches, as a flat vector."""
     block = system.blocks[mode_index]
-    s_col = sigma - 1
-    dim = system.dim
-    acc = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-    for k in system.slots_for_mode(mode_index):
-        t = system.slots[k].tau_index
-        c = system.branch_lowering(k)
-        acc = acc + block.coeffs[t, s_col] * c \
-            - block.coeffs[t, 2 + s_col] * c.conj().T
-    return acc
+    tensor = psi.reshape(system.slot_dims())
+    out = np.zeros_like(tensor)
+    for k, slot in enumerate(system.slots):
+        if slot.mode_index == mode_index:
+            w, y = block.coeffs[slot.tau_index, [sigma - 1, sigma + 1]]
+            out += _ladder(tensor, k, w) - _ladder(tensor, k, y, raise_=True)
+    return out.ravel()
 
 
 def photon_coherence(state: Statevector, system: FullSystem, mode_index: int,
@@ -294,8 +286,7 @@ def photon_coherence(state: Statevector, system: FullSystem, mode_index: int,
     virtual population y^2 to the occupation and nothing to the coherence.
     """
     psi = state.amplitudes
-    a_op = a_operator(system, mode_index, sigma)
-    a_psi = a_op @ psi
+    a_psi = _a_psi(system, psi, mode_index, sigma)
     coh = complex(np.vdot(psi, a_psi))
     occ = float(np.real(np.vdot(a_psi, a_psi)))
     block = system.blocks[mode_index]
@@ -310,31 +301,24 @@ def transverse_field_expectation(state: Statevector, system: FullSystem
     """<eps_sigma . E_T> per (mode, sigma); zero for any exact eigenstate.
 
     E_T = -Pi - P_T with Pi the photonic momentum amplitude
-    -i nu A (a - a+) and P_T the gauge-weighted matter polarisation.
+    -i nu A (a - a+) and P_T the gauge-weighted matter polarisation, read
+    on the state's (matter, photons) reshape.
     """
     psi = state.amplitudes
+    rows = psi.reshape(system.matter_dim, -1)
+    ew = system.gauge.electric_weight
     out = np.zeros((len(system.modes), 2))
     for i, mode in enumerate(system.modes):
-        block = system.blocks[i]
-        ew = system.gauge.electric_weight
         pol = system.model.pol_transverse_mult(mode.q_hat, 0.0)
         for sigma in (1, 2):
-            s_col = sigma - 1
-            a_minus_adag = 0.0 + 0.0j
-            for k in system.slots_for_mode(i):
-                slot = system.slots[k]
-                t = slot.tau_index
-                wy = block.coeffs[t, s_col] + block.coeffs[t, 2 + s_col]
-                c = system.branch_lowering(k)
-                c_mean = _sparse_expectation(psi, c)
-                a_minus_adag += wy * (c_mean - np.conj(c_mean))
-            pi_mean = -1j * mode.nu * mode.amplitude * a_minus_adag
-            p_mean = _sparse_expectation(psi, system.embed(
-                matter_op=along_op(mode.eps(sigma), pol) * ew)) if ew != 0 else 0.0
+            a_mean = np.vdot(psi, _a_psi(system, psi, i, sigma))
+            pi_mean = -1j * mode.nu * mode.amplitude * (a_mean - np.conj(a_mean))
+            p_mean = np.vdot(rows, (along_op(mode.eps(sigma), pol) * ew).matrix @ rows) \
+                if ew != 0 else 0.0
             et = -pi_mean - p_mean
             if abs(complex(et).imag) > 1e-9:
                 raise NumericError(f"transverse field acquired imaginary part {et}")
-            out[i, s_col] = complex(et).real
+            out[i, sigma - 1] = complex(et).real
     return out
 
 
@@ -359,7 +343,7 @@ def variational_scan(system: FullSystem, psi_m: np.ndarray, slot_index: int,
         full = psi_m
         for v in photon_vecs:
             full = np.kron(full, v)
-        energies.append(float(_sparse_expectation(full, system.h).real))
+        energies.append(float(np.vdot(full, system.h @ full).real))
     energies = np.asarray(energies)
     i_min = int(np.argmin(energies))
     i_zero = int(np.argmin(np.abs(np.asarray(beta_grid, dtype=complex))))

@@ -9,9 +9,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from gaugecavity import cli, oracle
+from gaugecavity import gauge as gauge_module
 from gaugecavity.cli import (GAUGE, MODE, MODELS, REQUIRED, _build_model, _oracle_point,
                              _swept_keys, main, run_check, run_sweep, validate_config)
 from gaugecavity.errors import ConfigError, NumericError
@@ -121,6 +123,27 @@ class TestRunSweep:
         plus = [t for t in summary["thresholds"] if t["tau"] == "+"][0]
         assert plus["condensed_anywhere"]
         assert abs(plus["crossing"] - 1.8) <= 0.25
+
+    @pytest.mark.parametrize("dipole_y, condensed", [(0.5, False), (0.50000001, True)],
+                             ids=["margin_within_floor", "margin_above_floor"])
+    def test_condensed_anywhere_follows_row_flags(self, tmp_path, dipole_y, condensed):
+        # at 2 N d^2 / (V gap) = 1 the "+" margin is 2.2e-16, inside
+        # CONDENSED_MARGIN, so no row is condensed; d = 0.50000001 gives 4.0e-8
+        cfg_dict = dict(MINIMAL, model=dict(MINIMAL["model"], count=2,
+                                            dipole_moment=[0.0, dipole_y, 0.0]),
+                        sweep={"parameter": "gap", "values": [1.0, 1.0]})
+        out = tmp_path / "out"
+        run_sweep(validate_config(json.dumps(cfg_dict)), str(out))
+        lines = (out / "criterion.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        plus = [r for r in rows if r["tau"] == "+"]
+        assert len(plus) == 2
+        assert all(float(r["margin"]) > 0.0 for r in plus)
+        assert all(r["condensed"] == ("true" if condensed else "false") for r in plus)
+        summary = json.loads((out / "summary.json").read_text())
+        (flag,) = [t["condensed_anywhere"] for t in summary["thresholds"] if t["tau"] == "+"]
+        assert flag is condensed
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = validate_config(json.dumps(MINIMAL))
@@ -406,6 +429,26 @@ def test_run_check_structure():
     assert results["all_passed"]
     assert results["bogoliubov_lambda_vs_numeric"]["passed"]
     assert results["bogoliubov_symplectic"]["passed"]
+
+
+def test_run_check_diamagnetic_psd_takes_worst_mode(monkeypatch):
+    # D of the first mode has eigenvalue -5e-13: DiamagneticMatrix accepts
+    # it (floor -1e-12), the PSD check (tolerance 1e-14) must not, even
+    # though the second mode's D is PSD
+    cfg = validate_config(json.dumps(dict(MINIMAL, modes=[{"nu": 1.0}, {"nu": 1.5}])))
+    original = gauge_module.diamagnetic_D
+
+    def first_mode_not_psd(model, gauge, mode):
+        if mode.nu == 1.0:
+            return gauge_module.DiamagneticMatrix(d=np.diag([1.0, -5e-13]), delta_q=1.0)
+        return original(model, gauge, mode)
+
+    monkeypatch.setattr(gauge_module, "diamagnetic_D", first_mode_not_psd)
+    results = run_check(cfg)
+    check = results["diamagnetic_psd_dipole"]
+    assert check["max_dev"] == 5e-13
+    assert not check["passed"]
+    assert not results["all_passed"]
 
 
 def _cli_outputs(tmp_path, tag, cfg, threads, files):

@@ -2,12 +2,10 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from gaugecavity.errors import ArgumentError, ResourceLimitError, UnsupportedError
 from gaugecavity.gauge import mode_from_q, ring_mode
 from gaugecavity.matter import (
-    DENSE_MAX_DIM,
     MAX_RING_SITES,
     ModelKind,
     along_op,
@@ -192,14 +190,6 @@ class TestCouplingProviders:
             for j_op in model.para_current(0.0):
                 assert abs(psi0.conj() @ (j_op.entries @ psi0)) <= 1e-12
 
-    def test_anharmonic_finite_q_phase_factors(self):
-        model = build_anharmonic_dipole(12, 1.0, 1.0, 0.0, 1.0, 1.0, axes=3)
-        q = 0.8
-        j_plus = model.para_current(q)
-        j_minus = model.para_current(-q)
-        for jp, jm in zip(j_plus, j_minus):
-            assert np.max(np.abs(jm.entries - jp.entries.conj().T)) <= 1e-12
-
     @pytest.mark.parametrize("model", [
         build_two_level_ensemble(3, 1.0, (0.1, 0.4, 0.2), 1.0),
         build_anharmonic_dipole(6, 1.0, 1.0, 0.1, 0.8, 1.3, axes=3),
@@ -227,9 +217,13 @@ class TestCouplingProviders:
                                   along_op(eps, model.para_current(mode.q_phase)).entries)
 
     def test_two_level_rejects_finite_q(self):
-        model = build_two_level_ensemble(2, 1.0, (0, 0, 1), 1.0)
-        with pytest.raises(UnsupportedError):
-            model.para_current(0.5)
+        # finite q is the ring's alone; the anharmonic dipole refuses it too
+        for model in (build_two_level_ensemble(2, 1.0, (0, 0, 1), 1.0),
+                      build_anharmonic_dipole(6, 1.0, 1.0, 0.1, 1.0, 1.0, axes=3)):
+            with pytest.raises(UnsupportedError):
+                model.para_current(0.5)
+            with pytest.raises(UnsupportedError):
+                model.current_along((1.0, 0.0, 0.0), 0.5)
 
 
 class TestTrkSum:
@@ -291,51 +285,9 @@ def ring_string_polarisation_loop(model, q):
     return acc / v
 
 
-def full_space_anharmonic_current(model, q):
-    """-(e / 2 m V) {p_i, e^{-i q z}} formed on the full space, with
-    e^{-i q z} from the d x d eigendecomposition of z = -d_z / e; a 1-axis
-    model has no z extent, so its phase is the identity."""
-    e, m, v = model.params.charge, model.params.mass, model.params.volume
-    phase = np.eye(model.dim, dtype=complex)
-    if model.params.detail["axes"] == 3:
-        vals, vecs = np.linalg.eigh(-model.dipole_ops[2].entries / e)
-        phase = (vecs * np.exp(-1j * q * vals)) @ vecs.conj().T
-    out = [np.zeros((model.dim, model.dim), dtype=complex)] * 3
-    for i, p_op in enumerate(model.momentum_ops):
-        p = p_op.entries
-        out[i] = -(e / (2 * m * v)) * (p @ phase + phase @ p)
-    return out
-
-
 class TestProductFreeBuilds:
-    """The 3-axis Hamiltonian, the TRK sum and the ring's and the anharmonic
-    dipole's finite-q operators against their dense-product forms."""
-
-    @pytest.mark.parametrize("levels, axes", [(12, 1), (DENSE_MAX_DIM + 50, 1), (5, 3), (7, 3)],
-                             ids=["one_axis_dense", "one_axis_sparse", "three_axis_dense",
-                                  "three_axis_sparse"])
-    @pytest.mark.parametrize("q", [0.8, -0.8])
-    def test_anharmonic_finite_q_current_from_axis_factors(self, monkeypatch, levels, axes, q):
-        model = build_anharmonic_dipole(levels, 1.1, 1.3, 0.1, 0.7, 1.2, axes=axes)
-        assert model.h_m.sparse == (model.dim > DENSE_MAX_DIM)
-        ref = full_space_anharmonic_current(model, q)
-        sizes = []
-
-        def recording(original):
-            def wrapper(a, *args, **kwargs):
-                sizes.append(a.shape[0])
-                return original(a, *args, **kwargs)
-            return wrapper
-
-        with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
-            patch.setattr(scipy.linalg, "eigh", recording(scipy.linalg.eigh))
-            current = model.para_current(q)
-        assert max(sizes, default=0) <= levels
-        scale = max(np.max(np.abs(r)) for r in ref)
-        for op, r in zip(current, ref, strict=True):
-            assert op.sparse == model.h_m.sparse
-            assert np.max(np.abs(op.entries - r)) <= 1e-12 * scale
+    """The 3-axis Hamiltonian, the TRK sum and the ring's finite-q operators
+    against their dense-product forms."""
 
     @pytest.mark.parametrize("sites", [4, 6, 7, 250])
     def test_ring_finite_q_operators_match_loops(self, sites):

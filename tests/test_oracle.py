@@ -21,6 +21,7 @@ from gaugecavity.gauge import (
     make_gauge,
 )
 from gaugecavity.matter import (
+    along_op,
     build_anharmonic_dipole,
     build_two_level_ensemble,
     matter_spectrum,
@@ -237,6 +238,44 @@ class TestSignals:
         assert abs(expected.imag) <= 1e-12
         assert et[0, 1] == pytest.approx(expected.real, abs=1e-8)
         assert abs(et[0, 1]) > 1e-3  # genuinely nonzero for the trial state
+
+    def test_two_slot_observables_match_kron_operators(self):
+        # a 3-axis dipole couples both branches: two slots on 64 x 5 x 5
+        # states.  a_sigma and P_T built here by explicit Kronecker products
+        # pin the slot-axis order of the tensor-shape reads.
+        model = build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 1.0, 1.0, axes=3)
+        mode = lwl_mode(nu=1.0, volume=1.0)
+        gauge = make_gauge("dipole")
+        system = full_hamiltonian(model, gauge, [mode], 5)
+        assert [s.tau_index for s in system.slots] == [0, 1] and system.dim == 1600
+        _, vecs = lowest_eigenpairs(system, k=2)
+        # a superposition with a relative phase, so that <a> and <E_T> are nonzero
+        psi = vecs[:, 0] + 1j * vecs[:, 1]
+        psi = psi / np.linalg.norm(psi)
+        state = Statevector(psi)
+        c = scipy.sparse.csr_matrix(boson_ladder(5)[0].matrix)
+        eye_m, eye_f = scipy.sparse.identity(64), scipy.sparse.identity(5)
+        c_slot = [scipy.sparse.kron(scipy.sparse.kron(eye_m, c), eye_f),
+                  scipy.sparse.kron(scipy.sparse.kron(eye_m, eye_f), c)]
+        block = system.blocks[0]
+        pol = model.pol_transverse_mult(mode.q_hat)
+        et = transverse_field_expectation(state, system)
+        cohs = []
+        for sigma in (1, 2):
+            a = sum(block.coeffs[t, sigma - 1] * c_slot[t]
+                    - block.coeffs[t, sigma + 1] * c_slot[t].conj().T for t in (0, 1))
+            a_psi = a @ psi
+            a_mean = np.vdot(psi, a_psi)
+            coh, occ = photon_coherence(state, system, 0, sigma)
+            assert abs(coh - a_mean) <= 1e-12
+            assert abs(occ - np.vdot(a_psi, a_psi).real) <= 1e-12
+            p_t = scipy.sparse.kron(along_op(mode.eps(sigma), pol).matrix * gauge.electric_weight,
+                                    scipy.sparse.identity(25))
+            pi_mean = -1j * mode.nu * mode.amplitude * (a_mean - np.conj(a_mean))
+            assert abs(et[0, sigma - 1] - (-pi_mean - np.vdot(psi, p_t @ psi)).real) <= 1e-12
+            cohs.append(abs(coh))
+        assert max(cohs) > 1e-3
+        assert np.max(np.abs(et)) > 1e-3
 
 
 def effective_photon_hamiltonian(model, gauge, mode, psi_m, cutoff):
