@@ -87,7 +87,6 @@ from .oracle import (
     variational_scan,
 )
 from .response import (
-    SlrfTensor,
     check_translational_invariance,
     chi_md,
     chi_md_from_model,

@@ -177,17 +177,6 @@ def verify_symplectic(block: BogoliubovBlock) -> float:
     return float(np.max(np.abs(m @ k @ m.conj().T - k)))
 
 
-def coupling_g(block: BogoliubovBlock, f_sigma: tuple[Operator, Operator]
-               ) -> tuple[Operator, Operator]:
-    """g_tau = sum_sigma h_{sigma tau} (eps_sigma . f_q) for tau = +, -, sparse
-    when both components are."""
-    if f_sigma[0].dim != f_sigma[1].dim:
-        raise ArgumentError("polarisation components act on different spaces")
-    h = block.h
-    f = [op.matrix for op in f_sigma]
-    return tuple(Operator(h[0, t] * f[0] + h[1, t] * f[1]) for t in range(2))
-
-
 def branch_combination(block: BogoliubovBlock, t: int, a, b):
     """sum_sigma (w_{tau sigma} a_sigma - y_{tau sigma} b_sigma) for branch t.
 
@@ -202,16 +191,27 @@ def branch_combination(block: BogoliubovBlock, t: int, a, b):
     return out
 
 
-def exact_branch_coupling(block: BogoliubovBlock,
-                          f_sigma: tuple[Operator, Operator]
-                          ) -> tuple[Operator, Operator]:
-    """G_tau = sum_sigma (w_{tau sigma} f_sigma - y_{tau sigma} f_sigma^dag).
-
-    It equals the h-weighted g_tau for Hermitian f or unsqueezed branches,
-    and is sparse when both components are.
-    """
+def _branch_operators(block: BogoliubovBlock, f_sigma: tuple[Operator, Operator],
+                      adjoint: bool) -> tuple[Operator, Operator]:
+    """`branch_combination` of f with b = f^dag (``adjoint``) or b = f, as
+    operators for tau = +, -, sparse when both components are."""
     if f_sigma[0].dim != f_sigma[1].dim:
         raise ArgumentError("polarisation components act on different spaces")
     f = [op.matrix for op in f_sigma]
-    f_dag = [op.conj().T for op in f]
-    return tuple(Operator(branch_combination(block, t, f, f_dag)) for t in range(2))
+    b = [m.conj().T for m in f] if adjoint else f
+    return tuple(Operator(branch_combination(block, t, f, b)) for t in range(2))
+
+
+def exact_branch_coupling(block: BogoliubovBlock,
+                          f_sigma: tuple[Operator, Operator]
+                          ) -> tuple[Operator, Operator]:
+    """G_tau = sum_sigma (w_{tau sigma} f_sigma - y_{tau sigma} f_sigma^dag)."""
+    return _branch_operators(block, f_sigma, adjoint=True)
+
+
+def coupling_g(block: BogoliubovBlock, f_sigma: tuple[Operator, Operator]
+               ) -> tuple[Operator, Operator]:
+    """g_tau = sum_sigma h_{sigma tau} (eps_sigma . f_q), h = w - y: the
+    `branch_combination` with b = f, equal to G_tau for Hermitian f or
+    unsqueezed branches."""
+    return _branch_operators(block, f_sigma, adjoint=False)

@@ -482,16 +482,17 @@ def _write_csv(path: str, header: str, records: list[dict]) -> None:
 
 
 def _thresholds(records: list[dict]) -> list[dict]:
-    """First margin sign change per (gauge, q_index, tau), rising or falling
-    through zero, linearly interpolated, and whether any row is condensed."""
+    """Per (gauge, q_index, tau): whether any row is condensed, and the first
+    point between two rows whose `condensed` flags differ, rising or falling,
+    where the margin linearly interpolated between them reaches zero."""
     series: dict = {}
     for rec in records:
         series.setdefault((rec["gauge"], rec["q_index"], rec["tau"]), []).append(rec)
     out = []
     for (gauge_label, qi, tau), recs in sorted(series.items()):
-        pts = sorted((r["param_value"], r["margin"]) for r in recs)
+        pts = sorted((r["param_value"], r["margin"], r["condensed"]) for r in recs)
         crossing = next((x0 - m0 * (x1 - x0) / (m1 - m0)
-                         for (x0, m0), (x1, m1) in zip(pts, pts[1:]) if (m0 > 0.0) != (m1 > 0.0)),
+                         for (x0, m0, c0), (x1, m1, c1) in zip(pts, pts[1:]) if c0 != c1),
                         None)
         out.append({"gauge": gauge_label, "q_index": qi, "tau": tau,
                     "condensed_anywhere": any(r["condensed"] for r in recs),
@@ -528,7 +529,7 @@ def run_check(cfg: SweepConfig) -> dict:
     param = cfg.sweep["parameter"]
     model, gauges, modes = _point(cfg, param, value0)
     if model.kind is ModelKind.RING_LATTICE:
-        results["ring_uniform_density"] = _check(check_uniform_density(model, 0), 1e-12)
+        results["ring_uniform_density"] = _check(check_uniform_density(model), 1e-12)
     if model.momentum_ops is not None:
         s = trk_sum(ground_resolvent(model), axis=0)
         target = model.params.mass * model.params.n_charges / 2.0

@@ -191,18 +191,11 @@ def dipole_specialized(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
                              cross_check_residual=float(residual))
 
 
-def order_parameter_from_vector(psi: np.ndarray, block: BogoliubovBlock,
-                                g_op: Operator, mode: ModeSpec, t: int) -> complex:
-    """beta_{q tau} = -(A_q / nu_tau) <psi| g_tau |psi>."""
+def order_parameter(psi: np.ndarray, block: BogoliubovBlock, g_op: Operator,
+                    mode: ModeSpec, t: int) -> complex:
+    """beta_{q tau} = -(A_q / nu_tau) <psi| g_tau |psi> for branch index t."""
     g = complex(psi.conj() @ (g_op.matrix @ psi))
     return -mode.amplitude / block.nu_tau[t] * g
-
-
-def order_parameter(spectrum: MatterSpectrum, block: BogoliubovBlock,
-                    g_op: Operator, mode: ModeSpec, tau: str = "+") -> complex:
-    t = BogoliubovBlock.TAUS.index(tau)
-    return order_parameter_from_vector(spectrum.ground_state_vector(), block,
-                                       g_op, mode, t)
 
 
 def displaced_energy(h_m_expectation: float, block_or_nu,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ArgumentError, UnsupportedError
 from .matter import (X_AXIS, Y_AXIS, Z_AXIS, MatterModel, MatterSpectrum, ModelKind, along_op,
-                     matter_spectrum)
+                     matter_spectrum, ring_quasi_momentum)
 from .operators import Operator, zero
 
 
@@ -143,11 +143,8 @@ def ring_mode(model: MatterModel, n: int, nu: float | None = None) -> ModeSpec:
     The wavevector direction is conventional (z); the scalar quasi-momentum
     drives the matter phase factors.
     """
-    if model.kind is not ModelKind.RING_LATTICE:
-        raise ArgumentError("ring_mode requires a ring-lattice model")
-    L = model.dim
-    q_n = 2.0 * np.pi * n / L
-    if n % L == 0:
+    q_n = ring_quasi_momentum(model, n)  # refuses a model that is not a ring
+    if n % model.dim == 0:
         raise ArgumentError("ring mode index must not be 0 mod L")
     freq = float(nu) if nu is not None else abs(q_n)
     eps1, eps2 = _polarisation_pair(Z_AXIS)

@@ -63,7 +63,6 @@ class BranchSlot:
 
     mode_index: int
     tau_index: int
-    cutoff: int
     nu: float
     g_op: Operator  # exact branch coupling on the matter space
 
@@ -75,6 +74,7 @@ class FullSystem:
     modes: tuple[ModeSpec, ...]
     blocks: tuple[BogoliubovBlock, ...]
     slots: tuple[BranchSlot, ...]
+    cutoff: int  # Fock cutoff of every retained branch
     h: scipy.sparse.csr_matrix
     constant_energy: float  # vacuum energy of branches not carried explicitly
     excluded: tuple  # ((mode_index, tau_index, nu_tau), ...)
@@ -88,7 +88,7 @@ class FullSystem:
         return self.model.dim
 
     def slot_dims(self) -> list[int]:
-        return [self.matter_dim] + [s.cutoff for s in self.slots]
+        return [self.matter_dim] + [self.cutoff] * len(self.slots)
 
 
 def _embed(dims, matter_op: Operator | None = None,
@@ -136,20 +136,20 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
         for t in range(2):
             nu_t = float(block.nu_tau[t])
             if g_exact[t].norm_max() > COUPLING_ATOL or include_uncoupled:
-                slots.append(BranchSlot(mode_index=i, tau_index=t, cutoff=int(cutoff),
-                                        nu=nu_t, g_op=g_exact[t]))
+                slots.append(BranchSlot(mode_index=i, tau_index=t, nu=nu_t, g_op=g_exact[t]))
             else:
                 excluded.append((i, t, nu_t))
-    dims = [model.dim] + [s.cutoff for s in slots]
+    cutoff = int(cutoff)
+    dims = [model.dim] + [cutoff] * len(slots)
     dim = math.prod(dims)
     if dim > MAX_FULL_DIM:
         raise ResourceLimitError(f"full dimension {dim} exceeds limit {MAX_FULL_DIM}")
 
     constant = float(sum(e[2] for e in excluded)) / 2.0
     h = _embed(dims, matter_op=h_matter)
+    c, cdag = boson_ladder(cutoff)
+    number = cdag.matrix @ c.matrix + 0.5 * np.eye(cutoff)
     for k, s in enumerate(slots):
-        c, cdag = boson_ladder(s.cutoff)
-        number = cdag.matrix @ c.matrix + 0.5 * np.eye(s.cutoff)
         h = h + s.nu * _embed(dims, slot_ops={k: number})
         a_q = modes[s.mode_index].amplitude
         h = h + a_q * (_embed(dims, matter_op=s.g_op.dag(), slot_ops={k: c.matrix})
@@ -157,7 +157,7 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
     h = h + constant * scipy.sparse.identity(dim, dtype=complex, format="csr")
     h = (0.5 * (h + h.conj().T)).tocsr()  # exact Hermiticity against rounding
     return FullSystem(model=model, gauge=gauge, modes=modes, blocks=tuple(blocks),
-                      slots=tuple(slots), h=h, constant_energy=constant,
+                      slots=tuple(slots), cutoff=cutoff, h=h, constant_energy=constant,
                       excluded=tuple(excluded))
 
 
@@ -331,18 +331,13 @@ def variational_scan(system: FullSystem, psi_m: np.ndarray, slot_index: int,
     """
     from .operators import coherent_state, vacuum
 
-    slot = system.slots[slot_index]
     energies = []
     for beta in beta_grid:
-        photon_vecs = []
-        for k, s in enumerate(system.slots):
-            if k == slot_index:
-                photon_vecs.append(coherent_state(complex(beta), s.cutoff).amplitudes)
-            else:
-                photon_vecs.append(vacuum(s.cutoff).amplitudes)
         full = psi_m
-        for v in photon_vecs:
-            full = np.kron(full, v)
+        for k in range(len(system.slots)):
+            photon = (coherent_state(complex(beta), system.cutoff) if k == slot_index
+                      else vacuum(system.cutoff))
+            full = np.kron(full, photon.amplitudes)
         energies.append(float(np.vdot(full, system.h @ full).real))
     energies = np.asarray(energies)
     i_min = int(np.argmin(energies))

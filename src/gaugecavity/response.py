@@ -48,13 +48,6 @@ def lehmann_sum(ground, o_ops, c_ops=None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SlrfTensor:
-    """3x3 Cartesian chi tensor; `transverse_project` reduces it at one mode."""
-
-    chi: np.ndarray
-
-
-@dataclass(frozen=True)
 class TransverseProjection:
     scalar_sigma1: float
     scalar_sigma2: float
@@ -65,20 +58,19 @@ class TransverseProjection:
                 and abs(self.scalar_sigma1 - self.scalar_sigma2) <= atol)
 
 
-def slrf(spectrum, o_ops, c_ops=None) -> SlrfTensor:
-    """Full 3x3 SLRF tensor for Cartesian operator triples."""
+def slrf(spectrum, o_ops, c_ops=None) -> np.ndarray:
+    """Full 3x3 SLRF tensor chi[i, j] for Cartesian operator triples."""
     if len(o_ops) != 3 or (c_ops is not None and len(c_ops) != 3):
         raise ArgumentError("slrf expects Cartesian triples of operators")
-    return SlrfTensor(chi=lehmann_sum(spectrum, o_ops, c_ops))
+    return lehmann_sum(spectrum, o_ops, c_ops)
 
 
-def transverse_project(tensor: SlrfTensor, mode: ModeSpec) -> TransverseProjection:
+def transverse_project(chi: np.ndarray, mode: ModeSpec) -> TransverseProjection:
     """Polarisation-frame reduction of a 3x3 tensor at a single mode.
 
     Returns both diagonal transverse scalars and the largest off-diagonal
     magnitude; callers decide whether the rotational reduction applies.
     """
-    chi = tensor.chi
     e1, e2 = mode.eps1, mode.eps2
     s1 = complex(e1 @ chi @ e1)
     s2 = complex(e2 @ chi @ e2)

@@ -319,7 +319,7 @@ def test_criterion_09_invariance_checks():
     mode = lwl_mode(nu=1.0, volume=1.0)
     proj = transverse_project(
         slrf(matter_spectrum(iso), list(iso.dipole_ops)), mode)
-    dens = check_uniform_density(ring, 0)
+    dens = check_uniform_density(ring)
     ok = cross <= 1e-10 and proj.off_diag <= 1e-12 and dens <= 1e-12
     _line(9, ok, f"invariances: ring cross-momentum SLRF {cross:.1e} (1e-10); "
                  f"isotropic transverse off-diagonal {proj.off_diag:.1e} (1e-12); "

@@ -8,12 +8,13 @@ from gaugecavity.bogoliubov import (
     adapt_degenerate_branches,
     coupling_g,
     diagonalize_block,
+    exact_branch_coupling,
     numeric_block_eigen,
     verify_symplectic,
 )
 from gaugecavity.errors import ArgumentError
 from gaugecavity.gauge import DiamagneticMatrix, diamagnetic_D, lwl_mode, make_gauge
-from gaugecavity.matter import build_anharmonic_dipole
+from gaugecavity.matter import build_anharmonic_dipole, build_two_level_ensemble
 from gaugecavity.operators import Operator, zero
 from gaugecavity.response import chi_md
 
@@ -198,6 +199,18 @@ class TestCouplingG:
         g_plus, g_minus = coupling_g(block, (zero(2), f2))
         assert abs(g_plus.entries[0, 1]) == pytest.approx(abs(g_minus.entries[0, 1]),
                                                           abs=1e-14)
+
+    def test_hermitian_f_on_squeezed_block_is_exact_coupling(self):
+        # for Hermitian f, g_tau and G_tau are one branch combination, to the bit
+        block = diagonalize_block(
+            DiamagneticMatrix(np.array([[0.8, 0.3], [0.3, 0.5]]), delta_q=0.37), nu_q=1.3)
+        assert np.all(block.coeffs[:, 2:] != 0.0)
+        f_ops = build_two_level_ensemble(2, 1.0, (0.4, 0.3, 0.0), 1.0).dipole_ops[:2]
+        for op in f_ops:
+            assert np.array_equal(op.entries, op.entries.conj().T)
+        for g, g_exact in zip(coupling_g(block, f_ops), exact_branch_coupling(block, f_ops)):
+            assert g.norm_max() > 0.0
+            assert np.array_equal(g.entries, g_exact.entries)
 
 
 class TestCoulombIdentity:

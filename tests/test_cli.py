@@ -145,6 +145,19 @@ class TestRunSweep:
         (flag,) = [t["condensed_anywhere"] for t in summary["thresholds"] if t["tau"] == "+"]
         assert flag is condensed
 
+    def test_no_crossing_without_a_condensed_row(self, tmp_path):
+        # the "+" margin goes from -0.091 to 2.2e-16: it turns positive but
+        # stays inside CONDENSED_MARGIN, so neither row is condensed
+        cfg_dict = dict(MINIMAL, model=dict(MINIMAL["model"], count=2,
+                                            dipole_moment=[0.0, 0.5, 0.0]),
+                        sweep={"parameter": "gap", "values": [1.1, 1.0]})
+        out = tmp_path / "out"
+        run_sweep(validate_config(json.dumps(cfg_dict)), str(out))
+        summary = json.loads((out / "summary.json").read_text())
+        (plus,) = [t for t in summary["thresholds"] if t["tau"] == "+"]
+        assert plus["condensed_anywhere"] is False
+        assert plus["crossing"] is None
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = validate_config(json.dumps(MINIMAL))
         run_sweep(cfg, str(tmp_path / "a"))

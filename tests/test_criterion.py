@@ -18,7 +18,6 @@ from gaugecavity.criterion import (
     displaced_energy,
     evaluate,
     order_parameter,
-    order_parameter_from_vector,
     stiffness_energy,
 )
 from gaugecavity.errors import ArgumentError
@@ -209,7 +208,7 @@ class TestOrderParameter:
         block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
         f_ops = tuple(coupling_f(model, gauge, mode, s) for s in (1, 2))
         g_ops = coupling_g(block, f_ops)
-        beta = order_parameter(spec, block, g_ops[0], mode, "+")
+        beta = order_parameter(spec.ground_state_vector(), block, g_ops[0], mode, 0)
         assert abs(beta) <= 1e-10
 
     def test_zero_coupling_zero(self):
@@ -220,7 +219,7 @@ class TestOrderParameter:
         block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
         f_ops = tuple(coupling_f(model, gauge, mode, s) for s in (1, 2))
         g_ops = coupling_g(block, f_ops)
-        assert order_parameter(spec, block, g_ops[0], mode, "+") == 0.0
+        assert order_parameter(spec.ground_state_vector(), block, g_ops[0], mode, 0) == 0.0
 
     def test_symmetry_broken_state_matches_contraction(self):
         model = two_level(1, 0.3)
@@ -231,7 +230,7 @@ class TestOrderParameter:
         f_ops = tuple(coupling_f(model, gauge, mode, s) for s in (1, 2))
         g_ops = coupling_g(block, f_ops)
         psi = (spec.vectors[:, 0] + spec.vectors[:, 1]) / np.sqrt(2)
-        beta = order_parameter_from_vector(psi, block, g_ops[0], mode, 0)
+        beta = order_parameter(psi, block, g_ops[0], mode, 0)
         explicit = -(mode.amplitude / block.nu_tau[0]) * (
             psi.conj() @ g_ops[0].entries @ psi)
         assert beta == pytest.approx(complex(explicit), abs=1e-14)

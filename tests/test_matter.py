@@ -3,7 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from gaugecavity.errors import ArgumentError, ResourceLimitError, UnsupportedError
+from gaugecavity.errors import (ArgumentError, DegenerateGroundStateError, ResourceLimitError,
+                              UnsupportedError)
 from gaugecavity.gauge import mode_from_q, ring_mode
 from gaugecavity.matter import (
     MAX_RING_SITES,
@@ -109,23 +110,19 @@ class TestRingLattice:
     @pytest.mark.parametrize("sites", [5, 6])
     def test_check_uniform_density_ground(self, sites):
         model = build_ring_lattice(sites, 1.0, 1.0)
-        assert check_uniform_density(model, 0) <= 1e-12
+        assert check_uniform_density(model) <= 1e-12
 
-    def test_check_uniform_density_degenerate_pairs(self):
-        model = build_ring_lattice(6, 1.0, 1.0)
-        for n in range(6):
-            assert check_uniform_density(model, n) <= 1e-10
+    def test_pi_flux_ring_degenerate_ground_rejected(self):
+        # a sign-flipped bond threads flux pi: the ground doublet k = +/- pi/6
+        # has no unique density to sample
+        model = build_ring_lattice(6, 1.0, 1.0, bond_scale={0: -1.0})
+        with pytest.raises(DegenerateGroundStateError):
+            check_uniform_density(model)
 
     def test_disordered_ring_detected(self):
         # direct diagonalization of the perturbed ring: density must deviate
         model = build_ring_lattice(6, 1.0, 1.0, bond_scale={0: 1.1})
-        assert check_uniform_density(model, 0) > 1e-3
-
-    def test_translation_commutes(self):
-        model = build_ring_lattice(7, 1.0, 1.0)
-        t = model.translation_op.entries
-        h = model.h_m.entries
-        assert np.max(np.abs(t @ h - h @ t)) <= 1e-12
+        assert check_uniform_density(model) > 1e-3
 
     def test_zero_momentum_current_expectation(self):
         model = build_ring_lattice(6, 1.0, 1.0)
@@ -166,7 +163,7 @@ class TestRingLattice:
     def test_wrong_kind_guard(self):
         model = build_two_level_ensemble(2, 1.0, (0, 0, 1), 1.0)
         with pytest.raises(ArgumentError):
-            check_uniform_density(model, 0)
+            check_uniform_density(model)
 
 
 class TestCouplingProviders:

@@ -225,7 +225,7 @@ class TestSignals:
         beta = 0.3 + 0.1j
         spec = matter_spectrum(model)
         psi_m = spec.ground_state_vector()
-        photon = coherent_state(beta, system.slots[0].cutoff).amplitudes
+        photon = coherent_state(beta, system.cutoff).amplitudes
         state = Statevector(np.kron(psi_m, photon))
         et = transverse_field_expectation(state, system)
         block = system.blocks[0]
