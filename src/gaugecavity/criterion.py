@@ -27,7 +27,7 @@ from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, branch_comb
 from .errors import ArgumentError, SingularConstraintError, UnsupportedError
 from .gauge import (GaugePreset, GaugeSpec, ModeSpec, check_pairing, coupling_f_electric,
                     coupling_rows, diamagnetic_D, dressed_matter_hamiltonian, gauge_spectrum)
-from .matter import MatterModel, MatterSpectrum, check_unique_ground, ground_resolvent
+from .matter import MatterModel, MatterSpectrum, ground_resolvent
 from .operators import Operator
 from .response import chi_md_from_model, lehmann_sum, polarizability
 
@@ -47,13 +47,11 @@ class CriterionReport:
     beta0: complex
     margin: float = field(init=False)
     condensed: bool = field(init=False)
-    marginal: bool = field(init=False)
 
     def __post_init__(self):
         margin = self.lhs - self.rhs
         object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "condensed", margin > CONDENSED_MARGIN)
-        object.__setattr__(self, "marginal", abs(margin) <= CONDENSED_MARGIN)
 
 
 # The 8 Gram columns are conj(<0|f_k) = f_k^dag|0> (slots 0-3) and f_k|0>
@@ -94,7 +92,6 @@ def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
     if spectrum is None:
         spectrum = ground_resolvent(model, dressed_matter_hamiltonian(model, gauge, [mode]))
-    check_unique_ground(spectrum)
     g = spectrum.ground_state_vector()
     bras, kets = coupling_rows(model, gauge, mode, g)
     m = spectrum.gram(np.concatenate([bras.conj(), kets]).T)

@@ -15,7 +15,8 @@ takes the two lowest eigenpairs from Lanczos and solves
 (H - E_0 + |0><0|) x = Q c by conjugate gradients, which on Q space is
 the resolvent: the Sternheimer route of density-functional perturbation
 theory, with no full spectrum.  Both are deterministic for a fixed
-Hamiltonian; the Lanczos start vector is seeded with LANCZOS_SEED.
+Hamiltonian (the Lanczos start vector is seeded with LANCZOS_SEED), and
+both refuse a ground gap of at most DEGENERACY_ATOL when built.
 
 Conventions (natural units):
   * electrons have charge -e with e > 0,
@@ -184,17 +185,15 @@ class MatterModel:
 
 @dataclass(frozen=True)
 class MatterSpectrum:
-    """Eigen-data of a matter Hamiltonian plus coupling-operator tables."""
+    """Eigen-data of a matter Hamiltonian with a unique ground state."""
 
     model: MatterModel
     h_m_used: Operator
     energies: np.ndarray  # ascending, with the eigenvectors as columns of ``vectors``
     vectors: np.ndarray
-    ground_degeneracy: int
 
-    @property
-    def dim(self) -> int:
-        return self.energies.shape[0]
+    def __post_init__(self):
+        check_unique_ground(self)
 
     def table(self, op: Operator) -> np.ndarray:
         """<n|O|n'> in the eigenbasis."""
@@ -208,16 +207,14 @@ class MatterSpectrum:
 
     def gram(self, cols: np.ndarray) -> np.ndarray:
         """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``, as
-        (U^dag C)^dag D^+ (U^dag C): a sum over the eigenstates more than
-        DEGENERACY_ATOL above the ground energy."""
-        de = self.energies - self.energies[0]
-        keep = de > DEGENERACY_ATOL
-        y = self.vectors[:, keep].conj().T @ cols  # <n|c>
-        return y.conj().T @ (y / de[keep, None])
+        (U^dag C)^dag D^+ (U^dag C) summed over the excited states."""
+        de = self.energies[1:] - self.energies[0]
+        y = self.vectors[:, 1:].conj().T @ cols  # <n|c>
+        return y.conj().T @ (y / de[:, None])
 
     @property
     def ground_gap(self) -> float:
-        return float(self.energies[1] - self.energies[0]) if self.dim > 1 else np.inf
+        return float(self.energies[1] - self.energies[0]) if len(self.energies) > 1 else np.inf
 
     def ground_energy(self) -> float:
         return float(self.energies[0])
@@ -230,26 +227,26 @@ def matter_spectrum(model: MatterModel, h_m: Operator | None = None) -> MatterSp
     """Diagonalise the (possibly gauge-dressed) matter Hamiltonian."""
     h = model.h_m if h_m is None else h_m
     es = eigh(h)
-    degeneracy = int(np.sum(es.values - es.values[0] <= DEGENERACY_ATOL))
-    return MatterSpectrum(model=model, h_m_used=h, energies=es.values, vectors=es.vectors,
-                          ground_degeneracy=degeneracy)
+    return MatterSpectrum(model=model, h_m_used=h, energies=es.values, vectors=es.vectors)
 
 
 @dataclass(frozen=True)
 class SparseResolvent:
     """Ground state of a large sparse Hamiltonian and its reduced resolvent.
 
-    ``lowest`` holds the two lowest eigenvalues from one Lanczos run, so
-    `ground_gap` is the unique-ground check; `gram` solves for each
-    nonzero column c the system (H - E_0 + |0><0|) x = Q c, which is
-    positive definite when the ground state is unique, by conjugate
-    gradients.
+    ``lowest`` holds the two lowest eigenvalues from one Lanczos run, and
+    construction refuses a ground gap of at most DEGENERACY_ATOL; `gram`
+    solves for each nonzero column c the then positive definite system
+    (H - E_0 + |0><0|) x = Q c by conjugate gradients.
     """
 
     model: MatterModel
     h_m_used: Operator
     lowest: np.ndarray
     vector: np.ndarray
+
+    def __post_init__(self):
+        check_unique_ground(self)
 
     @property
     def ground_gap(self) -> float:
@@ -376,6 +373,11 @@ def check_unique_ground(ground):
         raise DegenerateGroundStateError(
             f"ground state is degenerate (eps_1 - eps_0 = {gap:.3g} <= {DEGENERACY_ATOL}); "
             "ground-state responses need a unique ground state")
+
+
+def require_full_spectrum(ground, what: str):
+    if not isinstance(ground, MatterSpectrum):
+        raise ArgumentError(f"{what} needs a full MatterSpectrum, not a {type(ground).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +561,13 @@ def check_uniform_density(model: MatterModel) -> float:
 
     A clean ring's ground state is the k = 0 Bloch state, so its site
     density is uniform; a degenerate ground state (for instance a ring
-    threaded by flux pi) has no unique density and raises
-    `DegenerateGroundStateError`.  The vector comes from the dense
-    spectrum: on a 1500-site ring a Lanczos ground vector deviates by
-    2.5e-11, which fails a 1e-12 check.
+    threaded by flux pi) has no unique density, and `matter_spectrum`
+    raises `DegenerateGroundStateError` for it.  The vector comes from the
+    dense spectrum: on a 1500-site ring a Lanczos ground vector deviates
+    by 2.5e-11, which fails a 1e-12 check.
     """
     model._require_ring()
     spec = matter_spectrum(model)
-    check_unique_ground(spec)
     dens = np.abs(spec.ground_state_vector()) ** 2  # site densities for a single particle
     return float(np.max(np.abs(dens - model.params.n_charges / model.dim)))
 
@@ -581,6 +582,8 @@ def trk_sum(spectrum, axis: int, reference_level: int = 0) -> float:
     `MatterSpectrum`.
     """
     model = spectrum.model
+    if not 0 <= reference_level < model.dim:
+        raise ArgumentError(f"reference level {reference_level} is outside 0..{model.dim - 1}")
     if model.momentum_ops is None:
         raise UnsupportedError(f"{model.kind.value} has no canonical momentum representation")
     labels = ["xyz"[int(np.argmax(np.abs(ax)))] for ax in model.axes]
@@ -591,10 +594,10 @@ def trk_sum(spectrum, axis: int, reference_level: int = 0) -> float:
     if reference_level == 0:
         col = p_op @ spectrum.ground_state_vector()
         return float(spectrum.gram(col[:, None])[0, 0].real)
+    require_full_spectrum(spectrum, "trk_sum above the ground level")
     u = spectrum.vectors
-    npr = reference_level
     # the one column <n|P_i|n'> of the momentum table the sum reads
-    p = u.conj().T @ (p_op @ u[:, npr])
+    p = u.conj().T @ (p_op @ u[:, reference_level])
     e = spectrum.energies
-    others = np.arange(len(e)) != npr
-    return float(np.sum(np.abs(p[others]) ** 2 / (e[others] - e[npr])))
+    others = np.arange(len(e)) != reference_level
+    return float(np.sum(np.abs(p[others]) ** 2 / (e[others] - e[reference_level])))

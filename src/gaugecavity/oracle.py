@@ -394,8 +394,7 @@ def constrained_min(spectrum: MatterSpectrum, g_op: Operator, mode: ModeSpec,
         rot = np.conj(phase) * db
         return np.array([rot.real, rot.imag]), psi
 
-    gap = float(spectrum.energies[1] - spectrum.energies[0])
-    base = gap / (volume * max(np.max(np.abs(beta_op)), 1e-300))
+    base = spectrum.ground_gap / (volume * max(np.max(np.abs(beta_op)), 1e-300))
     fields = np.zeros(len(active))
     step = 1e-7 * base
     converged = False

@@ -13,9 +13,9 @@ defaults to the adjoint of the forward one.
 The reduced resolvent comes from either ground backend of
 `matter.ground_resolvent`, behind one interface (`ground_state_vector`,
 `ground_energy`, `ground_gap`, and `gram(C) = C^dag Q (H - E_0)^-1 Q C`),
-so `lehmann_sum` and everything built on it run on either.  Only
-`polarizability`, whose finite-frequency form needs every transition
-energy, requires the full eigendecomposition `matter.MatterSpectrum`.
+so `lehmann_sum` and everything built on it run on either; both refuse a
+degenerate ground state.  Only `polarizability`, whose finite-frequency
+form needs every transition energy, requires `matter.MatterSpectrum`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .gauge import ModeSpec
-from .matter import DEGENERACY_ATOL, MatterSpectrum, check_unique_ground
+from .matter import MatterSpectrum, require_full_spectrum
 
 def lehmann_sum(ground, o_ops, c_ops=None) -> np.ndarray:
     """Matrix chi[k, l] = -2V <0|O_k Q (H - E_0)^-1 Q C_l|0>.
@@ -37,7 +37,6 @@ def lehmann_sum(ground, o_ops, c_ops=None) -> np.ndarray:
     ``o_ops`` (conjugate momentum components of Hermitian fields), for
     which the O_k^dag|0> columns alone give the whole matrix.
     """
-    check_unique_ground(ground)
     g = ground.ground_state_vector()
     cols = [op.matrix.conj().T @ g for op in o_ops]
     if c_ops is not None:
@@ -101,16 +100,14 @@ def chi_md_from_model(spectrum_or_model, nu: float) -> float:
 
 def polarizability(spectrum: MatterSpectrum, omega: float = 0.0) -> np.ndarray:
     """Ground-state polarisability tensor alpha_ij(omega) by exact Lehmann sum."""
-    check_unique_ground(spectrum)
+    require_full_spectrum(spectrum, "polarizability")
     dips = spectrum.model.dipole_ops
-    de = spectrum.energies - spectrum.energies[0]
-    keep = de > DEGENERACY_ATOL
-    gaps = de[keep]
+    gaps = spectrum.energies[1:] - spectrum.energies[0]
     nearest = np.min(np.abs(np.concatenate([gaps - omega, gaps + omega])))
     if nearest < 1e-9:
         raise ArgumentError(
             f"omega = {omega} is within {nearest:.2e} of a transition energy")
-    rows = np.stack([spectrum.couplings_from_ground(d) for d in dips])[:, keep]  # d_i^{0n}
+    rows = np.stack([spectrum.couplings_from_ground(d) for d in dips])[:, 1:]  # d_i^{0n}
     alpha = np.zeros((3, 3), dtype=complex)
     for i in range(3):
         for j in range(3):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaugecavity.errors import ArgumentError
+from gaugecavity.errors import ArgumentError, DegenerateGroundStateError
 from gaugecavity.gauge import (
     GaugePreset,
     check_wavevector_decoupling,
@@ -175,6 +175,13 @@ class TestDiamagneticD:
         dm = diamagnetic_D(model, make_gauge("multipolar_ring"), mode)
         assert np.max(np.abs(dm.d)) <= 1e-12
 
+    def test_multipolar_ring_degenerate_ground_rejected(self):
+        # flux pi: the bond occupations, and so D, depend on which mixture of
+        # the ground doublet the eigensolver returns
+        model = build_ring_lattice(6, 1.0, 1.0, bond_scale={0: -1.0})
+        with pytest.raises(DegenerateGroundStateError):
+            diamagnetic_D(model, make_gauge("multipolar_ring"), ring_mode(model, 1))
+
 
 class TestWavevectorDecoupling:
     def test_clean_ring_vanishes(self):
@@ -199,6 +206,13 @@ class TestWavevectorDecoupling:
         with pytest.raises(ArgumentError):
             check_wavevector_decoupling(model, ring_mode(model, 1),
                                         ring_mode(model, -1))
+
+    def test_degenerate_ring_ground_rejected(self):
+        # flux pi through the ring: the ground doublet k = +/- pi/6 has no
+        # unique density for the overlap to sample
+        model = build_ring_lattice(6, 1.0, 1.0, bond_scale={0: -1.0})
+        with pytest.raises(DegenerateGroundStateError):
+            check_wavevector_decoupling(model, ring_mode(model, 1), ring_mode(model, 2))
 
 
 class TestDressedMatter:

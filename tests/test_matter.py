@@ -7,6 +7,7 @@ from gaugecavity.errors import (ArgumentError, DegenerateGroundStateError, Resou
                               UnsupportedError)
 from gaugecavity.gauge import mode_from_q, ring_mode
 from gaugecavity.matter import (
+    DEGENERACY_ATOL,
     MAX_RING_SITES,
     ModelKind,
     along_op,
@@ -18,6 +19,7 @@ from gaugecavity.matter import (
     ring_quasi_momentum,
     trk_sum,
 )
+from gaugecavity.operators import Operator
 
 
 class TestTwoLevelEnsemble:
@@ -182,7 +184,7 @@ class TestCouplingProviders:
             build_ring_lattice(5, 1.0, 1.0),
         ):
             spec = matter_spectrum(model)
-            assert spec.ground_degeneracy == 1
+            assert spec.ground_gap > DEGENERACY_ATOL
             psi0 = spec.ground_state_vector()
             for j_op in model.para_current(0.0):
                 assert abs(psi0.conj() @ (j_op.entries @ psi0)) <= 1e-12
@@ -252,6 +254,21 @@ class TestTrkSum:
         model = build_ring_lattice(6, 1.0, 1.0)
         with pytest.raises(UnsupportedError):
             trk_sum(matter_spectrum(model), 0, 0)
+
+    @pytest.mark.parametrize("level", [-1, 40])
+    def test_reference_level_out_of_range(self, level):
+        spec = matter_spectrum(build_anharmonic_dipole(40, 1.0, 1.0, 0.0, 1.0, 1.0))
+        with pytest.raises(ArgumentError, match="reference level"):
+            trk_sum(spec, 0, reference_level=level)
+
+
+def test_degenerate_ground_refused_at_construction():
+    # a doubly degenerate ground level: the sums over n != 0 have no
+    # unique reference state, so no spectrum is built for it
+    model = build_anharmonic_dipole(6, 1.0, 1.0, 0.0, 1.0, 1.0)
+    h = Operator(np.diag([0.0, 0.0, 2.0, 3.0, 4.0, 5.0]).astype(complex), hermitian=True)
+    with pytest.raises(DegenerateGroundStateError, match="ground state is degenerate"):
+        matter_spectrum(model, h_m=h)
 
 
 def test_model_kinds_exposed():

@@ -18,7 +18,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 from gaugecavity import cli, matter, operators, oracle
 from gaugecavity.bogoliubov import diagonalize_block
 from gaugecavity.criterion import coulomb_specialized, evaluate, stiffness_energy
-from gaugecavity.errors import DegenerateGroundStateError, NumericError
+from gaugecavity.errors import ArgumentError, DegenerateGroundStateError, NumericError
 from gaugecavity.gauge import (coupling_f, diamagnetic_D, dressed_matter_hamiltonian, lwl_mode,
                                make_gauge, mode_from_q)
 from gaugecavity.matter import (CG_RTOL, DENSE_MAX_DIM, MatterSpectrum, SparseResolvent,
@@ -26,7 +26,8 @@ from gaugecavity.matter import (CG_RTOL, DENSE_MAX_DIM, MatterSpectrum, SparseRe
                                 build_two_level_ensemble, ground_resolvent, matter_spectrum,
                                 ring_quasi_momentum, sparse_resolvent, trk_sum)
 from gaugecavity.operators import Operator
-from gaugecavity.response import check_translational_invariance, chi_md_from_model, lehmann_sum
+from gaugecavity.response import (check_translational_invariance, chi_md_from_model, lehmann_sum,
+                                  polarizability)
 
 GAUGES = {"coulomb": make_gauge("coulomb"), "dipole": make_gauge("dipole"),
           "alpha_0.4": make_gauge("alpha_lwl", alpha=0.4)}
@@ -163,6 +164,13 @@ def test_full_hamiltonian_needs_no_eigh(monkeypatch, gauge_name):
     _assert_agree(oracle.ground_state(dense)[0], oracle.ground_state(system)[0])
 
 
+def _degenerate_ensemble():
+    """ENSEMBLE with eps_0 = eps_1 = 0."""
+    levels = np.arange(ENSEMBLE.dim, dtype=float)
+    levels[1] = 0.0
+    return dataclasses.replace(ENSEMBLE, h_m=Operator(scipy.sparse.diags(levels), hermitian=True))
+
+
 class TestSparseFailures:
     def test_cg_failure_raises(self, monkeypatch):
         monkeypatch.setattr(matter, "cg", lambda op, b, **kw: (np.zeros_like(b), 17))
@@ -215,13 +223,23 @@ class TestSparseFailures:
             oracle.lowest_eigenpairs(system, k=2)
 
     def test_degenerate_ground_rejected_by_both_backends(self):
-        levels = np.arange(ENSEMBLE.dim, dtype=float)
-        levels[1] = 0.0  # eps_0 = eps_1 = 0
-        model = dataclasses.replace(ENSEMBLE, h_m=Operator(scipy.sparse.diags(levels),
-                                                           hermitian=True))
-        for ground in (matter_spectrum(model), sparse_resolvent(model)):
+        model = _degenerate_ensemble()
+        for backend in (matter_spectrum, sparse_resolvent):
             with pytest.raises(DegenerateGroundStateError):
-                evaluate(model, GAUGES["dipole"], MODES["q_z"], spectrum=ground)
+                evaluate(model, GAUGES["dipole"], MODES["q_z"], spectrum=backend(model))
+
+    def test_degenerate_ground_refused_at_construction(self):
+        # the k = 2 Lanczos gap of a doubly degenerate ground is at rounding level
+        with pytest.raises(DegenerateGroundStateError, match="ground state is degenerate"):
+            sparse_resolvent(_degenerate_ensemble())
+
+    def test_trk_sum_above_ground_refuses_the_sparse_backend(self):
+        with pytest.raises(ArgumentError, match="MatterSpectrum"):
+            trk_sum(sparse_resolvent(THREE_AXIS), 0, reference_level=1)
+
+    def test_polarizability_refuses_the_sparse_backend(self):
+        with pytest.raises(ArgumentError, match="MatterSpectrum"):
+            polarizability(sparse_resolvent(THREE_AXIS))
 
 
 def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):

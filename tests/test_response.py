@@ -71,9 +71,8 @@ class TestLehmannSum:
         # two uncoupled levels at the same energy
         h = Operator(np.zeros((2, 2), dtype=complex), hermitian=True)
         model = build_two_level_ensemble(1, 1.0, (0, 0, 0.3), 1.0)
-        spec = matter_spectrum(model, h_m=h)
         with pytest.raises(DegenerateGroundStateError):
-            lehmann_sum(spec, [model.dipole_ops[2]])
+            lehmann_sum(matter_spectrum(model, h_m=h), [model.dipole_ops[2]])
 
     def test_same_operator_negativity(self):
         for model, gauge in [
