@@ -12,13 +12,13 @@ Coulomb gauge and alpha = 1 the dipole gauge.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedError
 from .matter import (X_AXIS, Y_AXIS, Z_AXIS, MatterModel, MatterSpectrum, ModelKind, along_op,
-                     matter_spectrum, ring_quasi_momentum)
+                     matter_spectrum, ring_ground_state, ring_quasi_momentum)
 from .operators import Operator, zero
 
 
@@ -79,36 +79,31 @@ def _polarisation_pair(q_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """One field mode: wavevector data, polarisation frame, normalisation."""
+    """One field mode: frequency nu, volume V, wavevector direction q_hat
+    (stored normalised) and the scalar quasi-momentum q_phase of the matter
+    phase factors (0: uniform field).  The polarisation frame eps1, eps2
+    depends on q_hat alone and is set once, from `_polarisation_pair`."""
 
-    q: np.ndarray          # 3-vector; ring modes use the conventional z direction
-    nu: float              # mode frequency |q|
+    nu: float
     volume: float
-    eps1: np.ndarray
-    eps2: np.ndarray
-    q_phase: float = 0.0   # scalar quasi-momentum for matter phase factors (0: uniform)
+    q_hat: np.ndarray = field(default_factory=Z_AXIS.copy)  # z for lwl and ring modes
+    q_phase: float = 0.0
+    eps1: np.ndarray = field(init=False, repr=False)
+    eps2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("q", "eps1", "eps2"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
         if self.nu <= 0:
             raise ArgumentError(f"mode frequency must be positive, got {self.nu}")
         if self.volume <= 0:
             raise ArgumentError(f"mode volume must be positive, got {self.volume}")
-        if abs(np.dot(self.eps1, self.eps2)) > 1e-14 or \
-           abs(np.linalg.norm(self.eps1) - 1) > 1e-14 or \
-           abs(np.linalg.norm(self.eps2) - 1) > 1e-14:
-            raise ArgumentError("polarisation vectors must be orthonormal")
-        q_hat = self.q_hat
-        if max(abs(np.dot(q_hat, self.eps1)), abs(np.dot(q_hat, self.eps2))) > 1e-14:
-            raise ArgumentError("polarisations must be orthogonal to q")
-
-    @property
-    def q_hat(self) -> np.ndarray:
-        n = np.linalg.norm(self.q)
-        return self.q / n if n > 0 else Z_AXIS
+        q = np.asarray(self.q_hat, dtype=float)
+        n = np.linalg.norm(q)
+        if not n > 0:
+            raise ArgumentError("mode direction q_hat must be nonzero")
+        q_hat = q / n
+        for name, v in zip(("q_hat", "eps1", "eps2"), (q_hat, *_polarisation_pair(q_hat))):
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
     @property
     def amplitude(self) -> float:
@@ -126,15 +121,12 @@ def mode_from_q(q, volume: float) -> ModeSpec:
     nu = float(np.linalg.norm(qv))
     if nu == 0:
         raise ArgumentError("q must be nonzero; use lwl_mode for the uniform-field limit")
-    eps1, eps2 = _polarisation_pair(qv / nu)
-    return ModeSpec(q=qv, nu=nu, volume=float(volume), eps1=eps1, eps2=eps2)
+    return ModeSpec(nu=nu, volume=float(volume), q_hat=qv)
 
 
 def lwl_mode(nu: float, volume: float) -> ModeSpec:
     """Uniform-field mode: frequency nu, conventional wavevector along z."""
-    qv = nu * Z_AXIS
-    eps1, eps2 = _polarisation_pair(Z_AXIS)
-    return ModeSpec(q=qv, nu=float(nu), volume=float(volume), eps1=eps1, eps2=eps2)
+    return ModeSpec(nu=float(nu), volume=float(volume))
 
 
 def ring_mode(model: MatterModel, n: int, nu: float | None = None) -> ModeSpec:
@@ -147,9 +139,7 @@ def ring_mode(model: MatterModel, n: int, nu: float | None = None) -> ModeSpec:
     if n % model.dim == 0:
         raise ArgumentError("ring mode index must not be 0 mod L")
     freq = float(nu) if nu is not None else abs(q_n)
-    eps1, eps2 = _polarisation_pair(Z_AXIS)
-    return ModeSpec(q=freq * Z_AXIS, nu=freq, volume=model.params.volume, eps1=eps1,
-                    eps2=eps2, q_phase=q_n)
+    return ModeSpec(nu=freq, volume=model.params.volume, q_phase=q_n)
 
 
 def pairing_problem(kind: ModelKind, preset: GaugePreset, ring: bool) -> str | None:
@@ -235,9 +225,7 @@ def _multipolar_ring_D(model: MatterModel, mode: ModeSpec) -> np.ndarray:
     quasi-momenta.  The overlap is evaluated on the ring ground state
     with bond occupations averaged from the adjacent sites.
     """
-    spec = matter_spectrum(model)
-    psi0 = spec.ground_state_vector()
-    dens = np.abs(psi0) ** 2
+    dens = np.abs(ring_ground_state(model)) ** 2
     L = model.dim
     q = mode.q_phase
     bare = np.exp(-1j * q * (np.arange(L) + 0.5))
@@ -301,8 +289,8 @@ def coupling_rows(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
         <0|f = i w ((<0|eps.d) h_m - (<0|h_m) eps.d),
         f|0> = i w (eps.d (h_m|0>) - h_m (eps.d|0>)),
 
-    and the electric part i V nu w eps'.d / V, with eps' the transverse
-    projection of eps, needs only <0|d_i and d_i|0>.  Every step is a
+    and the electric part i V nu w eps.d / V (eps is transverse to q, so
+    it needs no projection) only <0|d_i and d_i|0>.  Every step is a
     vector-matrix product: O(d^2) for dense operators, O(nnz) for the
     sparse ones the builders emit.  At finite q the operators are applied
     to g.
@@ -331,12 +319,10 @@ def coupling_rows(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
                                     - h @ _along_vectors(eps, ket_d))
     w = gauge.electric_weight
     if w != 0.0:
-        proj = np.eye(3) - np.outer(mode.q_hat, mode.q_hat)
         scale = 1j * mode.volume * mode.nu * w / model.params.volume
         for s in (1, 2):
-            eps_t = proj @ mode.eps(s)
-            bras[1 + s] = scale * _along_vectors(eps_t, bra_d)
-            kets[1 + s] = scale * _along_vectors(eps_t, ket_d)
+            bras[1 + s] = scale * _along_vectors(mode.eps(s), bra_d)
+            kets[1 + s] = scale * _along_vectors(mode.eps(s), ket_d)
     return bras, kets
 
 
@@ -355,8 +341,7 @@ def check_wavevector_decoupling(model: MatterModel, mode_a: ModeSpec,
         raise ArgumentError("cross check requires q' != -q")
     if model.kind is not ModelKind.RING_LATTICE:
         raise UnsupportedError("finite-q dressed profiles implemented for the ring only")
-    spec = matter_spectrum(model)
-    psi0 = spec.ground_state_vector()
+    psi0 = ring_ground_state(model)
     L = model.dim
     phases = np.exp(-1j * (qa + qb) * np.arange(L))
     overlap = np.vdot(psi0, phases * psi0)

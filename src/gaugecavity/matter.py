@@ -48,7 +48,7 @@ from .errors import (ArgumentError, DegenerateGroundStateError, NumericError, Re
 from .operators import DENSE_MAX_DIM, Operator, boson_ladder, eigh, zero
 
 MAX_ENSEMBLE_SIZE = 4000
-# the ring's invariant check and multipolar D still diagonalise L x L densely
+# `ring_ground_state` still diagonalises the L x L ring densely
 MAX_RING_SITES = 4000
 MAX_ANHARMONIC_DIM = 20000  # levels ** 3 for the 3-axis dipole
 DEGENERACY_ATOL = 1e-10  # energies closer than this count as degenerate
@@ -408,13 +408,11 @@ def _axis_kron(factors: dict, levels: int, axes: int):
 
 
 def build_two_level_ensemble(count: int, gap: float, dipole_moment,
-                             volume: float,
-                             diamagnetic_e2n_over_m: float | None = None) -> MatterModel:
+                             volume: float) -> MatterModel:
     """N identical two-level dipoles in the symmetric collective-spin sector.
 
-    H_m = gap * (S_z + N/2); total dipole d = 2 * dipole_moment * S_x.
-    The optional override replaces the sum-rule-derived diamagnetic
-    strength 2 N |d|^2 gap, e.g. to probe a bare photon block.
+    H_m = gap * (S_z + N/2); total dipole d = 2 * dipole_moment * S_x; the
+    diamagnetic strength is the sum-rule value 2 N |d|^2 gap.
     """
     if count < 1:
         raise ArgumentError(f"ensemble size must be >= 1, got {count}")
@@ -433,11 +431,9 @@ def build_two_level_ensemble(count: int, gap: float, dipole_moment,
     h_m = Operator(_banded(count + 1, {0: gap * (m + s)}), hermitian=True)
     dip = tuple(Operator(2.0 * d[i] * sx, hermitian=True) for i in range(3))
     dnorm = float(np.linalg.norm(d))
-    e2n_over_m = (2.0 * count * dnorm ** 2 * gap
-                  if diamagnetic_e2n_over_m is None else float(diamagnetic_e2n_over_m))
     axis = d / dnorm if dnorm > 0 else X_AXIS
     params = ModelParams(n_charges=count, mass=1.0, charge=1.0, volume=float(volume),
-                         e2n_over_m=e2n_over_m,
+                         e2n_over_m=2.0 * count * dnorm ** 2 * gap,
                          detail={"gap": gap, "dipole_moment": d.tolist()})
     return MatterModel(kind=ModelKind.TWO_LEVEL_ENSEMBLE, h_m=h_m, dipole_ops=dip,
                        params=params, axes=(axis,),
@@ -556,19 +552,23 @@ def ring_quasi_momentum(model: MatterModel, n: int) -> float:
 # diagnostics
 
 
+def ring_ground_state(model: MatterModel) -> np.ndarray:
+    """The bare ring's ground vector, which the density check, the multipolar
+    D and the wavevector-decoupling check read.  It comes from the dense
+    spectrum: on a 1500-site ring a Lanczos ground vector's site density
+    deviates from 1/L by 2.5e-11, which fails a 1e-12 check."""
+    model._require_ring()
+    return matter_spectrum(model).ground_state_vector()
+
+
 def check_uniform_density(model: MatterModel) -> float:
     """max_j |<0|n_j|0> - N/L| for the ring's ground state.
 
     A clean ring's ground state is the k = 0 Bloch state, so its site
-    density is uniform; a degenerate ground state (for instance a ring
-    threaded by flux pi) has no unique density, and `matter_spectrum`
-    raises `DegenerateGroundStateError` for it.  The vector comes from the
-    dense spectrum: on a 1500-site ring a Lanczos ground vector deviates
-    by 2.5e-11, which fails a 1e-12 check.
+    density is uniform; a degenerate one (flux pi, say) has no unique
+    density, and the dense spectrum refuses it.
     """
-    model._require_ring()
-    spec = matter_spectrum(model)
-    dens = np.abs(spec.ground_state_vector()) ** 2  # site densities for a single particle
+    dens = np.abs(ring_ground_state(model)) ** 2  # site densities for a single particle
     return float(np.max(np.abs(dens - model.params.n_charges / model.dim)))
 
 
@@ -598,6 +598,7 @@ def trk_sum(spectrum, axis: int, reference_level: int = 0) -> float:
     u = spectrum.vectors
     # the one column <n|P_i|n'> of the momentum table the sum reads
     p = u.conj().T @ (p_op @ u[:, reference_level])
-    e = spectrum.energies
-    others = np.arange(len(e)) != reference_level
-    return float(np.sum(np.abs(p[others]) ** 2 / (e[others] - e[reference_level])))
+    # P has no matrix element between degenerate levels, so they are skipped
+    de = spectrum.energies - spectrum.energies[reference_level]
+    others = np.abs(de) > DEGENERACY_ATOL
+    return float(np.sum(np.abs(p[others]) ** 2 / de[others]))

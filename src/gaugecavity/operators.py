@@ -117,9 +117,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Operator":
-        return Operator(-self.matrix)
-
     def norm_max(self) -> float:
         m = abs(self.matrix)
         return float(m.max()) if m.size else 0.0  # a sparse size counts stored entries
@@ -172,12 +169,12 @@ def zero(dim: int) -> Operator:
     return Operator(scipy.sparse.csr_matrix((dim, dim), dtype=complex), hermitian=True)
 
 
-def tensor(a: Operator, b: Operator, max_dim: int = MAX_TENSOR_DIM) -> Operator:
+def tensor(a: Operator, b: Operator) -> Operator:
     """Kronecker product a (x) b, built sparse, so stored as CSR above
     DENSE_MAX_DIM states."""
     total = a.dim * b.dim
-    if total > max_dim:
-        raise ResourceLimitError(f"tensor dimension {total} exceeds limit {max_dim}")
+    if total > MAX_TENSOR_DIM:
+        raise ResourceLimitError(f"tensor dimension {total} exceeds limit {MAX_TENSOR_DIM}")
     return Operator(scipy.sparse.kron(a.matrix, b.matrix, format="csr"),
                     hermitian=a.hermitian and b.hermitian)
 

@@ -408,6 +408,41 @@ class TestMain:
             "and modes[0] is a ring mode\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config, violations", [
+        ([MINIMAL], ["config: must be a JSON object"]),
+        (dict(MINIMAL, gauge={"preset": "dipole", "alpha": 0.5}),
+         ["gauge[0].alpha: only valid for alpha_lwl"]),
+        (dict(MINIMAL, gauge={"preset": "alpha_lwl"}), ["gauge[0].alpha: required for alpha_lwl"]),
+        (dict(MINIMAL, sweep={"parameter": "count", "values": [3]}),
+         ["sweep.parameter: must be one of ['alpha', 'dipole_scale', 'gap', 'volume'], "
+          "got 'count'"]),
+        (dict(MINIMAL, sweep={"parameter": "alpha", "values": [0.5]}),
+         ["sweep.parameter=alpha requires every gauge preset to be alpha_lwl"]),
+        (dict(MINIMAL, modes=[{}]), ["modes[0].nu: missing, and no ring_index"]),
+        (dict(MINIMAL, gauge=RING_GAUGE, modes=[{"ring_index": 1}]),
+         ["modes[0].ring_index: requires a ring_lattice model"]),
+        # the oracle size needs levels, whose own violation is the only one
+        (dict(MINIMAL, model={"kind": "anharmonic_dipole", "levels": "x", "mass": 1.0,
+                              "frequency": 1.0, "quartic": 0.1, "charge": 0.5, "volume": 1.0},
+              sweep={"parameter": "charge", "values": [0.5]}, oracle={"enabled": True}),
+         ["model.levels: expected integer, got 'x'"]),
+    ], ids=["top_level_list", "alpha_on_dipole", "alpha_lwl_without_alpha", "sweep_count",
+            "alpha_sweep_other_gauge", "empty_mode", "ring_index_on_ensemble",
+            "levels_type_with_oracle"])
+    def test_documented_violation_exit_two(self, tmp_path, capsys, config, violations):
+        path = write_config(tmp_path, config)
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {v}" for v in violations]
+        assert not (tmp_path / "o").exists()
+
+    def test_log_sweep_writes_geomspace(self, tmp_path):
+        sweep = dict(MINIMAL["sweep"], scale="log", steps=5)
+        path = write_config(tmp_path, dict(MINIMAL, sweep=sweep))
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "criterion.csv").read_text().splitlines()[1:]
+        values = list(dict.fromkeys(float(r.split(",")[3]) for r in rows))
+        assert values == list(np.geomspace(0.05, 0.6, 5))
+
     def test_overflowing_literal_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(MINIMAL).replace('"gap": 1.0', '"gap": 1e999'))

@@ -20,7 +20,7 @@ from gaugecavity.criterion import (
     order_parameter,
     stiffness_energy,
 )
-from gaugecavity.errors import ArgumentError
+from gaugecavity.errors import ArgumentError, UnsupportedError
 from gaugecavity.gauge import (
     coupling_f,
     coupling_f_electric,
@@ -95,6 +95,16 @@ class TestEvaluate:
         with pytest.raises(ArgumentError):
             evaluate(two_level(3, 0.2, v=2.0), make_gauge("dipole"),
                      lwl_mode(1.0, 1.0))
+
+    @pytest.mark.parametrize("preset, alpha", [("coulomb", None), ("alpha_lwl", 0.5)])
+    def test_branch_decoupling_guard(self, preset, alpha):
+        # a dipole along (1, 1, 0) couples both polarisations; with the
+        # Gram matrix told the motion is along x alone the branches of D
+        # are no longer those of chi_ff
+        model = build_two_level_ensemble(3, 1.0, (0.3, 0.3, 0.0), 1.0)
+        model = dataclasses.replace(model, axes=(np.array([1.0, 0.0, 0.0]),))
+        with pytest.raises(UnsupportedError, match="branch decoupling fails"):
+            evaluate(model, make_gauge(preset, alpha), lwl_mode(1.0, 1.0))
 
 
     def test_lwl_coulomb_builds_no_cartesian_currents(self, monkeypatch):

@@ -97,6 +97,16 @@ class TestModeSpec:
         with pytest.raises(ArgumentError):
             mode_from_q([0, 0, 0], volume=1.0)
 
+    @pytest.mark.parametrize("nu, volume", [(0.0, 1.0), (1.0, -1.0)])
+    def test_lwl_mode_rejects_non_positive(self, nu, volume):
+        with pytest.raises(ArgumentError, match="must be positive"):
+            lwl_mode(nu=nu, volume=volume)
+
+    def test_ring_mode_rejects_index_multiple_of_sites(self):
+        ring = build_ring_lattice(8, 1.0, 1.0)
+        with pytest.raises(ArgumentError, match="0 mod L"):
+            ring_mode(ring, 8)
+
 
 class TestCouplingF:
     def test_dipole_gauge_reduction(self, two_level, mode15):

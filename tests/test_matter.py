@@ -245,6 +245,13 @@ class TestTrkSum:
         assert abs(s80 - 0.5) <= 1e-6
         assert abs(s80 - s120) <= 1e-6
 
+    @pytest.mark.parametrize("level", range(6))
+    def test_degenerate_excited_reference(self, level):
+        # the 3-axis oscillator's first shells (levels 1-3, then 4-9) are
+        # exactly degenerate; P_x has no matrix element inside a shell
+        spec = matter_spectrum(build_anharmonic_dipole(6, 1.0, 1.0, 0.0, 1.0, 1.0, axes=3))
+        assert abs(trk_sum(spec, 0, level) - 0.5) <= 1e-12
+
     def test_mass_scaling(self):
         model = build_anharmonic_dipole(40, 2.5, 1.0, 0.0, 1.0, 1.0)
         spec = matter_spectrum(model)

@@ -46,7 +46,7 @@ class TestTensor:
 
     def test_dimension_guard(self):
         with pytest.raises(ResourceLimitError):
-            tensor(identity(200), identity(200), max_dim=20000)
+            tensor(identity(200), identity(200))
 
 
 class TestBosonLadder:

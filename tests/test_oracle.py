@@ -92,8 +92,9 @@ class TestAssembly:
 
     def test_coulomb_photon_block_renormalised(self):
         # Delta > 0 with zero paramagnetic coupling: vacuum at nu lambda / 2
-        model = build_two_level_ensemble(4, 1.0, (0, 0, 0), volume=1.0,
-                                         diamagnetic_e2n_over_m=2.0)
+        model = build_two_level_ensemble(4, 1.0, (0, 0, 0), volume=1.0)
+        model = dataclasses.replace(model, params=dataclasses.replace(model.params,
+                                                                      e2n_over_m=2.0))
         gauge = make_gauge("coulomb")
         mode = lwl_mode(nu=1.0, volume=1.0)
         block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
