@@ -19,7 +19,8 @@ squeeze:
 which reproduces the closed forms quoted for D12 = 0 limits, stays finite
 at lambda = 1, and satisfies the symplectic normalisation
 w^2 + x^2 - y^2 - z^2 = 1 identically.  Degenerate D uses the fixed
-convention u_tau = (tau, 1)/sqrt(2).
+convention u_tau = (tau, 1)/sqrt(2).  A stack of D matrices is
+diagonalised, and checked, in one pass.
 """
 
 from __future__ import annotations
@@ -37,7 +38,13 @@ DEGENERATE_ATOL = 1e-13
 
 @dataclass(frozen=True)
 class BogoliubovBlock:
-    """Per-mode record of the transformation; tau index 0 = '+', 1 = '-'."""
+    """Per-mode record of the transformation; tau index 0 = '+', 1 = '-'.
+
+    Built from a stack of D matrices, every field but ``nu_q`` carries the
+    stack's leading axes, which `nu_tau`, `mixing_matrix` and
+    `verify_symplectic` keep; `lambda_plus`, `lambda_minus`, `h` and the
+    branch helpers take a single block.
+    """
 
     nu_q: float
     delta_q: float
@@ -67,16 +74,24 @@ class BogoliubovBlock:
         return np.stack([w - y, x - z], axis=0)
 
     def mixing_matrix(self) -> np.ndarray:
-        """4x4 M with (c+, c-, c+^dag, c-^dag) = M (a1, a2, a1+, a2+)."""
-        u = self.coeffs[:, :2]
-        v = self.coeffs[:, 2:]
-        return np.block([[u, v], [v.conj(), u.conj()]])
+        """4x4 M with (c+, c-, c+^dag, c-^dag) = M (a1, a2, a1+, a2+), per
+        block of a stack."""
+        u = self.coeffs[..., :2]
+        v = self.coeffs[..., 2:]
+        return np.concatenate([np.concatenate([u, v], axis=-1),
+                               np.concatenate([v.conj(), u.conj()], axis=-1)], axis=-2)
 
 
-def _lambda_closed_form(d: np.ndarray, delta: float, nu: float) -> np.ndarray:
-    tr = d[0, 0] + d[1, 1]
-    rad = np.sqrt((d[0, 0] - d[1, 1]) ** 2 + 4.0 * d[0, 1] ** 2)
-    vals = 1.0 + (2.0 * delta / nu) * np.array([tr + rad, tr - rad])
+# The helpers below act on the trailing axes of D (..., 2, 2), of the
+# directions u and the coefficient rows, and broadcast over any leading
+# ones: a stack of blocks is diagonalised in one pass, and a single block
+# is the stack of shape ().
+
+
+def _lambda_closed_form(d: np.ndarray, delta, nu: float) -> np.ndarray:
+    tr = d[..., 0, 0] + d[..., 1, 1]
+    rad = np.sqrt((d[..., 0, 0] - d[..., 1, 1]) ** 2 + 4.0 * d[..., 0, 1] ** 2)
+    vals = 1.0 + (2.0 * np.asarray(delta) / nu)[..., None] * np.stack([tr + rad, tr - rad], -1)
     if vals.min() <= 0:
         raise ArgumentError(f"unphysical block: lambda^2 = {vals.min():.3e} <= 0")
     return np.sqrt(vals)
@@ -85,47 +100,43 @@ def _lambda_closed_form(d: np.ndarray, delta: float, nu: float) -> np.ndarray:
 def _orient(u: np.ndarray) -> np.ndarray:
     """Rows of u with the sign convention: second component positive, or the
     first when the second vanishes."""
-    out = u.copy()
-    for k in range(2):
-        pivot = out[k, 1] if abs(out[k, 1]) > 1e-12 else out[k, 0]
-        if pivot < 0:
-            out[k] = -out[k]
-    return out
+    pivot = np.where(np.abs(u[..., 1]) > 1e-12, u[..., 1], u[..., 0])
+    return np.where(pivot[..., None] < 0, -u, u)
 
 
 def _squeeze_coeffs(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Rows (w, x, y, z) of the single-mode squeeze along each direction u_tau."""
-    coeffs = np.zeros((2, 4))
-    for t in range(2):
-        lt = lam[t]
-        coeffs[t, 0:2] = -(lt + 1.0) / (2.0 * np.sqrt(lt)) * u[t]
-        coeffs[t, 2:4] = -(lt - 1.0) / (2.0 * np.sqrt(lt)) * u[t]
-    return coeffs
+    lt = lam[..., None]
+    root = 2.0 * np.sqrt(lt)
+    return np.concatenate([-(lt + 1.0) / root * u, -(lt - 1.0) / root * u], axis=-1)
 
 
 def _mixing_directions(d: np.ndarray) -> np.ndarray:
-    """Eigenvectors of D as rows (larger eigenvalue first), deterministic signs."""
-    if abs(d[0, 0] - d[1, 1]) <= DEGENERATE_ATOL and abs(d[0, 1]) <= DEGENERATE_ATOL:
-        return np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-    _, vecs = np.linalg.eigh(0.5 * (d + d.T))
-    return _orient(vecs[:, ::-1].T)  # descending eigenvalue order
+    """Eigenvectors of D as rows (larger eigenvalue first), deterministic
+    signs, and the fixed convention for a degenerate D."""
+    _, vecs = np.linalg.eigh(0.5 * (d + np.swapaxes(d, -1, -2)))
+    u = _orient(np.swapaxes(vecs[..., ::-1], -1, -2))  # descending eigenvalue order
+    degenerate = (np.abs(d[..., 0, 0] - d[..., 1, 1]) <= DEGENERATE_ATOL) & \
+        (np.abs(d[..., 0, 1]) <= DEGENERATE_ATOL)
+    return np.where(degenerate[..., None, None],
+                    np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0), u)
 
 
 def diagonalize_block(dmat: DiamagneticMatrix, nu_q: float) -> BogoliubovBlock:
-    """Closed-form Bogoliubov block for a symmetric PSD diamagnetic matrix."""
+    """Closed-form Bogoliubov block for a symmetric PSD diamagnetic matrix,
+    or for each of a stack of them."""
     if nu_q <= 0:
         raise ArgumentError(f"mode frequency must be positive, got {nu_q}")
-    d = np.asarray(dmat.d, dtype=float)
+    d = dmat.d
     lam = _lambda_closed_form(d, dmat.delta_q, nu_q)
     u = _mixing_directions(d)
-    if abs(d[0, 1]) > DEGENERATE_ATOL:
-        d_q = (d[0, 0] - d[1, 1]) / (2.0 * d[0, 1])
-    elif abs(d[0, 0] - d[1, 1]) <= DEGENERATE_ATOL:
-        d_q = 0.0
-    else:
-        d_q = np.inf
-    return BogoliubovBlock(nu_q=float(nu_q), delta_q=float(dmat.delta_q), lambdas=lam,
-                           coeffs=_squeeze_coeffs(u, lam), u=u, d_q=float(d_q))
+    d12, split = d[..., 0, 1], d[..., 0, 0] - d[..., 1, 1]
+    coupled = np.abs(d12) > DEGENERATE_ATOL
+    d_q = np.where(coupled, split / (2.0 * np.where(coupled, d12, 1.0)),
+                   np.where(np.abs(split) <= DEGENERATE_ATOL, 0.0, np.inf))
+    return BogoliubovBlock(nu_q=float(nu_q), delta_q=dmat.delta_q, lambdas=lam,
+                           coeffs=_squeeze_coeffs(u, lam), u=u,
+                           d_q=d_q if d_q.ndim else float(d_q))
 
 
 def numeric_block_eigen(dmat: DiamagneticMatrix, nu_q: float
@@ -133,23 +144,31 @@ def numeric_block_eigen(dmat: DiamagneticMatrix, nu_q: float
     """Pseudo-eigenvalues of the 4x4 block [[zeta, -eta], [eta, -zeta]].
 
     Returns the positive eigenvalue pair as lambdas (descending) and the
-    eigenvector matrix; the spectrum is {+nu_tau/2, -nu_tau/2}.
+    eigenvector matrix; the spectrum is {+nu_tau/2, -nu_tau/2}.  A stack
+    of D gives a stack of each.
     """
-    d = np.asarray(dmat.d, dtype=float)
-    a = 2.0 * dmat.delta_q * d[0, 0]
-    b = 2.0 * dmat.delta_q * d[1, 1]
-    g = 2.0 * dmat.delta_q * d[0, 1]
-    zeta = 0.5 * np.array([[nu_q + a, g], [g, nu_q + b]])
-    eta = 0.5 * np.array([[a, g], [g, b]])
-    block = np.block([[zeta, -eta], [eta, -zeta]])
+    d = dmat.d
+    two_delta = 2.0 * np.asarray(dmat.delta_q)
+    a = two_delta * d[..., 0, 0]
+    b = two_delta * d[..., 1, 1]
+    g = two_delta * d[..., 0, 1]
+
+    def sym(p, r, s):  # [[p, r], [r, s]] over the stack
+        return np.stack([np.stack([p, r], -1), np.stack([r, s], -1)], -2)
+
+    zeta = 0.5 * sym(nu_q + a, g, nu_q + b)
+    eta = 0.5 * sym(a, g, b)
+    block = np.concatenate([np.concatenate([zeta, -eta], -1),
+                            np.concatenate([eta, -zeta], -1)], -2)
     vals, vecs = np.linalg.eig(block)
     if np.max(np.abs(vals.imag)) > 1e-9 * max(nu_q, 1.0):
         raise NumericError("pseudo-eigenproblem returned complex frequencies")
     vals = vals.real
-    pos = np.sort(vals[vals > 0])[::-1]
-    if pos.shape[0] != 2:
-        raise NumericError(f"expected two positive pseudo-eigenvalues, got {pos.shape[0]}")
-    lam = 2.0 * pos / nu_q
+    count = np.count_nonzero(vals > 0, axis=-1)
+    if np.any(count != 2):
+        raise NumericError("expected two positive pseudo-eigenvalues, got "
+                           f"{count[count != 2].flat[0]}")
+    lam = 2.0 * np.sort(vals, axis=-1)[..., :1:-1] / nu_q
     return lam, vecs
 
 
@@ -171,10 +190,11 @@ def adapt_degenerate_branches(block: BogoliubovBlock, x_ff: np.ndarray
 
 
 def verify_symplectic(block: BogoliubovBlock) -> float:
-    """max-norm deviation of M K M^dag from K, K = diag(1, 1, -1, -1)."""
+    """max-norm deviation of M K M^dag from K, K = diag(1, 1, -1, -1), the
+    largest over a stack of blocks."""
     m = block.mixing_matrix()
     k = np.diag([1.0, 1.0, -1.0, -1.0])
-    return float(np.max(np.abs(m @ k @ m.conj().T - k)))
+    return float(np.max(np.abs(m @ k @ np.swapaxes(m.conj(), -1, -2) - k)))
 
 
 def branch_combination(block: BogoliubovBlock, t: int, a, b):

@@ -3,7 +3,10 @@
 The only external surface: `gaugecavity sweep --config cfg.json --out DIR`
 writes criterion.csv, summary.json and (when enabled) oracle.csv;
 `gaugecavity check --config cfg.json` runs the invariant suites only.
-Exit codes: 0 success, 1 runtime failure, 2 config failure.
+Exit codes: 0 success, 1 runtime failure, 2 config failure.  In a sweep
+the invariant check reads the first point's model and ground resolvents
+rather than building them again; `check` builds its own, and both write
+the same results.
 
 The config schema is the key tables below; `validate_config` walks them
 once, and `_build_model` passes the model keys on to the kind's builder.
@@ -403,10 +406,11 @@ def _stored_digest(op) -> bytes:
 
 
 def _phase_point(cfg: SweepConfig, index: int, param: str, value: float,
-                 previous: dict) -> tuple[list[dict], dict]:
+                 previous: dict, point=None) -> tuple[list[dict], dict]:
     """criterion.csv records for one sweep sample (deterministic order), and
     the sample's ground resolvents by the `_stored_digest` of their dressed
-    Hamiltonian, stripped of model and Hamiltonian.
+    Hamiltonian, stripped of model and Hamiltonian.  ``point`` is the
+    sample's (model, gauges, modes), built here when not given.
 
     A gauge and mode whose dressed Hamiltonian is stored as one met before
     in this sample or in ``previous``, the last sample's resolvents, reuses
@@ -414,7 +418,7 @@ def _phase_point(cfg: SweepConfig, index: int, param: str, value: float,
     `dipole_scale` sweep diagonalises h_m once.  The eigen-data depend on
     the stored form alone, so the records are those of fresh solves.
     """
-    model, gauges, modes = _point(cfg, param, value)
+    model, gauges, modes = point or _point(cfg, param, value)
     current = {}
     records = []
     for gauge in gauges:
@@ -504,34 +508,40 @@ def _check(dev: float, tol: float) -> dict:
     return {"max_dev": dev, "tol": tol, "passed": dev <= tol}
 
 
-def run_check(cfg: SweepConfig) -> dict:
-    """Run the invariant suites relevant to the configured model and gauges."""
+def run_check(cfg: SweepConfig, point=None, resolvents=None) -> dict:
+    """Run the invariant suites relevant to the configured model and gauges.
+
+    ``point`` is the first sweep sample's (model, gauges, modes), and
+    ``resolvents`` its ground resolvents as `_phase_point` returns them;
+    the TRK sum reuses the one of bare h_m among them, rebound to the
+    model.  Without them the sample is built and h_m solved here.
+    """
     from .bogoliubov import diagonalize_block, numeric_block_eigen, verify_symplectic
     from .gauge import DiamagneticMatrix, diamagnetic_D
     from .matter import check_uniform_density, trk_sum
 
     results = {}
-    rng = np.random.default_rng(cfg.seed)
-    worst_lam, worst_symp = 0.0, 0.0
-    for _ in range(200):
-        a, b, c = rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(-1, 1)
-        d = np.array([[a, c], [c, b]])
-        d = d @ d.T  # symmetric PSD
-        dmat = DiamagneticMatrix(d=d, delta_q=rng.uniform(0, 0.5))
-        block = diagonalize_block(dmat, 1.0)
-        lam_num, _ = numeric_block_eigen(dmat, 1.0)
-        worst_lam = max(worst_lam, float(np.max(np.abs(block.lambdas - lam_num))))
-        worst_symp = max(worst_symp, verify_symplectic(block))
-    results["bogoliubov_lambda_vs_numeric"] = _check(worst_lam, 1e-10)
-    results["bogoliubov_symplectic"] = _check(worst_symp, 1e-11)
+    # 200 random blocks, D = m m^T (symmetric PSD) for m = [[a, c], [c, b]]
+    draws = np.random.default_rng(cfg.seed).uniform([0, 0, -1, 0], [2, 2, 1, 0.5],
+                                                    size=(200, 4))
+    m = draws[:, [0, 2, 2, 1]].reshape(-1, 2, 2)
+    dmat = DiamagneticMatrix(d=m @ m.transpose(0, 2, 1), delta_q=draws[:, 3])
+    block = diagonalize_block(dmat, 1.0)
+    lam_num, _ = numeric_block_eigen(dmat, 1.0)
+    results["bogoliubov_lambda_vs_numeric"] = _check(
+        float(np.max(np.abs(block.lambdas - lam_num))), 1e-10)
+    results["bogoliubov_symplectic"] = _check(verify_symplectic(block), 1e-11)
 
-    value0 = float(_sweep_values(cfg.sweep)[0])
-    param = cfg.sweep["parameter"]
-    model, gauges, modes = _point(cfg, param, value0)
+    if point is None:
+        point = _point(cfg, cfg.sweep["parameter"], float(_sweep_values(cfg.sweep)[0]))
+    model, gauges, modes = point
     if model.kind is ModelKind.RING_LATTICE:
         results["ring_uniform_density"] = _check(check_uniform_density(model), 1e-12)
     if model.momentum_ops is not None:
-        s = trk_sum(ground_resolvent(model), axis=0)
+        hit = (resolvents or {}).get(_stored_digest(model.h_m))
+        ground = ground_resolvent(model) if hit is None else \
+            replace(hit, model=model, h_m_used=model.h_m)
+        s = trk_sum(ground, axis=0)
         target = model.params.mass * model.params.n_charges / 2.0
         results["trk_sum_rule"] = _check(abs(s - target), 1e-6)
     for gauge in gauges:
@@ -626,13 +636,15 @@ def run_sweep(cfg: SweepConfig, out_dir: str) -> int:
         try:
             pending = [pool.submit(_oracle_point, cfg, i, param, float(values[i]))
                        for i in oracle_idx] if pool is not None else []
-            records, resolvents = [], {}
+            records, resolvents, first = [], {}, None
             for i, v in enumerate(values):
-                point, resolvents = _phase_point(cfg, i, param, float(v), resolvents)
-                records += point
+                point = _point(cfg, param, float(v))
+                rows, resolvents = _phase_point(cfg, i, param, float(v), resolvents, point)
+                records += rows
+                first = first or (point, resolvents)
             _write_csv(os.path.join(out_dir, "criterion.csv"), CSV_HEADER, records)
             t_criterion = time.monotonic() - t_start
-            checks = run_check(cfg)
+            checks = run_check(cfg, *first)
 
             t_wait = time.monotonic()
             if pool is not None:

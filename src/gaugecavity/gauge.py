@@ -169,24 +169,27 @@ def check_pairing(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec) -> None:
 
 @dataclass(frozen=True)
 class DiamagneticMatrix:
-    """2x2 symmetric D_{q sigma sigma'} and the strength Delta_q."""
+    """2x2 symmetric D_{q sigma sigma'} and the strength Delta_q, or a stack
+    of them: D of shape (..., 2, 2) and Delta_q of the leading shape."""
 
     d: np.ndarray
     delta_q: float
 
     def __post_init__(self):
         m = np.asarray(self.d, dtype=float)
-        if m.shape != (2, 2):
+        if m.shape[-2:] != (2, 2):
             raise ArgumentError("D must be 2x2")
-        if abs(m[0, 1] - m[1, 0]) > 1e-12:
+        if np.any(np.abs(m[..., 0, 1] - m[..., 1, 0]) > 1e-12):
             raise ArgumentError("D must be symmetric")
-        if self.delta_q < 0:
+        delta = np.asarray(self.delta_q, dtype=float)
+        if np.any(delta < 0):
             raise ArgumentError("Delta_q must be non-negative")
-        eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
-        if eigs[0] < -1e-12:
-            raise ArgumentError(f"D has negative eigenvalue {eigs[0]:.3e}")
+        lowest = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))[..., 0].min()
+        if lowest < -1e-12:
+            raise ArgumentError(f"D has negative eigenvalue {lowest:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "d", m)
+        object.__setattr__(self, "delta_q", delta if delta.ndim else float(delta))
 
 
 def _axis_gram(model: MatterModel, mode: ModeSpec) -> np.ndarray:

@@ -12,9 +12,10 @@ its reduced resolvent come from one of two backends, which
 `ground_resolvent` picks by dimension.  Up to DENSE_MAX_DIM it is the
 full eigendecomposition `MatterSpectrum`.  Above it, `SparseResolvent`
 takes the two lowest eigenpairs from Lanczos and solves
-(H - E_0 + |0><0|) x = Q c by conjugate gradients, which on Q space is
-the resolvent: the Sternheimer route of density-functional perturbation
-theory, with no full spectrum.  Both are deterministic for a fixed
+(H - E_0 + |0><0|) x = b by conjugate gradients, one CG per independent
+column b of the projected block Q C; on Q space that is the resolvent:
+the Sternheimer route of density-functional perturbation theory, with no
+full spectrum.  Both are deterministic for a fixed
 Hamiltonian (the Lanczos start vector is seeded with LANCZOS_SEED), and
 both refuse a ground gap of at most DEGENERACY_ATOL when built.
 
@@ -236,8 +237,9 @@ class SparseResolvent:
 
     ``lowest`` holds the two lowest eigenvalues from one Lanczos run, and
     construction refuses a ground gap of at most DEGENERACY_ATOL; `gram`
-    solves for each nonzero column c the then positive definite system
-    (H - E_0 + |0><0|) x = Q c by conjugate gradients.
+    solves the then positive definite system (H - E_0 + |0><0|) x = b by
+    conjugate gradients once per independent column b of the projected
+    block Q C.
     """
 
     model: MatterModel
@@ -259,19 +261,34 @@ class SparseResolvent:
         return self.vector
 
     def gram(self, cols: np.ndarray) -> np.ndarray:
-        """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``."""
+        """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``.
+
+        A rank-deficient Q C is B T for an orthonormal basis B of its
+        span, from the SVD with singular values below CG_RTOL times the
+        largest dropped, so M = T^dag (B^dag X) T with one solve X per
+        independent column: a Hermitian coupling's f|0> and f^dag|0> share
+        one.  A full-rank Q C is its own basis, and an all-zero one runs
+        no solve.
+        """
         g, e0, h = self.vector, self.ground_energy(), self.h_m_used.matrix
-        q_cols = cols - np.outer(g, g.conj() @ cols)
+        basis = cols - np.outer(g, g.conj() @ cols)
+        if not basis.any():
+            return np.zeros((cols.shape[1],) * 2, dtype=complex)
+        u, s, vh = np.linalg.svd(basis, full_matrices=False)
+        rank = int(np.count_nonzero(s >= CG_RTOL * s[0]))
+        t = None
+        if rank < basis.shape[1]:
+            basis, t = u[:, :rank], s[:rank, None] * vh[:rank]
         shifted = LinearOperator(h.shape, dtype=complex,
                                  matvec=lambda v: h @ v - e0 * v + g * (g.conj() @ v))
-        solved = np.zeros_like(q_cols)
-        for k in range(q_cols.shape[1]):
-            if q_cols[:, k].any():
-                solved[:, k], info = cg(shifted, q_cols[:, k], rtol=CG_RTOL, atol=0.0)
-                if info != 0:
-                    raise NumericError(f"conjugate gradients stopped with info {info} "
-                                       f"before the relative residual reached {CG_RTOL}")
-        return q_cols.conj().T @ solved
+        solved = np.empty_like(basis)
+        for k in range(rank):
+            solved[:, k], info = cg(shifted, basis[:, k], rtol=CG_RTOL, atol=0.0)
+            if info != 0:
+                raise NumericError(f"conjugate gradients stopped with info {info} "
+                                   f"before the relative residual reached {CG_RTOL}")
+        m = basis.conj().T @ solved
+        return m if t is None else t.conj().T @ m @ t
 
 
 def _gershgorin_floor(mat) -> float:

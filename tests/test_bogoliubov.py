@@ -238,6 +238,48 @@ class TestAdaptation:
         assert adapted is block
 
 
+class TestStack:
+    NU = 1.3
+
+    @staticmethod
+    def _stack():
+        # the invariant check's draws, D = m m^T for m = [[a, c], [c, b]]
+        draws = np.random.default_rng(5).uniform([0, 0, -1, 0], [2, 2, 1, 0.5], size=(200, 4))
+        m = draws[:, [0, 2, 2, 1]].reshape(-1, 2, 2)
+        d = m @ m.transpose(0, 2, 1)
+        # D = c I takes the fixed degenerate directions; D12 = 0 has d_q = inf
+        d[:3] = [c * np.eye(2) for c in (0.0, 0.4, 1.3)]
+        d[3:6] = [np.diag(v) for v in ([0.7, 0.2], [0.1, 0.9], [0.0, 1.1])]
+        return d, draws[:, 3]
+
+    def test_stack_matches_per_block_loop(self):
+        d, delta = self._stack()
+        stack = DiamagneticMatrix(d=d, delta_q=delta)
+        block = diagonalize_block(stack, self.NU)
+        lam_num, _ = numeric_block_eigen(stack, self.NU)
+        singles = [DiamagneticMatrix(d=d[i], delta_q=delta[i]) for i in range(len(d))]
+        worst = 0.0
+        for i, dmat in enumerate(singles):
+            one = diagonalize_block(dmat, self.NU)
+            for name in ("lambdas", "coeffs", "u"):
+                assert np.array_equal(getattr(block, name)[i], getattr(one, name)), (i, name)
+            assert block.d_q[i] == one.d_q and block.delta_q[i] == one.delta_q
+            assert np.array_equal(lam_num[i], numeric_block_eigen(dmat, self.NU)[0])
+            worst = max(worst, verify_symplectic(one))
+        assert verify_symplectic(block) == worst
+        assert np.array_equal(block.u[:3], np.broadcast_to(
+            np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0), (3, 2, 2)))
+        assert np.all(np.isinf(block.d_q[3:6])) and np.all(block.d_q[:3] == 0.0)
+
+    def test_stack_rejects_any_bad_block(self):
+        d, delta = self._stack()
+        d[7] = [[1.0, 1.5], [1.5, 1.0]]
+        with pytest.raises(ArgumentError, match="negative eigenvalue"):
+            DiamagneticMatrix(d=d, delta_q=delta)
+        with pytest.raises(ArgumentError, match="non-negative"):
+            DiamagneticMatrix(d=self._stack()[0], delta_q=-delta)
+
+
 def test_block_mixing_matrix_structure():
     block = diagonalize_block(_dm(1.2, 0.8, 0.3, 0.4), nu_q=1.1)
     m = block.mixing_matrix()

@@ -479,6 +479,44 @@ def test_run_check_structure():
     assert results["bogoliubov_symplectic"]["passed"]
 
 
+def test_run_check_bogoliubov_suite_matches_per_draw_loop():
+    # the 200 blocks drawn one at a time, as scalar draws from the seed's stream
+    from gaugecavity.bogoliubov import diagonalize_block, numeric_block_eigen, verify_symplectic
+
+    cfg = validate_config(json.dumps(MINIMAL))
+    rng = np.random.default_rng(cfg.seed)
+    worst_lam, worst_symp = 0.0, 0.0
+    for _ in range(200):
+        a, b, c = rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(-1, 1)
+        d = np.array([[a, c], [c, b]])
+        dmat = gauge_module.DiamagneticMatrix(d=d @ d.T, delta_q=rng.uniform(0, 0.5))
+        block = diagonalize_block(dmat, 1.0)
+        lam_num, _ = numeric_block_eigen(dmat, 1.0)
+        worst_lam = max(worst_lam, float(np.max(np.abs(block.lambdas - lam_num))))
+        worst_symp = max(worst_symp, verify_symplectic(block))
+    results = run_check(cfg)
+    assert results["bogoliubov_lambda_vs_numeric"]["max_dev"] == worst_lam
+    assert results["bogoliubov_symplectic"]["max_dev"] == worst_symp
+
+
+@pytest.mark.parametrize("param, values", [
+    ("charge", [0.3, 0.6, 0.9]),  # h_m is the same at every point: the cache hits
+    ("frequency", [0.8, 1.0, 1.2]),  # h_m changes at every point: point 0's serves
+])
+def test_check_and_sweep_write_the_same_invariants(tmp_path, param, values):
+    cfg = validate_config(json.dumps({
+        "model": {"kind": "anharmonic_dipole", "levels": 6, "mass": 1.0, "frequency": 1.0,
+                  "quartic": 0.1, "charge": 0.5, "volume": 1.0, "axes": 3},
+        "gauge": [{"preset": "dipole"}, {"preset": "coulomb"}],
+        "modes": [{"nu": 1.0}],
+        "sweep": {"parameter": param, "values": values},
+    }))
+    assert run_sweep(cfg, str(tmp_path)) == 0
+    written = json.loads((tmp_path / "summary.json").read_text())["invariant_results"]
+    checked = json.loads(json.dumps(run_check(cfg), default=lambda o: o.item()))
+    assert "trk_sum_rule" in written and written == checked
+
+
 def test_run_check_diamagnetic_psd_takes_worst_mode(monkeypatch):
     # D of the first mode has eigenvalue -5e-13: DiamagneticMatrix accepts
     # it (floor -1e-12), the PSD check (tolerance 1e-14) must not, even
@@ -720,7 +758,7 @@ class TestBlasPin:
     def test_main_restores_numpy_threads(self, numpy_pool, monkeypatch, tmp_path, code):
         seen = []
 
-        def check(cfg):
+        def check(cfg, *point):
             seen.append(numpy_pool())
             if code == 1:
                 raise NumericError("forced failure")
@@ -752,7 +790,7 @@ class TestBlasPin:
         scipy_pool[1](2)
         try:
             seen = []
-            monkeypatch.setattr(cli, "run_check", lambda cfg: seen.append(
+            monkeypatch.setattr(cli, "run_check", lambda cfg, *point: seen.append(
                 cli._blas_threads()) or {"all_passed": True})
             log = tmp_path / "points"
             monkeypatch.setattr(cli, "_oracle_point",
@@ -775,7 +813,7 @@ class TestBlasPin:
         looked_up = []
         monkeypatch.setattr(cli, "_openblas_pool", lambda package: looked_up.append(package))
         seen = []
-        monkeypatch.setattr(cli, "run_check", lambda cfg: seen.append(
+        monkeypatch.setattr(cli, "run_check", lambda cfg, *point: seen.append(
             None if real is None else real[0]()) or {"all_passed": True})
         before = None if real is None else real[0]()
         assert main(["sweep", "--config", write_config(tmp_path, MINIMAL),

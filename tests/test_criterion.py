@@ -401,16 +401,15 @@ class TestRowPipelineEquivalence:
 
 class TestSpectrumSharing:
     # per_point distinct dressed Hamiltonians at each point; one of them is
-    # h_m, which the swept key leaves unchanged, so it is solved once
-    @pytest.mark.parametrize("model_cfg, per_point, check_calls", [
+    # h_m, which the swept key leaves unchanged, so it is solved once, and
+    # the invariant check's TRK sum reuses that solve
+    @pytest.mark.parametrize("model_cfg, per_point", [
         ({"kind": "two_level_ensemble", "count": 6, "gap": 1.0,
-          "dipole_moment": [0.0, 0.3, 0.0], "volume": 1.0}, 1, 0),
-        # the invariant check diagonalises h_m once more for the TRK sum rule
+          "dipole_moment": [0.0, 0.3, 0.0], "volume": 1.0}, 1),
         ({"kind": "anharmonic_dipole", "levels": 12, "mass": 1.0, "frequency": 1.0,
-          "quartic": 0.1, "charge": 0.5, "volume": 1.0}, 2, 1),
+          "quartic": 0.1, "charge": 0.5, "volume": 1.0}, 2),
     ])
-    def test_eigh_calls_per_point(self, monkeypatch, tmp_path, model_cfg, per_point,
-                                  check_calls):
+    def test_eigh_calls_per_point(self, monkeypatch, tmp_path, model_cfg, per_point):
         calls = []
         original = operators.eigh
 
@@ -428,7 +427,7 @@ class TestSpectrumSharing:
             "sweep": {"parameter": param, "values": [0.2, 0.4, 0.6]},
         }))
         cli.run_sweep(cfg, str(tmp_path / "out"))
-        assert len(calls) == 3 * (per_point - 1) + 1 + check_calls
+        assert len(calls) == 3 * (per_point - 1) + 1
 
     SWEEPS = {
         "dipole_scale": ({"kind": "two_level_ensemble", "count": 6, "gap": 1.0,

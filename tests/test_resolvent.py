@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, cg
 
 from gaugecavity import cli, matter, operators, oracle
 from gaugecavity.bogoliubov import diagonalize_block
@@ -141,6 +141,43 @@ class TestStaticResponsesOnBothBackends:
             assert check_translational_invariance(ground, q1, q2) <= cond * CG_RTOL * same
 
 
+def _gram_columns(model, case):
+    """Column blocks built on the sparse ground vector g of ``model``, and
+    the rank of their Q-projection."""
+    g = sparse_resolvent(model).ground_state_vector()
+    dx, dy = (op.matrix @ g for op in model.dipole_ops[:2])
+    j = model.current_along(matter.X_AXIS).matrix  # Hermitian, purely imaginary
+    zero = np.zeros_like(g)
+    return {
+        "duplicate": ([dx, dy, dx], 2),
+        # a Hermitian f's f^dag|0>, read off the bra <0|f, and f|0>
+        "conjugate_duplicate": ([(g.conj() @ j).conj(), j @ g], 1),
+        "zero_columns": ([zero, dx, zero], 1),
+        "all_zero": ([dx, dy], 0),
+        "full_rank": ([dx, dy, j @ g], 3),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["duplicate", "conjugate_duplicate", "zero_columns",
+                                  "all_zero", "full_rank"])
+def test_sparse_gram_solves_once_per_independent_column(monkeypatch, case):
+    # the all-zero block is the ensemble at dipole_scale 0
+    model = THREE_AXIS if case != "all_zero" else \
+        build_two_level_ensemble(DENSE_MAX_DIM + 100, 1.0, (0.0, 0.0, 0.0), 1.0)
+    assert model.dim > DENSE_MAX_DIM
+    cols, rank = _gram_columns(model, case)
+    cols = np.stack(cols, axis=1)
+    dense = matter_spectrum(model).gram(cols)
+    solves = []
+    monkeypatch.setattr(matter, "cg", lambda *a, **kw: solves.append(1) or cg(*a, **kw))
+    sparse = sparse_resolvent(model).gram(cols)
+    assert len(solves) == rank
+    if rank == 0:
+        assert not sparse.any() and np.max(np.abs(dense)) <= 1e-12
+    else:
+        _assert_agree(dense, sparse)
+
+
 @pytest.mark.parametrize("gauge_name", sorted(GAUGES))
 def test_full_hamiltonian_needs_no_eigh(monkeypatch, gauge_name):
     gauge, mode = GAUGES[gauge_name], MODES["q_z"]
@@ -243,9 +280,10 @@ class TestSparseFailures:
 
 
 def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):
-    # 3 points x (dipole: 1 Lanczos + 4 electric solves, coulomb: 4 magnetic
-    # solves), one Lanczos for the Coulomb gauge's h_m, which the charge
-    # leaves unchanged, plus the invariant check's TRK sum (1 + 1)
+    # 3 points x (dipole: 1 Lanczos + 2 electric solves, coulomb: 2 magnetic
+    # solves; f is Hermitian, so f|0> and f^dag|0> share a solve), one
+    # Lanczos for the Coulomb gauge's h_m, which the charge leaves
+    # unchanged, plus the invariant check's TRK solve on that resolvent
     counts = {"eigh": 0, "eigsh": 0, "cg": 0}
 
     def counted(name, original):
@@ -267,7 +305,7 @@ def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):
     }))
     assert 7 ** 3 > DENSE_MAX_DIM
     cli.run_sweep(cfg, str(tmp_path / "out"))
-    assert counts == {"eigh": 0, "eigsh": 3 + 1 + 1, "cg": 3 * (4 + 4) + 1}
+    assert counts == {"eigh": 0, "eigsh": 3 + 1, "cg": 3 * (2 + 2) + 1}
 
 
 def test_large_model_memory():
