@@ -41,9 +41,10 @@ class BogoliubovBlock:
     """Per-mode record of the transformation; tau index 0 = '+', 1 = '-'.
 
     Built from a stack of D matrices, every field but ``nu_q`` carries the
-    stack's leading axes, which `nu_tau`, `mixing_matrix` and
-    `verify_symplectic` keep; `lambda_plus`, `lambda_minus`, `h` and the
-    branch helpers take a single block.
+    stack's leading axes, which `nu_tau`, `h`, `mixing_matrix`,
+    `adapt_degenerate_branches` and `verify_symplectic` keep;
+    `lambda_plus`, `lambda_minus` and the branch operators take a single
+    block.
     """
 
     nu_q: float
@@ -69,9 +70,9 @@ class BogoliubovBlock:
 
     @property
     def h(self) -> np.ndarray:
-        """h[sigma, tau] with h_{1 tau} = w - y, h_{2 tau} = x - z."""
-        w, x, y, z = (self.coeffs[:, k] for k in range(4))
-        return np.stack([w - y, x - z], axis=0)
+        """h[..., sigma, tau] with h_{1 tau} = w - y, h_{2 tau} = x - z."""
+        w, x, y, z = np.moveaxis(self.coeffs, -1, 0)
+        return np.stack([w - y, x - z], axis=-2)
 
     def mixing_matrix(self) -> np.ndarray:
         """4x4 M with (c+, c-, c+^dag, c-^dag) = M (a1, a2, a1+, a2+), per
@@ -179,14 +180,19 @@ def adapt_degenerate_branches(block: BogoliubovBlock, x_ff: np.ndarray
     Inside a degenerate block every Bogoliubov rotation of the pair is
     equally valid; the displacement optimisation selects the eigenframe of
     the projected response, most unstable direction (most negative chi)
-    on the '+' branch.  Non-degenerate blocks are returned unchanged.
+    on the '+' branch.  Non-degenerate blocks are left unchanged; for a
+    stack, x_ff is (..., 2, 2) and each block is aligned with its own.
     """
-    if abs(block.lambdas[0] - block.lambdas[1]) > 1e-12 * max(1.0, block.lambdas[0]):
+    lam = block.lambdas
+    degenerate = np.abs(lam[..., 0] - lam[..., 1]) <= 1e-12 * np.maximum(1.0, lam[..., 0])
+    if not degenerate.any():
         return block
-    sym = 0.5 * (x_ff + x_ff.conj().T).real
-    _, vecs = np.linalg.eigh(sym)
-    u = _orient(vecs.T)  # ascending eigenvalue: most unstable first -> '+'
-    return replace(block, coeffs=_squeeze_coeffs(u, block.lambdas), u=u)
+    # the mask takes the degenerate blocks of a stack, and a single block as a stack of one
+    sym = 0.5 * (x_ff + np.swapaxes(x_ff.conj(), -1, -2)).real
+    _, vecs = np.linalg.eigh(sym[degenerate])
+    u = block.u.copy()
+    u[degenerate] = _orient(np.swapaxes(vecs, -1, -2))  # most unstable first -> '+'
+    return replace(block, coeffs=_squeeze_coeffs(u, lam), u=u)
 
 
 def verify_symplectic(block: BogoliubovBlock) -> float:
@@ -197,17 +203,19 @@ def verify_symplectic(block: BogoliubovBlock) -> float:
     return float(np.max(np.abs(m @ k @ np.swapaxes(m.conj(), -1, -2) - k)))
 
 
-def branch_combination(block: BogoliubovBlock, t: int, a, b):
-    """sum_sigma (w_{tau sigma} a_sigma - y_{tau sigma} b_sigma) for branch t.
+def branch_combination(coeffs, a, b):
+    """sum_sigma (w_sigma a_sigma - y_sigma b_sigma) for the squeeze
+    coefficients (w, x, y, z) = coeffs[0], ..., coeffs[3] of a branch.
 
     With a = f and b = f^dag this is G_tau, the operator multiplying
     c_tau^dag once the inverse Bogoliubov transformation is substituted into
     the bare interaction; a and b may be dense or sparse matrices or
-    ground-state matrix-element rows.
+    ground-state matrix-element rows.  Each coeffs[k] is a number, or an
+    array that broadcasts against a[sigma] to combine a stack of branches.
     """
     out = 0.0
     for s in range(2):
-        out = out + block.coeffs[t, s] * a[s] - block.coeffs[t, 2 + s] * b[s]
+        out = out + coeffs[s] * a[s] - coeffs[2 + s] * b[s]
     return out
 
 
@@ -219,7 +227,7 @@ def _branch_operators(block: BogoliubovBlock, f_sigma: tuple[Operator, Operator]
         raise ArgumentError("polarisation components act on different spaces")
     f = [op.matrix for op in f_sigma]
     b = [m.conj().T for m in f] if adjoint else f
-    return tuple(Operator(branch_combination(block, t, f, b)) for t in range(2))
+    return tuple(Operator(branch_combination(block.coeffs[t], f, b)) for t in range(2))
 
 
 def exact_branch_coupling(block: BogoliubovBlock,

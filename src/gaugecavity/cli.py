@@ -8,6 +8,16 @@ the invariant check reads the first point's model and ground resolvents
 rather than building them again; `check` builds its own, and both write
 the same results.
 
+The criterion stage runs in two steps.  The matter step walks the sweep
+points: it builds each point's model, resolves each gauge's dressed
+Hamiltonian through the digest cache of ground resolvents, keeps one
+`criterion.MatterPoint` per gauge and mode (an 8 x 8 resolvent Gram
+matrix, <0|f_sigma|0>, D and Delta_q) and drops the model, so only the
+first point's model, which the invariant check reads, stays alive beside
+the current one.  The stacked step then runs `criterion.verdicts` once
+per gauge and mode over every point, and criterion.csv is written from
+its arrays.
+
 The config schema is the key tables below; `validate_config` walks them
 once, and `_build_model` passes the model keys on to the kind's builder.
 
@@ -40,7 +50,9 @@ worker count as `oracle_workers` (0 when the parent runs the points) and
 `oracle_seconds` for what the oracle adds after the criterion stage and
 the invariant check (the wait for the workers, or the points run in the
 parent, and writing oracle.csv; near 0 with the oracle off), and
-`total_seconds` for their sum.
+`total_seconds` for their sum.  In the README example the workers, not
+the criterion stage, set the wall time, so its `oracle_seconds` is not
+near 0.
 
 criterion.csv and oracle.csv are byte-identical across repeated runs of
 the same config and seed on the same machine: rows are emitted in
@@ -67,7 +79,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, matter
-from .criterion import evaluate
+from .criterion import matter_point, verdicts
 from .errors import ConfigError, GaugecavityError
 from .gauge import (GaugePreset, GaugeSpec, ModeSpec, dressed_matter_hamiltonian, lwl_mode,
                     make_gauge, pairing_problem, ring_mode)
@@ -382,14 +394,16 @@ def _build_model(cfg: SweepConfig, param: str, value: float) -> MatterModel:
     return getattr(matter, builder)(**kwargs)
 
 
-def _point(cfg: SweepConfig, param: str, value: float
+def _point(cfg: SweepConfig, param: str, value: float, modes=None
            ) -> tuple[MatterModel, list[GaugeSpec], list[ModeSpec]]:
-    """The model, gauges (in config order) and modes of one sweep sample."""
+    """The model, gauges (in config order) and modes of one sweep sample;
+    ``modes``, when given, are taken as they are."""
     model = _build_model(cfg, param, value)
     gauges = [make_gauge(g["preset"], alpha=value if param == "alpha" else g["alpha"])
               for g in cfg.gauges]
-    modes = [lwl_mode(m["nu"], model.params.volume) if m["ring_index"] is None
-             else ring_mode(model, m["ring_index"], nu=m["nu"]) for m in cfg.modes]
+    if modes is None:
+        modes = [lwl_mode(m["nu"], model.params.volume) if m["ring_index"] is None
+                 else ring_mode(model, m["ring_index"], nu=m["nu"]) for m in cfg.modes]
     return model, gauges, modes
 
 
@@ -405,36 +419,64 @@ def _stored_digest(op) -> bytes:
     return digest.digest()
 
 
-def _phase_point(cfg: SweepConfig, index: int, param: str, value: float,
-                 previous: dict, point=None) -> tuple[list[dict], dict]:
-    """criterion.csv records for one sweep sample (deterministic order), and
-    the sample's ground resolvents by the `_stored_digest` of their dressed
-    Hamiltonian, stripped of model and Hamiltonian.  ``point`` is the
-    sample's (model, gauges, modes), built here when not given.
+def _matter_point(point, previous: dict) -> tuple[list[tuple], dict]:
+    """The criterion's matter step at one sweep sample ``point`` (model,
+    gauges, modes): a (gauge, q_index, `criterion.MatterPoint`) per gauge
+    and mode, gauge by gauge, and the sample's ground resolvents by the
+    `_stored_digest` of their dressed Hamiltonian, stripped of model and
+    Hamiltonian.  Nothing returned holds the model.
 
     A gauge and mode whose dressed Hamiltonian is stored as one met before
     in this sample or in ``previous``, the last sample's resolvents, reuses
     that resolvent, rebound to this sample's model and Hamiltonian: a
     `dipole_scale` sweep diagonalises h_m once.  The eigen-data depend on
-    the stored form alone, so the records are those of fresh solves.
+    the stored form alone, so the results are those of fresh solves.  The
+    bare h_m, which every gauge without a self-energy returns, is hashed
+    once.
     """
-    model, gauges, modes = point or _point(cfg, param, value)
-    current = {}
-    records = []
+    model, gauges, modes = point
+    current, bare, rows = {}, None, []
     for gauge in gauges:
         for qi, mode in enumerate(modes):
             h = dressed_matter_hamiltonian(model, gauge, [mode])
-            key = _stored_digest(h)
+            if h is model.h_m:
+                key = bare = bare or _stored_digest(h)
+            else:
+                key = _stored_digest(h)
             hit = current.get(key, previous.get(key))
-            ground = ground_resolvent(model, h) if hit is None else \
-                replace(hit, model=model, h_m_used=h)
-            current[key] = replace(ground, model=None, h_m_used=None)
-            for rep in evaluate(model, gauge, mode, spectrum=ground):
-                records.append(dict(zip(CSV_HEADER.split(","), (
-                    SCHEMA_VERSION, index, param, value, gauge.preset.value, gauge.alpha,
-                    qi, rep.tau, rep.lhs, rep.rhs, rep.electric_part, rep.magnetic_part,
-                    rep.margin, rep.condensed, rep.beta0.real, rep.beta0.imag))))
-    return records, current
+            if hit is None:
+                ground = ground_resolvent(model, h)
+                hit = replace(ground, model=None, h_m_used=None)
+            else:
+                ground = replace(hit, model=model, h_m_used=h)
+            current[key] = hit
+            rows.append((gauge, qi, matter_point(model, gauge, mode, spectrum=ground)))
+    return rows, current
+
+
+def _criterion_stage(cfg: SweepConfig, param: str, values: np.ndarray
+                     ) -> tuple[list[dict], tuple]:
+    """criterion.csv records for the sweep, in point, gauge, mode and branch
+    order, and the first sample's point and ground resolvents: the matter
+    step at every sample, then the stacked step (see the module docstring).
+    The modes are built once, unless the sweep varies the volume, which is
+    theirs."""
+    first = _point(cfg, param, float(values[0]))
+    modes = None if param == "volume" else first[2]
+    rows, resolvents = _matter_point(first, {})
+    samples, checked = [rows], (first, resolvents)
+    for v in values[1:]:
+        rows, resolvents = _matter_point(_point(cfg, param, float(v), modes), resolvents)
+        samples.append(rows)
+    stacks = [verdicts([sample[k][2] for sample in samples]) for k in range(len(rows))]
+    header = CSV_HEADER.split(",")
+    records = [dict(zip(header, (
+        SCHEMA_VERSION, i, param, float(v), gauge.preset.value, gauge.alpha, qi, rep.tau,
+        rep.lhs, rep.rhs, rep.electric_part, rep.magnetic_part, rep.margin, rep.condensed,
+        rep.beta0.real, rep.beta0.imag)))
+        for i, (v, sample) in enumerate(zip(values, samples))
+        for (gauge, qi, _), stack in zip(sample, stacks) for rep in stack[i]]
+    return records, checked
 
 
 def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> list[dict]:
@@ -512,7 +554,7 @@ def run_check(cfg: SweepConfig, point=None, resolvents=None) -> dict:
     """Run the invariant suites relevant to the configured model and gauges.
 
     ``point`` is the first sweep sample's (model, gauges, modes), and
-    ``resolvents`` its ground resolvents as `_phase_point` returns them;
+    ``resolvents`` its ground resolvents as `_matter_point` returns them;
     the TRK sum reuses the one of bare h_m among them, rebound to the
     model.  Without them the sample is built and h_m solved here.
     """
@@ -636,12 +678,7 @@ def run_sweep(cfg: SweepConfig, out_dir: str) -> int:
         try:
             pending = [pool.submit(_oracle_point, cfg, i, param, float(values[i]))
                        for i in oracle_idx] if pool is not None else []
-            records, resolvents, first = [], {}, None
-            for i, v in enumerate(values):
-                point = _point(cfg, param, float(v))
-                rows, resolvents = _phase_point(cfg, i, param, float(v), resolvents, point)
-                records += rows
-                first = first or (point, resolvents)
+            records, first = _criterion_stage(cfg, param, values)
             _write_csv(os.path.join(out_dir, "criterion.csv"), CSV_HEADER, records)
             t_criterion = time.monotonic() - t_start
             checks = run_check(cfg, *first)

@@ -2,18 +2,32 @@
 
 For each renormalised photon branch tau the verdict compares
 
-    lhs_tau = magnetic_part_tau + electric_part_tau  >  lambda_tau^2 = rhs_tau,
+    lhs_tau  >  lambda_tau^2 = rhs_tau,
 
-where the parts are the (negated) static responses of the paramagnetic
-and electric coupling components of f projected onto the branch mixing
-direction u_tau.  Same-field responses pair an operator with its adjoint
-(C_{-q} = O_q^dag), which keeps every part non-negative.
+where lhs_tau is the (negated) static response of the full coupling f,
+paramagnetic plus electric component, projected onto the branch mixing
+direction u_tau, and the reported magnetic_part_tau and electric_part_tau
+are the same response of each component alone.  Same-field responses
+pair an operator with its adjoint (C_{-q} = O_q^dag), which keeps every
+part non-negative.  In the Coulomb and dipole gauges one component
+vanishes and lhs_tau is the other part.  In the alpha gauges lhs_tau is
+not the sum of the two parts: on the ensembles and anharmonic dipoles
+tried it equals the larger part to 5e-16 relative.  Whether the
+criterion should read lhs as that sum or as the larger part is still
+open; the code computes the response of the full f.
 
 Under full rotational invariance about q the projection is immaterial and
 the inequality is the scalar transverse criterion; for axis-aligned
 anisotropic matter the u_tau projection pairs each response with the
 branch whose frequency it actually renormalises, which is what the
 brute-force oracle confirms.
+
+The criterion runs in two steps.  `matter_point` reads what it needs of
+one model, gauge and mode: an 8 x 8 resolvent Gram matrix, <0|f_sigma|0>
+and the unchecked D and Delta_q.  `verdicts` forms the verdicts of a
+stack of such points as array products, one Bogoliubov block per point.
+`evaluate` is the two on one point, and a sweep runs `verdicts` once per
+gauge and mode over all its points.
 """
 
 from __future__ import annotations
@@ -25,8 +39,9 @@ import numpy as np
 from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, branch_combination,
                          diagonalize_block)
 from .errors import ArgumentError, SingularConstraintError, UnsupportedError
-from .gauge import (GaugePreset, GaugeSpec, ModeSpec, check_pairing, coupling_f_electric,
-                    coupling_rows, diamagnetic_D, dressed_matter_hamiltonian, gauge_spectrum)
+from .gauge import (DiamagneticMatrix, GaugePreset, GaugeSpec, ModeSpec, check_pairing,
+                    coupling_f_electric, coupling_rows, diamagnetic_D, diamagnetic_parts,
+                    dressed_matter_hamiltonian, gauge_spectrum)
 from .matter import MatterModel, MatterSpectrum, ground_resolvent
 from .operators import Operator
 from .response import chi_md_from_model, lehmann_sum, polarizability
@@ -65,15 +80,67 @@ _KET = {part: np.roll(bra, 4, axis=1) for part, bra in _BRA.items()}
 
 def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
              spectrum=None) -> tuple[CriterionReport, CriterionReport]:
-    """Both-branch condensation verdicts at one mode.
+    """Both-branch condensation verdicts at one mode: `verdicts` on the one
+    `matter_point` of the model, gauge and mode.
 
-    Everything is read off one 8 x 8 resolvent Gram matrix
+    ``spectrum`` is a backend of `matter.ground_resolvent` for the
+    gauge's dressed matter Hamiltonian, by default built here.
+    """
+    return verdicts([matter_point(model, gauge, mode, spectrum)])[0]
+
+
+@dataclass(frozen=True)
+class MatterPoint:
+    """What the criterion reads of one model, gauge and mode, with no model:
+    the 8 x 8 resolvent Gram matrix, f0 = <0|f_sigma|0>, D and Delta_q as
+    `gauge.diamagnetic_parts` gives them (`verdicts` checks them), the
+    model's volume and the mode."""
+
+    gram: np.ndarray
+    f0: np.ndarray
+    d: np.ndarray
+    delta_q: float
+    volume: float
+    mode: ModeSpec
+
+
+def matter_point(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
+                 spectrum=None) -> MatterPoint:
+    """The matter step of the criterion: one Gram matrix
     M = C^dag Q (H - E_0)^-1 Q C, whose columns C are f_k^dag|0> and f_k|0>
-    for the four coupling components (`coupling_rows`).  With the branch
-    coupling G_tau = sum_sigma (w f_sigma - y f_sigma^dag), the rows
-    <0|G|n> and <n|G|0> are conj(<n|C p>) and <n|C q> for the coefficient
-    vectors p = branch_combination(bra, ket), q = branch_combination(ket,
-    bra), so the Eq.-(22)-normalised instability strength
+    for the four coupling components (`coupling_rows`), and <0|f_sigma|0>.
+    ``spectrum`` is as for `evaluate`."""
+    check_pairing(model, gauge, mode)
+    if spectrum is None:
+        spectrum = ground_resolvent(model, dressed_matter_hamiltonian(model, gauge, [mode]))
+    g = spectrum.ground_state_vector()
+    bras, kets = coupling_rows(model, gauge, mode, g)
+    d, delta = diamagnetic_parts(model, gauge, mode)
+    return MatterPoint(gram=spectrum.gram(np.concatenate([bras.conj(), kets]).T),
+                       f0=(bras[:2] + bras[2:]) @ g, d=d, delta_q=delta,
+                       volume=model.params.volume, mode=mode)
+
+
+def _vec(rows: np.ndarray) -> np.ndarray:
+    """Rows as a stack of 1 x n matrices, so that `@` takes them one at a time."""
+    return rows[..., None, :]
+
+
+def _col(rows: np.ndarray) -> np.ndarray:
+    """Rows as a stack of n x 1 matrices."""
+    return rows[..., :, None]
+
+
+def verdicts(points: list[MatterPoint]) -> list[tuple[CriterionReport, CriterionReport]]:
+    """Both-branch condensation verdicts at each of a stack of points of one
+    mode frequency, formed as array products over the stack.
+
+    One `DiamagneticMatrix` checks every point's D and one
+    `diagonalize_block` diagonalises them.  With the branch coupling
+    G_tau = sum_sigma (w f_sigma - y f_sigma^dag), the rows <0|G|n> and
+    <n|G|0> are conj(<n|C p>) and <n|C q> for the coefficient vectors
+    p = branch_combination(bra, ket), q = branch_combination(ket, bra), so
+    the Eq.-(22)-normalised instability strength
 
         X = sum_n (|<0|G|n>|^2 + |<n|G|0>|^2) / de_n = p.M.p + q.M.q,
         W = 2 sum_n <0|G|n><n|G|0> / de_n = 2 p.M.q,
@@ -81,49 +148,51 @@ def evaluate(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
 
     and chi_ff is the bra-bra block.  For purely Hermitian or purely
     anti-Hermitian G the pair collapses to the transverse response sum of
-    the underlying fields, recovering the paramagnetic-plus-electric form.
-    beta_0 = -(A_q / nu_tau) sum_sigma h_{sigma tau} <0|f_sigma|0>, which
-    does not depend on the phase of |0>.
+    the underlying fields.  beta_0 = -(A_q / nu_tau) sum_sigma
+    h_{sigma tau} <0|f_sigma|0>, which does not depend on the phase of |0>.
 
-    ``spectrum`` is a backend of `matter.ground_resolvent` for the
-    gauge's dressed matter Hamiltonian, by default built here.
+    Each product takes one point at a time, as `@` does on a single
+    point, so a point's verdicts do not depend on the stack it is in;
+    squares and moduli use libm's pow and hypot, which round as Python's
+    float ** and abs do on a scalar.
     """
-    check_pairing(model, gauge, mode)
-    block = diagonalize_block(diamagnetic_D(model, gauge, mode), mode.nu)
-    if spectrum is None:
-        spectrum = ground_resolvent(model, dressed_matter_hamiltonian(model, gauge, [mode]))
-    g = spectrum.ground_state_vector()
-    bras, kets = coupling_rows(model, gauge, mode, g)
-    m = spectrum.gram(np.concatenate([bras.conj(), kets]).T)
+    nu = points[0].mode.nu
+    if any(pt.mode.nu != nu for pt in points):
+        raise ArgumentError("the points of a stack must share one mode frequency")
+    m = np.stack([pt.gram for pt in points])
+    volume = np.array([pt.volume for pt in points])
+    mode_volume = np.array([pt.mode.volume for pt in points])
+    amplitude = np.array([pt.mode.amplitude for pt in points])
+    block = diagonalize_block(DiamagneticMatrix(
+        d=np.stack([pt.d for pt in points]), delta_q=np.array([pt.delta_q for pt in points])), nu)
     full = _BRA["full"]
-    x_ff = -2.0 * model.params.volume * (full @ m @ full.T) / (mode.volume * mode.nu) ** 2
+    x_ff = (-2.0 * volume)[:, None, None] * (full @ m @ full.T) \
+        / np.float_power(mode_volume * nu, 2)[:, None, None]
     block = adapt_degenerate_branches(block, x_ff)
-    off = float(abs(block.u[0] @ x_ff @ block.u[1]))
+    off = float(np.max(np.abs(_vec(block.u[:, 0]) @ x_ff @ _col(block.u[:, 1]))))
     if off > REDUCTION_ATOL:
         raise UnsupportedError(
             f"branch decoupling fails: |u+ . chi_ff . u-| = {off:.3e} > {REDUCTION_ATOL}; "
             "the per-branch criterion requires rotational symmetry about q or "
             "axis-aligned matter")
-    f0 = (bras[:2] + bras[2:]) @ g  # <0|f_sigma|0>
-    reports = []
-    for t, tau in enumerate(BogoliubovBlock.TAUS):
-        lam = float(block.lambdas[t])
-        value = {}
-        for part, bra in _BRA.items():
-            p = branch_combination(block, t, bra, _KET[part])
-            q = branch_combination(block, t, _KET[part], bra)
-            x_sum = float((p @ m @ p + q @ m @ q).real)
-            w_sum = complex(2.0 * (p @ m @ q))
-            value[part] = lam * (x_sum + abs(w_sum)) / (2.0 * mode.nu ** 2 * mode.volume)
-        reports.append(CriterionReport(
-            tau=tau,
-            lhs=value["full"],
-            rhs=float(block.lambdas[t] ** 2),
-            electric_part=value["electric"],
-            magnetic_part=value["magnetic"],
-            beta0=-mode.amplitude / block.nu_tau[t] * complex(block.h[:, t] @ f0),
-        ))
-    return tuple(reports)
+    coeffs = np.moveaxis(block.coeffs, -1, 0)[..., None]  # coeffs[k][point, tau, None]
+    m = m[:, None]  # one Gram matrix per point, for both branches
+    lam = block.lambdas
+    scale = 2.0 * np.float_power(nu, 2) * mode_volume[:, None]
+    value = {}
+    for part, bra in _BRA.items():
+        p = branch_combination(coeffs, bra, _KET[part])
+        q = branch_combination(coeffs, _KET[part], bra)
+        pm = _vec(p) @ m
+        x_sum = (pm @ _col(p) + _vec(q) @ m @ _col(q)).real[..., 0, 0]
+        w_sum = 2.0 * (pm @ _col(q))[..., 0, 0]
+        value[part] = lam * (x_sum + np.hypot(w_sum.real, w_sum.imag)) / scale
+    f0 = np.stack([pt.f0 for pt in points])[:, None]  # <0|f_sigma|0>, for both branches
+    h_f0 = (_vec(np.swapaxes(block.h, -1, -2)) @ _col(f0))[..., 0, 0]
+    columns = [a.tolist() for a in (value["full"], np.float_power(lam, 2), value["electric"],
+                                    value["magnetic"], -amplitude[:, None] / block.nu_tau * h_f0)]
+    return [tuple(CriterionReport(tau, *(c[i][t] for c in columns))
+                  for t, tau in enumerate(BogoliubovBlock.TAUS)) for i in range(len(points))]
 
 
 @dataclass(frozen=True)

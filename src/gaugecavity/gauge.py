@@ -213,10 +213,18 @@ def diamagnetic_delta(model: MatterModel, mode: ModeSpec) -> float:
 def diamagnetic_D(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec) -> DiamagneticMatrix:
     """Assemble D_{q sigma sigma'} and Delta_q: (1 - alpha)^2 times the
     axis Gram matrix, or the ring's dressed-profile overlap."""
+    d, delta = diamagnetic_parts(model, gauge, mode)
+    return DiamagneticMatrix(d=d, delta_q=delta)
+
+
+def diamagnetic_parts(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec
+                      ) -> tuple[np.ndarray, float]:
+    """The D and Delta_q of `diamagnetic_D`, unchecked, for a caller that
+    stacks them into one `DiamagneticMatrix`."""
     delta = diamagnetic_delta(model, mode)
     if gauge.preset is GaugePreset.MULTIPOLAR_RING:
-        return DiamagneticMatrix(d=_multipolar_ring_D(model, mode), delta_q=delta)
-    return DiamagneticMatrix(d=(1.0 - gauge.alpha) ** 2 * _axis_gram(model, mode), delta_q=delta)
+        return _multipolar_ring_D(model, mode), delta
+    return (1.0 - gauge.alpha) ** 2 * _axis_gram(model, mode), delta
 
 
 def _multipolar_ring_D(model: MatterModel, mode: ModeSpec) -> np.ndarray:

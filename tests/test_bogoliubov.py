@@ -271,6 +271,23 @@ class TestStack:
             np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0), (3, 2, 2)))
         assert np.all(np.isinf(block.d_q[3:6])) and np.all(block.d_q[:3] == 0.0)
 
+    def test_stack_h_and_alignment_match_per_block_loop(self):
+        d, delta = self._stack()
+        block = diagonalize_block(DiamagneticMatrix(d=d, delta_q=delta), self.NU)
+        # Hermitian responses; D = c I makes the first three blocks degenerate
+        raw = np.random.default_rng(6).normal(size=(len(d), 2, 2, 2))
+        x_ff = raw[..., 0] + 1j * raw[..., 1]
+        x_ff = x_ff + np.swapaxes(x_ff.conj(), -1, -2)
+        aligned = adapt_degenerate_branches(block, x_ff)
+        for i in range(len(d)):
+            one = diagonalize_block(DiamagneticMatrix(d=d[i], delta_q=delta[i]), self.NU)
+            assert np.array_equal(block.h[i], one.h)
+            one = adapt_degenerate_branches(one, x_ff[i])
+            for name in ("coeffs", "u"):
+                assert np.array_equal(getattr(aligned, name)[i], getattr(one, name)), (i, name)
+        assert not np.array_equal(aligned.u[:3], block.u[:3])
+        assert np.array_equal(aligned.u[3:], block.u[3:])
+
     def test_stack_rejects_any_bad_block(self):
         d, delta = self._stack()
         d[7] = [[1.0, 1.5], [1.5, 1.0]]

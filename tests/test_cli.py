@@ -726,7 +726,7 @@ class TestOracleWorkers:
 
         log = tmp_path / "started"
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(cli, "evaluate", failing)
+        monkeypatch.setattr(cli, "verdicts", failing)
         monkeypatch.setattr(cli, "_oracle_point",
                             functools.partial(_logged_oracle_point, str(log), 0.2))
         # every one of the 12 sweep points is an oracle point

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from gaugecavity.criterion import (
     dipole_specialized,
     displaced_energy,
     evaluate,
+    matter_point,
     order_parameter,
     stiffness_energy,
+    verdicts,
 )
 from gaugecavity.errors import ArgumentError, UnsupportedError
 from gaugecavity.gauge import (
@@ -478,11 +481,11 @@ class TestSpectrumSharing:
 
     def test_carried_resolvents_hold_no_model(self):
         cfg = self._config("charge")
-        records, carried = cli._phase_point(cfg, 0, "charge", 0.2, {})
+        records, carried = cli._matter_point(cli._point(cfg, "charge", 0.2), {})
         # dipole and alpha_lwl dress h_m differently; Coulomb keeps it
         assert len(carried) == 3
         assert all(g.model is None and g.h_m_used is None for g in carried.values())
-        _, again = cli._phase_point(cfg, 1, "charge", 0.4, carried)
+        _, again = cli._matter_point(cli._point(cfg, "charge", 0.4), carried)
         # besides h_m, alpha_lwl's (0.5 x 0.4)^2 self-energy is stored as
         # the dipole gauge's 0.2^2 one of the point before
         assert len(again) == 3 and len(set(again) & set(carried)) == 2
@@ -502,6 +505,113 @@ class TestSpectrumSharing:
 
 
 _ANHARMONIC_3AXIS = build_anharmonic_dipole(5, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
+_README_ENSEMBLE = {"kind": "two_level_ensemble", "count": 40, "gap": 1.0,
+                    "dipole_moment": [0.0, 1.0, 0.0], "volume": 1.0}
+_DIPOLE_COULOMB = [{"preset": "dipole"}, {"preset": "coulomb"}]
+
+
+class TestStackedCriterion:
+    """The sweep evaluates each gauge and mode as one stack over its points,
+    and keeps only per-point arrays between points."""
+
+    CONFIGS = {
+        # dipole: D = 0, degenerate branches aligned with chi_ff
+        "readme_ensemble": ({"model": _README_ENSEMBLE, "gauge": _DIPOLE_COULOMB,
+                             "modes": [{"nu": 1.0}]}, "dipole_scale", [0.0, 0.1, 0.2, 0.3]),
+        # every mode is the model's volume: one stack of modes that differ
+        "ensemble_volume": ({"model": _README_ENSEMBLE, "gauge": _DIPOLE_COULOMB,
+                             "modes": [{"nu": 1.0}]}, "volume", [0.5, 1.0, 2.0]),
+        # d = 216: the sparse backend; isotropic D, degenerate branches in both gauges
+        "anharmonic_3axis": ({"model": {"kind": "anharmonic_dipole", "levels": 6, "mass": 1.0,
+                                        "frequency": 1.0, "quartic": 0.1, "charge": 0.5,
+                                        "volume": 1.0, "axes": 3},
+                              "gauge": _DIPOLE_COULOMB, "modes": [{"nu": 1.0}]},
+                             "charge", [0.3, 0.9]),
+        "alpha_two_modes": ({"model": {"kind": "anharmonic_dipole", "levels": 12, "mass": 1.0,
+                                       "frequency": 1.0, "quartic": 0.1, "charge": 0.5,
+                                       "volume": 1.0},
+                             "gauge": [{"preset": "alpha_lwl", "alpha": 0.4}],
+                             "modes": [{"nu": 1.0}, {"nu": 2.0}]}, "alpha", [0.2, 0.5, 0.8]),
+        "ring": ({"model": {"kind": "ring_lattice", "sites": 8, "hopping": 1.0, "charge": 1.0},
+                  "gauge": [{"preset": "coulomb"}, {"preset": "multipolar_ring"}],
+                  "modes": [{"ring_index": 1}, {"ring_index": 2}]}, "hopping", [0.5, 1.0, 1.5]),
+    }
+
+    @staticmethod
+    def _config(name):
+        body, param, values = TestStackedCriterion.CONFIGS[name]
+        return cli.validate_config(json.dumps(
+            dict(body, sweep={"parameter": param, "values": values})))
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_rows_equal_evaluate(self, tmp_path, name):
+        cfg = self._config(name)
+        cli.run_sweep(cfg, str(tmp_path))
+        rows = (tmp_path / "criterion.csv").read_text().splitlines()[1:]
+        param = cfg.sweep["parameter"]
+        expected = []
+        for i, value in enumerate(cfg.sweep["values"]):
+            model, gauges, modes = cli._point(cfg, param, float(value))
+            if name == "anharmonic_3axis":
+                assert model.dim > operators.DENSE_MAX_DIM
+            for gauge in gauges:
+                for qi, mode in enumerate(modes):
+                    expected += [",".join(cli._csv_field(x) for x in (
+                        cli.SCHEMA_VERSION, i, param, float(value), gauge.preset.value,
+                        gauge.alpha, qi, rep.tau, rep.lhs, rep.rhs, rep.electric_part,
+                        rep.magnetic_part, rep.margin, rep.condensed, rep.beta0.real,
+                        rep.beta0.imag)) for rep in evaluate(model, gauge, mode)]
+        assert rows == expected
+
+    def test_at_most_first_and_current_model_alive(self, monkeypatch, tmp_path):
+        refs, alive = [], []
+        original = matter.build_two_level_ensemble
+
+        def tracked(*args, **kwargs):
+            model = original(*args, **kwargs)
+            refs.append(weakref.ref(model))
+            alive.append(sum(ref() is not None for ref in refs))
+            return model
+
+        monkeypatch.setattr(matter, "build_two_level_ensemble", tracked)
+        cfg = cli.validate_config(json.dumps({
+            "model": _README_ENSEMBLE, "gauge": _DIPOLE_COULOMB, "modes": [{"nu": 1.0}],
+            "sweep": {"parameter": "dipole_scale", "start": 0.0, "stop": 0.3, "steps": 50}}))
+        cli.run_sweep(cfg, str(tmp_path))
+        # the first point's model, which the invariant check reads, and the current one
+        assert len(refs) == 50 and max(alive) == 2
+
+    @pytest.mark.parametrize("param, builds", [("dipole_scale", 1), ("volume", 3)])
+    def test_modes_built_once_unless_volume_swept(self, monkeypatch, tmp_path, param, builds):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return lwl_mode(*args)
+
+        monkeypatch.setattr(cli, "lwl_mode", counting)
+        cfg = cli.validate_config(json.dumps({
+            "model": _README_ENSEMBLE, "gauge": _DIPOLE_COULOMB, "modes": [{"nu": 1.0}],
+            "sweep": {"parameter": param, "values": [0.5, 1.0, 2.0]}}))
+        cli.run_sweep(cfg, str(tmp_path))
+        assert len(calls) == builds
+
+    def test_stack_equals_each_point(self):
+        model = two_level(6, 0.2)
+        gauge = make_gauge("alpha_lwl", alpha=0.3)
+        points = [matter_point(model, gauge, lwl_mode(1.0, 1.0)),
+                  matter_point(_ANHARMONIC_3AXIS, gauge, lwl_mode(1.0, 1.0))]
+        stack = verdicts(points)
+        for i, point in enumerate(points):
+            assert stack[i] == verdicts([point])[0]
+
+    def test_stack_needs_one_frequency(self):
+        gauge = make_gauge("dipole")
+        points = [matter_point(two_level(), gauge, lwl_mode(nu, 1.0)) for nu in (1.0, 2.0)]
+        with pytest.raises(ArgumentError, match="one mode frequency"):
+            verdicts(points)
+
+
 _ROW_GAUGES = {"coulomb": make_gauge("coulomb"), "dipole": make_gauge("dipole"),
                "alpha_0.4": make_gauge("alpha_lwl", alpha=0.4)}
 _ROW_MODES = {"q_z": lwl_mode(1.0, 1.0), "q_oblique": mode_from_q((1.0, 2.0, 0.5), 1.0)}
