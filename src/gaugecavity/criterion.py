@@ -300,7 +300,7 @@ def stiffness_energy(spectrum, mode: ModeSpec,
     is non-negative.  A finite-q mode displaces its Hermitian conjugate
     partner at -q along with it, which doubles the matter cost; a
     self-conjugate mode (uniform field, or the zone-boundary momentum)
-    has no partner.  ``spectrum`` is either backend of
+    has no partner.  ``spectrum`` is any backend of
     `matter.ground_resolvent`.
     """
     dbeta = np.asarray(dbeta, dtype=complex)

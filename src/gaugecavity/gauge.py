@@ -282,10 +282,11 @@ def coupling_f_electric(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     return along_op(mode.eps(sigma), pops) * (1j * mode.volume * mode.nu * w)
 
 
-def _along_vectors(eps, vecs) -> np.ndarray:
-    """sum_i eps_i v_i for a Cartesian triple of vectors, skipping zero weights
-    as `along_op` does."""
-    return sum(eps[i] * vecs[i] for i in range(3) if abs(eps[i]) > 1e-15)
+def _along_vectors(eps, vecs: dict, dim: int) -> np.ndarray:
+    """sum_i eps_i v_i over the Cartesian components i that ``vecs`` holds,
+    skipping zero weights as `along_op` does; zeros when no term is left."""
+    terms = [eps[i] * v for i, v in vecs.items() if abs(eps[i]) > 1e-15]
+    return sum(terms) if terms else np.zeros(dim, dtype=complex)
 
 
 def coupling_rows(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
@@ -303,8 +304,9 @@ def coupling_rows(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
     and the electric part i V nu w eps.d / V (eps is transverse to q, so
     it needs no projection) only <0|d_i and d_i|0>.  Every step is a
     vector-matrix product: O(d^2) for dense operators, O(nnz) for the
-    sparse ones the builders emit.  At finite q the operators are applied
-    to g.
+    sparse ones the builders emit, and none is formed for a dipole
+    component that is identically zero, as two are on a two-level
+    ensemble.  At finite q the operators are applied to g.
     """
     if mode.q_phase != 0.0:
         ops = [coupling(model, gauge, mode, s)
@@ -313,27 +315,28 @@ def coupling_rows(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
                 np.stack([op.matrix @ g for op in ops]))
     bras = np.zeros((4, model.dim), dtype=complex)
     kets = np.zeros((4, model.dim), dtype=complex)
-    h = model.h_m.matrix
-    dips = [op.matrix for op in model.dipole_ops]
-    bra_d = [g.conj() @ d for d in dips]              # <0|d_i
-    ket_d = [d @ g for d in dips]                     # d_i|0>
+    h, dim = model.h_m.matrix, model.dim
+    dips = {i: op.matrix for i, op in enumerate(model.dipole_ops)
+            if (op.matrix.data if op.sparse else op.matrix).any()}
+    bra_d = {i: g.conj() @ d for i, d in dips.items()}        # <0|d_i
+    ket_d = {i: d @ g for i, d in dips.items()}               # d_i|0>
     w = gauge.paramagnetic_weight
     if w != 0.0:
         bra_h, ket_h = g.conj() @ h, h @ g
-        bra_h_d = [bra_h @ d for d in dips]           # <0|h_m d_i
-        d_ket_h = [d @ ket_h for d in dips]           # d_i h_m|0>
+        bra_h_d = {i: bra_h @ d for i, d in dips.items()}     # <0|h_m d_i
+        d_ket_h = {i: d @ ket_h for i, d in dips.items()}     # d_i h_m|0>
         for s in (1, 2):
             eps = mode.eps(s)
-            bras[s - 1] = 1j * w * (_along_vectors(eps, bra_d) @ h
-                                    - _along_vectors(eps, bra_h_d))
-            kets[s - 1] = 1j * w * (_along_vectors(eps, d_ket_h)
-                                    - h @ _along_vectors(eps, ket_d))
+            bras[s - 1] = 1j * w * (_along_vectors(eps, bra_d, dim) @ h
+                                    - _along_vectors(eps, bra_h_d, dim))
+            kets[s - 1] = 1j * w * (_along_vectors(eps, d_ket_h, dim)
+                                    - h @ _along_vectors(eps, ket_d, dim))
     w = gauge.electric_weight
     if w != 0.0:
         scale = 1j * mode.volume * mode.nu * w / model.params.volume
         for s in (1, 2):
-            bras[1 + s] = scale * _along_vectors(mode.eps(s), bra_d)
-            kets[1 + s] = scale * _along_vectors(mode.eps(s), ket_d)
+            bras[1 + s] = scale * _along_vectors(mode.eps(s), bra_d, dim)
+            kets[1 + s] = scale * _along_vectors(mode.eps(s), ket_d, dim)
     return bras, kets
 
 

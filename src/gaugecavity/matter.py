@@ -8,16 +8,22 @@ products of single-axis matrices.  Gauge weighting of those operators is
 applied elsewhere; models only expose the raw material objects.
 
 The ground state of a (possibly gauge-dressed) matter Hamiltonian and
-its reduced resolvent come from one of two backends, which
-`ground_resolvent` picks by dimension.  Up to DENSE_MAX_DIM it is the
-full eigendecomposition `MatterSpectrum`.  Above it, `SparseResolvent`
-takes the two lowest eigenpairs from Lanczos and solves
-(H - E_0 + |0><0|) x = b by conjugate gradients, one CG per independent
-column b of the projected block Q C; on Q space that is the resolvent:
-the Sternheimer route of density-functional perturbation theory, with no
-full spectrum.  Both are deterministic for a fixed
+its reduced resolvent come from one of three backends, which
+`ground_resolvent` picks.  Up to DENSE_MAX_DIM states it is the full
+eigendecomposition `MatterSpectrum`.  Above it, a Hamiltonian whose
+sectors (the connected components of its nonzero entries, such as the
+per-axis parity sectors of the 3-axis dipole or the single states of the
+diagonal Dicke h_m) each hold at most DENSE_MAX_DIM states goes to
+`SectorResolvent`: dense eigenvalues of every sector, the ground sector's
+eigenvectors, and one dense solve per touched sector in the Gram matrix.
+A Hamiltonian with a larger sector, such as a ring, goes to
+`SparseResolvent`, which takes the two lowest eigenpairs from Lanczos and
+solves (H - E_0 + |0><0|) x = b by conjugate gradients, one CG per
+independent column b of the projected block Q C; on Q space that is the
+resolvent: the Sternheimer route of density-functional perturbation
+theory, with no full spectrum.  All three are deterministic for a fixed
 Hamiltonian (the Lanczos start vector is seeded with LANCZOS_SEED), and
-both refuse a ground gap of at most DEGENERACY_ATOL when built.
+all refuse a ground gap of at most DEGENERACY_ATOL when built.
 
 Conventions (natural units):
   * electrons have charge -e with e > 0,
@@ -46,7 +52,7 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperato
 
 from .errors import (ArgumentError, DegenerateGroundStateError, NumericError, ResourceLimitError,
                      UnsupportedError)
-from .operators import DENSE_MAX_DIM, Operator, boson_ladder, eigh, zero
+from .operators import DENSE_MAX_DIM, Operator, _fix_phases, boson_ladder, eigh, zero
 
 MAX_ENSEMBLE_SIZE = 4000
 # `ring_ground_state` still diagonalises the L x L ring densely
@@ -55,6 +61,10 @@ MAX_ANHARMONIC_DIM = 20000  # levels ** 3 for the 3-axis dipole
 DEGENERACY_ATOL = 1e-10  # energies closer than this count as degenerate
 LANCZOS_SEED = 2207  # seeds the real Gaussian Lanczos start vector
 CG_RTOL = 1e-13
+# the sector backend cuts at most this many block entries at once: one
+# stack of all eight 125-state sectors of the 3-axis dipole at d = 1000
+# (1 MB) left the sweep's peak RSS about 1 MB above cutting them one by one
+SECTOR_CHUNK = 1 << 14
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -291,6 +301,179 @@ class SparseResolvent:
         return m if t is None else t.conj().T @ m @ t
 
 
+@dataclass(frozen=True)
+class SectorResolvent:
+    """Ground state and reduced resolvent of a Hamiltonian that splits into
+    sectors of at most DENSE_MAX_DIM states each.
+
+    ``sectors`` holds, per sector size s, the states of the n sectors of
+    that size as an (n, s) index array, and ``place`` each state's index
+    within its sector; a sector's block is cut from ``h_m_used`` when it
+    is needed, so only O(d) numbers are kept.  ``ground`` locates the
+    ground sector as (size index, sector index).  ``lowest`` holds the two
+    lowest eigenvalues over all sectors, so the unique-ground check of
+    construction is exact across sectors.
+    """
+
+    model: MatterModel
+    h_m_used: Operator
+    sectors: tuple
+    place: np.ndarray
+    ground: tuple[int, int]
+    lowest: np.ndarray
+    vector: np.ndarray
+
+    def __post_init__(self):
+        check_unique_ground(self)
+
+    @property
+    def ground_gap(self) -> float:
+        return float(self.lowest[1] - self.lowest[0])
+
+    def ground_energy(self) -> float:
+        return float(self.lowest[0])
+
+    def ground_state_vector(self) -> np.ndarray:
+        return self.vector
+
+    def gram(self, cols: np.ndarray) -> np.ndarray:
+        """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``, summed
+        over the sectors the columns touch, with one stacked dense solve of
+        (H_k - E_0) X_k = C_k per sector size.  In the ground sector the
+        columns are projected by Q and the block is H_k - E_0 + |0><0|,
+        which equals H_k - E_0 on Q space; every block is then positive
+        definite."""
+        mat, cols = scipy.sparse.csr_matrix(self.h_m_used.matrix), np.asarray(cols, dtype=complex)
+        dtype, e0, k = _block_dtype(mat), self.lowest[0], cols.shape[1]
+        (i0, k0), m = self.ground, np.zeros((k, k), dtype=complex)
+        for i, states in enumerate(self.sectors):
+            c = cols[states]  # (n, s, k), a copy
+            if i == i0:
+                g = self.vector[states[k0]]
+                c[k0] -= np.outer(g, g.conj() @ c[k0])
+            touched = c.any(axis=(1, 2))
+            if not touched.any():
+                continue
+            shifted = _sector_blocks(mat, states[touched], self.place, dtype)
+            diag = np.arange(states.shape[1])
+            shifted[:, diag, diag] -= e0
+            if i == i0 and touched[k0]:
+                g = g if dtype is complex else g.real  # real up to the fixed sign
+                shifted[np.count_nonzero(touched[:k0])] += np.outer(g, g.conj())
+            c = c[touched]
+            x = _solve(shifted, c)
+            m += c.reshape(-1, k).conj().T @ x.reshape(-1, k)
+        return m
+
+
+def _block_dtype(mat):
+    """float for a CSR matrix whose entries are all real, else complex."""
+    return complex if mat.data.imag.any() else float
+
+
+def _solve(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, c) for complex columns c; a real ``a`` takes the
+    real and the imaginary parts of c as one real right-hand side, so no
+    complex copy of it is made."""
+    if np.iscomplexobj(a):
+        return np.linalg.solve(a, c)
+    k = c.shape[-1]
+    x = np.linalg.solve(a, np.concatenate([c.real, c.imag], axis=-1))
+    return x[..., :k] + 1j * x[..., k:]
+
+
+def _sector_blocks(mat, states: np.ndarray, place: np.ndarray, dtype) -> np.ndarray:
+    """The blocks of the CSR matrix ``mat`` on the sectors whose states are
+    the rows of ``states`` (t, s), as a (t, s, s) stack of ``dtype``,
+    symmetrised as `operators.eigh` does: entry (r, c) adds half of h_rc
+    at (r, c) and half of its conjugate at (c, r), with no second stack.
+    Every nonzero entry of a sector's rows lies in that sector, at column
+    ``place`` of its state."""
+    t, s = states.shape
+    start = mat.indptr[states.ravel()]
+    counts = mat.indptr[states.ravel() + 1] - start
+    at = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    row = np.repeat(np.arange(t * s), counts)
+    data = mat.data[at]
+    keep = data != 0
+    block = np.zeros((t, s, s), dtype=dtype)
+    half = 0.5 * (data[keep] if np.iscomplexobj(block) else data[keep].real)
+    k, r, c = row[keep] // s, row[keep] % s, place[mat.indices[at[keep]]]
+    block[k, r, c] = half
+    block[k, c, r] += half.conj()
+    return block
+
+
+def _sector_labels(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
+    """For each of ``dim`` states, the lowest index in its sector: the
+    connected component of the graph with an edge from each row index to
+    its column index.  Each pass lowers every label to the least label in
+    its row, by one `np.minimum.reduceat` over the row-sorted entries, and
+    then replaces each label by its own label (pointer jumping), until
+    nothing changes."""
+    counts = np.bincount(rows, minlength=dim)
+    filled = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[filled]
+    labels = np.arange(dim)
+    while True:
+        low = labels.copy()
+        low[filled] = np.minimum(labels[filled], np.minimum.reduceat(labels[cols], starts))
+        low = low[low]
+        if np.array_equal(low, labels):
+            return labels
+        labels = low
+
+
+def sector_resolvent(model: MatterModel, h_m: Operator | None = None
+                     ) -> SectorResolvent | None:
+    """The (possibly gauge-dressed) matter Hamiltonian diagonalised sector
+    by sector, or None when one of its sectors exceeds DENSE_MAX_DIM states.
+
+    The sectors are the connected components of the nonzero entries.  The
+    blocks of all the sectors of one size are cut from the CSR matrix, in
+    real arithmetic where the Hamiltonian is real, and their eigenvalues
+    come from one stacked `np.linalg.eigvalsh` per chunk; only the ground
+    sector is diagonalised with its eigenvectors, and the ground vector
+    carries the phase convention of `operators.eigh`.
+    """
+    h = model.h_m if h_m is None else h_m
+    mat = scipy.sparse.csr_matrix(h.matrix)
+    dim = mat.shape[0]
+    dtype = _block_dtype(mat)
+    keep = mat.data != 0
+    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))[keep]
+    cols = mat.indices[keep]
+    sector_of = np.unique(_sector_labels(rows, cols, dim), return_inverse=True)[1]
+    sizes = np.bincount(sector_of)
+    # an entry that joins two sectors is one of a pattern that is not symmetric
+    if sizes.max() > DENSE_MAX_DIM or np.any(sector_of[rows] != sector_of[cols]):
+        return None
+    order = np.argsort(sector_of, kind="stable")  # the states, sector by sector
+    first = np.cumsum(sizes) - sizes
+    place = np.empty(dim, dtype=np.intp)
+    place[order] = np.arange(dim) - np.repeat(first, sizes)
+    sectors, values = [], []
+    for size in np.unique(sizes):
+        states = order[first[sizes == size][:, None] + np.arange(size)]
+        sectors.append(states)
+        # one stacked call per chunk of at most SECTOR_CHUNK block entries
+        per = max(1, SECTOR_CHUNK // size ** 2)
+        values.append(np.concatenate([
+            np.linalg.eigvalsh(_sector_blocks(mat, states[j:j + per], place, dtype))
+            for j in range(0, len(states), per)]))
+    # the ground is the lowest level of sector k of size index i
+    i = int(np.argmin([e[:, 0].min() for e in values]))
+    k = int(np.argmin(values[i][:, 0]))
+    states = sectors[i][k]
+    values[i][k], vectors = np.linalg.eigh(_sector_blocks(mat, states[None], place, dtype)[0])
+    g = np.zeros(dim, dtype=complex)
+    g[states] = vectors[:, 0]
+    return SectorResolvent(model=model, h_m_used=h, sectors=tuple(sectors), place=place,
+                           ground=(i, k),
+                           lowest=np.partition(np.concatenate([e.ravel() for e in values]), 1)[:2],
+                           vector=_fix_phases(None, g[:, None])[:, 0])
+
+
 def _gershgorin_floor(mat) -> float:
     """A Gershgorin lower bound on the spectrum of ``mat``, minus 1."""
     diag = mat.diagonal().real
@@ -377,11 +560,13 @@ def sparse_resolvent(model: MatterModel, h_m: Operator | None = None) -> SparseR
 
 
 def ground_resolvent(model: MatterModel, h_m: Operator | None = None):
-    """The ground-resolvent backend for this matter dimension: the full
-    `matter_spectrum` up to DENSE_MAX_DIM, `sparse_resolvent` above."""
+    """The ground-resolvent backend for this Hamiltonian: the full
+    `matter_spectrum` up to DENSE_MAX_DIM states, `sector_resolvent` above
+    when every sector has at most DENSE_MAX_DIM states, and
+    `sparse_resolvent` when one has more."""
     if model.dim <= DENSE_MAX_DIM:
         return matter_spectrum(model, h_m)
-    return sparse_resolvent(model, h_m)
+    return sector_resolvent(model, h_m) or sparse_resolvent(model, h_m)
 
 
 def check_unique_ground(ground):
@@ -417,11 +602,24 @@ def _banded(dim: int, diagonals: dict):
 def _axis_kron(factors: dict, levels: int, axes: int):
     """Kronecker product over ``axes`` oscillator axes of factors[i] on axis
     i and the levels x levels identity elsewhere: CSR above DENSE_MAX_DIM,
-    where Operator stores it sparse, and dense below."""
+    where Operator stores it sparse, and dense below.
+
+    The sparse product is one COO computation: each entry's row, column
+    and value extend those of the axes before it, axis 0 the most
+    significant, so each value is multiplied in the order of chained
+    `scipy.sparse.kron` calls and the matrix is bit for bit theirs.
+    """
     mats = [factors.get(i, np.eye(levels, dtype=complex)) for i in range(axes)]
-    if levels ** axes <= DENSE_MAX_DIM:
+    dim = levels ** axes
+    if dim <= DENSE_MAX_DIM:
         return functools.reduce(np.kron, mats)
-    return functools.reduce(scipy.sparse.kron, map(scipy.sparse.csr_matrix, mats))
+    row, col, val = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.ones(1, complex)
+    for m in mats:
+        r, c = np.nonzero(m)
+        row = (row[:, None] * levels + r).ravel()
+        col = (col[:, None] * levels + c).ravel()
+        val = (val[:, None] * m[r, c]).ravel()
+    return scipy.sparse.csr_matrix((val, (row, col)), shape=(dim, dim))
 
 
 def build_two_level_ensemble(count: int, gap: float, dipole_moment,
@@ -594,7 +792,7 @@ def trk_sum(spectrum, axis: int, reference_level: int = 0) -> float:
 
     Converges to m N / 2 for models with a canonical kinetic term.  For the
     ground state (n' = 0) the sum is <0|P Q (H - E_0)^-1 Q P|0>, one
-    resolvent column, so ``spectrum`` may be either backend of
+    resolvent column, so ``spectrum`` may be any backend of
     `ground_resolvent`; other reference levels need a full
     `MatterSpectrum`.
     """

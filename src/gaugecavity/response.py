@@ -10,10 +10,11 @@ studied by rebuilding at larger level counts).  Hermitian-field Fourier
 components obey O_{-q} = O_q^dag, so the conjugate-momentum operator
 defaults to the adjoint of the forward one.
 
-The reduced resolvent comes from either ground backend of
-`matter.ground_resolvent`, behind one interface (`ground_state_vector`,
+The reduced resolvent comes from any ground backend of
+`matter.ground_resolvent` (full spectrum, sector by sector, or Lanczos
+plus conjugate gradients), behind one interface (`ground_state_vector`,
 `ground_energy`, `ground_gap`, and `gram(C) = C^dag Q (H - E_0)^-1 Q C`),
-so `lehmann_sum` and everything built on it run on either; both refuse a
+so `lehmann_sum` and everything built on it run on each; all refuse a
 degenerate ground state.  Only `polarizability`, whose finite-frequency
 form needs every transition energy, requires `matter.MatterSpectrum`.
 """
@@ -32,7 +33,7 @@ def lehmann_sum(ground, o_ops, c_ops=None) -> np.ndarray:
     """Matrix chi[k, l] = -2V <0|O_k Q (H - E_0)^-1 Q C_l|0>.
 
     It is read from ``ground.gram`` of the columns O_k^dag|0>, followed
-    by C_l|0> when ``c_ops`` is given, so ``ground`` may be either backend
+    by C_l|0> when ``c_ops`` is given, so ``ground`` may be any backend
     of `matter.ground_resolvent`.  ``c_ops`` defaults to the adjoints of
     ``o_ops`` (conjugate momentum components of Hermitian fields), for
     which the O_k^dag|0> columns alone give the whole matrix.

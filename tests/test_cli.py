@@ -588,7 +588,7 @@ class TestOraclePoint:
         # the README model, two points: each parity block (1230 states) is
         # past the dense limit, and at 0.3 the ground state is a doublet;
         # the 3-axis anharmonic dipole at d = 1000 runs the criterion on the
-        # sparse backend (Lanczos and conjugate gradients)
+        # sector backend (stacked dense eigenvalues and solves per sector)
         readme = dict(MINIMAL, model=dict(MINIMAL["model"], count=40),
                       gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
                       sweep={"parameter": "dipole_scale", "values": [0.1, 0.3]},

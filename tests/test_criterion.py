@@ -521,7 +521,7 @@ class TestStackedCriterion:
         # every mode is the model's volume: one stack of modes that differ
         "ensemble_volume": ({"model": _README_ENSEMBLE, "gauge": _DIPOLE_COULOMB,
                              "modes": [{"nu": 1.0}]}, "volume", [0.5, 1.0, 2.0]),
-        # d = 216: the sparse backend; isotropic D, degenerate branches in both gauges
+        # d = 216: the sector backend; isotropic D, degenerate branches in both gauges
         "anharmonic_3axis": ({"model": {"kind": "anharmonic_dipole", "levels": 6, "mass": 1.0,
                                         "frequency": 1.0, "quartic": 0.1, "charge": 0.5,
                                         "volume": 1.0, "axes": 3},

@@ -1,9 +1,11 @@
-"""The two ground-resolvent backends behind `matter.ground_resolvent`.
+"""The three ground-resolvent backends behind `matter.ground_resolvent`.
 
 The dense backend is the full eigendecomposition (`matter_spectrum`), the
-sparse one Lanczos for the ground state plus conjugate-gradient solves
-(`sparse_resolvent`).  Each test builds the backend it checks directly, so
-the comparisons do not depend on where DENSE_MAX_DIM puts the switch.
+sector one dense diagonalisation sector by sector (`sector_resolvent`),
+and the sparse one Lanczos for the ground state plus conjugate-gradient
+solves (`sparse_resolvent`).  Each comparison of the dense and sparse
+backends builds them directly, so it does not depend on where
+DENSE_MAX_DIM puts the switch; the sector tests check the rule as well.
 """
 
 import dataclasses
@@ -19,12 +21,12 @@ from gaugecavity import cli, matter, operators, oracle
 from gaugecavity.bogoliubov import diagonalize_block
 from gaugecavity.criterion import coulomb_specialized, evaluate, stiffness_energy
 from gaugecavity.errors import ArgumentError, DegenerateGroundStateError, NumericError
-from gaugecavity.gauge import (coupling_f, diamagnetic_D, dressed_matter_hamiltonian, lwl_mode,
-                               make_gauge, mode_from_q)
-from gaugecavity.matter import (CG_RTOL, DENSE_MAX_DIM, MatterSpectrum, SparseResolvent,
-                                build_anharmonic_dipole, build_ring_lattice,
+from gaugecavity.gauge import (coupling_f, coupling_rows, diamagnetic_D,
+                               dressed_matter_hamiltonian, lwl_mode, make_gauge, mode_from_q)
+from gaugecavity.matter import (CG_RTOL, DENSE_MAX_DIM, MatterSpectrum, SectorResolvent,
+                                SparseResolvent, build_anharmonic_dipole, build_ring_lattice,
                                 build_two_level_ensemble, ground_resolvent, matter_spectrum,
-                                ring_quasi_momentum, sparse_resolvent, trk_sum)
+                                ring_quasi_momentum, sector_resolvent, sparse_resolvent, trk_sum)
 from gaugecavity.operators import Operator
 from gaugecavity.response import (check_translational_invariance, chi_md_from_model, lehmann_sum,
                                   polarizability)
@@ -81,7 +83,11 @@ class TestBackendsAgree:
         at_limit = build_two_level_ensemble(DENSE_MAX_DIM - 1, 1.0, (0.0, 0.1, 0.0), 1.0)
         above = build_two_level_ensemble(DENSE_MAX_DIM, 1.0, (0.0, 0.1, 0.0), 1.0)
         assert isinstance(ground_resolvent(at_limit), MatterSpectrum)
-        assert isinstance(ground_resolvent(above), SparseResolvent)
+        # the Dicke h_m is diagonal: 201 sectors of one state each
+        assert isinstance(ground_resolvent(above), SectorResolvent)
+        # a ring is one connected sector of all its sites
+        ring = build_ring_lattice(DENSE_MAX_DIM + 50, 1.0, 1.0)
+        assert isinstance(ground_resolvent(ring), SparseResolvent)
 
 
 def _assert_agree(a, b, scale=None):
@@ -224,8 +230,10 @@ class TestSparseFailures:
         with pytest.raises(NumericError, match="Lanczos"):
             sparse_resolvent(THREE_AXIS)
         path = tmp_path / "cfg.json"
+        # 11 levels per axis make parity sectors of up to 6 ** 3 = 216 states,
+        # more than DENSE_MAX_DIM, so the sweep runs Lanczos
         path.write_text(json.dumps({
-            "model": {"kind": "anharmonic_dipole", "levels": 7, "mass": 1.0, "frequency": 1.0,
+            "model": {"kind": "anharmonic_dipole", "levels": 11, "mass": 1.0, "frequency": 1.0,
                       "quartic": 0.1, "charge": 0.5, "volume": 1.0, "axes": 3},
             "gauge": {"preset": "coulomb"}, "modes": [{"nu": 1.0}],
             "sweep": {"parameter": "charge", "values": [0.5]}}))
@@ -279,32 +287,40 @@ class TestSparseFailures:
             polarizability(sparse_resolvent(THREE_AXIS))
 
 
-def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):
-    # 3 points x (dipole: 1 Lanczos + 2 electric solves, coulomb: 2 magnetic
-    # solves; f is Hermitian, so f|0> and f^dag|0> share a solve), one
-    # Lanczos for the Coulomb gauge's h_m, which the charge leaves
-    # unchanged, plus the invariant check's TRK solve on that resolvent
-    counts = {"eigh": 0, "eigsh": 0, "cg": 0}
+def _counting(counts, name, original):
+    """``original``, counting its calls in counts[name]."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+    return wrapper
 
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
 
-    for mod in (operators, matter):
-        monkeypatch.setattr(mod, "eigh", counted("eigh", operators.eigh))
-    monkeypatch.setattr(matter, "eigsh", counted("eigsh", matter.eigsh))
-    monkeypatch.setattr(matter, "cg", counted("cg", matter.cg))
-    cfg = cli.validate_config(json.dumps({
-        "model": {"kind": "anharmonic_dipole", "levels": 7, "mass": 1.0, "frequency": 1.0,
+def _sweep_config(levels):
+    return cli.validate_config(json.dumps({
+        "model": {"kind": "anharmonic_dipole", "levels": levels, "mass": 1.0, "frequency": 1.0,
                   "quartic": 0.1, "charge": 0.5, "volume": 1.0, "axes": 3},
         "gauge": [{"preset": "dipole"}, {"preset": "coulomb"}],
         "modes": [{"nu": 1.0}],
         "sweep": {"parameter": "charge", "values": [0.2, 0.4, 0.6]},
     }))
-    assert 7 ** 3 > DENSE_MAX_DIM
-    cli.run_sweep(cfg, str(tmp_path / "out"))
+
+
+def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):
+    # 3 points x (dipole: 1 Lanczos + 2 electric solves, coulomb: 2 magnetic
+    # solves; f is Hermitian, so f|0> and f^dag|0> share a solve), one
+    # Lanczos for the Coulomb gauge's h_m, which the charge leaves
+    # unchanged, plus the invariant check's TRK solve on that resolvent;
+    # 11 levels per axis make a parity sector of 216 states, so the
+    # sector backend does not apply
+    counts = {"eigh": 0, "eigsh": 0, "cg": 0}
+
+    for mod in (operators, matter):
+        monkeypatch.setattr(mod, "eigh", _counting(counts, "eigh", operators.eigh))
+    monkeypatch.setattr(matter, "eigsh", _counting(counts, "eigsh", matter.eigsh))
+    monkeypatch.setattr(matter, "cg", _counting(counts, "cg", matter.cg))
+    # the largest parity sector holds 6 ** 3 states
+    assert 11 ** 3 > DENSE_MAX_DIM and 6 ** 3 > DENSE_MAX_DIM
+    cli.run_sweep(_sweep_config(11), str(tmp_path / "out"))
     assert counts == {"eigh": 0, "eigsh": 3 + 1, "cg": 3 * (2 + 2) + 1}
 
 
@@ -319,3 +335,167 @@ def test_large_model_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+# -- the sector backend ------------------------------------------------------
+
+SECTOR_MODELS = {
+    # per-axis parity sectors of at most 4 ** 3 = 64 and 5 ** 3 = 125 states
+    "three_axis_343": build_anharmonic_dipole(7, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3),
+    "three_axis_1000": build_anharmonic_dipole(10, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3),
+    # a diagonal h_m: one state per sector
+    "ensemble_201": build_two_level_ensemble(DENSE_MAX_DIM, 1.0, (0.0, 0.06, 0.0), 1.0),
+    "ensemble_1001": build_two_level_ensemble(1000, 1.0, (0.0, 0.03, 0.0), 1.0),
+}
+
+
+def _expected_backend(model_name, gauge_name, mode_name):
+    """The backend the rule picks.  An oblique mode's self-energy couples
+    the axes, which leaves only the two total-parity sectors: 171 and 172
+    states at d = 343, 500 each at d = 1000."""
+    merged = mode_name == "q_oblique" and gauge_name != "coulomb"
+    return SparseResolvent if merged and model_name == "three_axis_1000" else SectorResolvent
+
+
+def _assert_matches_dense(model, gauge, mode, dense, ground):
+    """E_0, the gap, the ground vector, `gram`, `trk_sum` and `evaluate` of
+    ``ground`` agree with the full spectrum ``dense`` within 1e-12."""
+    assert abs(ground.ground_energy() - dense.ground_energy()) <= \
+        1e-12 * max(1.0, abs(dense.ground_energy()))
+    assert abs(ground.ground_gap - dense.ground_gap) <= 1e-12 * dense.ground_gap
+    if isinstance(ground, SectorResolvent):
+        # the phase convention of operators.eigh
+        _assert_agree(dense.ground_state_vector(), ground.ground_state_vector(), scale=1.0)
+    # the criterion's coupling columns, a zero column and a column on every state
+    g = dense.ground_state_vector()
+    bras, kets = coupling_rows(model, gauge, mode, g)
+    spread = np.random.default_rng(5).standard_normal((model.dim, 2)) @ [1.0, 1j]
+    cols = np.column_stack([bras.conj().T, kets.T, np.zeros(model.dim), spread])
+    _assert_agree(dense.gram(cols), ground.gram(cols))
+    if model.momentum_ops is not None:
+        for axis in range(3):
+            want = trk_sum(dense, axis)
+            assert abs(trk_sum(ground, axis) - want) <= 1e-12 * want
+    for d, s in zip(evaluate(model, gauge, mode, spectrum=dense),
+                    evaluate(model, gauge, mode, spectrum=ground), strict=True):
+        for name in REPORT_FIELDS:
+            a, b = getattr(d, name), getattr(s, name)
+            assert abs(a - b) <= 1e-12 * max(abs(a), 1.0), (d.tau, name, a, b)
+        assert d.condensed == s.condensed
+
+
+class TestSectorBackend:
+    @pytest.mark.parametrize("model_name, mode_name, gauge_names", [
+        ("three_axis_343", "q_z", sorted(GAUGES)),
+        ("three_axis_1000", "q_z", sorted(GAUGES)),
+        ("ensemble_201", "q_z", sorted(GAUGES)),
+        ("ensemble_1001", "q_z", sorted(GAUGES)),
+        ("three_axis_343", "q_oblique", sorted(GAUGES)),
+        # the Coulomb gauge's h_m is the bare one of the q_z case
+        ("three_axis_1000", "q_oblique", ["alpha_0.4", "dipole"]),
+    ], ids=["three_axis_343", "three_axis_1000", "ensemble_201", "ensemble_1001",
+            "three_axis_343_oblique", "three_axis_1000_oblique"])
+    def test_agrees_with_full_spectrum(self, model_name, mode_name, gauge_names):
+        model, mode = SECTOR_MODELS[model_name], MODES[mode_name]
+        dense = {}
+        for gauge_name in gauge_names:
+            gauge = GAUGES[gauge_name]
+            h = dressed_matter_hamiltonian(model, gauge, [mode])
+            ground = ground_resolvent(model, h)
+            assert type(ground) is _expected_backend(model_name, gauge_name, mode_name)
+            # an ensemble's h_m carries no self-energy: one spectrum serves every gauge
+            if id(h) not in dense:
+                dense[id(h)] = matter_spectrum(model, h)
+            _assert_matches_dense(model, gauge, mode, dense[id(h)], ground)
+
+    def test_complex_sectors(self):
+        # two dense complex Hermitian blocks of 120 and 130 states
+        rng = np.random.default_rng(11)
+        blocks = []
+        for size in (120, 130):
+            a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            blocks.append(a + a.conj().T)
+        model = build_two_level_ensemble(249, 1.0, (0.0, 0.1, 0.0), 1.0)
+        model = dataclasses.replace(model, h_m=Operator(scipy.sparse.block_diag(blocks),
+                                                        hermitian=True))
+        ground, dense = ground_resolvent(model), matter_spectrum(model)
+        assert type(ground) is SectorResolvent and len(ground.sectors) == 2
+        assert ground.ground_state_vector().imag.any()
+        assert abs(ground.ground_energy() - dense.ground_energy()) <= \
+            1e-12 * abs(dense.ground_energy())
+        assert abs(ground.ground_gap - dense.ground_gap) <= 1e-12 * dense.ground_gap
+        _assert_agree(dense.ground_state_vector(), ground.ground_state_vector(), scale=1.0)
+        cols = rng.standard_normal((model.dim, 3)) + 1j * rng.standard_normal((model.dim, 3))
+        _assert_agree(dense.gram(cols), ground.gram(cols))
+
+    def test_gram_in_an_exactly_singular_ground_sector(self):
+        # 2-state sectors [[a, 1], [1, a]] with levels a -+ 1: in the ground
+        # sector (a = 0, after the a = 5 one) H_k - E_0 = [[1, 1], [1, 1]] is
+        # exactly singular, so the solve needs the ground projector added
+        pairs = np.array([5.0, 0.0, *np.arange(2.0, 2.0 + 3 * 99, 3.0)])
+        blocks = [np.array([[a, 1.0], [1.0, a]]) for a in pairs]
+        model = build_two_level_ensemble(2 * len(pairs) - 1, 1.0, (0.0, 0.1, 0.0), 1.0)
+        model = dataclasses.replace(model, h_m=Operator(scipy.sparse.block_diag(blocks),
+                                                        hermitian=True))
+        ground, dense = ground_resolvent(model), matter_spectrum(model)
+        assert type(ground) is SectorResolvent and ground.ground == (0, 1)
+        assert ground.ground_energy() == -1.0
+        cols = np.random.default_rng(3).standard_normal((model.dim, 3)) + 0.5j
+        _assert_agree(dense.gram(cols), ground.gram(cols))
+        assert np.array_equal(ground.gram(np.zeros((model.dim, 2))), np.zeros((2, 2)))
+
+    def test_degenerate_ground_across_sectors_refused(self):
+        # two copies of one connected 150-state block: the two lowest levels
+        # are exactly equal and lie in different sectors
+        size = 150
+        path = scipy.sparse.diags([-np.ones(size - 1), np.arange(size, dtype=float),
+                                   -np.ones(size - 1)], [-1, 0, 1])
+        model = build_two_level_ensemble(2 * size - 1, 1.0, (0.0, 0.1, 0.0), 1.0)
+
+        def with_shift(shift):
+            h = scipy.sparse.block_diag([path, path + shift * scipy.sparse.identity(size)])
+            return dataclasses.replace(model, h_m=Operator(h, hermitian=True))
+
+        with pytest.raises(DegenerateGroundStateError, match="ground state is degenerate"):
+            ground_resolvent(with_shift(0.0))
+        ground = ground_resolvent(with_shift(1e-6))
+        assert type(ground) is SectorResolvent
+        assert abs(ground.ground_gap - 1e-6) <= 1e-12
+
+    def test_asymmetric_pattern_falls_back_to_lanczos(self):
+        # an entry within the Hermiticity tolerance whose mirror is not stored
+        # joins two sectors in one direction only
+        levels = scipy.sparse.lil_matrix(scipy.sparse.diags(np.arange(ENSEMBLE.dim, dtype=float)))
+        levels[0, ENSEMBLE.dim - 1] = 1e-13
+        model = dataclasses.replace(ENSEMBLE, h_m=Operator(levels.tocsr(), hermitian=True))
+        assert sector_resolvent(model) is None
+        assert type(ground_resolvent(model)) is SparseResolvent
+
+    def test_no_dense_copy_of_the_hamiltonian(self):
+        model = SECTOR_MODELS["three_axis_1000"]
+        h = dressed_matter_hamiltonian(model, GAUGES["dipole"], [MODES["q_z"]])
+        tracemalloc.start()
+        try:
+            ground = sector_resolvent(model, h)
+            g = ground.ground_state_vector()
+            ground.gram(np.column_stack([op.matrix @ g for op in model.momentum_ops]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one real d x d matrix is 8 MB
+        assert peak < 8 * model.dim ** 2 / 2
+
+
+def test_sweep_on_sector_backend_counts(monkeypatch, tmp_path):
+    # 7 levels per axis make parity sectors of at most 64 states: each of the
+    # 3 dipole-gauge Hamiltonians and the Coulomb gauge's h_m is split once,
+    # and nothing runs Lanczos, conjugate gradients or a full eigh
+    counts = {"eigh": 0, "eigsh": 0, "cg": 0, "sector_resolvent": 0}
+
+    for mod in (operators, matter):
+        monkeypatch.setattr(mod, "eigh", _counting(counts, "eigh", operators.eigh))
+    for name in ("eigsh", "cg", "sector_resolvent"):
+        monkeypatch.setattr(matter, name, _counting(counts, name, getattr(matter, name)))
+    assert 4 ** 3 <= DENSE_MAX_DIM < 7 ** 3
+    cli.run_sweep(_sweep_config(7), str(tmp_path / "out"))
+    assert counts == {"eigh": 0, "eigsh": 0, "cg": 0, "sector_resolvent": 3 + 1}
