@@ -65,6 +65,12 @@ CG_RTOL = 1e-13
 # stack of all eight 125-state sectors of the 3-axis dipole at d = 1000
 # (1 MB) left the sweep's peak RSS about 1 MB above cutting them one by one
 SECTOR_CHUNK = 1 << 14
+# `shift_invert_lowest` factors this far below a certified floor of the
+# spectrum, relative to max(1, |floor|): a margin of 1.0 left the README
+# oracle blocks at 38 solves, the Gershgorin shift's count, and 1e-1 to
+# 1e-4 all took them to 21.  The oracle's floor came within 4.8e-7 of E_0
+# on 28 systems checked densely, so some margin must stay.
+FLOOR_MARGIN = 1e-2
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -480,22 +486,22 @@ def _gershgorin_floor(mat) -> float:
     return float(np.min(2.0 * diag - np.asarray(abs(mat).sum(axis=1)).ravel())) - 1.0
 
 
-def _arpack_lowest(mat, k: int, invert: bool) -> tuple[np.ndarray, np.ndarray]:
+def _arpack_lowest(mat, k: int, invert: bool, floor: float = -np.inf
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenpairs of ``mat``, ascending, by ARPACK from the seeded
     start vector, on ``mat`` less its Gershgorin shift or, with ``invert``,
-    on the inverse of that; ARPACK's failures become NumericError."""
+    on the inverse of ``mat`` less the shift of `_factor_below`; ARPACK's
+    failures become NumericError."""
     dim = mat.shape[0]
     shift = _gershgorin_floor(mat)
-    shifted = mat - shift * scipy.sparse.identity(dim)
     if invert:
         what = "shift-invert Lanczos"
-        lu = splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        shift, lu = _factor_below(mat, shift, floor)
         run = dict(A=mat, sigma=shift, which="LM",
                    OPinv=LinearOperator(mat.shape, matvec=lu.solve, dtype=mat.dtype))
     else:
         what = "Lanczos ground state"
-        run = dict(A=shifted, which="SA")
+        run = dict(A=mat - shift * scipy.sparse.identity(dim), which="SA")
     try:
         vals, vecs = eigsh(k=k, v0=np.random.default_rng(LANCZOS_SEED).standard_normal(dim),
                            **run)
@@ -506,6 +512,31 @@ def _arpack_lowest(mat, k: int, invert: bool) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(vals)
     # shift-invert returns the eigenvalues of ``mat`` itself
     return (vals[order] if invert else vals[order] + shift), vecs[:, order]
+
+
+def _factor_below(mat, shift: float, floor: float):
+    """(sigma, splu of mat - sigma I) at sigma = max(shift, floor - margin),
+    the margin FLOOR_MARGIN times max(1, |floor|).
+
+    sigma is meant to lie below the whole spectrum, so the matrix is
+    positive definite and its factorisation needs no pivoting: symmetric
+    mode, diagonal pivots and a minimum-degree ordering of A^T + A.  Then
+    the factors are L D L^dag of the symmetrically permuted matrix, and by
+    Sylvester's law of inertia all pivots of D are positive exactly when
+    sigma lies below the spectrum.  A floor whose factorisation has a
+    pivot that is not positive, or a row exchange, is no lower bound after
+    all, and the matrix is factored again at ``shift``."""
+    def factor(sigma):
+        return splu((mat - sigma * scipy.sparse.identity(mat.shape[0])).tocsc(),
+                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+
+    sigma = floor - FLOOR_MARGIN * max(1.0, abs(floor))
+    if sigma > shift:
+        lu = factor(sigma)
+        if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real > 0):
+            return sigma, lu
+    return shift, factor(shift)
 
 
 def lanczos_lowest(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -527,21 +558,27 @@ def lanczos_lowest(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _arpack_lowest(mat, k, invert=False)
 
 
-def shift_invert_lowest(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
+def shift_invert_lowest(mat, k: int, floor: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenpairs of a sparse Hermitian matrix, ascending, by
     shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1251, 1980).
 
-    H - sigma I is factored once by `splu`, at the Gershgorin shift sigma of
-    `lanczos_lowest`.  sigma lies below the whole spectrum, so the matrix is
-    positive definite and its factorisation needs no pivoting: symmetric
-    mode, diagonal pivots and a minimum-degree ordering of A^T + A.  ARPACK
-    then runs on (H - sigma I)^-1, whose largest eigenvalues belong to the
-    lowest of H, from the same seeded start vector; a few tens of solves
-    replace hundreds of products.  Where the factors fill in, as in the
-    oracle with two photon slots on a 3-axis matter space, the solves cost
-    more than that saves.
+    H - sigma I is factored once by `splu`, with sigma just below
+    ``floor``, a lower bound on the spectrum of H that the caller certifies
+    (the oracle's completed square, `oracle.FullSystem.floor`), or at the
+    Gershgorin shift of `lanczos_lowest` where that lies higher or no floor
+    is given; a floor that turns out to be no lower bound falls back to the
+    Gershgorin shift (`_factor_below`).  ARPACK then runs on
+    (H - sigma I)^-1, whose largest eigenvalues belong to the lowest of H,
+    from the same seeded start vector.  Its convergence goes with the
+    ratios (E_0 - sigma) / (E_j - sigma), so a sigma near E_0 needs few
+    solves: on the README oracle blocks 21 from the floor against 38-39
+    from the Gershgorin shift, and on a 60-level anharmonic dipole, where
+    the Gershgorin shift lies more than 270 below E_0, 59-76 solves per
+    system against 626-803.  Where the factors fill in, as in the oracle
+    with two photon slots on a 3-axis matter space, the solves cost more
+    than that saves.
     """
-    return _arpack_lowest(mat, k, invert=True)
+    return _arpack_lowest(mat, k, invert=True, floor=floor)
 
 
 def sparse_resolvent(model: MatterModel, h_m: Operator | None = None) -> SparseResolvent:

@@ -12,22 +12,28 @@ which reduces to the usual h-weighted combination for Hermitian f or for
 unsqueezed branches.  Branches that never couple are carried analytically
 through their vacuum energy nu_tau / 2 and their virtual population.
 
-Only the Hamiltonian is a full-space (sparse) matrix.  The photon
-observables act on the state in its tensor shape (matter, slot 0, slot 1,
-...) of `FullSystem.slot_dims()`, the polarisation on its matter axis.
+The Hamiltonian is assembled in one pass of index arithmetic over the
+tensor space (`_assemble`), and is the only full-space (sparse) matrix.
+The photon observables act on the state in its tensor shape (matter,
+slot 0, slot 1, ...) of `FullSystem.slot_dims()`, the polarisation on its
+matter axis.  Completing the square in every retained branch bounds the
+spectrum from below by the lowest eigenvalue of a matter-space matrix
+(`_spectral_floor`), which `FullSystem.floor` keeps.
 
 `lowest_eigenpairs` splits the Hamiltonian into the blocks that do not
-couple to each other (the two sectors of the Dicke Z2 parity) and solves
-each one, in real arithmetic where a diagonal phase change makes it real:
-by dense `eigh` up to DENSE_LIMIT states; above it by shift-invert Lanczos
-on one sparse factorisation per block (`matter.shift_invert_lowest`) when
-at most one photon slot is retained, and by plain Lanczos
-(`matter.lanczos_lowest`) when more are.  Both start from the vector
-seeded with `matter.LANCZOS_SEED`.  Each returned eigenvector lies in one
-block, so the ground vector is a parity eigenstate, and the parity-odd
-observables, the photon coherence <a> and the transverse field, read
-exactly 0 in it, also inside the superradiant doublet, where the photon
-occupation carries the signal.
+couple to each other (the two sectors of the Dicke Z2 parity, or single
+states where nothing couples them) and solves each one, in real
+arithmetic where a diagonal phase change makes it real: a single state
+off the diagonal, by dense `eigh` up to DENSE_LIMIT states, and above it
+by shift-invert Lanczos on one sparse factorisation per block
+(`matter.shift_invert_lowest`), just below the floor, when at most one
+photon slot is retained, and by plain Lanczos (`matter.lanczos_lowest`)
+when more are.  Both start from the vector seeded with
+`matter.LANCZOS_SEED`.  Each returned eigenvector lies in one block, so
+the ground vector is a parity eigenstate, and the parity-odd observables,
+the photon coherence <a> and the transverse field, read exactly 0 in it,
+also inside the superradiant doublet, where the photon occupation carries
+the signal.
 """
 
 from __future__ import annotations
@@ -46,11 +52,14 @@ from .gauge import (GaugeSpec, ModeSpec, check_pairing, coupling_f, diamagnetic_
                     dressed_matter_hamiltonian)
 from .matter import (MatterModel, MatterSpectrum, along_op, ground_resolvent, lanczos_lowest,
                      shift_invert_lowest)
-from .operators import Operator, Statevector, _fix_phases, boson_ladder, eigh
+from .operators import DENSE_MAX_DIM, Operator, Statevector, _fix_phases, eigh
 from .response import lehmann_sum
 
 MAX_FULL_DIM = 20000
-DENSE_LIMIT = 1200  # blocks up to this many states are solved by dense eigh
+# blocks up to this many states are solved by dense eigh: on README-type
+# one-slot blocks shift-invert from the floor overtakes it near 250 states,
+# and on two-slot 3-axis dipole blocks Lanczos between 290 and 390
+DENSE_LIMIT = 300
 COUPLING_ATOL = 1e-14
 # a block whose imaginary parts after the phase change stay below this
 # fraction of max|h| is solved as a real symmetric matrix
@@ -78,6 +87,7 @@ class FullSystem:
     h: scipy.sparse.csr_matrix
     constant_energy: float  # vacuum energy of branches not carried explicitly
     excluded: tuple  # ((mode_index, tau_index, nu_tau), ...)
+    floor: float  # a certified lower bound on the spectrum of h, or -inf
 
     @property
     def dim(self) -> int:
@@ -91,18 +101,80 @@ class FullSystem:
         return [self.matter_dim] + [self.cutoff] * len(self.slots)
 
 
-def _embed(dims, matter_op: Operator | None = None,
-           slot_ops: dict | None = None) -> scipy.sparse.csr_matrix:
-    """Kronecker-embed a matter operator and/or per-slot photon operators on
-    the tensor space of ``dims`` (matter first, then one entry per slot)."""
-    ops = [None if matter_op is None else matter_op.matrix] + \
-        [(slot_ops or {}).get(k) for k in range(len(dims) - 1)]
-    mats = [scipy.sparse.identity(n, format="csr", dtype=complex) if op is None
-            else scipy.sparse.csr_matrix(op) for n, op in zip(dims, ops)]
-    out = mats[0]
-    for mat in mats[1:]:
-        out = scipy.sparse.kron(out, mat, format="csr")
-    return out
+def _nonzeros(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the nonzero entries of a dense or CSR matrix,
+    row by row."""
+    coo = scipy.sparse.coo_matrix(mat)
+    coo.eliminate_zeros()
+    return coo.row, coo.col, coo.data
+
+
+def _assemble(h_matter, slots, amplitudes, cutoff: int, constant: float
+              ) -> scipy.sparse.csr_matrix:
+    """h_m (x) 1 + sum_k [nu_k (n_k + 1/2) + A_k (G_k^dag c_k + G_k c_k^dag)]
+    + constant on the tensor space (matter, slot 0, slot 1, ...), in one
+    COO pass.
+
+    A state is m P + p, with P photon states and slot 0 the most
+    significant digit of p.  h_m enters as (h_m + h_m^dag) / 2, whose
+    diagonal is real; the couplings sit where one slot's photon number
+    differs by one, so no two terms share an off-diagonal position, and
+    each entry below the diagonal is the conjugate of its mirror.  So ``h``
+    is Hermitian entry by entry and equals, bit for bit, the Kronecker
+    products of the terms summed in this order and symmetrised, with no
+    stored zeros.
+    """
+    photons = cutoff ** len(slots)
+    strides = cutoff ** np.arange(len(slots))[::-1]
+    occupation = np.arange(photons)[:, None] // strides % cutoff  # (P, slots)
+    root = np.sqrt(np.arange(cutoff))
+    hs = 0.5 * (h_matter + h_matter.conj().T)
+    r, c, v = _nonzeros(hs)
+    diag = np.asarray(hs.diagonal()).real[:, None] + np.zeros(photons)
+    for k, slot in enumerate(slots):
+        diag = diag + slot.nu * (root[occupation[:, k]] ** 2 + 0.5)
+    diag = (diag + constant).ravel()
+    off = r != c
+    p = np.arange(photons)
+    rows = [np.flatnonzero(diag), (r[off, None] * photons + p).ravel()]
+    cols = [rows[0], (c[off, None] * photons + p).ravel()]
+    vals = [diag[rows[0]], np.repeat(v[off], photons)]
+    for k, (slot, amp) in enumerate(zip(slots, amplitudes)):
+        # G^dag (x) c: <n| c |n + 1> = sqrt(n + 1) on slot k
+        gr, gc, gv = _nonzeros(slot.g_op.matrix)
+        low = p[occupation[:, k] < cutoff - 1]
+        up_r = (gc[:, None] * photons + low).ravel()
+        up_c = (gr[:, None] * photons + low + strides[k]).ravel()
+        up_v = (amp * (gv.conj()[:, None] * root[occupation[low, k] + 1])).ravel()
+        rows += [up_r, up_c]
+        cols += [up_c, up_r]
+        vals += [up_v, up_v.conj()]
+    dim = h_matter.shape[0] * photons
+    return scipy.sparse.csr_matrix((np.concatenate(vals),
+                                    (np.concatenate(rows), np.concatenate(cols))),
+                                   shape=(dim, dim))
+
+
+def _spectral_floor(h_matter, slots, amplitudes, constant: float) -> float:
+    """A lower bound on the spectrum of `_assemble`'s Hamiltonian.
+
+    With X_k = A_k G_k^dag / nu_k, completing the square gives
+        H = h_m - sum_k (A_k^2 / nu_k) G_k^dag G_k
+            + sum_k nu_k (c_k^dag + X_k)(c_k + X_k^dag) + sum_k nu_k / 2 + constant,
+    and each middle term is positive semidefinite when nu_k > 0.  The Fock
+    truncation is the compression P H P of the untruncated Hamiltonian, so
+    the lowest eigenvalue of the first line, plus the vacuum energies, bounds
+    the truncated spectrum from below too.  That eigenvalue is dense, so the
+    bound is -inf for a matter space above DENSE_MAX_DIM states, and also
+    where some nu_k <= 0.
+    """
+    if h_matter.shape[0] > DENSE_MAX_DIM or any(s.nu <= 0 for s in slots):
+        return -math.inf
+    m = 0.5 * (h_matter + h_matter.conj().T)
+    for slot, amp in zip(slots, amplitudes):
+        g = slot.g_op.matrix
+        m = m - (amp ** 2 / slot.nu) * (g.conj().T @ g)
+    return float(np.linalg.eigvalsh(m)[0]) + sum(0.5 * s.nu for s in slots) + constant
 
 
 def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
@@ -112,7 +184,9 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
     ``cutoff`` is the Fock cutoff of every retained branch.  Each mode must
     pair with the model and gauge (`gauge.check_pairing`) and be a uniform
     field.  Vacuum energy of every branch is included (explicitly or
-    through the analytic constant).
+    through the analytic constant).  The same matter Hamiltonian, slots
+    and amplitudes give the certified lower bound ``floor`` on the
+    spectrum (`_spectral_floor`).
     """
     modes = tuple(modes)
     for mode in modes:
@@ -140,42 +214,56 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
             else:
                 excluded.append((i, t, nu_t))
     cutoff = int(cutoff)
-    dims = [model.dim] + [cutoff] * len(slots)
-    dim = math.prod(dims)
+    dim = model.dim * cutoff ** len(slots)
     if dim > MAX_FULL_DIM:
         raise ResourceLimitError(f"full dimension {dim} exceeds limit {MAX_FULL_DIM}")
 
     constant = float(sum(e[2] for e in excluded)) / 2.0
-    h = _embed(dims, matter_op=h_matter)
-    c, cdag = boson_ladder(cutoff)
-    number = cdag.matrix @ c.matrix + 0.5 * np.eye(cutoff)
-    for k, s in enumerate(slots):
-        h = h + s.nu * _embed(dims, slot_ops={k: number})
-        a_q = modes[s.mode_index].amplitude
-        h = h + a_q * (_embed(dims, matter_op=s.g_op.dag(), slot_ops={k: c.matrix})
-                       + _embed(dims, matter_op=s.g_op, slot_ops={k: cdag.matrix}))
-    h = h + constant * scipy.sparse.identity(dim, dtype=complex, format="csr")
-    h = (0.5 * (h + h.conj().T)).tocsr()  # exact Hermiticity against rounding
+    amplitudes = [modes[s.mode_index].amplitude for s in slots]
     return FullSystem(model=model, gauge=gauge, modes=modes, blocks=tuple(blocks),
-                      slots=tuple(slots), cutoff=cutoff, h=h, constant_energy=constant,
-                      excluded=tuple(excluded))
+                      slots=tuple(slots), cutoff=cutoff,
+                      h=_assemble(h_matter.matrix, slots, amplitudes, cutoff, constant),
+                      constant_energy=constant, excluded=tuple(excluded),
+                      floor=_spectral_floor(h_matter.matrix, slots, amplitudes, constant))
 
 
-def _tree_phases(h: scipy.sparse.csr_matrix, pattern, idx: np.ndarray) -> np.ndarray:
-    """Diagonal phases z on the states ``idx`` (ascending) of one block of
-    ``h`` that make conj(z) h z real on a breadth-first spanning tree."""
-    from scipy.sparse.csgraph import breadth_first_order
+def _spanning_forest(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(root, z) for the nonzero entries (rows, cols, data) of a Hermitian
+    matrix on ``dim`` states: the lowest state of each state's block, the
+    connected component of the entries, and diagonal phases z that make
+    conj(z_r) h_rc z_c real and positive on the edges of a spanning forest.
 
-    z = np.ones(len(idx), dtype=complex)
-    if len(idx) == 1:
-        return z
-    order, pred = breadth_first_order(pattern, idx[0], directed=False, return_predecessors=True)
-    child = np.searchsorted(idx, order[1:])
-    parent = np.searchsorted(idx, pred[order[1:]])
-    edge = np.asarray(h[idx[parent], idx[child]]).ravel()
-    for c, p, u in zip(child.tolist(), parent.tolist(), np.conj(edge / np.abs(edge)).tolist()):
-        z[c] = z[p] * u
-    return z
+    The forest grows by hooking, as in the connected-components algorithm
+    of Shiloach and Vishkin.  Each tree keeps its lowest state as root and
+    each state its phase relative to the root.  In each round every root
+    with an edge to a tree of a lower root hooks under the lowest such root,
+    through the first such edge, whose phase fixes the one between the
+    roots; pointer jumping then carries every state to its new root,
+    multiplying the phases on the way.  Rounds repeat until no edge joins
+    two trees: two on the README oracle Hamiltonian.
+    """
+    unit = data / np.abs(data)
+    nnz = len(data)
+    root = np.arange(dim)
+    z = np.ones(dim, dtype=complex)  # the phase of each state relative to its root
+    while True:
+        ra, rb = root[rows], root[cols]
+        hook = np.flatnonzero(rb < ra)
+        if not hook.size:
+            return root, z
+        # per root a, the lowest root b it meets and the first edge to it
+        best = np.full(dim, dim * nnz)
+        np.minimum.at(best, ra[hook], rb[hook] * nnz + hook)
+        a = np.flatnonzero(best < dim * nnz)
+        b, e = np.divmod(best[a], nnz)
+        # z_i = z_j u_ij on the edge (i, j), so z_a = z_b z_j u_ij conj(z_i)
+        up, link = np.arange(dim), np.ones(dim, dtype=complex)
+        up[a] = b
+        link[a] = z[cols[e]] * unit[e] * np.conj(z[rows[e]])
+        while not np.array_equal(up[up], up):
+            up, link = up[up], link * link[up]
+        root, z = up[root], z * link[root]
 
 
 def _block_lowest(block, k: int, sparse_solver) -> tuple[np.ndarray, np.ndarray]:
@@ -191,54 +279,74 @@ def _block_lowest(block, k: int, sparse_solver) -> tuple[np.ndarray, np.ndarray]
 def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs of ``system.h``, ascending, solved block by block.
 
-    One graph pass over the nonzero pattern splits ``h`` into the blocks
-    that do not couple to each other, here the two sectors of the Dicke Z2
-    parity, and finds per block the diagonal phases z along a spanning tree
-    that make conj(z) h z real.  A block left real up to rounding is solved
-    in real arithmetic; a block with a net phase around some loop, which no
+    One pass over the nonzero entries (`_spanning_forest`) splits ``h``
+    into the blocks that do not couple to each other, here the two sectors
+    of the Dicke Z2 parity, and finds the diagonal phases z along a
+    spanning forest that make conj(z) h z real on its edges.  A block of
+    one state, as every state is at zero coupling, gives its eigenpair off
+    the diagonal.  A larger block is cut from the entries through each
+    state's place in its block; one left real up to rounding is solved in
+    real arithmetic, and one with a net phase around some loop, which no
     diagonal phase change removes, stays complex.  Eigenvectors are mapped
     back through z, embedded in the full space and phase-fixed as
     `operators.eigh` does, so each one lies in one block: at a parity
     doublet the ground vector is a parity eigenstate.
 
     Blocks above DENSE_LIMIT go to `matter.shift_invert_lowest` when at
-    most one photon slot is retained, and to `matter.lanczos_lowest` when
-    more are: with two photon slots on a 3-axis matter space the sparse
-    factors fill in, and shift-invert ran 2.0-3.6 times slower there.
-    Shift-invert gains most where the Gershgorin shift lies close to the
-    ground energy, as on two-level ensembles; on a 1-axis anharmonic dipole
-    with 60 levels, where it lies more than 270 below, it ran about 1.2
-    times slower than Lanczos.
+    most one photon slot is retained, factored just below the certified
+    ``system.floor`` where that lies above the block's Gershgorin shift,
+    and to `matter.lanczos_lowest` when more are: with two photon slots on
+    a 3-axis matter space the sparse factors fill in, and shift-invert ran
+    2.0-3.6 times slower there.  From the floor a README oracle block needs
+    21 solves where it lies close enough to E_0 (38-39 from the Gershgorin
+    shift), and a 60-level anharmonic dipole at cutoff 42 59-76 solves per
+    system against 626-803.
     """
-    # imported here, so that criterion-only runs do not load csgraph (1.1 MB)
-    from scipy.sparse.csgraph import connected_components
+    from functools import partial
 
     h = system.h
-    pattern = abs(h)
-    pattern.eliminate_zeros()
-    _, labels = connected_components(pattern, directed=False)
-    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    scale = float(pattern.max()) if pattern.nnz else 0.0
-    sparse_solver = shift_invert_lowest if len(system.slots) <= 1 else lanczos_lowest
-    found = []  # (value, block, column)
-    solved = []
-    for b, idx in enumerate(members):
-        z = _tree_phases(h, pattern, idx)
-        block = h[idx][:, idx].tocoo()
-        block.data = np.conj(z[block.row]) * block.data * z[block.col]
-        block = block.tocsr()
-        if np.max(np.abs(block.data.imag), initial=0.0) <= REAL_GAUGE_RTOL * scale:
-            block = block.real
-        vals, vecs = _block_lowest(block, k, sparse_solver)
-        solved.append((idx, z, vecs))
-        found.extend((float(v), b, j) for j, v in enumerate(vals))
-    found = sorted(found)[:k]
-    values = np.array([v for v, _, _ in found])
-    vectors = np.zeros((system.dim, len(found)), dtype=complex)
-    for col, (_, b, j) in enumerate(found):
-        idx, z, vecs = solved[b]
-        vectors[idx, col] = z * vecs[:, j]
-    return values, _fix_phases(values, vectors)
+    dim = h.shape[0]
+    keep = h.data != 0
+    rows = np.repeat(np.arange(dim), np.diff(h.indptr))[keep]
+    cols, data = h.indices[keep], h.data[keep]
+    scale = np.max(np.abs(data), initial=0.0)
+    root, z = _spanning_forest(rows, cols, data, dim)
+    data = np.conj(z[rows]) * data * z[cols]
+    block_of = np.unique(root, return_inverse=True)[1]
+    sizes = np.bincount(block_of)
+    order = np.argsort(block_of, kind="stable")  # the states, block by block
+    first = np.cumsum(sizes) - sizes
+    place = np.empty(dim, dtype=np.intp)
+    place[order] = np.arange(dim) - np.repeat(first, sizes)
+    entry_block = block_of[rows]
+    complex_block = np.zeros(len(sizes), dtype=bool)
+    complex_block[entry_block[np.abs(data.imag) > REAL_GAUGE_RTOL * scale]] = True
+    entries = np.argsort(entry_block, kind="stable")  # the entries, block by block
+    bounds = np.r_[0, np.cumsum(np.bincount(entry_block, minlength=len(sizes)))]
+
+    single = np.flatnonzero(sizes == 1)  # one eigenpair each, off the diagonal
+    values, blocks, levels = ([h.diagonal()[order[first[single]]].real], [single],
+                              [np.zeros_like(single)])
+    solved = {}
+    sparse_solver = (partial(shift_invert_lowest, floor=system.floor)
+                     if len(system.slots) <= 1 else lanczos_lowest)
+    for b in np.flatnonzero(sizes > 1):
+        # the block's entries in row order, and in column order within a row
+        e = entries[bounds[b]:bounds[b + 1]]
+        indptr = np.r_[0, np.cumsum(np.bincount(place[rows[e]], minlength=sizes[b]))]
+        block = scipy.sparse.csr_matrix((data[e] if complex_block[b] else data[e].real,
+                                         place[cols[e]], indptr), shape=(sizes[b], sizes[b]))
+        vals, solved[b] = _block_lowest(block, k, sparse_solver)
+        values.append(vals)
+        blocks.append(np.full(len(vals), b))
+        levels.append(np.arange(len(vals)))
+    values, blocks, levels = (np.concatenate(x) for x in (values, blocks, levels))
+    pick = np.lexsort((levels, blocks, values))[:k]
+    vectors = np.zeros((dim, len(pick)), dtype=complex)
+    for col, (b, j) in enumerate(zip(blocks[pick], levels[pick])):
+        states = order[first[b]:first[b] + sizes[b]]
+        vectors[states, col] = z[states] * (solved[b][:, j] if b in solved else 1.0)
+    return values[pick], _fix_phases(values[pick], vectors)
 
 
 def ground_state(system: FullSystem) -> tuple[float, Statevector]:

@@ -609,13 +609,13 @@ class TestOraclePoint:
         assert [key for key, (one, two) in outputs.items() if one != two] == []
 
     def test_dense_oracle_blocks_independent_of_blas_threads(self, tmp_path):
-        # 21 matter levels x 80 Fock levels: parity blocks of 840 states,
+        # 21 matter levels x 28 Fock levels: parity blocks of 294 states,
         # within the dense limit, so scipy.linalg.eigh solves them
-        assert 21 * 80 // 2 <= oracle.DENSE_LIMIT
+        assert 21 * 28 // 2 <= oracle.DENSE_LIMIT
         cfg = dict(MINIMAL, model=dict(MINIMAL["model"], count=20),
                    gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
                    sweep={"parameter": "dipole_scale", "values": [0.15, 0.3]},
-                   oracle={"enabled": True, "fock_cutoff": 80})
+                   oracle={"enabled": True, "fock_cutoff": 28})
         one, two = (_cli_outputs(tmp_path, f"threads{threads}", cfg, threads, ("oracle.csv",))
                     for threads in ("1", "2"))
         assert len(one[0].splitlines()) == 1 + 2 * 2

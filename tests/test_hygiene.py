@@ -15,10 +15,10 @@ runs, and `concurrent` and `multiprocessing`, which it imports inside
 `run_sweep` for the oracle's worker processes, so that importing the
 package does not pay for them.  Only `matter`, home of the ground-state
 backends, may import from `scipy.sparse.linalg`, the Lanczos, sparse LU
-and conjugate-gradient solvers.  Only the dense algorithms named in
-DENSE_READERS may read `Operator.entries`, the dense view that copies a
-sparse operator; everything else works on the stored form
-`Operator.matrix`.
+and conjugate-gradient solvers, and no module from `scipy.sparse.csgraph`.
+Only the dense algorithms named in DENSE_READERS may read
+`Operator.entries`, the dense view that copies a sparse operator;
+everything else works on the stored form `Operator.matrix`.
 """
 
 import ast
@@ -183,16 +183,20 @@ def test_only_cli_imports_process_pools():
     assert pools & imported_modules(ast.unparse(top)) == set()
 
 
-def imports_sparse_solvers(source: str) -> bool:
-    """Whether a module imports `scipy.sparse.linalg`, or a name from it,
-    anywhere and in any form."""
+def imports_from(source: str, package: str) -> bool:
+    """Whether a module imports ``package``, or a name from it, anywhere
+    and in any form."""
     paths = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             paths |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             paths |= {f"{node.module}.{alias.name}" for alias in node.names}
-    return any(f"{path}.".startswith("scipy.sparse.linalg.") for path in paths)
+    return any(f"{path}.".startswith(f"{package}.") for path in paths)
+
+
+def imports_sparse_solvers(source: str) -> bool:
+    return imports_from(source, "scipy.sparse.linalg")
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -209,6 +213,15 @@ def test_sparse_solver_detector(source, expected):
 def test_only_matter_imports_sparse_solvers():
     paths = MODULES + [PACKAGE / "__init__.py"]
     assert [p.stem for p in paths if imports_sparse_solvers(p.read_text())] == ["matter"]
+
+
+def test_no_module_imports_csgraph():
+    # the oracle splits its Hamiltonian by numpy index arithmetic, so no
+    # process, an oracle worker included, pays for loading csgraph
+    paths = MODULES + [PACKAGE / "__init__.py"]
+    assert [p.stem for p in paths if imports_from(p.read_text(), "scipy.sparse.csgraph")] == []
+    assert imports_from("def f():\n    from scipy.sparse.csgraph import connected_components\n",
+                        "scipy.sparse.csgraph")
 
 
 # the functions that need a dense matrix: a full eigendecomposition, a

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -19,6 +20,7 @@ from gaugecavity.gauge import (
     gauge_spectrum,
     lwl_mode,
     make_gauge,
+    mode_from_q,
 )
 from gaugecavity.matter import (
     along_op,
@@ -152,6 +154,91 @@ class TestAssembly:
         undisplaced = displaced_energy(matter_spectrum(model).ground_energy(),
                                        block, [0.0, 0.0], [0, 0])
         assert energy < undisplaced - 1e-6
+
+
+def embed_reference(system):
+    """The oracle Hamiltonian of ``system`` as Kronecker products of the
+    matter Hamiltonian, the slot number operators and the couplings,
+    summed and symmetrised: the reference for the index-built ``h``."""
+    dims = system.slot_dims()
+
+    def embed(matter_op=None, slot_ops=None):
+        ops = [matter_op] + [(slot_ops or {}).get(k) for k in range(len(dims) - 1)]
+        out = None
+        for n, op in zip(dims, ops):
+            mat = (scipy.sparse.identity(n, format="csr", dtype=complex) if op is None
+                   else scipy.sparse.csr_matrix(op))
+            out = mat if out is None else scipy.sparse.kron(out, mat, format="csr")
+        return out
+
+    h_matter = dressed_matter_hamiltonian(system.model, system.gauge, list(system.modes))
+    c, cdag = boson_ladder(system.cutoff)
+    number = cdag.matrix @ c.matrix + 0.5 * np.eye(system.cutoff)
+    h = embed(matter_op=h_matter.matrix)
+    for k, slot in enumerate(system.slots):
+        h = h + slot.nu * embed(slot_ops={k: number})
+        a_q = system.modes[slot.mode_index].amplitude
+        h = h + a_q * (embed(slot.g_op.dag().matrix, {k: c.matrix})
+                       + embed(slot.g_op.matrix, {k: cdag.matrix}))
+    h = h + system.constant_energy * scipy.sparse.identity(system.dim, dtype=complex)
+    return (0.5 * (h + h.conj().T)).tocsr()
+
+
+# (label, model, gauge, modes, cutoff): one-slot ensembles in the Coulomb,
+# alpha and dipole gauges (alpha 0.5 at d = 0.1 puts the floor 3.7e-6
+# below E_0), the 1-axis anharmonic dipole, the oblique 3-axis dipole with
+# two slots, and two modes on one ensemble
+FLOOR_SYSTEMS = [
+    ("dicke_coulomb", lambda: dicke(10, 0.3), ("coulomb",), [lwl_mode(1.0, 1.0)], 40),
+    ("dicke_alpha_0.3", lambda: dicke(10, 0.2), ("alpha_lwl", 0.3), [lwl_mode(1.0, 1.0)], 40),
+    ("dicke_alpha_0.5", lambda: dicke(10, 0.1), ("alpha_lwl", 0.5), [lwl_mode(1.0, 1.0)], 40),
+    ("dicke_dipole", lambda: dicke(10, 0.3), ("dipole",), [lwl_mode(1.0, 1.0)], 40),
+    ("anharmonic_dipole", lambda: build_anharmonic_dipole(20, 1.0, 1.0, 0.1, 1.5, 1.0),
+     ("dipole",), [lwl_mode(1.0, 1.0)], 30),
+    ("anharmonic_coulomb", lambda: build_anharmonic_dipole(20, 1.0, 1.0, 0.1, 0.5, 1.0),
+     ("coulomb",), [lwl_mode(1.0, 1.0)], 30),
+    ("three_axis_oblique", lambda: build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3),
+     ("dipole",), [mode_from_q((1.0, 2.0, 0.5), 1.0)], 4),
+    ("two_modes", lambda: dicke(4, 0.3), ("coulomb",), [lwl_mode(1.0, 1.0), lwl_mode(1.3, 1.0)],
+     10),
+]
+
+
+class TestIndexAssembly:
+    @pytest.mark.parametrize("model, gauge, cutoff", [
+        (lambda: dicke(40, 0.34), ("dipole",), 60),
+        (lambda: dicke(40, 0.34), ("coulomb",), 60),
+        (lambda: dicke(10, 0.2), ("alpha_lwl", 0.5), 20),
+        (lambda: build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3), ("dipole",), 5),
+    ], ids=["readme_dipole", "readme_coulomb", "alpha_0.5", "two_slot"])
+    def test_matches_kronecker_reference(self, model, gauge, cutoff):
+        system = full_hamiltonian(model(), make_gauge(*gauge), [lwl_mode(1.0, 1.0)], cutoff)
+        reference = embed_reference(system)
+        assert system.h.nnz == reference.nnz
+        assert abs(system.h - reference).max() <= 1e-15 * abs(reference).max()
+        assert abs(system.h - system.h.conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("label, model, gauge, modes, cutoff", FLOOR_SYSTEMS,
+                             ids=[case[0] for case in FLOOR_SYSTEMS])
+    def test_floor_below_ground_energy(self, label, model, gauge, modes, cutoff):
+        system = full_hamiltonian(model(), make_gauge(*gauge), modes, cutoff)
+        assert len(system.slots) == (2 if label in ("three_axis_oblique", "two_modes") else 1)
+        assert np.isfinite(system.floor)
+        assert system.floor <= np.linalg.eigvalsh(system.h.toarray())[0]
+
+    def test_floor_is_ground_energy_without_coupling(self):
+        system = full_hamiltonian(dicke(2, 0.0), make_gauge("dipole"), [lwl_mode(0.7, 1.0)], 6,
+                                  include_uncoupled=True)
+        dense = np.linalg.eigvalsh(system.h.toarray())
+        assert len(system.slots) == 2
+        assert system.floor == pytest.approx(dense[0], abs=1e-12)
+        _assert_lowest(system, 3)
+
+    def test_no_floor_without_dense_matter_space(self):
+        # 301 states is past DENSE_MAX_DIM
+        system = full_hamiltonian(dicke(300, 0.8 / np.sqrt(600.0)), make_gauge("dipole"),
+                                  [lwl_mode(1.0, 1.0)], 4)
+        assert system.floor == -np.inf
 
 
 class TestSignals:
@@ -549,6 +636,135 @@ class TestLowestEigenpairs:
         assert coh == 0.0
         assert occ > 1.0
         assert np.all(transverse_field_expectation(state, system) == 0.0)
+
+
+class TestBlockSplit:
+    def test_single_state_blocks_need_no_solve(self, monkeypatch):
+        # the README point at dipole_scale 0: nothing couples, so the
+        # Hamiltonian is diagonal and each of its 41 states is a block
+        system = full_hamiltonian(dicke(40, 0.0), make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 60)
+        assert system.dim == 41 and system.h.nnz == 41
+        seen = _record_blocks(monkeypatch)
+        vals, vecs = _assert_lowest(system, 3)
+        assert seen == []
+        assert np.array_equal(np.abs(vecs), np.eye(41)[:, np.argsort(system.h.diagonal().real)[:3]])
+
+    @pytest.mark.parametrize("preset", ["dipole", "coulomb"])
+    def test_forest_gives_sectors_and_real_phases(self, preset):
+        system = full_hamiltonian(dicke(40, 0.34), make_gauge(preset), [lwl_mode(1.0, 1.0)], 60)
+        h = system.h
+        rows = np.repeat(np.arange(system.dim), np.diff(h.indptr))
+        assert h.data.imag.any()
+        root, z = oracle_module._spanning_forest(rows, h.indices, h.data, system.dim)
+        assert np.array_equal(root, matter_module._sector_labels(rows, h.indices, system.dim))
+        assert len(np.unique(root)) == 2  # the two parity sectors
+        assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-14
+        rotated = np.conj(z[rows]) * h.data * z[h.indices]
+        assert np.max(np.abs(rotated.imag)) <= 1e-13 * np.max(np.abs(h.data))
+
+    def test_forest_phases_make_a_random_forest_positive(self):
+        # a random forest under a random numbering, with random complex
+        # edges and a diagonal: diagonal phases make every edge positive
+        rng = np.random.default_rng(11)
+        dim = 300
+        label = rng.permutation(dim)
+        child = np.arange(1, dim)
+        parent = rng.integers(0, child)
+        tree = rng.random(dim - 1) > 0.02  # a few cut edges leave several trees
+        i, j = label[child[tree]], label[parent[tree]]
+        edge = rng.standard_normal(len(i)) + 1j * rng.standard_normal(len(i))
+        h = scipy.sparse.csr_matrix((np.r_[edge, edge.conj(), rng.random(dim)],
+                                     (np.r_[i, j, np.arange(dim)], np.r_[j, i, np.arange(dim)])),
+                                    shape=(dim, dim))
+        rows = np.repeat(np.arange(dim), np.diff(h.indptr))
+        root, z = oracle_module._spanning_forest(rows, h.indices, h.data, dim)
+        assert np.array_equal(root, matter_module._sector_labels(rows, h.indices, dim))
+        assert len(np.unique(root)) > 1
+        rotated = np.conj(z[rows]) * h.data * z[h.indices]
+        assert np.max(np.abs(rotated - np.abs(h.data))) <= 1e-14 * np.max(np.abs(h.data))
+
+    def test_forest_on_disjoint_flux_ring_and_chain(self):
+        # a flux ring keeps one net phase, which no forest removes; the
+        # forest's own edges still come out real and positive
+        ring = _ring(50, -np.exp(0.7j), np.zeros(50))
+        chain = _ring(7, 0.0, np.ones(7))
+        h = scipy.sparse.block_diag([chain, ring], format="csr")
+        rows = np.repeat(np.arange(57), np.diff(h.indptr))
+        root, z = oracle_module._spanning_forest(rows, h.indices, h.data, 57)
+        assert np.array_equal(root, np.repeat([0, 7], [7, 50]))
+        rotated = np.conj(z[rows]) * h.data * z[h.indices]
+        positive = np.isclose(rotated, np.abs(h.data), rtol=0.0, atol=1e-14)
+        # every state but the roots hangs on the forest by one positive edge
+        assert np.count_nonzero(positive & (rows > h.indices)) >= 57 - 2
+        assert np.count_nonzero(np.abs(rotated.imag) > 1e-3) == 2  # the closing bond
+
+
+def _counting_splu(monkeypatch):
+    """Wrap `matter.splu`; returns a list that gets one entry per solve."""
+    solves = []
+    splu = matter_module.splu
+
+    class Counting:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(matter_module, "splu", lambda *a, **kw: Counting(splu(*a, **kw)))
+    return solves
+
+
+class TestFloorShift:
+    @pytest.mark.parametrize("charge", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("preset", ["dipole", "coulomb"])
+    def test_sixty_level_dipole_solves(self, monkeypatch, preset, charge):
+        # one slot and parity blocks of 1260 states, where the Gershgorin
+        # shift lies more than 270 below E_0: about 700 solves from there
+        model = build_anharmonic_dipole(60, 1.0, 1.0, 0.1, charge, 1.0)
+        system = full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 42)
+        assert len(system.slots) == 1 and np.isfinite(system.floor)
+        blocks = []
+        original = oracle_module._block_lowest
+
+        def recording(block, k, sparse_solver):
+            blocks.append(block)
+            return original(block, k, sparse_solver)
+
+        monkeypatch.setattr(oracle_module, "_block_lowest", recording)
+        solves = _counting_splu(monkeypatch)
+        vals, _ = lowest_eigenpairs(system, k=2)
+        assert len(blocks) == 2 and min(b.shape[0] for b in blocks) > DENSE_LIMIT
+        assert len(solves) <= 100
+        # dense eigenvalues: plain Lanczos itself is up to 3.7e-12 off on these blocks
+        ref = np.sort(np.concatenate([
+            scipy.linalg.eigh(b.toarray(), subset_by_index=(0, 1), eigvals_only=True)
+            for b in blocks]))[:2]
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_false_floor_falls_back_to_gershgorin_shift(self, monkeypatch):
+        # a floor above the spectrum leaves a pivot that is not positive, so
+        # the block is factored again at the Gershgorin shift
+        system = full_hamiltonian(dicke(40, 0.34), make_gauge("coulomb"), [lwl_mode(1.0, 1.0)], 60)
+        blocks = []
+        monkeypatch.setattr(oracle_module, "_block_lowest",
+                            lambda block, k, sparse_solver: blocks.append(block) or
+                            (np.zeros(k), np.eye(block.shape[0], k)))
+        lowest_eigenpairs(system, k=2)
+        monkeypatch.undo()
+        block = blocks[0]
+        vals, vecs = matter_module.shift_invert_lowest(block, 2)
+        factored = []
+        splu = matter_module.splu
+        monkeypatch.setattr(matter_module, "splu",
+                            lambda *a, **kw: factored.append(1) or splu(*a, **kw))
+        false_vals, false_vecs = matter_module.shift_invert_lowest(block, 2, floor=vals[1] + 1.0)
+        assert len(factored) == 2
+        assert np.array_equal(false_vals, vals) and np.array_equal(false_vecs, vecs)
 
 
 class TestVariationalScan:
