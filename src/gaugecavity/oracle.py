@@ -127,12 +127,13 @@ def _assemble(h_matter, slots, amplitudes, cutoff: int, constant: float
     photons = cutoff ** len(slots)
     strides = cutoff ** np.arange(len(slots))[::-1]
     occupation = np.arange(photons)[:, None] // strides % cutoff  # (P, slots)
-    root = np.sqrt(np.arange(cutoff))
+    sqrt_n = np.sqrt(np.arange(cutoff))
     hs = 0.5 * (h_matter + h_matter.conj().T)
     r, c, v = _nonzeros(hs)
     diag = np.asarray(hs.diagonal()).real[:, None] + np.zeros(photons)
     for k, slot in enumerate(slots):
-        diag = diag + slot.nu * (root[occupation[:, k]] ** 2 + 0.5)
+        # sqrt(n)^2 as in c^dag c, not n: the Kronecker sum's rounding
+        diag = diag + slot.nu * (sqrt_n[occupation[:, k]] ** 2 + 0.5)
     diag = (diag + constant).ravel()
     off = r != c
     p = np.arange(photons)
@@ -145,7 +146,7 @@ def _assemble(h_matter, slots, amplitudes, cutoff: int, constant: float
         low = p[occupation[:, k] < cutoff - 1]
         up_r = (gc[:, None] * photons + low).ravel()
         up_c = (gr[:, None] * photons + low + strides[k]).ravel()
-        up_v = (amp * (gv.conj()[:, None] * root[occupation[low, k] + 1])).ravel()
+        up_v = (amp * (gv.conj()[:, None] * sqrt_n[occupation[low, k] + 1])).ravel()
         rows += [up_r, up_c]
         cols += [up_c, up_r]
         vals += [up_v, up_v.conj()]
@@ -164,9 +165,9 @@ def _spectral_floor(h_matter, slots, amplitudes, constant: float) -> float:
     and each middle term is positive semidefinite when nu_k > 0.  The Fock
     truncation is the compression P H P of the untruncated Hamiltonian, so
     the lowest eigenvalue of the first line, plus the vacuum energies, bounds
-    the truncated spectrum from below too.  That eigenvalue is dense, so the
-    bound is -inf for a matter space above DENSE_MAX_DIM states, and also
-    where some nu_k <= 0.
+    the truncated spectrum from below too.  That eigenvalue comes from a
+    dense `eigvalsh`, so the bound is -inf for a matter space above
+    DENSE_MAX_DIM states, and also where some nu_k <= 0.
     """
     if h_matter.shape[0] > DENSE_MAX_DIM or any(s.nu <= 0 for s in slots):
         return -math.inf
