@@ -28,10 +28,11 @@ and the oracle workers, so `run_sweep` sets both pools to one thread while
 it runs and restores the earlier counts when it returns; `main` does the
 same around everything it runs.  One thread also makes the one large
 dense solve, `scipy.linalg.eigh` on oracle blocks of up to
-`oracle.DENSE_LIMIT` (300) states, independent of `OPENBLAS_NUM_THREADS`;
-past that limit blocks are solved sparse, by one LU factorisation just
-below the oracle's spectral floor and its triangular solves, or by
-Lanczos.  Where a library is not found its pin
+`oracle.DENSE_LIMIT` (300) states with one photon slot and
+`oracle.LANCZOS_DENSE_LIMIT` (1200) with more, independent of
+`OPENBLAS_NUM_THREADS`; past those limits blocks are solved sparse, by one
+LU factorisation just below the oracle's spectral floor and its
+triangular solves, or by Lanczos.  Where a library is not found its pin
 is skipped.  summary.json records both counts as `blas_threads`.
 
 The oracle points are independent solves.  With the oracle enabled and

@@ -410,24 +410,44 @@ def _sector_blocks(mat, states: np.ndarray, place: np.ndarray, dtype) -> np.ndar
     return block
 
 
-def _sector_labels(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
-    """For each of ``dim`` states, the lowest index in its sector: the
+def _spanning_forest(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(root, z) for the nonzero entries (rows, cols, data) of a Hermitian
+    matrix on ``dim`` states: the lowest state of each state's sector, the
     connected component of the graph with an edge from each row index to
-    its column index.  Each pass lowers every label to the least label in
-    its row, by one `np.minimum.reduceat` over the row-sorted entries, and
-    then replaces each label by its own label (pointer jumping), until
-    nothing changes."""
-    counts = np.bincount(rows, minlength=dim)
-    filled = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[filled]
-    labels = np.arange(dim)
+    its column index, and diagonal phases z that make conj(z_r) h_rc z_c
+    real and positive on the edges of a spanning forest.
+
+    The forest grows by hooking, as in the connected-components algorithm
+    of Shiloach and Vishkin.  Each tree keeps its lowest state as root and
+    each state its phase relative to the root.  In each round every root
+    with an edge to a tree of a lower root hooks under the lowest such root,
+    through the first such edge, whose phase fixes the one between the
+    roots; pointer jumping then carries every state to its new root,
+    multiplying the phases on the way.  Rounds repeat until no edge joins
+    two trees: two on the README oracle Hamiltonian.
+    """
+    nnz = len(data)
+    root = np.arange(dim)
+    z = np.ones(dim, dtype=complex)  # the phase of each state relative to its root
     while True:
-        low = labels.copy()
-        low[filled] = np.minimum(labels[filled], np.minimum.reduceat(labels[cols], starts))
-        low = low[low]
-        if np.array_equal(low, labels):
-            return labels
-        labels = low
+        hook = np.flatnonzero(root[cols] < root[rows])
+        if not hook.size:
+            return root, z
+        # per root a, the lowest root b it meets and the first edge to it
+        best = np.full(dim, dim * nnz)
+        key = root[cols[hook]] * nnz
+        key += hook
+        np.minimum.at(best, root[rows[hook]], key)
+        a = np.flatnonzero(best < dim * nnz)
+        b, e = np.divmod(best[a], nnz)
+        # z_i = z_j u_ij on the edge (i, j), so z_a = z_b z_j u_ij conj(z_i)
+        up, link = np.arange(dim), np.ones(dim, dtype=complex)
+        up[a] = b
+        link[a] = z[cols[e]] * (data[e] / np.abs(data[e])) * np.conj(z[rows[e]])
+        while not np.array_equal(up[up], up):
+            up, link = up[up], link * link[up]
+        root, z = up[root], z * link[root]
 
 
 def sector_resolvent(model: MatterModel, h_m: Operator | None = None
@@ -449,7 +469,9 @@ def sector_resolvent(model: MatterModel, h_m: Operator | None = None
     keep = mat.data != 0
     rows = np.repeat(np.arange(dim), np.diff(mat.indptr))[keep]
     cols = mat.indices[keep]
-    sector_of = np.unique(_sector_labels(rows, cols, dim), return_inverse=True)[1]
+    # the sectors need no phases, so every entry weighs 1, and no copy is made
+    sector_of = np.unique(_spanning_forest(rows, cols, np.broadcast_to(1.0, rows.shape), dim)[0],
+                          return_inverse=True)[1]
     sizes = np.bincount(sector_of)
     # an entry that joins two sectors is one of a pattern that is not symmetric
     if sizes.max() > DENSE_MAX_DIM or np.any(sector_of[rows] != sector_of[cols]):
@@ -571,12 +593,9 @@ def shift_invert_lowest(mat, k: int, floor: float = -np.inf) -> tuple[np.ndarray
     (H - sigma I)^-1, whose largest eigenvalues belong to the lowest of H,
     from the same seeded start vector.  Its convergence goes with the
     ratios (E_0 - sigma) / (E_j - sigma), so a sigma near E_0 needs few
-    solves: on the README oracle blocks 21 from the floor against 38-39
-    from the Gershgorin shift, and on a 60-level anharmonic dipole, where
-    the Gershgorin shift lies more than 270 below E_0, 59-76 solves per
-    system against 626-803.  Where the factors fill in, as in the oracle
-    with two photon slots on a 3-axis matter space, the solves cost more
-    than that saves.
+    solves; the Gershgorin shift can lie far below E_0.  Where the
+    factors fill in, as in the oracle with two photon slots on a 3-axis
+    matter space, the solves cost more than that saves.
     """
     return _arpack_lowest(mat, k, invert=True, floor=floor)
 

@@ -24,11 +24,12 @@ spectrum from below by the lowest eigenvalue of a matter-space matrix
 couple to each other (the two sectors of the Dicke Z2 parity, or single
 states where nothing couples them) and solves each one, in real
 arithmetic where a diagonal phase change makes it real: a single state
-off the diagonal, by dense `eigh` up to DENSE_LIMIT states, and above it
-by shift-invert Lanczos on one sparse factorisation per block
-(`matter.shift_invert_lowest`), just below the floor, when at most one
-photon slot is retained, and by plain Lanczos (`matter.lanczos_lowest`)
-when more are.  Both start from the vector seeded with
+off the diagonal, and a larger one, when at most one photon slot is
+retained, by dense `eigh` up to DENSE_LIMIT states and above it by
+shift-invert Lanczos on one sparse factorisation per block
+(`matter.shift_invert_lowest`), just below the floor; when more are, by
+dense `eigh` up to LANCZOS_DENSE_LIMIT states and above it by plain
+Lanczos (`matter.lanczos_lowest`).  Both start from the vector seeded with
 `matter.LANCZOS_SEED`.  Each returned eigenvector lies in one block, so
 the ground vector is a parity eigenstate, and the parity-odd observables,
 the photon coherence <a> and the transverse field, read exactly 0 in it,
@@ -50,16 +51,19 @@ from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, diagonalize
 from .errors import NumericError, ResourceLimitError, UnsupportedError
 from .gauge import (GaugeSpec, ModeSpec, check_pairing, coupling_f, diamagnetic_D,
                     dressed_matter_hamiltonian)
-from .matter import (MatterModel, MatterSpectrum, along_op, ground_resolvent, lanczos_lowest,
-                     shift_invert_lowest)
+from .matter import (MatterModel, MatterSpectrum, _spanning_forest, along_op, ground_resolvent,
+                     lanczos_lowest, shift_invert_lowest)
 from .operators import DENSE_MAX_DIM, Operator, Statevector, _fix_phases, eigh
 from .response import lehmann_sum
 
 MAX_FULL_DIM = 20000
-# blocks up to this many states are solved by dense eigh: on README-type
-# one-slot blocks shift-invert from the floor overtakes it near 250 states,
-# and on two-slot 3-axis dipole blocks Lanczos between 290 and 390
+# blocks up to this many states are solved by dense eigh where the sparse
+# solver is shift-invert: on README-type one-slot blocks shift-invert from
+# the floor overtakes dense eigh near 250 states
 DENSE_LIMIT = 300
+# and up to this many where it is plain Lanczos, whose eigenvalues can
+# lie more than 1e-12 (relative) from the dense ones on large blocks
+LANCZOS_DENSE_LIMIT = 1200
 COUPLING_ATOL = 1e-14
 # a block whose imaginary parts after the phase change stay below this
 # fraction of max|h| is solved as a real symmetric matrix
@@ -228,51 +232,14 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
                       floor=_spectral_floor(h_matter.matrix, slots, amplitudes, constant))
 
 
-def _spanning_forest(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: int
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(root, z) for the nonzero entries (rows, cols, data) of a Hermitian
-    matrix on ``dim`` states: the lowest state of each state's block, the
-    connected component of the entries, and diagonal phases z that make
-    conj(z_r) h_rc z_c real and positive on the edges of a spanning forest.
-
-    The forest grows by hooking, as in the connected-components algorithm
-    of Shiloach and Vishkin.  Each tree keeps its lowest state as root and
-    each state its phase relative to the root.  In each round every root
-    with an edge to a tree of a lower root hooks under the lowest such root,
-    through the first such edge, whose phase fixes the one between the
-    roots; pointer jumping then carries every state to its new root,
-    multiplying the phases on the way.  Rounds repeat until no edge joins
-    two trees: two on the README oracle Hamiltonian.
-    """
-    unit = data / np.abs(data)
-    nnz = len(data)
-    root = np.arange(dim)
-    z = np.ones(dim, dtype=complex)  # the phase of each state relative to its root
-    while True:
-        ra, rb = root[rows], root[cols]
-        hook = np.flatnonzero(rb < ra)
-        if not hook.size:
-            return root, z
-        # per root a, the lowest root b it meets and the first edge to it
-        best = np.full(dim, dim * nnz)
-        np.minimum.at(best, ra[hook], rb[hook] * nnz + hook)
-        a = np.flatnonzero(best < dim * nnz)
-        b, e = np.divmod(best[a], nnz)
-        # z_i = z_j u_ij on the edge (i, j), so z_a = z_b z_j u_ij conj(z_i)
-        up, link = np.arange(dim), np.ones(dim, dtype=complex)
-        up[a] = b
-        link[a] = z[cols[e]] * unit[e] * np.conj(z[rows[e]])
-        while not np.array_equal(up[up], up):
-            up, link = up[up], link * link[up]
-        root, z = up[root], z * link[root]
-
-
 def _block_lowest(block, k: int, sparse_solver) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs of one Hermitian block: dense `eigh` up to
-    DENSE_LIMIT states, ``sparse_solver`` above."""
+    DENSE_LIMIT states, or LANCZOS_DENSE_LIMIT where ``sparse_solver`` is
+    `lanczos_lowest`, and ``sparse_solver`` above."""
     dim = block.shape[0]
     k = min(k, dim)
-    if dim <= DENSE_LIMIT or k >= dim - 1:
+    limit = LANCZOS_DENSE_LIMIT if sparse_solver is lanczos_lowest else DENSE_LIMIT
+    if dim <= limit or k >= dim - 1:
         return scipy.linalg.eigh(block.toarray(), subset_by_index=(0, k - 1))
     return sparse_solver(block, k)
 
@@ -280,7 +247,7 @@ def _block_lowest(block, k: int, sparse_solver) -> tuple[np.ndarray, np.ndarray]
 def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs of ``system.h``, ascending, solved block by block.
 
-    One pass over the nonzero entries (`_spanning_forest`) splits ``h``
+    One pass over the nonzero entries (`matter._spanning_forest`) splits ``h``
     into the blocks that do not couple to each other, here the two sectors
     of the Dicke Z2 parity, and finds the diagonal phases z along a
     spanning forest that make conj(z) h z real on its edges.  A block of
@@ -293,15 +260,14 @@ def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.nd
     `operators.eigh` does, so each one lies in one block: at a parity
     doublet the ground vector is a parity eigenstate.
 
-    Blocks above DENSE_LIMIT go to `matter.shift_invert_lowest` when at
-    most one photon slot is retained, factored just below the certified
-    ``system.floor`` where that lies above the block's Gershgorin shift,
-    and to `matter.lanczos_lowest` when more are: with two photon slots on
-    a 3-axis matter space the sparse factors fill in, and shift-invert ran
-    2.0-3.6 times slower there.  From the floor a README oracle block needs
-    21 solves where it lies close enough to E_0 (38-39 from the Gershgorin
-    shift), and a 60-level anharmonic dipole at cutoff 42 59-76 solves per
-    system against 626-803.
+    When at most one photon slot is retained, blocks above DENSE_LIMIT go
+    to `matter.shift_invert_lowest`, factored just below the certified
+    ``system.floor`` where that lies above the block's Gershgorin shift:
+    the closer the shift lies below E_0, the fewer solves it takes.  When
+    more are, blocks above LANCZOS_DENSE_LIMIT go to
+    `matter.lanczos_lowest`: with two photon slots on a 3-axis matter space
+    the sparse factors fill in, and shift-invert ran 2.0-3.6 times slower
+    there.
     """
     from functools import partial
 

@@ -621,9 +621,24 @@ class TestLowestEigenpairs:
         monkeypatch.setattr(oracle_module, "lanczos_lowest", recording)
         monkeypatch.setattr(matter_module, "splu", None)
         vals, vecs = lowest_eigenpairs(system, k=2)
-        assert solved and min(solved) > DENSE_LIMIT
+        assert solved and min(solved) > oracle_module.LANCZOS_DENSE_LIMIT
         residual = system.h @ vecs - vecs * vals
         assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8 * np.max(np.abs(vals))
+
+    def test_two_slot_blocks_stay_dense_to_lanczos_limit(self, monkeypatch):
+        # eight blocks of 392 states: past DENSE_LIMIT, but plain Lanczos
+        # would solve them, so dense eigh does
+        model = build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
+        system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 7)
+        assert len(system.slots) == 2
+        seen = _record_blocks(monkeypatch)
+        monkeypatch.setattr(oracle_module, "lanczos_lowest", None)
+        vals, _ = lowest_eigenpairs(system, k=2)
+        assert {dim for _, dim in seen} == {392} and len(seen) == 8
+        assert DENSE_LIMIT < 392 <= oracle_module.LANCZOS_DENSE_LIMIT
+        v0 = np.random.default_rng(0).standard_normal(system.dim)
+        ref = np.sort(scipy.sparse.linalg.eigsh(system.h, k=2, which="SA", v0=v0)[0])
+        assert np.max(np.abs(vals - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_doublet_ground_vector_is_parity_eigenstate(self):
         n = 20
@@ -636,6 +651,19 @@ class TestLowestEigenpairs:
         assert coh == 0.0
         assert occ > 1.0
         assert np.all(transverse_field_expectation(state, system) == 0.0)
+
+
+def _components(h) -> np.ndarray:
+    """csgraph's connected components of the nonzero pattern of ``h``,
+    numbered in the order of their lowest states."""
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(abs(h), directed=False)[1]
+
+
+def _block_numbers(root: np.ndarray) -> np.ndarray:
+    """Each state's block numbered by the rank of its root."""
+    return np.unique(root, return_inverse=True)[1]
 
 
 class TestBlockSplit:
@@ -655,8 +683,8 @@ class TestBlockSplit:
         h = system.h
         rows = np.repeat(np.arange(system.dim), np.diff(h.indptr))
         assert h.data.imag.any()
-        root, z = oracle_module._spanning_forest(rows, h.indices, h.data, system.dim)
-        assert np.array_equal(root, matter_module._sector_labels(rows, h.indices, system.dim))
+        root, z = matter_module._spanning_forest(rows, h.indices, h.data, system.dim)
+        assert np.array_equal(_block_numbers(root), _components(h))
         assert len(np.unique(root)) == 2  # the two parity sectors
         assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-14
         rotated = np.conj(z[rows]) * h.data * z[h.indices]
@@ -677,8 +705,8 @@ class TestBlockSplit:
                                      (np.r_[i, j, np.arange(dim)], np.r_[j, i, np.arange(dim)])),
                                     shape=(dim, dim))
         rows = np.repeat(np.arange(dim), np.diff(h.indptr))
-        root, z = oracle_module._spanning_forest(rows, h.indices, h.data, dim)
-        assert np.array_equal(root, matter_module._sector_labels(rows, h.indices, dim))
+        root, z = matter_module._spanning_forest(rows, h.indices, h.data, dim)
+        assert np.array_equal(_block_numbers(root), _components(h))
         assert len(np.unique(root)) > 1
         rotated = np.conj(z[rows]) * h.data * z[h.indices]
         assert np.max(np.abs(rotated - np.abs(h.data))) <= 1e-14 * np.max(np.abs(h.data))
@@ -690,7 +718,7 @@ class TestBlockSplit:
         chain = _ring(7, 0.0, np.ones(7))
         h = scipy.sparse.block_diag([chain, ring], format="csr")
         rows = np.repeat(np.arange(57), np.diff(h.indptr))
-        root, z = oracle_module._spanning_forest(rows, h.indices, h.data, 57)
+        root, z = matter_module._spanning_forest(rows, h.indices, h.data, 57)
         assert np.array_equal(root, np.repeat([0, 7], [7, 50]))
         rotated = np.conj(z[rows]) * h.data * z[h.indices]
         positive = np.isclose(rotated, np.abs(h.data), rtol=0.0, atol=1e-14)
