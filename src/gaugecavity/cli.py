@@ -28,12 +28,10 @@ and the oracle workers, so `run_sweep` sets both pools to one thread while
 it runs and restores the earlier counts when it returns; `main` does the
 same around everything it runs.  One thread also makes the one large
 dense solve, `scipy.linalg.eigh` on oracle blocks of up to
-`oracle.DENSE_LIMIT` (300) states with one photon slot and
-`oracle.LANCZOS_DENSE_LIMIT` (1200) with more, independent of
-`OPENBLAS_NUM_THREADS`; past those limits blocks are solved sparse, by one
-LU factorisation just below the oracle's spectral floor and its
-triangular solves, or by Lanczos.  Where a library is not found its pin
-is skipped.  summary.json records both counts as `blas_threads`.
+`oracle.DENSE_LIMIT` (300) states, independent of `OPENBLAS_NUM_THREADS`;
+larger blocks go to the sparse solver of `matter.shift_invert_lowest`.
+Where a library is not found its pin is skipped.  summary.json records
+both counts as `blas_threads`.
 
 The oracle points are independent solves.  With the oracle enabled and
 more than one CPU in the process's affinity mask, `run_sweep` hands them
@@ -58,8 +56,8 @@ near 0.
 
 criterion.csv and oracle.csv are byte-identical across repeated runs of
 the same config and seed on the same machine: rows are emitted in
-deterministic parameter order, every Lanczos run starts from a fixed
-vector seeded with `matter.LANCZOS_SEED`, a resolvent reused across
+deterministic parameter order, every sparse eigensolve starts from a
+fixed vector seeded with `matter.LANCZOS_SEED`, a resolvent reused across
 gauges or points is the one a fresh solve of the same stored Hamiltonian
 gives, and floats are serialised with shortest round-trip repr.  With
 every BLAS call on one thread, both files are also the same for any

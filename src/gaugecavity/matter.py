@@ -17,13 +17,13 @@ diagonal Dicke h_m) each hold at most DENSE_MAX_DIM states goes to
 `SectorResolvent`: dense eigenvalues of every sector, the ground sector's
 eigenvectors, and one dense solve per touched sector in the Gram matrix.
 A Hamiltonian with a larger sector, such as a ring, goes to
-`SparseResolvent`, which takes the two lowest eigenpairs from Lanczos and
-solves (H - E_0 + |0><0|) x = b by conjugate gradients, one CG per
-independent column b of the projected block Q C; on Q space that is the
-resolvent: the Sternheimer route of density-functional perturbation
-theory, with no full spectrum.  All three are deterministic for a fixed
-Hamiltonian (the Lanczos start vector is seeded with LANCZOS_SEED), and
-all refuse a ground gap of at most DEGENERACY_ATOL when built.
+`SparseResolvent`, on the one sparse solver of the package (the rule is
+stated at `shift_invert_lowest`): its two lowest eigenpairs, and one
+sparse LU of the bordered matrix [[H - E_0, |0>], [<0|, 0]], whose solves
+give the resolvent on Q space: the Sternheimer route of
+density-functional perturbation theory, with no full spectrum.  All
+three are deterministic for a fixed Hamiltonian, and all refuse a ground
+gap of at most DEGENERACY_ATOL when built.
 
 Conventions (natural units):
   * electrons have charge -e with e > 0,
@@ -44,11 +44,11 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator, cg, eigsh,
-                                 splu)
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import (ArgumentError, DegenerateGroundStateError, NumericError, ResourceLimitError,
                      UnsupportedError)
@@ -60,7 +60,6 @@ MAX_RING_SITES = 4000
 MAX_ANHARMONIC_DIM = 20000  # levels ** 3 for the 3-axis dipole
 DEGENERACY_ATOL = 1e-10  # energies closer than this count as degenerate
 LANCZOS_SEED = 2207  # seeds the real Gaussian Lanczos start vector
-CG_RTOL = 1e-13
 # the sector backend cuts at most this many block entries at once: one
 # stack of all eight 125-state sectors of the 3-axis dipole at d = 1000
 # (1 MB) left the sweep's peak RSS about 1 MB above cutting them one by one
@@ -251,20 +250,30 @@ def matter_spectrum(model: MatterModel, h_m: Operator | None = None) -> MatterSp
 class SparseResolvent:
     """Ground state of a large sparse Hamiltonian and its reduced resolvent.
 
-    ``lowest`` holds the two lowest eigenvalues from one Lanczos run, and
-    construction refuses a ground gap of at most DEGENERACY_ATOL; `gram`
-    solves the then positive definite system (H - E_0 + |0><0|) x = b by
-    conjugate gradients once per independent column b of the projected
-    block Q C.
+    ``lowest`` holds the two lowest eigenvalues from `shift_invert_lowest`,
+    and construction refuses a ground gap of at most DEGENERACY_ATOL, then
+    factors the bordered matrix [[H - E_0, g], [g^dag, 0]] of the ground
+    vector g once (`_factor_bordered`), which a unique ground state makes
+    nonsingular, unless ``bordered`` already holds its solve: so
+    `dataclasses.replace` carries the factors over to a resolvent rebound
+    to another model of the same Hamiltonian.  For the right-hand side
+    [b; 0] with b = Q c, the solution [x; l] has g^dag x = 0 and
+    (H - E_0) x = b - l g, where l = -g^dag (H - E_0) x = 0, so
+    x = Q (H - E_0)^-1 Q c: `gram` solves all its columns with those
+    factors at once.
     """
 
     model: MatterModel
     h_m_used: Operator
     lowest: np.ndarray
     vector: np.ndarray
+    bordered: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         check_unique_ground(self)
+        if self.bordered is None:
+            object.__setattr__(self, "bordered",
+                               _factor_bordered(self.h_m_used, self.lowest[0], self.vector))
 
     @property
     def ground_gap(self) -> float:
@@ -277,34 +286,42 @@ class SparseResolvent:
         return self.vector
 
     def gram(self, cols: np.ndarray) -> np.ndarray:
-        """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``.
-
-        A rank-deficient Q C is B T for an orthonormal basis B of its
-        span, from the SVD with singular values below CG_RTOL times the
-        largest dropped, so M = T^dag (B^dag X) T with one solve X per
-        independent column: a Hermitian coupling's f|0> and f^dag|0> share
-        one.  A full-rank Q C is its own basis, and an all-zero one runs
-        no solve.
-        """
-        g, e0, h = self.vector, self.ground_energy(), self.h_m_used.matrix
+        """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``, from one
+        solve of the bordered system with the right-hand sides [Q C; 0]."""
+        g = self.vector
         basis = cols - np.outer(g, g.conj() @ cols)
-        if not basis.any():
-            return np.zeros((cols.shape[1],) * 2, dtype=complex)
-        u, s, vh = np.linalg.svd(basis, full_matrices=False)
-        rank = int(np.count_nonzero(s >= CG_RTOL * s[0]))
-        t = None
-        if rank < basis.shape[1]:
-            basis, t = u[:, :rank], s[:rank, None] * vh[:rank]
-        shifted = LinearOperator(h.shape, dtype=complex,
-                                 matvec=lambda v: h @ v - e0 * v + g * (g.conj() @ v))
-        solved = np.empty_like(basis)
-        for k in range(rank):
-            solved[:, k], info = cg(shifted, basis[:, k], rtol=CG_RTOL, atol=0.0)
-            if info != 0:
-                raise NumericError(f"conjugate gradients stopped with info {info} "
-                                   f"before the relative residual reached {CG_RTOL}")
-        m = basis.conj().T @ solved
-        return m if t is None else t.conj().T @ m @ t
+        x = self.bordered(np.vstack([basis, np.zeros((1, basis.shape[1]))]))
+        return basis.conj().T @ x[:-1]
+
+
+def _factor_bordered(h: Operator, e0: float, g: np.ndarray) -> Callable:
+    """The solve X = B^-1 R for complex columns R of the bordered matrix
+    B = [[H - E_0, g], [g^dag, 0]], factored once by `splu`: in real
+    arithmetic where H is real (its ground vector then is real too), which
+    takes the real and imaginary parts of R as one real right-hand side.
+    B is indefinite, so SuperLU pivots, but its pattern is symmetric and
+    the minimum-degree ordering of A^T + A keeps a ring's factors at O(L)
+    entries, where the default column ordering filled 7.5e6 at L = 4000.
+    SuperLU's failure on an exactly singular B becomes NumericError."""
+    mat = scipy.sparse.csr_matrix(h.matrix)
+    real = _block_dtype(mat) is float
+    if real:
+        mat, g = mat.real, g.real
+    col = scipy.sparse.csr_matrix(g[:, None])
+    bordered = scipy.sparse.bmat([[mat - e0 * scipy.sparse.identity(mat.shape[0]), col],
+                                  [col.conj().T, None]], format="csc")
+    try:
+        lu = splu(bordered, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise NumericError(f"the bordered resolvent matrix could not be factored: {exc}") from exc
+    if not real:
+        return lu.solve
+
+    def solve(rhs):
+        k = rhs.shape[1]
+        x = lu.solve(np.concatenate([rhs.real, rhs.imag], axis=1))
+        return x[:, :k] + 1j * x[:, k:]
+    return solve
 
 
 @dataclass(frozen=True)
@@ -508,34 +525,6 @@ def _gershgorin_floor(mat) -> float:
     return float(np.min(2.0 * diag - np.asarray(abs(mat).sum(axis=1)).ravel())) - 1.0
 
 
-def _arpack_lowest(mat, k: int, invert: bool, floor: float = -np.inf
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """k lowest eigenpairs of ``mat``, ascending, by ARPACK from the seeded
-    start vector, on ``mat`` less its Gershgorin shift or, with ``invert``,
-    on the inverse of ``mat`` less the shift of `_factor_below`; ARPACK's
-    failures become NumericError."""
-    dim = mat.shape[0]
-    shift = _gershgorin_floor(mat)
-    if invert:
-        what = "shift-invert Lanczos"
-        shift, lu = _factor_below(mat, shift, floor)
-        run = dict(A=mat, sigma=shift, which="LM",
-                   OPinv=LinearOperator(mat.shape, matvec=lu.solve, dtype=mat.dtype))
-    else:
-        what = "Lanczos ground state"
-        run = dict(A=mat - shift * scipy.sparse.identity(dim), which="SA")
-    try:
-        vals, vecs = eigsh(k=k, v0=np.random.default_rng(LANCZOS_SEED).standard_normal(dim),
-                           **run)
-    except ArpackNoConvergence as exc:
-        raise NumericError(f"{what} failed to converge: {exc}") from exc
-    except ArpackError as exc:
-        raise NumericError(f"{what} failed: {exc}") from exc
-    order = np.argsort(vals)
-    # shift-invert returns the eigenvalues of ``mat`` itself
-    return (vals[order] if invert else vals[order] + shift), vecs[:, order]
-
-
 def _factor_below(mat, shift: float, floor: float):
     """(sigma, splu of mat - sigma I) at sigma = max(shift, floor - margin),
     the margin FLOOR_MARGIN times max(1, |floor|).
@@ -561,55 +550,61 @@ def _factor_below(mat, shift: float, floor: float):
     return shift, factor(shift)
 
 
-def lanczos_lowest(mat, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k lowest eigenpairs of a sparse Hermitian matrix, ascending, by Lanczos.
-
-    A real matrix runs through ARPACK's real symmetric routine.  ARPACK
-    misses an eigenvalue that is exactly zero, as the bare two-level ground
-    energy is, so the matrix is shifted by a Gershgorin lower bound, which
-    puts the whole spectrum at or above 1.  The start vector is a fixed
-    Gaussian draw seeded with LANCZOS_SEED: it has weight in every symmetry
-    sector, and unlike the uniform vector it is no eigenvector of a matrix
-    whose rows share one sum.  It needs only matrix-vector products.  It
-    solves the oracle blocks whose factors fill in (`shift_invert_lowest`)
-    and the matter Hamiltonians of `sparse_resolvent`, whose ground energy
-    can lie far above the Gershgorin shift: 52 above it on the 3-axis
-    dipole at d = 1000, where shift-invert from that shift took 126 solves
-    and ran slower.
-    """
-    return _arpack_lowest(mat, k, invert=False)
-
-
 def shift_invert_lowest(mat, k: int, floor: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenpairs of a sparse Hermitian matrix, ascending, by
     shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1251, 1980).
 
+    This is the package's one sparse eigensolver, and `splu` its one
+    sparse linear solver.  Every lowest-eigenpair problem too large for a
+    dense one comes here: an oracle block above `oracle.DENSE_LIMIT`
+    states, with ``floor`` the oracle's certified `FullSystem.floor`, and
+    a matter Hamiltonian with a sector above DENSE_MAX_DIM states
+    (`sparse_resolvent`), with no floor.  The reduced resolvent of that
+    ground state is one more `splu`, of a bordered matrix
+    (`SparseResolvent`).
+
     H - sigma I is factored once by `splu`, with sigma just below
-    ``floor``, a lower bound on the spectrum of H that the caller certifies
-    (the oracle's completed square, `oracle.FullSystem.floor`), or at the
-    Gershgorin shift of `lanczos_lowest` where that lies higher or no floor
-    is given; a floor that turns out to be no lower bound falls back to the
-    Gershgorin shift (`_factor_below`).  ARPACK then runs on
-    (H - sigma I)^-1, whose largest eigenvalues belong to the lowest of H,
-    from the same seeded start vector.  Its convergence goes with the
-    ratios (E_0 - sigma) / (E_j - sigma), so a sigma near E_0 needs few
-    solves; the Gershgorin shift can lie far below E_0.  Where the
-    factors fill in, as in the oracle with two photon slots on a 3-axis
-    matter space, the solves cost more than that saves.
+    ``floor`` or at the Gershgorin shift, a Gershgorin lower bound on the
+    spectrum minus 1, where that lies higher or no floor is given; a floor
+    that turns out to be no lower bound falls back to the Gershgorin shift
+    (`_factor_below`).  ARPACK then runs on (H - sigma I)^-1, whose largest
+    eigenvalues belong to the lowest of H, so an eigenvalue that is
+    exactly zero, as the bare two-level ground energy is, is found like
+    any other.  A real matrix runs through ARPACK's real symmetric
+    routine.  The start vector is a fixed Gaussian draw seeded with
+    LANCZOS_SEED: it has weight in every symmetry sector, and unlike the
+    uniform vector it is no eigenvector of a matrix whose rows share one
+    sum.  Convergence goes with the ratios (E_0 - sigma) / (E_j - sigma),
+    so a sigma near E_0 needs few solves; the Gershgorin shift can lie far
+    below E_0: 59 below it, and 144 solves, for the 3-axis dipole at
+    d = 1000 in the dipole gauge of an oblique mode.  ARPACK's failures
+    become NumericError.
     """
-    return _arpack_lowest(mat, k, invert=True, floor=floor)
+    dim = mat.shape[0]
+    sigma, lu = _factor_below(mat, _gershgorin_floor(mat), floor)
+    try:
+        vals, vecs = eigsh(mat, k=k, sigma=sigma, which="LM",
+                           OPinv=LinearOperator(mat.shape, matvec=lu.solve, dtype=mat.dtype),
+                           v0=np.random.default_rng(LANCZOS_SEED).standard_normal(dim))
+    except ArpackNoConvergence as exc:
+        raise NumericError(f"shift-invert Lanczos failed to converge: {exc}") from exc
+    except ArpackError as exc:
+        raise NumericError(f"shift-invert Lanczos failed: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def sparse_resolvent(model: MatterModel, h_m: Operator | None = None) -> SparseResolvent:
-    """Lanczos ground state of the (possibly gauge-dressed) matter Hamiltonian.
+    """Shift-invert ground state of the (possibly gauge-dressed) matter
+    Hamiltonian, with its bordered factorisation (`SparseResolvent`).
 
-    A real Hamiltonian runs through the real symmetric Lanczos routine.
+    A real Hamiltonian runs in real arithmetic.
     """
     h = model.h_m if h_m is None else h_m
     mat = scipy.sparse.csr_matrix(h.matrix)
-    if mat.imag.count_nonzero() == 0:
+    if _block_dtype(mat) is float:
         mat = mat.real
-    vals, vecs = lanczos_lowest(mat, 2)
+    vals, vecs = shift_invert_lowest(mat, 2)
     g = vecs[:, 0].astype(complex)
     return SparseResolvent(model=model, h_m_used=h, lowest=vals,
                            vector=g / np.linalg.norm(g))
@@ -826,8 +821,9 @@ def ring_quasi_momentum(model: MatterModel, n: int) -> float:
 def ring_ground_state(model: MatterModel) -> np.ndarray:
     """The bare ring's ground vector, which the density check, the multipolar
     D and the wavevector-decoupling check read.  It comes from the dense
-    spectrum: on a 1500-site ring a Lanczos ground vector's site density
-    deviates from 1/L by 2.5e-11, which fails a 1e-12 check."""
+    spectrum: the site density of `sparse_resolvent`'s ground vector
+    deviates from 1/L by 8.1e-13 at L = 1500 but by 7.9e-12 at 3000 and
+    1.1e-11 at 4000, which fail a 1e-12 check."""
     model._require_ring()
     return matter_spectrum(model).ground_state_vector()
 

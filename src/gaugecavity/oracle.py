@@ -24,17 +24,13 @@ spectrum from below by the lowest eigenvalue of a matter-space matrix
 couple to each other (the two sectors of the Dicke Z2 parity, or single
 states where nothing couples them) and solves each one, in real
 arithmetic where a diagonal phase change makes it real: a single state
-off the diagonal, and a larger one, when at most one photon slot is
-retained, by dense `eigh` up to DENSE_LIMIT states and above it by
-shift-invert Lanczos on one sparse factorisation per block
-(`matter.shift_invert_lowest`), just below the floor; when more are, by
-dense `eigh` up to LANCZOS_DENSE_LIMIT states and above it by plain
-Lanczos (`matter.lanczos_lowest`).  Both start from the vector seeded with
-`matter.LANCZOS_SEED`.  Each returned eigenvector lies in one block, so
-the ground vector is a parity eigenstate, and the parity-odd observables,
-the photon coherence <a> and the transverse field, read exactly 0 in it,
-also inside the superradiant doublet, where the photon occupation carries
-the signal.
+off the diagonal, a block of up to DENSE_LIMIT states by dense `eigh`, and
+a larger one by the package's sparse solver, `matter.shift_invert_lowest`,
+factored just below the floor.  Each returned eigenvector lies in one
+block, so the ground vector is a parity eigenstate, and the parity-odd
+observables, the photon coherence <a> and the transverse field, read
+exactly 0 in it, also inside the superradiant doublet, where the photon
+occupation carries the signal.
 """
 
 from __future__ import annotations
@@ -52,18 +48,14 @@ from .errors import NumericError, ResourceLimitError, UnsupportedError
 from .gauge import (GaugeSpec, ModeSpec, check_pairing, coupling_f, diamagnetic_D,
                     dressed_matter_hamiltonian)
 from .matter import (MatterModel, MatterSpectrum, _spanning_forest, along_op, ground_resolvent,
-                     lanczos_lowest, shift_invert_lowest)
+                     shift_invert_lowest)
 from .operators import DENSE_MAX_DIM, Operator, Statevector, _fix_phases, eigh
 from .response import lehmann_sum
 
 MAX_FULL_DIM = 20000
-# blocks up to this many states are solved by dense eigh where the sparse
-# solver is shift-invert: on README-type one-slot blocks shift-invert from
-# the floor overtakes dense eigh near 250 states
+# blocks up to this many states are solved by dense eigh: on README-type
+# one-slot blocks shift-invert from the floor overtakes it near 250 states
 DENSE_LIMIT = 300
-# and up to this many where it is plain Lanczos, whose eigenvalues can
-# lie more than 1e-12 (relative) from the dense ones on large blocks
-LANCZOS_DENSE_LIMIT = 1200
 COUPLING_ATOL = 1e-14
 # a block whose imaginary parts after the phase change stay below this
 # fraction of max|h| is solved as a real symmetric matrix
@@ -232,16 +224,15 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
                       floor=_spectral_floor(h_matter.matrix, slots, amplitudes, constant))
 
 
-def _block_lowest(block, k: int, sparse_solver) -> tuple[np.ndarray, np.ndarray]:
+def _block_lowest(block, k: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs of one Hermitian block: dense `eigh` up to
-    DENSE_LIMIT states, or LANCZOS_DENSE_LIMIT where ``sparse_solver`` is
-    `lanczos_lowest`, and ``sparse_solver`` above."""
+    DENSE_LIMIT states, and above `matter.shift_invert_lowest` from
+    ``floor``."""
     dim = block.shape[0]
     k = min(k, dim)
-    limit = LANCZOS_DENSE_LIMIT if sparse_solver is lanczos_lowest else DENSE_LIMIT
-    if dim <= limit or k >= dim - 1:
+    if dim <= DENSE_LIMIT or k >= dim - 1:
         return scipy.linalg.eigh(block.toarray(), subset_by_index=(0, k - 1))
-    return sparse_solver(block, k)
+    return shift_invert_lowest(block, k, floor)
 
 
 def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -260,17 +251,9 @@ def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.nd
     `operators.eigh` does, so each one lies in one block: at a parity
     doublet the ground vector is a parity eigenstate.
 
-    When at most one photon slot is retained, blocks above DENSE_LIMIT go
-    to `matter.shift_invert_lowest`, factored just below the certified
-    ``system.floor`` where that lies above the block's Gershgorin shift:
-    the closer the shift lies below E_0, the fewer solves it takes.  When
-    more are, blocks above LANCZOS_DENSE_LIMIT go to
-    `matter.lanczos_lowest`: with two photon slots on a 3-axis matter space
-    the sparse factors fill in, and shift-invert ran 2.0-3.6 times slower
-    there.
+    Blocks above DENSE_LIMIT states are factored just below the certified
+    ``system.floor`` (`_block_lowest`).
     """
-    from functools import partial
-
     h = system.h
     dim = h.shape[0]
     keep = h.data != 0
@@ -295,15 +278,13 @@ def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.nd
     values, blocks, levels = ([h.diagonal()[order[first[single]]].real], [single],
                               [np.zeros_like(single)])
     solved = {}
-    sparse_solver = (partial(shift_invert_lowest, floor=system.floor)
-                     if len(system.slots) <= 1 else lanczos_lowest)
     for b in np.flatnonzero(sizes > 1):
         # the block's entries in row order, and in column order within a row
         e = entries[bounds[b]:bounds[b + 1]]
         indptr = np.r_[0, np.cumsum(np.bincount(place[rows[e]], minlength=sizes[b]))]
         block = scipy.sparse.csr_matrix((data[e] if complex_block[b] else data[e].real,
                                          place[cols[e]], indptr), shape=(sizes[b], sizes[b]))
-        vals, solved[b] = _block_lowest(block, k, sparse_solver)
+        vals, solved[b] = _block_lowest(block, k, system.floor)
         values.append(vals)
         blocks.append(np.full(len(vals), b))
         levels.append(np.arange(len(vals)))

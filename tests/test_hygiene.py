@@ -14,8 +14,8 @@ the thread counts of numpy's and scipy's bundled OpenBLAS while a sweep
 runs, and `concurrent` and `multiprocessing`, which it imports inside
 `run_sweep` for the oracle's worker processes, so that importing the
 package does not pay for them.  Only `matter`, home of the ground-state
-backends, may import from `scipy.sparse.linalg`, the Lanczos, sparse LU
-and conjugate-gradient solvers, and no module from `scipy.sparse.csgraph`.
+backends, may import from `scipy.sparse.linalg`, for shift-invert
+Lanczos and sparse LU, and no module from `scipy.sparse.csgraph`.
 Only the dense algorithms named in DENSE_READERS may read
 `Operator.entries`, the dense view that copies a sparse operator;
 everything else works on the stored form `Operator.matrix`.

@@ -470,9 +470,9 @@ def _record_blocks(monkeypatch):
     seen = []
     original = oracle_module._block_lowest
 
-    def recording(block, k, sparse_solver):
+    def recording(block, k, floor):
         seen.append((block.dtype, block.shape[0]))
-        return original(block, k, sparse_solver)
+        return original(block, k, floor)
 
     monkeypatch.setattr(oracle_module, "_block_lowest", recording)
     return seen
@@ -560,16 +560,16 @@ class TestLowestEigenpairs:
     @pytest.mark.parametrize("preset", ["dipole", "coulomb"])
     def test_one_slot_blocks_factor_once(self, monkeypatch, preset):
         # the README oracle Hamiltonian at dipole_scale 0.34: one splu per
-        # parity block, and the eigenpairs of Lanczos
+        # parity block, and the eigenpairs of dense eigh
         model = build_two_level_ensemble(40, 1.0, (0.0, 0.34, 0.0), 1.0)
         system = full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 60)
         assert len(system.slots) == 1
         blocks = []
         original = oracle_module._block_lowest
 
-        def recording(block, k, sparse_solver):
+        def recording(block, k, floor):
             blocks.append(block)
-            return original(block, k, sparse_solver)
+            return original(block, k, floor)
 
         factored = []
         splu = matter_module.splu
@@ -585,7 +585,7 @@ class TestLowestEigenpairs:
         assert len(factored) == 2
         for block in blocks:
             vals, vecs = matter_module.shift_invert_lowest(block, 2)
-            ref_vals, ref_vecs = matter_module.lanczos_lowest(block, 2)
+            ref_vals, ref_vecs = scipy.linalg.eigh(block.toarray(), subset_by_index=(0, 1))
             assert np.max(np.abs(vals - ref_vals)) <= 1e-12 * np.max(np.abs(ref_vals))
             overlaps = np.abs(np.sum(vecs.conj() * ref_vecs, axis=0))
             assert np.max(np.abs(overlaps - 1.0)) <= 1e-10
@@ -606,39 +606,30 @@ class TestLowestEigenpairs:
                                                "ARPACK error -1: No convergence$"):
             lowest_eigenpairs(system, k=2)
 
-    def test_two_slot_blocks_run_lanczos(self, monkeypatch):
-        # a 3-axis dipole couples both polarisations, and its Kronecker
-        # structure fills in a sparse factorisation
+    @pytest.mark.parametrize("cutoff, block_dim", [(7, 392), (13, 1352)])
+    def test_two_slot_blocks_factor_near_floor(self, monkeypatch, cutoff, block_dim):
+        # a 3-axis dipole couples both polarisations: eight parity blocks,
+        # each past DENSE_LIMIT, each factored once just below the floor
         model = build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
-        system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 13)
-        assert len(system.slots) == 2
-        solved = []
+        system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], cutoff)
+        assert len(system.slots) == 2 and np.isfinite(system.floor)
+        blocks = []
+        original = oracle_module._block_lowest
 
-        def recording(block, k):
-            solved.append(block.shape[0])
-            return matter_module.lanczos_lowest(block, k)
+        def recording(block, k, floor):
+            blocks.append(block)
+            assert floor == system.floor
+            return original(block, k, floor)
 
-        monkeypatch.setattr(oracle_module, "lanczos_lowest", recording)
-        monkeypatch.setattr(matter_module, "splu", None)
+        monkeypatch.setattr(oracle_module, "_block_lowest", recording)
+        solves = _counting_splu(monkeypatch)
         vals, vecs = lowest_eigenpairs(system, k=2)
-        assert solved and min(solved) > oracle_module.LANCZOS_DENSE_LIMIT
+        assert {b.shape[0] for b in blocks} == {block_dim} and len(blocks) == 8
+        assert block_dim > DENSE_LIMIT and solves
+        ref = np.sort(np.concatenate([np.linalg.eigvalsh(b.toarray())[:2] for b in blocks]))[:2]
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
         residual = system.h @ vecs - vecs * vals
         assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8 * np.max(np.abs(vals))
-
-    def test_two_slot_blocks_stay_dense_to_lanczos_limit(self, monkeypatch):
-        # eight blocks of 392 states: past DENSE_LIMIT, but plain Lanczos
-        # would solve them, so dense eigh does
-        model = build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
-        system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 7)
-        assert len(system.slots) == 2
-        seen = _record_blocks(monkeypatch)
-        monkeypatch.setattr(oracle_module, "lanczos_lowest", None)
-        vals, _ = lowest_eigenpairs(system, k=2)
-        assert {dim for _, dim in seen} == {392} and len(seen) == 8
-        assert DENSE_LIMIT < 392 <= oracle_module.LANCZOS_DENSE_LIMIT
-        v0 = np.random.default_rng(0).standard_normal(system.dim)
-        ref = np.sort(scipy.sparse.linalg.eigsh(system.h, k=2, which="SA", v0=v0)[0])
-        assert np.max(np.abs(vals - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_doublet_ground_vector_is_parity_eigenstate(self):
         n = 20
@@ -759,16 +750,16 @@ class TestFloorShift:
         blocks = []
         original = oracle_module._block_lowest
 
-        def recording(block, k, sparse_solver):
+        def recording(block, k, floor):
             blocks.append(block)
-            return original(block, k, sparse_solver)
+            return original(block, k, floor)
 
         monkeypatch.setattr(oracle_module, "_block_lowest", recording)
         solves = _counting_splu(monkeypatch)
         vals, _ = lowest_eigenpairs(system, k=2)
         assert len(blocks) == 2 and min(b.shape[0] for b in blocks) > DENSE_LIMIT
         assert len(solves) <= 100
-        # dense eigenvalues: plain Lanczos itself is up to 3.7e-12 off on these blocks
+        # dense eigenvalues
         ref = np.sort(np.concatenate([
             scipy.linalg.eigh(b.toarray(), subset_by_index=(0, 1), eigvals_only=True)
             for b in blocks]))[:2]
@@ -780,7 +771,7 @@ class TestFloorShift:
         system = full_hamiltonian(dicke(40, 0.34), make_gauge("coulomb"), [lwl_mode(1.0, 1.0)], 60)
         blocks = []
         monkeypatch.setattr(oracle_module, "_block_lowest",
-                            lambda block, k, sparse_solver: blocks.append(block) or
+                            lambda block, k, floor: blocks.append(block) or
                             (np.zeros(k), np.eye(block.shape[0], k)))
         lowest_eigenpairs(system, k=2)
         monkeypatch.undo()

@@ -2,8 +2,8 @@
 
 The dense backend is the full eigendecomposition (`matter_spectrum`), the
 sector one dense diagonalisation sector by sector (`sector_resolvent`),
-and the sparse one Lanczos for the ground state plus conjugate-gradient
-solves (`sparse_resolvent`).  Each comparison of the dense and sparse
+and the sparse one the solver of `matter.shift_invert_lowest`
+(`sparse_resolvent`).  Each comparison of the dense and sparse
 backends builds them directly, so it does not depend on where
 DENSE_MAX_DIM puts the switch; the sector tests check the rule as well.
 """
@@ -15,15 +15,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, cg
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from gaugecavity import cli, matter, operators, oracle
 from gaugecavity.bogoliubov import diagonalize_block
 from gaugecavity.criterion import coulomb_specialized, evaluate, stiffness_energy
 from gaugecavity.errors import ArgumentError, DegenerateGroundStateError, NumericError
 from gaugecavity.gauge import (coupling_f, coupling_rows, diamagnetic_D,
-                               dressed_matter_hamiltonian, lwl_mode, make_gauge, mode_from_q)
-from gaugecavity.matter import (CG_RTOL, DENSE_MAX_DIM, MatterSpectrum, SectorResolvent,
+                               dressed_matter_hamiltonian, lwl_mode, make_gauge, mode_from_q,
+                               ring_mode)
+from gaugecavity.matter import (DENSE_MAX_DIM, MatterSpectrum, SectorResolvent,
                                 SparseResolvent, build_anharmonic_dipole, build_ring_lattice,
                                 build_two_level_ensemble, ground_resolvent, matter_spectrum,
                                 ring_quasi_momentum, sector_resolvent, sparse_resolvent, trk_sum)
@@ -68,7 +69,7 @@ class TestBackendsAgree:
         _assert_backends_agree(ENSEMBLE, GAUGES[gauge_name], MODES["q_z"])
 
     def test_ensemble_verdicts(self):
-        # the bare Dicke ground energy is exactly 0, which Lanczos must not miss
+        # the bare Dicke ground energy is exactly 0, which the solver must not miss
         ground = sparse_resolvent(ENSEMBLE)
         assert abs(ground.ground_energy()) <= 1e-12
         assert evaluate(ENSEMBLE, GAUGES["dipole"], MODES["q_z"], spectrum=ground)[0].condensed
@@ -136,15 +137,27 @@ class TestStaticResponsesOnBothBackends:
     def test_ring_translational_invariance(self):
         ring = build_ring_lattice(DENSE_MAX_DIM + 50, 1.0, 1.0)
         dense, sparse = matter_spectrum(ring), sparse_resolvent(ring)
-        # the ring's gap is 6.3e-4 of a bandwidth of 4, so conjugate
-        # gradients at relative residual CG_RTOL bound the error only by
-        # the condition number times CG_RTOL, not by 1e-12
-        cond = (dense.energies[-1] - dense.energies[0]) / dense.ground_gap
+        # the ring's gap is 6.3e-4 of a bandwidth of 4, and the bordered
+        # direct solve still holds the response within 1e-11
         q1, q2 = ring_quasi_momentum(ring, 1), ring_quasi_momentum(ring, 2)
         same = check_translational_invariance(dense, q1, q1)
-        assert abs(check_translational_invariance(sparse, q1, q1) - same) <= cond * CG_RTOL * same
+        assert abs(check_translational_invariance(sparse, q1, q1) - same) <= 1e-11 * same
         for ground in (dense, sparse):
-            assert check_translational_invariance(ground, q1, q2) <= cond * CG_RTOL * same
+            assert check_translational_invariance(ground, q1, q2) <= 1e-11 * same
+
+    @pytest.mark.parametrize("preset", ["coulomb", "multipolar_ring"])
+    def test_ring_criterion_matches_dense(self, preset):
+        # both ring gauges at the first quasi-momentum on one 250-site sector
+        ring = build_ring_lattice(DENSE_MAX_DIM + 50, 1.0, 1.0)
+        gauge, mode = make_gauge(preset), ring_mode(ring, 1)
+        h = dressed_matter_hamiltonian(ring, gauge, [mode])
+        assert isinstance(ground_resolvent(ring, h), SparseResolvent)
+        dense = evaluate(ring, gauge, mode, spectrum=matter_spectrum(ring, h))
+        sparse = evaluate(ring, gauge, mode, spectrum=sparse_resolvent(ring, h))
+        # the ring moves along one axis, so one branch does not couple
+        scale = max(abs(d.lhs) for d in dense)
+        for d, s in zip(dense, sparse, strict=True):
+            assert abs(d.lhs - s.lhs) <= 1e-11 * scale, (d.tau, d.lhs, s.lhs)
 
 
 def _gram_columns(model, case):
@@ -167,21 +180,50 @@ def _gram_columns(model, case):
 @pytest.mark.parametrize("case", ["duplicate", "conjugate_duplicate", "zero_columns",
                                   "all_zero", "full_rank"])
 def test_sparse_gram_solves_once_per_independent_column(monkeypatch, case):
-    # the all-zero block is the ensemble at dipole_scale 0
+    # the all-zero block is the ensemble at dipole_scale 0; whatever the
+    # rank, the resolvent factors its bordered matrix once, next to the
+    # shift-invert factorisation of its ground state
     model = THREE_AXIS if case != "all_zero" else \
         build_two_level_ensemble(DENSE_MAX_DIM + 100, 1.0, (0.0, 0.0, 0.0), 1.0)
     assert model.dim > DENSE_MAX_DIM
     cols, rank = _gram_columns(model, case)
     cols = np.stack(cols, axis=1)
     dense = matter_spectrum(model).gram(cols)
-    solves = []
-    monkeypatch.setattr(matter, "cg", lambda *a, **kw: solves.append(1) or cg(*a, **kw))
-    sparse = sparse_resolvent(model).gram(cols)
-    assert len(solves) == rank
+    factored = []
+    splu = matter.splu
+    monkeypatch.setattr(matter, "splu", lambda *a, **kw: factored.append(a[0].shape) or
+                        splu(*a, **kw))
+    ground = sparse_resolvent(model)
+    sparse = ground.gram(cols)
+    assert factored == [(model.dim, model.dim), (model.dim + 1, model.dim + 1)]
+    g = ground.ground_state_vector()
+    projected = cols - np.outer(g, g.conj() @ cols)
+    assert np.linalg.matrix_rank(projected, tol=1e-12 * max(1.0, np.max(np.abs(cols)))) == rank
     if rank == 0:
         assert not sparse.any() and np.max(np.abs(dense)) <= 1e-12
     else:
         _assert_agree(dense, sparse)
+
+
+def test_complex_hamiltonian_on_sparse_backend():
+    # a complex Hermitian band of 250 states, one connected sector
+    dim, rng = DENSE_MAX_DIM + 50, np.random.default_rng(17)
+    offsets = (1, 2, 3)
+    bands = [rng.standard_normal(dim - o) + 1j * rng.standard_normal(dim - o) for o in offsets]
+    h = scipy.sparse.diags([4.0 * rng.random(dim), *bands, *(b.conj() for b in bands)],
+                           [0, *offsets, *(-o for o in offsets)], format="csr")
+    model = build_two_level_ensemble(dim - 1, 1.0, (0.0, 0.1, 0.0), 1.0)
+    model = dataclasses.replace(model, h_m=Operator(h, hermitian=True))
+    ground, dense = ground_resolvent(model), matter_spectrum(model)
+    assert type(ground) is SparseResolvent
+    assert ground.ground_state_vector().imag.any()
+    assert abs(ground.ground_energy() - dense.ground_energy()) <= \
+        1e-12 * abs(dense.ground_energy())
+    assert abs(ground.ground_gap - dense.ground_gap) <= 1e-12 * dense.ground_gap
+    overlap = abs(np.vdot(dense.ground_state_vector(), ground.ground_state_vector()))
+    assert abs(overlap - 1.0) <= 1e-12
+    cols = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+    _assert_agree(dense.gram(cols), ground.gram(cols))
 
 
 @pytest.mark.parametrize("gauge_name", sorted(GAUGES))
@@ -215,11 +257,14 @@ def _degenerate_ensemble():
 
 
 class TestSparseFailures:
-    def test_cg_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(matter, "cg", lambda op, b, **kw: (np.zeros_like(b), 17))
+    def test_singular_bordered_matrix_raises(self):
+        # a zero ground vector leaves the border's row and column empty, so
+        # the bordered matrix is exactly singular
         ground = sparse_resolvent(THREE_AXIS)
-        with pytest.raises(NumericError, match="conjugate gradients"):
-            evaluate(THREE_AXIS, GAUGES["coulomb"], MODES["q_z"], spectrum=ground)
+        with pytest.raises(NumericError, match="^the bordered resolvent matrix could not be "
+                                               "factored: Factor is exactly singular$"):
+            SparseResolvent(model=THREE_AXIS, h_m_used=THREE_AXIS.h_m, lowest=ground.lowest,
+                            vector=np.zeros(THREE_AXIS.dim, dtype=complex))
 
     def test_lanczos_failure_raises_and_cli_exits_one(self, monkeypatch, tmp_path, capsys):
         def no_convergence(*args, **kwargs):
@@ -227,22 +272,23 @@ class TestSparseFailures:
                                       np.zeros((0, 0)))
 
         monkeypatch.setattr(matter, "eigsh", no_convergence)
-        with pytest.raises(NumericError, match="Lanczos"):
+        with pytest.raises(NumericError, match="^shift-invert Lanczos failed to converge"):
             sparse_resolvent(THREE_AXIS)
         path = tmp_path / "cfg.json"
         # 11 levels per axis make parity sectors of up to 6 ** 3 = 216 states,
-        # more than DENSE_MAX_DIM, so the sweep runs Lanczos
+        # more than DENSE_MAX_DIM, so the sweep runs the sparse solver
         path.write_text(json.dumps({
             "model": {"kind": "anharmonic_dipole", "levels": 11, "mass": 1.0, "frequency": 1.0,
                       "quartic": 0.1, "charge": 0.5, "volume": 1.0, "axes": 3},
             "gauge": {"preset": "coulomb"}, "modes": [{"nu": 1.0}],
             "sweep": {"parameter": "charge", "values": [0.5]}}))
         assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "runtime error: Lanczos ground state failed to converge" in capsys.readouterr().err
+        assert "runtime error: shift-invert Lanczos failed to converge" in \
+            capsys.readouterr().err
 
     def test_lanczos_finds_exact_zero_ground_energies(self):
         # unshifted, ARPACK returns 1 and 2 for diag(0, 1, ..., 300)
-        vals, _ = matter.lanczos_lowest(scipy.sparse.diags(np.arange(301.0), format="csr"), 2)
+        vals, _ = matter.shift_invert_lowest(scipy.sparse.diags(np.arange(301.0), format="csr"), 2)
         assert np.max(np.abs(vals - [0.0, 1.0])) <= 1e-12
         # every row of a path Laplacian sums to 0, so the uniform vector is its
         # ground state; from that start, unshifted, ARPACK stops with error -9
@@ -251,7 +297,7 @@ class TestSparseFailures:
         main[[0, -1]] = 1.0
         lap = scipy.sparse.diags([-np.ones(dim - 1), main, -np.ones(dim - 1)], [-1, 0, 1],
                                  format="csr")
-        vals, vecs = matter.lanczos_lowest(lap, 2)
+        vals, vecs = matter.shift_invert_lowest(lap, 2)
         assert np.max(np.abs(vals - (2.0 - 2.0 * np.cos(np.pi * np.arange(2) / dim)))) <= 1e-12
         assert np.allclose(np.abs(vecs[:, 0]), 1.0 / np.sqrt(dim), atol=1e-10)
 
@@ -274,7 +320,7 @@ class TestSparseFailures:
                 evaluate(model, GAUGES["dipole"], MODES["q_z"], spectrum=backend(model))
 
     def test_degenerate_ground_refused_at_construction(self):
-        # the k = 2 Lanczos gap of a doubly degenerate ground is at rounding level
+        # the k = 2 shift-invert gap of a doubly degenerate ground is at rounding level
         with pytest.raises(DegenerateGroundStateError, match="ground state is degenerate"):
             sparse_resolvent(_degenerate_ensemble())
 
@@ -306,22 +352,22 @@ def _sweep_config(levels):
 
 
 def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):
-    # 3 points x (dipole: 1 Lanczos + 2 electric solves, coulomb: 2 magnetic
-    # solves; f is Hermitian, so f|0> and f^dag|0> share a solve), one
-    # Lanczos for the Coulomb gauge's h_m, which the charge leaves
-    # unchanged, plus the invariant check's TRK solve on that resolvent;
-    # 11 levels per axis make a parity sector of 216 states, so the
-    # sector backend does not apply
-    counts = {"eigh": 0, "eigsh": 0, "cg": 0}
+    # one shift-invert run per distinct Hamiltonian: 3 points of the dipole
+    # gauge, and the Coulomb gauge's h_m, which the charge leaves
+    # unchanged; each factors H - sigma I for the eigensolver and its
+    # bordered matrix for every Gram solve, the invariant check's TRK solve
+    # on the first resolvent included; 11 levels per axis make a parity
+    # sector of 216 states, so the sector backend does not apply
+    counts = {"eigh": 0, "eigsh": 0, "splu": 0}
 
     for mod in (operators, matter):
         monkeypatch.setattr(mod, "eigh", _counting(counts, "eigh", operators.eigh))
-    monkeypatch.setattr(matter, "eigsh", _counting(counts, "eigsh", matter.eigsh))
-    monkeypatch.setattr(matter, "cg", _counting(counts, "cg", matter.cg))
+    for name in ("eigsh", "splu"):
+        monkeypatch.setattr(matter, name, _counting(counts, name, getattr(matter, name)))
     # the largest parity sector holds 6 ** 3 states
     assert 11 ** 3 > DENSE_MAX_DIM and 6 ** 3 > DENSE_MAX_DIM
     cli.run_sweep(_sweep_config(11), str(tmp_path / "out"))
-    assert counts == {"eigh": 0, "eigsh": 3 + 1, "cg": 3 * (2 + 2) + 1}
+    assert counts == {"eigh": 0, "eigsh": 3 + 1, "splu": 2 * (3 + 1)}
 
 
 def test_large_model_memory():
@@ -489,13 +535,13 @@ class TestSectorBackend:
 def test_sweep_on_sector_backend_counts(monkeypatch, tmp_path):
     # 7 levels per axis make parity sectors of at most 64 states: each of the
     # 3 dipole-gauge Hamiltonians and the Coulomb gauge's h_m is split once,
-    # and nothing runs Lanczos, conjugate gradients or a full eigh
-    counts = {"eigh": 0, "eigsh": 0, "cg": 0, "sector_resolvent": 0}
+    # and nothing runs the sparse eigensolver, a sparse LU or a full eigh
+    counts = {"eigh": 0, "eigsh": 0, "splu": 0, "sector_resolvent": 0}
 
     for mod in (operators, matter):
         monkeypatch.setattr(mod, "eigh", _counting(counts, "eigh", operators.eigh))
-    for name in ("eigsh", "cg", "sector_resolvent"):
+    for name in ("eigsh", "splu", "sector_resolvent"):
         monkeypatch.setattr(matter, name, _counting(counts, name, getattr(matter, name)))
     assert 4 ** 3 <= DENSE_MAX_DIM < 7 ** 3
     cli.run_sweep(_sweep_config(7), str(tmp_path / "out"))
-    assert counts == {"eigh": 0, "eigsh": 0, "cg": 0, "sector_resolvent": 3 + 1}
+    assert counts == {"eigh": 0, "eigsh": 0, "splu": 0, "sector_resolvent": 3 + 1}
