@@ -26,10 +26,11 @@ worker threads, and a worker spins for a while after each call.  On a
 machine with few cores the pools then fight each other, the main thread
 and the oracle workers, so `run_sweep` sets both pools to one thread while
 it runs and restores the earlier counts when it returns; `main` does the
-same around everything it runs.  One thread also makes the one large
-dense solve, `scipy.linalg.eigh` on oracle blocks of up to
-`oracle.DENSE_LIMIT` (300) states, independent of `OPENBLAS_NUM_THREADS`;
-larger blocks go to the sparse solver of `matter.shift_invert_lowest`.
+same around everything it runs.  One thread also makes the largest
+dense solves, the stacked `np.linalg.eigvalsh` and `np.linalg.eigh` of
+`matter.lowest_by_sector` on oracle blocks of up to `oracle.DENSE_LIMIT`
+(300) states, independent of `OPENBLAS_NUM_THREADS`; larger blocks go to
+the sparse solver of `matter.shift_invert_lowest`.
 Where a library is not found its pin is skipped.  summary.json records
 both counts as `blas_threads`.
 

@@ -10,20 +10,20 @@ applied elsewhere; models only expose the raw material objects.
 The ground state of a (possibly gauge-dressed) matter Hamiltonian and
 its reduced resolvent come from one of three backends, which
 `ground_resolvent` picks.  Up to DENSE_MAX_DIM states it is the full
-eigendecomposition `MatterSpectrum`.  Above it, a Hamiltonian whose
-sectors (the connected components of its nonzero entries, such as the
-per-axis parity sectors of the 3-axis dipole or the single states of the
-diagonal Dicke h_m) each hold at most DENSE_MAX_DIM states goes to
-`SectorResolvent`: dense eigenvalues of every sector, the ground sector's
-eigenvectors, and one dense solve per touched sector in the Gram matrix.
-A Hamiltonian with a larger sector, such as a ring, goes to
-`SparseResolvent`, on the one sparse solver of the package (the rule is
-stated at `shift_invert_lowest`): its two lowest eigenpairs, and one
-sparse LU of the bordered matrix [[H - E_0, |0>], [<0|, 0]], whose solves
-give the resolvent on Q space: the Sternheimer route of
-density-functional perturbation theory, with no full spectrum.  All
-three are deterministic for a fixed Hamiltonian, and all refuse a ground
-gap of at most DEGENERACY_ATOL when built.
+eigendecomposition `MatterSpectrum`.  Above it, `lowest_by_sector` finds
+the two lowest eigenpairs sector by sector, the sectors being the
+connected components of the nonzero entries (such as the per-axis parity
+sectors of the 3-axis dipole or the single states of the diagonal Dicke
+h_m): dense up to DENSE_MAX_DIM states per sector, and above by the one
+sparse solver of the package, `shift_invert_lowest`.  The same routine
+solves the blocks of the oracle Hamiltonian.  When every sector is dense
+the resolvent is `SectorResolvent`, one dense solve per touched sector in
+the Gram matrix.  When one is larger, such as a ring, it is
+`SparseResolvent`, one sparse LU of the bordered matrix
+[[H - E_0, |0>], [<0|, 0]], whose solves give the resolvent on Q space:
+the Sternheimer route of density-functional perturbation theory, with no
+full spectrum.  All three are deterministic for a fixed Hamiltonian, and
+all refuse a ground gap of at most DEGENERACY_ATOL when built.
 
 Conventions (natural units):
   * electrons have charge -e with e > 0,
@@ -60,10 +60,14 @@ MAX_RING_SITES = 4000
 MAX_ANHARMONIC_DIM = 20000  # levels ** 3 for the 3-axis dipole
 DEGENERACY_ATOL = 1e-10  # energies closer than this count as degenerate
 LANCZOS_SEED = 2207  # seeds the real Gaussian Lanczos start vector
-# the sector backend cuts at most this many block entries at once: one
+# `lowest_by_sector` cuts at most this many block entries at once: one
 # stack of all eight 125-state sectors of the 3-axis dipole at d = 1000
 # (1 MB) left the sweep's peak RSS about 1 MB above cutting them one by one
 SECTOR_CHUNK = 1 << 14
+# a sector whose imaginary parts after the phase change of
+# `lowest_by_sector` stay below this fraction of max|h| is solved as a
+# real symmetric matrix
+REAL_GAUGE_RTOL = 1e-13
 # `shift_invert_lowest` factors this far below a certified floor of the
 # spectrum, relative to max(1, |floor|): a margin of 1.0 left the README
 # oracle blocks at 38 solves, the Gershgorin shift's count, and 1e-1 to
@@ -247,11 +251,36 @@ def matter_spectrum(model: MatterModel, h_m: Operator | None = None) -> MatterSp
 
 
 @dataclass(frozen=True)
-class SparseResolvent:
+class _SectorGround:
+    """The ground state `lowest_by_sector` finds: ``lowest`` holds the two
+    lowest eigenvalues over all sectors, so the unique-ground check of
+    construction is exact across sectors, and ``vector`` the ground
+    vector."""
+
+    model: MatterModel
+    h_m_used: Operator
+    lowest: np.ndarray
+    vector: np.ndarray
+
+    def __post_init__(self):
+        check_unique_ground(self)
+
+    @property
+    def ground_gap(self) -> float:
+        return float(self.lowest[1] - self.lowest[0])
+
+    def ground_energy(self) -> float:
+        return float(self.lowest[0])
+
+    def ground_state_vector(self) -> np.ndarray:
+        return self.vector
+
+
+@dataclass(frozen=True)
+class SparseResolvent(_SectorGround):
     """Ground state of a large sparse Hamiltonian and its reduced resolvent.
 
-    ``lowest`` holds the two lowest eigenvalues from `shift_invert_lowest`,
-    and construction refuses a ground gap of at most DEGENERACY_ATOL, then
+    Construction refuses a ground gap of at most DEGENERACY_ATOL, then
     factors the bordered matrix [[H - E_0, g], [g^dag, 0]] of the ground
     vector g once (`_factor_bordered`), which a unique ground state makes
     nonsingular, unless ``bordered`` already holds its solve: so
@@ -263,27 +292,13 @@ class SparseResolvent:
     factors at once.
     """
 
-    model: MatterModel
-    h_m_used: Operator
-    lowest: np.ndarray
-    vector: np.ndarray
     bordered: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        check_unique_ground(self)
+        super().__post_init__()
         if self.bordered is None:
             object.__setattr__(self, "bordered",
                                _factor_bordered(self.h_m_used, self.lowest[0], self.vector))
-
-    @property
-    def ground_gap(self) -> float:
-        return float(self.lowest[1] - self.lowest[0])
-
-    def ground_energy(self) -> float:
-        return float(self.lowest[0])
-
-    def ground_state_vector(self) -> np.ndarray:
-        return self.vector
 
     def gram(self, cols: np.ndarray) -> np.ndarray:
         """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``, from one
@@ -325,39 +340,16 @@ def _factor_bordered(h: Operator, e0: float, g: np.ndarray) -> Callable:
 
 
 @dataclass(frozen=True)
-class SectorResolvent:
+class SectorResolvent(_SectorGround):
     """Ground state and reduced resolvent of a Hamiltonian that splits into
     sectors of at most DENSE_MAX_DIM states each.
 
-    ``sectors`` holds, per sector size s, the states of the n sectors of
-    that size as an (n, s) index array, and ``place`` each state's index
-    within its sector; a sector's block is cut from ``h_m_used`` when it
-    is needed, so only O(d) numbers are kept.  ``ground`` locates the
-    ground sector as (size index, sector index).  ``lowest`` holds the two
-    lowest eigenvalues over all sectors, so the unique-ground check of
-    construction is exact across sectors.
+    ``sector_of`` numbers each state's sector, as `lowest_by_sector` does;
+    a sector's block is cut from ``h_m_used`` when it is needed, so only
+    O(d) numbers are kept.
     """
 
-    model: MatterModel
-    h_m_used: Operator
-    sectors: tuple
-    place: np.ndarray
-    ground: tuple[int, int]
-    lowest: np.ndarray
-    vector: np.ndarray
-
-    def __post_init__(self):
-        check_unique_ground(self)
-
-    @property
-    def ground_gap(self) -> float:
-        return float(self.lowest[1] - self.lowest[0])
-
-    def ground_energy(self) -> float:
-        return float(self.lowest[0])
-
-    def ground_state_vector(self) -> np.ndarray:
-        return self.vector
+    sector_of: np.ndarray
 
     def gram(self, cols: np.ndarray) -> np.ndarray:
         """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``, summed
@@ -368,19 +360,24 @@ class SectorResolvent:
         definite."""
         mat, cols = scipy.sparse.csr_matrix(self.h_m_used.matrix), np.asarray(cols, dtype=complex)
         dtype, e0, k = _block_dtype(mat), self.lowest[0], cols.shape[1]
-        (i0, k0), m = self.ground, np.zeros((k, k), dtype=complex)
-        for i, states in enumerate(self.sectors):
+        # the ground vector is zero outside its sector
+        ground = self.sector_of[np.argmax(np.abs(self.vector))]
+        sizes, order, first, place = _partition(self.sector_of)
+        m = np.zeros((k, k), dtype=complex)
+        for ids, states in _stacks(sizes, order, first, sizes):
             c = cols[states]  # (n, s, k), a copy
-            if i == i0:
+            has_ground = ground in ids
+            if has_ground:
+                k0 = int(np.searchsorted(ids, ground))
                 g = self.vector[states[k0]]
                 c[k0] -= np.outer(g, g.conj() @ c[k0])
             touched = c.any(axis=(1, 2))
             if not touched.any():
                 continue
-            shifted = _sector_blocks(mat, states[touched], self.place, dtype)
+            shifted = _sector_blocks(mat, states[touched], place, dtype)
             diag = np.arange(states.shape[1])
             shifted[:, diag, diag] -= e0
-            if i == i0 and touched[k0]:
+            if has_ground and touched[k0]:
                 g = g if dtype is complex else g.real  # real up to the fixed sign
                 shifted[np.count_nonzero(touched[:k0])] += np.outer(g, g.conj())
             c = c[touched]
@@ -405,6 +402,41 @@ def _solve(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return x[..., :k] + 1j * x[..., k:]
 
 
+def _partition(sector_of: np.ndarray):
+    """(sizes, order, first, place) of the sectors numbered by ``sector_of``:
+    each sector's size, the states sector by sector and ascending within
+    one, where each sector starts in ``order``, and each state's index
+    within its sector."""
+    sizes = np.bincount(sector_of)
+    order = np.argsort(sector_of, kind="stable")
+    first = np.cumsum(sizes) - sizes
+    place = np.empty(len(order), dtype=np.intp)
+    place[order] = np.arange(len(order)) - np.repeat(first, sizes)
+    return sizes, order, first, place
+
+
+def _stacks(sizes, order, first, key):
+    """(ids, states) for each value of the per-sector ``key``, ascending,
+    which fixes the sector size: the sectors with that key, and their
+    states as an (n, size) array."""
+    for value in np.unique(key):
+        ids = np.flatnonzero(key == value)
+        yield ids, order[first[ids][:, None] + np.arange(sizes[ids[0]])]
+
+
+def _sector_entries(mat, states: np.ndarray, place: np.ndarray):
+    """(row, col, data) of the nonzero entries of the CSR matrix ``mat`` in
+    the rows ``states``, row by row: row counts ``states`` in flat order,
+    and col is the ``place`` of the entry's column."""
+    flat = states.ravel()
+    start = mat.indptr[flat]
+    counts = mat.indptr[flat + 1] - start
+    at = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    row = np.repeat(np.arange(len(flat)), counts)
+    keep = mat.data[at] != 0
+    return row[keep], place[mat.indices[at[keep]]], mat.data[at[keep]]
+
+
 def _sector_blocks(mat, states: np.ndarray, place: np.ndarray, dtype) -> np.ndarray:
     """The blocks of the CSR matrix ``mat`` on the sectors whose states are
     the rows of ``states`` (t, s), as a (t, s, s) stack of ``dtype``,
@@ -413,17 +445,12 @@ def _sector_blocks(mat, states: np.ndarray, place: np.ndarray, dtype) -> np.ndar
     Every nonzero entry of a sector's rows lies in that sector, at column
     ``place`` of its state."""
     t, s = states.shape
-    start = mat.indptr[states.ravel()]
-    counts = mat.indptr[states.ravel() + 1] - start
-    at = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
-    row = np.repeat(np.arange(t * s), counts)
-    data = mat.data[at]
-    keep = data != 0
+    row, col, data = _sector_entries(mat, states, place)
     block = np.zeros((t, s, s), dtype=dtype)
-    half = 0.5 * (data[keep] if np.iscomplexobj(block) else data[keep].real)
-    k, r, c = row[keep] // s, row[keep] % s, place[mat.indices[at[keep]]]
-    block[k, r, c] = half
-    block[k, c, r] += half.conj()
+    half = 0.5 * (data if np.iscomplexobj(block) else data.real)
+    k, r = np.divmod(row, s)
+    block[k, r, col] = half
+    block[k, col, r] += half.conj()
     return block
 
 
@@ -467,58 +494,6 @@ def _spanning_forest(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: 
         root, z = up[root], z * link[root]
 
 
-def sector_resolvent(model: MatterModel, h_m: Operator | None = None
-                     ) -> SectorResolvent | None:
-    """The (possibly gauge-dressed) matter Hamiltonian diagonalised sector
-    by sector, or None when one of its sectors exceeds DENSE_MAX_DIM states.
-
-    The sectors are the connected components of the nonzero entries.  The
-    blocks of all the sectors of one size are cut from the CSR matrix, in
-    real arithmetic where the Hamiltonian is real, and their eigenvalues
-    come from one stacked `np.linalg.eigvalsh` per chunk; only the ground
-    sector is diagonalised with its eigenvectors, and the ground vector
-    carries the phase convention of `operators.eigh`.
-    """
-    h = model.h_m if h_m is None else h_m
-    mat = scipy.sparse.csr_matrix(h.matrix)
-    dim = mat.shape[0]
-    dtype = _block_dtype(mat)
-    keep = mat.data != 0
-    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))[keep]
-    cols = mat.indices[keep]
-    # the sectors need no phases, so every entry weighs 1, and no copy is made
-    sector_of = np.unique(_spanning_forest(rows, cols, np.broadcast_to(1.0, rows.shape), dim)[0],
-                          return_inverse=True)[1]
-    sizes = np.bincount(sector_of)
-    # an entry that joins two sectors is one of a pattern that is not symmetric
-    if sizes.max() > DENSE_MAX_DIM or np.any(sector_of[rows] != sector_of[cols]):
-        return None
-    order = np.argsort(sector_of, kind="stable")  # the states, sector by sector
-    first = np.cumsum(sizes) - sizes
-    place = np.empty(dim, dtype=np.intp)
-    place[order] = np.arange(dim) - np.repeat(first, sizes)
-    sectors, values = [], []
-    for size in np.unique(sizes):
-        states = order[first[sizes == size][:, None] + np.arange(size)]
-        sectors.append(states)
-        # one stacked call per chunk of at most SECTOR_CHUNK block entries
-        per = max(1, SECTOR_CHUNK // size ** 2)
-        values.append(np.concatenate([
-            np.linalg.eigvalsh(_sector_blocks(mat, states[j:j + per], place, dtype))
-            for j in range(0, len(states), per)]))
-    # the ground is the lowest level of sector k of size index i
-    i = int(np.argmin([e[:, 0].min() for e in values]))
-    k = int(np.argmin(values[i][:, 0]))
-    states = sectors[i][k]
-    values[i][k], vectors = np.linalg.eigh(_sector_blocks(mat, states[None], place, dtype)[0])
-    g = np.zeros(dim, dtype=complex)
-    g[states] = vectors[:, 0]
-    return SectorResolvent(model=model, h_m_used=h, sectors=tuple(sectors), place=place,
-                           ground=(i, k),
-                           lowest=np.partition(np.concatenate([e.ravel() for e in values]), 1)[:2],
-                           vector=_fix_phases(None, g[:, None])[:, 0])
-
-
 def _gershgorin_floor(mat) -> float:
     """A Gershgorin lower bound on the spectrum of ``mat``, minus 1."""
     diag = mat.diagonal().real
@@ -555,11 +530,11 @@ def shift_invert_lowest(mat, k: int, floor: float = -np.inf) -> tuple[np.ndarray
     shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1251, 1980).
 
     This is the package's one sparse eigensolver, and `splu` its one
-    sparse linear solver.  Every lowest-eigenpair problem too large for a
-    dense one comes here: an oracle block above `oracle.DENSE_LIMIT`
-    states, with ``floor`` the oracle's certified `FullSystem.floor`, and
-    a matter Hamiltonian with a sector above DENSE_MAX_DIM states
-    (`sparse_resolvent`), with no floor.  The reduced resolvent of that
+    sparse linear solver.  Every sector too large for a dense solve comes
+    here, from `lowest_by_sector`: an oracle block above
+    `oracle.DENSE_LIMIT` states, with ``floor`` the oracle's certified
+    `FullSystem.floor`, and a sector of a matter Hamiltonian above
+    DENSE_MAX_DIM states, with no floor.  The reduced resolvent of that
     ground state is one more `splu`, of a bordered matrix
     (`SparseResolvent`).
 
@@ -594,30 +569,107 @@ def shift_invert_lowest(mat, k: int, floor: float = -np.inf) -> tuple[np.ndarray
     return vals[order], vecs[:, order]
 
 
-def sparse_resolvent(model: MatterModel, h_m: Operator | None = None) -> SparseResolvent:
-    """Shift-invert ground state of the (possibly gauge-dressed) matter
-    Hamiltonian, with its bordered factorisation (`SparseResolvent`).
+def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of a Hermitian matrix, ascending, solved
+    sector by sector, and each state's sector.
 
-    A real Hamiltonian runs in real arithmetic.
+    One pass over the nonzero entries (`_spanning_forest`) numbers the
+    sectors, the connected components of the nonzero entries, by their
+    lowest states.  For a complex matrix it also finds diagonal phases z
+    that make conj(z) h z real on the forest's edges; a sector left real
+    up to REAL_GAUGE_RTOL is solved in real arithmetic, and one with a net
+    phase around some loop, which no diagonal phase change removes, stays
+    complex.  A real matrix is solved as it is.  An entry whose mirror is
+    not stored joins two sectors in one direction only, and then the whole
+    matrix is one sector.
+
+    A one-state sector gives its eigenpair off the diagonal.  The sectors
+    of up to ``dense_limit`` states are cut by size into stacks
+    (`_sector_blocks`), whose eigenvalues come from stacked
+    `np.linalg.eigvalsh`; `np.linalg.eigh` then solves the sectors that
+    hold one of the k lowest.  A larger sector is cut to CSR and goes to
+    `shift_invert_lowest` from ``floor``.  Equal eigenvalues go to the
+    lower sector.  Eigenvectors are mapped back through z, embedded in the
+    full space and phase-fixed as `operators.eigh` does, so each one lies
+    in one sector.
     """
-    h = model.h_m if h_m is None else h_m
-    mat = scipy.sparse.csr_matrix(h.matrix)
-    if _block_dtype(mat) is float:
-        mat = mat.real
-    vals, vecs = shift_invert_lowest(mat, 2)
-    g = vecs[:, 0].astype(complex)
-    return SparseResolvent(model=model, h_m_used=h, lowest=vals,
-                           vector=g / np.linalg.norm(g))
+    mat = scipy.sparse.csr_matrix(mat)
+    dim = mat.shape[0]
+    keep = mat.data != 0
+    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))[keep]
+    cols, data = mat.indices[keep], mat.data[keep]
+    rotate = data.imag.any()
+    # unit weights leave every phase at 1
+    root, z = _spanning_forest(rows, cols, data if rotate else np.broadcast_to(1.0, rows.shape),
+                               dim)
+    sector_of = np.unique(root, return_inverse=True)[1]
+    if np.any(sector_of[rows] != sector_of[cols]):
+        sector_of, z = np.zeros(dim, dtype=np.intp), np.ones(dim, dtype=complex)
+    if rotate:
+        data = np.conj(z[rows]) * data * z[cols]
+        mat = scipy.sparse.csr_matrix(
+            (data, cols, np.r_[0, np.cumsum(np.bincount(rows, minlength=dim))]), shape=(dim, dim))
+    sizes, order, first, place = _partition(sector_of)
+    is_complex = np.zeros(len(sizes), dtype=bool)
+    scale = np.max(np.abs(data), initial=0.0)
+    is_complex[sector_of[rows[np.abs(data.imag) > REAL_GAUGE_RTOL * scale]]] = True
+
+    def dtype(ids):
+        return complex if is_complex[ids].any() else float
+
+    values, sectors, levels, solved = [], [], [], {}
+    for ids, states in _stacks(sizes, order, first, 2 * sizes + is_complex):
+        size = states.shape[1]
+        if size == 1:
+            vals = mat.diagonal()[states].real
+        elif size <= dense_limit or k >= size - 1:
+            per = max(1, SECTOR_CHUNK // size ** 2)  # one stacked call per chunk
+            vals = np.concatenate([np.linalg.eigvalsh(
+                _sector_blocks(mat, states[j:j + per], place, dtype(ids)))[:, :k]
+                for j in range(0, len(states), per)])
+        else:
+            for b, one in zip(ids, states):
+                row, col, entries = _sector_entries(mat, one, place)
+                block = scipy.sparse.csr_matrix(
+                    (entries if is_complex[b] else entries.real, col,
+                     np.r_[0, np.cumsum(np.bincount(row, minlength=size))]), shape=(size, size))
+                solved[b] = shift_invert_lowest(block, k, floor)
+            vals = np.array([solved[b][0] for b in ids])
+        values.append(vals.ravel())
+        sectors.append(np.repeat(ids, vals.shape[1]))
+        levels.append(np.tile(np.arange(vals.shape[1]), len(ids)))
+    values, sectors, levels = (np.concatenate(x) for x in (values, sectors, levels))
+    pick = np.lexsort((levels, sectors, values))[:k]
+    vectors = np.zeros((dim, len(pick)), dtype=complex)
+    for col, (b, j) in enumerate(zip(sectors[pick], levels[pick])):
+        states = order[first[b]:first[b] + sizes[b]]
+        if sizes[b] == 1:
+            vectors[states, col] = 1.0
+            continue
+        if b not in solved:
+            solved[b] = np.linalg.eigh(_sector_blocks(mat, states[None], place, dtype(b))[0])
+        values[pick[col]] = solved[b][0][j]
+        vectors[states, col] = z[states] * solved[b][1][:, j]
+    # eigh may move a pick from eigvalsh's value by rounding
+    ascending = np.argsort(values[pick], kind="stable")
+    return values[pick][ascending], _fix_phases(vectors[:, ascending]), sector_of
 
 
 def ground_resolvent(model: MatterModel, h_m: Operator | None = None):
     """The ground-resolvent backend for this Hamiltonian: the full
-    `matter_spectrum` up to DENSE_MAX_DIM states, `sector_resolvent` above
-    when every sector has at most DENSE_MAX_DIM states, and
-    `sparse_resolvent` when one has more."""
+    `matter_spectrum` up to DENSE_MAX_DIM states, and above the two lowest
+    eigenpairs of `lowest_by_sector`, with `SectorResolvent` when every
+    sector has at most DENSE_MAX_DIM states and `SparseResolvent` when
+    one has more."""
     if model.dim <= DENSE_MAX_DIM:
         return matter_spectrum(model, h_m)
-    return sector_resolvent(model, h_m) or sparse_resolvent(model, h_m)
+    h = model.h_m if h_m is None else h_m
+    lowest, vectors, sector_of = lowest_by_sector(h.matrix, 2, DENSE_MAX_DIM)
+    if np.bincount(sector_of).max() > DENSE_MAX_DIM:
+        return SparseResolvent(model=model, h_m_used=h, lowest=lowest, vector=vectors[:, 0])
+    return SectorResolvent(model=model, h_m_used=h, sector_of=sector_of, lowest=lowest,
+                           vector=vectors[:, 0])
 
 
 def check_unique_ground(ground):
@@ -821,7 +873,7 @@ def ring_quasi_momentum(model: MatterModel, n: int) -> float:
 def ring_ground_state(model: MatterModel) -> np.ndarray:
     """The bare ring's ground vector, which the density check, the multipolar
     D and the wavevector-decoupling check read.  It comes from the dense
-    spectrum: the site density of `sparse_resolvent`'s ground vector
+    spectrum: the site density of the shift-invert ground vector
     deviates from 1/L by 8.1e-13 at L = 1500 but by 7.9e-12 at 3000 and
     1.1e-11 at 4000, which fail a 1e-12 check."""
     model._require_ring()

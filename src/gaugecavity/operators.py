@@ -189,7 +189,7 @@ def boson_ladder(cutoff: int) -> tuple[Operator, Operator]:
     return Operator(a), Operator(a.conj().T)
 
 
-def _fix_phases(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each eigenvector so its largest-magnitude entry is real positive.
 
     Ties within 1e-12 of the maximum resolve to the lowest index, which
@@ -218,7 +218,7 @@ def eigh(h: Operator) -> EigenSystem:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigh failed to converge: {exc}") from exc
-    vectors = _fix_phases(values, vectors)
+    vectors = _fix_phases(vectors)
     return EigenSystem(values=values, vectors=vectors)
 
 

@@ -22,15 +22,16 @@ spectrum from below by the lowest eigenvalue of a matter-space matrix
 
 `lowest_eigenpairs` splits the Hamiltonian into the blocks that do not
 couple to each other (the two sectors of the Dicke Z2 parity, or single
-states where nothing couples them) and solves each one, in real
-arithmetic where a diagonal phase change makes it real: a single state
-off the diagonal, a block of up to DENSE_LIMIT states by dense `eigh`, and
-a larger one by the package's sparse solver, `matter.shift_invert_lowest`,
-factored just below the floor.  Each returned eigenvector lies in one
-block, so the ground vector is a parity eigenstate, and the parity-odd
-observables, the photon coherence <a> and the transverse field, read
-exactly 0 in it, also inside the superradiant doublet, where the photon
-occupation carries the signal.
+states where nothing couples them) and solves each one with the routine
+that also solves the matter ground states, `matter.lowest_by_sector`:
+in real arithmetic where a diagonal phase change makes a block real, a
+single state off the diagonal, a block of up to DENSE_LIMIT states dense,
+and a larger one by the package's sparse solver,
+`matter.shift_invert_lowest`, factored just below the floor.  Each
+returned eigenvector lies in one block, so the ground vector is a parity
+eigenstate, and the parity-odd observables, the photon coherence <a> and
+the transverse field, read exactly 0 in it, also inside the superradiant
+doublet, where the photon occupation carries the signal.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, diagonalize_block,
@@ -47,19 +47,15 @@ from .bogoliubov import (BogoliubovBlock, adapt_degenerate_branches, diagonalize
 from .errors import NumericError, ResourceLimitError, UnsupportedError
 from .gauge import (GaugeSpec, ModeSpec, check_pairing, coupling_f, diamagnetic_D,
                     dressed_matter_hamiltonian)
-from .matter import (MatterModel, MatterSpectrum, _spanning_forest, along_op, ground_resolvent,
-                     shift_invert_lowest)
-from .operators import DENSE_MAX_DIM, Operator, Statevector, _fix_phases, eigh
+from .matter import MatterModel, MatterSpectrum, along_op, ground_resolvent, lowest_by_sector
+from .operators import DENSE_MAX_DIM, Operator, Statevector, eigh
 from .response import lehmann_sum
 
 MAX_FULL_DIM = 20000
-# blocks up to this many states are solved by dense eigh: on README-type
+# blocks up to this many states are solved dense: on README-type
 # one-slot blocks shift-invert from the floor overtakes it near 250 states
 DENSE_LIMIT = 300
 COUPLING_ATOL = 1e-14
-# a block whose imaginary parts after the phase change stay below this
-# fraction of max|h| is solved as a real symmetric matrix
-REAL_GAUGE_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -224,77 +220,12 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
                       floor=_spectral_floor(h_matter.matrix, slots, amplitudes, constant))
 
 
-def _block_lowest(block, k: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenpairs of one Hermitian block: dense `eigh` up to
-    DENSE_LIMIT states, and above `matter.shift_invert_lowest` from
-    ``floor``."""
-    dim = block.shape[0]
-    k = min(k, dim)
-    if dim <= DENSE_LIMIT or k >= dim - 1:
-        return scipy.linalg.eigh(block.toarray(), subset_by_index=(0, k - 1))
-    return shift_invert_lowest(block, k, floor)
-
-
 def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenpairs of ``system.h``, ascending, solved block by block.
-
-    One pass over the nonzero entries (`matter._spanning_forest`) splits ``h``
-    into the blocks that do not couple to each other, here the two sectors
-    of the Dicke Z2 parity, and finds the diagonal phases z along a
-    spanning forest that make conj(z) h z real on its edges.  A block of
-    one state, as every state is at zero coupling, gives its eigenpair off
-    the diagonal.  A larger block is cut from the entries through each
-    state's place in its block; one left real up to rounding is solved in
-    real arithmetic, and one with a net phase around some loop, which no
-    diagonal phase change removes, stays complex.  Eigenvectors are mapped
-    back through z, embedded in the full space and phase-fixed as
-    `operators.eigh` does, so each one lies in one block: at a parity
-    doublet the ground vector is a parity eigenstate.
-
-    Blocks above DENSE_LIMIT states are factored just below the certified
-    ``system.floor`` (`_block_lowest`).
-    """
-    h = system.h
-    dim = h.shape[0]
-    keep = h.data != 0
-    rows = np.repeat(np.arange(dim), np.diff(h.indptr))[keep]
-    cols, data = h.indices[keep], h.data[keep]
-    scale = np.max(np.abs(data), initial=0.0)
-    root, z = _spanning_forest(rows, cols, data, dim)
-    data = np.conj(z[rows]) * data * z[cols]
-    block_of = np.unique(root, return_inverse=True)[1]
-    sizes = np.bincount(block_of)
-    order = np.argsort(block_of, kind="stable")  # the states, block by block
-    first = np.cumsum(sizes) - sizes
-    place = np.empty(dim, dtype=np.intp)
-    place[order] = np.arange(dim) - np.repeat(first, sizes)
-    entry_block = block_of[rows]
-    complex_block = np.zeros(len(sizes), dtype=bool)
-    complex_block[entry_block[np.abs(data.imag) > REAL_GAUGE_RTOL * scale]] = True
-    entries = np.argsort(entry_block, kind="stable")  # the entries, block by block
-    bounds = np.r_[0, np.cumsum(np.bincount(entry_block, minlength=len(sizes)))]
-
-    single = np.flatnonzero(sizes == 1)  # one eigenpair each, off the diagonal
-    values, blocks, levels = ([h.diagonal()[order[first[single]]].real], [single],
-                              [np.zeros_like(single)])
-    solved = {}
-    for b in np.flatnonzero(sizes > 1):
-        # the block's entries in row order, and in column order within a row
-        e = entries[bounds[b]:bounds[b + 1]]
-        indptr = np.r_[0, np.cumsum(np.bincount(place[rows[e]], minlength=sizes[b]))]
-        block = scipy.sparse.csr_matrix((data[e] if complex_block[b] else data[e].real,
-                                         place[cols[e]], indptr), shape=(sizes[b], sizes[b]))
-        vals, solved[b] = _block_lowest(block, k, system.floor)
-        values.append(vals)
-        blocks.append(np.full(len(vals), b))
-        levels.append(np.arange(len(vals)))
-    values, blocks, levels = (np.concatenate(x) for x in (values, blocks, levels))
-    pick = np.lexsort((levels, blocks, values))[:k]
-    vectors = np.zeros((dim, len(pick)), dtype=complex)
-    for col, (b, j) in enumerate(zip(blocks[pick], levels[pick])):
-        states = order[first[b]:first[b] + sizes[b]]
-        vectors[states, col] = z[states] * (solved[b][:, j] if b in solved else 1.0)
-    return values[pick], _fix_phases(values[pick], vectors)
+    """The k lowest eigenpairs of ``system.h``, ascending, solved block by
+    block by `matter.lowest_by_sector`: blocks above DENSE_LIMIT states are
+    factored just below the certified ``system.floor``."""
+    vals, vecs, _ = lowest_by_sector(system.h, k, DENSE_LIMIT, system.floor)
+    return vals, vecs
 
 
 def ground_state(system: FullSystem) -> tuple[float, Statevector]:

@@ -11,8 +11,9 @@ components obey O_{-q} = O_q^dag, so the conjugate-momentum operator
 defaults to the adjoint of the forward one.
 
 The reduced resolvent comes from any ground backend of
-`matter.ground_resolvent` (full spectrum, sector by sector, or the sparse
-solver of `matter.shift_invert_lowest`), behind one interface (`ground_state_vector`,
+`matter.ground_resolvent` (the full spectrum, or the ground state of
+`matter.lowest_by_sector` with dense solves per sector or one LU of a
+bordered matrix), behind one interface (`ground_state_vector`,
 `ground_energy`, `ground_gap`, and `gram(C) = C^dag Q (H - E_0)^-1 Q C`),
 so `lehmann_sum` and everything built on it run on each; all refuse a
 degenerate ground state.  Only `polarizability`, whose finite-frequency

@@ -610,7 +610,7 @@ class TestOraclePoint:
 
     def test_dense_oracle_blocks_independent_of_blas_threads(self, tmp_path):
         # 21 matter levels x 28 Fock levels: parity blocks of 294 states,
-        # within the dense limit, so scipy.linalg.eigh solves them
+        # within the dense limit, so stacked eigvalsh and eigh solve them
         assert 21 * 28 // 2 <= oracle.DENSE_LIMIT
         cfg = dict(MINIMAL, model=dict(MINIMAL["model"], count=20),
                    gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],

@@ -9,7 +9,6 @@ import scipy.sparse.linalg
 
 from gaugecavity import matter as matter_module
 from gaugecavity import operators as operators_module
-from gaugecavity import oracle as oracle_module
 from gaugecavity.bogoliubov import diagonalize_block, exact_branch_coupling
 from gaugecavity.criterion import displaced_energy, stiffness_energy
 from gaugecavity.errors import NumericError, UnsupportedError
@@ -466,16 +465,42 @@ class TestEffectiveHamiltonian:
 
 
 def _record_blocks(monkeypatch):
-    """Wrap the per-block solver; returns the (dtype, dim) of each block it sees."""
-    seen = []
-    original = oracle_module._block_lowest
+    """Wrap the dense block cut and the sparse solver; returns the (dtype,
+    dim) of each block they see, in the order first seen.  A dense block
+    is cut once for its eigenvalues and again for its eigenvectors when it
+    holds a pick, and counts once."""
+    seen, cut = [], set()
+    blocks, solve = matter_module._sector_blocks, matter_module.shift_invert_lowest
+
+    def cutting(mat, states, place, dtype):
+        out = blocks(mat, states, place, dtype)
+        for one in states:
+            if one[0] not in cut:  # a sector's lowest state names it
+                cut.add(one[0])
+                seen.append((out.dtype, len(one)))
+        return out
+
+    def solving(block, k, floor):
+        seen.append((block.dtype, block.shape[0]))
+        return solve(block, k, floor)
+
+    monkeypatch.setattr(matter_module, "_sector_blocks", cutting)
+    monkeypatch.setattr(matter_module, "shift_invert_lowest", solving)
+    return seen
+
+
+def _sparse_blocks(monkeypatch):
+    """Wrap `matter.shift_invert_lowest`; returns the (block, floor) of each
+    call."""
+    calls = []
+    solve = matter_module.shift_invert_lowest
 
     def recording(block, k, floor):
-        seen.append((block.dtype, block.shape[0]))
-        return original(block, k, floor)
+        calls.append((block, floor))
+        return solve(block, k, floor)
 
-    monkeypatch.setattr(oracle_module, "_block_lowest", recording)
-    return seen
+    monkeypatch.setattr(matter_module, "shift_invert_lowest", recording)
+    return calls
 
 
 def _assert_lowest(system, k, rtol=1e-10):
@@ -523,7 +548,8 @@ class TestLowestEigenpairs:
                                                                        format="csr"))
         seen = _record_blocks(monkeypatch)
         _assert_lowest(system, 4)
-        assert seen == [(np.dtype(complex), dim), (np.dtype(float), 40)]
+        # dense sectors first: the solver takes its sectors by size
+        assert seen == [(np.dtype(float), 40), (np.dtype(complex), dim)]
 
     def test_exactly_zero_ground_energy(self, monkeypatch):
         # graph Laplacian with integer weights: every row sums to exactly 0,
@@ -564,13 +590,8 @@ class TestLowestEigenpairs:
         model = build_two_level_ensemble(40, 1.0, (0.0, 0.34, 0.0), 1.0)
         system = full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 60)
         assert len(system.slots) == 1
-        blocks = []
-        original = oracle_module._block_lowest
-
-        def recording(block, k, floor):
-            blocks.append(block)
-            return original(block, k, floor)
-
+        solve = matter_module.shift_invert_lowest
+        calls = _sparse_blocks(monkeypatch)
         factored = []
         splu = matter_module.splu
 
@@ -578,13 +599,13 @@ class TestLowestEigenpairs:
             factored.append(1)
             return splu(*args, **kwargs)
 
-        monkeypatch.setattr(oracle_module, "_block_lowest", recording)
         monkeypatch.setattr(matter_module, "splu", counting_splu)
         lowest_eigenpairs(system, k=2)
+        blocks = [block for block, _ in calls]
         assert len(blocks) == 2 and all(b.shape[0] > DENSE_LIMIT for b in blocks)
         assert len(factored) == 2
         for block in blocks:
-            vals, vecs = matter_module.shift_invert_lowest(block, 2)
+            vals, vecs = solve(block, 2)
             ref_vals, ref_vecs = scipy.linalg.eigh(block.toarray(), subset_by_index=(0, 1))
             assert np.max(np.abs(vals - ref_vals)) <= 1e-12 * np.max(np.abs(ref_vals))
             overlaps = np.abs(np.sum(vecs.conj() * ref_vecs, axis=0))
@@ -613,17 +634,11 @@ class TestLowestEigenpairs:
         model = build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
         system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], cutoff)
         assert len(system.slots) == 2 and np.isfinite(system.floor)
-        blocks = []
-        original = oracle_module._block_lowest
-
-        def recording(block, k, floor):
-            blocks.append(block)
-            assert floor == system.floor
-            return original(block, k, floor)
-
-        monkeypatch.setattr(oracle_module, "_block_lowest", recording)
+        calls = _sparse_blocks(monkeypatch)
         solves = _counting_splu(monkeypatch)
         vals, vecs = lowest_eigenpairs(system, k=2)
+        blocks = [block for block, _ in calls]
+        assert all(floor == system.floor for _, floor in calls)
         assert {b.shape[0] for b in blocks} == {block_dim} and len(blocks) == 8
         assert block_dim > DENSE_LIMIT and solves
         ref = np.sort(np.concatenate([np.linalg.eigvalsh(b.toarray())[:2] for b in blocks]))[:2]
@@ -747,16 +762,10 @@ class TestFloorShift:
         model = build_anharmonic_dipole(60, 1.0, 1.0, 0.1, charge, 1.0)
         system = full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 42)
         assert len(system.slots) == 1 and np.isfinite(system.floor)
-        blocks = []
-        original = oracle_module._block_lowest
-
-        def recording(block, k, floor):
-            blocks.append(block)
-            return original(block, k, floor)
-
-        monkeypatch.setattr(oracle_module, "_block_lowest", recording)
+        calls = _sparse_blocks(monkeypatch)
         solves = _counting_splu(monkeypatch)
         vals, _ = lowest_eigenpairs(system, k=2)
+        blocks = [block for block, _ in calls]
         assert len(blocks) == 2 and min(b.shape[0] for b in blocks) > DENSE_LIMIT
         assert len(solves) <= 100
         # dense eigenvalues
@@ -770,7 +779,7 @@ class TestFloorShift:
         # the block is factored again at the Gershgorin shift
         system = full_hamiltonian(dicke(40, 0.34), make_gauge("coulomb"), [lwl_mode(1.0, 1.0)], 60)
         blocks = []
-        monkeypatch.setattr(oracle_module, "_block_lowest",
+        monkeypatch.setattr(matter_module, "shift_invert_lowest",
                             lambda block, k, floor: blocks.append(block) or
                             (np.zeros(k), np.eye(block.shape[0], k)))
         lowest_eigenpairs(system, k=2)

@@ -1,11 +1,13 @@
 """The three ground-resolvent backends behind `matter.ground_resolvent`.
 
-The dense backend is the full eigendecomposition (`matter_spectrum`), the
-sector one dense diagonalisation sector by sector (`sector_resolvent`),
-and the sparse one the solver of `matter.shift_invert_lowest`
-(`sparse_resolvent`).  Each comparison of the dense and sparse
-backends builds them directly, so it does not depend on where
-DENSE_MAX_DIM puts the switch; the sector tests check the rule as well.
+The dense backend is the full eigendecomposition (`matter_spectrum`).
+Above DENSE_MAX_DIM states `matter.lowest_by_sector` finds the ground
+state sector by sector, and the resolvent is a dense solve per sector
+(`SectorResolvent`) or one LU of the bordered matrix (`SparseResolvent`).
+Each comparison of the dense and bordered backends builds the bordered
+one directly on the eigenpairs `ground_resolvent` finds (`_bordered`),
+so it does not depend on where DENSE_MAX_DIM puts the switch; the sector
+tests check the rule as well.
 """
 
 import dataclasses
@@ -26,8 +28,8 @@ from gaugecavity.gauge import (coupling_f, coupling_rows, diamagnetic_D,
                                ring_mode)
 from gaugecavity.matter import (DENSE_MAX_DIM, MatterSpectrum, SectorResolvent,
                                 SparseResolvent, build_anharmonic_dipole, build_ring_lattice,
-                                build_two_level_ensemble, ground_resolvent, matter_spectrum,
-                                ring_quasi_momentum, sector_resolvent, sparse_resolvent, trk_sum)
+                                build_two_level_ensemble, ground_resolvent, lowest_by_sector,
+                                matter_spectrum, ring_quasi_momentum, trk_sum)
 from gaugecavity.operators import Operator
 from gaugecavity.response import (check_translational_invariance, chi_md_from_model, lehmann_sum,
                                   polarizability)
@@ -41,12 +43,20 @@ ENSEMBLE = build_two_level_ensemble(DENSE_MAX_DIM + 100, 1.0, (0.0, 0.06, 0.0), 
 REPORT_FIELDS = ("lhs", "rhs", "electric_part", "magnetic_part", "margin", "beta0")
 
 
+def _bordered(model, h=None):
+    """The bordered-matrix backend on the eigenpairs `ground_resolvent`
+    finds above DENSE_MAX_DIM states, whichever backend it picks."""
+    ground = ground_resolvent(model, h)
+    return SparseResolvent(model=model, h_m_used=ground.h_m_used, lowest=ground.lowest,
+                           vector=ground.ground_state_vector())
+
+
 def _assert_backends_agree(model, gauge, mode):
     """Reports agree within 1e-12 relative; values at rounding noise stay
     at or below 1e-12 in magnitude on both sides."""
     h = dressed_matter_hamiltonian(model, gauge, [mode])
     dense = evaluate(model, gauge, mode, spectrum=matter_spectrum(model, h))
-    sparse = evaluate(model, gauge, mode, spectrum=sparse_resolvent(model, h))
+    sparse = evaluate(model, gauge, mode, spectrum=_bordered(model, h))
     for d, s in zip(dense, sparse):
         for name in REPORT_FIELDS:
             a, b = getattr(d, name), getattr(s, name)
@@ -70,7 +80,7 @@ class TestBackendsAgree:
 
     def test_ensemble_verdicts(self):
         # the bare Dicke ground energy is exactly 0, which the solver must not miss
-        ground = sparse_resolvent(ENSEMBLE)
+        ground = _bordered(ENSEMBLE)
         assert abs(ground.ground_energy()) <= 1e-12
         assert evaluate(ENSEMBLE, GAUGES["dipole"], MODES["q_z"], spectrum=ground)[0].condensed
         assert not any(r.condensed for r in evaluate(ENSEMBLE, GAUGES["coulomb"],
@@ -78,7 +88,7 @@ class TestBackendsAgree:
 
     def test_trk_sum(self):
         dense = trk_sum(matter_spectrum(THREE_AXIS), 2)
-        assert abs(trk_sum(sparse_resolvent(THREE_AXIS), 2) - dense) <= 1e-12 * dense
+        assert abs(trk_sum(_bordered(THREE_AXIS), 2) - dense) <= 1e-12 * dense
 
     def test_backend_chosen_by_dimension(self):
         at_limit = build_two_level_ensemble(DENSE_MAX_DIM - 1, 1.0, (0.0, 0.1, 0.0), 1.0)
@@ -101,7 +111,7 @@ def _assert_agree(a, b, scale=None):
 
 def _both_backends(model, gauge, mode):
     h = dressed_matter_hamiltonian(model, gauge, [mode])
-    return matter_spectrum(model, h), sparse_resolvent(model, h)
+    return matter_spectrum(model, h), _bordered(model, h)
 
 
 class TestStaticResponsesOnBothBackends:
@@ -136,7 +146,7 @@ class TestStaticResponsesOnBothBackends:
 
     def test_ring_translational_invariance(self):
         ring = build_ring_lattice(DENSE_MAX_DIM + 50, 1.0, 1.0)
-        dense, sparse = matter_spectrum(ring), sparse_resolvent(ring)
+        dense, sparse = matter_spectrum(ring), ground_resolvent(ring)
         # the ring's gap is 6.3e-4 of a bandwidth of 4, and the bordered
         # direct solve still holds the response within 1e-11
         q1, q2 = ring_quasi_momentum(ring, 1), ring_quasi_momentum(ring, 2)
@@ -153,7 +163,7 @@ class TestStaticResponsesOnBothBackends:
         h = dressed_matter_hamiltonian(ring, gauge, [mode])
         assert isinstance(ground_resolvent(ring, h), SparseResolvent)
         dense = evaluate(ring, gauge, mode, spectrum=matter_spectrum(ring, h))
-        sparse = evaluate(ring, gauge, mode, spectrum=sparse_resolvent(ring, h))
+        sparse = evaluate(ring, gauge, mode, spectrum=ground_resolvent(ring, h))
         # the ring moves along one axis, so one branch does not couple
         scale = max(abs(d.lhs) for d in dense)
         for d, s in zip(dense, sparse, strict=True):
@@ -161,9 +171,9 @@ class TestStaticResponsesOnBothBackends:
 
 
 def _gram_columns(model, case):
-    """Column blocks built on the sparse ground vector g of ``model``, and
-    the rank of their Q-projection."""
-    g = sparse_resolvent(model).ground_state_vector()
+    """Column blocks built on the ground vector g of ``model`` from
+    `ground_resolvent`, and the rank of their Q-projection."""
+    g = ground_resolvent(model).ground_state_vector()
     dx, dy = (op.matrix @ g for op in model.dipole_ops[:2])
     j = model.current_along(matter.X_AXIS).matrix  # Hermitian, purely imaginary
     zero = np.zeros_like(g)
@@ -181,8 +191,9 @@ def _gram_columns(model, case):
                                   "all_zero", "full_rank"])
 def test_sparse_gram_solves_once_per_independent_column(monkeypatch, case):
     # the all-zero block is the ensemble at dipole_scale 0; whatever the
-    # rank, the resolvent factors its bordered matrix once, next to the
-    # shift-invert factorisation of its ground state
+    # rank, the resolvent factors its bordered matrix once.  Both models
+    # split into sectors of at most DENSE_MAX_DIM states, so their ground
+    # states need no sparse factorisation
     model = THREE_AXIS if case != "all_zero" else \
         build_two_level_ensemble(DENSE_MAX_DIM + 100, 1.0, (0.0, 0.0, 0.0), 1.0)
     assert model.dim > DENSE_MAX_DIM
@@ -193,9 +204,9 @@ def test_sparse_gram_solves_once_per_independent_column(monkeypatch, case):
     splu = matter.splu
     monkeypatch.setattr(matter, "splu", lambda *a, **kw: factored.append(a[0].shape) or
                         splu(*a, **kw))
-    ground = sparse_resolvent(model)
+    ground = _bordered(model)
     sparse = ground.gram(cols)
-    assert factored == [(model.dim, model.dim), (model.dim + 1, model.dim + 1)]
+    assert factored == [(model.dim + 1, model.dim + 1)]
     g = ground.ground_state_vector()
     projected = cols - np.outer(g, g.conj() @ cols)
     assert np.linalg.matrix_rank(projected, tol=1e-12 * max(1.0, np.max(np.abs(cols)))) == rank
@@ -249,18 +260,22 @@ def test_full_hamiltonian_needs_no_eigh(monkeypatch, gauge_name):
     _assert_agree(oracle.ground_state(dense)[0], oracle.ground_state(system)[0])
 
 
-def _degenerate_ensemble():
-    """ENSEMBLE with eps_0 = eps_1 = 0."""
-    levels = np.arange(ENSEMBLE.dim, dtype=float)
-    levels[1] = 0.0
-    return dataclasses.replace(ENSEMBLE, h_m=Operator(scipy.sparse.diags(levels), hermitian=True))
+def _degenerate_ring():
+    """A 250-site ring whose closing bond is flipped: flux pi through it
+    leaves a doubly degenerate ground on one sector of all its sites."""
+    sites = DENSE_MAX_DIM + 50
+    return build_ring_lattice(sites, 1.0, 1.0, bond_scale={sites - 1: -1.0})
+
+
+# one sector above DENSE_MAX_DIM states, so `ground_resolvent` runs shift-invert
+RING = build_ring_lattice(DENSE_MAX_DIM + 50, 1.0, 1.0)
 
 
 class TestSparseFailures:
     def test_singular_bordered_matrix_raises(self):
         # a zero ground vector leaves the border's row and column empty, so
         # the bordered matrix is exactly singular
-        ground = sparse_resolvent(THREE_AXIS)
+        ground = ground_resolvent(THREE_AXIS)
         with pytest.raises(NumericError, match="^the bordered resolvent matrix could not be "
                                                "factored: Factor is exactly singular$"):
             SparseResolvent(model=THREE_AXIS, h_m_used=THREE_AXIS.h_m, lowest=ground.lowest,
@@ -273,7 +288,7 @@ class TestSparseFailures:
 
         monkeypatch.setattr(matter, "eigsh", no_convergence)
         with pytest.raises(NumericError, match="^shift-invert Lanczos failed to converge"):
-            sparse_resolvent(THREE_AXIS)
+            ground_resolvent(RING)
         path = tmp_path / "cfg.json"
         # 11 levels per axis make parity sectors of up to 6 ** 3 = 216 states,
         # more than DENSE_MAX_DIM, so the sweep runs the sparse solver
@@ -307,30 +322,30 @@ class TestSparseFailures:
 
         monkeypatch.setattr(matter, "eigsh", zero_start)
         with pytest.raises(NumericError, match="ARPACK error -9"):
-            sparse_resolvent(THREE_AXIS)
+            ground_resolvent(RING)
         model = build_two_level_ensemble(40, 1.0, (0.0, 0.34, 0.0), 1.0)
         system = oracle.full_hamiltonian(model, GAUGES["dipole"], [MODES["q_z"]], 60)
         with pytest.raises(NumericError, match="ARPACK error -9"):
             oracle.lowest_eigenpairs(system, k=2)
 
     def test_degenerate_ground_rejected_by_both_backends(self):
-        model = _degenerate_ensemble()
-        for backend in (matter_spectrum, sparse_resolvent):
+        model = _degenerate_ring()
+        for backend in (matter_spectrum, ground_resolvent):
             with pytest.raises(DegenerateGroundStateError):
-                evaluate(model, GAUGES["dipole"], MODES["q_z"], spectrum=backend(model))
+                evaluate(model, GAUGES["coulomb"], ring_mode(model, 1), spectrum=backend(model))
 
     def test_degenerate_ground_refused_at_construction(self):
         # the k = 2 shift-invert gap of a doubly degenerate ground is at rounding level
         with pytest.raises(DegenerateGroundStateError, match="ground state is degenerate"):
-            sparse_resolvent(_degenerate_ensemble())
+            ground_resolvent(_degenerate_ring())
 
     def test_trk_sum_above_ground_refuses_the_sparse_backend(self):
         with pytest.raises(ArgumentError, match="MatterSpectrum"):
-            trk_sum(sparse_resolvent(THREE_AXIS), 0, reference_level=1)
+            trk_sum(_bordered(THREE_AXIS), 0, reference_level=1)
 
     def test_polarizability_refuses_the_sparse_backend(self):
         with pytest.raises(ArgumentError, match="MatterSpectrum"):
-            polarizability(sparse_resolvent(THREE_AXIS))
+            polarizability(_bordered(THREE_AXIS))
 
 
 def _counting(counts, name, original):
@@ -357,7 +372,7 @@ def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):
     # unchanged; each factors H - sigma I for the eigensolver and its
     # bordered matrix for every Gram solve, the invariant check's TRK solve
     # on the first resolvent included; 11 levels per axis make a parity
-    # sector of 216 states, so the sector backend does not apply
+    # sector of 216 states, the only one shift-invert solves
     counts = {"eigh": 0, "eigsh": 0, "splu": 0}
 
     for mod in (operators, matter):
@@ -368,6 +383,23 @@ def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):
     assert 11 ** 3 > DENSE_MAX_DIM and 6 ** 3 > DENSE_MAX_DIM
     cli.run_sweep(_sweep_config(11), str(tmp_path / "out"))
     assert counts == {"eigh": 0, "eigsh": 3 + 1, "splu": 2 * (3 + 1)}
+
+
+def test_mixed_sectors_solve_only_the_large_one_sparse(monkeypatch):
+    # 11 levels per axis: the ground sector of the bare h_m holds 6 ** 3 =
+    # 216 states, past DENSE_MAX_DIM, beside sectors of 180, 150 and 125
+    model = build_anharmonic_dipole(11, 1.0, 1.0, 0.1, 0.5, 1.0, axes=3)
+    solved = []
+    solve = matter.shift_invert_lowest
+    monkeypatch.setattr(matter, "shift_invert_lowest", lambda block, k, floor:
+                        solved.append(block.shape[0]) or solve(block, k, floor))
+    ground = ground_resolvent(model)
+    assert solved == [6 ** 3] and type(ground) is SparseResolvent
+    assert sorted(set(np.bincount(lowest_by_sector(model.h_m.matrix, 1, DENSE_MAX_DIM)[2]))) \
+        == [5 ** 3, 6 * 5 ** 2, 6 ** 2 * 5, 6 ** 3]
+    dense = matter_spectrum(model)
+    _assert_agree(dense.ground_state_vector(), ground.ground_state_vector(), scale=1.0)
+    _assert_matches_dense(model, GAUGES["coulomb"], MODES["q_z"], dense, ground)
 
 
 def test_large_model_memory():
@@ -465,7 +497,8 @@ class TestSectorBackend:
         model = dataclasses.replace(model, h_m=Operator(scipy.sparse.block_diag(blocks),
                                                         hermitian=True))
         ground, dense = ground_resolvent(model), matter_spectrum(model)
-        assert type(ground) is SectorResolvent and len(ground.sectors) == 2
+        assert type(ground) is SectorResolvent
+        assert np.bincount(ground.sector_of).tolist() == [120, 130]
         assert ground.ground_state_vector().imag.any()
         assert abs(ground.ground_energy() - dense.ground_energy()) <= \
             1e-12 * abs(dense.ground_energy())
@@ -484,7 +517,9 @@ class TestSectorBackend:
         model = dataclasses.replace(model, h_m=Operator(scipy.sparse.block_diag(blocks),
                                                         hermitian=True))
         ground, dense = ground_resolvent(model), matter_spectrum(model)
-        assert type(ground) is SectorResolvent and ground.ground == (0, 1)
+        assert type(ground) is SectorResolvent
+        # the a = 0 pair, states 2 and 3, is sector 1
+        assert ground.sector_of[np.flatnonzero(ground.vector)].tolist() == [1, 1]
         assert ground.ground_energy() == -1.0
         cols = np.random.default_rng(3).standard_normal((model.dim, 3)) + 0.5j
         _assert_agree(dense.gram(cols), ground.gram(cols))
@@ -508,13 +543,13 @@ class TestSectorBackend:
         assert type(ground) is SectorResolvent
         assert abs(ground.ground_gap - 1e-6) <= 1e-12
 
-    def test_asymmetric_pattern_falls_back_to_lanczos(self):
+    def test_asymmetric_pattern_is_one_sparse_sector(self):
         # an entry within the Hermiticity tolerance whose mirror is not stored
-        # joins two sectors in one direction only
+        # joins two sectors in one direction only, so all states are one sector
         levels = scipy.sparse.lil_matrix(scipy.sparse.diags(np.arange(ENSEMBLE.dim, dtype=float)))
         levels[0, ENSEMBLE.dim - 1] = 1e-13
         model = dataclasses.replace(ENSEMBLE, h_m=Operator(levels.tocsr(), hermitian=True))
-        assert sector_resolvent(model) is None
+        assert not lowest_by_sector(model.h_m.matrix, 2, DENSE_MAX_DIM)[2].any()
         assert type(ground_resolvent(model)) is SparseResolvent
 
     def test_no_dense_copy_of_the_hamiltonian(self):
@@ -522,7 +557,7 @@ class TestSectorBackend:
         h = dressed_matter_hamiltonian(model, GAUGES["dipole"], [MODES["q_z"]])
         tracemalloc.start()
         try:
-            ground = sector_resolvent(model, h)
+            ground = ground_resolvent(model, h)
             g = ground.ground_state_vector()
             ground.gram(np.column_stack([op.matrix @ g for op in model.momentum_ops]))
             peak = tracemalloc.get_traced_memory()[1]
@@ -536,12 +571,12 @@ def test_sweep_on_sector_backend_counts(monkeypatch, tmp_path):
     # 7 levels per axis make parity sectors of at most 64 states: each of the
     # 3 dipole-gauge Hamiltonians and the Coulomb gauge's h_m is split once,
     # and nothing runs the sparse eigensolver, a sparse LU or a full eigh
-    counts = {"eigh": 0, "eigsh": 0, "splu": 0, "sector_resolvent": 0}
+    counts = {"eigh": 0, "eigsh": 0, "splu": 0, "lowest_by_sector": 0}
 
     for mod in (operators, matter):
         monkeypatch.setattr(mod, "eigh", _counting(counts, "eigh", operators.eigh))
-    for name in ("eigsh", "splu", "sector_resolvent"):
+    for name in ("eigsh", "splu", "lowest_by_sector"):
         monkeypatch.setattr(matter, name, _counting(counts, name, getattr(matter, name)))
     assert 4 ** 3 <= DENSE_MAX_DIM < 7 ** 3
     cli.run_sweep(_sweep_config(7), str(tmp_path / "out"))
-    assert counts == {"eigh": 0, "eigsh": 0, "splu": 0, "sector_resolvent": 3 + 1}
+    assert counts == {"eigh": 0, "eigsh": 0, "splu": 0, "lowest_by_sector": 3 + 1}
