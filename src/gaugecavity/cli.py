@@ -30,7 +30,8 @@ same around everything it runs.  One thread also makes the largest
 dense solves, the stacked `np.linalg.eigvalsh` and `np.linalg.eigh` of
 `matter.lowest_by_sector` on oracle blocks of up to `oracle.DENSE_LIMIT`
 (300) states, independent of `OPENBLAS_NUM_THREADS`; larger blocks go to
-the sparse solver of `matter.shift_invert_lowest`.
+`matter.shift_invert_lowest`, whose banded Cholesky factorisation and
+solves run in scipy's OpenBLAS, pinned as well.
 Where a library is not found its pin is skipped.  summary.json records
 both counts as `blas_threads`.
 

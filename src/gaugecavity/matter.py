@@ -11,19 +11,22 @@ The ground state of a (possibly gauge-dressed) matter Hamiltonian and
 its reduced resolvent come from one of three backends, which
 `ground_resolvent` picks.  Up to DENSE_MAX_DIM states it is the full
 eigendecomposition `MatterSpectrum`.  Above it, `lowest_by_sector` finds
-the two lowest eigenpairs sector by sector, the sectors being the
-connected components of the nonzero entries (such as the per-axis parity
-sectors of the 3-axis dipole or the single states of the diagonal Dicke
-h_m): dense up to DENSE_MAX_DIM states per sector, and above by the one
-sparse solver of the package, `shift_invert_lowest`.  The same routine
+the two lowest eigenvalues and the ground vector sector by sector, the
+sectors being the connected components of the nonzero entries (such as
+the per-axis parity sectors of the 3-axis dipole or the single states of
+the diagonal Dicke h_m): dense up to DENSE_MAX_DIM states per sector, and
+above by the one sparse eigensolver of the package,
+`shift_invert_lowest`, which runs Lanczos on a banded Cholesky
+factorisation of H - sigma I below the spectrum.  The same routine
 solves the blocks of the oracle Hamiltonian.  When every sector is dense
 the resolvent is `SectorResolvent`, one dense solve per touched sector in
 the Gram matrix.  When one is larger, such as a ring, it is
-`SparseResolvent`, one sparse LU of the bordered matrix
-[[H - E_0, |0>], [<0|, 0]], whose solves give the resolvent on Q space:
-the Sternheimer route of density-functional perturbation theory, with no
-full spectrum.  All three are deterministic for a fixed Hamiltonian, and
-all refuse a ground gap of at most DEGENERACY_ATOL when built.
+`SparseResolvent`, one sparse LU (SuperLU, which pivots) of the
+indefinite bordered matrix [[H - E_0, |0>], [<0|, 0]], whose solves give
+the resolvent on Q space: the Sternheimer route of density-functional
+perturbation theory, with no full spectrum.  All three are deterministic
+for a fixed Hamiltonian, and all refuse a ground gap of at most
+DEGENERACY_ATOL when built.
 
 Conventions (natural units):
   * electrons have charge -e with e > 0,
@@ -43,11 +46,13 @@ from __future__ import annotations
 
 import enum
 import functools
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg.lapack import dpbtrf, dpbtrs, zpbtrf, zpbtrs
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import (ArgumentError, DegenerateGroundStateError, NumericError, ResourceLimitError,
@@ -69,11 +74,12 @@ SECTOR_CHUNK = 1 << 14
 # real symmetric matrix
 REAL_GAUGE_RTOL = 1e-13
 # `shift_invert_lowest` factors this far below a certified floor of the
-# spectrum, relative to max(1, |floor|): a margin of 1.0 left the README
-# oracle blocks at 38 solves, the Gershgorin shift's count, and 1e-1 to
-# 1e-4 all took them to 21.  The oracle's floor came within 4.8e-7 of E_0
-# on 28 systems checked densely, so some margin must stay.
+# spectrum, relative to max(1, |floor|); the floor can lie very close to
+# E_0, so some margin must stay
 FLOOR_MARGIN = 1e-2
+# `_band` keeps the layouts of this many sparsity patterns in _LAYOUTS
+BAND_LAYOUTS = 16
+_LAYOUTS: dict = {}
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -500,79 +506,185 @@ def _gershgorin_floor(mat) -> float:
     return float(np.min(2.0 * diag - np.asarray(abs(mat).sum(axis=1)).ravel())) - 1.0
 
 
-def _factor_below(mat, shift: float, floor: float):
-    """(sigma, splu of mat - sigma I) at sigma = max(shift, floor - margin),
-    the margin FLOOR_MARGIN times max(1, |floor|).
+def _level_order(indptr: np.ndarray, indices: np.ndarray, dim: int) -> np.ndarray:
+    """A Cuthill-McKee order of the graph with an edge from each row of a
+    CSR pattern to each of its column indices, as the states in their new
+    order.
+
+    Breadth-first search by whole level sets: each component starts at its
+    unvisited state of least degree (stored entries in its row, the lowest
+    index among equals), and each level is the unvisited neighbours of the
+    last, sorted by the position of their first neighbour there, then by
+    degree, then by index, as `scipy.sparse.csgraph.reverse_cuthill_mckee`
+    orders them before it reverses its order."""
+    degree = np.diff(indptr)
+    rank = np.full(dim, -1)
+    order = np.empty(dim, dtype=np.intp)
+    done = 0
+    while done < dim:
+        unvisited = np.flatnonzero(rank < 0)
+        level = unvisited[[np.argmin(degree[unvisited])]]
+        while level.size:
+            rank[level] = done + np.arange(level.size)
+            order[done:done + level.size] = level
+            done += level.size
+            start = indptr[level]
+            counts = indptr[level + 1] - start
+            at = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+            child, parent = indices[at], np.repeat(rank[level], counts)
+            new = rank[child] < 0
+            # the level is in rank order, so a child's first entry holds its first parent
+            child, first = np.unique(child[new], return_index=True)
+            parent = parent[new][first]
+            level = child[np.lexsort((child, degree[child], parent))]
+    return order
+
+
+def _band_layout(indptr: np.ndarray, indices: np.ndarray, dim: int):
+    """(perm, width, upper, at) for a CSR pattern: the order of the band's
+    states, or None for their own order, its half-bandwidth, and for the
+    stored entries ``upper`` on or above the diagonal in that order, their
+    flat positions ``at`` in the band of `_band`.  The band takes the
+    narrower of the natural order and a Cuthill-McKee order
+    (`_level_order`): a ring's natural order wraps around and leaves the
+    full width, its level order a width of 2."""
+    rows, cols = np.repeat(np.arange(dim), np.diff(indptr)), indices
+    order = _level_order(indptr, cols, dim)
+    place = np.empty(dim, dtype=np.intp)
+    place[order] = np.arange(dim)
+    perm = None
+    if np.max(np.abs(place[rows] - place[cols]), initial=0) < np.max(np.abs(rows - cols),
+                                                                      initial=0):
+        perm, rows, cols = order, place[rows], place[cols]
+    upper = np.flatnonzero(rows <= cols)
+    offset = cols[upper] - rows[upper]
+    width = int(np.max(offset, initial=0))
+    return perm, width, upper, cols[upper] * (width + 1) + width - offset
+
+
+def _band(mat) -> tuple[np.ndarray | None, np.ndarray]:
+    """(perm, band): the canonical CSR matrix ``mat`` in LAPACK's upper band
+    storage, on which OpenBLAS solves faster than on the lower one, as a
+    (width + 1, dim) array in Fortran order whose last row is the diagonal,
+    with its states in the order ``perm`` of `_band_layout`, or None for
+    their own order.  The layout depends on the sparsity pattern alone, so
+    the layouts of the last BAND_LAYOUTS patterns are kept, by a digest of
+    the pattern: every sweep point repeats the same block patterns."""
+    dim = mat.shape[0]
+    digest = hashlib.blake2b(repr((dim, mat.indptr.dtype.str, mat.indices.dtype.str)).encode(),
+                             digest_size=16)
+    for part in (mat.indptr, mat.indices):
+        digest.update(np.ascontiguousarray(part).data)
+    key = digest.digest()
+    layout = _LAYOUTS.pop(key, None) or _band_layout(mat.indptr, mat.indices, dim)
+    _LAYOUTS[key] = layout  # the most recently used last
+    if len(_LAYOUTS) > BAND_LAYOUTS:
+        del _LAYOUTS[next(iter(_LAYOUTS))]
+    perm, width, upper, at = layout
+    band = np.zeros((width + 1) * dim, dtype=np.result_type(mat.dtype, float))
+    band[at] = mat.data[upper]
+    return perm, band.reshape(width + 1, dim, order="F")
+
+
+def _band_cholesky(mat, sigma: float) -> tuple[np.ndarray | None, Callable] | None:
+    """(perm, solve) for x = (mat - sigma I)^-1 b, with x and b in the order
+    ``perm`` of the band of `_band`, from LAPACK's banded Cholesky
+    factorisation pbtrf and its solve pbtrs (the complex Hermitian
+    routines for a complex matrix), or None where pbtrf fails, which
+    happens exactly when mat - sigma I is not positive definite.  Fill in
+    the factor below the smallest normal float is set to zero: a ring's
+    factor decays along the band into subnormal numbers, which slow every
+    solve down."""
+    perm, band = _band(mat)
+    band[-1] -= sigma
+    trf, trs = (zpbtrf, zpbtrs) if np.iscomplexobj(band) else (dpbtrf, dpbtrs)
+    factor, info = trf(band, overwrite_ab=1)
+    if info:
+        return None
+    for part in (factor.real, factor.imag) if np.iscomplexobj(factor) else (factor,):
+        tiny = np.finfo(part.dtype).tiny
+        part[(part > -tiny) & (part < tiny)] = 0.0
+    return perm, lambda rhs: trs(factor, rhs)[0]
+
+
+def _factor_below(mat, shift: float, floor: float) -> tuple[float, np.ndarray | None, Callable]:
+    """(sigma, perm, solve) of `_band_cholesky` at
+    sigma = max(shift, floor - margin), the margin FLOOR_MARGIN times
+    max(1, |floor|).
 
     sigma is meant to lie below the whole spectrum, so the matrix is
-    positive definite and its factorisation needs no pivoting: symmetric
-    mode, diagonal pivots and a minimum-degree ordering of A^T + A.  Then
-    the factors are L D L^dag of the symmetrically permuted matrix, and by
-    Sylvester's law of inertia all pivots of D are positive exactly when
-    sigma lies below the spectrum.  A floor whose factorisation has a
-    pivot that is not positive, or a row exchange, is no lower bound after
-    all, and the matrix is factored again at ``shift``."""
-    def factor(sigma):
-        return splu((mat - sigma * scipy.sparse.identity(mat.shape[0])).tocsc(),
-                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
-
+    positive definite, and its Cholesky factorisation succeeds exactly
+    then: that success certifies the floor.  A floor whose factorisation
+    fails is no lower bound after all, and the matrix is factored again at
+    ``shift``, the Gershgorin shift, where it cannot fail for a Hermitian
+    matrix."""
     sigma = floor - FLOOR_MARGIN * max(1.0, abs(floor))
     if sigma > shift:
-        lu = factor(sigma)
-        if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real > 0):
-            return sigma, lu
-    return shift, factor(shift)
+        factored = _band_cholesky(mat, sigma)
+        if factored is not None:
+            return sigma, *factored
+    factored = _band_cholesky(mat, shift)
+    if factored is None:
+        raise NumericError("the matrix is not positive definite above its Gershgorin shift, "
+                           "so it is not Hermitian")
+    return shift, *factored
 
 
 def shift_invert_lowest(mat, k: int, floor: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenpairs of a sparse Hermitian matrix, ascending, by
     shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1251, 1980).
 
-    This is the package's one sparse eigensolver, and `splu` its one
-    sparse linear solver.  Every sector too large for a dense solve comes
-    here, from `lowest_by_sector`: an oracle block above
-    `oracle.DENSE_LIMIT` states, with ``floor`` the oracle's certified
-    `FullSystem.floor`, and a sector of a matter Hamiltonian above
-    DENSE_MAX_DIM states, with no floor.  The reduced resolvent of that
-    ground state is one more `splu`, of a bordered matrix
+    This is the package's one sparse eigensolver.  Every sector too large
+    for a dense solve comes here, from `lowest_by_sector`: an oracle block
+    above `oracle.DENSE_LIMIT` states, with ``floor`` the oracle's
+    certified `FullSystem.floor`, and a sector of a matter Hamiltonian
+    above DENSE_MAX_DIM states, with no floor.  The reduced resolvent of
+    that ground state is one sparse LU, of an indefinite bordered matrix
     (`SparseResolvent`).
 
-    H - sigma I is factored once by `splu`, with sigma just below
-    ``floor`` or at the Gershgorin shift, a Gershgorin lower bound on the
-    spectrum minus 1, where that lies higher or no floor is given; a floor
-    that turns out to be no lower bound falls back to the Gershgorin shift
-    (`_factor_below`).  ARPACK then runs on (H - sigma I)^-1, whose largest
-    eigenvalues belong to the lowest of H, so an eigenvalue that is
-    exactly zero, as the bare two-level ground energy is, is found like
-    any other.  A real matrix runs through ARPACK's real symmetric
-    routine.  The start vector is a fixed Gaussian draw seeded with
-    LANCZOS_SEED: it has weight in every symmetry sector, and unlike the
+    H - sigma I is factored once by a banded Cholesky factorisation
+    (`_band_cholesky`), with sigma just below ``floor`` or at the
+    Gershgorin shift, a Gershgorin lower bound on the spectrum minus 1,
+    where that lies higher or no floor is given; a floor at which the
+    factorisation fails is no lower bound and falls back to the Gershgorin
+    shift (`_factor_below`).  ARPACK then runs on (H - sigma I)^-1, in the
+    order of the band's states, whose largest eigenvalues belong to the
+    lowest of H, so an eigenvalue that is exactly zero, as the bare
+    two-level ground energy is, is found like any other.  A real matrix
+    runs through ARPACK's real symmetric routine.  The start vector is a
+    fixed Gaussian draw seeded with LANCZOS_SEED, put in the band's order
+    with the states: it has weight in every symmetry sector, and unlike the
     uniform vector it is no eigenvector of a matrix whose rows share one
     sum.  Convergence goes with the ratios (E_0 - sigma) / (E_j - sigma),
-    so a sigma near E_0 needs few solves; the Gershgorin shift can lie far
-    below E_0: 59 below it, and 144 solves, for the 3-axis dipole at
-    d = 1000 in the dipole gauge of an oblique mode.  ARPACK's failures
-    become NumericError.
+    so a sigma near E_0 needs few solves, and the Gershgorin shift can lie
+    far below E_0.  ARPACK's failures become NumericError.
     """
+    mat = scipy.sparse.csr_matrix(mat)
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
     dim = mat.shape[0]
-    sigma, lu = _factor_below(mat, _gershgorin_floor(mat), floor)
+    sigma, perm, solve = _factor_below(mat, _gershgorin_floor(mat), floor)
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
     try:
         vals, vecs = eigsh(mat, k=k, sigma=sigma, which="LM",
-                           OPinv=LinearOperator(mat.shape, matvec=lu.solve, dtype=mat.dtype),
-                           v0=np.random.default_rng(LANCZOS_SEED).standard_normal(dim))
+                           OPinv=LinearOperator(mat.shape, matvec=solve, dtype=mat.dtype),
+                           v0=v0 if perm is None else v0[perm])
     except ArpackNoConvergence as exc:
         raise NumericError(f"shift-invert Lanczos failed to converge: {exc}") from exc
     except ArpackError as exc:
         raise NumericError(f"shift-invert Lanczos failed: {exc}") from exc
+    if perm is not None:
+        vecs[perm] = vecs.copy()
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
 
-def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The k lowest eigenpairs of a Hermitian matrix, ascending, solved
-    sector by sector, and each state's sector.
+def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
+                     n_vectors: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k lowest eigenvalues of a Hermitian matrix, ascending, solved
+    sector by sector, the eigenvectors of the first ``n_vectors`` of them
+    (all k by default), and each state's sector.
 
     One pass over the nonzero entries (`_spanning_forest`) numbers the
     sectors, the connected components of the nonzero entries, by their
@@ -588,11 +700,12 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf
     of up to ``dense_limit`` states are cut by size into stacks
     (`_sector_blocks`), whose eigenvalues come from stacked
     `np.linalg.eigvalsh`; `np.linalg.eigh` then solves the sectors that
-    hold one of the k lowest.  A larger sector is cut to CSR and goes to
-    `shift_invert_lowest` from ``floor``.  Equal eigenvalues go to the
-    lower sector.  Eigenvectors are mapped back through z, embedded in the
-    full space and phase-fixed as `operators.eigh` does, so each one lies
-    in one sector.
+    hold one of the eigenvectors asked for, and a pick in a sector it
+    solved takes its value from there.  A larger sector is cut to CSR and
+    goes to `shift_invert_lowest` from ``floor``.  Equal eigenvalues go to
+    the lower sector.  Eigenvectors are mapped back through z, embedded in
+    the full space and phase-fixed as `operators.eigh` does, so each one
+    lies in one sector.
     """
     mat = scipy.sparse.csr_matrix(mat)
     dim = mat.shape[0]
@@ -642,18 +755,19 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf
     values, sectors, levels = (np.concatenate(x) for x in (values, sectors, levels))
     pick = np.lexsort((levels, sectors, values))[:k]
     vectors = np.zeros((dim, len(pick)), dtype=complex)
+    n_vectors = len(pick) if n_vectors is None else n_vectors
     for col, (b, j) in enumerate(zip(sectors[pick], levels[pick])):
         states = order[first[b]:first[b] + sizes[b]]
         if sizes[b] == 1:
             vectors[states, col] = 1.0
-            continue
-        if b not in solved:
-            solved[b] = np.linalg.eigh(_sector_blocks(mat, states[None], place, dtype(b))[0])
-        values[pick[col]] = solved[b][0][j]
-        vectors[states, col] = z[states] * solved[b][1][:, j]
+        elif col < n_vectors or b in solved:
+            if b not in solved:
+                solved[b] = np.linalg.eigh(_sector_blocks(mat, states[None], place, dtype(b))[0])
+            values[pick[col]] = solved[b][0][j]
+            vectors[states, col] = z[states] * solved[b][1][:, j]
     # eigh may move a pick from eigvalsh's value by rounding
     ascending = np.argsort(values[pick], kind="stable")
-    return values[pick][ascending], _fix_phases(vectors[:, ascending]), sector_of
+    return values[pick][ascending], _fix_phases(vectors[:, ascending[:n_vectors]]), sector_of
 
 
 def ground_resolvent(model: MatterModel, h_m: Operator | None = None):
@@ -665,7 +779,7 @@ def ground_resolvent(model: MatterModel, h_m: Operator | None = None):
     if model.dim <= DENSE_MAX_DIM:
         return matter_spectrum(model, h_m)
     h = model.h_m if h_m is None else h_m
-    lowest, vectors, sector_of = lowest_by_sector(h.matrix, 2, DENSE_MAX_DIM)
+    lowest, vectors, sector_of = lowest_by_sector(h.matrix, 2, DENSE_MAX_DIM, n_vectors=1)
     if np.bincount(sector_of).max() > DENSE_MAX_DIM:
         return SparseResolvent(model=model, h_m_used=h, lowest=lowest, vector=vectors[:, 0])
     return SectorResolvent(model=model, h_m_used=h, sector_of=sector_of, lowest=lowest,

@@ -26,8 +26,11 @@ states where nothing couples them) and solves each one with the routine
 that also solves the matter ground states, `matter.lowest_by_sector`:
 in real arithmetic where a diagonal phase change makes a block real, a
 single state off the diagonal, a block of up to DENSE_LIMIT states dense,
-and a larger one by the package's sparse solver,
-`matter.shift_invert_lowest`, factored just below the floor.  Each
+and a larger one by the package's sparse eigensolver,
+`matter.shift_invert_lowest`: shift-invert Lanczos on a banded Cholesky
+factorisation of the block just below the floor, whose success certifies
+that shift (where it fails, the block is factored at its Gershgorin
+shift).  Each
 returned eigenvector lies in one block, so the ground vector is a parity
 eigenstate, and the parity-odd observables, the photon coherence <a> and
 the transverse field, read exactly 0 in it, also inside the superradiant
@@ -223,7 +226,7 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
 def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs of ``system.h``, ascending, solved block by
     block by `matter.lowest_by_sector`: blocks above DENSE_LIMIT states are
-    factored just below the certified ``system.floor``."""
+    factored by banded Cholesky just below the certified ``system.floor``."""
     vals, vecs, _ = lowest_by_sector(system.h, k, DENSE_LIMIT, system.floor)
     return vals, vecs
 

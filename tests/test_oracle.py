@@ -24,11 +24,12 @@ from gaugecavity.gauge import (
 from gaugecavity.matter import (
     along_op,
     build_anharmonic_dipole,
+    build_ring_lattice,
     build_two_level_ensemble,
     matter_spectrum,
 )
-from gaugecavity.operators import (Operator, Statevector, boson_ladder, coherent_state, eigh,
-                                   vacuum)
+from gaugecavity.operators import (DENSE_MAX_DIM, Operator, Statevector, boson_ladder,
+                                   coherent_state, eigh, vacuum)
 from gaugecavity.oracle import (
     DENSE_LIMIT,
     constrained_min,
@@ -585,21 +586,15 @@ class TestLowestEigenpairs:
 
     @pytest.mark.parametrize("preset", ["dipole", "coulomb"])
     def test_one_slot_blocks_factor_once(self, monkeypatch, preset):
-        # the README oracle Hamiltonian at dipole_scale 0.34: one splu per
-        # parity block, and the eigenpairs of dense eigh
+        # the README oracle Hamiltonian at dipole_scale 0.34: one banded
+        # Cholesky factorisation per parity block, and the eigenpairs of
+        # dense eigh
         model = build_two_level_ensemble(40, 1.0, (0.0, 0.34, 0.0), 1.0)
         system = full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 60)
         assert len(system.slots) == 1
         solve = matter_module.shift_invert_lowest
         calls = _sparse_blocks(monkeypatch)
-        factored = []
-        splu = matter_module.splu
-
-        def counting_splu(*args, **kwargs):
-            factored.append(1)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(matter_module, "splu", counting_splu)
+        factored, _ = _counting_band(monkeypatch)
         lowest_eigenpairs(system, k=2)
         blocks = [block for block, _ in calls]
         assert len(blocks) == 2 and all(b.shape[0] > DENSE_LIMIT for b in blocks)
@@ -635,7 +630,7 @@ class TestLowestEigenpairs:
         system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], cutoff)
         assert len(system.slots) == 2 and np.isfinite(system.floor)
         calls = _sparse_blocks(monkeypatch)
-        solves = _counting_splu(monkeypatch)
+        _, solves = _counting_band(monkeypatch)
         vals, vecs = lowest_eigenpairs(system, k=2)
         blocks = [block for block, _ in calls]
         assert all(floor == system.floor for _, floor in calls)
@@ -733,24 +728,27 @@ class TestBlockSplit:
         assert np.count_nonzero(np.abs(rotated.imag) > 1e-3) == 2  # the closing bond
 
 
-def _counting_splu(monkeypatch):
-    """Wrap `matter.splu`; returns a list that gets one entry per solve."""
-    solves = []
-    splu = matter_module.splu
+def _counting_band(monkeypatch):
+    """Wrap the banded Cholesky routines `matter` calls, real and complex;
+    returns two lists that get one entry per factorisation and per solve."""
+    factored, solves = [], []
+    for names, calls in ((("dpbtrf", "zpbtrf"), factored), (("dpbtrs", "zpbtrs"), solves)):
+        for name in names:
+            routine = getattr(matter_module, name)
+            monkeypatch.setattr(matter_module, name, lambda *a, routine=routine, calls=calls,
+                                **kw: calls.append(1) or routine(*a, **kw))
+    return factored, solves
 
-    class Counting:
-        def __init__(self, lu):
-            self.lu = lu
 
-        def __getattr__(self, name):
-            return getattr(self.lu, name)
-
-        def solve(self, rhs):
-            solves.append(1)
-            return self.lu.solve(rhs)
-
-    monkeypatch.setattr(matter_module, "splu", lambda *a, **kw: Counting(splu(*a, **kw)))
-    return solves
+def _cut_sectors(mat, dense_limit):
+    """The CSR blocks `matter.lowest_by_sector` hands to shift-invert, cut
+    with no solve."""
+    blocks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matter_module, "shift_invert_lowest", lambda block, k, floor:
+                      blocks.append(block) or (np.zeros(k), np.eye(block.shape[0], k)))
+        matter_module.lowest_by_sector(mat, 1, dense_limit)
+    return blocks
 
 
 class TestFloorShift:
@@ -763,7 +761,7 @@ class TestFloorShift:
         system = full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 42)
         assert len(system.slots) == 1 and np.isfinite(system.floor)
         calls = _sparse_blocks(monkeypatch)
-        solves = _counting_splu(monkeypatch)
+        _, solves = _counting_band(monkeypatch)
         vals, _ = lowest_eigenpairs(system, k=2)
         blocks = [block for block, _ in calls]
         assert len(blocks) == 2 and min(b.shape[0] for b in blocks) > DENSE_LIMIT
@@ -775,24 +773,134 @@ class TestFloorShift:
         assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_false_floor_falls_back_to_gershgorin_shift(self, monkeypatch):
-        # a floor above the spectrum leaves a pivot that is not positive, so
-        # the block is factored again at the Gershgorin shift
+        # a floor above the spectrum makes the Cholesky factorisation fail,
+        # so the block is factored again at the Gershgorin shift
         system = full_hamiltonian(dicke(40, 0.34), make_gauge("coulomb"), [lwl_mode(1.0, 1.0)], 60)
-        blocks = []
-        monkeypatch.setattr(matter_module, "shift_invert_lowest",
-                            lambda block, k, floor: blocks.append(block) or
-                            (np.zeros(k), np.eye(block.shape[0], k)))
-        lowest_eigenpairs(system, k=2)
-        monkeypatch.undo()
-        block = blocks[0]
+        block = _cut_sectors(system.h, DENSE_LIMIT)[0]
         vals, vecs = matter_module.shift_invert_lowest(block, 2)
-        factored = []
-        splu = matter_module.splu
-        monkeypatch.setattr(matter_module, "splu",
-                            lambda *a, **kw: factored.append(1) or splu(*a, **kw))
+        factored, _ = _counting_band(monkeypatch)
         false_vals, false_vecs = matter_module.shift_invert_lowest(block, 2, floor=vals[1] + 1.0)
         assert len(factored) == 2
         assert np.array_equal(false_vals, vals) and np.array_equal(false_vecs, vecs)
+
+
+def _width(mat, order=None) -> int:
+    """The half-bandwidth of ``mat`` with its states in ``order`` (its own
+    order by default)."""
+    coo = mat.tocoo()
+    place = np.arange(mat.shape[0])
+    if order is not None:
+        place[order] = np.arange(mat.shape[0])
+    return int(np.max(np.abs(place[coo.row] - place[coo.col]), initial=0))
+
+
+def _band_width(mat) -> int:
+    """The half-bandwidth of the band `matter._band` stores ``mat`` in."""
+    return matter_module._band(mat)[1].shape[0] - 1
+
+
+def _level_width(mat) -> int:
+    return _width(mat, matter_module._level_order(mat.indptr, mat.indices, mat.shape[0]))
+
+
+def _readme_block():
+    system = full_hamiltonian(dicke(40, 0.34), make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 60)
+    return _cut_sectors(system.h, DENSE_LIMIT)[0]
+
+
+def _two_slot_block():
+    model = build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
+    system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 13)
+    return _cut_sectors(system.h, DENSE_LIMIT)[0]
+
+
+def _three_axis_sector():
+    model = build_anharmonic_dipole(27, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
+    return max(_cut_sectors(model.h_m.matrix, DENSE_MAX_DIM), key=lambda b: b.shape[0])
+
+
+class TestBandCholesky:
+    def test_level_order_narrows_a_ring_to_width_two(self):
+        ring = build_ring_lattice(1500, 1.0, 1.0).h_m.matrix
+        assert _width(ring) == 1499  # the closing bond wraps around
+        assert _level_width(ring) == 2
+        assert _band_width(ring) == 2
+
+    def test_band_is_never_wider_than_the_natural_order(self):
+        # a path, whose natural order is already the narrowest; a diagonal;
+        # a random symmetric pattern; the README block, where the natural
+        # order (31) beats the level order (41); and a flux ring
+        rng = np.random.default_rng(17)
+        pattern = scipy.sparse.random(400, 400, density=0.01, random_state=rng, format="csr")
+        cases = [_ring(300, 0.0, np.ones(300)), scipy.sparse.identity(50, format="csr"),
+                 (pattern + pattern.T + scipy.sparse.identity(400)).tocsr(), _readme_block(),
+                 _ring(300, -np.exp(0.7j), np.zeros(300))]
+        for mat in cases:
+            width = _band_width(mat)
+            assert width == min(_width(mat), _level_width(mat)) <= _width(mat)
+        assert [matter_module._band(mat)[0] is None for mat in cases] == \
+            [True, True, False, True, False]
+
+    @pytest.mark.parametrize("cut, width", [(_readme_block, 41), (_two_slot_block, 107),
+                                            (_three_axis_sector, 307)],
+                             ids=["readme_block", "two_slot_block", "three_axis_sector"])
+    def test_level_order_matches_reverse_cuthill_mckee(self, cut, width):
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        block = cut()
+        assert _level_width(block) == width
+        assert _width(block, reverse_cuthill_mckee(block, symmetric_mode=True)) == width
+
+    def test_layout_once_per_pattern(self, monkeypatch):
+        # the parity blocks of three README points share two patterns
+        monkeypatch.setattr(matter_module, "_LAYOUTS", {})
+        ordered = []
+        order = matter_module._level_order
+        monkeypatch.setattr(matter_module, "_level_order",
+                            lambda *a: ordered.append(1) or order(*a))
+        for scale in (0.2, 0.3, 0.34):
+            system = full_hamiltonian(dicke(40, scale), make_gauge("dipole"),
+                                      [lwl_mode(1.0, 1.0)], 60)
+            _assert_lowest(system, 2)
+        assert len(ordered) == 2
+
+    def test_ring_factor_holds_no_subnormal_entry(self, monkeypatch):
+        # in level order the ring is a band of width 2 whose factor decays
+        # along the band into subnormal fill, which the solver sets to zero
+        ring = build_ring_lattice(1500, 1.0, 1.0).h_m.matrix.real.tocsr()
+        factors, raw = [], []
+        trf = matter_module.dpbtrf
+
+        def factoring(band, **kwargs):
+            raw.append(trf(band.copy(order="F"), **kwargs)[0])
+            factors.append(trf(band, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(matter_module, "dpbtrf", factoring)
+        vals, vecs = matter_module.shift_invert_lowest(ring, 1)
+        assert abs(vals[0] + 2.0) <= 1e-12
+        assert np.linalg.norm(ring @ vecs[:, 0] - vals[0] * vecs[:, 0]) <= 1e-10
+        (factor, info), = factors
+        tiny = np.finfo(float).tiny
+        assert info == 0 and factor.shape == (3, 1500)
+        assert not np.any((factor != 0.0) & (np.abs(factor) < tiny))
+        assert np.any((raw[0] != 0.0) & (np.abs(raw[0]) < tiny))
+
+    def test_flux_ring_runs_the_complex_routines(self, monkeypatch):
+        dim = 500
+        ring = _ring(dim, -np.exp(0.7j), 3.0 * np.random.default_rng(3).random(dim))
+        counts = dict.fromkeys(("dpbtrf", "zpbtrf", "dpbtrs", "zpbtrs"), 0)
+        for name in counts:
+            routine = getattr(matter_module, name)
+            monkeypatch.setattr(matter_module, name, lambda *a, name=name, routine=routine, **kw:
+                                counts.update({name: counts[name] + 1}) or routine(*a, **kw))
+        vals, vecs = matter_module.shift_invert_lowest(ring, 3)
+        assert counts["dpbtrf"] == counts["dpbtrs"] == 0
+        assert counts["zpbtrf"] == 1 and counts["zpbtrs"] > 0
+        assert _band_width(ring) == 2
+        ref = np.linalg.eigvalsh(ring.toarray())[:3]
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.linalg.norm(ring @ vecs - vecs * vals, axis=0)) <= 1e-10
 
 
 class TestVariationalScan:

@@ -3,7 +3,8 @@
 The dense backend is the full eigendecomposition (`matter_spectrum`).
 Above DENSE_MAX_DIM states `matter.lowest_by_sector` finds the ground
 state sector by sector, and the resolvent is a dense solve per sector
-(`SectorResolvent`) or one LU of the bordered matrix (`SparseResolvent`).
+(`SectorResolvent`) or one sparse LU of the bordered matrix
+(`SparseResolvent`).
 Each comparison of the dense and bordered backends builds the bordered
 one directly on the eigenpairs `ground_resolvent` finds (`_bordered`),
 so it does not depend on where DENSE_MAX_DIM puts the switch; the sector
@@ -369,20 +370,23 @@ def _sweep_config(levels):
 def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):
     # one shift-invert run per distinct Hamiltonian: 3 points of the dipole
     # gauge, and the Coulomb gauge's h_m, which the charge leaves
-    # unchanged; each factors H - sigma I for the eigensolver and its
-    # bordered matrix for every Gram solve, the invariant check's TRK solve
-    # on the first resolvent included; 11 levels per axis make a parity
-    # sector of 216 states, the only one shift-invert solves
-    counts = {"eigh": 0, "eigsh": 0, "splu": 0}
+    # unchanged; each makes one banded Cholesky factorisation of
+    # H - sigma I for the eigensolver and one sparse LU of its bordered
+    # matrix for every Gram solve, the invariant check's TRK solve on the
+    # first resolvent included; 11 levels per axis make a parity sector of
+    # 216 states, the only one shift-invert solves
+    counts = {"eigh": 0, "eigsh": 0, "splu": 0, "pbtrf": 0}
 
     for mod in (operators, matter):
         monkeypatch.setattr(mod, "eigh", _counting(counts, "eigh", operators.eigh))
     for name in ("eigsh", "splu"):
         monkeypatch.setattr(matter, name, _counting(counts, name, getattr(matter, name)))
+    for name in ("dpbtrf", "zpbtrf"):
+        monkeypatch.setattr(matter, name, _counting(counts, "pbtrf", getattr(matter, name)))
     # the largest parity sector holds 6 ** 3 states
     assert 11 ** 3 > DENSE_MAX_DIM and 6 ** 3 > DENSE_MAX_DIM
     cli.run_sweep(_sweep_config(11), str(tmp_path / "out"))
-    assert counts == {"eigh": 0, "eigsh": 3 + 1, "splu": 2 * (3 + 1)}
+    assert counts == {"eigh": 0, "eigsh": 3 + 1, "splu": 3 + 1, "pbtrf": 3 + 1}
 
 
 def test_mixed_sectors_solve_only_the_large_one_sparse(monkeypatch):
