@@ -4,19 +4,19 @@ The only external surface: `gaugecavity sweep --config cfg.json --out DIR`
 writes criterion.csv, summary.json and (when enabled) oracle.csv;
 `gaugecavity check --config cfg.json` runs the invariant suites only.
 Exit codes: 0 success, 1 runtime failure, 2 config failure.  In a sweep
-the invariant check reads the first point's model and ground resolvents
-rather than building them again; `check` builds its own, and both write
-the same results.
+the invariant check reads the first point's model rather than building
+it again; `check` builds its own, and both write the same results.
 
 The criterion stage runs in two steps.  The matter step walks the sweep
-points: it builds each point's model, resolves each gauge's dressed
-Hamiltonian through the digest cache of ground resolvents, keeps one
-`criterion.MatterPoint` per gauge and mode (an 8 x 8 resolvent Gram
-matrix, <0|f_sigma|0>, D and Delta_q) and drops the model, so only the
-first point's model, which the invariant check reads, stays alive beside
-the current one.  The stacked step then runs `criterion.verdicts` once
-per gauge and mode over every point, and criterion.csv is written from
-its arrays.
+points: it builds each point's model, keeps one `criterion.MatterPoint`
+per gauge and mode (an 8 x 8 resolvent Gram matrix, <0|f_sigma|0>, D and
+Delta_q) and drops the model, so only the first point's model, which the
+invariant check reads, stays alive beside the current one.  The stacked
+step then runs `criterion.verdicts` once per gauge and mode over every
+point, and criterion.csv is written from its arrays.  Ground states come
+from `matter.ground_resolvent`, which solves each distinct stored
+Hamiltonian once per process, so the matter step, the invariant check and
+the oracle share its solves (see the `matter` docstring).
 
 The config schema is the key tables below; `validate_config` walks them
 once, and `_build_model` passes the model keys on to the kind's builder.
@@ -59,9 +59,9 @@ near 0.
 criterion.csv and oracle.csv are byte-identical across repeated runs of
 the same config and seed on the same machine: rows are emitted in
 deterministic parameter order, every sparse eigensolve starts from a
-fixed vector seeded with `matter.LANCZOS_SEED`, a resolvent reused across
-gauges or points is the one a fresh solve of the same stored Hamiltonian
-gives, and floats are serialised with shortest round-trip repr.  With
+fixed vector seeded with `matter.LANCZOS_SEED`, whatever `matter` keeps
+between solves gives the bits a fresh solve gives, and floats are
+serialised with shortest round-trip repr.  With
 every BLAS call on one thread, both files are also the same for any
 `OPENBLAS_NUM_THREADS` and whether workers or the parent run the oracle.
 """
@@ -70,12 +70,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -83,8 +82,8 @@ import numpy as np
 from . import __version__, matter
 from .criterion import matter_point, verdicts
 from .errors import ConfigError, GaugecavityError
-from .gauge import (GaugePreset, GaugeSpec, ModeSpec, dressed_matter_hamiltonian, lwl_mode,
-                    make_gauge, pairing_problem, ring_mode)
+from .gauge import (GaugePreset, GaugeSpec, ModeSpec, lwl_mode, make_gauge, pairing_problem,
+                    ring_mode)
 from .matter import (MAX_ANHARMONIC_DIM, MAX_ENSEMBLE_SIZE, MAX_RING_SITES, MatterModel,
                      ModelKind, ground_resolvent)
 from .operators import Statevector
@@ -409,68 +408,29 @@ def _point(cfg: SweepConfig, param: str, value: float, modes=None
     return model, gauges, modes
 
 
-def _stored_digest(op) -> bytes:
-    """Digest of an operator's stored form: the dense array, or the CSR
-    index arrays and values, with shape and dtype."""
-    m = op.matrix
-    parts = (m,) if isinstance(m, np.ndarray) else (m.indptr, m.indices, m.data)
-    digest = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        digest.update(np.ascontiguousarray(part).data)
-    digest.update(repr((type(m).__name__, m.shape, m.dtype.str)).encode())
-    return digest.digest()
-
-
-def _matter_point(point, previous: dict) -> tuple[list[tuple], dict]:
+def _matter_point(point) -> list[tuple]:
     """The criterion's matter step at one sweep sample ``point`` (model,
     gauges, modes): a (gauge, q_index, `criterion.MatterPoint`) per gauge
-    and mode, gauge by gauge, and the sample's ground resolvents by the
-    `_stored_digest` of their dressed Hamiltonian, stripped of model and
-    Hamiltonian.  Nothing returned holds the model.
-
-    A gauge and mode whose dressed Hamiltonian is stored as one met before
-    in this sample or in ``previous``, the last sample's resolvents, reuses
-    that resolvent, rebound to this sample's model and Hamiltonian: a
-    `dipole_scale` sweep diagonalises h_m once.  The eigen-data depend on
-    the stored form alone, so the results are those of fresh solves.  The
-    bare h_m, which every gauge without a self-energy returns, is hashed
-    once.
-    """
+    and mode, gauge by gauge, none of which holds the model.  Each dressed
+    Hamiltonian's ground resolvent comes from `matter.ground_resolvent`,
+    which solves each distinct stored form once: a `dipole_scale` sweep
+    diagonalises h_m once."""
     model, gauges, modes = point
-    current, bare, rows = {}, None, []
-    for gauge in gauges:
-        for qi, mode in enumerate(modes):
-            h = dressed_matter_hamiltonian(model, gauge, [mode])
-            if h is model.h_m:
-                key = bare = bare or _stored_digest(h)
-            else:
-                key = _stored_digest(h)
-            hit = current.get(key, previous.get(key))
-            if hit is None:
-                ground = ground_resolvent(model, h)
-                hit = replace(ground, model=None, h_m_used=None)
-            else:
-                ground = replace(hit, model=model, h_m_used=h)
-            current[key] = hit
-            rows.append((gauge, qi, matter_point(model, gauge, mode, spectrum=ground)))
-    return rows, current
+    return [(gauge, qi, matter_point(model, gauge, mode))
+            for gauge in gauges for qi, mode in enumerate(modes)]
 
 
 def _criterion_stage(cfg: SweepConfig, param: str, values: np.ndarray
                      ) -> tuple[list[dict], tuple]:
     """criterion.csv records for the sweep, in point, gauge, mode and branch
-    order, and the first sample's point and ground resolvents: the matter
-    step at every sample, then the stacked step (see the module docstring).
-    The modes are built once, unless the sweep varies the volume, which is
-    theirs."""
+    order, and the first sample's point: the matter step at every sample,
+    then the stacked step (see the module docstring).  The modes are built
+    once, unless the sweep varies the volume, which is theirs."""
     first = _point(cfg, param, float(values[0]))
     modes = None if param == "volume" else first[2]
-    rows, resolvents = _matter_point(first, {})
-    samples, checked = [rows], (first, resolvents)
-    for v in values[1:]:
-        rows, resolvents = _matter_point(_point(cfg, param, float(v), modes), resolvents)
-        samples.append(rows)
-    stacks = [verdicts([sample[k][2] for sample in samples]) for k in range(len(rows))]
+    samples = [_matter_point(first)]
+    samples += [_matter_point(_point(cfg, param, float(v), modes)) for v in values[1:]]
+    stacks = [verdicts([sample[k][2] for sample in samples]) for k in range(len(samples[0]))]
     header = CSV_HEADER.split(",")
     records = [dict(zip(header, (
         SCHEMA_VERSION, i, param, float(v), gauge.preset.value, gauge.alpha, qi, rep.tau,
@@ -478,7 +438,7 @@ def _criterion_stage(cfg: SweepConfig, param: str, values: np.ndarray
         rep.beta0.real, rep.beta0.imag)))
         for i, (v, sample) in enumerate(zip(values, samples))
         for (gauge, qi, _), stack in zip(sample, stacks) for rep in stack[i]]
-    return records, checked
+    return records, first
 
 
 def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> list[dict]:
@@ -552,13 +512,13 @@ def _check(dev: float, tol: float) -> dict:
     return {"max_dev": dev, "tol": tol, "passed": dev <= tol}
 
 
-def run_check(cfg: SweepConfig, point=None, resolvents=None) -> dict:
+def run_check(cfg: SweepConfig, point=None) -> dict:
     """Run the invariant suites relevant to the configured model and gauges.
 
-    ``point`` is the first sweep sample's (model, gauges, modes), and
-    ``resolvents`` its ground resolvents as `_matter_point` returns them;
-    the TRK sum reuses the one of bare h_m among them, rebound to the
-    model.  Without them the sample is built and h_m solved here.
+    ``point`` is the first sweep sample's (model, gauges, modes), built
+    here when not given.  The TRK sum and the ring's density check read
+    h_m's ground state from `matter`, which in a sweep has solved it
+    already.
     """
     from .bogoliubov import diagonalize_block, numeric_block_eigen, verify_symplectic
     from .gauge import DiamagneticMatrix, diamagnetic_D
@@ -582,10 +542,7 @@ def run_check(cfg: SweepConfig, point=None, resolvents=None) -> dict:
     if model.kind is ModelKind.RING_LATTICE:
         results["ring_uniform_density"] = _check(check_uniform_density(model), 1e-12)
     if model.momentum_ops is not None:
-        hit = (resolvents or {}).get(_stored_digest(model.h_m))
-        ground = ground_resolvent(model) if hit is None else \
-            replace(hit, model=model, h_m_used=model.h_m)
-        s = trk_sum(ground, axis=0)
+        s = trk_sum(ground_resolvent(model), axis=0)
         target = model.params.mass * model.params.n_charges / 2.0
         results["trk_sum_rule"] = _check(abs(s - target), 1e-6)
     for gauge in gauges:
@@ -683,7 +640,7 @@ def run_sweep(cfg: SweepConfig, out_dir: str) -> int:
             records, first = _criterion_stage(cfg, param, values)
             _write_csv(os.path.join(out_dir, "criterion.csv"), CSV_HEADER, records)
             t_criterion = time.monotonic() - t_start
-            checks = run_check(cfg, *first)
+            checks = run_check(cfg, first)
 
             t_wait = time.monotonic()
             if pool is not None:

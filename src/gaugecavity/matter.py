@@ -28,6 +28,23 @@ perturbation theory, with no full spectrum.  All three are deterministic
 for a fixed Hamiltonian, and all refuse a ground gap of at most
 DEGENERACY_ATOL when built.
 
+A sweep repeats most of this, so the module keeps what it has solved,
+each cache bounded by its entry count and each kept entry giving the
+bits a fresh solve gives:
+  * `lowest_by_sector` keeps a `_SectorPlan` for each of the last
+    SECTOR_PLANS patterns of nonzero entries (with the tensor shape of an
+    oracle Hamiltonian): the sectors, their partition, the forest's
+    hooking rounds, and each large sector's entries and band layout;
+  * `ground_resolvent` keeps the backends of the last RESOLVENTS
+    Hamiltonians by `Operator.digest`, without their model, and
+    `ring_ground_state` as many dense ring ground vectors beside them;
+  * `SparseResolvent` keeps the bordered factors of as many, and drops
+    the oldest before it factors anew while they hold more than
+    BORDERED_BYTES;
+  * the ensemble and dipole builders keep the operators the swept keys
+    leave unchanged for BUILDS sets of the other keys, so a sweep's
+    points share one h_m, whose digest is taken once.
+
 Conventions (natural units):
   * electrons have charge -e with e > 0,
   * total dipole  d_i = -e * sum_mu r_mu_i,
@@ -47,7 +64,8 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -77,9 +95,22 @@ REAL_GAUGE_RTOL = 1e-13
 # spectrum, relative to max(1, |floor|); the floor can lie very close to
 # E_0, so some margin must stay
 FLOOR_MARGIN = 1e-2
-# `_band` keeps the layouts of this many sparsity patterns in _LAYOUTS
-BAND_LAYOUTS = 16
-_LAYOUTS: dict = {}
+# `lowest_by_sector` keeps the `_SectorPlan`s of this many sparsity
+# patterns in _PLANS, by `_pattern_key`; a README sweep meets 2
+SECTOR_PLANS = 16
+_PLANS: dict = {}
+# `ground_resolvent` keeps the backends of this many distinct Hamiltonians
+# in _RESOLVENTS, and `ring_ground_state` as many dense ring ground vectors
+RESOLVENTS = 8
+_RESOLVENTS: dict = {}
+# `_kept_bordered` keeps the bordered factorisations of as many, but drops
+# the oldest before it factors anew while those kept hold more than this
+# many bytes: at d = 19683 the 3-axis dipole's holds about 120 MB
+BORDERED_BYTES = 1 << 26
+_BORDERED: dict = {}
+# each builder keeps the operators its swept arguments leave unchanged for
+# this many sets of the other arguments
+BUILDS = 4
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -289,35 +320,53 @@ class SparseResolvent(_SectorGround):
     Construction refuses a ground gap of at most DEGENERACY_ATOL, then
     factors the bordered matrix [[H - E_0, g], [g^dag, 0]] of the ground
     vector g once (`_factor_bordered`), which a unique ground state makes
-    nonsingular, unless ``bordered`` already holds its solve: so
-    `dataclasses.replace` carries the factors over to a resolvent rebound
-    to another model of the same Hamiltonian.  For the right-hand side
-    [b; 0] with b = Q c, the solution [x; l] has g^dag x = 0 and
-    (H - E_0) x = b - l g, where l = -g^dag (H - E_0) x = 0, so
-    x = Q (H - E_0)^-1 Q c: `gram` solves all its columns with those
+    nonsingular; `_kept_bordered` keeps the factors, so a resolvent rebound
+    to another model of the same Hamiltonian reuses them, and one stripped
+    of its Hamiltonian, as `ground_resolvent` keeps it, holds none.  For
+    the right-hand side [b; 0] with b = Q c, the solution [x; l] has
+    g^dag x = 0 and (H - E_0) x = b - l g, where l = -g^dag (H - E_0) x = 0,
+    so x = Q (H - E_0)^-1 Q c: `gram` solves all its columns with those
     factors at once.
     """
 
-    bordered: Callable | None = field(default=None, repr=False, compare=False)
-
     def __post_init__(self):
         super().__post_init__()
-        if self.bordered is None:
-            object.__setattr__(self, "bordered",
-                               _factor_bordered(self.h_m_used, self.lowest[0], self.vector))
+        if self.h_m_used is not None:
+            _kept_bordered(self.h_m_used, self.lowest[0], self.vector)
 
     def gram(self, cols: np.ndarray) -> np.ndarray:
         """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``, from one
         solve of the bordered system with the right-hand sides [Q C; 0]."""
         g = self.vector
         basis = cols - np.outer(g, g.conj() @ cols)
-        x = self.bordered(np.vstack([basis, np.zeros((1, basis.shape[1]))]))
+        solve = _kept_bordered(self.h_m_used, self.lowest[0], g)
+        x = solve(np.vstack([basis, np.zeros((1, basis.shape[1]))]))
         return basis.conj().T @ x[:-1]
 
 
-def _factor_bordered(h: Operator, e0: float, g: np.ndarray) -> Callable:
-    """The solve X = B^-1 R for complex columns R of the bordered matrix
-    B = [[H - E_0, g], [g^dag, 0]], factored once by `splu`: in real
+def _kept_bordered(h: Operator, e0: float, g: np.ndarray) -> Callable:
+    """The solve of `_factor_bordered` for (h, e0, g), factored where
+    _BORDERED does not hold it.  _BORDERED keeps the factors of the last
+    RESOLVENTS ones, but drops the oldest before a new factorisation while
+    it holds more than BORDERED_BYTES, so that no factorisation runs beside
+    large ones kept."""
+    digest = hashlib.blake2b(h.digest, digest_size=16)
+    for part in (np.float64(e0), g):
+        digest.update(np.ascontiguousarray(part).data)
+    key = digest.digest()
+    kept = _BORDERED.pop(key, None)
+    while kept is None and _BORDERED and (
+            len(_BORDERED) >= RESOLVENTS or sum(size for _, size in _BORDERED.values())
+            > BORDERED_BYTES):
+        del _BORDERED[next(iter(_BORDERED))]
+    _BORDERED[key] = kept = kept or _factor_bordered(h, e0, g)
+    return kept[0]
+
+
+def _factor_bordered(h: Operator, e0: float, g: np.ndarray) -> tuple[Callable, int]:
+    """(solve, bytes): the solve X = B^-1 R for complex columns R of the
+    bordered matrix B = [[H - E_0, g], [g^dag, 0]], factored once by
+    `splu`, and the size of its factors.  The factorisation runs in real
     arithmetic where H is real (its ground vector then is real too), which
     takes the real and imaginary parts of R as one real right-hand side.
     B is indefinite, so SuperLU pivots, but its pattern is symmetric and
@@ -335,14 +384,15 @@ def _factor_bordered(h: Operator, e0: float, g: np.ndarray) -> Callable:
         lu = splu(bordered, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise NumericError(f"the bordered resolvent matrix could not be factored: {exc}") from exc
+    size = lu.nnz * (bordered.dtype.itemsize + bordered.indices.dtype.itemsize)
     if not real:
-        return lu.solve
+        return lu.solve, size
 
     def solve(rhs):
         k = rhs.shape[1]
         x = lu.solve(np.concatenate([rhs.real, rhs.imag], axis=1))
         return x[:, :k] + 1j * x[:, k:]
-    return solve
+    return solve, size
 
 
 @dataclass(frozen=True)
@@ -430,6 +480,11 @@ def _stacks(sizes, order, first, key):
         yield ids, order[first[ids][:, None] + np.arange(sizes[ids[0]])]
 
 
+def _ranges(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges start[i], ..., start[i] + counts[i] - 1, one after another."""
+    return np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+
+
 def _sector_entries(mat, states: np.ndarray, place: np.ndarray):
     """(row, col, data) of the nonzero entries of the CSR matrix ``mat`` in
     the rows ``states``, row by row: row counts ``states`` in flat order,
@@ -437,7 +492,7 @@ def _sector_entries(mat, states: np.ndarray, place: np.ndarray):
     flat = states.ravel()
     start = mat.indptr[flat]
     counts = mat.indptr[flat + 1] - start
-    at = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    at = _ranges(start, counts)
     row = np.repeat(np.arange(len(flat)), counts)
     keep = mat.data[at] != 0
     return row[keep], place[mat.indices[at[keep]]], mat.data[at[keep]]
@@ -460,6 +515,54 @@ def _sector_blocks(mat, states: np.ndarray, place: np.ndarray, dtype) -> np.ndar
     return block
 
 
+def _hooking_rounds(rows: np.ndarray, cols: np.ndarray, dim: int, record: bool):
+    """(root, rounds): the lowest state of each state's sector, found by the
+    hooking of `_spanning_forest` on the entries (rows, cols), which
+    depends on the pattern alone.  With ``record``, ``rounds`` holds per
+    round the roots before it, the roots a that hook, the edges e they hook
+    through and the pointer array of each jump, from which
+    `_forest_phases` replays the phases for any values; else it is None."""
+    nnz = len(rows)
+    root = np.arange(dim)
+    rounds = [] if record else None
+    while True:
+        hook = np.flatnonzero(root[cols] < root[rows])
+        if not hook.size:
+            return root, rounds
+        # per root a, the lowest root b it meets and the first edge to it
+        best = np.full(dim, dim * nnz)
+        key = root[cols[hook]] * nnz
+        key += hook
+        np.minimum.at(best, root[rows[hook]], key)
+        a = np.flatnonzero(best < dim * nnz)
+        b, e = np.divmod(best[a], nnz)
+        up, jumps = np.arange(dim), []
+        up[a] = b
+        while not np.array_equal(up[up], up):
+            jumps.append(up)
+            up = up[up]
+        if record:
+            rounds.append((root, a, e, jumps))
+        root = up[root]
+
+
+def _forest_phases(rounds, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: int
+                   ) -> np.ndarray:
+    """The phases z of `_spanning_forest` for the values ``data`` on the
+    entries (rows, cols), replayed from the ``rounds`` `_hooking_rounds`
+    recorded on their pattern: the same products in the same order, so
+    the same bits."""
+    z = np.ones(dim, dtype=complex)  # the phase of each state relative to its root
+    for root, a, e, jumps in rounds:
+        # z_i = z_j u_ij on the edge (i, j), so z_a = z_b z_j u_ij conj(z_i)
+        link = np.ones(dim, dtype=complex)
+        link[a] = z[cols[e]] * (data[e] / np.abs(data[e])) * np.conj(z[rows[e]])
+        for up in jumps:
+            link = link * link[up]
+        z = z * link[root]
+    return z
+
+
 def _spanning_forest(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: int
                      ) -> tuple[np.ndarray, np.ndarray]:
     """(root, z) for the nonzero entries (rows, cols, data) of a Hermitian
@@ -469,35 +572,17 @@ def _spanning_forest(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: 
     real and positive on the edges of a spanning forest.
 
     The forest grows by hooking, as in the connected-components algorithm
-    of Shiloach and Vishkin.  Each tree keeps its lowest state as root and
-    each state its phase relative to the root.  In each round every root
-    with an edge to a tree of a lower root hooks under the lowest such root,
-    through the first such edge, whose phase fixes the one between the
-    roots; pointer jumping then carries every state to its new root,
-    multiplying the phases on the way.  Rounds repeat until no edge joins
-    two trees: two on the README oracle Hamiltonian.
+    of Shiloach and Vishkin (`_hooking_rounds`).  Each tree keeps its
+    lowest state as root and each state its phase relative to the root
+    (`_forest_phases`).  In each round every root with an edge to a tree of
+    a lower root hooks under the lowest such root, through the first such
+    edge, whose phase fixes the one between the roots; pointer jumping
+    then carries every state to its new root, multiplying the phases on
+    the way.  Rounds repeat until no edge joins two trees: two on the
+    README oracle Hamiltonian.
     """
-    nnz = len(data)
-    root = np.arange(dim)
-    z = np.ones(dim, dtype=complex)  # the phase of each state relative to its root
-    while True:
-        hook = np.flatnonzero(root[cols] < root[rows])
-        if not hook.size:
-            return root, z
-        # per root a, the lowest root b it meets and the first edge to it
-        best = np.full(dim, dim * nnz)
-        key = root[cols[hook]] * nnz
-        key += hook
-        np.minimum.at(best, root[rows[hook]], key)
-        a = np.flatnonzero(best < dim * nnz)
-        b, e = np.divmod(best[a], nnz)
-        # z_i = z_j u_ij on the edge (i, j), so z_a = z_b z_j u_ij conj(z_i)
-        up, link = np.arange(dim), np.ones(dim, dtype=complex)
-        up[a] = b
-        link[a] = z[cols[e]] * (data[e] / np.abs(data[e])) * np.conj(z[rows[e]])
-        while not np.array_equal(up[up], up):
-            up, link = up[up], link * link[up]
-        root, z = up[root], z * link[root]
+    root, rounds = _hooking_rounds(rows, cols, dim, record=True)
+    return root, _forest_phases(rounds, rows, cols, data, dim)
 
 
 def _gershgorin_floor(mat) -> float:
@@ -530,8 +615,7 @@ def _level_order(indptr: np.ndarray, indices: np.ndarray, dim: int) -> np.ndarra
             done += level.size
             start = indptr[level]
             counts = indptr[level + 1] - start
-            at = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
-            child, parent = indices[at], np.repeat(rank[level], counts)
+            child, parent = indices[_ranges(start, counts)], np.repeat(rank[level], counts)
             new = rank[child] < 0
             # the level is in rank order, so a child's first entry holds its first parent
             child, first = np.unique(child[new], return_index=True)
@@ -540,53 +624,48 @@ def _level_order(indptr: np.ndarray, indices: np.ndarray, dim: int) -> np.ndarra
     return order
 
 
-def _band_layout(indptr: np.ndarray, indices: np.ndarray, dim: int):
+def _band_layout(indptr: np.ndarray, indices: np.ndarray, dim: int, orders=()):
     """(perm, width, upper, at) for a CSR pattern: the order of the band's
     states, or None for their own order, its half-bandwidth, and for the
     stored entries ``upper`` on or above the diagonal in that order, their
     flat positions ``at`` in the band of `_band`.  The band takes the
-    narrower of the natural order and a Cuthill-McKee order
-    (`_level_order`): a ring's natural order wraps around and leaves the
-    full width, its level order a width of 2."""
+    narrowest of the natural order, a Cuthill-McKee order (`_level_order`)
+    and the ``orders`` given, the first of them among equals: a ring's
+    natural order wraps around and leaves the full width, its level order
+    a width of 2, and an oracle block is narrowest photon-major."""
     rows, cols = np.repeat(np.arange(dim), np.diff(indptr)), indices
-    order = _level_order(indptr, cols, dim)
+    perm, width = None, np.max(np.abs(rows - cols), initial=0)
     place = np.empty(dim, dtype=np.intp)
-    place[order] = np.arange(dim)
-    perm = None
-    if np.max(np.abs(place[rows] - place[cols]), initial=0) < np.max(np.abs(rows - cols),
-                                                                      initial=0):
-        perm, rows, cols = order, place[rows], place[cols]
+    for order in (_level_order(indptr, cols, dim), *orders):
+        place[order] = np.arange(dim)
+        narrower = np.max(np.abs(place[rows] - place[cols]), initial=0)
+        if narrower < width:
+            perm, width = order, narrower
+    if perm is not None:
+        place[perm] = np.arange(dim)
+        rows, cols = place[rows], place[cols]
     upper = np.flatnonzero(rows <= cols)
     offset = cols[upper] - rows[upper]
     width = int(np.max(offset, initial=0))
     return perm, width, upper, cols[upper] * (width + 1) + width - offset
 
 
-def _band(mat) -> tuple[np.ndarray | None, np.ndarray]:
+def _band(mat, layout=None) -> tuple[np.ndarray | None, np.ndarray]:
     """(perm, band): the canonical CSR matrix ``mat`` in LAPACK's upper band
     storage, on which OpenBLAS solves faster than on the lower one, as a
     (width + 1, dim) array in Fortran order whose last row is the diagonal,
-    with its states in the order ``perm`` of `_band_layout`, or None for
-    their own order.  The layout depends on the sparsity pattern alone, so
-    the layouts of the last BAND_LAYOUTS patterns are kept, by a digest of
-    the pattern: every sweep point repeats the same block patterns."""
+    with its states in the order ``perm`` of ``layout``, or None for their
+    own order.  ``layout`` is `_band_layout`'s for the pattern of ``mat``,
+    which a `_SectorPlan` keeps; without one it is found here."""
     dim = mat.shape[0]
-    digest = hashlib.blake2b(repr((dim, mat.indptr.dtype.str, mat.indices.dtype.str)).encode(),
-                             digest_size=16)
-    for part in (mat.indptr, mat.indices):
-        digest.update(np.ascontiguousarray(part).data)
-    key = digest.digest()
-    layout = _LAYOUTS.pop(key, None) or _band_layout(mat.indptr, mat.indices, dim)
-    _LAYOUTS[key] = layout  # the most recently used last
-    if len(_LAYOUTS) > BAND_LAYOUTS:
-        del _LAYOUTS[next(iter(_LAYOUTS))]
-    perm, width, upper, at = layout
+    perm, width, upper, at = layout or _band_layout(mat.indptr, mat.indices, dim)
     band = np.zeros((width + 1) * dim, dtype=np.result_type(mat.dtype, float))
     band[at] = mat.data[upper]
     return perm, band.reshape(width + 1, dim, order="F")
 
 
-def _band_cholesky(mat, sigma: float) -> tuple[np.ndarray | None, Callable] | None:
+def _band_cholesky(mat, sigma: float, layout=None
+                   ) -> tuple[np.ndarray | None, Callable] | None:
     """(perm, solve) for x = (mat - sigma I)^-1 b, with x and b in the order
     ``perm`` of the band of `_band`, from LAPACK's banded Cholesky
     factorisation pbtrf and its solve pbtrs (the complex Hermitian
@@ -595,7 +674,7 @@ def _band_cholesky(mat, sigma: float) -> tuple[np.ndarray | None, Callable] | No
     the factor below the smallest normal float is set to zero: a ring's
     factor decays along the band into subnormal numbers, which slow every
     solve down."""
-    perm, band = _band(mat)
+    perm, band = _band(mat, layout)
     band[-1] -= sigma
     trf, trs = (zpbtrf, zpbtrs) if np.iscomplexobj(band) else (dpbtrf, dpbtrs)
     factor, info = trf(band, overwrite_ab=1)
@@ -607,64 +686,66 @@ def _band_cholesky(mat, sigma: float) -> tuple[np.ndarray | None, Callable] | No
     return perm, lambda rhs: trs(factor, rhs)[0]
 
 
-def _factor_below(mat, shift: float, floor: float) -> tuple[float, np.ndarray | None, Callable]:
-    """(sigma, perm, solve) of `_band_cholesky` at
-    sigma = max(shift, floor - margin), the margin FLOOR_MARGIN times
-    max(1, |floor|).
+def _factor_below(mat, floor: float, layout=None
+                  ) -> tuple[float, np.ndarray | None, Callable]:
+    """(sigma, perm, solve) of `_band_cholesky`, at sigma = floor - margin,
+    the margin FLOOR_MARGIN times max(1, |floor|), where a floor is given.
 
     sigma is meant to lie below the whole spectrum, so the matrix is
     positive definite, and its Cholesky factorisation succeeds exactly
-    then: that success certifies the floor.  A floor whose factorisation
-    fails is no lower bound after all, and the matrix is factored again at
-    ``shift``, the Gershgorin shift, where it cannot fail for a Hermitian
-    matrix."""
-    sigma = floor - FLOOR_MARGIN * max(1.0, abs(floor))
-    if sigma > shift:
-        factored = _band_cholesky(mat, sigma)
+    then: that success certifies the floor.  Without a floor, or where its
+    factorisation fails, so that it is no lower bound after all, the
+    matrix is factored at the Gershgorin shift, where it cannot fail for a
+    Hermitian matrix."""
+    if floor > -np.inf:
+        sigma = floor - FLOOR_MARGIN * max(1.0, abs(floor))
+        factored = _band_cholesky(mat, sigma, layout)
         if factored is not None:
             return sigma, *factored
-    factored = _band_cholesky(mat, shift)
+    shift = _gershgorin_floor(mat)
+    factored = _band_cholesky(mat, shift, layout)
     if factored is None:
         raise NumericError("the matrix is not positive definite above its Gershgorin shift, "
                            "so it is not Hermitian")
     return shift, *factored
 
 
-def shift_invert_lowest(mat, k: int, floor: float = -np.inf) -> tuple[np.ndarray, np.ndarray]:
+def shift_invert_lowest(mat, k: int, floor: float = -np.inf, layout=None
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenpairs of a sparse Hermitian matrix, ascending, by
     shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1251, 1980).
 
     This is the package's one sparse eigensolver.  Every sector too large
-    for a dense solve comes here, from `lowest_by_sector`: an oracle block
-    above `oracle.DENSE_LIMIT` states, with ``floor`` the oracle's
-    certified `FullSystem.floor`, and a sector of a matter Hamiltonian
-    above DENSE_MAX_DIM states, with no floor.  The reduced resolvent of
-    that ground state is one sparse LU, of an indefinite bordered matrix
-    (`SparseResolvent`).
+    for a dense solve comes here, from `lowest_by_sector`, with the band
+    ``layout`` its plan keeps: an oracle block above `oracle.DENSE_LIMIT`
+    states, with ``floor`` the oracle's certified `FullSystem.floor`, and a
+    sector of a matter Hamiltonian above DENSE_MAX_DIM states, with no
+    floor.  The reduced resolvent of that ground state is one sparse LU,
+    of an indefinite bordered matrix (`SparseResolvent`).
 
     H - sigma I is factored once by a banded Cholesky factorisation
-    (`_band_cholesky`), with sigma just below ``floor`` or at the
+    (`_band_cholesky`), with sigma just below ``floor``, or at the
     Gershgorin shift, a Gershgorin lower bound on the spectrum minus 1,
-    where that lies higher or no floor is given; a floor at which the
-    factorisation fails is no lower bound and falls back to the Gershgorin
-    shift (`_factor_below`).  ARPACK then runs on (H - sigma I)^-1, in the
-    order of the band's states, whose largest eigenvalues belong to the
-    lowest of H, so an eigenvalue that is exactly zero, as the bare
-    two-level ground energy is, is found like any other.  A real matrix
-    runs through ARPACK's real symmetric routine.  The start vector is a
-    fixed Gaussian draw seeded with LANCZOS_SEED, put in the band's order
-    with the states: it has weight in every symmetry sector, and unlike the
-    uniform vector it is no eigenvector of a matrix whose rows share one
-    sum.  Convergence goes with the ratios (E_0 - sigma) / (E_j - sigma),
-    so a sigma near E_0 needs few solves, and the Gershgorin shift can lie
-    far below E_0.  ARPACK's failures become NumericError.
+    where no floor is given or the factorisation at the floor fails, which
+    makes it no lower bound (`_factor_below`).  ARPACK then runs on
+    (H - sigma I)^-1, in the order of the band's states, whose largest
+    eigenvalues belong to the lowest of H, so an eigenvalue that is exactly
+    zero, as the bare two-level ground energy is, is found like any other.
+    A real matrix runs through ARPACK's real symmetric routine.  The start
+    vector is a fixed Gaussian draw seeded with LANCZOS_SEED, put in the
+    band's order with the states: it has weight in every symmetry sector,
+    and unlike the uniform vector it is no eigenvector of a matrix whose
+    rows share one sum.  Convergence goes with the ratios
+    (E_0 - sigma) / (E_j - sigma), so a sigma near E_0 needs few solves,
+    and the Gershgorin shift can lie far below E_0.  ARPACK's failures
+    become NumericError.
     """
     mat = scipy.sparse.csr_matrix(mat)
     if not mat.has_canonical_format:
-        mat = mat.copy()
+        mat, layout = mat.copy(), None
         mat.sum_duplicates()
     dim = mat.shape[0]
-    sigma, perm, solve = _factor_below(mat, _gershgorin_floor(mat), floor)
+    sigma, perm, solve = _factor_below(mat, floor, layout)
     v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
     try:
         vals, vecs = eigsh(mat, k=k, sigma=sigma, which="LM",
@@ -680,8 +761,94 @@ def shift_invert_lowest(mat, k: int, floor: float = -np.inf) -> tuple[np.ndarray
     return vals[order], vecs[:, order]
 
 
+def _recall(cache: dict, bound: int, key, make: Callable):
+    """cache[key], from make() where it is missing; the cache keeps the
+    ``bound`` entries used last, the one used last at its end."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = make()
+    cache[key] = value
+    while len(cache) > bound:
+        del cache[next(iter(cache))]
+    return value
+
+
+@dataclass
+class _SectorPlan:
+    """What `lowest_by_sector` derives from a pattern of nonzero entries:
+    ``indptr`` of the nonzero entries row by row, the sectors, numbered by
+    ``sector_of`` (``whole`` when an entry's mirror is missing, which
+    makes the whole matrix one sector), their `_partition`, the hooking
+    ``rounds`` of `_hooking_rounds` (recorded where values first need
+    phases), and per sector solved sparse its block: the positions of its
+    entries among the nonzero ones, their columns in the sector, its
+    ``indptr``, and its band layout."""
+
+    indptr: np.ndarray
+    sector_of: np.ndarray
+    whole: bool
+    partition: tuple
+    rounds: list | None
+    blocks: dict = field(default_factory=dict)
+
+
+def _sector_plan(rows: np.ndarray, cols: np.ndarray, dim: int, record: bool) -> _SectorPlan:
+    """The plan of the nonzero entries (rows, cols) on ``dim`` states, with
+    the hooking rounds where ``record``; its blocks come later."""
+    root, rounds = _hooking_rounds(rows, cols, dim, record)
+    sector_of = np.unique(root, return_inverse=True)[1]
+    whole = bool(np.any(sector_of[rows] != sector_of[cols]))
+    if whole:
+        sector_of = np.zeros(dim, dtype=np.intp)
+    return _SectorPlan(indptr=np.r_[0, np.cumsum(np.bincount(rows, minlength=dim))],
+                       sector_of=sector_of, whole=whole, partition=_partition(sector_of),
+                       rounds=rounds)
+
+
+def _plan_block(plan: _SectorPlan, b: int, cols: np.ndarray, shape):
+    """The block of sector ``b`` that ``plan`` keeps, made on first use:
+    the positions of its entries among the nonzero ones (whose columns are
+    ``cols``), row by row, their columns in the sector, its CSR ``indptr``
+    and its band layout, which tries the photon-major order too where
+    ``shape``, the tensor shape (matter, photon slots...) of the states,
+    has photon slots."""
+    if b not in plan.blocks:
+        sizes, order, first, place = plan.partition
+        states = order[first[b]:first[b] + sizes[b]]
+        start = plan.indptr[states]
+        counts = plan.indptr[states + 1] - start
+        at = _ranges(start, counts)
+        col, indptr = place[cols[at]], np.r_[0, np.cumsum(counts)]
+        orders = ()
+        if shape is not None and len(shape) > 1:
+            photons = math.prod(shape[1:])
+            orders = (np.argsort(states % photons * shape[0] + states // photons, kind="stable"),)
+        perm, width, upper, band_at = _band_layout(indptr, col, len(states), orders)
+        # kept as 32-bit indices, which halve a large plan
+        plan.blocks[b] = (_index32(at), _index32(col), indptr,
+                          (perm, width, _index32(upper), _index32(band_at)))
+    return plan.blocks[b]
+
+
+def _index32(index: np.ndarray) -> np.ndarray:
+    """``index`` as 32-bit integers where its values fit."""
+    return index.astype(np.int32) if np.max(index, initial=0) < 2 ** 31 else index
+
+
+def _pattern_key(mat, keep: np.ndarray | None, shape) -> bytes:
+    """A digest of the pattern of the nonzero entries of the CSR matrix
+    ``mat``: its index arrays, the stored entries ``keep`` that are nonzero
+    (all where None), and ``shape``."""
+    digest = hashlib.blake2b(repr((mat.shape, mat.indptr.dtype.str, mat.indices.dtype.str,
+                                   shape)).encode(), digest_size=16)
+    for part in (mat.indptr, mat.indices) + (() if keep is None else (keep,)):
+        digest.update(np.ascontiguousarray(part).data)
+    return digest.digest()
+
+
 def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
-                     n_vectors: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     n_vectors: int | None = None, shape=None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k lowest eigenvalues of a Hermitian matrix, ascending, solved
     sector by sector, the eigenvectors of the first ``n_vectors`` of them
     (all k by default), and each state's sector.
@@ -706,24 +873,36 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     the lower sector.  Eigenvectors are mapped back through z, embedded in
     the full space and phase-fixed as `operators.eigh` does, so each one
     lies in one sector.
+
+    All of that but the values depends on the pattern of the nonzero
+    entries alone, which a sweep repeats, so it is kept, per pattern and
+    ``shape``, as a `_SectorPlan` for the last SECTOR_PLANS patterns: a
+    repeated pattern replays the forest's phases on its values and
+    scatters each large sector into its band, with the same bits as a new
+    plan.  ``shape``, the tensor shape (matter, photon slots...) of an
+    oracle Hamiltonian's states, adds the photon-major order to the band
+    orders a large sector tries.
     """
     mat = scipy.sparse.csr_matrix(mat)
     dim = mat.shape[0]
     keep = mat.data != 0
-    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))[keep]
-    cols, data = mat.indices[keep], mat.data[keep]
+    keep = None if keep.all() else keep
+    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
+    rows, cols, data = (rows, mat.indices, mat.data) if keep is None else \
+        (rows[keep], mat.indices[keep], mat.data[keep])
     rotate = data.imag.any()
-    # unit weights leave every phase at 1
-    root, z = _spanning_forest(rows, cols, data if rotate else np.broadcast_to(1.0, rows.shape),
-                               dim)
-    sector_of = np.unique(root, return_inverse=True)[1]
-    if np.any(sector_of[rows] != sector_of[cols]):
-        sector_of, z = np.zeros(dim, dtype=np.intp), np.ones(dim, dtype=complex)
+    plan = _recall(_PLANS, SECTOR_PLANS, _pattern_key(mat, keep, shape),
+                   lambda: _sector_plan(rows, cols, dim, rotate))
+    z = np.ones(dim, dtype=complex)  # real values leave every phase at 1
     if rotate:
+        if not plan.whole:
+            if plan.rounds is None:  # the plan was made on real values
+                plan.rounds = _hooking_rounds(rows, cols, dim, record=True)[1]
+            z = _forest_phases(plan.rounds, rows, cols, data, dim)
         data = np.conj(z[rows]) * data * z[cols]
-        mat = scipy.sparse.csr_matrix(
-            (data, cols, np.r_[0, np.cumsum(np.bincount(rows, minlength=dim))]), shape=(dim, dim))
-    sizes, order, first, place = _partition(sector_of)
+        mat = scipy.sparse.csr_matrix((data, cols, plan.indptr), shape=(dim, dim))
+    sector_of = plan.sector_of
+    sizes, order, first, place = plan.partition
     is_complex = np.zeros(len(sizes), dtype=bool)
     scale = np.max(np.abs(data), initial=0.0)
     is_complex[sector_of[rows[np.abs(data.imag) > REAL_GAUGE_RTOL * scale]]] = True
@@ -742,12 +921,12 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
                 _sector_blocks(mat, states[j:j + per], place, dtype(ids)))[:, :k]
                 for j in range(0, len(states), per)])
         else:
-            for b, one in zip(ids, states):
-                row, col, entries = _sector_entries(mat, one, place)
+            for b in ids:
+                at, col, indptr, layout = _plan_block(plan, b, cols, shape)
                 block = scipy.sparse.csr_matrix(
-                    (entries if is_complex[b] else entries.real, col,
-                     np.r_[0, np.cumsum(np.bincount(row, minlength=size))]), shape=(size, size))
-                solved[b] = shift_invert_lowest(block, k, floor)
+                    (data[at] if is_complex[b] else data[at].real, col, indptr),
+                    shape=(size, size))
+                solved[b] = shift_invert_lowest(block, k, floor, layout=layout)
             vals = np.array([solved[b][0] for b in ids])
         values.append(vals.ravel())
         sectors.append(np.repeat(ids, vals.shape[1]))
@@ -770,20 +949,35 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     return values[pick][ascending], _fix_phases(vectors[:, ascending[:n_vectors]]), sector_of
 
 
-def ground_resolvent(model: MatterModel, h_m: Operator | None = None):
-    """The ground-resolvent backend for this Hamiltonian: the full
-    `matter_spectrum` up to DENSE_MAX_DIM states, and above the two lowest
-    eigenpairs of `lowest_by_sector`, with `SectorResolvent` when every
-    sector has at most DENSE_MAX_DIM states and `SparseResolvent` when
-    one has more."""
+def _solve_ground(model: MatterModel, h: Operator):
+    """The ground-resolvent backend of `ground_resolvent`, solved afresh."""
     if model.dim <= DENSE_MAX_DIM:
-        return matter_spectrum(model, h_m)
-    h = model.h_m if h_m is None else h_m
+        return matter_spectrum(model, h)
     lowest, vectors, sector_of = lowest_by_sector(h.matrix, 2, DENSE_MAX_DIM, n_vectors=1)
     if np.bincount(sector_of).max() > DENSE_MAX_DIM:
         return SparseResolvent(model=model, h_m_used=h, lowest=lowest, vector=vectors[:, 0])
     return SectorResolvent(model=model, h_m_used=h, sector_of=sector_of, lowest=lowest,
                            vector=vectors[:, 0])
+
+
+def ground_resolvent(model: MatterModel, h_m: Operator | None = None):
+    """The ground-resolvent backend for this Hamiltonian: the full
+    `matter_spectrum` up to DENSE_MAX_DIM states, and above the two lowest
+    eigenpairs of `lowest_by_sector`, with `SectorResolvent` when every
+    sector has at most DENSE_MAX_DIM states and `SparseResolvent` when
+    one has more.
+
+    The backends of the last RESOLVENTS Hamiltonians are kept by
+    `Operator.digest`, without their model, and a Hamiltonian stored as
+    one of them gets that backend rebound to its model, with the bordered
+    factors of a `SparseResolvent` carried over: the eigen-data depend on
+    the stored form alone, so that is what a fresh solve gives, and the
+    criterion, the invariant check and the oracle of one process share
+    one solve per distinct Hamiltonian."""
+    h = model.h_m if h_m is None else h_m
+    ground = _recall(_RESOLVENTS, RESOLVENTS, ("resolvent", h.digest),
+                     lambda: replace(_solve_ground(model, h), model=None, h_m_used=None))
+    return replace(ground, model=model, h_m_used=h)
 
 
 def check_unique_ground(ground):
@@ -839,6 +1033,20 @@ def _axis_kron(factors: dict, levels: int, axes: int):
     return scipy.sparse.csr_matrix((val, (row, col)), shape=(dim, dim))
 
 
+@functools.lru_cache(maxsize=BUILDS)
+def _ensemble_operators(count: int, gap: float):
+    """(h_m, S_x) in the S = N/2 Dicke sector, m ascending: S_z is diagonal
+    and S_x tridiagonal.  One pair serves every dipole moment and volume,
+    so a sweep of either shares one h_m, whose digest is taken once."""
+    s = count / 2.0
+    m = np.arange(count + 1) - s
+    half_sp = 0.5 * np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] + 1))
+    sx = _banded(count + 1, {-1: half_sp, 1: half_sp})
+    for part in (sx.data, sx.indices, sx.indptr) if scipy.sparse.issparse(sx) else (sx,):
+        part.setflags(write=False)
+    return Operator(_banded(count + 1, {0: gap * (m + s)}), hermitian=True), sx
+
+
 def build_two_level_ensemble(count: int, gap: float, dipole_moment,
                              volume: float) -> MatterModel:
     """N identical two-level dipoles in the symmetric collective-spin sector.
@@ -855,12 +1063,7 @@ def build_two_level_ensemble(count: int, gap: float, dipole_moment,
     d = np.asarray(dipole_moment, dtype=float)
     if d.shape != (3,):
         raise ArgumentError("dipole_moment must be a 3-vector")
-    # S_z (diagonal) and S_x (tridiagonal) in the S = N/2 Dicke sector, m ascending
-    s = count / 2.0
-    m = np.arange(count + 1) - s
-    half_sp = 0.5 * np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] + 1))
-    sx = _banded(count + 1, {-1: half_sp, 1: half_sp})
-    h_m = Operator(_banded(count + 1, {0: gap * (m + s)}), hermitian=True)
+    h_m, sx = _ensemble_operators(count, gap)
     dip = tuple(Operator(2.0 * d[i] * sx, hermitian=True) for i in range(3))
     dnorm = float(np.linalg.norm(d))
     axis = d / dnorm if dnorm > 0 else X_AXIS
@@ -886,6 +1089,28 @@ def _single_axis_oscillator(levels: int, mass: float, omega: float):
     return x, p, h
 
 
+@functools.lru_cache(maxsize=BUILDS)
+def _dipole_operators(levels: int, mass: float, frequency: float, quartic: float, axes: int):
+    """(h_m, positions, momenta) of `build_anharmonic_dipole`: none depends
+    on the charge or the volume, so a sweep of either shares one h_m,
+    whose digest is taken once."""
+    x1, p1, h1 = _single_axis_oscillator(levels, mass, frequency)
+    x2 = x1 @ x1
+    h_axis = h1 + quartic * (x2 @ x2)
+
+    def embed(factors):
+        return _axis_kron(factors, levels, axes)
+
+    # the 1-axis model lies along x; (r.r)^2 = sum_i x_i^4 + 2 sum_{i<j}
+    # x_i^2 x_j^2, each term one Kronecker product of single-axis matrices
+    h = sum((embed({i: h_axis}) for i in range(1, axes)), embed({0: h_axis}))
+    if axes == 3:
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            h = h + 2.0 * quartic * embed({i: x2, j: x2})
+    return (Operator(h, hermitian=True), tuple(Operator(embed({i: x1})) for i in range(axes)),
+            tuple(Operator(embed({i: p1}), hermitian=True) for i in range(axes)))
+
+
 def build_anharmonic_dipole(levels: int, mass: float, frequency: float,
                             quartic: float, charge: float, volume: float,
                             axes: int = 1) -> MatterModel:
@@ -909,31 +1134,17 @@ def build_anharmonic_dipole(levels: int, mass: float, frequency: float,
     if axes == 3 and dim > MAX_ANHARMONIC_DIM:
         raise ResourceLimitError(f"3-axis dimension {dim} exceeds {MAX_ANHARMONIC_DIM}")
 
-    x1, p1, h1 = _single_axis_oscillator(levels, mass, frequency)
-    x2 = x1 @ x1
-    h_axis = h1 + quartic * (x2 @ x2)
-
-    def embed(factors):
-        return _axis_kron(factors, levels, axes)
-
-    # the 1-axis model lies along x; (r.r)^2 = sum_i x_i^4 + 2 sum_{i<j}
-    # x_i^2 x_j^2, each term one Kronecker product of single-axis matrices
-    h = sum((embed({i: h_axis}) for i in range(1, axes)), embed({0: h_axis}))
-    if axes == 3:
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            h = h + 2.0 * quartic * embed({i: x2, j: x2})
-    dip = [Operator(-charge * embed({i: x1}), hermitian=True) if i < axes else zero(dim)
+    h_m, positions, mom = _dipole_operators(levels, mass, frequency, quartic, axes)
+    dip = [Operator(-charge * positions[i].matrix, hermitian=True) if i < axes else zero(dim)
            for i in range(3)]
-    mom = [Operator(embed({i: p1}), hermitian=True) for i in range(axes)]
     params = ModelParams(n_charges=1, mass=mass, charge=charge, volume=float(volume),
                          e2n_over_m=charge ** 2 / mass,
                          detail={"levels": levels, "frequency": frequency,
                                  "quartic": quartic, "axes": axes})
-    return MatterModel(kind=ModelKind.ANHARMONIC_DIPOLE,
-                       h_m=Operator(h, hermitian=True),
+    return MatterModel(kind=ModelKind.ANHARMONIC_DIPOLE, h_m=h_m,
                        dipole_ops=tuple(dip), params=params,
                        axes=(X_AXIS, Y_AXIS, Z_AXIS)[:axes],
-                       momentum_ops=tuple(mom),
+                       momentum_ops=mom,
                        self_energy_in_electric_gauges=True)
 
 
@@ -989,9 +1200,19 @@ def ring_ground_state(model: MatterModel) -> np.ndarray:
     D and the wavevector-decoupling check read.  It comes from the dense
     spectrum: the site density of the shift-invert ground vector
     deviates from 1/L by 8.1e-13 at L = 1500 but by 7.9e-12 at 3000 and
-    1.1e-11 at 4000, which fail a 1e-12 check."""
+    1.1e-11 at 4000, which fail a 1e-12 check.  Up to DENSE_MAX_DIM sites
+    that spectrum is `ground_resolvent`'s; above, the vector alone is kept
+    beside the resolvents, by digest of h_m, so a sweep diagonalises each
+    distinct bare ring once."""
     model._require_ring()
-    return matter_spectrum(model).ground_state_vector()
+    if model.dim <= DENSE_MAX_DIM:
+        return ground_resolvent(model).ground_state_vector()
+
+    def solve():
+        vector = matter_spectrum(model).ground_state_vector().copy()  # not the whole spectrum
+        vector.setflags(write=False)
+        return vector
+    return _recall(_RESOLVENTS, RESOLVENTS, ("dense ground", model.h_m.digest), solve)
 
 
 def check_uniform_density(model: MatterModel) -> float:

@@ -12,6 +12,8 @@ threads is safe.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +34,7 @@ DENSE_MAX_DIM = 200
 
 def _as_matrix(entries):
     """A square complex CSR matrix for sparse input above DENSE_MAX_DIM,
-    else a read-only dense array."""
+    else a dense array; either way its arrays are read-only."""
     if scipy.sparse.issparse(entries) and entries.shape[0] <= DENSE_MAX_DIM:
         entries = entries.toarray()
     if scipy.sparse.issparse(entries):
@@ -42,8 +44,8 @@ def _as_matrix(entries):
         m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ArgumentError(f"operator entries must be square, got shape {m.shape}")
-    if not scipy.sparse.issparse(m):
-        m.setflags(write=False)
+    for part in (m.data, m.indices, m.indptr) if scipy.sparse.issparse(m) else (m,):
+        part.setflags(write=False)
     return m
 
 
@@ -58,9 +60,10 @@ class Operator:
     """Complex square matrix with a Hermiticity hint.
 
     ``matrix`` is the stored form, a dense array or a CSR matrix; both
-    multiply vectors from either side.  ``entries`` is always dense: the
-    stored array itself, or for a sparse operator a read-only copy made on
-    each call and not kept.
+    multiply vectors from either side, and neither can be written to.
+    ``entries`` is always dense: the stored array itself, or for a sparse
+    operator a read-only copy made on each call and not kept.  ``digest``
+    names the stored form and is computed once.
     """
 
     matrix: object
@@ -75,6 +78,17 @@ class Operator:
                 raise ArgumentError(
                     f"operator flagged hermitian deviates by {dev:.3e} > {HERMITICITY_ATOL}"
                 )
+
+    @functools.cached_property
+    def digest(self) -> bytes:
+        """A digest of the stored form: the dense array, or the CSR index
+        arrays and values, with type, shape and dtype."""
+        m = self.matrix
+        digest = hashlib.blake2b(digest_size=16)
+        for part in (m,) if isinstance(m, np.ndarray) else (m.indptr, m.indices, m.data):
+            digest.update(np.ascontiguousarray(part).data)
+        digest.update(repr((type(m).__name__, m.shape, m.dtype.str)).encode())
+        return digest.digest()
 
     @property
     def sparse(self) -> bool:
@@ -193,17 +207,25 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each eigenvector so its largest-magnitude entry is real positive.
 
     Ties within 1e-12 of the maximum resolve to the lowest index, which
-    pins the output bit-for-bit across repeats on the same platform.
+    pins the output bit-for-bit across repeats on the same platform.  A
+    zero column is left as it is.
     """
     out = vectors.copy()
+    if not out.size:
+        return out
     mags = np.abs(out)
-    for k in range(out.shape[1]):
-        col = mags[:, k]
-        top = col.max()
-        idx = int(np.flatnonzero(col >= top - 1e-12)[0])
-        pivot = out[idx, k]
-        if abs(pivot) > 0:
-            out[:, k] *= np.conj(pivot) / abs(pivot)
+    pivot = out[np.argmax(mags >= mags.max(axis=0) - 1e-12, axis=0), np.arange(out.shape[1])]
+    size = np.hypot(pivot.real, pivot.imag)  # libm's hypot, as abs() of one number
+    turn = size > 0
+    # each column times its own number in a loop of its own length, as
+    # `out[:, k] *= c_k` multiplies it: numpy's vector loops round a
+    # number differently in their tail, so a one-state column stays alone
+    c = np.conj(pivot[turn]) / size[turn]
+    if out.shape[0] > 1:
+        out.T[turn] *= c[:, None]
+    else:
+        for k, ck in zip(np.flatnonzero(turn), c):
+            out[:, k] *= ck
     return out
 
 

@@ -226,8 +226,11 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
 def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs of ``system.h``, ascending, solved block by
     block by `matter.lowest_by_sector`: blocks above DENSE_LIMIT states are
-    factored by banded Cholesky just below the certified ``system.floor``."""
-    vals, vecs, _ = lowest_by_sector(system.h, k, DENSE_LIMIT, system.floor)
+    factored by banded Cholesky just below the certified ``system.floor``,
+    in the narrowest band order, which the tensor shape lets include the
+    photon-major one."""
+    vals, vecs, _ = lowest_by_sector(system.h, k, DENSE_LIMIT, system.floor,
+                                     shape=tuple(system.slot_dims()))
     return vals, vecs
 
 

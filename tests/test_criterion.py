@@ -459,49 +459,51 @@ class TestSpectrumSharing:
     ])
     def test_solves_per_distinct_hamiltonian(self, monkeypatch, tmp_path, param, solves):
         seen = []
+        solve = matter._solve_ground
 
-        def counting(model, h_m=None):
-            seen.append(h_m)
-            return matter.ground_resolvent(model, h_m)
+        def counting(model, h):
+            seen.append(h)
+            return solve(model, h)
 
-        monkeypatch.setattr(cli, "ground_resolvent", counting)
+        monkeypatch.setattr(matter, "_solve_ground", counting)
         cli.run_sweep(self._config(param), str(tmp_path / "out"))
         assert len(seen) == solves
-        assert len({cli._stored_digest(h) for h in seen}) == solves
+        assert len({h.digest for h in seen}) == solves
 
     @pytest.mark.parametrize("param", sorted(SWEEPS))
     def test_criterion_csv_matches_fresh_solves(self, monkeypatch, tmp_path, param):
         cfg = self._config(param)
         cli.run_sweep(cfg, str(tmp_path / "shared"))
-        # a key no other Hamiltonian has: every gauge and mode solves afresh
-        monkeypatch.setattr(cli, "_stored_digest", lambda h: object())
+        # nothing kept: every gauge and mode solves afresh, on a fresh plan
+        monkeypatch.setattr(matter, "RESOLVENTS", 0)
+        monkeypatch.setattr(matter, "SECTOR_PLANS", 0)
         cli.run_sweep(cfg, str(tmp_path / "fresh"))
         shared = (tmp_path / "shared" / "criterion.csv").read_bytes()
         assert shared == (tmp_path / "fresh" / "criterion.csv").read_bytes()
 
-    def test_carried_resolvents_hold_no_model(self):
+    def test_kept_resolvents_hold_no_model(self):
         cfg = self._config("charge")
-        records, carried = cli._matter_point(cli._point(cfg, "charge", 0.2), {})
+        cli._matter_point(cli._point(cfg, "charge", 0.2))
         # dipole and alpha_lwl dress h_m differently; Coulomb keeps it
-        assert len(carried) == 3
-        assert all(g.model is None and g.h_m_used is None for g in carried.values())
-        _, again = cli._matter_point(cli._point(cfg, "charge", 0.4), carried)
+        kept = dict(matter._RESOLVENTS)
+        assert len(kept) == 3
+        assert all(g.model is None and g.h_m_used is None for g in kept.values())
+        cli._matter_point(cli._point(cfg, "charge", 0.4))
         # besides h_m, alpha_lwl's (0.5 x 0.4)^2 self-energy is stored as
         # the dipole gauge's 0.2^2 one of the point before
-        assert len(again) == 3 and len(set(again) & set(carried)) == 2
+        assert len(matter._RESOLVENTS) == 4 and len(kept.keys() & matter._RESOLVENTS.keys()) == 3
 
     def test_stored_digest_reads_the_stored_form(self):
         dense = np.diag([0.0, 1.0, 2.0])
-        assert cli._stored_digest(Operator(dense)) == cli._stored_digest(Operator(dense.copy()))
-        assert cli._stored_digest(Operator(dense)) != \
-            cli._stored_digest(Operator(np.diag([0.0, 1.0, 2.5])))
+        assert Operator(dense).digest == Operator(dense.copy()).digest
+        assert Operator(dense).digest != Operator(np.diag([0.0, 1.0, 2.5])).digest
         # the identity and the exchange matrix share indptr and data
         n = operators.DENSE_MAX_DIM + 1
         eye = scipy.sparse.identity(n, format="csr")
         flip = scipy.sparse.csr_matrix(np.fliplr(np.eye(n)))
         assert Operator(eye).sparse and Operator(flip).sparse
-        assert cli._stored_digest(Operator(eye)) == cli._stored_digest(Operator(eye.copy()))
-        assert cli._stored_digest(Operator(eye)) != cli._stored_digest(Operator(flip))
+        assert Operator(eye).digest == Operator(eye.copy()).digest
+        assert Operator(eye).digest != Operator(flip).digest
 
 
 _ANHARMONIC_3AXIS = build_anharmonic_dipole(5, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gaugecavity.errors import ArgumentError, ResourceLimitError
 from gaugecavity.operators import (
+    DENSE_MAX_DIM,
     Operator,
     Statevector,
     basis_state,
     boson_ladder,
     coherent_state,
+    _fix_phases,
     displacement,
     eigh,
     expectation,
@@ -181,3 +184,55 @@ def test_statevector_normalisation_guard():
     with pytest.raises(ArgumentError):
         Statevector(np.array([1.0, 1.0]))
     assert basis_state(4, 2).amplitudes[2] == 1.0
+
+
+def _fix_phases_by_column(vectors):
+    """`_fix_phases` as a loop over the columns."""
+    out = vectors.copy()
+    mags = np.abs(out)
+    for k in range(out.shape[1]):
+        col = mags[:, k]
+        idx = int(np.flatnonzero(col >= col.max() - 1e-12)[0])
+        pivot = out[idx, k]
+        if abs(pivot) > 0:
+            out[:, k] *= np.conj(pivot) / abs(pivot)
+    return out
+
+
+class TestFixPhases:
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64])
+    def test_matches_the_column_loop_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        for trial in range(40):
+            cols = int(rng.integers(1, 30))
+            v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            v[:, 0] = 0.0  # a zero column stays as it is
+            if rows > 2:
+                # entries tied within 1e-12: the lower index is the pivot
+                v[2] = v[1] * np.exp(1j * rng.random(cols)) * (1.0 + 1e-13)
+            if trial % 3 == 0:
+                v = np.asfortranarray(v)
+            want, got = _fix_phases_by_column(v), _fix_phases(v)
+            assert np.array_equal(want.view(float), got.view(float))
+        assert np.all(got[:, 0] == 0.0)
+
+    def test_tied_pivot_is_the_lower_index(self):
+        v = np.array([[1j], [1.0 + 1e-13]])
+        assert np.array_equal(_fix_phases(v), np.array([[1.0 + 0j], [-1j * (1.0 + 1e-13)]]))
+
+
+class TestStoredForm:
+    def test_sparse_arrays_are_read_only(self):
+        n = DENSE_MAX_DIM + 1
+        op = Operator(scipy.sparse.diags([np.ones(n - 1), np.arange(n), np.ones(n - 1)],
+                                         [-1, 0, 1], format="csr"))
+        assert op.sparse
+        for part in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 1
+
+    def test_digest_is_kept_and_names_the_stored_form(self):
+        op = Operator(np.diag([0.0, 1.0]))
+        assert op.digest is op.digest
+        assert op.digest == Operator(np.diag([0.0, 1.0])).digest
+        assert op.digest != Operator(np.diag([0.0, 1.0 + 2e-16])).digest

@@ -481,9 +481,9 @@ def _record_blocks(monkeypatch):
                 seen.append((out.dtype, len(one)))
         return out
 
-    def solving(block, k, floor):
+    def solving(block, k, floor, layout):
         seen.append((block.dtype, block.shape[0]))
-        return solve(block, k, floor)
+        return solve(block, k, floor, layout=layout)
 
     monkeypatch.setattr(matter_module, "_sector_blocks", cutting)
     monkeypatch.setattr(matter_module, "shift_invert_lowest", solving)
@@ -496,9 +496,9 @@ def _sparse_blocks(monkeypatch):
     calls = []
     solve = matter_module.shift_invert_lowest
 
-    def recording(block, k, floor):
+    def recording(block, k, floor, layout):
         calls.append((block, floor))
-        return solve(block, k, floor)
+        return solve(block, k, floor, layout=layout)
 
     monkeypatch.setattr(matter_module, "shift_invert_lowest", recording)
     return calls
@@ -745,7 +745,7 @@ def _cut_sectors(mat, dense_limit):
     with no solve."""
     blocks = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matter_module, "shift_invert_lowest", lambda block, k, floor:
+        patch.setattr(matter_module, "shift_invert_lowest", lambda block, k, floor, layout:
                       blocks.append(block) or (np.zeros(k), np.eye(block.shape[0], k)))
         matter_module.lowest_by_sector(mat, 1, dense_limit)
     return blocks
@@ -853,7 +853,7 @@ class TestBandCholesky:
 
     def test_layout_once_per_pattern(self, monkeypatch):
         # the parity blocks of three README points share two patterns
-        monkeypatch.setattr(matter_module, "_LAYOUTS", {})
+        monkeypatch.setattr(matter_module, "_PLANS", {})
         ordered = []
         order = matter_module._level_order
         monkeypatch.setattr(matter_module, "_level_order",

@@ -395,8 +395,8 @@ def test_mixed_sectors_solve_only_the_large_one_sparse(monkeypatch):
     model = build_anharmonic_dipole(11, 1.0, 1.0, 0.1, 0.5, 1.0, axes=3)
     solved = []
     solve = matter.shift_invert_lowest
-    monkeypatch.setattr(matter, "shift_invert_lowest", lambda block, k, floor:
-                        solved.append(block.shape[0]) or solve(block, k, floor))
+    monkeypatch.setattr(matter, "shift_invert_lowest", lambda block, k, floor, layout:
+                        solved.append(block.shape[0]) or solve(block, k, floor, layout=layout))
     ground = ground_resolvent(model)
     assert solved == [6 ** 3] and type(ground) is SparseResolvent
     assert sorted(set(np.bincount(lowest_by_sector(model.h_m.matrix, 1, DENSE_MAX_DIM)[2]))) \
