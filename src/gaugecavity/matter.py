@@ -44,6 +44,7 @@ bits a fresh solve gives:
   * the ensemble and dipole builders keep the operators the swept keys
     leave unchanged for BUILDS sets of the other keys, so a sweep's
     points share one h_m, whose digest is taken once.
+The caches take no lock: a process solves from one thread at a time.
 
 Conventions (natural units):
   * electrons have charge -e with e > 0,
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -75,7 +75,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 from .errors import (ArgumentError, DegenerateGroundStateError, NumericError, ResourceLimitError,
                      UnsupportedError)
-from .operators import DENSE_MAX_DIM, Operator, _fix_phases, boson_ladder, eigh, zero
+from .operators import DENSE_MAX_DIM, Operator, _digest, _fix_phases, boson_ladder, eigh, zero
 
 MAX_ENSEMBLE_SIZE = 4000
 # `ring_ground_state` still diagonalises the L x L ring densely
@@ -350,10 +350,7 @@ def _kept_bordered(h: Operator, e0: float, g: np.ndarray) -> Callable:
     RESOLVENTS ones, but drops the oldest before a new factorisation while
     it holds more than BORDERED_BYTES, so that no factorisation runs beside
     large ones kept."""
-    digest = hashlib.blake2b(h.digest, digest_size=16)
-    for part in (np.float64(e0), g):
-        digest.update(np.ascontiguousarray(part).data)
-    key = digest.digest()
+    key = _digest(h.digest, float(e0), g)
     kept = _BORDERED.pop(key, None)
     while kept is None and _BORDERED and (
             len(_BORDERED) >= RESOLVENTS or sum(size for _, size in _BORDERED.values())
@@ -516,12 +513,23 @@ def _sector_blocks(mat, states: np.ndarray, place: np.ndarray, dtype) -> np.ndar
 
 
 def _hooking_rounds(rows: np.ndarray, cols: np.ndarray, dim: int, record: bool):
-    """(root, rounds): the lowest state of each state's sector, found by the
-    hooking of `_spanning_forest` on the entries (rows, cols), which
-    depends on the pattern alone.  With ``record``, ``rounds`` holds per
+    """(root, rounds) for the nonzero entries (rows, cols) of a Hermitian
+    matrix on ``dim`` states: the lowest state of each state's sector, the
+    connected component of the graph with an edge from each row index to
+    its column index, found by growing a spanning forest.
+
+    The forest grows by hooking, as in the connected-components algorithm
+    of Shiloach and Vishkin.  Each tree keeps its lowest state as root.  In
+    each round every root with an edge to a tree of a lower root hooks
+    under the lowest such root, through the first such edge; pointer
+    jumping then carries every state to its new root.  Rounds repeat until
+    no edge joins two trees: two on the README oracle Hamiltonian.  All of
+    it depends on the pattern alone.  With ``record``, ``rounds`` holds per
     round the roots before it, the roots a that hook, the edges e they hook
     through and the pointer array of each jump, from which
-    `_forest_phases` replays the phases for any values; else it is None."""
+    `_forest_phases` finds the forest's phases for any values; else it is
+    None.
+    """
     nnz = len(rows)
     root = np.arange(dim)
     rounds = [] if record else None
@@ -548,10 +556,14 @@ def _hooking_rounds(rows: np.ndarray, cols: np.ndarray, dim: int, record: bool):
 
 def _forest_phases(rounds, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: int
                    ) -> np.ndarray:
-    """The phases z of `_spanning_forest` for the values ``data`` on the
-    entries (rows, cols), replayed from the ``rounds`` `_hooking_rounds`
-    recorded on their pattern: the same products in the same order, so
-    the same bits."""
+    """Diagonal phases z that make conj(z_r) h_rc z_c real and positive on
+    the edges of the spanning forest whose hooking ``rounds``
+    `_hooking_rounds` recorded, for the values ``data`` on its entries
+    (rows, cols).  Each state keeps its phase relative to its root; a hook
+    fixes the phase between two roots from the phase of its edge, and each
+    jump multiplies the phases on the way.  The same products run in the
+    same order for every repeat of a pattern, so the same values give the
+    same bits."""
     z = np.ones(dim, dtype=complex)  # the phase of each state relative to its root
     for root, a, e, jumps in rounds:
         # z_i = z_j u_ij on the edge (i, j), so z_a = z_b z_j u_ij conj(z_i)
@@ -561,28 +573,6 @@ def _forest_phases(rounds, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
             link = link * link[up]
         z = z * link[root]
     return z
-
-
-def _spanning_forest(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: int
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(root, z) for the nonzero entries (rows, cols, data) of a Hermitian
-    matrix on ``dim`` states: the lowest state of each state's sector, the
-    connected component of the graph with an edge from each row index to
-    its column index, and diagonal phases z that make conj(z_r) h_rc z_c
-    real and positive on the edges of a spanning forest.
-
-    The forest grows by hooking, as in the connected-components algorithm
-    of Shiloach and Vishkin (`_hooking_rounds`).  Each tree keeps its
-    lowest state as root and each state its phase relative to the root
-    (`_forest_phases`).  In each round every root with an edge to a tree of
-    a lower root hooks under the lowest such root, through the first such
-    edge, whose phase fixes the one between the roots; pointer jumping
-    then carries every state to its new root, multiplying the phases on
-    the way.  Rounds repeat until no edge joins two trees: two on the
-    README oracle Hamiltonian.
-    """
-    root, rounds = _hooking_rounds(rows, cols, dim, record=True)
-    return root, _forest_phases(rounds, rows, cols, data, dim)
 
 
 def _gershgorin_floor(mat) -> float:
@@ -839,11 +829,8 @@ def _pattern_key(mat, keep: np.ndarray | None, shape) -> bytes:
     """A digest of the pattern of the nonzero entries of the CSR matrix
     ``mat``: its index arrays, the stored entries ``keep`` that are nonzero
     (all where None), and ``shape``."""
-    digest = hashlib.blake2b(repr((mat.shape, mat.indptr.dtype.str, mat.indices.dtype.str,
-                                   shape)).encode(), digest_size=16)
-    for part in (mat.indptr, mat.indices) + (() if keep is None else (keep,)):
-        digest.update(np.ascontiguousarray(part).data)
-    return digest.digest()
+    return _digest(mat.indptr, mat.indices, *(() if keep is None else (keep,)),
+                   (mat.shape, mat.indptr.dtype.str, mat.indices.dtype.str, shape))
 
 
 def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
@@ -853,12 +840,13 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     sector by sector, the eigenvectors of the first ``n_vectors`` of them
     (all k by default), and each state's sector.
 
-    One pass over the nonzero entries (`_spanning_forest`) numbers the
+    One pass over the nonzero entries (`_hooking_rounds`) numbers the
     sectors, the connected components of the nonzero entries, by their
-    lowest states.  For a complex matrix it also finds diagonal phases z
-    that make conj(z) h z real on the forest's edges; a sector left real
-    up to REAL_GAUGE_RTOL is solved in real arithmetic, and one with a net
-    phase around some loop, which no diagonal phase change removes, stays
+    lowest states.  For a complex matrix `_forest_phases` then finds
+    diagonal phases z that make conj(z) h z real on the edges of the
+    spanning forest that pass grew; a sector left real up to
+    REAL_GAUGE_RTOL is solved in real arithmetic, and one with a net phase
+    around some loop, which no diagonal phase change removes, stays
     complex.  A real matrix is solved as it is.  An entry whose mirror is
     not stored joins two sectors in one direction only, and then the whole
     matrix is one sector.
@@ -1041,9 +1029,7 @@ def _ensemble_operators(count: int, gap: float):
     s = count / 2.0
     m = np.arange(count + 1) - s
     half_sp = 0.5 * np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] + 1))
-    sx = _banded(count + 1, {-1: half_sp, 1: half_sp})
-    for part in (sx.data, sx.indices, sx.indptr) if scipy.sparse.issparse(sx) else (sx,):
-        part.setflags(write=False)
+    sx = Operator(_banded(count + 1, {-1: half_sp, 1: half_sp}))
     return Operator(_banded(count + 1, {0: gap * (m + s)}), hermitian=True), sx
 
 
@@ -1064,7 +1050,7 @@ def build_two_level_ensemble(count: int, gap: float, dipole_moment,
     if d.shape != (3,):
         raise ArgumentError("dipole_moment must be a 3-vector")
     h_m, sx = _ensemble_operators(count, gap)
-    dip = tuple(Operator(2.0 * d[i] * sx, hermitian=True) for i in range(3))
+    dip = tuple(Operator(2.0 * d[i] * sx.matrix, hermitian=True) for i in range(3))
     dnorm = float(np.linalg.norm(d))
     axis = d / dnorm if dnorm > 0 else X_AXIS
     params = ModelParams(n_charges=count, mass=1.0, charge=1.0, volume=float(volume),

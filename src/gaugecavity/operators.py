@@ -49,6 +49,16 @@ def _as_matrix(entries):
     return m
 
 
+def _digest(*parts) -> bytes:
+    """A 16-byte blake2b digest of the bytes of each array in ``parts`` and
+    of the repr of anything else."""
+    digest = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        digest.update(np.ascontiguousarray(part).data if isinstance(part, np.ndarray)
+                      else repr(part).encode())
+    return digest.digest()
+
+
 def _hermiticity_deviation(m) -> float:
     if scipy.sparse.issparse(m):
         return float(abs(m - m.conj().T).max()) if m.nnz else 0.0
@@ -84,11 +94,8 @@ class Operator:
         """A digest of the stored form: the dense array, or the CSR index
         arrays and values, with type, shape and dtype."""
         m = self.matrix
-        digest = hashlib.blake2b(digest_size=16)
-        for part in (m,) if isinstance(m, np.ndarray) else (m.indptr, m.indices, m.data):
-            digest.update(np.ascontiguousarray(part).data)
-        digest.update(repr((type(m).__name__, m.shape, m.dtype.str)).encode())
-        return digest.digest()
+        arrays = (m,) if isinstance(m, np.ndarray) else (m.indptr, m.indices, m.data)
+        return _digest(*arrays, (type(m).__name__, m.shape, m.dtype.str))
 
     @property
     def sparse(self) -> bool:

@@ -100,13 +100,14 @@ class TestSectorPlans:
         assert _identical(warm, lowest_eigenpairs(system, k=2))
 
     def test_repeated_pattern_runs_no_forest_and_no_layout(self, monkeypatch):
-        counts = _counting(monkeypatch, ("_spanning_forest", "_hooking_rounds", "_band_layout"))
+        counts = _counting(monkeypatch, ("_hooking_rounds", "_band_layout", "_forest_phases"))
         lowest_eigenpairs(_readme_system(0.2), k=2)
-        # one forest and one layout per parity block above the dense limit
-        assert counts == {"_spanning_forest": 0, "_hooking_rounds": 1, "_band_layout": 2}
+        # one forest, and one layout per parity block above the dense limit
+        assert counts == {"_hooking_rounds": 1, "_band_layout": 2, "_forest_phases": 1}
         for scale, preset in ((0.3, "dipole"), (0.34, "coulomb")):
             lowest_eigenpairs(_readme_system(scale, preset), k=2)
-        assert counts == {"_spanning_forest": 0, "_hooking_rounds": 1, "_band_layout": 2}
+        # the phases of new values replay the forest
+        assert counts == {"_hooking_rounds": 1, "_band_layout": 2, "_forest_phases": 3}
 
     def test_readme_block_is_a_band_of_half_width_21(self):
         lowest_eigenpairs(_readme_system(0.34), k=2)

@@ -662,6 +662,14 @@ def _components(h) -> np.ndarray:
     return connected_components(abs(h), directed=False)[1]
 
 
+def _spanning_forest(rows, cols, data, dim):
+    """(root, z) of the spanning forest `matter.lowest_by_sector` grows:
+    each state's sector root, and the phases that make the forest's edges
+    real and positive."""
+    root, rounds = matter_module._hooking_rounds(rows, cols, dim, record=True)
+    return root, matter_module._forest_phases(rounds, rows, cols, data, dim)
+
+
 def _block_numbers(root: np.ndarray) -> np.ndarray:
     """Each state's block numbered by the rank of its root."""
     return np.unique(root, return_inverse=True)[1]
@@ -684,7 +692,7 @@ class TestBlockSplit:
         h = system.h
         rows = np.repeat(np.arange(system.dim), np.diff(h.indptr))
         assert h.data.imag.any()
-        root, z = matter_module._spanning_forest(rows, h.indices, h.data, system.dim)
+        root, z = _spanning_forest(rows, h.indices, h.data, system.dim)
         assert np.array_equal(_block_numbers(root), _components(h))
         assert len(np.unique(root)) == 2  # the two parity sectors
         assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-14
@@ -706,7 +714,7 @@ class TestBlockSplit:
                                      (np.r_[i, j, np.arange(dim)], np.r_[j, i, np.arange(dim)])),
                                     shape=(dim, dim))
         rows = np.repeat(np.arange(dim), np.diff(h.indptr))
-        root, z = matter_module._spanning_forest(rows, h.indices, h.data, dim)
+        root, z = _spanning_forest(rows, h.indices, h.data, dim)
         assert np.array_equal(_block_numbers(root), _components(h))
         assert len(np.unique(root)) > 1
         rotated = np.conj(z[rows]) * h.data * z[h.indices]
@@ -719,7 +727,7 @@ class TestBlockSplit:
         chain = _ring(7, 0.0, np.ones(7))
         h = scipy.sparse.block_diag([chain, ring], format="csr")
         rows = np.repeat(np.arange(57), np.diff(h.indptr))
-        root, z = matter_module._spanning_forest(rows, h.indices, h.data, 57)
+        root, z = _spanning_forest(rows, h.indices, h.data, 57)
         assert np.array_equal(root, np.repeat([0, 7], [7, 50]))
         rotated = np.conj(z[rows]) * h.data * z[h.indices]
         positive = np.isclose(rotated, np.abs(h.data), rtol=0.0, atol=1e-14)
