@@ -957,11 +957,11 @@ def ground_resolvent(model: MatterModel, h_m: Operator | None = None):
 
     The backends of the last RESOLVENTS Hamiltonians are kept by
     `Operator.digest`, without their model, and a Hamiltonian stored as
-    one of them gets that backend rebound to its model, with the bordered
-    factors of a `SparseResolvent` carried over: the eigen-data depend on
-    the stored form alone, so that is what a fresh solve gives, and the
-    criterion, the invariant check and the oracle of one process share
-    one solve per distinct Hamiltonian."""
+    one of them gets that backend rebound to its model (a
+    `SparseResolvent` finds its bordered factors in `_kept_bordered`): the
+    eigen-data depend on the stored form alone, so that is what a fresh
+    solve gives, and the criterion, the invariant check and the oracle of
+    one process share one solve per distinct Hamiltonian."""
     h = model.h_m if h_m is None else h_m
     ground = _recall(_RESOLVENTS, RESOLVENTS, ("resolvent", h.digest),
                      lambda: replace(_solve_ground(model, h), model=None, h_m_used=None))
