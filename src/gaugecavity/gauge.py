@@ -250,10 +250,13 @@ def _multipolar_ring_D(model: MatterModel, mode: ModeSpec) -> np.ndarray:
 
 def coupling_f(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,
                sigma: int) -> Operator:
-    """eps_sigma . f_q as an operator on the matter space."""
-    fm = coupling_f_magnetic(model, gauge, mode, sigma)
-    fe = coupling_f_electric(model, gauge, mode, sigma)
-    return fm + fe
+    """eps_sigma . f_q as an operator on the matter space: the sum of the
+    parts whose gauge weight is nonzero, so the dipole and Coulomb gauges
+    build one part each."""
+    parts = [part(model, gauge, mode, sigma) for part, weight in
+             ((coupling_f_magnetic, gauge.paramagnetic_weight),
+              (coupling_f_electric, gauge.electric_weight)) if weight != 0.0]
+    return sum(parts[1:], parts[0]) if parts else zero(model.dim)
 
 
 def coupling_f_magnetic(model: MatterModel, gauge: GaugeSpec, mode: ModeSpec,

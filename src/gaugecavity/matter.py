@@ -17,24 +17,27 @@ the per-axis parity sectors of the 3-axis dipole or the single states of
 the diagonal Dicke h_m): dense up to DENSE_MAX_DIM states per sector, and
 above by the one sparse eigensolver of the package,
 `shift_invert_lowest`, which runs Lanczos on a banded Cholesky
-factorisation of H - sigma I below the spectrum.  The same routine
-solves the blocks of the oracle Hamiltonian.  When every sector is dense
-the resolvent is `SectorResolvent`, one dense solve per touched sector in
-the Gram matrix.  When one is larger, such as a ring, it is
-`SparseResolvent`, one sparse LU (SuperLU, which pivots) of the
-indefinite bordered matrix [[H - E_0, |0>], [<0|, 0]], whose solves give
-the resolvent on Q space: the Sternheimer route of density-functional
-perturbation theory, with no full spectrum.  All three are deterministic
-for a fixed Hamiltonian, and all refuse a ground gap of at most
-DEGENERACY_ATOL when built.
+factorisation of H - sigma I below the spectrum.  A sector whose
+entries are all real, as every Hamiltonian the builders make is, is
+solved in real arithmetic, any other in complex.  The same routine
+solves the blocks of the oracle Hamiltonian, which
+`oracle.lowest_eigenpairs` first makes real by a photon phase.  When
+every sector is dense the resolvent is `SectorResolvent`, one dense
+solve per touched sector in the Gram matrix.  When one is larger, such
+as a ring, it is `SparseResolvent`, one sparse LU (SuperLU, which
+pivots) of the indefinite bordered matrix [[H - E_0, |0>], [<0|, 0]],
+whose solves give the resolvent on Q space: the Sternheimer route of
+density-functional perturbation theory, with no full spectrum.  All
+three are deterministic for a fixed Hamiltonian, and all refuse a ground
+gap of at most DEGENERACY_ATOL when built.
 
 A sweep repeats most of this, so the module keeps what it has solved,
 each cache bounded by its entry count and each kept entry giving the
 bits a fresh solve gives:
   * `lowest_by_sector` keeps a `_SectorPlan` for each of the last
     SECTOR_PLANS patterns of nonzero entries (with the tensor shape of an
-    oracle Hamiltonian): the sectors, their partition, the forest's
-    hooking rounds, and each large sector's entries and band layout;
+    oracle Hamiltonian): the sectors, their partition, and each large
+    sector's entries and band layout;
   * `ground_resolvent` keeps the backends of the last RESOLVENTS
     Hamiltonians by `Operator.digest`, without their model, and
     `ring_ground_state` as many dense ring ground vectors beside them;
@@ -87,10 +90,6 @@ LANCZOS_SEED = 2207  # seeds the real Gaussian Lanczos start vector
 # stack of all eight 125-state sectors of the 3-axis dipole at d = 1000
 # (1 MB) left the sweep's peak RSS about 1 MB above cutting them one by one
 SECTOR_CHUNK = 1 << 14
-# a sector whose imaginary parts after the phase change of
-# `lowest_by_sector` stay below this fraction of max|h| is solved as a
-# real symmetric matrix
-REAL_GAUGE_RTOL = 1e-13
 # `shift_invert_lowest` factors this far below a certified floor of the
 # spectrum, relative to max(1, |floor|); the floor can lie very close to
 # E_0, so some margin must stay
@@ -512,67 +511,30 @@ def _sector_blocks(mat, states: np.ndarray, place: np.ndarray, dtype) -> np.ndar
     return block
 
 
-def _hooking_rounds(rows: np.ndarray, cols: np.ndarray, dim: int, record: bool):
-    """(root, rounds) for the nonzero entries (rows, cols) of a Hermitian
-    matrix on ``dim`` states: the lowest state of each state's sector, the
-    connected component of the graph with an edge from each row index to
-    its column index, found by growing a spanning forest.
+def _hooking_rounds(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
+    """The lowest state of each state's sector for the nonzero entries
+    (rows, cols) of a Hermitian matrix on ``dim`` states: the connected
+    component of the graph with an edge from each row index to its column
+    index, found by growing a spanning forest.
 
     The forest grows by hooking, as in the connected-components algorithm
     of Shiloach and Vishkin.  Each tree keeps its lowest state as root.  In
     each round every root with an edge to a tree of a lower root hooks
-    under the lowest such root, through the first such edge; pointer
-    jumping then carries every state to its new root.  Rounds repeat until
-    no edge joins two trees: two on the README oracle Hamiltonian.  All of
-    it depends on the pattern alone.  With ``record``, ``rounds`` holds per
-    round the roots before it, the roots a that hook, the edges e they hook
-    through and the pointer array of each jump, from which
-    `_forest_phases` finds the forest's phases for any values; else it is
-    None.
+    under the lowest such root; pointer jumping then carries every state to
+    its new root.  Rounds repeat until no edge joins two trees: two on the
+    README oracle Hamiltonian.
     """
-    nnz = len(rows)
     root = np.arange(dim)
-    rounds = [] if record else None
     while True:
         hook = np.flatnonzero(root[cols] < root[rows])
         if not hook.size:
-            return root, rounds
-        # per root a, the lowest root b it meets and the first edge to it
-        best = np.full(dim, dim * nnz)
-        key = root[cols[hook]] * nnz
-        key += hook
-        np.minimum.at(best, root[rows[hook]], key)
-        a = np.flatnonzero(best < dim * nnz)
-        b, e = np.divmod(best[a], nnz)
-        up, jumps = np.arange(dim), []
-        up[a] = b
+            return root
+        # per root a, the lowest root b it meets
+        up = np.arange(dim)
+        np.minimum.at(up, root[rows[hook]], root[cols[hook]])
         while not np.array_equal(up[up], up):
-            jumps.append(up)
             up = up[up]
-        if record:
-            rounds.append((root, a, e, jumps))
         root = up[root]
-
-
-def _forest_phases(rounds, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, dim: int
-                   ) -> np.ndarray:
-    """Diagonal phases z that make conj(z_r) h_rc z_c real and positive on
-    the edges of the spanning forest whose hooking ``rounds``
-    `_hooking_rounds` recorded, for the values ``data`` on its entries
-    (rows, cols).  Each state keeps its phase relative to its root; a hook
-    fixes the phase between two roots from the phase of its edge, and each
-    jump multiplies the phases on the way.  The same products run in the
-    same order for every repeat of a pattern, so the same values give the
-    same bits."""
-    z = np.ones(dim, dtype=complex)  # the phase of each state relative to its root
-    for root, a, e, jumps in rounds:
-        # z_i = z_j u_ij on the edge (i, j), so z_a = z_b z_j u_ij conj(z_i)
-        link = np.ones(dim, dtype=complex)
-        link[a] = z[cols[e]] * (data[e] / np.abs(data[e])) * np.conj(z[rows[e]])
-        for up in jumps:
-            link = link * link[up]
-        z = z * link[root]
-    return z
 
 
 def _gershgorin_floor(mat) -> float:
@@ -767,32 +729,25 @@ def _recall(cache: dict, bound: int, key, make: Callable):
 class _SectorPlan:
     """What `lowest_by_sector` derives from a pattern of nonzero entries:
     ``indptr`` of the nonzero entries row by row, the sectors, numbered by
-    ``sector_of`` (``whole`` when an entry's mirror is missing, which
-    makes the whole matrix one sector), their `_partition`, the hooking
-    ``rounds`` of `_hooking_rounds` (recorded where values first need
-    phases), and per sector solved sparse its block: the positions of its
-    entries among the nonzero ones, their columns in the sector, its
-    ``indptr``, and its band layout."""
+    ``sector_of`` (one sector in all when an entry's mirror is missing),
+    their `_partition`, and per sector solved sparse its block: the
+    positions of its entries among the nonzero ones, their columns in the
+    sector, its ``indptr``, and its band layout."""
 
     indptr: np.ndarray
     sector_of: np.ndarray
-    whole: bool
     partition: tuple
-    rounds: list | None
     blocks: dict = field(default_factory=dict)
 
 
-def _sector_plan(rows: np.ndarray, cols: np.ndarray, dim: int, record: bool) -> _SectorPlan:
-    """The plan of the nonzero entries (rows, cols) on ``dim`` states, with
-    the hooking rounds where ``record``; its blocks come later."""
-    root, rounds = _hooking_rounds(rows, cols, dim, record)
-    sector_of = np.unique(root, return_inverse=True)[1]
-    whole = bool(np.any(sector_of[rows] != sector_of[cols]))
-    if whole:
+def _sector_plan(rows: np.ndarray, cols: np.ndarray, dim: int) -> _SectorPlan:
+    """The plan of the nonzero entries (rows, cols) on ``dim`` states; its
+    blocks come later."""
+    sector_of = np.unique(_hooking_rounds(rows, cols, dim), return_inverse=True)[1]
+    if np.any(sector_of[rows] != sector_of[cols]):
         sector_of = np.zeros(dim, dtype=np.intp)
     return _SectorPlan(indptr=np.r_[0, np.cumsum(np.bincount(rows, minlength=dim))],
-                       sector_of=sector_of, whole=whole, partition=_partition(sector_of),
-                       rounds=rounds)
+                       sector_of=sector_of, partition=_partition(sector_of))
 
 
 def _plan_block(plan: _SectorPlan, b: int, cols: np.ndarray, shape):
@@ -842,14 +797,12 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
 
     One pass over the nonzero entries (`_hooking_rounds`) numbers the
     sectors, the connected components of the nonzero entries, by their
-    lowest states.  For a complex matrix `_forest_phases` then finds
-    diagonal phases z that make conj(z) h z real on the edges of the
-    spanning forest that pass grew; a sector left real up to
-    REAL_GAUGE_RTOL is solved in real arithmetic, and one with a net phase
-    around some loop, which no diagonal phase change removes, stays
-    complex.  A real matrix is solved as it is.  An entry whose mirror is
-    not stored joins two sectors in one direction only, and then the whole
-    matrix is one sector.
+    lowest states.  A sector is solved in complex arithmetic exactly when
+    one of its entries has a nonzero imaginary part, and in real
+    arithmetic otherwise; a caller that knows a phase change making its
+    matrix real, as `oracle.lowest_eigenpairs` does, applies it first.  An
+    entry whose mirror is not stored joins two sectors in one direction
+    only, and then the whole matrix is one sector.
 
     A one-state sector gives its eigenpair off the diagonal.  The sectors
     of up to ``dense_limit`` states are cut by size into stacks
@@ -858,18 +811,16 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     hold one of the eigenvectors asked for, and a pick in a sector it
     solved takes its value from there.  A larger sector is cut to CSR and
     goes to `shift_invert_lowest` from ``floor``.  Equal eigenvalues go to
-    the lower sector.  Eigenvectors are mapped back through z, embedded in
-    the full space and phase-fixed as `operators.eigh` does, so each one
-    lies in one sector.
+    the lower sector.  Eigenvectors are embedded in the full space and
+    phase-fixed as `operators.eigh` does, so each one lies in one sector.
 
     All of that but the values depends on the pattern of the nonzero
     entries alone, which a sweep repeats, so it is kept, per pattern and
     ``shape``, as a `_SectorPlan` for the last SECTOR_PLANS patterns: a
-    repeated pattern replays the forest's phases on its values and
-    scatters each large sector into its band, with the same bits as a new
-    plan.  ``shape``, the tensor shape (matter, photon slots...) of an
-    oracle Hamiltonian's states, adds the photon-major order to the band
-    orders a large sector tries.
+    repeated pattern scatters each large sector into its band, with the
+    same bits as a new plan.  ``shape``, the tensor shape (matter, photon
+    slots...) of an oracle Hamiltonian's states, adds the photon-major
+    order to the band orders a large sector tries.
     """
     mat = scipy.sparse.csr_matrix(mat)
     dim = mat.shape[0]
@@ -878,22 +829,12 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
     rows, cols, data = (rows, mat.indices, mat.data) if keep is None else \
         (rows[keep], mat.indices[keep], mat.data[keep])
-    rotate = data.imag.any()
     plan = _recall(_PLANS, SECTOR_PLANS, _pattern_key(mat, keep, shape),
-                   lambda: _sector_plan(rows, cols, dim, rotate))
-    z = np.ones(dim, dtype=complex)  # real values leave every phase at 1
-    if rotate:
-        if not plan.whole:
-            if plan.rounds is None:  # the plan was made on real values
-                plan.rounds = _hooking_rounds(rows, cols, dim, record=True)[1]
-            z = _forest_phases(plan.rounds, rows, cols, data, dim)
-        data = np.conj(z[rows]) * data * z[cols]
-        mat = scipy.sparse.csr_matrix((data, cols, plan.indptr), shape=(dim, dim))
+                   lambda: _sector_plan(rows, cols, dim))
     sector_of = plan.sector_of
     sizes, order, first, place = plan.partition
     is_complex = np.zeros(len(sizes), dtype=bool)
-    scale = np.max(np.abs(data), initial=0.0)
-    is_complex[sector_of[rows[np.abs(data.imag) > REAL_GAUGE_RTOL * scale]]] = True
+    is_complex[sector_of[rows[data.imag != 0]]] = True
 
     def dtype(ids):
         return complex if is_complex[ids].any() else float
@@ -931,7 +872,7 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
             if b not in solved:
                 solved[b] = np.linalg.eigh(_sector_blocks(mat, states[None], place, dtype(b))[0])
             values[pick[col]] = solved[b][0][j]
-            vectors[states, col] = z[states] * solved[b][1][:, j]
+            vectors[states, col] = solved[b][1][:, j]
     # eigh may move a pick from eigvalsh's value by rounding
     ascending = np.argsort(values[pick], kind="stable")
     return values[pick][ascending], _fix_phases(vectors[:, ascending[:n_vectors]]), sector_of

@@ -20,21 +20,22 @@ matter axis.  Completing the square in every retained branch bounds the
 spectrum from below by the lowest eigenvalue of a matter-space matrix
 (`_spectral_floor`), which `FullSystem.floor` keeps.
 
-`lowest_eigenpairs` splits the Hamiltonian into the blocks that do not
-couple to each other (the two sectors of the Dicke Z2 parity, or single
-states where nothing couples them) and solves each one with the routine
-that also solves the matter ground states, `matter.lowest_by_sector`:
-in real arithmetic where a diagonal phase change makes a block real, a
-single state off the diagonal, a block of up to DENSE_LIMIT states dense,
-and a larger one by the package's sparse eigensolver,
-`matter.shift_invert_lowest`: shift-invert Lanczos on a banded Cholesky
-factorisation of the block just below the floor, whose success certifies
-that shift (where it fails, the block is factored at its Gershgorin
-shift).  Each
-returned eigenvector lies in one block, so the ground vector is a parity
-eigenstate, and the parity-odd observables, the photon coherence <a> and
-the transverse field, read exactly 0 in it, also inside the superradiant
-doublet, where the photon occupation carries the signal.
+`lowest_eigenpairs` multiplies each Fock state |n> by i^n, which makes
+the Hamiltonian of real matter exactly real (`_photon_phase`), splits it
+into the blocks that do not couple to each other (the two sectors of the
+Dicke Z2 parity, or single states where nothing couples them) and solves
+each one with the routine that also solves the matter ground states,
+`matter.lowest_by_sector`: in real arithmetic where every entry of the
+block is real, a single state off the diagonal, a block of up to
+DENSE_LIMIT states dense, and a larger one by the package's sparse
+eigensolver, `matter.shift_invert_lowest`: shift-invert Lanczos on a
+banded Cholesky factorisation of the block just below the floor, whose
+success certifies that shift (where it fails, the block is factored at
+its Gershgorin shift).  Each returned eigenvector lies in one block, so
+the ground vector is a parity eigenstate, and the parity-odd
+observables, the photon coherence <a> and the transverse field, read
+exactly 0 in it, also inside the superradiant doublet, where the photon
+occupation carries the signal.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import NumericError, ResourceLimitError, UnsupportedError
 from .gauge import (GaugeSpec, ModeSpec, check_pairing, coupling_f, diamagnetic_D,
                     dressed_matter_hamiltonian)
 from .matter import MatterModel, MatterSpectrum, along_op, ground_resolvent, lowest_by_sector
-from .operators import DENSE_MAX_DIM, Operator, Statevector, eigh
+from .operators import DENSE_MAX_DIM, Operator, Statevector, _fix_phases, eigh
 from .response import lehmann_sum
 
 MAX_FULL_DIM = 20000
@@ -223,15 +224,39 @@ def full_hamiltonian(model: MatterModel, gauge: GaugeSpec, modes,
                       floor=_spectral_floor(h_matter.matrix, slots, amplitudes, constant))
 
 
+def _photon_phase(system: FullSystem) -> np.ndarray:
+    """z = i^(n_0 + n_1 + ...) per state, from the photon numbers of the
+    slots, taken exactly from the table [1, i, -1, -i] and the same for
+    every matter state."""
+    total = np.indices(system.slot_dims()[1:]).sum(axis=0).ravel()
+    return np.tile(np.array([1.0, 1j, -1.0, -1j])[total % 4], system.matter_dim)
+
+
 def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenpairs of ``system.h``, ascending, solved block by
-    block by `matter.lowest_by_sector`: blocks above DENSE_LIMIT states are
-    factored by banded Cholesky just below the certified ``system.floor``,
-    in the narrowest band order, which the tensor shape lets include the
-    photon-major one."""
-    vals, vecs, _ = lowest_by_sector(system.h, k, DENSE_LIMIT, system.floor,
+    block by `matter.lowest_by_sector` in the photon phase z of
+    `_photon_phase`: blocks above DENSE_LIMIT states are factored by
+    banded Cholesky just below the certified ``system.floor``, in the
+    narrowest band order, which the tensor shape lets include the
+    photon-major one.
+
+    For real matter every coupling of the gauge family is i times a real
+    matrix: the paramagnetic part i w [eps.d, h_m] and the electric part
+    i V nu w eps.d / V, so each branch coupling G_tau, a real combination
+    of them and their adjoints, is purely imaginary.  A coupling entry
+    joins |n> and |n + 1> of one slot, so conj(z) h z multiplies it by
+    exactly i or -i and leaves every other entry as it is: the blocks are
+    real and solved in real arithmetic.  Where some entry stays complex (complex matter, say) its
+    block is solved in complex arithmetic.  The eigenvectors of h are z
+    times those of conj(z) h z, phase-fixed as `operators.eigh` does."""
+    h = system.h
+    z = _photon_phase(system)
+    rows = np.repeat(np.arange(system.dim), np.diff(h.indptr))
+    turned = scipy.sparse.csr_matrix((np.conj(z[rows]) * z[h.indices] * h.data, h.indices,
+                                      h.indptr), shape=h.shape)
+    vals, vecs, _ = lowest_by_sector(turned, k, DENSE_LIMIT, system.floor,
                                      shape=tuple(system.slot_dims()))
-    return vals, vecs
+    return vals, _fix_phases(z[:, None] * vecs)
 
 
 def ground_state(system: FullSystem) -> tuple[float, Statevector]:

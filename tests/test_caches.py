@@ -72,8 +72,7 @@ def _counting(monkeypatch, names):
 # (first matrix, second matrix of the same pattern, lowest_by_sector arguments)
 CASES = {
     "flux_ring": (_flux_ring(0.7, 3), _flux_ring(1.1, 4), (3, DENSE_LIMIT)),
-    # a plan made on real values records its forest's rounds on first
-    # complex ones
+    # a plan made on real values serves complex ones of the same pattern
     "real_then_flux_ring": (_flux_ring(0.0, 3), _flux_ring(0.7, 4), (3, DENSE_LIMIT)),
     "mixed_dipole": (_mixed_dipole(0.5), _mixed_dipole(0.9), (2, operators.DENSE_MAX_DIM)),
 }
@@ -100,14 +99,13 @@ class TestSectorPlans:
         assert _identical(warm, lowest_eigenpairs(system, k=2))
 
     def test_repeated_pattern_runs_no_forest_and_no_layout(self, monkeypatch):
-        counts = _counting(monkeypatch, ("_hooking_rounds", "_band_layout", "_forest_phases"))
+        counts = _counting(monkeypatch, ("_hooking_rounds", "_band_layout"))
         lowest_eigenpairs(_readme_system(0.2), k=2)
         # one forest, and one layout per parity block above the dense limit
-        assert counts == {"_hooking_rounds": 1, "_band_layout": 2, "_forest_phases": 1}
+        assert counts == {"_hooking_rounds": 1, "_band_layout": 2}
         for scale, preset in ((0.3, "dipole"), (0.34, "coulomb")):
             lowest_eigenpairs(_readme_system(scale, preset), k=2)
-        # the phases of new values replay the forest
-        assert counts == {"_hooking_rounds": 1, "_band_layout": 2, "_forest_phases": 3}
+        assert counts == {"_hooking_rounds": 1, "_band_layout": 2}
 
     def test_readme_block_is_a_band_of_half_width_21(self):
         lowest_eigenpairs(_readme_system(0.34), k=2)

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,9 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from gaugecavity import cli
 from gaugecavity import matter as matter_module
+from gaugecavity import oracle as oracle_module
 from gaugecavity import operators as operators_module
 from gaugecavity.bogoliubov import diagonalize_block, exact_branch_coupling
 from gaugecavity.criterion import displaced_energy, stiffness_energy
@@ -42,6 +46,7 @@ from gaugecavity.oracle import (
     transverse_field_expectation,
     variational_scan,
 )
+from test_caches import README
 
 
 def dicke(n, d, w0=1.0, v=1.0):
@@ -506,14 +511,37 @@ def _sparse_blocks(monkeypatch):
 
 def _assert_lowest(system, k, rtol=1e-10):
     """lowest_eigenpairs matches dense eigvalsh and returns eigenvectors."""
-    vals, vecs = lowest_eigenpairs(system, k=k)
-    dense = np.linalg.eigvalsh(system.h.toarray())[:k]
+    return _assert_eigenpairs(system.h, *lowest_eigenpairs(system, k=k), rtol)
+
+
+def _assert_eigenpairs(h, vals, vecs, rtol=1e-10):
+    """``vals`` are the lowest eigenvalues of dense eigvalsh of ``h``, and
+    ``vecs`` orthonormal eigenvectors to them."""
+    k = len(vals)
+    dense = np.linalg.eigvalsh(h.toarray())[:k]
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(vals - dense)) <= rtol * scale
-    residual = system.h @ vecs - vecs * vals
+    residual = h @ vecs - vecs * vals
     assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8 * scale
     assert np.allclose(vecs.conj().T @ vecs, np.eye(k), atol=1e-10)
     return vals, vecs
+
+
+def _stale_floor_lowest(monkeypatch, h, k):
+    """lowest_by_sector on ``h`` from the floor of a two-state system, which
+    lies above the spectrum of ``h``: its one sparse sector is factored
+    there, fails, and is factored again at its Gershgorin shift."""
+    system = full_hamiltonian(dicke(1, 0.0), make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 4)
+    factored, _ = _counting_band(monkeypatch)
+    vals, vecs, _ = matter_module.lowest_by_sector(h, k, DENSE_LIMIT, system.floor)
+    assert system.floor > vals[0] and len(factored) == 2
+    return _assert_eigenpairs(h, vals, vecs)
+
+
+def _in_photon_phase(system):
+    """conj(z) h z for the photon phase z of `oracle.lowest_eigenpairs`."""
+    z = scipy.sparse.diags(oracle_module._photon_phase(system))
+    return (z.conj() @ system.h @ z).tocsr()
 
 
 def _ring(dim, hop, potential):
@@ -544,11 +572,8 @@ class TestLowestEigenpairs:
         rng = np.random.default_rng(3)
         ring = _ring(dim, -np.exp(0.7j), 3.0 * rng.random(dim))
         chain = _ring(40, 0.0, 0.5 + rng.random(40))
-        system = full_hamiltonian(dicke(1, 0.0), make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 4)
-        system = dataclasses.replace(system, h=scipy.sparse.block_diag([ring, chain],
-                                                                       format="csr"))
         seen = _record_blocks(monkeypatch)
-        _assert_lowest(system, 4)
+        _stale_floor_lowest(monkeypatch, scipy.sparse.block_diag([ring, chain], format="csr"), 4)
         # dense sectors first: the solver takes its sectors by size
         assert seen == [(np.dtype(float), 40), (np.dtype(complex), dim)]
 
@@ -563,10 +588,8 @@ class TestLowestEigenpairs:
                   for step in (1, 37))
         adj = (adj + adj.T).tocsr()
         lap = scipy.sparse.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj
-        system = full_hamiltonian(dicke(1, 0.0), make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 4)
-        system = dataclasses.replace(system, h=lap.astype(complex).tocsr())
         seen = _record_blocks(monkeypatch)
-        vals, vecs = _assert_lowest(system, 2)
+        vals, vecs = _stale_floor_lowest(monkeypatch, lap.astype(complex).tocsr(), 2)
         assert seen == [(np.dtype(float), dim)]
         assert abs(vals[0]) <= 1e-10
         assert np.allclose(vecs[:, 0], 1.0 / np.sqrt(dim), atol=1e-10)
@@ -654,20 +677,73 @@ class TestLowestEigenpairs:
         assert np.all(transverse_field_expectation(state, system) == 0.0)
 
 
+# (model, modes, cutoff, slots): ensembles and 1- and 3-axis dipoles, with
+# one photon slot or two
+PHASE_SYSTEMS = {
+    "ensemble": (lambda: dicke(6, 0.3), [lwl_mode(1.0, 1.0)], 12, 1),
+    "ensemble_two_modes": (lambda: dicke(4, 0.3), [lwl_mode(1.0, 1.0), lwl_mode(1.3, 1.0)],
+                           6, 2),
+    "one_axis_dipole": (lambda: build_anharmonic_dipole(12, 1.0, 1.0, 0.1, 0.8, 1.0),
+                        [lwl_mode(1.0, 1.0)], 12, 1),
+    "three_axis_dipole": (lambda: build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3),
+                          [lwl_mode(1.0, 1.0)], 4, 2),
+    "three_axis_oblique": (lambda: build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3),
+                           [mode_from_q((1.0, 2.0, 0.5), 1.0)], 4, 2),
+}
+# every uniform-field preset, alpha_lwl at two alphas
+PHASE_GAUGES = {"dipole": ("dipole",), "coulomb": ("coulomb",),
+                "alpha_0.3": ("alpha_lwl", 0.3), "alpha_0.5": ("alpha_lwl", 0.5)}
+
+
+class TestPhotonPhase:
+    @pytest.mark.parametrize("gauge", sorted(PHASE_GAUGES))
+    @pytest.mark.parametrize("case", sorted(PHASE_SYSTEMS))
+    def test_photon_phase_makes_h_exactly_real(self, monkeypatch, case, gauge):
+        model, modes, cutoff, slots = PHASE_SYSTEMS[case]
+        system = full_hamiltonian(model(), make_gauge(*PHASE_GAUGES[gauge]), modes, cutoff)
+        assert len(system.slots) == slots and system.h.data.imag.any()
+        turned = _in_photon_phase(system)
+        # exactly, not up to rounding
+        assert not turned.data.imag.any()
+        assert turned.nnz == system.h.nnz
+        assert np.array_equal(np.abs(turned.data), np.abs(system.h.data))
+        seen = _record_blocks(monkeypatch)
+        _assert_lowest(system, 2)
+        assert seen and {dtype for dtype, _ in seen} == {np.dtype(float)}
+
+    def test_readme_systems_run_no_complex_factorisation(self, monkeypatch, tmp_path):
+        # the README sweep on one CPU, so every oracle point runs here
+        factored = {"dpbtrf": 0, "zpbtrf": 0}
+        for name in factored:
+            routine = getattr(matter_module, name)
+            monkeypatch.setattr(matter_module, name, lambda *a, name=name, routine=routine, **kw:
+                                factored.update({name: factored[name] + 1}) or routine(*a, **kw))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = cli.validate_config(json.dumps(README))
+        assert cli.run_sweep(cfg, str(tmp_path / "out")) == 0
+        assert factored["zpbtrf"] == 0 and factored["dpbtrf"] > 0
+
+    def test_complex_matter_stays_complex(self, monkeypatch):
+        # the ensemble's h_m plus i (S_+^2 - S_-^2) / 4, which keeps the
+        # Dicke parity: both parity blocks, above the dense limit, complex
+        base = dicke(10, 0.3)
+        raise_twice = np.diag(np.ones(9), -2)
+        h = base.h_m.entries + 0.25j * (raise_twice - raise_twice.T)
+        model = dataclasses.replace(base, h_m=Operator(h, hermitian=True))
+        system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 60)
+        assert _in_photon_phase(system).data.imag.any()
+        seen = _record_blocks(monkeypatch)
+        _assert_lowest(system, 2)
+        assert seen == [(np.dtype(complex), system.dim // 2)] * 2
+        assert system.dim // 2 > DENSE_LIMIT
+
+
 def _components(h) -> np.ndarray:
     """csgraph's connected components of the nonzero pattern of ``h``,
     numbered in the order of their lowest states."""
     from scipy.sparse.csgraph import connected_components
 
     return connected_components(abs(h), directed=False)[1]
-
-
-def _spanning_forest(rows, cols, data, dim):
-    """(root, z) of the spanning forest `matter.lowest_by_sector` grows:
-    each state's sector root, and the phases that make the forest's edges
-    real and positive."""
-    root, rounds = matter_module._hooking_rounds(rows, cols, dim, record=True)
-    return root, matter_module._forest_phases(rounds, rows, cols, data, dim)
 
 
 def _block_numbers(root: np.ndarray) -> np.ndarray:
@@ -688,20 +764,20 @@ class TestBlockSplit:
 
     @pytest.mark.parametrize("preset", ["dipole", "coulomb"])
     def test_forest_gives_sectors_and_real_phases(self, preset):
+        # the forest's roots are the two parity sectors, and the photon
+        # phase makes every entry real
         system = full_hamiltonian(dicke(40, 0.34), make_gauge(preset), [lwl_mode(1.0, 1.0)], 60)
         h = system.h
         rows = np.repeat(np.arange(system.dim), np.diff(h.indptr))
         assert h.data.imag.any()
-        root, z = _spanning_forest(rows, h.indices, h.data, system.dim)
+        root = matter_module._hooking_rounds(rows, h.indices, system.dim)
         assert np.array_equal(_block_numbers(root), _components(h))
-        assert len(np.unique(root)) == 2  # the two parity sectors
-        assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-14
-        rotated = np.conj(z[rows]) * h.data * z[h.indices]
-        assert np.max(np.abs(rotated.imag)) <= 1e-13 * np.max(np.abs(h.data))
+        assert len(np.unique(root)) == 2
+        assert not _in_photon_phase(system).data.imag.any()
 
-    def test_forest_phases_make_a_random_forest_positive(self):
+    def test_forest_roots_a_random_forest(self):
         # a random forest under a random numbering, with random complex
-        # edges and a diagonal: diagonal phases make every edge positive
+        # edges and a diagonal: one sector per tree
         rng = np.random.default_rng(11)
         dim = 300
         label = rng.permutation(dim)
@@ -714,26 +790,26 @@ class TestBlockSplit:
                                      (np.r_[i, j, np.arange(dim)], np.r_[j, i, np.arange(dim)])),
                                     shape=(dim, dim))
         rows = np.repeat(np.arange(dim), np.diff(h.indptr))
-        root, z = _spanning_forest(rows, h.indices, h.data, dim)
+        root = matter_module._hooking_rounds(rows, h.indices, dim)
         assert np.array_equal(_block_numbers(root), _components(h))
         assert len(np.unique(root)) > 1
-        rotated = np.conj(z[rows]) * h.data * z[h.indices]
-        assert np.max(np.abs(rotated - np.abs(h.data))) <= 1e-14 * np.max(np.abs(h.data))
+        # each root is the lowest state of its tree
+        assert np.array_equal(root, np.unique(root)[_components(h)])
 
-    def test_forest_on_disjoint_flux_ring_and_chain(self):
-        # a flux ring keeps one net phase, which no forest removes; the
-        # forest's own edges still come out real and positive
+    def test_forest_on_disjoint_flux_ring_and_chain(self, monkeypatch):
+        # a flux ring keeps one net phase, so its sector is solved complex
+        # and the real chain beside it real
         ring = _ring(50, -np.exp(0.7j), np.zeros(50))
         chain = _ring(7, 0.0, np.ones(7))
         h = scipy.sparse.block_diag([chain, ring], format="csr")
         rows = np.repeat(np.arange(57), np.diff(h.indptr))
-        root, z = _spanning_forest(rows, h.indices, h.data, 57)
+        root = matter_module._hooking_rounds(rows, h.indices, 57)
         assert np.array_equal(root, np.repeat([0, 7], [7, 50]))
-        rotated = np.conj(z[rows]) * h.data * z[h.indices]
-        positive = np.isclose(rotated, np.abs(h.data), rtol=0.0, atol=1e-14)
-        # every state but the roots hangs on the forest by one positive edge
-        assert np.count_nonzero(positive & (rows > h.indices)) >= 57 - 2
-        assert np.count_nonzero(np.abs(rotated.imag) > 1e-3) == 2  # the closing bond
+        assert np.array_equal(_block_numbers(root), _components(h))
+        seen = _record_blocks(monkeypatch)
+        vals, vecs, _ = matter_module.lowest_by_sector(h, 9, DENSE_LIMIT)
+        assert seen == [(np.dtype(float), 7), (np.dtype(complex), 50)]
+        _assert_eigenpairs(h, vals, vecs)
 
 
 def _counting_band(monkeypatch):
