@@ -27,8 +27,8 @@ machine with few cores the pools then fight each other, the main thread
 and the oracle workers, so `run_sweep` sets both pools to one thread while
 it runs and restores the earlier counts when it returns; `main` does the
 same around everything it runs.  One thread also makes the largest
-dense solves, the stacked `np.linalg.eigvalsh` and `np.linalg.eigh` of
-`matter.lowest_by_sector` on oracle blocks of up to `oracle.DENSE_LIMIT`
+dense solves, the Cholesky tests, `np.linalg.eigh` and `np.linalg.eigvalsh`
+of `matter.lowest_by_sector` on oracle blocks of up to `oracle.DENSE_LIMIT`
 (300) states, independent of `OPENBLAS_NUM_THREADS`; larger blocks go to
 `matter.shift_invert_lowest`, whose banded Cholesky factorisation and
 solves run in scipy's OpenBLAS, pinned as well.
@@ -72,6 +72,7 @@ import argparse
 import contextlib
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -471,22 +472,21 @@ def _oracle_point(cfg: SweepConfig, index: int, param: str, value: float) -> lis
     return records
 
 
-def _csv_field(value) -> str:
-    """Booleans as true/false, integers and labels verbatim, other numbers
-    as the shortest round-trip repr of the float."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, str)):
-        return str(value)
-    return repr(float(value))
+def _csv_line(values) -> str:
+    """One CSV row, formatted in one pass: booleans as true/false, integers
+    and labels verbatim, other numbers as the shortest round-trip repr of
+    the float."""
+    return ",".join([repr(v) if type(v) is float
+                     else ("true" if v else "false") if isinstance(v, bool)
+                     else str(v) if isinstance(v, (int, str)) else repr(float(v))
+                     for v in values])
 
 
 def _write_csv(path: str, header: str, records: list[dict]) -> None:
-    columns = header.split(",")
+    fields = operator.itemgetter(*header.split(","))
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for rec in records:
-            fh.write(",".join(_csv_field(rec[c]) for c in columns) + "\n")
+        fh.writelines(_csv_line(fields(rec)) + "\n" for rec in records)
 
 
 def _thresholds(records: list[dict]) -> list[dict]:

@@ -86,9 +86,10 @@ MAX_RING_SITES = 4000
 MAX_ANHARMONIC_DIM = 20000  # levels ** 3 for the 3-axis dipole
 DEGENERACY_ATOL = 1e-10  # energies closer than this count as degenerate
 LANCZOS_SEED = 2207  # seeds the real Gaussian Lanczos start vector
-# `lowest_by_sector` cuts at most this many block entries at once: one
-# stack of all eight 125-state sectors of the 3-axis dipole at d = 1000
-# (1 MB) left the sweep's peak RSS about 1 MB above cutting them one by one
+# `lowest_by_sector` cuts at most this many block entries at once, and a
+# sector with more than half as many alone: one stack of all eight
+# 125-state sectors of the 3-axis dipole at d = 1000 (1 MB) left the
+# sweep's peak RSS about 1 MB above cutting them one by one
 SECTOR_CHUNK = 1 << 14
 # `shift_invert_lowest` factors this far below a certified floor of the
 # spectrum, relative to max(1, |floor|); the floor can lie very close to
@@ -454,6 +455,19 @@ def _solve(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return x[..., :k] + 1j * x[..., k:]
 
 
+def _above(block: np.ndarray, t: float) -> bool:
+    """Whether every eigenvalue of the Hermitian ``block`` lies above t:
+    whether block - t I has a Cholesky factorisation, which by Sylvester's
+    law of inertia holds exactly when it is positive definite (spectrum
+    slicing, Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 228,
+    1994)."""
+    try:
+        np.linalg.cholesky(block - t * np.eye(len(block)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _partition(sector_of: np.ndarray):
     """(sizes, order, first, place) of the sectors numbered by ``sector_of``:
     each sector's size, the states sector by sector and ascending within
@@ -804,15 +818,32 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     entry whose mirror is not stored joins two sectors in one direction
     only, and then the whole matrix is one sector.
 
-    A one-state sector gives its eigenpair off the diagonal.  The sectors
-    of up to ``dense_limit`` states are cut by size into stacks
-    (`_sector_blocks`), whose eigenvalues come from stacked
-    `np.linalg.eigvalsh`; `np.linalg.eigh` then solves the sectors that
-    hold one of the eigenvectors asked for, and a pick in a sector it
-    solved takes its value from there.  A larger sector is cut to CSR and
-    goes to `shift_invert_lowest` from ``floor``.  Equal eigenvalues go to
-    the lower sector.  Eigenvectors are embedded in the full space and
-    phase-fixed as `operators.eigh` does, so each one lies in one sector.
+    A one-state sector gives its eigenpair off the diagonal.  A sector of
+    more than ``dense_limit`` states is cut to CSR and goes to
+    `shift_invert_lowest` from ``floor``.  The others are dense
+    (`_sector_blocks`).  Sectors small enough that SECTOR_CHUNK entries
+    hold two or more are cut by size into stacks, whose eigenvalues come
+    from stacked `np.linalg.eigvalsh`.  The larger ones are cut one at a
+    time and sliced (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
+    15, 228, 1994), after the sectors above:
+      * they are visited by their lowest diagonal entry, ascending, by a
+        stable sort, so a tie keeps the lower sector first;
+      * once k values are known, with t the k-th lowest of them, a
+        sector is skipped when H_s - t I has a Cholesky factorisation
+        (`_above`), since then every eigenvalue of H_s lies above t;
+      * an eigenvalue equal to t leaves H_s - t I singular, so in exact
+        arithmetic such a sector fails the test and is solved; an
+        eigenvalue within rounding of t lets rounding decide, and a
+        skipped tie leaves the k-th value with the sector visited first;
+      * a sector solved while fewer than ``n_vectors`` sectors have
+        eigenvectors takes `np.linalg.eigh`, any later one
+        `np.linalg.eigvalsh`.
+    The k lowest of all the values found are picked, equal eigenvalues
+    going to the lower sector.  `np.linalg.eigh` then solves the sectors
+    that hold one of the eigenvectors asked for and have none yet, and a
+    pick in a sector with eigenvectors takes its value from there.
+    Eigenvectors are embedded in the full space and phase-fixed as
+    `operators.eigh` does, so each one lies in one sector.
 
     All of that but the values depends on the pattern of the nonzero
     entries alone, which a sweep repeats, so it is kept, per pattern and
@@ -839,17 +870,22 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     def dtype(ids):
         return complex if is_complex[ids].any() else float
 
-    values, sectors, levels, solved = [], [], [], {}
+    def states_of(b):
+        return order[first[b]:first[b] + sizes[b]]
+
+    values, sectors, levels, solved, alone = [], [], [], {}, []
+
+    def add(ids, vals):
+        values.append(vals.ravel())
+        sectors.append(np.repeat(ids, vals.shape[1]))
+        levels.append(np.tile(np.arange(vals.shape[1]), len(ids)))
+
     for ids, states in _stacks(sizes, order, first, 2 * sizes + is_complex):
         size = states.shape[1]
+        per = SECTOR_CHUNK // size ** 2  # sectors per stacked call
         if size == 1:
             vals = mat.diagonal()[states].real
-        elif size <= dense_limit or k >= size - 1:
-            per = max(1, SECTOR_CHUNK // size ** 2)  # one stacked call per chunk
-            vals = np.concatenate([np.linalg.eigvalsh(
-                _sector_blocks(mat, states[j:j + per], place, dtype(ids)))[:, :k]
-                for j in range(0, len(states), per)])
-        else:
+        elif size > dense_limit and k < size - 1:
             for b in ids:
                 at, col, indptr, layout = _plan_block(plan, b, cols, shape)
                 block = scipy.sparse.csr_matrix(
@@ -857,15 +893,36 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
                     shape=(size, size))
                 solved[b] = shift_invert_lowest(block, k, floor, layout=layout)
             vals = np.array([solved[b][0] for b in ids])
-        values.append(vals.ravel())
-        sectors.append(np.repeat(ids, vals.shape[1]))
-        levels.append(np.tile(np.arange(vals.shape[1]), len(ids)))
+        elif per < 2:
+            alone.extend(ids)
+            continue
+        else:
+            vals = np.concatenate([np.linalg.eigvalsh(
+                _sector_blocks(mat, states[j:j + per], place, dtype(ids)))[:, :k]
+                for j in range(0, len(states), per)])
+        add(ids, vals)
+    # the dense sectors cut one at a time, by their lowest diagonal entry
+    alone = np.sort(np.array(alone, dtype=np.intp))
+    diagonal = mat.diagonal().real
+    bottom = [diagonal[states_of(b)].min() for b in alone]
+    low = np.sort(np.concatenate(values))[:k] if values else np.empty(0)
+    n_vectors = k if n_vectors is None else n_vectors
+    for b in alone[np.argsort(bottom, kind="stable")]:
+        block = _sector_blocks(mat, states_of(b)[None], place, dtype(b))[0]
+        if len(low) == k and _above(block, low[-1]):
+            continue
+        if len(solved) < n_vectors:
+            solved[b] = np.linalg.eigh(block)
+            vals = solved[b][0][:k]
+        else:
+            vals = np.linalg.eigvalsh(block)[:k]
+        low = np.sort(np.concatenate([low, vals]))[:k]
+        add([b], vals[None])
     values, sectors, levels = (np.concatenate(x) for x in (values, sectors, levels))
     pick = np.lexsort((levels, sectors, values))[:k]
     vectors = np.zeros((dim, len(pick)), dtype=complex)
-    n_vectors = len(pick) if n_vectors is None else n_vectors
     for col, (b, j) in enumerate(zip(sectors[pick], levels[pick])):
-        states = order[first[b]:first[b] + sizes[b]]
+        states = states_of(b)
         if sizes[b] == 1:
             vectors[states, col] = 1.0
         elif col < n_vectors or b in solved:
@@ -964,14 +1021,16 @@ def _axis_kron(factors: dict, levels: int, axes: int):
 
 @functools.lru_cache(maxsize=BUILDS)
 def _ensemble_operators(count: int, gap: float):
-    """(h_m, S_x) in the S = N/2 Dicke sector, m ascending: S_z is diagonal
-    and S_x tridiagonal.  One pair serves every dipole moment and volume,
-    so a sweep of either shares one h_m, whose digest is taken once."""
+    """(h_m, S_x, zero) in the S = N/2 Dicke sector, m ascending: S_z is
+    diagonal and S_x tridiagonal, each checked Hermitian here once.  One
+    set serves every dipole moment and volume, so a sweep of either shares
+    one h_m, whose digest is taken once, and one zero dipole component."""
     s = count / 2.0
     m = np.arange(count + 1) - s
     half_sp = 0.5 * np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] + 1))
-    sx = Operator(_banded(count + 1, {-1: half_sp, 1: half_sp}))
-    return Operator(_banded(count + 1, {0: gap * (m + s)}), hermitian=True), sx
+    sx = Operator(_banded(count + 1, {-1: half_sp, 1: half_sp}), hermitian=True)
+    return (Operator(_banded(count + 1, {0: gap * (m + s)}), hermitian=True), sx,
+            zero(count + 1))
 
 
 def build_two_level_ensemble(count: int, gap: float, dipole_moment,
@@ -990,8 +1049,8 @@ def build_two_level_ensemble(count: int, gap: float, dipole_moment,
     d = np.asarray(dipole_moment, dtype=float)
     if d.shape != (3,):
         raise ArgumentError("dipole_moment must be a 3-vector")
-    h_m, sx = _ensemble_operators(count, gap)
-    dip = tuple(Operator(2.0 * d[i] * sx.matrix, hermitian=True) for i in range(3))
+    h_m, sx, none = _ensemble_operators(count, gap)
+    dip = tuple(sx.real_multiple(2.0 * d[i]) if d[i] else none for i in range(3))
     dnorm = float(np.linalg.norm(d))
     axis = d / dnorm if dnorm > 0 else X_AXIS
     params = ModelParams(n_charges=count, mass=1.0, charge=1.0, volume=float(volume),
@@ -1018,9 +1077,10 @@ def _single_axis_oscillator(levels: int, mass: float, omega: float):
 
 @functools.lru_cache(maxsize=BUILDS)
 def _dipole_operators(levels: int, mass: float, frequency: float, quartic: float, axes: int):
-    """(h_m, positions, momenta) of `build_anharmonic_dipole`: none depends
-    on the charge or the volume, so a sweep of either shares one h_m,
-    whose digest is taken once."""
+    """(h_m, positions, momenta, zero) of `build_anharmonic_dipole`, each
+    checked Hermitian here once: none depends on the charge or the volume,
+    so a sweep of either shares one h_m, whose digest is taken once, and
+    one zero for the dipole components off the axes."""
     x1, p1, h1 = _single_axis_oscillator(levels, mass, frequency)
     x2 = x1 @ x1
     h_axis = h1 + quartic * (x2 @ x2)
@@ -1034,8 +1094,10 @@ def _dipole_operators(levels: int, mass: float, frequency: float, quartic: float
     if axes == 3:
         for i, j in ((0, 1), (0, 2), (1, 2)):
             h = h + 2.0 * quartic * embed({i: x2, j: x2})
-    return (Operator(h, hermitian=True), tuple(Operator(embed({i: x1})) for i in range(axes)),
-            tuple(Operator(embed({i: p1}), hermitian=True) for i in range(axes)))
+    return (Operator(h, hermitian=True),
+            tuple(Operator(embed({i: x1}), hermitian=True) for i in range(axes)),
+            tuple(Operator(embed({i: p1}), hermitian=True) for i in range(axes)),
+            zero(levels ** axes))
 
 
 def build_anharmonic_dipole(levels: int, mass: float, frequency: float,
@@ -1061,9 +1123,8 @@ def build_anharmonic_dipole(levels: int, mass: float, frequency: float,
     if axes == 3 and dim > MAX_ANHARMONIC_DIM:
         raise ResourceLimitError(f"3-axis dimension {dim} exceeds {MAX_ANHARMONIC_DIM}")
 
-    h_m, positions, mom = _dipole_operators(levels, mass, frequency, quartic, axes)
-    dip = [Operator(-charge * positions[i].matrix, hermitian=True) if i < axes else zero(dim)
-           for i in range(3)]
+    h_m, positions, mom, none = _dipole_operators(levels, mass, frequency, quartic, axes)
+    dip = [positions[i].real_multiple(-charge) if i < axes else none for i in range(3)]
     params = ModelParams(n_charges=1, mass=mass, charge=charge, volume=float(volume),
                          e2n_over_m=charge ** 2 / mass,
                          detail={"levels": levels, "frequency": frequency,

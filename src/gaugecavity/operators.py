@@ -73,7 +73,9 @@ class Operator:
     multiply vectors from either side, and neither can be written to.
     ``entries`` is always dense: the stored array itself, or for a sparse
     operator a read-only copy made on each call and not kept.  ``digest``
-    names the stored form and is computed once.
+    names the stored form and is computed once.  An operator flagged
+    Hermitian is checked when it is made, unless it is a `real_multiple`
+    of one the check found exactly Hermitian.
     """
 
     matrix: object
@@ -82,12 +84,25 @@ class Operator:
     def __post_init__(self):
         m = _as_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if self.hermitian:
-            dev = _hermiticity_deviation(m)
-            if dev > HERMITICITY_ATOL:
-                raise ArgumentError(
-                    f"operator flagged hermitian deviates by {dev:.3e} > {HERMITICITY_ATOL}"
-                )
+        dev = _hermiticity_deviation(m) if self.hermitian else None
+        if dev is not None and dev > HERMITICITY_ATOL:
+            raise ArgumentError(
+                f"operator flagged hermitian deviates by {dev:.3e} > {HERMITICITY_ATOL}"
+            )
+        object.__setattr__(self, "_exact", dev == 0)
+
+    def real_multiple(self, c: float) -> "Operator":
+        """c times this operator for a real c, stored as ``c * self.matrix``.
+        A real multiple of an exactly Hermitian matrix is exactly Hermitian,
+        so where this operator's check found deviation 0 the multiple keeps
+        the flag with no new check; any other multiple is made as usual."""
+        c = float(c)
+        if not self._exact:
+            return Operator(c * self.matrix, hermitian=self.hermitian)
+        out = Operator(c * self.matrix)
+        object.__setattr__(out, "hermitian", True)
+        object.__setattr__(out, "_exact", True)
+        return out
 
     @functools.cached_property
     def digest(self) -> bytes:

@@ -471,6 +471,15 @@ class TestMain:
         assert "PASS" in out and "FAIL" not in out
 
 
+def test_csv_line_formats_each_kind():
+    # booleans as true/false, integers and labels verbatim, and every other
+    # number as the shortest round-trip repr of its float, a signed zero,
+    # extreme exponents and a numpy float included
+    fields = (True, False, 7, "dipole", -0.0, 1e-300, 1e300, 0.1, np.float64(0.1))
+    assert cli._csv_line(fields) == "true,false,7,dipole,-0.0,1e-300,1e+300,0.1,0.1"
+    assert [float(x) for x in cli._csv_line(fields[4:]).split(",")] == list(fields[4:])
+
+
 def test_run_check_structure():
     cfg = validate_config(json.dumps(MINIMAL))
     results = run_check(cfg)

@@ -558,7 +558,7 @@ class TestStackedCriterion:
                 assert model.dim > operators.DENSE_MAX_DIM
             for gauge in gauges:
                 for qi, mode in enumerate(modes):
-                    expected += [",".join(cli._csv_field(x) for x in (
+                    expected += [cli._csv_line((
                         cli.SCHEMA_VERSION, i, param, float(value), gauge.preset.value,
                         gauge.alpha, qi, rep.tau, rep.lhs, rep.rhs, rep.electric_part,
                         rep.magnetic_part, rep.margin, rep.condensed, rep.beta0.real,

@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 
+from gaugecavity import matter as matter_module
+from gaugecavity import operators as operators_module
 from gaugecavity.errors import (ArgumentError, DegenerateGroundStateError, ResourceLimitError,
                               UnsupportedError)
 from gaugecavity.gauge import mode_from_q, ring_mode
@@ -343,3 +345,62 @@ class TestProductFreeBuilds:
         ref = sum(abs(p[n, level]) ** 2 / (e[n] - e[level])
                   for n in range(len(e)) if n != level)
         assert abs(trk_sum(spec, axis, level) - ref) <= 1e-12 * abs(ref)
+
+
+def _counting_checks(monkeypatch):
+    """Wrap `operators._hermiticity_deviation`; returns the list of the
+    dimensions it is called on."""
+    calls = []
+    deviation = operators_module._hermiticity_deviation
+    monkeypatch.setattr(operators_module, "_hermiticity_deviation",
+                        lambda m: calls.append(m.shape[0]) or deviation(m))
+    return calls
+
+
+class TestBuilderChecks:
+    """The cached builders check each base operator once; a model's dipole
+    components are real multiples of them, flagged Hermitian with no check
+    of their own, and its zero components share one operator."""
+
+    @pytest.mark.parametrize("count", [40, 300])
+    def test_ensemble_dipole_checked_once(self, monkeypatch, count):
+        calls = _counting_checks(monkeypatch)
+        build_two_level_ensemble(count, 1.0, (0.0, 0.3, 0.0), 1.0)
+        assert calls == [count + 1] * 3  # h_m, S_x and the zero
+        calls.clear()
+        model = build_two_level_ensemble(count, 1.0, (0.2, 0.6, 0.0), 1.0)
+        assert calls == []
+        sx = matter_module._ensemble_operators(count, 1.0)[1]
+        for d, moment in zip(model.dipole_ops, (0.2, 0.6)):
+            assert d.hermitian
+            assert np.array_equal(d.entries, Operator(2.0 * moment * sx.matrix).entries)
+        dz = model.dipole_ops[2]
+        assert dz.hermitian and not dz.entries.any()
+        assert build_two_level_ensemble(count, 1.0, (0.0, 0.6, 0.0), 1.0).dipole_ops[2] is dz
+
+    @pytest.mark.parametrize("levels, axes", [(30, 1), (10, 3)])
+    def test_dipole_components_checked_once(self, monkeypatch, levels, axes):
+        calls = _counting_checks(monkeypatch)
+        first = build_anharmonic_dipole(levels, 1.0, 1.0, 0.1, 0.5, 1.0, axes=axes)
+        assert calls == [levels ** axes] * (2 + 2 * axes)  # h_m, x_i, p_i and the zero
+        calls.clear()
+        model = build_anharmonic_dipole(levels, 1.0, 1.0, 0.1, 0.8, 1.0, axes=axes)
+        assert calls == []
+        positions = matter_module._dipole_operators(levels, 1.0, 1.0, 0.1, axes)[1]
+        for i, d in enumerate(model.dipole_ops):
+            assert d.hermitian
+            if i < axes:
+                assert np.array_equal(d.entries, Operator(-0.8 * positions[i].matrix).entries)
+            else:
+                assert d is first.dipole_ops[i] and not d.entries.any()
+
+    def test_real_multiple_of_an_inexact_operator_is_checked(self, monkeypatch):
+        m = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])
+        op = Operator(m, hermitian=True)
+        calls = _counting_checks(monkeypatch)
+        assert op.real_multiple(2.0).hermitian and calls == [2]
+        with pytest.raises(ArgumentError, match="deviates"):
+            op.real_multiple(100.0)
+        exact = Operator(0.5 * (m + m.T), hermitian=True)
+        calls.clear()
+        assert exact.real_multiple(100.0).hermitian and calls == []

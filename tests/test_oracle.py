@@ -676,6 +676,30 @@ class TestLowestEigenpairs:
         assert occ > 1.0
         assert np.all(transverse_field_expectation(state, system) == 0.0)
 
+    @pytest.mark.parametrize("scale", [0.1, 0.3])
+    @pytest.mark.parametrize("preset", ["dipole", "coulomb"])
+    def test_two_dense_blocks_take_one_eigh_each(self, monkeypatch, preset, scale):
+        # a 20-dipole ensemble at cutoff 28: two parity blocks of 294 states,
+        # each holding one of the two lowest levels, so each is solved by
+        # one eigh for its eigenvector and nothing runs eigvalsh
+        system = full_hamiltonian(dicke(20, scale), make_gauge(preset), [lwl_mode(1.0, 1.0)],
+                                  28)
+        assert system.dim == 2 * 294 and 294 <= DENSE_LIMIT
+        counts = {"eigh": 0, "eigvalsh": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        vals, vecs = lowest_eigenpairs(system, k=2)
+        monkeypatch.undo()
+        assert counts == {"eigh": 2, "eigvalsh": 0}
+        _assert_eigenpairs(system.h, vals, vecs)
+
 
 # (model, modes, cutoff, slots): ensembles and 1- and 3-axis dipoles, with
 # one photon slot or two

@@ -584,3 +584,130 @@ def test_sweep_on_sector_backend_counts(monkeypatch, tmp_path):
     assert 4 ** 3 <= DENSE_MAX_DIM < 7 ** 3
     cli.run_sweep(_sweep_config(7), str(tmp_path / "out"))
     assert counts == {"eigh": 0, "eigsh": 0, "splu": 0, "lowest_by_sector": 3 + 1}
+
+
+def _random_block(rng, size, shift=0.0, complex_=False):
+    """A dense Hermitian size x size block with standard normal entries,
+    plus shift times the identity."""
+    a = rng.standard_normal((size, size))
+    if complex_:
+        a = a + 1j * rng.standard_normal((size, size))
+    return a + a.conj().T + shift * np.eye(size)
+
+
+def _slicing_case(name):
+    """(matrix, whole-matrix ascending eigenvalues) of the slicing cases;
+    every sector has 100 to 130 states, so each is cut alone."""
+    rng = np.random.default_rng(5)
+    if name == "bare_dipole":
+        # the first excited level is a triplet, one state in each of three
+        # parity sectors, equal up to rounding
+        mat = SECTOR_MODELS["three_axis_1000"].h_m.matrix
+    elif name == "dressed_dipole":
+        # the q_z mode's self-energy lifts the x- and y-odd levels of the triplet
+        mat = dressed_matter_hamiltonian(SECTOR_MODELS["three_axis_1000"], GAUGES["dipole"],
+                                         [MODES["q_z"]]).matrix
+    elif name == "one_sector_holds_all":
+        mat = scipy.sparse.block_diag([_random_block(rng, 100), _random_block(rng, 110),
+                                       _random_block(rng, 120, shift=-100.0),
+                                       _random_block(rng, 130)], format="csr")
+    else:
+        mat = scipy.sparse.block_diag([_random_block(rng, 120, complex_=True),
+                                       _random_block(rng, 130),
+                                       _random_block(rng, 110, shift=-3.0, complex_=True)],
+                                      format="csr")
+    return mat, np.linalg.eigvalsh(mat.toarray())
+
+
+SLICING_CASES = ("bare_dipole", "dressed_dipole", "one_sector_holds_all", "complex_sector")
+
+
+def _digest_of(block):
+    return operators._digest(np.ascontiguousarray(block))
+
+
+def _recording_slices(monkeypatch):
+    """Wrap `matter._above` and np.linalg's eigh and eigvalsh; returns the
+    digests of the blocks the Cholesky test rules out and of the blocks
+    each solver sees."""
+    seen = {"skipped": [], "eigh": [], "eigvalsh": []}
+    above = matter._above
+
+    def testing(block, t):
+        out = above(block, t)
+        if out:
+            seen["skipped"].append(_digest_of(block))
+        return out
+
+    def solving(name, original):
+        def wrapper(a, *args, **kwargs):
+            seen[name] += [_digest_of(one) for one in np.reshape(a, (-1,) + a.shape[-2:])]
+            return original(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(matter, "_above", testing)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, solving(name, getattr(np.linalg, name)))
+    return seen
+
+
+class TestSpectrumSlicing:
+    """The dense sectors `lowest_by_sector` cuts one at a time: visited by
+    their lowest diagonal entry, skipped where H_s - t I has a Cholesky
+    factorisation, t the k-th lowest value known, and the first n_vectors
+    solved with eigh, the later ones with eigvalsh."""
+
+    @pytest.mark.parametrize("n_vectors", [None, 1])
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    @pytest.mark.parametrize("name", SLICING_CASES)
+    def test_matches_whole_matrix_eigvalsh(self, name, k, n_vectors):
+        mat, whole = _slicing_case(name)
+        vals, vecs, sector_of = lowest_by_sector(mat, k, DENSE_MAX_DIM, n_vectors=n_vectors)
+        scale = np.max(np.abs(whole))
+        assert np.max(np.abs(vals - whole[:k])) <= 1e-12 * scale
+        assert vecs.shape[1] == (k if n_vectors is None else n_vectors)
+        residual = mat @ vecs - vecs * vals[:vecs.shape[1]]
+        assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-10 * scale
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(vecs.shape[1]), atol=1e-12)
+        for v in vecs.T:  # each eigenvector lies in one sector
+            assert len(set(sector_of[np.flatnonzero(v)])) == 1
+
+    @pytest.mark.parametrize("name", SLICING_CASES)
+    def test_skipped_sectors_are_not_solved(self, monkeypatch, name):
+        mat, whole = _slicing_case(name)
+        seen = _recording_slices(monkeypatch)
+        vals = lowest_by_sector(mat, 2, DENSE_MAX_DIM, n_vectors=1)[0]
+        assert np.max(np.abs(vals - whole[:2])) <= 1e-12 * np.max(np.abs(whole))
+        assert seen["skipped"]
+        assert not set(seen["skipped"]) & set(seen["eigh"] + seen["eigvalsh"])
+        assert len(seen["eigh"]) == 1
+
+    def test_one_sector_holding_the_k_lowest_is_the_only_one_solved(self, monkeypatch):
+        mat, _ = _slicing_case("one_sector_holds_all")
+        seen = _recording_slices(monkeypatch)
+        lowest_by_sector(mat, 4, DENSE_MAX_DIM)
+        assert (len(seen["eigh"]), len(seen["eigvalsh"]), len(seen["skipped"])) == (1, 0, 3)
+
+    @pytest.mark.parametrize("charge", [0.3, 1.2])
+    @pytest.mark.parametrize("gauge_name", ["dipole", "alpha_0.4"])
+    def test_dressed_dipole_solve_counts(self, monkeypatch, gauge_name, charge):
+        # the charges of the anharmonic benchmark sweep: the ground sector
+        # is the one with the lowest diagonal entry and takes the one eigh,
+        # the sector of the first excited level one eigvalsh, and the other
+        # six are ruled out by their Cholesky factorisation
+        model = build_anharmonic_dipole(10, 1.0, 1.0, 0.1, charge, 1.0, axes=3)
+        h = dressed_matter_hamiltonian(model, GAUGES[gauge_name], [MODES["q_z"]])
+        seen = _recording_slices(monkeypatch)
+        ground = ground_resolvent(model, h)
+        assert type(ground) is SectorResolvent
+        assert (len(seen["eigh"]), len(seen["eigvalsh"]), len(seen["skipped"])) == (1, 1, 6)
+
+    def test_bare_dipole_solve_counts(self, monkeypatch):
+        # as above, except that the two other sectors of the triplet hold
+        # the k-th value up to rounding, so rounding decides whether each
+        # factorises (and is skipped) or not (and is solved by eigvalsh)
+        seen = _recording_slices(monkeypatch)
+        ground_resolvent(SECTOR_MODELS["three_axis_1000"])
+        assert len(seen["eigh"]) == 1
+        assert len(seen["eigvalsh"]) + len(seen["skipped"]) == 7
+        assert len(seen["eigvalsh"]) <= 3
