@@ -27,13 +27,18 @@ machine with few cores the pools then fight each other, the main thread
 and the oracle workers, so `run_sweep` sets both pools to one thread while
 it runs and restores the earlier counts when it returns; `main` does the
 same around everything it runs.  One thread also makes the largest
-dense solves, the Cholesky tests, `np.linalg.eigh` and `np.linalg.eigvalsh`
-of `matter.lowest_by_sector` on oracle blocks of up to `oracle.DENSE_LIMIT`
-(300) states, independent of `OPENBLAS_NUM_THREADS`; larger blocks go to
-`matter.shift_invert_lowest`, whose banded Cholesky factorisation and
-solves run in scipy's OpenBLAS, pinned as well.
-Where a library is not found its pin is skipped.  summary.json records
-both counts as `blas_threads`.
+dense solves independent of `OPENBLAS_NUM_THREADS`: those of
+`matter.lowest_by_sector` on oracle blocks of up to `oracle.DENSE_LIMIT`
+(300) states and on the sectors of large matter Hamiltonians, namely the
+Cholesky tests (LAPACK `dpotrf`/`zpotrf`), the lowest-pairs solves
+(`dsyevr`/`zheevr`) and the Cholesky solves of
+`matter.SectorResolvent.gram` (`dposv`/`zposv`), which run in scipy's
+OpenBLAS, and the stacked `np.linalg.eigvalsh` of small sectors, which
+runs in numpy's.  Larger blocks go to `matter.shift_invert_lowest`,
+whose banded Cholesky factorisation and solves run in scipy's OpenBLAS,
+pinned as well.  Each pool's thread-count functions are looked up once
+per process.  Where a library is not found its pin is skipped.
+summary.json records both counts as `blas_threads`.
 
 The oracle points are independent solves.  With the oracle enabled and
 more than one CPU in the process's affinity mask, `run_sweep` hands them
@@ -70,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import operator
@@ -555,10 +561,12 @@ def run_check(cfg: SweepConfig, point=None) -> dict:
     return results
 
 
+@functools.cache
 def _openblas_pool(package: str):
     """(get, set) thread-count functions of the OpenBLAS bundled in the
     wheel of ``package`` ("numpy" or "scipy"), or None when the library or
-    its symbols are not there."""
+    its symbols are not there; looked up once per process, since the
+    loaded library does not change."""
     import ctypes
     import glob
     import importlib

@@ -23,9 +23,9 @@ solved in real arithmetic, any other in complex.  The same routine
 solves the blocks of the oracle Hamiltonian, which
 `oracle.lowest_eigenpairs` first makes real by a photon phase.  When
 every sector is dense the resolvent is `SectorResolvent`, one dense
-solve per touched sector in the Gram matrix.  When one is larger, such
-as a ring, it is `SparseResolvent`, one sparse LU (SuperLU, which
-pivots) of the indefinite bordered matrix [[H - E_0, |0>], [<0|, 0]],
+Cholesky solve per touched sector in the Gram matrix.  When one is
+larger, such as a ring, it is `SparseResolvent`, one sparse LU (SuperLU,
+which pivots) of the indefinite bordered matrix [[H - E_0, |0>], [<0|, 0]],
 whose solves give the resolvent on Q space: the Sternheimer route of
 density-functional perturbation theory, with no full spectrum.  All
 three are deterministic for a fixed Hamiltonian, and all refuse a ground
@@ -36,8 +36,9 @@ each cache bounded by its entry count and each kept entry giving the
 bits a fresh solve gives:
   * `lowest_by_sector` keeps a `_SectorPlan` for each of the last
     SECTOR_PLANS patterns of nonzero entries (with the tensor shape of an
-    oracle Hamiltonian): the sectors, their partition, and each large
-    sector's entries and band layout;
+    oracle Hamiltonian): the sectors, their partition, each dense
+    sector's entry positions and flat offsets, and each large sector's
+    entries and band layout;
   * `ground_resolvent` keeps the backends of the last RESOLVENTS
     Hamiltonians by `Operator.digest`, without their model, and
     `ring_ground_state` as many dense ring ground vectors beside them;
@@ -73,7 +74,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.lapack import dpbtrf, dpbtrs, zpbtrf, zpbtrs
+import scipy.linalg
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dposv, dpotrf, zpbtrf, zpbtrs, zposv, zpotrf
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import (ArgumentError, DegenerateGroundStateError, NumericError, ResourceLimitError,
@@ -406,11 +408,12 @@ class SectorResolvent(_SectorGround):
 
     def gram(self, cols: np.ndarray) -> np.ndarray:
         """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``, summed
-        over the sectors the columns touch, with one stacked dense solve of
-        (H_k - E_0) X_k = C_k per sector size.  In the ground sector the
-        columns are projected by Q and the block is H_k - E_0 + |0><0|,
-        which equals H_k - E_0 on Q space; every block is then positive
-        definite."""
+        over the sectors the columns touch, with one dense solve of
+        (H_k - E_0) X_k = C_k per touched sector (`_positive_solve`).  In
+        the ground sector the columns are projected by Q and the block is
+        H_k - E_0 + |0><0|, which equals H_k - E_0 on Q space; every block
+        is then positive definite, and one that is not raises
+        NumericError."""
         mat, cols = scipy.sparse.csr_matrix(self.h_m_used.matrix), np.asarray(cols, dtype=complex)
         dtype, e0, k = _block_dtype(mat), self.lowest[0], cols.shape[1]
         # the ground vector is zero outside its sector
@@ -433,9 +436,8 @@ class SectorResolvent(_SectorGround):
             if has_ground and touched[k0]:
                 g = g if dtype is complex else g.real  # real up to the fixed sign
                 shifted[np.count_nonzero(touched[:k0])] += np.outer(g, g.conj())
-            c = c[touched]
-            x = _solve(shifted, c)
-            m += c.reshape(-1, k).conj().T @ x.reshape(-1, k)
+            for a, rhs in zip(shifted, c[touched]):
+                m += rhs.conj().T @ _positive_solve(a, rhs)
         return m
 
 
@@ -444,15 +446,22 @@ def _block_dtype(mat):
     return complex if mat.data.imag.any() else float
 
 
-def _solve(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, c) for complex columns c; a real ``a`` takes the
-    real and the imaginary parts of c as one real right-hand side, so no
-    complex copy of it is made."""
+def _positive_solve(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a^-1 c for the Hermitian positive definite ``a`` and complex
+    columns c, by Cholesky (LAPACK `dposv`/`zposv`, which may overwrite
+    ``a``); a real ``a`` takes the real and the imaginary parts of c as one
+    real right-hand side, so no complex copy of it is made.  An ``a`` that
+    is not positive definite raises NumericError."""
     if np.iscomplexobj(a):
-        return np.linalg.solve(a, c)
-    k = c.shape[-1]
-    x = np.linalg.solve(a, np.concatenate([c.real, c.imag], axis=-1))
-    return x[..., :k] + 1j * x[..., k:]
+        _, x, info = zposv(a, c, lower=True, overwrite_a=True)
+    else:
+        k = c.shape[-1]
+        _, x, info = dposv(a, np.concatenate([c.real, c.imag], axis=-1), lower=True,
+                           overwrite_a=True, overwrite_b=True)
+        x = x[:, :k] + 1j * x[:, k:]
+    if info != 0:
+        raise NumericError(f"a resolvent block is not positive definite (LAPACK info {info})")
+    return x
 
 
 def _above(block: np.ndarray, t: float) -> bool:
@@ -460,12 +469,24 @@ def _above(block: np.ndarray, t: float) -> bool:
     whether block - t I has a Cholesky factorisation, which by Sylvester's
     law of inertia holds exactly when it is positive definite (spectrum
     slicing, Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 228,
-    1994)."""
-    try:
-        np.linalg.cholesky(block - t * np.eye(len(block)))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    1994).  LAPACK `dpotrf`/`zpotrf` factors a shifted copy in place, in
+    the column order and lower triangle `np.linalg.cholesky` uses, and
+    its ``info`` is 0 exactly when the factorisation succeeds."""
+    shifted = np.array(block, order="F")
+    diag = np.arange(len(block))
+    shifted[diag, diag] -= t
+    potrf = zpotrf if np.iscomplexobj(block) else dpotrf
+    return potrf(shifted, lower=True, clean=False, overwrite_a=True)[1] == 0
+
+
+def _lowest_pairs(block: np.ndarray, m: int, vectors: bool):
+    """The m lowest eigenvalues of the Hermitian ``block``, ascending, and
+    with ``vectors`` their eigenvectors, as (values, vectors): LAPACK's
+    MRRR driver (`dsyevr`/`zheevr`; Dhillon & Parlett, Linear Algebra
+    Appl. 387, 1, 2004) on the index range 0 to m - 1, which forms no
+    other eigenvector."""
+    return scipy.linalg.eigh(block, subset_by_index=[0, m - 1], driver="evr",
+                             eigvals_only=not vectors, check_finite=False)
 
 
 def _partition(sector_of: np.ndarray):
@@ -744,9 +765,9 @@ class _SectorPlan:
     """What `lowest_by_sector` derives from a pattern of nonzero entries:
     ``indptr`` of the nonzero entries row by row, the sectors, numbered by
     ``sector_of`` (one sector in all when an entry's mirror is missing),
-    their `_partition`, and per sector solved sparse its block: the
-    positions of its entries among the nonzero ones, their columns in the
-    sector, its ``indptr``, and its band layout."""
+    their `_partition`, and per sector ``blocks``: keyed ("dense", b),
+    what `_dense_block` scatters sector b from, and keyed b, what
+    `_plan_block` keeps of a sector solved sparse."""
 
     indptr: np.ndarray
     sector_of: np.ndarray
@@ -764,6 +785,19 @@ def _sector_plan(rows: np.ndarray, cols: np.ndarray, dim: int) -> _SectorPlan:
                        sector_of=sector_of, partition=_partition(sector_of))
 
 
+def _plan_entries(plan: _SectorPlan, b: int, cols: np.ndarray):
+    """(states, at, counts, col) of sector ``b``: its states, the positions
+    of its entries among the nonzero ones (whose columns are ``cols``),
+    row by row, each row's count of them, and their columns in the
+    sector."""
+    sizes, order, first, place = plan.partition
+    states = order[first[b]:first[b] + sizes[b]]
+    start = plan.indptr[states]
+    counts = plan.indptr[states + 1] - start
+    at = _ranges(start, counts)
+    return states, at, counts, place[cols[at]]
+
+
 def _plan_block(plan: _SectorPlan, b: int, cols: np.ndarray, shape):
     """The block of sector ``b`` that ``plan`` keeps, made on first use:
     the positions of its entries among the nonzero ones (whose columns are
@@ -772,12 +806,8 @@ def _plan_block(plan: _SectorPlan, b: int, cols: np.ndarray, shape):
     ``shape``, the tensor shape (matter, photon slots...) of the states,
     has photon slots."""
     if b not in plan.blocks:
-        sizes, order, first, place = plan.partition
-        states = order[first[b]:first[b] + sizes[b]]
-        start = plan.indptr[states]
-        counts = plan.indptr[states + 1] - start
-        at = _ranges(start, counts)
-        col, indptr = place[cols[at]], np.r_[0, np.cumsum(counts)]
+        states, at, counts, col = _plan_entries(plan, b, cols)
+        indptr = np.r_[0, np.cumsum(counts)]
         orders = ()
         if shape is not None and len(shape) > 1:
             photons = math.prod(shape[1:])
@@ -787,6 +817,30 @@ def _plan_block(plan: _SectorPlan, b: int, cols: np.ndarray, shape):
         plan.blocks[b] = (_index32(at), _index32(col), indptr,
                           (perm, width, _index32(upper), _index32(band_at)))
     return plan.blocks[b]
+
+
+def _dense_block(plan: _SectorPlan, b: int, cols: np.ndarray, data: np.ndarray,
+                 dtype) -> np.ndarray:
+    """The dense block of sector ``b`` as ``dtype``, from the values
+    ``data`` of the nonzero entries (whose columns are ``cols``), with the
+    bits of `_sector_blocks`: entry (r, c) puts half of h_rc at (r, c), and
+    half of its conjugate is added at (c, r).  ``plan`` keeps the
+    positions of the sector's entries and their flat offsets (r, c) and
+    (c, r), made on first use, so a later block of the pattern is one
+    `np.zeros` and two scatters."""
+    key = ("dense", b)
+    if key not in plan.blocks:
+        states, at, counts, col = _plan_entries(plan, b, cols)
+        size = len(states)
+        row = np.repeat(np.arange(size), counts)
+        plan.blocks[key] = tuple(_index32(x) for x in (at, row * size + col, col * size + row))
+    at, flat, mirror = plan.blocks[key]
+    size = plan.partition[0][b]
+    block = np.zeros(size * size, dtype=dtype)
+    half = 0.5 * (data[at] if dtype is complex else data[at].real)
+    block[flat] = half
+    block[mirror] += half.conj()
+    return block.reshape(size, size)
 
 
 def _index32(index: np.ndarray) -> np.ndarray:
@@ -820,38 +874,43 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
 
     A one-state sector gives its eigenpair off the diagonal.  A sector of
     more than ``dense_limit`` states is cut to CSR and goes to
-    `shift_invert_lowest` from ``floor``.  The others are dense
-    (`_sector_blocks`).  Sectors small enough that SECTOR_CHUNK entries
-    hold two or more are cut by size into stacks, whose eigenvalues come
-    from stacked `np.linalg.eigvalsh`.  The larger ones are cut one at a
-    time and sliced (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
-    15, 228, 1994), after the sectors above:
+    `shift_invert_lowest` from ``floor``.  The others are dense.  Sectors
+    small enough that SECTOR_CHUNK entries hold two or more are cut by
+    size into stacks (`_sector_blocks`), whose eigenvalues come from
+    stacked `np.linalg.eigvalsh`.  The larger ones are cut one at a time
+    (`_dense_block`) and sliced (Grimes, Lewis & Simon, SIAM J. Matrix
+    Anal. Appl. 15, 228, 1994), after the sectors above:
       * they are visited by their lowest diagonal entry, ascending, by a
         stable sort, so a tie keeps the lower sector first;
       * once k values are known, with t the k-th lowest of them, a
         sector is skipped when H_s - t I has a Cholesky factorisation
-        (`_above`), since then every eigenvalue of H_s lies above t;
+        (`_above`, LAPACK `dpotrf`/`zpotrf`), since then every
+        eigenvalue of H_s lies above t;
       * an eigenvalue equal to t leaves H_s - t I singular, so in exact
         arithmetic such a sector fails the test and is solved; an
         eigenvalue within rounding of t lets rounding decide, and a
         skipped tie leaves the k-th value with the sector visited first;
-      * a sector solved while fewer than ``n_vectors`` sectors have
-        eigenvectors takes `np.linalg.eigh`, any later one
-        `np.linalg.eigvalsh`.
+      * a solved sector gives only its min(k, size) lowest values
+        (`_lowest_pairs`, LAPACK's MRRR driver `dsyevr`/`zheevr`), with
+        their eigenvectors while fewer than ``n_vectors`` sectors have
+        eigenvectors and without them after.
     The k lowest of all the values found are picked, equal eigenvalues
-    going to the lower sector.  `np.linalg.eigh` then solves the sectors
+    going to the lower sector.  `_lowest_pairs` then solves the sectors
     that hold one of the eigenvectors asked for and have none yet, and a
     pick in a sector with eigenvectors takes its value from there.
     Eigenvectors are embedded in the full space and phase-fixed as
-    `operators.eigh` does, so each one lies in one sector.
+    `operators.eigh` does, so each one lies in one sector.  These LAPACK
+    calls run in scipy's OpenBLAS and the stacked `eigvalsh` in numpy's;
+    `cli` pins both pools to one thread.
 
     All of that but the values depends on the pattern of the nonzero
     entries alone, which a sweep repeats, so it is kept, per pattern and
     ``shape``, as a `_SectorPlan` for the last SECTOR_PLANS patterns: a
-    repeated pattern scatters each large sector into its band, with the
-    same bits as a new plan.  ``shape``, the tensor shape (matter, photon
-    slots...) of an oracle Hamiltonian's states, adds the photon-major
-    order to the band orders a large sector tries.
+    repeated pattern scatters each dense sector cut alone into its block
+    and each large sector into its band, with the same bits as a new
+    plan.  ``shape``, the tensor shape (matter, photon slots...) of an
+    oracle Hamiltonian's states, adds the photon-major order to the band
+    orders a large sector tries.
     """
     mat = scipy.sparse.csr_matrix(mat)
     dim = mat.shape[0]
@@ -908,14 +967,14 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     low = np.sort(np.concatenate(values))[:k] if values else np.empty(0)
     n_vectors = k if n_vectors is None else n_vectors
     for b in alone[np.argsort(bottom, kind="stable")]:
-        block = _sector_blocks(mat, states_of(b)[None], place, dtype(b))[0]
+        block = _dense_block(plan, b, cols, data, dtype(b))
         if len(low) == k and _above(block, low[-1]):
             continue
         if len(solved) < n_vectors:
-            solved[b] = np.linalg.eigh(block)
-            vals = solved[b][0][:k]
+            solved[b] = _lowest_pairs(block, min(k, sizes[b]), vectors=True)
+            vals = solved[b][0]
         else:
-            vals = np.linalg.eigvalsh(block)[:k]
+            vals = _lowest_pairs(block, min(k, sizes[b]), vectors=False)
         low = np.sort(np.concatenate([low, vals]))[:k]
         add([b], vals[None])
     values, sectors, levels = (np.concatenate(x) for x in (values, sectors, levels))
@@ -927,10 +986,11 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
             vectors[states, col] = 1.0
         elif col < n_vectors or b in solved:
             if b not in solved:
-                solved[b] = np.linalg.eigh(_sector_blocks(mat, states[None], place, dtype(b))[0])
+                solved[b] = _lowest_pairs(_dense_block(plan, b, cols, data, dtype(b)),
+                                          min(k, sizes[b]), vectors=True)
             values[pick[col]] = solved[b][0][j]
             vectors[states, col] = solved[b][1][:, j]
-    # eigh may move a pick from eigvalsh's value by rounding
+    # a vector solve may move a pick from its earlier value by rounding
     ascending = np.argsort(values[pick], kind="stable")
     return values[pick][ascending], _fix_phases(vectors[:, ascending[:n_vectors]]), sector_of
 

@@ -1,4 +1,6 @@
+import ctypes
 import functools
+import glob
 import json
 import math
 import multiprocessing
@@ -816,6 +818,20 @@ class TestBlasPin:
             assert (numpy_pool(), scipy_pool[0]()) == (2, 2)
         finally:
             scipy_pool[1](scipy_before)
+
+    def test_pools_looked_up_once(self, numpy_pool, monkeypatch):
+        # the (get, set) pair of each pool is cached: a pin looks nothing up,
+        # and still restores the earlier counts
+        pools = {package: cli._openblas_pool(package) for package in cli.OPENBLAS_THREADS}
+        looked_up = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: looked_up.append(args))
+        monkeypatch.setattr(glob, "glob", lambda *args, **kwargs: looked_up.append(args) or [])
+        for _ in range(2):
+            with cli._one_blas_thread():
+                assert numpy_pool() == 1
+            assert numpy_pool() == 2
+        assert {package: cli._openblas_pool(package) for package in pools} == pools
+        assert looked_up == []
 
     def test_no_library_no_pin(self, monkeypatch, tmp_path):
         real = cli._openblas_pool("numpy")

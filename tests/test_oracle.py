@@ -471,19 +471,29 @@ class TestEffectiveHamiltonian:
 
 
 def _record_blocks(monkeypatch):
-    """Wrap the dense block cut and the sparse solver; returns the (dtype,
-    dim) of each block they see, in the order first seen.  A dense block
-    is cut once for its eigenvalues and again for its eigenvectors when it
-    holds a pick, and counts once."""
+    """Wrap the dense block cuts, stacked and one at a time, and the
+    sparse solver; returns the (dtype, dim) of each block they see, in the
+    order first seen.  A dense block is cut once for its eigenvalues and
+    again for its eigenvectors when it holds a pick, and counts once."""
     seen, cut = [], set()
-    blocks, solve = matter_module._sector_blocks, matter_module.shift_invert_lowest
+    blocks, dense, solve = (matter_module._sector_blocks, matter_module._dense_block,
+                            matter_module.shift_invert_lowest)
+
+    def record(out, lowest, dim):
+        if lowest not in cut:  # a sector's lowest state names it
+            cut.add(lowest)
+            seen.append((out.dtype, dim))
 
     def cutting(mat, states, place, dtype):
         out = blocks(mat, states, place, dtype)
         for one in states:
-            if one[0] not in cut:  # a sector's lowest state names it
-                cut.add(one[0])
-                seen.append((out.dtype, len(one)))
+            record(out, one[0], len(one))
+        return out
+
+    def cutting_one(plan, b, cols, data, dtype):
+        out = dense(plan, b, cols, data, dtype)
+        _, order, first, _ = plan.partition
+        record(out, order[first[b]], len(out))
         return out
 
     def solving(block, k, floor, layout):
@@ -491,6 +501,7 @@ def _record_blocks(monkeypatch):
         return solve(block, k, floor, layout=layout)
 
     monkeypatch.setattr(matter_module, "_sector_blocks", cutting)
+    monkeypatch.setattr(matter_module, "_dense_block", cutting_one)
     monkeypatch.setattr(matter_module, "shift_invert_lowest", solving)
     return seen
 
@@ -681,11 +692,17 @@ class TestLowestEigenpairs:
     def test_two_dense_blocks_take_one_eigh_each(self, monkeypatch, preset, scale):
         # a 20-dipole ensemble at cutoff 28: two parity blocks of 294 states,
         # each holding one of the two lowest levels, so each is solved by
-        # one eigh for its eigenvector and nothing runs eigvalsh
+        # one vector solve of its lowest pairs, and nothing runs a
+        # values-only solve or np.linalg's eigh or eigvalsh
         system = full_hamiltonian(dicke(20, scale), make_gauge(preset), [lwl_mode(1.0, 1.0)],
                                   28)
         assert system.dim == 2 * 294 and 294 <= DENSE_LIMIT
-        counts = {"eigh": 0, "eigvalsh": 0}
+        counts = {"vectors": 0, "values": 0, "eigh": 0, "eigvalsh": 0}
+        lowest_pairs = matter_module._lowest_pairs
+
+        def pairs(block, m, vectors):
+            counts["vectors" if vectors else "values"] += 1
+            return lowest_pairs(block, m, vectors)
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -693,11 +710,12 @@ class TestLowestEigenpairs:
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in counts:
+        monkeypatch.setattr(matter_module, "_lowest_pairs", pairs)
+        for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         vals, vecs = lowest_eigenpairs(system, k=2)
         monkeypatch.undo()
-        assert counts == {"eigh": 2, "eigvalsh": 0}
+        assert counts == {"vectors": 2, "values": 0, "eigh": 0, "eigvalsh": 0}
         _assert_eigenpairs(system.h, vals, vecs)
 
 

@@ -627,17 +627,23 @@ def _digest_of(block):
 
 
 def _recording_slices(monkeypatch):
-    """Wrap `matter._above` and np.linalg's eigh and eigvalsh; returns the
-    digests of the blocks the Cholesky test rules out and of the blocks
-    each solver sees."""
+    """Wrap `matter._above`, `matter._lowest_pairs` and np.linalg's eigh
+    and eigvalsh; returns the digests of the blocks the Cholesky test
+    rules out and of the blocks each solver sees, a vector solve of
+    `_lowest_pairs` counted under "eigh" and a values-only one under
+    "eigvalsh"."""
     seen = {"skipped": [], "eigh": [], "eigvalsh": []}
-    above = matter._above
+    above, lowest_pairs = matter._above, matter._lowest_pairs
 
     def testing(block, t):
         out = above(block, t)
         if out:
             seen["skipped"].append(_digest_of(block))
         return out
+
+    def pairs(block, m, vectors):
+        seen["eigh" if vectors else "eigvalsh"].append(_digest_of(block))
+        return lowest_pairs(block, m, vectors)
 
     def solving(name, original):
         def wrapper(a, *args, **kwargs):
@@ -646,6 +652,7 @@ def _recording_slices(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(matter, "_above", testing)
+    monkeypatch.setattr(matter, "_lowest_pairs", pairs)
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, solving(name, getattr(np.linalg, name)))
     return seen
@@ -655,7 +662,8 @@ class TestSpectrumSlicing:
     """The dense sectors `lowest_by_sector` cuts one at a time: visited by
     their lowest diagonal entry, skipped where H_s - t I has a Cholesky
     factorisation, t the k-th lowest value known, and the first n_vectors
-    solved with eigh, the later ones with eigvalsh."""
+    solved for their lowest pairs with eigenvectors, the later ones for
+    their lowest values alone."""
 
     @pytest.mark.parametrize("n_vectors", [None, 1])
     @pytest.mark.parametrize("k", [1, 2, 4, 7])
@@ -711,3 +719,99 @@ class TestSpectrumSlicing:
         assert len(seen["eigh"]) == 1
         assert len(seen["eigvalsh"]) + len(seen["skipped"]) == 7
         assert len(seen["eigvalsh"]) <= 3
+
+
+def _lu_gram(ground, cols):
+    """`SectorResolvent.gram` by a stacked LU solve (`np.linalg.solve`) of
+    the same blocks, the reference for its Cholesky solves."""
+    mat = scipy.sparse.csr_matrix(ground.h_m_used.matrix)
+    cols = np.asarray(cols, dtype=complex)
+    dtype, e0, k = matter._block_dtype(mat), ground.lowest[0], cols.shape[1]
+    g = ground.vector
+    sizes, order, first, place = matter._partition(ground.sector_of)
+    m = np.zeros((k, k), dtype=complex)
+    for _, states in matter._stacks(sizes, order, first, sizes):
+        c = cols[states]
+        block = matter._sector_blocks(mat, states, place, dtype)
+        diag = np.arange(states.shape[1])
+        block[:, diag, diag] -= e0
+        for one, rows in enumerate(states):
+            if g[rows].any():  # the ground sector: project by Q, add |0><0|
+                c[one] -= np.outer(g[rows], g[rows].conj() @ c[one])
+                g0 = g[rows] if dtype is complex else g[rows].real
+                block[one] += np.outer(g0, g0.conj())
+        m += c.reshape(-1, k).conj().T @ np.linalg.solve(block, c).reshape(-1, k)
+    return m
+
+
+class TestDenseSectorLapack:
+    """The LAPACK calls of the dense sector path: the lowest-pairs solve,
+    and the Cholesky solves of `SectorResolvent.gram`."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 120])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_lowest_pairs_match_eigh(self, complex_, m):
+        # m = 120 is every pair of the 120-state block
+        block = _random_block(np.random.default_rng(7), 120, complex_=complex_)
+        ref_vals, ref_vecs = np.linalg.eigh(block)
+        scale = np.max(np.abs(ref_vals))
+        vals, vecs = matter._lowest_pairs(block, m, vectors=True)
+        only = matter._lowest_pairs(block, m, vectors=False)
+        assert vals.shape == only.shape == (m,) and vecs.shape == (120, m)
+        assert np.iscomplexobj(vecs) == complex_
+        assert np.max(np.abs(vals - ref_vals[:m])) <= 1e-12 * scale
+        assert np.max(np.abs(only - ref_vals[:m])) <= 1e-12 * scale
+        assert np.max(np.linalg.norm(block @ vecs - vecs * vals, axis=0)) <= 1e-12 * scale
+        # the same vectors as eigh's up to a phase each
+        overlaps = np.abs(np.sum(vecs.conj() * ref_vecs[:, :m], axis=0))
+        assert np.max(np.abs(overlaps - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n_vectors", [None, 1])
+    def test_k_at_least_the_sector_size(self, n_vectors):
+        # sectors of 100 and 110 states, k = 150: each solved sector gives
+        # all its pairs
+        rng = np.random.default_rng(9)
+        mat = scipy.sparse.block_diag([_random_block(rng, 100, complex_=True),
+                                       _random_block(rng, 110, shift=2.0)], format="csr")
+        whole = np.linalg.eigvalsh(mat.toarray())
+        vals, vecs, _ = lowest_by_sector(mat, 150, DENSE_MAX_DIM, n_vectors=n_vectors)
+        scale = np.max(np.abs(whole))
+        assert np.max(np.abs(vals - whole[:150])) <= 1e-12 * scale
+        assert vecs.shape[1] == (150 if n_vectors is None else 1)
+        residual = mat @ vecs - vecs * vals[:vecs.shape[1]]
+        assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("gauge_name", ["dipole", "coulomb"])
+    def test_cholesky_gram_matches_lu(self, gauge_name):
+        model = SECTOR_MODELS["three_axis_1000"]
+        h = dressed_matter_hamiltonian(model, GAUGES[gauge_name], [MODES["q_z"]])
+        ground = ground_resolvent(model, h)
+        assert type(ground) is SectorResolvent
+        g = ground.ground_state_vector()
+        rng = np.random.default_rng(4)
+        # the coupling columns, and random ones that touch every sector
+        cols = np.column_stack([op.matrix @ g for op in model.momentum_ops + model.dipole_ops]
+                               + [rng.standard_normal(model.dim) + 1j * rng.standard_normal(
+                                   model.dim) for _ in range(2)])
+        ref = _lu_gram(ground, cols)
+        assert np.max(np.abs(ground.gram(cols) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_gram_block_not_positive_definite_raises(self):
+        # E_0 raised well into the spectrum: H_k - E_0 is indefinite
+        model = SECTOR_MODELS["three_axis_1000"]
+        ground = ground_resolvent(model)
+        bad = dataclasses.replace(ground, lowest=ground.lowest + 5.0)
+        cols = np.ones((model.dim, 2))
+        with pytest.raises(NumericError, match="^a resolvent block is not positive definite"):
+            bad.gram(cols)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_positive_solve(self, complex_):
+        rng = np.random.default_rng(2)
+        block = _random_block(rng, 30, complex_=complex_)
+        cols = rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))
+        shifted = block - (np.linalg.eigvalsh(block)[0] - 1.0) * np.eye(30)
+        x = matter._positive_solve(shifted.copy(), cols)
+        assert np.max(np.abs(shifted @ x - cols)) <= 1e-12 * np.max(np.abs(cols))
+        with pytest.raises(NumericError, match="not positive definite"):
+            matter._positive_solve(block, cols)
