@@ -35,8 +35,8 @@ Cholesky tests (LAPACK `dpotrf`/`zpotrf`), the lowest-pairs solves
 `matter.SectorResolvent.gram` (`dposv`/`zposv`), which run in scipy's
 OpenBLAS, and the stacked `np.linalg.eigvalsh` of small sectors, which
 runs in numpy's.  Larger blocks go to `matter.shift_invert_lowest`,
-whose banded Cholesky factorisation and solves run in scipy's OpenBLAS,
-pinned as well.  Each pool's thread-count functions are looked up once
+and their Gram solves to banded Cholesky as well, whose factorisations
+and solves run in scipy's OpenBLAS, pinned as well.  Each pool's thread-count functions are looked up once
 per process.  Where a library is not found its pin is skipped.
 summary.json records both counts as `blas_threads`.
 

@@ -8,7 +8,7 @@ products of single-axis matrices.  Gauge weighting of those operators is
 applied elsewhere; models only expose the raw material objects.
 
 The ground state of a (possibly gauge-dressed) matter Hamiltonian and
-its reduced resolvent come from one of three backends, which
+its reduced resolvent come from one of two backends, which
 `ground_resolvent` picks.  Up to DENSE_MAX_DIM states it is the full
 eigendecomposition `MatterSpectrum`.  Above it, `lowest_by_sector` finds
 the two lowest eigenvalues and the ground vector sector by sector, the
@@ -21,15 +21,14 @@ factorisation of H - sigma I below the spectrum.  A sector whose
 entries are all real, as every Hamiltonian the builders make is, is
 solved in real arithmetic, any other in complex.  The same routine
 solves the blocks of the oracle Hamiltonian, which
-`oracle.lowest_eigenpairs` first makes real by a photon phase.  When
-every sector is dense the resolvent is `SectorResolvent`, one dense
-Cholesky solve per touched sector in the Gram matrix.  When one is
-larger, such as a ring, it is `SparseResolvent`, one sparse LU (SuperLU,
-which pivots) of the indefinite bordered matrix [[H - E_0, |0>], [<0|, 0]],
-whose solves give the resolvent on Q space: the Sternheimer route of
-density-functional perturbation theory, with no full spectrum.  All
-three are deterministic for a fixed Hamiltonian, and all refuse a ground
-gap of at most DEGENERACY_ATOL when built.
+`oracle.lowest_eigenpairs` first makes real by a photon phase.  The
+resolvent is then `SectorResolvent`, one solve per touched sector in the
+Gram matrix: a dense Cholesky solve up to DENSE_MAX_DIM states, and
+above a banded Cholesky factorisation of H_s - E_0 on the band the
+sector's plan lays out, or in the ground sector (the ring's one sector,
+say) of H_s - E_0 just below the ground gap, with iterative refinement
+on Q space.  Both backends are deterministic for a fixed Hamiltonian,
+and both refuse a ground gap of at most DEGENERACY_ATOL when built.
 
 A sweep repeats most of this, so the module keeps what it has solved,
 each cache bounded by its entry count and each kept entry giving the
@@ -38,13 +37,10 @@ bits a fresh solve gives:
     SECTOR_PLANS patterns of nonzero entries (with the tensor shape of an
     oracle Hamiltonian): the sectors, their partition, each dense
     sector's entry positions and flat offsets, and each large sector's
-    entries and band layout;
+    entries and band layout, which `SectorResolvent.gram` reads too;
   * `ground_resolvent` keeps the backends of the last RESOLVENTS
     Hamiltonians by `Operator.digest`, without their model, and
     `ring_ground_state` as many dense ring ground vectors beside them;
-  * `SparseResolvent` keeps the bordered factors of as many, and drops
-    the oldest before it factors anew while they hold more than
-    BORDERED_BYTES;
   * the ensemble and dipole builders keep the operators the swept keys
     leave unchanged for BUILDS sets of the other keys, so a sweep's
     points share one h_m, whose digest is taken once.
@@ -76,7 +72,7 @@ import numpy as np
 import scipy.sparse
 import scipy.linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dposv, dpotrf, zpbtrf, zpbtrs, zposv, zpotrf
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import (ArgumentError, DegenerateGroundStateError, NumericError, ResourceLimitError,
                      UnsupportedError)
@@ -105,11 +101,6 @@ _PLANS: dict = {}
 # in _RESOLVENTS, and `ring_ground_state` as many dense ring ground vectors
 RESOLVENTS = 8
 _RESOLVENTS: dict = {}
-# `_kept_bordered` keeps the bordered factorisations of as many, but drops
-# the oldest before it factors anew while those kept hold more than this
-# many bytes: at d = 19683 the 3-axis dipole's holds about 120 MB
-BORDERED_BYTES = 1 << 26
-_BORDERED: dict = {}
 # each builder keeps the operators its swept arguments leave unchanged for
 # this many sets of the other arguments
 BUILDS = 4
@@ -290,16 +281,22 @@ def matter_spectrum(model: MatterModel, h_m: Operator | None = None) -> MatterSp
 
 
 @dataclass(frozen=True)
-class _SectorGround:
-    """The ground state `lowest_by_sector` finds: ``lowest`` holds the two
-    lowest eigenvalues over all sectors, so the unique-ground check of
-    construction is exact across sectors, and ``vector`` the ground
-    vector."""
+class SectorResolvent:
+    """Ground state and reduced resolvent of a Hamiltonian above
+    DENSE_MAX_DIM states, solved sector by sector.
+
+    ``lowest`` holds the two lowest eigenvalues over all sectors, so the
+    unique-ground check of construction is exact across sectors, and
+    ``vector`` the ground vector.  ``sector_of`` numbers each state's
+    sector, as `lowest_by_sector` does; a sector's block is cut from
+    ``h_m_used`` when it is needed, so only O(d) numbers are kept.
+    """
 
     model: MatterModel
     h_m_used: Operator
     lowest: np.ndarray
     vector: np.ndarray
+    sector_of: np.ndarray
 
     def __post_init__(self):
         check_unique_ground(self)
@@ -314,106 +311,16 @@ class _SectorGround:
     def ground_state_vector(self) -> np.ndarray:
         return self.vector
 
-
-@dataclass(frozen=True)
-class SparseResolvent(_SectorGround):
-    """Ground state of a large sparse Hamiltonian and its reduced resolvent.
-
-    Construction refuses a ground gap of at most DEGENERACY_ATOL, then
-    factors the bordered matrix [[H - E_0, g], [g^dag, 0]] of the ground
-    vector g once (`_factor_bordered`), which a unique ground state makes
-    nonsingular; `_kept_bordered` keeps the factors, so a resolvent rebound
-    to another model of the same Hamiltonian reuses them, and one stripped
-    of its Hamiltonian, as `ground_resolvent` keeps it, holds none.  For
-    the right-hand side [b; 0] with b = Q c, the solution [x; l] has
-    g^dag x = 0 and (H - E_0) x = b - l g, where l = -g^dag (H - E_0) x = 0,
-    so x = Q (H - E_0)^-1 Q c: `gram` solves all its columns with those
-    factors at once.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.h_m_used is not None:
-            _kept_bordered(self.h_m_used, self.lowest[0], self.vector)
-
-    def gram(self, cols: np.ndarray) -> np.ndarray:
-        """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``, from one
-        solve of the bordered system with the right-hand sides [Q C; 0]."""
-        g = self.vector
-        basis = cols - np.outer(g, g.conj() @ cols)
-        solve = _kept_bordered(self.h_m_used, self.lowest[0], g)
-        x = solve(np.vstack([basis, np.zeros((1, basis.shape[1]))]))
-        return basis.conj().T @ x[:-1]
-
-
-def _kept_bordered(h: Operator, e0: float, g: np.ndarray) -> Callable:
-    """The solve of `_factor_bordered` for (h, e0, g), factored where
-    _BORDERED does not hold it.  _BORDERED keeps the factors of the last
-    RESOLVENTS ones, but drops the oldest before a new factorisation while
-    it holds more than BORDERED_BYTES, so that no factorisation runs beside
-    large ones kept."""
-    key = _digest(h.digest, float(e0), g)
-    kept = _BORDERED.pop(key, None)
-    while kept is None and _BORDERED and (
-            len(_BORDERED) >= RESOLVENTS or sum(size for _, size in _BORDERED.values())
-            > BORDERED_BYTES):
-        del _BORDERED[next(iter(_BORDERED))]
-    _BORDERED[key] = kept = kept or _factor_bordered(h, e0, g)
-    return kept[0]
-
-
-def _factor_bordered(h: Operator, e0: float, g: np.ndarray) -> tuple[Callable, int]:
-    """(solve, bytes): the solve X = B^-1 R for complex columns R of the
-    bordered matrix B = [[H - E_0, g], [g^dag, 0]], factored once by
-    `splu`, and the size of its factors.  The factorisation runs in real
-    arithmetic where H is real (its ground vector then is real too), which
-    takes the real and imaginary parts of R as one real right-hand side.
-    B is indefinite, so SuperLU pivots, but its pattern is symmetric and
-    the minimum-degree ordering of A^T + A keeps a ring's factors at O(L)
-    entries, where the default column ordering filled 7.5e6 at L = 4000.
-    SuperLU's failure on an exactly singular B becomes NumericError."""
-    mat = scipy.sparse.csr_matrix(h.matrix)
-    real = _block_dtype(mat) is float
-    if real:
-        mat, g = mat.real, g.real
-    col = scipy.sparse.csr_matrix(g[:, None])
-    bordered = scipy.sparse.bmat([[mat - e0 * scipy.sparse.identity(mat.shape[0]), col],
-                                  [col.conj().T, None]], format="csc")
-    try:
-        lu = splu(bordered, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise NumericError(f"the bordered resolvent matrix could not be factored: {exc}") from exc
-    size = lu.nnz * (bordered.dtype.itemsize + bordered.indices.dtype.itemsize)
-    if not real:
-        return lu.solve, size
-
-    def solve(rhs):
-        k = rhs.shape[1]
-        x = lu.solve(np.concatenate([rhs.real, rhs.imag], axis=1))
-        return x[:, :k] + 1j * x[:, k:]
-    return solve, size
-
-
-@dataclass(frozen=True)
-class SectorResolvent(_SectorGround):
-    """Ground state and reduced resolvent of a Hamiltonian that splits into
-    sectors of at most DENSE_MAX_DIM states each.
-
-    ``sector_of`` numbers each state's sector, as `lowest_by_sector` does;
-    a sector's block is cut from ``h_m_used`` when it is needed, so only
-    O(d) numbers are kept.
-    """
-
-    sector_of: np.ndarray
-
     def gram(self, cols: np.ndarray) -> np.ndarray:
         """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``, summed
-        over the sectors the columns touch, with one dense solve of
-        (H_k - E_0) X_k = C_k per touched sector (`_positive_solve`).  In
-        the ground sector the columns are projected by Q and the block is
-        H_k - E_0 + |0><0|, which equals H_k - E_0 on Q space; every block
-        is then positive definite, and one that is not raises
-        NumericError."""
+        over the sectors the columns touch, with one solve of
+        (H_k - E_0) X_k = C_k per touched sector.  In the ground sector the
+        columns are projected by Q.  A sector of at most DENSE_MAX_DIM
+        states is solved dense (`_positive_solve`), the ground sector's
+        block being H_k - E_0 + |0><0|, which equals H_k - E_0 on Q space,
+        so every block is positive definite.  A larger sector is solved on
+        its band (`_band_gram`), which the pattern's `_SectorPlan` lays
+        out.  A block that is not positive definite raises NumericError."""
         mat, cols = scipy.sparse.csr_matrix(self.h_m_used.matrix), np.asarray(cols, dtype=complex)
         dtype, e0, k = _block_dtype(mat), self.lowest[0], cols.shape[1]
         # the ground vector is zero outside its sector
@@ -430,6 +337,13 @@ class SectorResolvent(_SectorGround):
             touched = c.any(axis=(1, 2))
             if not touched.any():
                 continue
+            if states.shape[1] > DENSE_MAX_DIM:
+                plan, _, nonzero_cols, data = _plan_of(mat)
+                for b, rhs in zip(ids[touched], c[touched]):
+                    block, layout = _plan_block(plan, b, nonzero_cols, data, dtype)
+                    m += _band_gram(block, layout, e0, rhs, g if b == ground else None,
+                                    self.ground_gap)
+                continue
             shifted = _sector_blocks(mat, states[touched], place, dtype)
             diag = np.arange(states.shape[1])
             shifted[:, diag, diag] -= e0
@@ -441,27 +355,86 @@ class SectorResolvent(_SectorGround):
         return m
 
 
+def _band_gram(block, layout, e0: float, c: np.ndarray, g: np.ndarray | None,
+               gap: float) -> np.ndarray:
+    """c^dag (H_s - E_0)^-1 c for the complex columns c of the CSR sector
+    block H_s, whose band ``layout`` its `_SectorPlan` keeps, by one banded
+    Cholesky factorisation (`_band_cholesky`); a real block takes the real
+    and imaginary parts of c as one right-hand side (`_split_solve`).
+    Outside the ground sector (``g`` None) H_s - E_0 is positive definite,
+    since the ground ``gap`` exceeds DEGENERACY_ATOL, and it is factored as
+    it is.  The ground sector, with its ground vector ``g`` and Q c for c,
+    is factored just below E_0 and solved by `_refined`.  A factorisation
+    that fails raises NumericError."""
+    real = not np.iscomplexobj(block.data)
+    delta = 0.0 if g is None else min(1e-9 * max(1.0, abs(e0)), 1e-2 * gap)
+    factored = _band_cholesky(block, e0 - delta, layout)
+    if factored is None:
+        raise NumericError("a resolvent block is not positive definite (LAPACK pbtrf)")
+    perm, solve = factored
+    if perm is not None:  # c^dag x is the same in the band's order
+        c, g = c[perm], None if g is None else g[perm]
+    if g is not None:
+        solve = _refined(solve, g.real if real else g, delta, gap)  # g real up to its sign
+    return c.conj().T @ _split_solve(solve, c, real)
+
+
+def _refined(solve: Callable, g: np.ndarray, delta: float, gap: float) -> Callable:
+    """The solve x = Q (H_s - E_0)^-1 b for b on Q space, Q = 1 - g g^dag,
+    from the ``solve`` of H_s - E_0 + delta I, with 0 < delta <= gap / 100:
+    iterative refinement x <- Q (H_s - E_0 + delta I)^-1 (b + delta x) from
+    x = 0, until an update is below 1e-15 of |x|.  Its fixed point is the
+    solution, and on Q space each step contracts the error by
+    rate = delta / (gap + delta) <= 1/101.  The bound is twice the steps
+    that take rate^n below 1e-15: the first half brings the iterate there,
+    and the second lets the rounding of each solve, which the same rate
+    damps, settle.  A refinement that does not converge within it raises
+    NumericError; a delta that did not shrink with the gap would not
+    converge once the gap nears it."""
+    steps = 2 * math.ceil(math.log(1e-15) / math.log(delta / (gap + delta)))
+
+    def refined(b):
+        x = 0.0
+        for _ in range(steps):
+            new = solve(b + delta * x)
+            new -= np.outer(g, g.conj() @ new)
+            if np.linalg.norm(new - x) <= 1e-15 * np.linalg.norm(new):
+                return new
+            x = new
+        raise NumericError(f"the ground-sector resolvent did not converge in {steps} "
+                           "refinement steps")
+    return refined
+
+
 def _block_dtype(mat):
     """float for a CSR matrix whose entries are all real, else complex."""
     return complex if mat.data.imag.any() else float
 
 
+def _split_solve(solve: Callable, c: np.ndarray, real: bool) -> np.ndarray:
+    """solve(c) for the complex columns c; where ``real``, ``solve`` is a
+    real solve, which takes the real and the imaginary parts of c as one
+    real right-hand side, so no complex copy of its matrix is made."""
+    if not real:
+        return solve(c)
+    k = c.shape[-1]
+    x = solve(np.concatenate([c.real, c.imag], axis=-1))
+    return x[:, :k] + 1j * x[:, k:]
+
+
 def _positive_solve(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """a^-1 c for the Hermitian positive definite ``a`` and complex
     columns c, by Cholesky (LAPACK `dposv`/`zposv`, which may overwrite
-    ``a``); a real ``a`` takes the real and the imaginary parts of c as one
-    real right-hand side, so no complex copy of it is made.  An ``a`` that
-    is not positive definite raises NumericError."""
-    if np.iscomplexobj(a):
-        _, x, info = zposv(a, c, lower=True, overwrite_a=True)
-    else:
-        k = c.shape[-1]
-        _, x, info = dposv(a, np.concatenate([c.real, c.imag], axis=-1), lower=True,
-                           overwrite_a=True, overwrite_b=True)
-        x = x[:, :k] + 1j * x[:, k:]
-    if info != 0:
-        raise NumericError(f"a resolvent block is not positive definite (LAPACK info {info})")
-    return x
+    ``a``), a real ``a`` by `_split_solve`.  An ``a`` that is not positive
+    definite raises NumericError."""
+    posv = zposv if np.iscomplexobj(a) else dposv
+
+    def solve(rhs):
+        _, x, info = posv(a, rhs, lower=True, overwrite_a=True, overwrite_b=posv is dposv)
+        if info != 0:
+            raise NumericError(f"a resolvent block is not positive definite (LAPACK info {info})")
+        return x
+    return _split_solve(solve, c, posv is dposv)
 
 
 def _above(block: np.ndarray, t: float) -> bool:
@@ -707,8 +680,8 @@ def shift_invert_lowest(mat, k: int, floor: float = -np.inf, layout=None
     ``layout`` its plan keeps: an oracle block above `oracle.DENSE_LIMIT`
     states, with ``floor`` the oracle's certified `FullSystem.floor`, and a
     sector of a matter Hamiltonian above DENSE_MAX_DIM states, with no
-    floor.  The reduced resolvent of that ground state is one sparse LU,
-    of an indefinite bordered matrix (`SparseResolvent`).
+    floor.  `SectorResolvent.gram` factors such a sector again, on the
+    same band, at or just below E_0 for the reduced resolvent.
 
     H - sigma I is factored once by a banded Cholesky factorisation
     (`_band_cholesky`), with sigma just below ``floor``, or at the
@@ -798,13 +771,15 @@ def _plan_entries(plan: _SectorPlan, b: int, cols: np.ndarray):
     return states, at, counts, place[cols[at]]
 
 
-def _plan_block(plan: _SectorPlan, b: int, cols: np.ndarray, shape):
-    """The block of sector ``b`` that ``plan`` keeps, made on first use:
-    the positions of its entries among the nonzero ones (whose columns are
-    ``cols``), row by row, their columns in the sector, its CSR ``indptr``
-    and its band layout, which tries the photon-major order too where
-    ``shape``, the tensor shape (matter, photon slots...) of the states,
-    has photon slots."""
+def _plan_block(plan: _SectorPlan, b: int, cols: np.ndarray, data: np.ndarray, dtype,
+                shape=None):
+    """(block, layout): sector ``b`` as a CSR matrix of ``dtype``, from the
+    values ``data`` of the nonzero entries (whose columns are ``cols``), and
+    its band layout.  ``plan`` keeps, made on first use, the positions of
+    the sector's entries among the nonzero ones, row by row, their columns
+    in the sector, its CSR ``indptr`` and its band layout, which tries the
+    photon-major order too where ``shape``, the tensor shape (matter,
+    photon slots...) of the states, has photon slots."""
     if b not in plan.blocks:
         states, at, counts, col = _plan_entries(plan, b, cols)
         indptr = np.r_[0, np.cumsum(counts)]
@@ -816,7 +791,10 @@ def _plan_block(plan: _SectorPlan, b: int, cols: np.ndarray, shape):
         # kept as 32-bit indices, which halve a large plan
         plan.blocks[b] = (_index32(at), _index32(col), indptr,
                           (perm, width, _index32(upper), _index32(band_at)))
-    return plan.blocks[b]
+    at, col, indptr, layout = plan.blocks[b]
+    size = len(indptr) - 1
+    return scipy.sparse.csr_matrix((data[at] if dtype is complex else data[at].real, col, indptr),
+                                   shape=(size, size)), layout
 
 
 def _dense_block(plan: _SectorPlan, b: int, cols: np.ndarray, data: np.ndarray,
@@ -854,6 +832,22 @@ def _pattern_key(mat, keep: np.ndarray | None, shape) -> bytes:
     (all where None), and ``shape``."""
     return _digest(mat.indptr, mat.indices, *(() if keep is None else (keep,)),
                    (mat.shape, mat.indptr.dtype.str, mat.indices.dtype.str, shape))
+
+
+def _plan_of(mat, shape=None):
+    """(plan, rows, cols, data): the `_SectorPlan` of the pattern of the
+    nonzero entries of the CSR matrix ``mat`` and of ``shape``, recalled
+    from _PLANS or made, and the rows, columns and values of those
+    entries."""
+    dim = mat.shape[0]
+    keep = mat.data != 0
+    keep = None if keep.all() else keep
+    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
+    rows, cols, data = (rows, mat.indices, mat.data) if keep is None else \
+        (rows[keep], mat.indices[keep], mat.data[keep])
+    plan = _recall(_PLANS, SECTOR_PLANS, _pattern_key(mat, keep, shape),
+                   lambda: _sector_plan(rows, cols, dim))
+    return plan, rows, cols, data
 
 
 def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
@@ -914,13 +908,7 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     """
     mat = scipy.sparse.csr_matrix(mat)
     dim = mat.shape[0]
-    keep = mat.data != 0
-    keep = None if keep.all() else keep
-    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
-    rows, cols, data = (rows, mat.indices, mat.data) if keep is None else \
-        (rows[keep], mat.indices[keep], mat.data[keep])
-    plan = _recall(_PLANS, SECTOR_PLANS, _pattern_key(mat, keep, shape),
-                   lambda: _sector_plan(rows, cols, dim))
+    plan, rows, cols, data = _plan_of(mat, shape)
     sector_of = plan.sector_of
     sizes, order, first, place = plan.partition
     is_complex = np.zeros(len(sizes), dtype=bool)
@@ -946,10 +934,7 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
             vals = mat.diagonal()[states].real
         elif size > dense_limit and k < size - 1:
             for b in ids:
-                at, col, indptr, layout = _plan_block(plan, b, cols, shape)
-                block = scipy.sparse.csr_matrix(
-                    (data[at] if is_complex[b] else data[at].real, col, indptr),
-                    shape=(size, size))
+                block, layout = _plan_block(plan, b, cols, data, dtype(b), shape)
                 solved[b] = shift_invert_lowest(block, k, floor, layout=layout)
             vals = np.array([solved[b][0] for b in ids])
         elif per < 2:
@@ -1000,8 +985,6 @@ def _solve_ground(model: MatterModel, h: Operator):
     if model.dim <= DENSE_MAX_DIM:
         return matter_spectrum(model, h)
     lowest, vectors, sector_of = lowest_by_sector(h.matrix, 2, DENSE_MAX_DIM, n_vectors=1)
-    if np.bincount(sector_of).max() > DENSE_MAX_DIM:
-        return SparseResolvent(model=model, h_m_used=h, lowest=lowest, vector=vectors[:, 0])
     return SectorResolvent(model=model, h_m_used=h, sector_of=sector_of, lowest=lowest,
                            vector=vectors[:, 0])
 
@@ -1009,14 +992,13 @@ def _solve_ground(model: MatterModel, h: Operator):
 def ground_resolvent(model: MatterModel, h_m: Operator | None = None):
     """The ground-resolvent backend for this Hamiltonian: the full
     `matter_spectrum` up to DENSE_MAX_DIM states, and above the two lowest
-    eigenpairs of `lowest_by_sector`, with `SectorResolvent` when every
-    sector has at most DENSE_MAX_DIM states and `SparseResolvent` when
-    one has more.
+    eigenpairs of `lowest_by_sector` in a `SectorResolvent`, which solves
+    its sectors of at most DENSE_MAX_DIM states dense and the larger ones
+    on their band.
 
     The backends of the last RESOLVENTS Hamiltonians are kept by
     `Operator.digest`, without their model, and a Hamiltonian stored as
-    one of them gets that backend rebound to its model (a
-    `SparseResolvent` finds its bordered factors in `_kept_bordered`): the
+    one of them gets that backend rebound to its model: the
     eigen-data depend on the stored form alone, so that is what a fresh
     solve gives, and the criterion, the invariant check and the oracle of
     one process share one solve per distinct Hamiltonian."""

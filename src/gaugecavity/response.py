@@ -13,10 +13,10 @@ defaults to the adjoint of the forward one.
 The reduced resolvent comes from any ground backend of
 `matter.ground_resolvent` (the full spectrum, or the ground state of
 `matter.lowest_by_sector`, dense per sector or by shift-invert Lanczos on
-a banded Cholesky factorisation, with dense solves per sector or one
-sparse LU of a bordered matrix), behind one interface (`ground_state_vector`,
+a banded Cholesky factorisation, with a dense or banded Cholesky solve
+per sector), behind one interface (`ground_state_vector`,
 `ground_energy`, `ground_gap`, and `gram(C) = C^dag Q (H - E_0)^-1 Q C`),
-so `lehmann_sum` and everything built on it run on each; all refuse a
+so `lehmann_sum` and everything built on it run on each; both refuse a
 degenerate ground state.  Only `polarizability`, whose finite-frequency
 form needs every transition energy, requires `matter.MatterSpectrum`.
 """

@@ -8,7 +8,7 @@ from gaugecavity import matter
 
 @pytest.fixture(autouse=True)
 def empty_matter_caches():
-    for cache in (matter._PLANS, matter._RESOLVENTS, matter._BORDERED):
+    for cache in (matter._PLANS, matter._RESOLVENTS):
         cache.clear()
     for builder in (matter._ensemble_operators, matter._dipole_operators):
         builder.cache_clear()

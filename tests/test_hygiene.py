@@ -15,7 +15,7 @@ runs, and `concurrent` and `multiprocessing`, which it imports inside
 `run_sweep` for the oracle's worker processes, so that importing the
 package does not pay for them.  Only `matter`, home of the ground-state
 backends, may import from `scipy.sparse.linalg`, for shift-invert
-Lanczos and sparse LU, and no module from `scipy.sparse.csgraph`.
+Lanczos, and no module from `scipy.sparse.csgraph`.
 Only the dense algorithms named in DENSE_READERS may read
 `Operator.entries`, the dense view that copies a sparse operator;
 everything else works on the stored form `Operator.matrix`.

@@ -1,13 +1,13 @@
-"""The three ground-resolvent backends behind `matter.ground_resolvent`.
+"""The two ground-resolvent backends behind `matter.ground_resolvent`.
 
 The dense backend is the full eigendecomposition (`matter_spectrum`).
 Above DENSE_MAX_DIM states `matter.lowest_by_sector` finds the ground
-state sector by sector, and the resolvent is a dense solve per sector
-(`SectorResolvent`) or one sparse LU of the bordered matrix
-(`SparseResolvent`).
-Each comparison of the dense and bordered backends builds the bordered
-one directly on the eigenpairs `ground_resolvent` finds (`_bordered`),
-so it does not depend on where DENSE_MAX_DIM puts the switch; the sector
+state sector by sector, and the resolvent (`SectorResolvent`) solves each
+touched sector: dense up to DENSE_MAX_DIM states, and above by a banded
+Cholesky factorisation of H_s - E_0, or in the ground sector of H_s - E_0
+just below the gap with iterative refinement.
+Each comparison of the dense and sector backends checks that the sector
+one is the backend `ground_resolvent` picks (`_sectored`); the sector
 tests check the rule as well.
 """
 
@@ -28,7 +28,7 @@ from gaugecavity.gauge import (coupling_f, coupling_rows, diamagnetic_D,
                                dressed_matter_hamiltonian, lwl_mode, make_gauge, mode_from_q,
                                ring_mode)
 from gaugecavity.matter import (DENSE_MAX_DIM, MatterSpectrum, SectorResolvent,
-                                SparseResolvent, build_anharmonic_dipole, build_ring_lattice,
+                                build_anharmonic_dipole, build_ring_lattice,
                                 build_two_level_ensemble, ground_resolvent, lowest_by_sector,
                                 matter_spectrum, ring_quasi_momentum, trk_sum)
 from gaugecavity.operators import Operator
@@ -44,12 +44,12 @@ ENSEMBLE = build_two_level_ensemble(DENSE_MAX_DIM + 100, 1.0, (0.0, 0.06, 0.0), 
 REPORT_FIELDS = ("lhs", "rhs", "electric_part", "magnetic_part", "margin", "beta0")
 
 
-def _bordered(model, h=None):
-    """The bordered-matrix backend on the eigenpairs `ground_resolvent`
-    finds above DENSE_MAX_DIM states, whichever backend it picks."""
+def _sectored(model, h=None):
+    """The backend `ground_resolvent` picks above DENSE_MAX_DIM states,
+    checked to be the sector backend."""
     ground = ground_resolvent(model, h)
-    return SparseResolvent(model=model, h_m_used=ground.h_m_used, lowest=ground.lowest,
-                           vector=ground.ground_state_vector())
+    assert type(ground) is SectorResolvent
+    return ground
 
 
 def _assert_backends_agree(model, gauge, mode):
@@ -57,7 +57,7 @@ def _assert_backends_agree(model, gauge, mode):
     at or below 1e-12 in magnitude on both sides."""
     h = dressed_matter_hamiltonian(model, gauge, [mode])
     dense = evaluate(model, gauge, mode, spectrum=matter_spectrum(model, h))
-    sparse = evaluate(model, gauge, mode, spectrum=_bordered(model, h))
+    sparse = evaluate(model, gauge, mode, spectrum=_sectored(model, h))
     for d, s in zip(dense, sparse):
         for name in REPORT_FIELDS:
             a, b = getattr(d, name), getattr(s, name)
@@ -81,7 +81,7 @@ class TestBackendsAgree:
 
     def test_ensemble_verdicts(self):
         # the bare Dicke ground energy is exactly 0, which the solver must not miss
-        ground = _bordered(ENSEMBLE)
+        ground = _sectored(ENSEMBLE)
         assert abs(ground.ground_energy()) <= 1e-12
         assert evaluate(ENSEMBLE, GAUGES["dipole"], MODES["q_z"], spectrum=ground)[0].condensed
         assert not any(r.condensed for r in evaluate(ENSEMBLE, GAUGES["coulomb"],
@@ -89,7 +89,7 @@ class TestBackendsAgree:
 
     def test_trk_sum(self):
         dense = trk_sum(matter_spectrum(THREE_AXIS), 2)
-        assert abs(trk_sum(_bordered(THREE_AXIS), 2) - dense) <= 1e-12 * dense
+        assert abs(trk_sum(_sectored(THREE_AXIS), 2) - dense) <= 1e-12 * dense
 
     def test_backend_chosen_by_dimension(self):
         at_limit = build_two_level_ensemble(DENSE_MAX_DIM - 1, 1.0, (0.0, 0.1, 0.0), 1.0)
@@ -99,7 +99,8 @@ class TestBackendsAgree:
         assert isinstance(ground_resolvent(above), SectorResolvent)
         # a ring is one connected sector of all its sites
         ring = build_ring_lattice(DENSE_MAX_DIM + 50, 1.0, 1.0)
-        assert isinstance(ground_resolvent(ring), SparseResolvent)
+        assert isinstance(ground_resolvent(ring), SectorResolvent)
+        assert not ground_resolvent(ring).sector_of.any()
 
 
 def _assert_agree(a, b, scale=None):
@@ -112,7 +113,7 @@ def _assert_agree(a, b, scale=None):
 
 def _both_backends(model, gauge, mode):
     h = dressed_matter_hamiltonian(model, gauge, [mode])
-    return matter_spectrum(model, h), _bordered(model, h)
+    return matter_spectrum(model, h), _sectored(model, h)
 
 
 class TestStaticResponsesOnBothBackends:
@@ -148,8 +149,8 @@ class TestStaticResponsesOnBothBackends:
     def test_ring_translational_invariance(self):
         ring = build_ring_lattice(DENSE_MAX_DIM + 50, 1.0, 1.0)
         dense, sparse = matter_spectrum(ring), ground_resolvent(ring)
-        # the ring's gap is 6.3e-4 of a bandwidth of 4, and the bordered
-        # direct solve still holds the response within 1e-11
+        # the ring's gap is 6.3e-4 of a bandwidth of 4, and the refined
+        # banded solve still holds the response within 1e-11
         q1, q2 = ring_quasi_momentum(ring, 1), ring_quasi_momentum(ring, 2)
         same = check_translational_invariance(dense, q1, q1)
         assert abs(check_translational_invariance(sparse, q1, q1) - same) <= 1e-11 * same
@@ -162,7 +163,8 @@ class TestStaticResponsesOnBothBackends:
         ring = build_ring_lattice(DENSE_MAX_DIM + 50, 1.0, 1.0)
         gauge, mode = make_gauge(preset), ring_mode(ring, 1)
         h = dressed_matter_hamiltonian(ring, gauge, [mode])
-        assert isinstance(ground_resolvent(ring, h), SparseResolvent)
+        assert isinstance(ground_resolvent(ring, h), SectorResolvent)
+        assert not ground_resolvent(ring, h).sector_of.any()
         dense = evaluate(ring, gauge, mode, spectrum=matter_spectrum(ring, h))
         sparse = evaluate(ring, gauge, mode, spectrum=ground_resolvent(ring, h))
         # the ring moves along one axis, so one branch does not couple
@@ -192,9 +194,10 @@ def _gram_columns(model, case):
                                   "all_zero", "full_rank"])
 def test_sparse_gram_solves_once_per_independent_column(monkeypatch, case):
     # the all-zero block is the ensemble at dipole_scale 0; whatever the
-    # rank, the resolvent factors its bordered matrix once.  Both models
-    # split into sectors of at most DENSE_MAX_DIM states, so their ground
-    # states need no sparse factorisation
+    # rank, the resolvent factors each sector the projected columns touch
+    # once, and no other.  Both models split into sectors of at most
+    # DENSE_MAX_DIM states, so their ground states need no sparse
+    # factorisation
     model = THREE_AXIS if case != "all_zero" else \
         build_two_level_ensemble(DENSE_MAX_DIM + 100, 1.0, (0.0, 0.0, 0.0), 1.0)
     assert model.dim > DENSE_MAX_DIM
@@ -202,14 +205,17 @@ def test_sparse_gram_solves_once_per_independent_column(monkeypatch, case):
     cols = np.stack(cols, axis=1)
     dense = matter_spectrum(model).gram(cols)
     factored = []
-    splu = matter.splu
-    monkeypatch.setattr(matter, "splu", lambda *a, **kw: factored.append(a[0].shape) or
-                        splu(*a, **kw))
-    ground = _bordered(model)
+    for name in ("dposv", "zposv"):
+        posv = getattr(matter, name)
+        monkeypatch.setattr(matter, name, lambda a, *args, posv=posv, **kw:
+                            factored.append(a.shape) or posv(a, *args, **kw))
+    ground = _sectored(model)
     sparse = ground.gram(cols)
-    assert factored == [(model.dim + 1, model.dim + 1)]
     g = ground.ground_state_vector()
     projected = cols - np.outer(g, g.conj() @ cols)
+    sizes = np.bincount(ground.sector_of)
+    touched = np.unique(ground.sector_of[np.flatnonzero(projected.any(axis=1))])
+    assert sorted(factored) == sorted((s, s) for s in sizes[touched])
     assert np.linalg.matrix_rank(projected, tol=1e-12 * max(1.0, np.max(np.abs(cols)))) == rank
     if rank == 0:
         assert not sparse.any() and np.max(np.abs(dense)) <= 1e-12
@@ -227,7 +233,7 @@ def test_complex_hamiltonian_on_sparse_backend():
     model = build_two_level_ensemble(dim - 1, 1.0, (0.0, 0.1, 0.0), 1.0)
     model = dataclasses.replace(model, h_m=Operator(h, hermitian=True))
     ground, dense = ground_resolvent(model), matter_spectrum(model)
-    assert type(ground) is SparseResolvent
+    assert type(ground) is SectorResolvent and not ground.sector_of.any()
     assert ground.ground_state_vector().imag.any()
     assert abs(ground.ground_energy() - dense.ground_energy()) <= \
         1e-12 * abs(dense.ground_energy())
@@ -273,14 +279,16 @@ RING = build_ring_lattice(DENSE_MAX_DIM + 50, 1.0, 1.0)
 
 
 class TestSparseFailures:
-    def test_singular_bordered_matrix_raises(self):
-        # a zero ground vector leaves the border's row and column empty, so
-        # the bordered matrix is exactly singular
-        ground = ground_resolvent(THREE_AXIS)
-        with pytest.raises(NumericError, match="^the bordered resolvent matrix could not be "
-                                               "factored: Factor is exactly singular$"):
-            SparseResolvent(model=THREE_AXIS, h_m_used=THREE_AXIS.h_m, lowest=ground.lowest,
-                            vector=np.zeros(THREE_AXIS.dim, dtype=complex))
+    def test_zero_ground_vector_raises(self):
+        # a zero ground vector projects nothing out of the ring's one
+        # sector, so the refinement's step contracts nothing along the true
+        # ground vector: at the ring's gap of 6.3e-4 and delta = 2e-9 its
+        # bound is 2 * 3 steps
+        ground = dataclasses.replace(ground_resolvent(RING),
+                                     vector=np.zeros(RING.dim, dtype=complex))
+        with pytest.raises(NumericError, match="^the ground-sector resolvent did not converge "
+                                               "in 6 refinement steps$"):
+            ground.gram(np.ones((RING.dim, 2)))
 
     def test_lanczos_failure_raises_and_cli_exits_one(self, monkeypatch, tmp_path, capsys):
         def no_convergence(*args, **kwargs):
@@ -342,11 +350,11 @@ class TestSparseFailures:
 
     def test_trk_sum_above_ground_refuses_the_sparse_backend(self):
         with pytest.raises(ArgumentError, match="MatterSpectrum"):
-            trk_sum(_bordered(THREE_AXIS), 0, reference_level=1)
+            trk_sum(_sectored(THREE_AXIS), 0, reference_level=1)
 
     def test_polarizability_refuses_the_sparse_backend(self):
         with pytest.raises(ArgumentError, match="MatterSpectrum"):
-            polarizability(_bordered(THREE_AXIS))
+            polarizability(_sectored(THREE_AXIS))
 
 
 def _counting(counts, name, original):
@@ -371,22 +379,22 @@ def test_sweep_above_dense_limit_solve_counts(monkeypatch, tmp_path):
     # one shift-invert run per distinct Hamiltonian: 3 points of the dipole
     # gauge, and the Coulomb gauge's h_m, which the charge leaves
     # unchanged; each makes one banded Cholesky factorisation of
-    # H - sigma I for the eigensolver and one sparse LU of its bordered
-    # matrix for every Gram solve, the invariant check's TRK solve on the
-    # first resolvent included; 11 levels per axis make a parity sector of
-    # 216 states, the only one shift-invert solves
-    counts = {"eigh": 0, "eigsh": 0, "splu": 0, "pbtrf": 0}
+    # H - sigma I for the eigensolver; 11 levels per axis make a parity
+    # sector of 216 states, the only one shift-invert solves, and the Gram
+    # columns, the invariant check's TRK solve on the first resolvent
+    # included, touch only the sectors of 180 states or fewer, which are
+    # solved dense
+    counts = {"eigh": 0, "eigsh": 0, "pbtrf": 0}
 
     for mod in (operators, matter):
         monkeypatch.setattr(mod, "eigh", _counting(counts, "eigh", operators.eigh))
-    for name in ("eigsh", "splu"):
-        monkeypatch.setattr(matter, name, _counting(counts, name, getattr(matter, name)))
+    monkeypatch.setattr(matter, "eigsh", _counting(counts, "eigsh", matter.eigsh))
     for name in ("dpbtrf", "zpbtrf"):
         monkeypatch.setattr(matter, name, _counting(counts, "pbtrf", getattr(matter, name)))
     # the largest parity sector holds 6 ** 3 states
     assert 11 ** 3 > DENSE_MAX_DIM and 6 ** 3 > DENSE_MAX_DIM
     cli.run_sweep(_sweep_config(11), str(tmp_path / "out"))
-    assert counts == {"eigh": 0, "eigsh": 3 + 1, "splu": 3 + 1, "pbtrf": 3 + 1}
+    assert counts == {"eigh": 0, "eigsh": 3 + 1, "pbtrf": 3 + 1}
 
 
 def test_mixed_sectors_solve_only_the_large_one_sparse(monkeypatch):
@@ -398,12 +406,70 @@ def test_mixed_sectors_solve_only_the_large_one_sparse(monkeypatch):
     monkeypatch.setattr(matter, "shift_invert_lowest", lambda block, k, floor, layout:
                         solved.append(block.shape[0]) or solve(block, k, floor, layout=layout))
     ground = ground_resolvent(model)
-    assert solved == [6 ** 3] and type(ground) is SparseResolvent
+    assert solved == [6 ** 3] and type(ground) is SectorResolvent
     assert sorted(set(np.bincount(lowest_by_sector(model.h_m.matrix, 1, DENSE_MAX_DIM)[2]))) \
         == [5 ** 3, 6 * 5 ** 2, 6 ** 2 * 5, 6 ** 3]
     dense = matter_spectrum(model)
     _assert_agree(dense.ground_state_vector(), ground.ground_state_vector(), scale=1.0)
     _assert_matches_dense(model, GAUGES["coulomb"], MODES["q_z"], dense, ground)
+
+
+class TestLargeSectors:
+    """`SectorResolvent.gram` on sectors above DENSE_MAX_DIM states: a
+    banded Cholesky factorisation at E_0 outside the ground sector, and
+    iterative refinement on one just below E_0 inside it."""
+
+    def test_oblique_dipole_gram_matches_full_spectrum(self):
+        # the oblique mode's self-energy merges the parity sectors of the
+        # 11-level 3-axis dipole into two of 665 and 666 states; the
+        # coupling columns lie in the 665-state one, which does not hold the
+        # ground, and a column on every state touches both
+        model = build_anharmonic_dipole(11, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
+        gauge, mode = GAUGES["dipole"], MODES["q_oblique"]
+        h = dressed_matter_hamiltonian(model, gauge, [mode])
+        ground, dense = ground_resolvent(model, h), matter_spectrum(model, h)
+        sizes = np.bincount(ground.sector_of)
+        assert sorted(sizes) == [665, 666]
+        assert sizes[ground.sector_of[np.argmax(np.abs(ground.vector))]] == 666
+        bras, kets = coupling_rows(model, gauge, mode, dense.ground_state_vector())
+        spread = np.random.default_rng(8).standard_normal((model.dim, 2)) @ [1.0, 1j]
+        for cols in (np.column_stack([bras.conj().T, kets.T]),
+                     np.column_stack([bras.conj().T, kets.T, spread])):
+            _assert_agree(dense.gram(cols), ground.gram(cols))
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8])
+    def test_ground_sector_refinement_at_small_gaps(self, gap):
+        # a flux-pi ring is degenerate, and a cos potential of strength s
+        # splits its ground pair by about s; rounding limits both backends
+        # to about d eps ||H|| / gap of the Gram matrix, which holds
+        # |<1|c>|^2 / gap
+        sites = DENSE_MAX_DIM + 50
+        ring = _degenerate_ring()
+        potential = scipy.sparse.diags(gap * np.cos(2 * np.pi * (np.arange(sites) + 0.25) / sites))
+        model = dataclasses.replace(ring, h_m=Operator(ring.h_m.matrix + potential,
+                                                       hermitian=True))
+        ground, dense = ground_resolvent(model), matter_spectrum(model)
+        assert abs(dense.ground_gap - gap) <= 0.01 * gap
+        assert type(ground) is SectorResolvent and not ground.sector_of.any()
+        cols = np.random.default_rng(3).standard_normal((sites, 6)) @ np.kron([1.0, 1j], np.eye(3)).T
+        a, b = dense.gram(cols), ground.gram(cols)
+        bound = sites * np.finfo(float).eps * np.max(np.abs(dense.energies)) / dense.ground_gap
+        assert np.max(np.abs(a - b)) <= bound * np.max(np.abs(a)), (np.max(np.abs(a - b)), bound)
+
+    def test_ground_energy_above_a_large_sector_raises(self):
+        # E_0 raised past the lowest level of the 665-state sector, which
+        # holds E_1: H_s - E_0 is indefinite there and its banded Cholesky
+        # factorisation fails
+        model = build_anharmonic_dipole(11, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
+        h = dressed_matter_hamiltonian(model, GAUGES["dipole"], [MODES["q_oblique"]])
+        ground = ground_resolvent(model, h)
+        bad = dataclasses.replace(ground, lowest=ground.lowest + 1.5 * ground.ground_gap)
+        g = ground.ground_state_vector()
+        cols = np.column_stack([op.matrix @ g for op in model.dipole_ops])
+        assert not cols[ground.sector_of == ground.sector_of[np.argmax(np.abs(g))]].any()
+        with pytest.raises(NumericError, match=r"^a resolvent block is not positive definite "
+                                               r"\(LAPACK pbtrf\)$"):
+            bad.gram(cols)
 
 
 def test_large_model_memory():
@@ -431,12 +497,13 @@ SECTOR_MODELS = {
 }
 
 
-def _expected_backend(model_name, gauge_name, mode_name):
-    """The backend the rule picks.  An oblique mode's self-energy couples
-    the axes, which leaves only the two total-parity sectors: 171 and 172
-    states at d = 343, 500 each at d = 1000."""
+def _has_large_sector(model_name, gauge_name, mode_name):
+    """Whether a sector holds more than DENSE_MAX_DIM states.  An oblique
+    mode's self-energy couples the axes, which leaves only the two
+    total-parity sectors: 171 and 172 states at d = 343, 500 each at
+    d = 1000."""
     merged = mode_name == "q_oblique" and gauge_name != "coulomb"
-    return SparseResolvent if merged and model_name == "three_axis_1000" else SectorResolvent
+    return merged and model_name == "three_axis_1000"
 
 
 def _assert_matches_dense(model, gauge, mode, dense, ground):
@@ -445,8 +512,8 @@ def _assert_matches_dense(model, gauge, mode, dense, ground):
     assert abs(ground.ground_energy() - dense.ground_energy()) <= \
         1e-12 * max(1.0, abs(dense.ground_energy()))
     assert abs(ground.ground_gap - dense.ground_gap) <= 1e-12 * dense.ground_gap
-    if isinstance(ground, SectorResolvent):
-        # the phase convention of operators.eigh
+    if np.bincount(ground.sector_of).max() <= DENSE_MAX_DIM:
+        # the phase convention of operators.eigh, on dense sector solves
         _assert_agree(dense.ground_state_vector(), ground.ground_state_vector(), scale=1.0)
     # the criterion's coupling columns, a zero column and a column on every state
     g = dense.ground_state_vector()
@@ -484,7 +551,9 @@ class TestSectorBackend:
             gauge = GAUGES[gauge_name]
             h = dressed_matter_hamiltonian(model, gauge, [mode])
             ground = ground_resolvent(model, h)
-            assert type(ground) is _expected_backend(model_name, gauge_name, mode_name)
+            assert type(ground) is SectorResolvent
+            assert (np.bincount(ground.sector_of).max() > DENSE_MAX_DIM) == \
+                _has_large_sector(model_name, gauge_name, mode_name)
             # an ensemble's h_m carries no self-energy: one spectrum serves every gauge
             if id(h) not in dense:
                 dense[id(h)] = matter_spectrum(model, h)
@@ -554,7 +623,7 @@ class TestSectorBackend:
         levels[0, ENSEMBLE.dim - 1] = 1e-13
         model = dataclasses.replace(ENSEMBLE, h_m=Operator(levels.tocsr(), hermitian=True))
         assert not lowest_by_sector(model.h_m.matrix, 2, DENSE_MAX_DIM)[2].any()
-        assert type(ground_resolvent(model)) is SparseResolvent
+        assert type(ground_resolvent(model)) is SectorResolvent
 
     def test_no_dense_copy_of_the_hamiltonian(self):
         model = SECTOR_MODELS["three_axis_1000"]
@@ -574,16 +643,16 @@ class TestSectorBackend:
 def test_sweep_on_sector_backend_counts(monkeypatch, tmp_path):
     # 7 levels per axis make parity sectors of at most 64 states: each of the
     # 3 dipole-gauge Hamiltonians and the Coulomb gauge's h_m is split once,
-    # and nothing runs the sparse eigensolver, a sparse LU or a full eigh
-    counts = {"eigh": 0, "eigsh": 0, "splu": 0, "lowest_by_sector": 0}
+    # and nothing runs the sparse eigensolver or a full eigh
+    counts = {"eigh": 0, "eigsh": 0, "lowest_by_sector": 0}
 
     for mod in (operators, matter):
         monkeypatch.setattr(mod, "eigh", _counting(counts, "eigh", operators.eigh))
-    for name in ("eigsh", "splu", "lowest_by_sector"):
+    for name in ("eigsh", "lowest_by_sector"):
         monkeypatch.setattr(matter, name, _counting(counts, name, getattr(matter, name)))
     assert 4 ** 3 <= DENSE_MAX_DIM < 7 ** 3
     cli.run_sweep(_sweep_config(7), str(tmp_path / "out"))
-    assert counts == {"eigh": 0, "eigsh": 0, "splu": 0, "lowest_by_sector": 3 + 1}
+    assert counts == {"eigh": 0, "eigsh": 0, "lowest_by_sector": 3 + 1}
 
 
 def _random_block(rng, size, shift=0.0, complex_=False):
