@@ -32,12 +32,14 @@ dense solves independent of `OPENBLAS_NUM_THREADS`: those of
 (300) states and on the sectors of large matter Hamiltonians, namely the
 Cholesky tests (LAPACK `dpotrf`/`zpotrf`), the lowest-pairs solves
 (`dsyevr`/`zheevr`) and the Cholesky solves of
-`matter.SectorResolvent.gram` (`dposv`/`zposv`), which run in scipy's
-OpenBLAS, and the stacked `np.linalg.eigvalsh` of small sectors, which
-runs in numpy's.  Larger blocks go to `matter.shift_invert_lowest`,
-and their Gram solves to banded Cholesky as well, whose factorisations
-and solves run in scipy's OpenBLAS, pinned as well.  Each pool's thread-count functions are looked up once
-per process.  Where a library is not found its pin is skipped.
+`matter.SectorResolvent.gram` (`dposv`/`zposv`), all of which run in
+scipy's OpenBLAS.  Larger blocks go to `matter.shift_invert_lowest`,
+and their Gram solves to banded Cholesky, whose factorisations and
+solves run in scipy's OpenBLAS too.  numpy's pool serves, among
+others, the full `np.linalg.eigh` of `matter.MatterSpectrum` up to
+DENSE_MAX_DIM states, so both pins stay.  Each pool's thread-count
+functions are looked up once per process.  Where a library is not found
+its pin is skipped.
 summary.json records both counts as `blas_threads`.
 
 The oracle points are independent solves.  With the oracle enabled and

@@ -14,8 +14,9 @@ eigendecomposition `MatterSpectrum`.  Above it, `lowest_by_sector` finds
 the two lowest eigenvalues and the ground vector sector by sector, the
 sectors being the connected components of the nonzero entries (such as
 the per-axis parity sectors of the 3-axis dipole or the single states of
-the diagonal Dicke h_m): dense up to DENSE_MAX_DIM states per sector, and
-above by the one sparse eigensolver of the package,
+the diagonal Dicke h_m): a single state off the diagonal, a sector of up
+to DENSE_MAX_DIM states dense, cut alone and sliced by Cholesky tests,
+and a larger one by the one sparse eigensolver of the package,
 `shift_invert_lowest`, which runs Lanczos on a banded Cholesky
 factorisation of H - sigma I below the spectrum.  A sector whose
 entries are all real, as every Hamiltonian the builders make is, is
@@ -84,11 +85,6 @@ MAX_RING_SITES = 4000
 MAX_ANHARMONIC_DIM = 20000  # levels ** 3 for the 3-axis dipole
 DEGENERACY_ATOL = 1e-10  # energies closer than this count as degenerate
 LANCZOS_SEED = 2207  # seeds the real Gaussian Lanczos start vector
-# `lowest_by_sector` cuts at most this many block entries at once, and a
-# sector with more than half as many alone: one stack of all eight
-# 125-state sectors of the 3-axis dipole at d = 1000 (1 MB) left the
-# sweep's peak RSS about 1 MB above cutting them one by one
-SECTOR_CHUNK = 1 << 14
 # `shift_invert_lowest` factors this far below a certified floor of the
 # spectrum, relative to max(1, |floor|); the floor can lie very close to
 # E_0, so some margin must stay
@@ -289,7 +285,8 @@ class SectorResolvent:
     unique-ground check of construction is exact across sectors, and
     ``vector`` the ground vector.  ``sector_of`` numbers each state's
     sector, as `lowest_by_sector` does; a sector's block is cut from
-    ``h_m_used`` when it is needed, so only O(d) numbers are kept.
+    ``h_m_used`` by its sector plan when it is needed, so only O(d)
+    numbers are kept.
     """
 
     model: MatterModel
@@ -314,44 +311,42 @@ class SectorResolvent:
     def gram(self, cols: np.ndarray) -> np.ndarray:
         """M = C^dag Q (H - E_0)^-1 Q C for the columns of ``cols``, summed
         over the sectors the columns touch, with one solve of
-        (H_k - E_0) X_k = C_k per touched sector.  In the ground sector the
-        columns are projected by Q.  A sector of at most DENSE_MAX_DIM
-        states is solved dense (`_positive_solve`), the ground sector's
-        block being H_k - E_0 + |0><0|, which equals H_k - E_0 on Q space,
-        so every block is positive definite.  A larger sector is solved on
-        its band (`_band_gram`), which the pattern's `_SectorPlan` lays
-        out.  A block that is not positive definite raises NumericError."""
+        (H_k - E_0) X_k = C_k per touched sector, in ascending order of
+        (size, sector).  In the ground sector the columns are projected by
+        Q, and the sector is skipped where that leaves them zero.  Each
+        block is cut from the pattern's `_SectorPlan`.  A sector of at most
+        DENSE_MAX_DIM states is cut dense (`_dense_block`) and solved by
+        `_positive_solve`, the ground sector's block being
+        H_k - E_0 + |0><0|, which equals H_k - E_0 on Q space, so every
+        block is positive definite.  A larger sector is solved on its band
+        (`_band_gram`).  A block that is not positive definite raises
+        NumericError."""
         mat, cols = scipy.sparse.csr_matrix(self.h_m_used.matrix), np.asarray(cols, dtype=complex)
         dtype, e0, k = _block_dtype(mat), self.lowest[0], cols.shape[1]
+        plan, _, nonzero_cols, data = _plan_of(mat)
+        sizes, order, first, _ = plan.partition
         # the ground vector is zero outside its sector
         ground = self.sector_of[np.argmax(np.abs(self.vector))]
-        sizes, order, first, place = _partition(self.sector_of)
+        touched = np.unique(self.sector_of[cols.any(axis=1)])
         m = np.zeros((k, k), dtype=complex)
-        for ids, states in _stacks(sizes, order, first, sizes):
-            c = cols[states]  # (n, s, k), a copy
-            has_ground = ground in ids
-            if has_ground:
-                k0 = int(np.searchsorted(ids, ground))
-                g = self.vector[states[k0]]
-                c[k0] -= np.outer(g, g.conj() @ c[k0])
-            touched = c.any(axis=(1, 2))
-            if not touched.any():
+        for b in touched[np.argsort(sizes[touched], kind="stable")]:
+            states = order[first[b]:first[b] + sizes[b]]
+            c, g = cols[states], None
+            if b == ground:
+                g = self.vector[states]
+                c -= np.outer(g, g.conj() @ c)
+                if not c.any():
+                    continue
+            if sizes[b] > DENSE_MAX_DIM:
+                block, layout = _plan_block(plan, b, nonzero_cols, data, dtype)
+                m += _band_gram(block, layout, e0, c, g, self.ground_gap)
                 continue
-            if states.shape[1] > DENSE_MAX_DIM:
-                plan, _, nonzero_cols, data = _plan_of(mat)
-                for b, rhs in zip(ids[touched], c[touched]):
-                    block, layout = _plan_block(plan, b, nonzero_cols, data, dtype)
-                    m += _band_gram(block, layout, e0, rhs, g if b == ground else None,
-                                    self.ground_gap)
-                continue
-            shifted = _sector_blocks(mat, states[touched], place, dtype)
-            diag = np.arange(states.shape[1])
-            shifted[:, diag, diag] -= e0
-            if has_ground and touched[k0]:
+            a = _dense_block(plan, b, nonzero_cols, data, dtype)
+            a[np.diag_indices(sizes[b])] -= e0
+            if g is not None:
                 g = g if dtype is complex else g.real  # real up to the fixed sign
-                shifted[np.count_nonzero(touched[:k0])] += np.outer(g, g.conj())
-            for a, rhs in zip(shifted, c[touched]):
-                m += rhs.conj().T @ _positive_solve(a, rhs)
+                a += np.outer(g, g.conj())
+            m += c.conj().T @ _positive_solve(a, c)
         return m
 
 
@@ -475,48 +470,9 @@ def _partition(sector_of: np.ndarray):
     return sizes, order, first, place
 
 
-def _stacks(sizes, order, first, key):
-    """(ids, states) for each value of the per-sector ``key``, ascending,
-    which fixes the sector size: the sectors with that key, and their
-    states as an (n, size) array."""
-    for value in np.unique(key):
-        ids = np.flatnonzero(key == value)
-        yield ids, order[first[ids][:, None] + np.arange(sizes[ids[0]])]
-
-
 def _ranges(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The ranges start[i], ..., start[i] + counts[i] - 1, one after another."""
     return np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
-
-
-def _sector_entries(mat, states: np.ndarray, place: np.ndarray):
-    """(row, col, data) of the nonzero entries of the CSR matrix ``mat`` in
-    the rows ``states``, row by row: row counts ``states`` in flat order,
-    and col is the ``place`` of the entry's column."""
-    flat = states.ravel()
-    start = mat.indptr[flat]
-    counts = mat.indptr[flat + 1] - start
-    at = _ranges(start, counts)
-    row = np.repeat(np.arange(len(flat)), counts)
-    keep = mat.data[at] != 0
-    return row[keep], place[mat.indices[at[keep]]], mat.data[at[keep]]
-
-
-def _sector_blocks(mat, states: np.ndarray, place: np.ndarray, dtype) -> np.ndarray:
-    """The blocks of the CSR matrix ``mat`` on the sectors whose states are
-    the rows of ``states`` (t, s), as a (t, s, s) stack of ``dtype``,
-    symmetrised as `operators.eigh` does: entry (r, c) adds half of h_rc
-    at (r, c) and half of its conjugate at (c, r), with no second stack.
-    Every nonzero entry of a sector's rows lies in that sector, at column
-    ``place`` of its state."""
-    t, s = states.shape
-    row, col, data = _sector_entries(mat, states, place)
-    block = np.zeros((t, s, s), dtype=dtype)
-    half = 0.5 * (data if np.iscomplexobj(block) else data.real)
-    k, r = np.divmod(row, s)
-    block[k, r, col] = half
-    block[k, col, r] += half.conj()
-    return block
 
 
 def _hooking_rounds(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
@@ -800,9 +756,9 @@ def _plan_block(plan: _SectorPlan, b: int, cols: np.ndarray, data: np.ndarray, d
 def _dense_block(plan: _SectorPlan, b: int, cols: np.ndarray, data: np.ndarray,
                  dtype) -> np.ndarray:
     """The dense block of sector ``b`` as ``dtype``, from the values
-    ``data`` of the nonzero entries (whose columns are ``cols``), with the
-    bits of `_sector_blocks`: entry (r, c) puts half of h_rc at (r, c), and
-    half of its conjugate is added at (c, r).  ``plan`` keeps the
+    ``data`` of the nonzero entries (whose columns are ``cols``),
+    symmetrised as `operators.eigh` does: entry (r, c) puts half of h_rc at
+    (r, c), and half of its conjugate is added at (c, r).  ``plan`` keeps the
     positions of the sector's entries and their flat offsets (r, c) and
     (c, r), made on first use, so a later block of the pattern is one
     `np.zeros` and two scatters."""
@@ -866,14 +822,12 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     entry whose mirror is not stored joins two sectors in one direction
     only, and then the whole matrix is one sector.
 
-    A one-state sector gives its eigenpair off the diagonal.  A sector of
-    more than ``dense_limit`` states is cut to CSR and goes to
-    `shift_invert_lowest` from ``floor``.  The others are dense.  Sectors
-    small enough that SECTOR_CHUNK entries hold two or more are cut by
-    size into stacks (`_sector_blocks`), whose eigenvalues come from
-    stacked `np.linalg.eigvalsh`.  The larger ones are cut one at a time
-    (`_dense_block`) and sliced (Grimes, Lewis & Simon, SIAM J. Matrix
-    Anal. Appl. 15, 228, 1994), after the sectors above:
+    A sector takes one of three paths.  A one-state sector gives its
+    eigenpair off the diagonal.  A sector of more than ``dense_limit``
+    states is cut to CSR and goes to `shift_invert_lowest` from ``floor``.
+    Every other sector is cut dense, one at a time (`_dense_block`), and
+    sliced (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 228,
+    1994), after the sectors above:
       * they are visited by their lowest diagonal entry, ascending, by a
         stable sort, so a tie keeps the lower sector first;
       * once k values are known, with t the k-th lowest of them, a
@@ -894,13 +848,12 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     pick in a sector with eigenvectors takes its value from there.
     Eigenvectors are embedded in the full space and phase-fixed as
     `operators.eigh` does, so each one lies in one sector.  These LAPACK
-    calls run in scipy's OpenBLAS and the stacked `eigvalsh` in numpy's;
-    `cli` pins both pools to one thread.
+    calls run in scipy's OpenBLAS, which `cli` pins to one thread.
 
     All of that but the values depends on the pattern of the nonzero
     entries alone, which a sweep repeats, so it is kept, per pattern and
     ``shape``, as a `_SectorPlan` for the last SECTOR_PLANS patterns: a
-    repeated pattern scatters each dense sector cut alone into its block
+    repeated pattern scatters each dense sector into its block
     and each large sector into its band, with the same bits as a new
     plan.  ``shape``, the tensor shape (matter, photon slots...) of an
     oracle Hamiltonian's states, adds the photon-major order to the band
@@ -910,48 +863,37 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     dim = mat.shape[0]
     plan, rows, cols, data = _plan_of(mat, shape)
     sector_of = plan.sector_of
-    sizes, order, first, place = plan.partition
+    sizes, order, first, _ = plan.partition
     is_complex = np.zeros(len(sizes), dtype=bool)
     is_complex[sector_of[rows[data.imag != 0]]] = True
 
-    def dtype(ids):
-        return complex if is_complex[ids].any() else float
+    def dtype(b):
+        return complex if is_complex[b] else float
 
     def states_of(b):
         return order[first[b]:first[b] + sizes[b]]
 
-    values, sectors, levels, solved, alone = [], [], [], {}, []
+    values, sectors, levels, solved = [], [], [], {}
 
     def add(ids, vals):
         values.append(vals.ravel())
         sectors.append(np.repeat(ids, vals.shape[1]))
         levels.append(np.tile(np.arange(vals.shape[1]), len(ids)))
 
-    for ids, states in _stacks(sizes, order, first, 2 * sizes + is_complex):
-        size = states.shape[1]
-        per = SECTOR_CHUNK // size ** 2  # sectors per stacked call
-        if size == 1:
-            vals = mat.diagonal()[states].real
-        elif size > dense_limit and k < size - 1:
-            for b in ids:
-                block, layout = _plan_block(plan, b, cols, data, dtype(b), shape)
-                solved[b] = shift_invert_lowest(block, k, floor, layout=layout)
-            vals = np.array([solved[b][0] for b in ids])
-        elif per < 2:
-            alone.extend(ids)
-            continue
-        else:
-            vals = np.concatenate([np.linalg.eigvalsh(
-                _sector_blocks(mat, states[j:j + per], place, dtype(ids)))[:, :k]
-                for j in range(0, len(states), per)])
-        add(ids, vals)
-    # the dense sectors cut one at a time, by their lowest diagonal entry
-    alone = np.sort(np.array(alone, dtype=np.intp))
     diagonal = mat.diagonal().real
-    bottom = [diagonal[states_of(b)].min() for b in alone]
-    low = np.sort(np.concatenate(values))[:k] if values else np.empty(0)
+    single = np.flatnonzero(sizes == 1)
+    add(single, diagonal[order[first[single]]][:, None])
+    large = (sizes > dense_limit) & (sizes > k + 1)
+    for b in np.flatnonzero(large):
+        block, layout = _plan_block(plan, b, cols, data, dtype(b), shape)
+        solved[b] = shift_invert_lowest(block, k, floor, layout=layout)
+        add([b], solved[b][0][None])
+    # the dense sectors, cut one at a time, by their lowest diagonal entry
+    dense = np.flatnonzero((sizes > 1) & ~large)
+    bottom = np.minimum.reduceat(diagonal[order], first)[dense]
+    low = np.sort(np.concatenate(values))[:k]
     n_vectors = k if n_vectors is None else n_vectors
-    for b in alone[np.argsort(bottom, kind="stable")]:
+    for b in dense[np.argsort(bottom, kind="stable")]:
         block = _dense_block(plan, b, cols, data, dtype(b))
         if len(low) == k and _above(block, low[-1]):
             continue

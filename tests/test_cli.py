@@ -599,7 +599,7 @@ class TestOraclePoint:
         # the README model, two points: each parity block (1230 states) is
         # past the dense limit, and at 0.3 the ground state is a doublet;
         # the 3-axis anharmonic dipole at d = 1000 runs the criterion on the
-        # sector backend (stacked dense eigenvalues and solves per sector)
+        # sector backend (dense lowest pairs and solves per sector)
         readme = dict(MINIMAL, model=dict(MINIMAL["model"], count=40),
                       gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],
                       sweep={"parameter": "dipole_scale", "values": [0.1, 0.3]},
@@ -621,7 +621,7 @@ class TestOraclePoint:
 
     def test_dense_oracle_blocks_independent_of_blas_threads(self, tmp_path):
         # 21 matter levels x 28 Fock levels: parity blocks of 294 states,
-        # within the dense limit, so stacked eigvalsh and eigh solve them
+        # within the dense limit, so dense lowest-pairs solves take them
         assert 21 * 28 // 2 <= oracle.DENSE_LIMIT
         cfg = dict(MINIMAL, model=dict(MINIMAL["model"], count=20),
                    gauge=[{"preset": "dipole"}, {"preset": "coulomb"}],

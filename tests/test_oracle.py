@@ -471,37 +471,26 @@ class TestEffectiveHamiltonian:
 
 
 def _record_blocks(monkeypatch):
-    """Wrap the dense block cuts, stacked and one at a time, and the
-    sparse solver; returns the (dtype, dim) of each block they see, in the
-    order first seen.  A dense block is cut once for its eigenvalues and
-    again for its eigenvectors when it holds a pick, and counts once."""
+    """Wrap the dense block cut and the sparse solver; returns the (dtype,
+    dim) of each block they see, in the order first seen.  A dense block
+    is cut once for its eigenvalues and again for its eigenvectors when it
+    holds a pick, and counts once."""
     seen, cut = [], set()
-    blocks, dense, solve = (matter_module._sector_blocks, matter_module._dense_block,
-                            matter_module.shift_invert_lowest)
+    dense, solve = matter_module._dense_block, matter_module.shift_invert_lowest
 
-    def record(out, lowest, dim):
-        if lowest not in cut:  # a sector's lowest state names it
-            cut.add(lowest)
-            seen.append((out.dtype, dim))
-
-    def cutting(mat, states, place, dtype):
-        out = blocks(mat, states, place, dtype)
-        for one in states:
-            record(out, one[0], len(one))
-        return out
-
-    def cutting_one(plan, b, cols, data, dtype):
+    def cutting(plan, b, cols, data, dtype):
         out = dense(plan, b, cols, data, dtype)
         _, order, first, _ = plan.partition
-        record(out, order[first[b]], len(out))
+        if order[first[b]] not in cut:  # a sector's lowest state names it
+            cut.add(order[first[b]])
+            seen.append((out.dtype, len(out)))
         return out
 
     def solving(block, k, floor, layout):
         seen.append((block.dtype, block.shape[0]))
         return solve(block, k, floor, layout=layout)
 
-    monkeypatch.setattr(matter_module, "_sector_blocks", cutting)
-    monkeypatch.setattr(matter_module, "_dense_block", cutting_one)
+    monkeypatch.setattr(matter_module, "_dense_block", cutting)
     monkeypatch.setattr(matter_module, "shift_invert_lowest", solving)
     return seen
 
@@ -585,8 +574,8 @@ class TestLowestEigenpairs:
         chain = _ring(40, 0.0, 0.5 + rng.random(40))
         seen = _record_blocks(monkeypatch)
         _stale_floor_lowest(monkeypatch, scipy.sparse.block_diag([ring, chain], format="csr"), 4)
-        # dense sectors first: the solver takes its sectors by size
-        assert seen == [(np.dtype(float), 40), (np.dtype(complex), dim)]
+        # the shift-invert sectors first, then the dense ones
+        assert seen == [(np.dtype(complex), dim), (np.dtype(float), 40)]
 
     def test_exactly_zero_ground_energy(self, monkeypatch):
         # graph Laplacian with integer weights: every row sums to exactly 0,
@@ -850,7 +839,8 @@ class TestBlockSplit:
         assert np.array_equal(_block_numbers(root), _components(h))
         seen = _record_blocks(monkeypatch)
         vals, vecs, _ = matter_module.lowest_by_sector(h, 9, DENSE_LIMIT)
-        assert seen == [(np.dtype(float), 7), (np.dtype(complex), 50)]
+        # dense sectors by their lowest diagonal entry: the ring's 0 first
+        assert seen == [(np.dtype(complex), 50), (np.dtype(float), 7)]
         _assert_eigenpairs(h, vals, vecs)
 
 

@@ -665,8 +665,7 @@ def _random_block(rng, size, shift=0.0, complex_=False):
 
 
 def _slicing_case(name):
-    """(matrix, whole-matrix ascending eigenvalues) of the slicing cases;
-    every sector has 100 to 130 states, so each is cut alone."""
+    """(matrix, whole-matrix ascending eigenvalues) of the slicing cases."""
     rng = np.random.default_rng(5)
     if name == "bare_dipole":
         # the first excited level is a triplet, one state in each of three
@@ -680,6 +679,13 @@ def _slicing_case(name):
         mat = scipy.sparse.block_diag([_random_block(rng, 100), _random_block(rng, 110),
                                        _random_block(rng, 120, shift=-100.0),
                                        _random_block(rng, 130)], format="csr")
+    elif name == "small_sectors":
+        # sectors of 20, 45 and 90 states and single states; the lowest
+        # level is a single state, the next ones lie in the 90-state sector
+        mat = scipy.sparse.block_diag([[[1.0]], _random_block(rng, 20),
+                                       _random_block(rng, 45, complex_=True),
+                                       [[-200.0]], _random_block(rng, 90, shift=-100.0),
+                                       [[3.0]]], format="csr")
     else:
         mat = scipy.sparse.block_diag([_random_block(rng, 120, complex_=True),
                                        _random_block(rng, 130),
@@ -688,7 +694,8 @@ def _slicing_case(name):
     return mat, np.linalg.eigvalsh(mat.toarray())
 
 
-SLICING_CASES = ("bare_dipole", "dressed_dipole", "one_sector_holds_all", "complex_sector")
+SLICING_CASES = ("bare_dipole", "dressed_dipole", "one_sector_holds_all", "complex_sector",
+                 "small_sectors")
 
 
 def _digest_of(block):
@@ -791,25 +798,21 @@ class TestSpectrumSlicing:
 
 
 def _lu_gram(ground, cols):
-    """`SectorResolvent.gram` by a stacked LU solve (`np.linalg.solve`) of
-    the same blocks, the reference for its Cholesky solves."""
-    mat = scipy.sparse.csr_matrix(ground.h_m_used.matrix)
+    """`SectorResolvent.gram` by an LU solve (`np.linalg.solve`) of each
+    sector's block, cut from the dense matrix, the reference for its
+    Cholesky solves."""
+    h = scipy.sparse.csr_matrix(ground.h_m_used.matrix).toarray()
     cols = np.asarray(cols, dtype=complex)
-    dtype, e0, k = matter._block_dtype(mat), ground.lowest[0], cols.shape[1]
-    g = ground.vector
-    sizes, order, first, place = matter._partition(ground.sector_of)
+    e0, g, k = ground.lowest[0], ground.vector, cols.shape[1]
     m = np.zeros((k, k), dtype=complex)
-    for _, states in matter._stacks(sizes, order, first, sizes):
-        c = cols[states]
-        block = matter._sector_blocks(mat, states, place, dtype)
-        diag = np.arange(states.shape[1])
-        block[:, diag, diag] -= e0
-        for one, rows in enumerate(states):
-            if g[rows].any():  # the ground sector: project by Q, add |0><0|
-                c[one] -= np.outer(g[rows], g[rows].conj() @ c[one])
-                g0 = g[rows] if dtype is complex else g[rows].real
-                block[one] += np.outer(g0, g0.conj())
-        m += c.reshape(-1, k).conj().T @ np.linalg.solve(block, c).reshape(-1, k)
+    for b in np.unique(ground.sector_of):
+        rows = np.flatnonzero(ground.sector_of == b)
+        block = h[np.ix_(rows, rows)] - e0 * np.eye(len(rows))
+        c = cols[rows]
+        if g[rows].any():  # the ground sector: project by Q, add |0><0|
+            c -= np.outer(g[rows], g[rows].conj() @ c)
+            block += np.outer(g[rows], g[rows].conj())
+        m += c.conj().T @ np.linalg.solve(block, c)
     return m
 
 
@@ -850,16 +853,21 @@ class TestDenseSectorLapack:
         residual = mat @ vecs - vecs * vals[:vecs.shape[1]]
         assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-10 * scale
 
-    @pytest.mark.parametrize("gauge_name", ["dipole", "coulomb"])
-    def test_cholesky_gram_matches_lu(self, gauge_name):
-        model = SECTOR_MODELS["three_axis_1000"]
+    @pytest.mark.parametrize("model_name, gauge_name", [
+        pytest.param(model, gauge, id=gauge if model == "three_axis_1000" else f"{model}-{gauge}")
+        for model in ("three_axis_1000", "three_axis_343", "ensemble_1001")
+        for gauge in ("dipole", "coulomb")])
+    def test_cholesky_gram_matches_lu(self, model_name, gauge_name):
+        # sectors of 125 and of 27-64 states, and single states
+        model = SECTOR_MODELS[model_name]
         h = dressed_matter_hamiltonian(model, GAUGES[gauge_name], [MODES["q_z"]])
         ground = ground_resolvent(model, h)
         assert type(ground) is SectorResolvent
         g = ground.ground_state_vector()
         rng = np.random.default_rng(4)
         # the coupling columns, and random ones that touch every sector
-        cols = np.column_stack([op.matrix @ g for op in model.momentum_ops + model.dipole_ops]
+        ops = (model.momentum_ops or ()) + model.dipole_ops
+        cols = np.column_stack([op.matrix @ g for op in ops]
                                + [rng.standard_normal(model.dim) + 1j * rng.standard_normal(
                                    model.dim) for _ in range(2)])
         ref = _lu_gram(ground, cols)
