@@ -33,9 +33,9 @@ dense solves independent of `OPENBLAS_NUM_THREADS`: those of
 Cholesky tests (LAPACK `dpotrf`/`zpotrf`), the lowest-pairs solves
 (`dsyevr`/`zheevr`) and the Cholesky solves of
 `matter.SectorResolvent.gram` (`dposv`/`zposv`), all of which run in
-scipy's OpenBLAS.  Larger blocks go to `matter.shift_invert_lowest`,
-and their Gram solves to banded Cholesky, whose factorisations and
-solves run in scipy's OpenBLAS too.  numpy's pool serves, among
+scipy's OpenBLAS.  Larger blocks are tested and factored by banded
+Cholesky, for `matter.shift_invert_lowest` and the Gram solves, which
+runs in scipy's OpenBLAS too.  numpy's pool serves, among
 others, the full `np.linalg.eigh` of `matter.MatterSpectrum` up to
 DENSE_MAX_DIM states, so both pins stay.  Each pool's thread-count
 functions are looked up once per process.  Where a library is not found

@@ -14,9 +14,9 @@ eigendecomposition `MatterSpectrum`.  Above it, `lowest_by_sector` finds
 the two lowest eigenvalues and the ground vector sector by sector, the
 sectors being the connected components of the nonzero entries (such as
 the per-axis parity sectors of the 3-axis dipole or the single states of
-the diagonal Dicke h_m): a single state off the diagonal, a sector of up
-to DENSE_MAX_DIM states dense, cut alone and sliced by Cholesky tests,
-and a larger one by the one sparse eigensolver of the package,
+the diagonal Dicke h_m): a single state off the diagonal, every other
+sector cut alone and sliced by Cholesky tests, dense up to DENSE_MAX_DIM
+states and above by the one sparse eigensolver of the package,
 `shift_invert_lowest`, which runs Lanczos on a banded Cholesky
 factorisation of H - sigma I below the spectrum.  A sector whose
 entries are all real, as every Hamiltonian the builders make is, is
@@ -631,12 +631,13 @@ def shift_invert_lowest(mat, k: int, floor: float = -np.inf, layout=None
     """k lowest eigenpairs of a sparse Hermitian matrix, ascending, by
     shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1251, 1980).
 
-    This is the package's one sparse eigensolver.  Every sector too large
-    for a dense solve comes here, from `lowest_by_sector`, with the band
-    ``layout`` its plan keeps: an oracle block above `oracle.DENSE_LIMIT`
-    states, with ``floor`` the oracle's certified `FullSystem.floor`, and a
-    sector of a matter Hamiltonian above DENSE_MAX_DIM states, with no
-    floor.  `SectorResolvent.gram` factors such a sector again, on the
+    This is the package's one sparse eigensolver.  A sector too large for
+    a dense solve that no Cholesky test rules out comes here, from
+    `lowest_by_sector`, with the band ``layout`` its plan keeps: an oracle
+    block above `oracle.DENSE_LIMIT` states and a matter sector above
+    DENSE_MAX_DIM states, with ``floor`` the oracle's certified
+    `FullSystem.floor`, none, or a level of another sector that a test
+    certifies.  `SectorResolvent.gram` factors such a sector again, on the
     same band, at or just below E_0 for the reduced resolvent.
 
     H - sigma I is factored once by a banded Cholesky factorisation
@@ -822,26 +823,29 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     entry whose mirror is not stored joins two sectors in one direction
     only, and then the whole matrix is one sector.
 
-    A sector takes one of three paths.  A one-state sector gives its
-    eigenpair off the diagonal.  A sector of more than ``dense_limit``
-    states is cut to CSR and goes to `shift_invert_lowest` from ``floor``.
-    Every other sector is cut dense, one at a time (`_dense_block`), and
+    A one-state sector gives its eigenpair off the diagonal.  Every other
+    sector is cut alone, dense up to ``dense_limit`` states
+    (`_dense_block`) and to CSR on its band above (`_plan_block`), and
     sliced (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 228,
-    1994), after the sectors above:
-      * they are visited by their lowest diagonal entry, ascending, by a
-        stable sort, so a tie keeps the lower sector first;
+    1994):
+      * they are visited once each by their lowest diagonal entry,
+        ascending, by a stable sort, so a tie keeps the lower sector first;
       * once k values are known, with t the k-th lowest of them, a
         sector is skipped when H_s - t I has a Cholesky factorisation
-        (`_above`, LAPACK `dpotrf`/`zpotrf`), since then every
-        eigenvalue of H_s lies above t;
+        (LAPACK `dpotrf`/`zpotrf` by `_above`, or banded `dpbtrf`/`zpbtrf`
+        by `_band_cholesky`), since then every eigenvalue lies above t;
       * an eigenvalue equal to t leaves H_s - t I singular, so in exact
         arithmetic such a sector fails the test and is solved; an
         eigenvalue within rounding of t lets rounding decide, and a
         skipped tie leaves the k-th value with the sector visited first;
-      * a solved sector gives only its min(k, size) lowest values
-        (`_lowest_pairs`, LAPACK's MRRR driver `dsyevr`/`zheevr`), with
-        their eigenvectors while fewer than ``n_vectors`` sectors have
-        eigenvectors and without them after.
+      * a dense sector that is not skipped gives only its min(k, size)
+        lowest values (`_lowest_pairs`, LAPACK's MRRR driver
+        `dsyevr`/`zheevr`), with their eigenvectors while fewer than
+        ``n_vectors`` sectors have eigenvectors and without them after;
+      * a large sector that fails is tested at the lower known values
+        from the top down: where H_s - low[j] I factors it holds at most
+        k - j - 1 of the k lowest, which `shift_invert_lowest` finds from
+        max(``floor``, low[j]), and where none does, k from ``floor``.
     The k lowest of all the values found are picked, equal eigenvalues
     going to the lower sector.  `_lowest_pairs` then solves the sectors
     that hold one of the eigenvectors asked for and have none yet, and a
@@ -883,25 +887,31 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     diagonal = mat.diagonal().real
     single = np.flatnonzero(sizes == 1)
     add(single, diagonal[order[first[single]]][:, None])
-    large = (sizes > dense_limit) & (sizes > k + 1)
-    for b in np.flatnonzero(large):
-        block, layout = _plan_block(plan, b, cols, data, dtype(b), shape)
-        solved[b] = shift_invert_lowest(block, k, floor, layout=layout)
-        add([b], solved[b][0][None])
-    # the dense sectors, cut one at a time, by their lowest diagonal entry
-    dense = np.flatnonzero((sizes > 1) & ~large)
-    bottom = np.minimum.reduceat(diagonal[order], first)[dense]
+    # every other sector, cut one at a time, by its lowest diagonal entry
+    multi = np.flatnonzero(sizes > 1)
+    bottom = np.minimum.reduceat(diagonal[order], first)[multi]
     low = np.sort(np.concatenate(values))[:k]
     n_vectors = k if n_vectors is None else n_vectors
-    for b in dense[np.argsort(bottom, kind="stable")]:
-        block = _dense_block(plan, b, cols, data, dtype(b))
-        if len(low) == k and _above(block, low[-1]):
-            continue
-        if len(solved) < n_vectors:
-            solved[b] = _lowest_pairs(block, min(k, sizes[b]), vectors=True)
+    for b in multi[np.argsort(bottom, kind="stable")]:
+        if sizes[b] > dense_limit and sizes[b] > k + 1:
+            block, layout = _plan_block(plan, b, cols, data, dtype(b), shape)
+            # above low[j], H_s holds at most k - j - 1 of the k lowest
+            j = next((j for j in reversed(range(len(low)))
+                      if _band_cholesky(block, low[j], layout) is not None), -1)
+            if j == k - 1:
+                continue
+            solved[b] = shift_invert_lowest(block, k - j - 1, floor if j < 0 else
+                                            max(floor, low[j]), layout=layout)
             vals = solved[b][0]
         else:
-            vals = _lowest_pairs(block, min(k, sizes[b]), vectors=False)
+            block = _dense_block(plan, b, cols, data, dtype(b))
+            if len(low) == k and _above(block, low[-1]):
+                continue
+            if len(solved) < n_vectors:
+                solved[b] = _lowest_pairs(block, min(k, sizes[b]), vectors=True)
+                vals = solved[b][0]
+            else:
+                vals = _lowest_pairs(block, min(k, sizes[b]), vectors=False)
         low = np.sort(np.concatenate([low, vals]))[:k]
         add([b], vals[None])
     values, sectors, levels = (np.concatenate(x) for x in (values, sectors, levels))

@@ -31,8 +31,9 @@ DENSE_LIMIT states dense, and a larger one by the package's sparse
 eigensolver, `matter.shift_invert_lowest`: shift-invert Lanczos on a
 banded Cholesky factorisation of the block just below the floor, whose
 success certifies that shift (where it fails, the block is factored at
-its Gershgorin shift).  Each returned eigenvector lies in one block, so
-the ground vector is a parity eigenstate, and the parity-odd
+its Gershgorin shift).  A block that a Cholesky test puts above the
+levels found is skipped.  Each returned eigenvector lies in one block,
+so the ground vector is a parity eigenstate, and the parity-odd
 observables, the photon coherence <a> and the transverse field, read
 exactly 0 in it, also inside the superradiant doublet, where the photon
 occupation carries the signal.
@@ -236,9 +237,9 @@ def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.nd
     """The k lowest eigenpairs of ``system.h``, ascending, solved block by
     block by `matter.lowest_by_sector` in the photon phase z of
     `_photon_phase`: blocks above DENSE_LIMIT states are factored by
-    banded Cholesky just below the certified ``system.floor``, in the
-    narrowest band order, which the tensor shape lets include the
-    photon-major one.
+    banded Cholesky just below the certified ``system.floor`` (or a level
+    of another block a test certifies), in the narrowest band order, which
+    the tensor shape lets include the photon-major one.
 
     For real matter every coupling of the gauge family is i times a real
     matrix: the paramagnetic part i w [eps.d, h_m] and the electric part

@@ -509,6 +509,35 @@ def _sparse_blocks(monkeypatch):
     return calls
 
 
+def record_band_slicing(monkeypatch):
+    """Wrap `matter._band_cholesky` and `matter.shift_invert_lowest`;
+    returns their calls in order: ("factor", sigma, factored) for each
+    banded Cholesky factorisation, a slicing test's or the eigensolver's,
+    and ("solve", block, k, floor, values) for each shift-invert solve,
+    after the factorisation it makes."""
+    events = []
+    factor, solve = matter_module._band_cholesky, matter_module.shift_invert_lowest
+
+    def factoring(mat, sigma, layout=None):
+        out = factor(mat, sigma, layout)
+        events.append(("factor", float(sigma), out is not None))
+        return out
+
+    def solving(block, k, floor, layout):
+        out = solve(block, k, floor, layout=layout)
+        events.append(("solve", block, k, float(floor), out[0]))
+        return out
+
+    monkeypatch.setattr(matter_module, "_band_cholesky", factoring)
+    monkeypatch.setattr(matter_module, "shift_invert_lowest", solving)
+    return events
+
+
+def _below(floor):
+    """The shift `matter.shift_invert_lowest` factors at from a floor."""
+    return floor - matter_module.FLOOR_MARGIN * max(1.0, abs(floor))
+
+
 def _assert_lowest(system, k, rtol=1e-10):
     """lowest_eigenpairs matches dense eigvalsh and returns eigenvectors."""
     return _assert_eigenpairs(system.h, *lowest_eigenpairs(system, k=k), rtol)
@@ -609,20 +638,32 @@ class TestLowestEigenpairs:
 
     @pytest.mark.parametrize("preset", ["dipole", "coulomb"])
     def test_one_slot_blocks_factor_once(self, monkeypatch, preset):
-        # the README oracle Hamiltonian at dipole_scale 0.34: one banded
-        # Cholesky factorisation per parity block, and the eigenpairs of
-        # dense eigh
+        # the README oracle Hamiltonian at dipole_scale 0.34: the first
+        # parity block is factored once, just below the floor; the second
+        # fails its test at the first one's E_1, is tested at its E_0, and is
+        # factored once below the bound that test certifies; both give the
+        # eigenpairs of dense eigh
         model = build_two_level_ensemble(40, 1.0, (0.0, 0.34, 0.0), 1.0)
         system = full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 60)
         assert len(system.slots) == 1
         solve = matter_module.shift_invert_lowest
-        calls = _sparse_blocks(monkeypatch)
-        factored, _ = _counting_band(monkeypatch)
+        events = record_band_slicing(monkeypatch)
         lowest_eigenpairs(system, k=2)
-        blocks = [block for block, _ in calls]
-        assert len(blocks) == 2 and all(b.shape[0] > DENSE_LIMIT for b in blocks)
-        assert len(factored) == 2
-        for block in blocks:
+        assert events[0] == ("factor", _below(system.floor), True)
+        _, first, k, floor, low = events[1]
+        assert (k, floor) == (2, system.floor)
+        assert events[2] == ("factor", low[1], False)
+        _, at, certified = events[3]
+        assert at == low[0]
+        # the dipole gauge's doublet: rounding decides whether the second
+        # block's E_0 lies above the first one's
+        assert certified or preset == "dipole"
+        start, m = (low[0], 1) if certified else (system.floor, 2)
+        assert events[4] == ("factor", _below(start), True)
+        _, second, k, floor, _ = events[5]
+        assert (k, floor) == (m, start) and len(events) == 6
+        for block in (first, second):
+            assert block.shape[0] > DENSE_LIMIT
             vals, vecs = solve(block, 2)
             ref_vals, ref_vecs = scipy.linalg.eigh(block.toarray(), subset_by_index=(0, 1))
             assert np.max(np.abs(vals - ref_vals)) <= 1e-12 * np.max(np.abs(ref_vals))
@@ -648,17 +689,44 @@ class TestLowestEigenpairs:
     @pytest.mark.parametrize("cutoff, block_dim", [(7, 392), (13, 1352)])
     def test_two_slot_blocks_factor_near_floor(self, monkeypatch, cutoff, block_dim):
         # a 3-axis dipole couples both polarisations: eight parity blocks,
-        # each past DENSE_LIMIT, each factored once just below the floor
+        # each past DENSE_LIMIT; the first is shift-inverted from the floor,
+        # and every other one is skipped where it factors at the known E_1,
+        # or else shift-inverted from the highest known value it factors at,
+        # for the levels it can hold above it, or from the floor where it
+        # factors at none
         model = build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
         system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], cutoff)
         assert len(system.slots) == 2 and np.isfinite(system.floor)
-        calls = _sparse_blocks(monkeypatch)
-        _, solves = _counting_band(monkeypatch)
+        events = record_band_slicing(monkeypatch)
         vals, vecs = lowest_eigenpairs(system, k=2)
-        blocks = [block for block, _ in calls]
-        assert all(floor == system.floor for _, floor in calls)
-        assert {b.shape[0] for b in blocks} == {block_dim} and len(blocks) == 8
-        assert block_dim > DENSE_LIMIT and solves
+        assert events[0] == ("factor", _below(system.floor), True)
+        _, _, k, floor, known = events[1]
+        assert (k, floor) == (2, system.floor)
+        pos, visited, skipped = 2, 1, 0
+        while pos < len(events):
+            visited += 1
+            for j in reversed(range(2)):  # the tests, from the top down
+                assert events[pos][:2] == ("factor", known[j])
+                pos += 1
+                if events[pos - 1][2]:
+                    break
+            else:
+                j = -1
+            if j == 1:
+                skipped += 1
+                continue
+            start = known[j] if j >= 0 else system.floor
+            assert events[pos] == ("factor", _below(start), True)
+            _, _, k, floor, found = events[pos + 1]
+            assert (k, floor) == (1 - j, start)
+            known = np.sort(np.concatenate([known, found]))[:2]
+            pos += 2
+        assert visited == 8 and skipped
+        sector_of = _components(system.h)
+        assert sector_of.max() == 7
+        blocks = [system.h[idx][:, idx] for idx in
+                  (np.flatnonzero(sector_of == c) for c in range(8))]
+        assert {b.shape[0] for b in blocks} == {block_dim} and block_dim > DENSE_LIMIT
         ref = np.sort(np.concatenate([np.linalg.eigvalsh(b.toarray())[:2] for b in blocks]))[:2]
         assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
         residual = system.h @ vecs - vecs * vals

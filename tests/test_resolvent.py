@@ -34,6 +34,7 @@ from gaugecavity.matter import (DENSE_MAX_DIM, MatterSpectrum, SectorResolvent,
 from gaugecavity.operators import Operator
 from gaugecavity.response import (check_translational_invariance, chi_md_from_model, lehmann_sum,
                                   polarizability)
+from test_oracle import record_band_slicing
 
 GAUGES = {"coulomb": make_gauge("coulomb"), "dipole": make_gauge("dipole"),
           "alpha_0.4": make_gauge("alpha_lwl", alpha=0.4)}
@@ -796,6 +797,87 @@ class TestSpectrumSlicing:
         assert len(seen["eigvalsh"]) + len(seen["skipped"]) == 7
         assert len(seen["eigvalsh"]) <= 3
 
+
+
+def _every_sector_alone(mat):
+    """(E_0, E_1, ground vector) with every sector of the real ``mat``
+    shift-inverted for its two lowest pairs from its Gershgorin shift, on
+    the band its sector plan lays out, and the ground vector embedded and
+    phase-fixed as `lowest_by_sector` does it."""
+    plan, _, cols, data = matter._plan_of(scipy.sparse.csr_matrix(mat))
+    sizes, order, first, _ = plan.partition
+    found = [matter.shift_invert_lowest(block, 2, layout=layout) for block, layout in
+             (matter._plan_block(plan, b, cols, data, float) for b in range(len(sizes)))]
+    b = min(range(len(sizes)), key=lambda b: found[b][0][0])
+    vector = np.zeros(mat.shape[0], dtype=complex)
+    vector[order[first[b]:first[b] + sizes[b]]] = found[b][1][:, 0]
+    values = np.sort(np.concatenate([vals for vals, _ in found]))
+    return values[0], values[1], operators._fix_phases(vector[:, None])[:, 0]
+
+
+def _path(size, diagonal, hopping):
+    """A real tridiagonal size x size block."""
+    off = np.full(size - 1, hopping)
+    return scipy.sparse.diags([off, np.broadcast_to(diagonal, size), off], [-1, 0, 1])
+
+
+class TestBandSlicing:
+    """The sectors above ``dense_limit`` states, sliced by the same rule as
+    the dense ones: visited by their lowest diagonal entry, skipped where
+    H_s - t I has a banded Cholesky factorisation, t the k-th lowest value
+    known, and otherwise shift-inverted for the levels they can hold above
+    the highest known value they factor at."""
+
+    @pytest.mark.parametrize("gauge_name", [None, "dipole"], ids=["bare", "dipole_dressed"])
+    def test_three_axis_dipole_runs_two_shift_inverts(self, monkeypatch, gauge_name):
+        # 12 levels per axis: eight parity sectors of 216 states; the ground
+        # sector runs k = 2 from its Gershgorin shift, the sector of E_1 k = 1
+        # from E_0, and the other six factor at E_1
+        model = build_anharmonic_dipole(12, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
+        h = model.h_m if gauge_name is None else \
+            dressed_matter_hamiltonian(model, GAUGES[gauge_name], [MODES["q_z"]])
+        assert set(np.bincount(lowest_by_sector(h.matrix, 1, DENSE_MAX_DIM)[2])) == {6 ** 3}
+        e0, e1, vector = _every_sector_alone(h.matrix)
+        events = record_band_slicing(monkeypatch)
+        lowest, vectors, _ = lowest_by_sector(h.matrix, 2, DENSE_MAX_DIM, n_vectors=1)
+        assert [e[2:4] for e in events if e[0] == "solve"] == [(2, -np.inf), (1, lowest[0])]
+        assert events.count(("factor", lowest[1], True)) == 6
+        assert lowest[0] == e0 and np.array_equal(vectors[:, 0], vector)
+        assert abs(lowest[1] - e1) <= 1e-12 * abs(e1)
+
+    def test_identical_sectors_give_both_copies(self):
+        # two copies of one 250-state path: the ground is exactly degenerate
+        # across the two sectors, so the second copy, which cannot factor at
+        # the first one's E_1, gives its E_0 too
+        size = DENSE_MAX_DIM + 50
+        path = _path(size, np.arange(size, dtype=float), -1.0)
+        h = scipy.sparse.block_diag([path, path], format="csr")
+        vals, vecs, sector_of = lowest_by_sector(h, 2, DENSE_MAX_DIM)
+        whole = np.linalg.eigvalsh(h.toarray())[:2]
+        assert np.max(np.abs(vals - whole)) <= 1e-12 * np.max(np.abs(whole))
+        assert sorted(sector_of[np.argmax(np.abs(v))] for v in vecs.T) == [0, 1]
+        model = dataclasses.replace(build_two_level_ensemble(2 * size - 1, 1.0, (0.0, 0.1, 0.0),
+                                                             1.0),
+                                    h_m=Operator(h, hermitian=True))
+        with pytest.raises(DegenerateGroundStateError, match="ground state is degenerate"):
+            ground_resolvent(model)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_ground_sector_after_the_lowest_diagonal_entry(self, monkeypatch, k):
+        # strong hopping on a zero diagonal puts E_0 near -2, in the sector
+        # visited second: the weakly coupled sector at -1 goes first, and the
+        # strong one factors at none of its values, so both run k
+        size = DENSE_MAX_DIM + 50
+        h = scipy.sparse.block_diag([_path(size, 0.0, -1.0), _path(size, -1.0, 0.01)],
+                                    format="csr")
+        events = record_band_slicing(monkeypatch)
+        vals, vecs, _ = lowest_by_sector(h, k, DENSE_MAX_DIM)
+        assert [(block.diagonal()[0], m, floor) for _, block, m, floor, _ in
+                (e for e in events if e[0] == "solve")] == [(-1.0, k, -np.inf), (0.0, k, -np.inf)]
+        assert sum(not e[2] for e in events if e[0] == "factor") == k
+        whole = np.linalg.eigvalsh(h.toarray())
+        assert np.max(np.abs(vals - whole[:k])) <= 1e-12 * np.max(np.abs(whole))
+        assert np.max(np.linalg.norm(h @ vecs - vecs * vals, axis=0)) <= 1e-10
 
 def _lu_gram(ground, cols):
     """`SectorResolvent.gram` by an LU solve (`np.linalg.solve`) of each
