@@ -73,6 +73,7 @@ import numpy as np
 import scipy.sparse
 import scipy.linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dposv, dpotrf, zpbtrf, zpbtrs, zposv, zpotrf
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import (ArgumentError, DegenerateGroundStateError, NumericError, ResourceLimitError,
@@ -85,9 +86,9 @@ MAX_RING_SITES = 4000
 MAX_ANHARMONIC_DIM = 20000  # levels ** 3 for the 3-axis dipole
 DEGENERACY_ATOL = 1e-10  # energies closer than this count as degenerate
 LANCZOS_SEED = 2207  # seeds the real Gaussian Lanczos start vector
-# `shift_invert_lowest` factors this far below a certified floor of the
-# spectrum, relative to max(1, |floor|); the floor can lie very close to
-# E_0, so some margin must stay
+# `_factor_below` factors this far below a floor of the spectrum, relative
+# to max(1, |floor|); the floor can lie very close to E_0, so some margin
+# must stay
 FLOOR_MARGIN = 1e-2
 # `lowest_by_sector` keeps the `_SectorPlan`s of this many sparsity
 # patterns in _PLANS, by `_pattern_key`; a README sweep meets 2
@@ -475,69 +476,10 @@ def _ranges(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
 
 
-def _hooking_rounds(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
-    """The lowest state of each state's sector for the nonzero entries
-    (rows, cols) of a Hermitian matrix on ``dim`` states: the connected
-    component of the graph with an edge from each row index to its column
-    index, found by growing a spanning forest.
-
-    The forest grows by hooking, as in the connected-components algorithm
-    of Shiloach and Vishkin.  Each tree keeps its lowest state as root.  In
-    each round every root with an edge to a tree of a lower root hooks
-    under the lowest such root; pointer jumping then carries every state to
-    its new root.  Rounds repeat until no edge joins two trees: two on the
-    README oracle Hamiltonian.
-    """
-    root = np.arange(dim)
-    while True:
-        hook = np.flatnonzero(root[cols] < root[rows])
-        if not hook.size:
-            return root
-        # per root a, the lowest root b it meets
-        up = np.arange(dim)
-        np.minimum.at(up, root[rows[hook]], root[cols[hook]])
-        while not np.array_equal(up[up], up):
-            up = up[up]
-        root = up[root]
-
-
 def _gershgorin_floor(mat) -> float:
     """A Gershgorin lower bound on the spectrum of ``mat``, minus 1."""
     diag = mat.diagonal().real
     return float(np.min(2.0 * diag - np.asarray(abs(mat).sum(axis=1)).ravel())) - 1.0
-
-
-def _level_order(indptr: np.ndarray, indices: np.ndarray, dim: int) -> np.ndarray:
-    """A Cuthill-McKee order of the graph with an edge from each row of a
-    CSR pattern to each of its column indices, as the states in their new
-    order.
-
-    Breadth-first search by whole level sets: each component starts at its
-    unvisited state of least degree (stored entries in its row, the lowest
-    index among equals), and each level is the unvisited neighbours of the
-    last, sorted by the position of their first neighbour there, then by
-    degree, then by index, as `scipy.sparse.csgraph.reverse_cuthill_mckee`
-    orders them before it reverses its order."""
-    degree = np.diff(indptr)
-    rank = np.full(dim, -1)
-    order = np.empty(dim, dtype=np.intp)
-    done = 0
-    while done < dim:
-        unvisited = np.flatnonzero(rank < 0)
-        level = unvisited[[np.argmin(degree[unvisited])]]
-        while level.size:
-            rank[level] = done + np.arange(level.size)
-            order[done:done + level.size] = level
-            done += level.size
-            start = indptr[level]
-            counts = indptr[level + 1] - start
-            child, parent = indices[_ranges(start, counts)], np.repeat(rank[level], counts)
-            new = rank[child] < 0
-            # the level is in rank order, so a child's first entry holds its first parent
-            child, first = np.unique(child[new], return_index=True)
-            parent = parent[new][first]
-            level = child[np.lexsort((child, degree[child], parent))]
-    return order
 
 
 def _band_layout(indptr: np.ndarray, indices: np.ndarray, dim: int, orders=()):
@@ -545,14 +487,16 @@ def _band_layout(indptr: np.ndarray, indices: np.ndarray, dim: int, orders=()):
     states, or None for their own order, its half-bandwidth, and for the
     stored entries ``upper`` on or above the diagonal in that order, their
     flat positions ``at`` in the band of `_band`.  The band takes the
-    narrowest of the natural order, a Cuthill-McKee order (`_level_order`)
+    narrowest of the natural order, the Cuthill-McKee order (Cuthill &
+    McKee, ACM '69), which scipy's `reverse_cuthill_mckee` gives reversed,
     and the ``orders`` given, the first of them among equals: a ring's
-    natural order wraps around and leaves the full width, its level order
-    a width of 2, and an oracle block is narrowest photon-major."""
+    natural order wraps around and leaves the full width, its Cuthill-McKee
+    order a width of 2, and an oracle block is narrowest photon-major."""
     rows, cols = np.repeat(np.arange(dim), np.diff(indptr)), indices
     perm, width = None, np.max(np.abs(rows - cols), initial=0)
     place = np.empty(dim, dtype=np.intp)
-    for order in (_level_order(indptr, cols, dim), *orders):
+    pattern = scipy.sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(dim, dim))
+    for order in (reverse_cuthill_mckee(pattern, symmetric_mode=True)[::-1], *orders):
         place[order] = np.arange(dim)
         narrower = np.max(np.abs(place[rows] - place[cols]), initial=0)
         if narrower < width:
@@ -626,44 +570,37 @@ def _factor_below(mat, floor: float, layout=None
     return shift, *factored
 
 
-def shift_invert_lowest(mat, k: int, floor: float = -np.inf, layout=None
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def shift_invert_lowest(mat, k: int, factored) -> tuple[np.ndarray, np.ndarray]:
     """k lowest eigenpairs of a sparse Hermitian matrix, ascending, by
     shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1251, 1980).
 
     This is the package's one sparse eigensolver.  A sector too large for
     a dense solve that no Cholesky test rules out comes here, from
-    `lowest_by_sector`, with the band ``layout`` its plan keeps: an oracle
-    block above `oracle.DENSE_LIMIT` states and a matter sector above
-    DENSE_MAX_DIM states, with ``floor`` the oracle's certified
-    `FullSystem.floor`, none, or a level of another sector that a test
-    certifies.  `SectorResolvent.gram` factors such a sector again, on the
-    same band, at or just below E_0 for the reduced resolvent.
+    `lowest_by_sector`: an oracle block above `oracle.DENSE_LIMIT` states
+    and a matter sector above DENSE_MAX_DIM states.  `SectorResolvent.gram`
+    factors such a sector again, on the same band, at or just below E_0
+    for the reduced resolvent.
 
-    H - sigma I is factored once by a banded Cholesky factorisation
-    (`_band_cholesky`), with sigma just below ``floor``, or at the
-    Gershgorin shift, a Gershgorin lower bound on the spectrum minus 1,
-    where no floor is given or the factorisation at the floor fails, which
-    makes it no lower bound (`_factor_below`).  ARPACK then runs on
-    (H - sigma I)^-1, in the order of the band's states, whose largest
-    eigenvalues belong to the lowest of H, so an eigenvalue that is exactly
-    zero, as the bare two-level ground energy is, is found like any other.
-    A real matrix runs through ARPACK's real symmetric routine.  The start
-    vector is a fixed Gaussian draw seeded with LANCZOS_SEED, put in the
-    band's order with the states: it has weight in every symmetry sector,
-    and unlike the uniform vector it is no eigenvector of a matrix whose
-    rows share one sum.  Convergence goes with the ratios
-    (E_0 - sigma) / (E_j - sigma), so a sigma near E_0 needs few solves,
-    and the Gershgorin shift can lie far below E_0.  ARPACK's failures
-    become NumericError.
+    ``factored`` is the (sigma, perm, solve) of a banded Cholesky
+    factorisation of H - sigma I (`_band_cholesky`) whose success
+    certifies that sigma lies below the spectrum: `lowest_by_sector` hands
+    over the factor of the test that certified a level of another sector,
+    or else one from `_factor_below`, just below a certified floor or at
+    the Gershgorin shift, a Gershgorin lower bound on the spectrum minus 1.
+    ARPACK then runs on (H - sigma I)^-1, in the order of the band's
+    states, whose largest eigenvalues belong to the lowest of H, so an
+    eigenvalue that is exactly zero, as the bare two-level ground energy
+    is, is found like any other.  A real matrix runs through ARPACK's real
+    symmetric routine.  The start vector is a fixed Gaussian draw seeded
+    with LANCZOS_SEED, put in the band's order with the states: it has
+    weight in every symmetry sector, and unlike the uniform vector it is
+    no eigenvector of a matrix whose rows share one sum.  Convergence goes
+    with the ratios (E_0 - sigma) / (E_j - sigma), so a sigma near E_0
+    needs few solves, and the Gershgorin shift can lie far below E_0.
+    ARPACK's failures become NumericError.
     """
-    mat = scipy.sparse.csr_matrix(mat)
-    if not mat.has_canonical_format:
-        mat, layout = mat.copy(), None
-        mat.sum_duplicates()
-    dim = mat.shape[0]
-    sigma, perm, solve = _factor_below(mat, floor, layout)
-    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+    sigma, perm, solve = factored
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(mat.shape[0])
     try:
         vals, vecs = eigsh(mat, k=k, sigma=sigma, which="LM",
                            OPinv=LinearOperator(mat.shape, matvec=solve, dtype=mat.dtype),
@@ -694,10 +631,11 @@ def _recall(cache: dict, bound: int, key, make: Callable):
 class _SectorPlan:
     """What `lowest_by_sector` derives from a pattern of nonzero entries:
     ``indptr`` of the nonzero entries row by row, the sectors, numbered by
-    ``sector_of`` (one sector in all when an entry's mirror is missing),
-    their `_partition`, and per sector ``blocks``: keyed ("dense", b),
-    what `_dense_block` scatters sector b from, and keyed b, what
-    `_plan_block` keeps of a sector solved sparse."""
+    ``sector_of`` in ascending order of their lowest states (one sector in
+    all when an entry's mirror is missing), their `_partition`, and per
+    sector ``blocks``: keyed ("dense", b), what `_dense_block` scatters
+    sector b from, and keyed b, what `_plan_block` keeps of a sector solved
+    sparse."""
 
     indptr: np.ndarray
     sector_of: np.ndarray
@@ -706,13 +644,14 @@ class _SectorPlan:
 
 
 def _sector_plan(rows: np.ndarray, cols: np.ndarray, dim: int) -> _SectorPlan:
-    """The plan of the nonzero entries (rows, cols) on ``dim`` states; its
-    blocks come later."""
-    sector_of = np.unique(_hooking_rounds(rows, cols, dim), return_inverse=True)[1]
+    """The plan of the nonzero entries (rows, cols), row by row, on ``dim``
+    states; its blocks come later."""
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=dim))]
+    pattern = scipy.sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(dim, dim))
+    sector_of = connected_components(pattern, directed=True, connection="strong")[1]
     if np.any(sector_of[rows] != sector_of[cols]):
         sector_of = np.zeros(dim, dtype=np.intp)
-    return _SectorPlan(indptr=np.r_[0, np.cumsum(np.bincount(rows, minlength=dim))],
-                       sector_of=sector_of, partition=_partition(sector_of))
+    return _SectorPlan(indptr=indptr, sector_of=sector_of, partition=_partition(sector_of))
 
 
 def _plan_entries(plan: _SectorPlan, b: int, cols: np.ndarray):
@@ -814,10 +753,10 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
     sector by sector, the eigenvectors of the first ``n_vectors`` of them
     (all k by default), and each state's sector.
 
-    One pass over the nonzero entries (`_hooking_rounds`) numbers the
-    sectors, the connected components of the nonzero entries, by their
-    lowest states.  A sector is solved in complex arithmetic exactly when
-    one of its entries has a nonzero imaginary part, and in real
+    scipy's `connected_components` numbers the sectors, the strongly
+    connected components of the nonzero entries, in ascending order of
+    their lowest states.  A sector is solved in complex arithmetic exactly
+    when one of its entries has a nonzero imaginary part, and in real
     arithmetic otherwise; a caller that knows a phase change making its
     matrix real, as `oracle.lowest_eigenpairs` does, applies it first.  An
     entry whose mirror is not stored joins two sectors in one direction
@@ -844,8 +783,9 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
         ``n_vectors`` sectors have eigenvectors and without them after;
       * a large sector that fails is tested at the lower known values
         from the top down: where H_s - low[j] I factors it holds at most
-        k - j - 1 of the k lowest, which `shift_invert_lowest` finds from
-        max(``floor``, low[j]), and where none does, k from ``floor``.
+        k - j - 1 of the k lowest, which `shift_invert_lowest` finds on
+        that very factor, and where none does, k on the factor
+        `_factor_below` makes below ``floor``.
     The k lowest of all the values found are picked, equal eigenvalues
     going to the lower sector.  `_lowest_pairs` then solves the sectors
     that hold one of the eigenvectors asked for and have none yet, and a
@@ -896,12 +836,12 @@ def lowest_by_sector(mat, k: int, dense_limit: int, floor: float = -np.inf,
         if sizes[b] > dense_limit and sizes[b] > k + 1:
             block, layout = _plan_block(plan, b, cols, data, dtype(b), shape)
             # above low[j], H_s holds at most k - j - 1 of the k lowest
-            j = next((j for j in reversed(range(len(low)))
-                      if _band_cholesky(block, low[j], layout) is not None), -1)
+            tests = ((j, _band_cholesky(block, low[j], layout)) for j in reversed(range(len(low))))
+            j, factored = next(((j, f) for j, f in tests if f is not None), (-1, None))
             if j == k - 1:
                 continue
-            solved[b] = shift_invert_lowest(block, k - j - 1, floor if j < 0 else
-                                            max(floor, low[j]), layout=layout)
+            factored = (low[j], *factored) if factored else _factor_below(block, floor, layout)
+            solved[b] = shift_invert_lowest(block, k - j - 1, factored)
             vals = solved[b][0]
         else:
             block = _dense_block(plan, b, cols, data, dtype(b))

@@ -237,9 +237,10 @@ def lowest_eigenpairs(system: FullSystem, k: int = 1) -> tuple[np.ndarray, np.nd
     """The k lowest eigenpairs of ``system.h``, ascending, solved block by
     block by `matter.lowest_by_sector` in the photon phase z of
     `_photon_phase`: blocks above DENSE_LIMIT states are factored by
-    banded Cholesky just below the certified ``system.floor`` (or a level
-    of another block a test certifies), in the narrowest band order, which
-    the tensor shape lets include the photon-major one.
+    banded Cholesky just below the certified ``system.floor``, or run on
+    the factor of a test that certifies a level of another block, in the
+    narrowest band order, which the tensor shape lets include the
+    photon-major one.
 
     For real matter every coupling of the gauge family is i times a real
     matrix: the paramagnetic part i w [eps.d, h_m] and the electric part

@@ -99,19 +99,21 @@ class TestSectorPlans:
         assert _identical(warm, lowest_eigenpairs(system, k=2))
 
     def test_repeated_pattern_runs_no_forest_and_no_layout(self, monkeypatch):
-        counts = _counting(monkeypatch, ("_hooking_rounds", "_band_layout"))
+        names = ("connected_components", "_band_layout", "reverse_cuthill_mckee")
+        counts = _counting(monkeypatch, names)
         lowest_eigenpairs(_readme_system(0.2), k=2)
-        # one forest, and one layout per parity block above the dense limit
-        assert counts == {"_hooking_rounds": 1, "_band_layout": 2}
+        # one sector numbering, and one layout, with its Cuthill-McKee
+        # order, per parity block above the dense limit
+        assert counts == dict(zip(names, (1, 2, 2)))
         for scale, preset in ((0.3, "dipole"), (0.34, "coulomb")):
             lowest_eigenpairs(_readme_system(scale, preset), k=2)
-        assert counts == {"_hooking_rounds": 1, "_band_layout": 2}
+        assert counts == dict(zip(names, (1, 2, 2)))
 
     def test_readme_block_is_a_band_of_half_width_21(self):
         lowest_eigenpairs(_readme_system(0.34), k=2)
         (plan,) = matter._PLANS.values()
         widths = [layout[1] for *_, layout in plan.blocks.values()]
-        assert widths == [21, 21]  # 31 in their own order, 41 in level order
+        assert widths == [21, 21]  # 31 in their own order, 41 in Cuthill-McKee order
 
     def test_entry_that_becomes_zero_gives_a_new_plan(self):
         h = _flux_ring(0.7, 3)

@@ -15,7 +15,8 @@ runs, and `concurrent` and `multiprocessing`, which it imports inside
 `run_sweep` for the oracle's worker processes, so that importing the
 package does not pay for them.  Only `matter`, home of the ground-state
 backends, may import from `scipy.sparse.linalg`, for shift-invert
-Lanczos, and no module from `scipy.sparse.csgraph`.
+Lanczos, and from `scipy.sparse.csgraph`, which numbers its sectors and
+orders their bands.
 Only the dense algorithms named in DENSE_READERS may read
 `Operator.entries`, the dense view that copies a sparse operator;
 everything else works on the stored form `Operator.matrix`.
@@ -215,11 +216,16 @@ def test_only_matter_imports_sparse_solvers():
     assert [p.stem for p in paths if imports_sparse_solvers(p.read_text())] == ["matter"]
 
 
-def test_no_module_imports_csgraph():
-    # the oracle splits its Hamiltonian by numpy index arithmetic, so no
-    # process, an oracle worker included, pays for loading csgraph
+def test_only_matter_imports_csgraph():
+    # `matter` numbers its sectors by csgraph's connected components and
+    # orders their bands by its Cuthill-McKee order; loading csgraph adds
+    # 6.9-8.0 ms to `import gaugecavity` (`python -X importtime`, five runs:
+    # its cumulative time less that of `scipy.sparse.linalg`, which it loads
+    # first and `matter` needs anyway) and about 1 MB to the peak RSS of a
+    # sweep, so no other module may reach for it
     paths = MODULES + [PACKAGE / "__init__.py"]
-    assert [p.stem for p in paths if imports_from(p.read_text(), "scipy.sparse.csgraph")] == []
+    assert [p.stem for p in paths if imports_from(p.read_text(), "scipy.sparse.csgraph")] == \
+        ["matter"]
     assert imports_from("def f():\n    from scipy.sparse.csgraph import connected_components\n",
                         "scipy.sparse.csgraph")
 

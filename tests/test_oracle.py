@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from gaugecavity import cli
 from gaugecavity import matter as matter_module
@@ -486,9 +487,9 @@ def _record_blocks(monkeypatch):
             seen.append((out.dtype, len(out)))
         return out
 
-    def solving(block, k, floor, layout):
+    def solving(block, k, factored):
         seen.append((block.dtype, block.shape[0]))
-        return solve(block, k, floor, layout=layout)
+        return solve(block, k, factored)
 
     monkeypatch.setattr(matter_module, "_dense_block", cutting)
     monkeypatch.setattr(matter_module, "shift_invert_lowest", solving)
@@ -496,14 +497,14 @@ def _record_blocks(monkeypatch):
 
 
 def _sparse_blocks(monkeypatch):
-    """Wrap `matter.shift_invert_lowest`; returns the (block, floor) of each
-    call."""
+    """Wrap `matter.shift_invert_lowest`; returns the (block, factored) of
+    each call."""
     calls = []
     solve = matter_module.shift_invert_lowest
 
-    def recording(block, k, floor, layout):
-        calls.append((block, floor))
-        return solve(block, k, floor, layout=layout)
+    def recording(block, k, factored):
+        calls.append((block, factored))
+        return solve(block, k, factored)
 
     monkeypatch.setattr(matter_module, "shift_invert_lowest", recording)
     return calls
@@ -512,9 +513,10 @@ def _sparse_blocks(monkeypatch):
 def record_band_slicing(monkeypatch):
     """Wrap `matter._band_cholesky` and `matter.shift_invert_lowest`;
     returns their calls in order: ("factor", sigma, factored) for each
-    banded Cholesky factorisation, a slicing test's or the eigensolver's,
-    and ("solve", block, k, floor, values) for each shift-invert solve,
-    after the factorisation it makes."""
+    banded Cholesky factorisation, a slicing test's or one below a floor,
+    and ("solve", block, k, sigma, values) for each shift-invert solve on
+    the factor of H - sigma I it is handed, after any factorisation it
+    makes."""
     events = []
     factor, solve = matter_module._band_cholesky, matter_module.shift_invert_lowest
 
@@ -523,9 +525,9 @@ def record_band_slicing(monkeypatch):
         events.append(("factor", float(sigma), out is not None))
         return out
 
-    def solving(block, k, floor, layout):
-        out = solve(block, k, floor, layout=layout)
-        events.append(("solve", block, k, float(floor), out[0]))
+    def solving(block, k, factored):
+        out = solve(block, k, factored)
+        events.append(("solve", block, k, float(factored[0]), out[0]))
         return out
 
     monkeypatch.setattr(matter_module, "_band_cholesky", factoring)
@@ -534,8 +536,14 @@ def record_band_slicing(monkeypatch):
 
 
 def _below(floor):
-    """The shift `matter.shift_invert_lowest` factors at from a floor."""
+    """The shift `matter._factor_below` factors at below a floor."""
     return floor - matter_module.FLOOR_MARGIN * max(1.0, abs(floor))
+
+
+def gershgorin_lowest(mat, k):
+    """`matter.shift_invert_lowest` on the factorisation of ``mat`` at its
+    Gershgorin shift."""
+    return matter_module.shift_invert_lowest(mat, k, matter_module._factor_below(mat, -np.inf))
 
 
 def _assert_lowest(system, k, rtol=1e-10):
@@ -561,7 +569,7 @@ def _stale_floor_lowest(monkeypatch, h, k):
     lies above the spectrum of ``h``: its one sparse sector is factored
     there, fails, and is factored again at its Gershgorin shift."""
     system = full_hamiltonian(dicke(1, 0.0), make_gauge("dipole"), [lwl_mode(1.0, 1.0)], 4)
-    factored, _ = _counting_band(monkeypatch)
+    factored, _ = counting_band(monkeypatch)
     vals, vecs, _ = matter_module.lowest_by_sector(h, k, DENSE_LIMIT, system.floor)
     assert system.floor > vals[0] and len(factored) == 2
     return _assert_eigenpairs(h, vals, vecs)
@@ -641,30 +649,31 @@ class TestLowestEigenpairs:
         # the README oracle Hamiltonian at dipole_scale 0.34: the first
         # parity block is factored once, just below the floor; the second
         # fails its test at the first one's E_1, is tested at its E_0, and is
-        # factored once below the bound that test certifies; both give the
-        # eigenpairs of dense eigh
+        # shift-inverted on the factor of that test where it certifies, and
+        # else factored once below the floor; both give the eigenpairs of
+        # dense eigh
         model = build_two_level_ensemble(40, 1.0, (0.0, 0.34, 0.0), 1.0)
         system = full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 60)
         assert len(system.slots) == 1
-        solve = matter_module.shift_invert_lowest
         events = record_band_slicing(monkeypatch)
         lowest_eigenpairs(system, k=2)
         assert events[0] == ("factor", _below(system.floor), True)
-        _, first, k, floor, low = events[1]
-        assert (k, floor) == (2, system.floor)
+        _, first, k, sigma, low = events[1]
+        assert (k, sigma) == (2, _below(system.floor))
         assert events[2] == ("factor", low[1], False)
         _, at, certified = events[3]
         assert at == low[0]
         # the dipole gauge's doublet: rounding decides whether the second
         # block's E_0 lies above the first one's
         assert certified or preset == "dipole"
-        start, m = (low[0], 1) if certified else (system.floor, 2)
-        assert events[4] == ("factor", _below(start), True)
-        _, second, k, floor, _ = events[5]
-        assert (k, floor) == (m, start) and len(events) == 6
+        if not certified:
+            assert events[4] == ("factor", _below(system.floor), True)
+        shift, m = (low[0], 1) if certified else (_below(system.floor), 2)
+        _, second, k, sigma, _ = events[-1]
+        assert (k, sigma) == (m, shift) and len(events) == 5 + (not certified)
         for block in (first, second):
             assert block.shape[0] > DENSE_LIMIT
-            vals, vecs = solve(block, 2)
+            vals, vecs = gershgorin_lowest(block, 2)
             ref_vals, ref_vecs = scipy.linalg.eigh(block.toarray(), subset_by_index=(0, 1))
             assert np.max(np.abs(vals - ref_vals)) <= 1e-12 * np.max(np.abs(ref_vals))
             overlaps = np.abs(np.sum(vecs.conj() * ref_vecs, axis=0))
@@ -691,17 +700,17 @@ class TestLowestEigenpairs:
         # a 3-axis dipole couples both polarisations: eight parity blocks,
         # each past DENSE_LIMIT; the first is shift-inverted from the floor,
         # and every other one is skipped where it factors at the known E_1,
-        # or else shift-inverted from the highest known value it factors at,
-        # for the levels it can hold above it, or from the floor where it
-        # factors at none
+        # or else shift-inverted on the factor of the highest known value it
+        # factors at, for the levels it can hold above it, or from the floor
+        # where it factors at none
         model = build_anharmonic_dipole(4, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
         system = full_hamiltonian(model, make_gauge("dipole"), [lwl_mode(1.0, 1.0)], cutoff)
         assert len(system.slots) == 2 and np.isfinite(system.floor)
         events = record_band_slicing(monkeypatch)
         vals, vecs = lowest_eigenpairs(system, k=2)
         assert events[0] == ("factor", _below(system.floor), True)
-        _, _, k, floor, known = events[1]
-        assert (k, floor) == (2, system.floor)
+        _, _, k, sigma, known = events[1]
+        assert (k, sigma) == (2, _below(system.floor))
         pos, visited, skipped = 2, 1, 0
         while pos < len(events):
             visited += 1
@@ -715,12 +724,13 @@ class TestLowestEigenpairs:
             if j == 1:
                 skipped += 1
                 continue
-            start = known[j] if j >= 0 else system.floor
-            assert events[pos] == ("factor", _below(start), True)
-            _, _, k, floor, found = events[pos + 1]
-            assert (k, floor) == (1 - j, start)
+            if j < 0:
+                assert events[pos] == ("factor", _below(system.floor), True)
+                pos += 1
+            _, _, k, sigma, found = events[pos]
+            assert (k, sigma) == (1 - j, known[j] if j >= 0 else _below(system.floor))
             known = np.sort(np.concatenate([known, found]))[:2]
-            pos += 2
+            pos += 1
         assert visited == 8 and skipped
         sector_of = _components(system.h)
         assert sector_of.max() == 7
@@ -840,14 +850,21 @@ class TestPhotonPhase:
 def _components(h) -> np.ndarray:
     """csgraph's connected components of the nonzero pattern of ``h``,
     numbered in the order of their lowest states."""
-    from scipy.sparse.csgraph import connected_components
-
     return connected_components(abs(h), directed=False)[1]
 
 
-def _block_numbers(root: np.ndarray) -> np.ndarray:
-    """Each state's block numbered by the rank of its root."""
-    return np.unique(root, return_inverse=True)[1]
+def _plan_sectors(h) -> np.ndarray:
+    """The sectors `matter._sector_plan` numbers for the entries of the CSR
+    matrix ``h``."""
+    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    return matter_module._sector_plan(rows, h.indices, h.shape[0]).sector_of
+
+
+def _numbered_by_lowest_state(sector_of: np.ndarray) -> bool:
+    """Whether the sectors are numbered 0, 1, ... in ascending order of
+    their lowest states."""
+    labels, lowest = np.unique(sector_of, return_index=True)
+    return np.array_equal(labels, np.arange(len(labels))) and bool(np.all(np.diff(lowest) > 0))
 
 
 class TestBlockSplit:
@@ -863,16 +880,32 @@ class TestBlockSplit:
 
     @pytest.mark.parametrize("preset", ["dipole", "coulomb"])
     def test_forest_gives_sectors_and_real_phases(self, preset):
-        # the forest's roots are the two parity sectors, and the photon
+        # the plan's sectors are the two parity sectors, and the photon
         # phase makes every entry real
         system = full_hamiltonian(dicke(40, 0.34), make_gauge(preset), [lwl_mode(1.0, 1.0)], 60)
         h = system.h
-        rows = np.repeat(np.arange(system.dim), np.diff(h.indptr))
         assert h.data.imag.any()
-        root = matter_module._hooking_rounds(rows, h.indices, system.dim)
-        assert np.array_equal(_block_numbers(root), _components(h))
-        assert len(np.unique(root)) == 2
+        sector_of = _plan_sectors(h)
+        assert np.array_equal(sector_of, _components(h))
+        assert sector_of.max() == 1
         assert not _in_photon_phase(system).data.imag.any()
+
+    def test_sectors_ascend_by_their_lowest_state(self):
+        # random symmetric patterns, many of them split into several
+        # sectors: each sector is one connected component, and they are
+        # numbered in ascending order of their lowest states, on which the
+        # tie rule of `lowest_by_sector` (the lower sector first) relies
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            dim = int(rng.integers(2, 300))
+            pattern = scipy.sparse.random(dim, dim, density=3.0 * rng.random() / dim,
+                                          random_state=rng, format="csr")
+            h = (pattern + pattern.T + scipy.sparse.identity(dim)).tocsr()
+            sector_of = _plan_sectors(h)
+            rows = np.repeat(np.arange(dim), np.diff(h.indptr))
+            assert np.array_equal(sector_of[rows], sector_of[h.indices])
+            assert sector_of.max() == _components(h).max()
+            assert _numbered_by_lowest_state(sector_of)
 
     def test_forest_roots_a_random_forest(self):
         # a random forest under a random numbering, with random complex
@@ -888,12 +921,10 @@ class TestBlockSplit:
         h = scipy.sparse.csr_matrix((np.r_[edge, edge.conj(), rng.random(dim)],
                                      (np.r_[i, j, np.arange(dim)], np.r_[j, i, np.arange(dim)])),
                                     shape=(dim, dim))
-        rows = np.repeat(np.arange(dim), np.diff(h.indptr))
-        root = matter_module._hooking_rounds(rows, h.indices, dim)
-        assert np.array_equal(_block_numbers(root), _components(h))
-        assert len(np.unique(root)) > 1
-        # each root is the lowest state of its tree
-        assert np.array_equal(root, np.unique(root)[_components(h)])
+        sector_of = _plan_sectors(h)
+        assert np.array_equal(sector_of, _components(h))
+        assert sector_of.max() > 0
+        assert _numbered_by_lowest_state(sector_of)
 
     def test_forest_on_disjoint_flux_ring_and_chain(self, monkeypatch):
         # a flux ring keeps one net phase, so its sector is solved complex
@@ -901,10 +932,9 @@ class TestBlockSplit:
         ring = _ring(50, -np.exp(0.7j), np.zeros(50))
         chain = _ring(7, 0.0, np.ones(7))
         h = scipy.sparse.block_diag([chain, ring], format="csr")
-        rows = np.repeat(np.arange(57), np.diff(h.indptr))
-        root = matter_module._hooking_rounds(rows, h.indices, 57)
-        assert np.array_equal(root, np.repeat([0, 7], [7, 50]))
-        assert np.array_equal(_block_numbers(root), _components(h))
+        sector_of = _plan_sectors(h)
+        assert np.array_equal(sector_of, np.repeat([0, 1], [7, 50]))
+        assert np.array_equal(sector_of, _components(h))
         seen = _record_blocks(monkeypatch)
         vals, vecs, _ = matter_module.lowest_by_sector(h, 9, DENSE_LIMIT)
         # dense sectors by their lowest diagonal entry: the ring's 0 first
@@ -912,7 +942,7 @@ class TestBlockSplit:
         _assert_eigenpairs(h, vals, vecs)
 
 
-def _counting_band(monkeypatch):
+def counting_band(monkeypatch):
     """Wrap the banded Cholesky routines `matter` calls, real and complex;
     returns two lists that get one entry per factorisation and per solve."""
     factored, solves = [], []
@@ -929,7 +959,7 @@ def _cut_sectors(mat, dense_limit):
     with no solve."""
     blocks = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matter_module, "shift_invert_lowest", lambda block, k, floor, layout:
+        patch.setattr(matter_module, "shift_invert_lowest", lambda block, k, factored:
                       blocks.append(block) or (np.zeros(k), np.eye(block.shape[0], k)))
         matter_module.lowest_by_sector(mat, 1, dense_limit)
     return blocks
@@ -945,7 +975,7 @@ class TestFloorShift:
         system = full_hamiltonian(model, make_gauge(preset), [lwl_mode(1.0, 1.0)], 42)
         assert len(system.slots) == 1 and np.isfinite(system.floor)
         calls = _sparse_blocks(monkeypatch)
-        _, solves = _counting_band(monkeypatch)
+        _, solves = counting_band(monkeypatch)
         vals, _ = lowest_eigenpairs(system, k=2)
         blocks = [block for block, _ in calls]
         assert len(blocks) == 2 and min(b.shape[0] for b in blocks) > DENSE_LIMIT
@@ -958,12 +988,15 @@ class TestFloorShift:
 
     def test_false_floor_falls_back_to_gershgorin_shift(self, monkeypatch):
         # a floor above the spectrum makes the Cholesky factorisation fail,
-        # so the block is factored again at the Gershgorin shift
+        # so the block is factored again at the Gershgorin shift, and
+        # shift-invert on that factor makes none of its own
         system = full_hamiltonian(dicke(40, 0.34), make_gauge("coulomb"), [lwl_mode(1.0, 1.0)], 60)
         block = _cut_sectors(system.h, DENSE_LIMIT)[0]
-        vals, vecs = matter_module.shift_invert_lowest(block, 2)
-        factored, _ = _counting_band(monkeypatch)
-        false_vals, false_vecs = matter_module.shift_invert_lowest(block, 2, floor=vals[1] + 1.0)
+        vals, vecs = gershgorin_lowest(block, 2)
+        factored, _ = counting_band(monkeypatch)
+        false = matter_module._factor_below(block, vals[1] + 1.0)
+        assert len(factored) == 2 and false[0] == matter_module._gershgorin_floor(block)
+        false_vals, false_vecs = matter_module.shift_invert_lowest(block, 2, false)
         assert len(factored) == 2
         assert np.array_equal(false_vals, vals) and np.array_equal(false_vecs, vecs)
 
@@ -983,8 +1016,14 @@ def _band_width(mat) -> int:
     return matter_module._band(mat)[1].shape[0] - 1
 
 
+def _cuthill_mckee(mat) -> np.ndarray:
+    """The Cuthill-McKee order `matter._band_layout` tries: csgraph's
+    reverse Cuthill-McKee order, reversed."""
+    return reverse_cuthill_mckee(mat, symmetric_mode=True)[::-1]
+
+
 def _level_width(mat) -> int:
-    return _width(mat, matter_module._level_order(mat.indptr, mat.indices, mat.shape[0]))
+    return _width(mat, _cuthill_mckee(mat))
 
 
 def _readme_block():
@@ -1013,7 +1052,7 @@ class TestBandCholesky:
     def test_band_is_never_wider_than_the_natural_order(self):
         # a path, whose natural order is already the narrowest; a diagonal;
         # a random symmetric pattern; the README block, where the natural
-        # order (31) beats the level order (41); and a flux ring
+        # order (31) beats the Cuthill-McKee order (41); and a flux ring
         rng = np.random.default_rng(17)
         pattern = scipy.sparse.random(400, 400, density=0.01, random_state=rng, format="csr")
         cases = [_ring(300, 0.0, np.ones(300)), scipy.sparse.identity(50, format="csr"),
@@ -1029,19 +1068,26 @@ class TestBandCholesky:
                                             (_three_axis_sector, 307)],
                              ids=["readme_block", "two_slot_block", "three_axis_sector"])
     def test_level_order_matches_reverse_cuthill_mckee(self, cut, width):
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
-
+        # reversing the order keeps its half-width, and the band takes it
+        # where it is narrower than the natural order
         block = cut()
         assert _level_width(block) == width
         assert _width(block, reverse_cuthill_mckee(block, symmetric_mode=True)) == width
+        perm, band_width, *_ = matter_module._band_layout(block.indptr, block.indices,
+                                                          block.shape[0])
+        assert band_width == min(width, _width(block))
+        if _width(block) <= width:
+            assert perm is None
+        else:
+            assert np.array_equal(perm, _cuthill_mckee(block))
 
     def test_layout_once_per_pattern(self, monkeypatch):
         # the parity blocks of three README points share two patterns
         monkeypatch.setattr(matter_module, "_PLANS", {})
         ordered = []
-        order = matter_module._level_order
-        monkeypatch.setattr(matter_module, "_level_order",
-                            lambda *a: ordered.append(1) or order(*a))
+        order = matter_module.reverse_cuthill_mckee
+        monkeypatch.setattr(matter_module, "reverse_cuthill_mckee",
+                            lambda *a, **kw: ordered.append(1) or order(*a, **kw))
         for scale in (0.2, 0.3, 0.34):
             system = full_hamiltonian(dicke(40, scale), make_gauge("dipole"),
                                       [lwl_mode(1.0, 1.0)], 60)
@@ -1049,8 +1095,9 @@ class TestBandCholesky:
         assert len(ordered) == 2
 
     def test_ring_factor_holds_no_subnormal_entry(self, monkeypatch):
-        # in level order the ring is a band of width 2 whose factor decays
-        # along the band into subnormal fill, which the solver sets to zero
+        # in Cuthill-McKee order the ring is a band of width 2 whose factor
+        # decays along the band into subnormal fill, which the solver sets
+        # to zero
         ring = build_ring_lattice(1500, 1.0, 1.0).h_m.matrix.real.tocsr()
         factors, raw = [], []
         trf = matter_module.dpbtrf
@@ -1061,7 +1108,7 @@ class TestBandCholesky:
             return factors[-1]
 
         monkeypatch.setattr(matter_module, "dpbtrf", factoring)
-        vals, vecs = matter_module.shift_invert_lowest(ring, 1)
+        vals, vecs = gershgorin_lowest(ring, 1)
         assert abs(vals[0] + 2.0) <= 1e-12
         assert np.linalg.norm(ring @ vecs[:, 0] - vals[0] * vecs[:, 0]) <= 1e-10
         (factor, info), = factors
@@ -1078,7 +1125,7 @@ class TestBandCholesky:
             routine = getattr(matter_module, name)
             monkeypatch.setattr(matter_module, name, lambda *a, name=name, routine=routine, **kw:
                                 counts.update({name: counts[name] + 1}) or routine(*a, **kw))
-        vals, vecs = matter_module.shift_invert_lowest(ring, 3)
+        vals, vecs = gershgorin_lowest(ring, 3)
         assert counts["dpbtrf"] == counts["dpbtrs"] == 0
         assert counts["zpbtrf"] == 1 and counts["zpbtrs"] > 0
         assert _band_width(ring) == 2

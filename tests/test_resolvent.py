@@ -34,7 +34,7 @@ from gaugecavity.matter import (DENSE_MAX_DIM, MatterSpectrum, SectorResolvent,
 from gaugecavity.operators import Operator
 from gaugecavity.response import (check_translational_invariance, chi_md_from_model, lehmann_sum,
                                   polarizability)
-from test_oracle import record_band_slicing
+from test_oracle import counting_band, gershgorin_lowest, record_band_slicing
 
 GAUGES = {"coulomb": make_gauge("coulomb"), "dipole": make_gauge("dipole"),
           "alpha_0.4": make_gauge("alpha_lwl", alpha=0.4)}
@@ -313,7 +313,7 @@ class TestSparseFailures:
 
     def test_lanczos_finds_exact_zero_ground_energies(self):
         # unshifted, ARPACK returns 1 and 2 for diag(0, 1, ..., 300)
-        vals, _ = matter.shift_invert_lowest(scipy.sparse.diags(np.arange(301.0), format="csr"), 2)
+        vals, _ = gershgorin_lowest(scipy.sparse.diags(np.arange(301.0), format="csr"), 2)
         assert np.max(np.abs(vals - [0.0, 1.0])) <= 1e-12
         # every row of a path Laplacian sums to 0, so the uniform vector is its
         # ground state; from that start, unshifted, ARPACK stops with error -9
@@ -322,7 +322,7 @@ class TestSparseFailures:
         main[[0, -1]] = 1.0
         lap = scipy.sparse.diags([-np.ones(dim - 1), main, -np.ones(dim - 1)], [-1, 0, 1],
                                  format="csr")
-        vals, vecs = matter.shift_invert_lowest(lap, 2)
+        vals, vecs = gershgorin_lowest(lap, 2)
         assert np.max(np.abs(vals - (2.0 - 2.0 * np.cos(np.pi * np.arange(2) / dim)))) <= 1e-12
         assert np.allclose(np.abs(vecs[:, 0]), 1.0 / np.sqrt(dim), atol=1e-10)
 
@@ -404,8 +404,8 @@ def test_mixed_sectors_solve_only_the_large_one_sparse(monkeypatch):
     model = build_anharmonic_dipole(11, 1.0, 1.0, 0.1, 0.5, 1.0, axes=3)
     solved = []
     solve = matter.shift_invert_lowest
-    monkeypatch.setattr(matter, "shift_invert_lowest", lambda block, k, floor, layout:
-                        solved.append(block.shape[0]) or solve(block, k, floor, layout=layout))
+    monkeypatch.setattr(matter, "shift_invert_lowest", lambda block, k, factored:
+                        solved.append(block.shape[0]) or solve(block, k, factored))
     ground = ground_resolvent(model)
     assert solved == [6 ** 3] and type(ground) is SectorResolvent
     assert sorted(set(np.bincount(lowest_by_sector(model.h_m.matrix, 1, DENSE_MAX_DIM)[2]))) \
@@ -806,7 +806,8 @@ def _every_sector_alone(mat):
     phase-fixed as `lowest_by_sector` does it."""
     plan, _, cols, data = matter._plan_of(scipy.sparse.csr_matrix(mat))
     sizes, order, first, _ = plan.partition
-    found = [matter.shift_invert_lowest(block, 2, layout=layout) for block, layout in
+    found = [matter.shift_invert_lowest(block, 2, matter._factor_below(block, -np.inf, layout))
+             for block, layout in
              (matter._plan_block(plan, b, cols, data, float) for b in range(len(sizes)))]
     b = min(range(len(sizes)), key=lambda b: found[b][0][0])
     vector = np.zeros(mat.shape[0], dtype=complex)
@@ -832,16 +833,25 @@ class TestBandSlicing:
     def test_three_axis_dipole_runs_two_shift_inverts(self, monkeypatch, gauge_name):
         # 12 levels per axis: eight parity sectors of 216 states; the ground
         # sector runs k = 2 from its Gershgorin shift, the sector of E_1 k = 1
-        # from E_0, and the other six factor at E_1
+        # on the factor of its test at E_0, and the other six factor at E_1;
+        # each shift-invert runs on the factorisation made just before it,
+        # so the nine banded factorisations are the ground sector's and the
+        # eight tests
         model = build_anharmonic_dipole(12, 1.0, 1.0, 0.1, 0.8, 1.0, axes=3)
         h = model.h_m if gauge_name is None else \
             dressed_matter_hamiltonian(model, GAUGES[gauge_name], [MODES["q_z"]])
         assert set(np.bincount(lowest_by_sector(h.matrix, 1, DENSE_MAX_DIM)[2])) == {6 ** 3}
         e0, e1, vector = _every_sector_alone(h.matrix)
         events = record_band_slicing(monkeypatch)
+        factored, _ = counting_band(monkeypatch)
         lowest, vectors, _ = lowest_by_sector(h.matrix, 2, DENSE_MAX_DIM, n_vectors=1)
-        assert [e[2:4] for e in events if e[0] == "solve"] == [(2, -np.inf), (1, lowest[0])]
+        solves = [pos for pos, e in enumerate(events) if e[0] == "solve"]
+        assert [events[pos][2:4] for pos in solves] == \
+            [(2, matter._gershgorin_floor(events[solves[0]][1])), (1, lowest[0])]
+        for pos in solves:
+            assert events[pos - 1] == ("factor", events[pos][3], True)
         assert events.count(("factor", lowest[1], True)) == 6
+        assert len(factored) == len(events) - len(solves) == 9
         assert lowest[0] == e0 and np.array_equal(vectors[:, 0], vector)
         assert abs(lowest[1] - e1) <= 1e-12 * abs(e1)
 
@@ -872,8 +882,9 @@ class TestBandSlicing:
                                     format="csr")
         events = record_band_slicing(monkeypatch)
         vals, vecs, _ = lowest_by_sector(h, k, DENSE_MAX_DIM)
-        assert [(block.diagonal()[0], m, floor) for _, block, m, floor, _ in
-                (e for e in events if e[0] == "solve")] == [(-1.0, k, -np.inf), (0.0, k, -np.inf)]
+        assert [(block.diagonal()[0], m, sigma - matter._gershgorin_floor(block))
+                for _, block, m, sigma, _ in (e for e in events if e[0] == "solve")] == \
+            [(-1.0, k, 0.0), (0.0, k, 0.0)]
         assert sum(not e[2] for e in events if e[0] == "factor") == k
         whole = np.linalg.eigvalsh(h.toarray())
         assert np.max(np.abs(vals - whole[:k])) <= 1e-12 * np.max(np.abs(whole))
