@@ -40,8 +40,8 @@ bits a fresh solve gives:
     sector's entry positions and flat offsets, and each large sector's
     entries and band layout, which `SectorResolvent.gram` reads too;
   * `ground_resolvent` keeps the backends of the last RESOLVENTS
-    Hamiltonians by `Operator.digest`, without their model, and
-    `ring_ground_state` as many dense ring ground vectors beside them;
+    Hamiltonians by `Operator.digest`, without their model, which
+    `ring_ground_state` reads the bare ring's ground vector from;
   * the ensemble and dipole builders keep the operators the swept keys
     leave unchanged for BUILDS sets of the other keys, so a sweep's
     points share one h_m, whose digest is taken once.
@@ -81,7 +81,8 @@ from .errors import (ArgumentError, DegenerateGroundStateError, NumericError, Re
 from .operators import DENSE_MAX_DIM, Operator, _digest, _fix_phases, boson_ladder, eigh, zero
 
 MAX_ENSEMBLE_SIZE = 4000
-# `ring_ground_state` still diagonalises the L x L ring densely
+# a two-gauge ring sweep at 8000 or 20,000 sites stops with a NumericError:
+# the ground-sector refinement of `SectorResolvent.gram` does not converge
 MAX_RING_SITES = 4000
 MAX_ANHARMONIC_DIM = 20000  # levels ** 3 for the 3-axis dipole
 DEGENERACY_ATOL = 1e-10  # energies closer than this count as degenerate
@@ -95,7 +96,7 @@ FLOOR_MARGIN = 1e-2
 SECTOR_PLANS = 16
 _PLANS: dict = {}
 # `ground_resolvent` keeps the backends of this many distinct Hamiltonians
-# in _RESOLVENTS, and `ring_ground_state` as many dense ring ground vectors
+# in _RESOLVENTS
 RESOLVENTS = 8
 _RESOLVENTS: dict = {}
 # each builder keeps the operators its swept arguments leave unchanged for
@@ -477,9 +478,12 @@ def _ranges(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _gershgorin_floor(mat) -> float:
-    """A Gershgorin lower bound on the spectrum of ``mat``, minus 1."""
+    """A Gershgorin lower bound on the spectrum of ``mat``, less 1e-9 of its
+    largest absolute row sum (at least 1e-9): over 200 times n eps |mat| up
+    to 20,000 states, so mat - floor I factors for any Hermitian ``mat``."""
     diag = mat.diagonal().real
-    return float(np.min(2.0 * diag - np.asarray(abs(mat).sum(axis=1)).ravel())) - 1.0
+    sums = np.asarray(abs(mat).sum(axis=1)).ravel()
+    return float(np.min(2.0 * diag - sums)) - 1e-9 * max(1.0, float(np.max(sums)))
 
 
 def _band_layout(indptr: np.ndarray, indices: np.ndarray, dim: int, orders=()):
@@ -555,8 +559,8 @@ def _factor_below(mat, floor: float, layout=None
     positive definite, and its Cholesky factorisation succeeds exactly
     then: that success certifies the floor.  Without a floor, or where its
     factorisation fails, so that it is no lower bound after all, the
-    matrix is factored at the Gershgorin shift, where it cannot fail for a
-    Hermitian matrix."""
+    matrix is factored at the Gershgorin shift (`_gershgorin_floor`), where
+    it succeeds for any Hermitian matrix."""
     if floor > -np.inf:
         sigma = floor - FLOOR_MARGIN * max(1.0, abs(floor))
         factored = _band_cholesky(mat, sigma, layout)
@@ -585,8 +589,8 @@ def shift_invert_lowest(mat, k: int, factored) -> tuple[np.ndarray, np.ndarray]:
     factorisation of H - sigma I (`_band_cholesky`) whose success
     certifies that sigma lies below the spectrum: `lowest_by_sector` hands
     over the factor of the test that certified a level of another sector,
-    or else one from `_factor_below`, just below a certified floor or at
-    the Gershgorin shift, a Gershgorin lower bound on the spectrum minus 1.
+    or else one from `_factor_below`, just below a certified floor or a
+    Gershgorin lower bound on the spectrum.
     ARPACK then runs on (H - sigma I)^-1, in the order of the band's
     states, whose largest eigenvalues belong to the lowest of H, so an
     eigenvalue that is exactly zero, as the bare two-level ground energy
@@ -596,7 +600,8 @@ def shift_invert_lowest(mat, k: int, factored) -> tuple[np.ndarray, np.ndarray]:
     weight in every symmetry sector, and unlike the uniform vector it is
     no eigenvector of a matrix whose rows share one sum.  Convergence goes
     with the ratios (E_0 - sigma) / (E_j - sigma), so a sigma near E_0
-    needs few solves, and the Gershgorin shift can lie far below E_0.
+    needs few solves: 21 for a clean ring, whose E_0 lies on its Gershgorin
+    bound, and more where that bound lies far below E_0.
     ARPACK's failures become NumericError.
     """
     sigma, perm, solve = factored
@@ -1119,22 +1124,12 @@ def ring_quasi_momentum(model: MatterModel, n: int) -> float:
 
 def ring_ground_state(model: MatterModel) -> np.ndarray:
     """The bare ring's ground vector, which the density check, the multipolar
-    D and the wavevector-decoupling check read.  It comes from the dense
-    spectrum: the site density of the shift-invert ground vector
-    deviates from 1/L by 8.1e-13 at L = 1500 but by 7.9e-12 at 3000 and
-    1.1e-11 at 4000, which fail a 1e-12 check.  Up to DENSE_MAX_DIM sites
-    that spectrum is `ground_resolvent`'s; above, the vector alone is kept
-    beside the resolvents, by digest of h_m, so a sweep diagonalises each
-    distinct bare ring once."""
+    D and the wavevector-decoupling check read: `ground_resolvent`'s, so a
+    sweep solves each distinct bare ring once.  Above DENSE_MAX_DIM sites
+    its site density is within 7e-16 of 1/L at L = 1500 and 3.3e-15 at
+    4000."""
     model._require_ring()
-    if model.dim <= DENSE_MAX_DIM:
-        return ground_resolvent(model).ground_state_vector()
-
-    def solve():
-        vector = matter_spectrum(model).ground_state_vector().copy()  # not the whole spectrum
-        vector.setflags(write=False)
-        return vector
-    return _recall(_RESOLVENTS, RESOLVENTS, ("dense ground", model.h_m.digest), solve)
+    return ground_resolvent(model).ground_state_vector()
 
 
 def check_uniform_density(model: MatterModel) -> float:
@@ -1142,7 +1137,7 @@ def check_uniform_density(model: MatterModel) -> float:
 
     A clean ring's ground state is the k = 0 Bloch state, so its site
     density is uniform; a degenerate one (flux pi, say) has no unique
-    density, and the dense spectrum refuses it.
+    density, and `ground_resolvent` refuses it.
     """
     dens = np.abs(ring_ground_state(model)) ** 2  # site densities for a single particle
     return float(np.max(np.abs(dens - model.params.n_charges / model.dim)))

@@ -1,8 +1,8 @@
 """What a sweep repeats is solved once: `matter.lowest_by_sector` keeps one
-plan per sparsity pattern, `matter.ground_resolvent` one backend per
-stored Hamiltonian and `matter.ring_ground_state` one dense ring ground
-vector, and a repeat gives the bits a fresh solve gives.  Every test
-starts from empty caches (conftest.py)."""
+plan per sparsity pattern and `matter.ground_resolvent` one backend per
+stored Hamiltonian, whose ground vector `matter.ring_ground_state` reads
+for the bare ring, and a repeat gives the bits a fresh solve gives.  Every
+test starts from empty caches (conftest.py)."""
 
 import json
 import os
@@ -164,11 +164,16 @@ class TestResolventMemo:
     @pytest.mark.parametrize("sites", [150, 250])
     def test_ring_sweep_diagonalises_the_bare_ring_once(self, monkeypatch, tmp_path, sites):
         # two ring modes, the multipolar D of each read at every point and
-        # again by the invariant check; a charge sweep leaves h_m as it is
-        calls = []
-        original = operators.eigh
+        # again by the invariant check; a charge sweep leaves h_m as it is.
+        # Up to DENSE_MAX_DIM sites the bare ring is diagonalised densely
+        # once; above, it is solved once by the sector backend, with no
+        # dense eigh at all
+        calls, grounds = [], []
+        original, solve_ground = operators.eigh, matter._solve_ground
         for module in (operators, matter):
             monkeypatch.setattr(module, "eigh", lambda h: calls.append(h.dim) or original(h))
+        monkeypatch.setattr(matter, "_solve_ground",
+                            lambda model, h: grounds.append(h.digest) or solve_ground(model, h))
         cfg = cli.validate_config(json.dumps({
             "model": {"kind": "ring_lattice", "sites": sites, "hopping": 1.0, "charge": 1.0},
             "gauge": [{"preset": "coulomb"}, {"preset": "multipolar_ring"}],
@@ -176,7 +181,9 @@ class TestResolventMemo:
             "sweep": {"parameter": "charge", "values": [0.5, 1.0, 1.5, 2.0]},
         }))
         assert cli.run_sweep(cfg, str(tmp_path / "out")) == 0
-        assert calls == [sites]
+        bare = matter.build_ring_lattice(sites, 1.0, 1.0).h_m.digest
+        assert grounds.count(bare) == 1
+        assert calls == ([sites] if sites <= operators.DENSE_MAX_DIM else [])
 
 
 class TestWarmSweep:

@@ -1096,8 +1096,9 @@ class TestBandCholesky:
 
     def test_ring_factor_holds_no_subnormal_entry(self, monkeypatch):
         # in Cuthill-McKee order the ring is a band of width 2 whose factor
-        # decays along the band into subnormal fill, which the solver sets
-        # to zero
+        # at a shift of -3, 1 below E_0, decays along the band into
+        # subnormal fill, which the solver sets to zero; just below E_0, at
+        # the Gershgorin shift, it does not decay
         ring = build_ring_lattice(1500, 1.0, 1.0).h_m.matrix.real.tocsr()
         factors, raw = [], []
         trf = matter_module.dpbtrf
@@ -1108,7 +1109,8 @@ class TestBandCholesky:
             return factors[-1]
 
         monkeypatch.setattr(matter_module, "dpbtrf", factoring)
-        vals, vecs = gershgorin_lowest(ring, 1)
+        vals, vecs = matter_module.shift_invert_lowest(
+            ring, 1, (-3.0, *matter_module._band_cholesky(ring, -3.0)))
         assert abs(vals[0] + 2.0) <= 1e-12
         assert np.linalg.norm(ring @ vecs[:, 0] - vals[0] * vecs[:, 0]) <= 1e-10
         (factor, info), = factors

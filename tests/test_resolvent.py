@@ -890,6 +890,40 @@ class TestBandSlicing:
         assert np.max(np.abs(vals - whole[:k])) <= 1e-12 * np.max(np.abs(whole))
         assert np.max(np.linalg.norm(h @ vecs - vecs * vals, axis=0)) <= 1e-10
 
+class TestCleanRing:
+    """A clean ring's E_0 lies on its Gershgorin bound, so shift-invert
+    from the Gershgorin shift just below it converges in ARPACK's fewest
+    solves, and its ground vector holds the uniform density."""
+
+    @pytest.mark.parametrize("hopping", [1.0, 1.2])
+    def test_two_lowest_levels_from_one_short_shift_invert(self, monkeypatch, hopping):
+        ring = build_ring_lattice(1500, hopping, 1.0)
+        events = record_band_slicing(monkeypatch)
+        _, solves = counting_band(monkeypatch)
+        ground = ground_resolvent(ring)
+        (solve,) = [e for e in events if e[0] == "solve"]
+        assert solve[2] == 2 and np.array_equal(solve[4], ground.lowest)
+        assert len(solves) <= 30
+        cos = np.cos(2.0 * np.pi / 1500)
+        assert np.max(np.abs(ground.lowest - [-2.0 * hopping, -2.0 * hopping * cos])) <= 1e-12
+
+    @pytest.mark.parametrize("sites", [1500, 4000])
+    @pytest.mark.parametrize("hopping", [1.0, 1.2])
+    def test_ground_vector_holds_the_uniform_density(self, sites, hopping):
+        density = np.abs(_sectored(build_ring_lattice(sites, hopping, 1.0)).vector) ** 2
+        assert np.max(np.abs(density - 1.0 / sites)) <= 1e-12
+
+    def test_coulomb_criterion_matches_dense(self):
+        ring = build_ring_lattice(600, 1.0, 1.0)
+        assert isinstance(ground_resolvent(ring), SectorResolvent)
+        gauge, mode = make_gauge("coulomb"), ring_mode(ring, 1)
+        dense = evaluate(ring, gauge, mode, spectrum=matter_spectrum(ring))
+        sparse = evaluate(ring, gauge, mode)
+        scale = max(abs(d.lhs) for d in dense)
+        for d, s in zip(dense, sparse, strict=True):
+            assert abs(d.lhs - s.lhs) <= 1e-11 * scale, (d.tau, d.lhs, s.lhs)
+
+
 def _lu_gram(ground, cols):
     """`SectorResolvent.gram` by an LU solve (`np.linalg.solve`) of each
     sector's block, cut from the dense matrix, the reference for its
